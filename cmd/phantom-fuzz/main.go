@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/api"
 	"repro/internal/cli"
@@ -111,7 +112,6 @@ func runLocal(c *cli.Common, spec api.JobSpec, freezeDir string) int {
 		Scheduler:    c.Scheduler,
 		Trace:        c.TraceDir != "" || c.StoreDir != "",
 		TraceRingCap: cli.TraceRingCap,
-		TraceDir:     c.TraceDir,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "phantom-fuzz:", err)
@@ -123,6 +123,11 @@ func runLocal(c *cli.Common, spec api.JobSpec, freezeDir string) int {
 		return 2
 	}
 	fleet := &runner.Fleet{Workers: c.Workers, Telemetry: c.Telemetry, Store: sw}
+	// Job names contain '/' and brackets, so trace files are keyed by the
+	// family and sweep index instead.
+	traceErr := c.ExportTraces(fleet, func(j *runner.Job) string {
+		return fmt.Sprintf("%s-%04d", strings.TrimPrefix(j.Def.ID, "fuzz/"), j.SweepIndex)
+	}, false)
 	if c.HTTPAddr != "" {
 		state := cli.NewLiveState(len(expn.Jobs))
 		state.SetPprof(c.Pprof)
@@ -147,11 +152,11 @@ func runLocal(c *cli.Common, spec api.JobSpec, freezeDir string) int {
 			return 2
 		}
 	}
-	rep, err := expn.Finish(results, stats)
-	if err != nil {
+	if err := traceErr(); err != nil {
 		fmt.Fprintln(os.Stderr, "phantom-fuzz:", err)
 		return 2
 	}
+	rep := expn.Finish(results, stats)
 	findings := expn.Findings()
 
 	if c.JSON {

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -50,7 +49,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "phantom-serve: listen: %v\n", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := cli.NewHTTPServer(s.Handler())
 	go httpSrv.Serve(ln)
 	fmt.Fprintf(os.Stderr, "phantom-serve: job API on http://%s%s/jobs\n", ln.Addr(), "/v1")
 	if *data != "" {

@@ -148,7 +148,7 @@ func main() {
 		}
 	}
 	if *traceN > 0 {
-		fmt.Printf("\ntrace (last %d of %d events):\n", len(v.trace.Events()), v.trace.Seen())
+		fmt.Printf("\ntrace (last %d of %d events):\n", v.trace.Len(), v.trace.Seen())
 		if _, err := v.trace.WriteTo(os.Stdout); err != nil {
 			c.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func storeRun(c *cli.Common, v *view, reg *telemetry.Registry, tr *trace.Tracer,
 	seg.AddSummary(summaryMap(v, end))
 	seg.AddCounters(reg.Snapshot())
 	if tr != nil {
-		seg.AddTrace(tr.Events())
+		seg.AddTrace(tr.Retained())
 	}
 	if err := w.Append(seg); err != nil {
 		w.Close()

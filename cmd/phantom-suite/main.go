@@ -20,8 +20,8 @@
 //	-update-golden  rewrite the golden baselines from this run
 //	-telemetry      give every job a counter registry; report per-experiment
 //	                counters and fleet totals
-//	-trace-dir d    keep a flight recorder per job and export each job's
-//	                retained events to d/<id>.jsonl
+//	-trace-dir d    record every job on a flight recorder and export each
+//	                job's retained events to d/<id>.jsonl as it completes
 //	-store d        append every run's results (summary metrics, counters
 //	                when -telemetry is on, trace events) to the phantomdb
 //	                campaign directory d; query it with phantom-trace -store
@@ -165,9 +165,9 @@ func run(c *cli.Common, goldenDir string, updateGolden bool, sweep int, list, ve
 func runLocal(c *cli.Common, spec api.JobSpec, verbose bool) (*api.Report, int) {
 	expn, err := api.Expand(spec, api.Env{
 		Scheduler: c.Scheduler,
-		// The store persists trace events too, so -store alone keeps a
-		// flight recorder per job; JSONL files are only written for
-		// -trace-dir. Tracing never alters results either way.
+		// The store persists trace events too, so -store alone records
+		// every job; JSONL files are only written for -trace-dir. Tracing
+		// never alters results either way.
 		Trace:        c.TraceDir != "" || c.StoreDir != "",
 		TraceRingCap: cli.TraceRingCap,
 	})
@@ -187,6 +187,7 @@ func runLocal(c *cli.Common, spec api.JobSpec, verbose bool) (*api.Report, int) 
 		return nil, 2
 	}
 	fleet.Store = sw
+	traceErr := c.ExportTraces(fleet, func(j *runner.Job) string { return j.Label() }, verbose && !c.JSON)
 	if c.HTTPAddr != "" {
 		state := cli.NewLiveState(len(expn.Jobs))
 		state.SetPprof(c.Pprof)
@@ -205,22 +206,9 @@ func runLocal(c *cli.Common, spec api.JobSpec, verbose bool) (*api.Report, int) 
 			return nil, 2
 		}
 	}
-	if c.TraceDir != "" {
-		for i := range expn.Jobs {
-			tr := expn.Jobs[i].Opts.Trace
-			if tr == nil {
-				continue
-			}
-			path, err := cli.ExportTrace(c.TraceDir, expn.Jobs[i].Label(), tr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "phantom-suite: trace export:", err)
-				return nil, 2
-			}
-			if verbose && !c.JSON {
-				fmt.Fprintf(os.Stderr, "trace %s: %d events retained (%d seen) → %s\n",
-					expn.Jobs[i].Label(), len(tr.Events()), tr.Seen(), path)
-			}
-		}
+	if err := traceErr(); err != nil {
+		fmt.Fprintln(os.Stderr, "phantom-suite:", err)
+		return nil, 2
 	}
 	if verbose {
 		for _, r := range results {
@@ -229,12 +217,7 @@ func runLocal(c *cli.Common, spec api.JobSpec, verbose bool) (*api.Report, int) 
 			}
 		}
 	}
-	rep, err := expn.Finish(results, stats)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "phantom-suite:", err)
-		return nil, 2
-	}
-	return rep, 0
+	return expn.Finish(results, stats), 0
 }
 
 // submit POSTs the spec to the phantom-serve daemon and streams the runs

@@ -18,10 +18,12 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"regexp"
 	"time"
 
 	"repro/internal/exp"
 	"repro/internal/runner"
+	"repro/internal/scengen"
 	"repro/internal/sim"
 )
 
@@ -32,6 +34,12 @@ const SchemaVersion = exp.SchemaVersion
 
 // PathPrefix is the versioned REST prefix every job endpoint lives under.
 const PathPrefix = "/v1"
+
+// MaxJobs bounds the fleet jobs one spec may expand to: sweep points times
+// matched experiments, or scenarios per family times families. An expanded
+// job is a few hundred bytes, so the bound is generous — it exists so that
+// no spec, however small, can ask for an unbounded job list.
+const MaxJobs = 1_000_000
 
 // Kind says which payload of a JobSpec is live.
 type Kind string
@@ -118,9 +126,9 @@ type FuzzSpec struct {
 }
 
 // Validate checks the spec's internal consistency: a known kind, exactly
-// the matching payload present, parseable scheduler and filter. It is the
-// shared gate for both the CLIs (before running or submitting) and the
-// daemon (before accepting).
+// the matching payload present, parseable scheduler and filter, and an
+// expansion of at most MaxJobs jobs. It is the shared gate for both the
+// CLIs (before running or submitting) and the daemon (before accepting).
 func (s *JobSpec) Validate() error {
 	if s.SchemaVersion != 0 && s.SchemaVersion != SchemaVersion {
 		return fmt.Errorf("api: schema_version %d not supported (want %d)", s.SchemaVersion, SchemaVersion)
@@ -158,6 +166,13 @@ func (s *JobSpec) Validate() error {
 		if s.Suite.DurationNS < 0 {
 			return fmt.Errorf("api: negative duration %d", s.Suite.DurationNS)
 		}
+		matched, err := s.Suite.match()
+		if err != nil {
+			return err
+		}
+		if err := checkJobs(s.Suite.Sweep, len(matched), "sweep points", "matched experiments"); err != nil {
+			return err
+		}
 	case KindScenario:
 		if s.Scenario == nil {
 			return fmt.Errorf("api: kind %q without a scenario payload", s.Kind)
@@ -172,8 +187,41 @@ func (s *JobSpec) Validate() error {
 		if s.Fuzz.N <= 0 {
 			return fmt.Errorf("api: fuzz campaign needs n > 0, got %d", s.Fuzz.N)
 		}
+		families := len(s.Fuzz.Families)
+		if families == 0 {
+			families = len(scengen.Families())
+		}
+		if err := checkJobs(s.Fuzz.N, families, "scenarios per family", "families"); err != nil {
+			return err
+		}
 	default:
 		return fmt.Errorf("api: unknown job kind %q", s.Kind)
+	}
+	return nil
+}
+
+// match returns the registered experiments the filter selects, in registry
+// order.
+func (s *SuiteSpec) match() ([]exp.Definition, error) {
+	re, err := regexp.Compile(s.Filter)
+	if err != nil {
+		return nil, fmt.Errorf("api: bad filter: %w", err)
+	}
+	var defs []exp.Definition
+	exp.Walk(func(d exp.Definition) bool {
+		if re.MatchString(d.ID) {
+			defs = append(defs, d)
+		}
+		return true
+	})
+	return defs, nil
+}
+
+// checkJobs rejects a spec whose per × of product exceeds MaxJobs, without
+// forming the product (per comes straight off the wire).
+func checkJobs(per, of int, perName, ofName string) error {
+	if of > 0 && per > MaxJobs/of {
+		return fmt.Errorf("api: spec expands to %d %s x %d %s, over the limit of %d jobs", per, perName, of, ofName, MaxJobs)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -42,6 +43,27 @@ func TestValidate(t *testing.T) {
 		{"fuzz needs n", func(s *JobSpec) {
 			s.Kind, s.Suite, s.Fuzz = KindFuzz, nil, &FuzzSpec{}
 		}, "n > 0"},
+		{"bad filter", func(s *JobSpec) { s.Suite.Filter = "[" }, "bad filter"},
+		{"sweep at the job limit", func(s *JobSpec) { s.Suite.Sweep = MaxJobs }, ""},
+		{"sweep over the job limit", func(s *JobSpec) { s.Suite.Sweep = MaxJobs + 1 }, "limit of 1000000 jobs"},
+		{"sweep x experiments over the job limit", func(s *JobSpec) {
+			s.Suite.Filter, s.Suite.Sweep = "^E0[12]$", MaxJobs/2+1
+		}, "limit of 1000000 jobs"},
+		{"sweep that would overflow a product", func(s *JobSpec) {
+			s.Suite.Filter, s.Suite.Sweep = "", int(^uint(0)>>1)
+		}, "limit of 1000000 jobs"},
+		{"huge sweep of nothing", func(s *JobSpec) {
+			s.Suite.Filter, s.Suite.Sweep = "no-such-experiment-zzz", MaxJobs+1
+		}, ""},
+		{"fuzz at the job limit", func(s *JobSpec) {
+			s.Kind, s.Suite, s.Fuzz = KindFuzz, nil, &FuzzSpec{N: MaxJobs / 2, Families: []string{"waxman", "fattree"}}
+		}, ""},
+		{"fuzz n x families over the job limit", func(s *JobSpec) {
+			s.Kind, s.Suite, s.Fuzz = KindFuzz, nil, &FuzzSpec{N: MaxJobs/2 + 1, Families: []string{"waxman", "fattree"}}
+		}, "limit of 1000000 jobs"},
+		{"fuzz n x all families over the job limit", func(s *JobSpec) {
+			s.Kind, s.Suite, s.Fuzz = KindFuzz, nil, &FuzzSpec{N: MaxJobs/len(scengen.Families()) + 1}
+		}, "limit of 1000000 jobs"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,15 +124,55 @@ func TestExpandTraceAttachesRecorders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Jobs[0].Opts.Trace == nil {
-		t.Fatal("Trace env did not attach a flight recorder")
+	if e.Jobs[0].TraceCap != 16 {
+		t.Fatalf("Trace env marked the job TraceCap %d, want 16", e.Jobs[0].TraceCap)
+	}
+	if e.Jobs[0].Opts.Trace != nil {
+		t.Fatal("Expand allocated a recorder: the rings belong to the fleet's workers")
+	}
+	e1, err := Expand(suiteSpec("^E01$"), Env{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e1.Jobs[0].TraceCap != TraceRingDefault {
+		t.Fatalf("default TraceCap %d, want %d", e1.Jobs[0].TraceCap, TraceRingDefault)
 	}
 	e2, err := Expand(suiteSpec("^E01$"), Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.Jobs[0].Opts.Trace != nil {
-		t.Fatal("recorder attached without Trace env")
+	if e2.Jobs[0].TraceCap != 0 || e2.Jobs[0].Opts.Trace != nil {
+		t.Fatal("job marked for recording without Trace env")
+	}
+
+	// All three kinds carry the intent.
+	fuzz, err := Expand(JobSpec{Kind: KindFuzz, Fuzz: &FuzzSpec{N: 2, Families: []string{"parkinglot"}}}, Env{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range fuzz.Jobs {
+		if j.TraceCap != TraceRingDefault || j.Opts.Trace != nil {
+			t.Fatalf("fuzz job %d: TraceCap %d, Opts.Trace %v", i, j.TraceCap, j.Opts.Trace)
+		}
+	}
+}
+
+// TestExpandCostPerRun pins what the worker-resident recorders bought: a
+// recorded run costs its job entry to expand, not a ring (which at
+// TraceRingDefault was 1.1 MB per run, alive as long as the expansion).
+func TestExpandCostPerRun(t *testing.T) {
+	spec := suiteSpec("^E01$")
+	spec.Suite.Sweep = 250
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := Expand(spec, Env{Trace: true})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(e.Jobs))
+	if len(e.Jobs) != 250 || perRun >= 4096 {
+		t.Fatalf("Expand allocated %.0f B per run over %d runs, want < 4096", perRun, len(e.Jobs))
 	}
 }
 
@@ -140,11 +202,7 @@ func TestExpandScenario(t *testing.T) {
 	}
 	fleet := &runner.Fleet{Workers: 1}
 	results, stats := fleet.Run(e.Jobs)
-	rep, err := e.Finish(results, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr := rep.Results[0]
+	rr := e.Finish(results, stats).Results[0]
 	if rr.ID != "tiny" {
 		t.Errorf("result ID %q, want tiny", rr.ID)
 	}

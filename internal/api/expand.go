@@ -2,7 +2,6 @@ package api
 
 import (
 	"fmt"
-	"regexp"
 	"strings"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"repro/internal/scengen"
 	"repro/internal/sim"
 	"repro/internal/simconfig"
-	"repro/internal/trace"
 )
 
 // Env is what the executor brings to a spec: its default scheduler and its
@@ -21,16 +19,14 @@ import (
 type Env struct {
 	// Scheduler is the fallback backend when the spec doesn't pick one.
 	Scheduler sim.SchedulerKind
-	// Trace attaches a flight recorder to every job, for executors that
+	// Trace records every job on a flight recorder, for executors that
 	// persist runs into a campaign store (the recorder feeds the store's
-	// trace blocks). Tracing never alters results.
+	// trace blocks) or export them (runner.Fleet.OnTrace). Expansion only
+	// marks the jobs (runner.Job.TraceCap); the rings belong to the fleet's
+	// workers. Tracing never alters results.
 	Trace bool
 	// TraceRingCap caps each job's recorder (0: a campaign-sized default).
 	TraceRingCap int
-	// TraceDir, when non-empty, additionally exports fuzz scenarios'
-	// retained events as JSONL under it at Finish (suite binaries export
-	// their own, with experiment-derived names).
-	TraceDir string
 }
 
 // Expansion is a spec turned into executable fleet work plus the collector
@@ -64,22 +60,23 @@ func Expand(spec JobSpec, env Env) (*Expansion, error) {
 	if kind == sim.SchedulerDefault {
 		kind = env.Scheduler
 	}
-	ringCap := env.TraceRingCap
-	if ringCap <= 0 {
-		ringCap = TraceRingDefault
+	traceCap := 0 // runner.Job.TraceCap of every job: 0 leaves them unrecorded
+	if env.Trace {
+		traceCap = env.TraceRingCap
+		if traceCap <= 0 {
+			traceCap = TraceRingDefault
+		}
 	}
 	e := &Expansion{Spec: spec, sched: kind}
 	switch spec.Kind {
 	case KindSuite:
-		if err := e.expandSuite(env, ringCap); err != nil {
-			return nil, err
-		}
+		e.expandSuite(traceCap)
 	case KindScenario:
-		if err := e.expandScenario(env, ringCap); err != nil {
+		if err := e.expandScenario(traceCap); err != nil {
 			return nil, err
 		}
 	case KindFuzz:
-		if err := e.expandFuzz(env, ringCap); err != nil {
+		if err := e.expandFuzz(traceCap); err != nil {
 			return nil, err
 		}
 	}
@@ -90,44 +87,32 @@ func Expand(spec JobSpec, env Env) (*Expansion, error) {
 }
 
 // expandSuite builds one job per (matched experiment, sweep point).
-func (e *Expansion) expandSuite(env Env, ringCap int) error {
+func (e *Expansion) expandSuite(traceCap int) {
 	s := e.Spec.Suite
-	re, err := regexp.Compile(s.Filter)
-	if err != nil {
-		return fmt.Errorf("api: bad filter: %w", err)
-	}
+	defs, _ := s.match() // Validate checked the filter
 	sweep := s.Sweep
 	if sweep < 1 {
 		sweep = 1
 	}
-	exp.Walk(func(d exp.Definition) bool {
-		if !re.MatchString(d.ID) {
-			return true
-		}
+	e.Jobs = make([]runner.Job, 0, len(defs)*sweep) // at most MaxJobs: Validate checked
+	for _, d := range defs {
 		for i := 0; i < sweep; i++ {
 			o := exp.Options{Quiet: true, Duration: sim.Duration(s.DurationNS), Scheduler: e.sched, Shards: e.Spec.Shards}
 			if s.Quick && o.Duration == 0 {
 				o.Duration = runner.QuickDuration(d.ID)
 			}
-			if env.Trace {
-				// One recorder per job: tracers are single-goroutine like
-				// the engines they observe.
-				o.Trace = trace.New(ringCap)
-			}
-			job := runner.Job{Def: d, Opts: o}
+			job := runner.Job{Def: d, Opts: o, TraceCap: traceCap}
 			if sweep > 1 {
 				job.SweepIndex = i
 			}
 			e.Jobs = append(e.Jobs, job)
 		}
-		return true
-	})
-	return nil
+	}
 }
 
 // expandScenario builds the single job that parses, runs and
 // invariant-checks the embedded simconfig text.
-func (e *Expansion) expandScenario(env Env, ringCap int) error {
+func (e *Expansion) expandScenario(traceCap int) error {
 	s := e.Spec.Scenario
 	parsed, err := simconfig.Parse(strings.NewReader(s.Text))
 	if err != nil {
@@ -142,10 +127,6 @@ func (e *Expansion) expandScenario(env Env, ringCap int) error {
 		sched = sim.SchedulerHeap
 	}
 	crossCheck := s.CrossCheck
-	var opts exp.Options
-	if env.Trace {
-		opts.Trace = trace.New(ringCap)
-	}
 	e.Jobs = []runner.Job{{
 		Def: exp.Definition{
 			ID:    name,
@@ -200,14 +181,14 @@ func (e *Expansion) expandScenario(env Env, ringCap int) error {
 				return res, nil
 			},
 		},
-		Opts: opts,
-		Name: name,
+		Name:     name,
+		TraceCap: traceCap,
 	}}
 	return nil
 }
 
 // expandFuzz delegates to scengen's campaign builder.
-func (e *Expansion) expandFuzz(env Env, ringCap int) error {
+func (e *Expansion) expandFuzz(traceCap int) error {
 	s := e.Spec.Fuzz
 	var families []scengen.Family
 	for _, name := range s.Families {
@@ -218,14 +199,12 @@ func (e *Expansion) expandFuzz(env Env, ringCap int) error {
 		families = append(families, f)
 	}
 	c, err := scengen.NewCampaign(scengen.CampaignConfig{
-		Families:     families,
-		N:            s.N,
-		Scheduler:    e.sched,
-		CrossCheck:   s.CrossCheck,
-		Minimize:     s.Minimize,
-		ObserveTrace: env.Trace,
-		TraceRingCap: ringCap,
-		TraceDir:     env.TraceDir,
+		Families:   families,
+		N:          s.N,
+		Scheduler:  e.sched,
+		CrossCheck: s.CrossCheck,
+		Minimize:   s.Minimize,
+		TraceCap:   traceCap,
 	})
 	if err != nil {
 		return fmt.Errorf("api: %w", err)
@@ -274,19 +253,14 @@ func (e *Expansion) Convert(i int, r runner.Result) RunResult {
 	return rr
 }
 
-// Finish converts every result (in job order) and runs the expansion's
-// deferred work (fuzz trace export). Call once, after the fleet drains.
-func (e *Expansion) Finish(results []runner.Result, stats runner.Stats) (*Report, error) {
+// Finish converts every result (in job order) into the report. Call once,
+// after the fleet drains.
+func (e *Expansion) Finish(results []runner.Result, stats runner.Stats) *Report {
 	rrs := make([]RunResult, len(results))
 	for i, r := range results {
 		rrs[i] = e.Convert(i, r)
 	}
-	if e.campaign != nil {
-		if _, err := e.campaign.Finish(stats); err != nil {
-			return nil, err
-		}
-	}
-	return NewReport(e.Spec.Kind, rrs, stats), nil
+	return NewReport(e.Spec.Kind, rrs, stats)
 }
 
 // Findings returns the fuzz campaign's compacted findings in (family,

@@ -15,9 +15,11 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -48,8 +50,8 @@ const (
 	// FlagTelemetry registers -telemetry: record per-component counters and
 	// report them with the results.
 	FlagTelemetry
-	// FlagTrace registers -trace-dir: keep a flight recorder per run and
-	// export its retained events as JSONL under the given directory.
+	// FlagTrace registers -trace-dir: record each run on a flight recorder
+	// and export its retained events as JSONL under the given directory.
 	FlagTrace
 	// FlagStore registers -store: persist run results (summaries, counters,
 	// traces) into a columnar phantomdb campaign directory, queryable with
@@ -71,7 +73,8 @@ const (
 
 // TraceRingCap is the per-run flight-recorder capacity behind -trace-dir:
 // enough to hold the interesting tail of a long run (the ring keeps the
-// newest events) while costing a few MB per run at most.
+// newest events). A fleet pays for it once per worker (17.8 MB), not per
+// run: runner.Fleet workers reuse one ring.
 const TraceRingCap = 1 << 16
 
 // Common holds the parsed common flags of one command invocation.
@@ -270,7 +273,7 @@ func StoreRun(w *store.Writer, meta store.RunMeta, res *exp.Result, tr *trace.Tr
 		seg.AddCounters(res.Counters)
 	}
 	if tr != nil {
-		seg.AddTrace(tr.Events())
+		seg.AddTrace(tr.Retained())
 	}
 	return w.Append(seg)
 }
@@ -291,6 +294,39 @@ func ExportTrace(dir, id string, tr *trace.Tracer) (string, error) {
 		return "", err
 	}
 	return path, f.Close()
+}
+
+// ExportTraces wires -trace-dir into a fleet: each recorded job's flight
+// recorder is exported to TraceDir/<name(job)>.jsonl on the worker as the
+// job completes (runner.Fleet.OnTrace — a worker's recorder is on loan to
+// the job only until then), and reported on stderr when note is set. The
+// returned function gives the first export error; call it once the fleet
+// has drained. Without -trace-dir nothing is wired.
+func (c *Common) ExportTraces(f *runner.Fleet, name func(*runner.Job) string, note bool) (firstErr func() error) {
+	if c.TraceDir == "" {
+		return func() error { return nil }
+	}
+	var mu sync.Mutex
+	var first error
+	f.OnTrace = func(_ int, job *runner.Job, tr *trace.Tracer) {
+		path, err := ExportTrace(c.TraceDir, name(job), tr)
+		switch {
+		case err != nil:
+			mu.Lock()
+			if first == nil {
+				first = fmt.Errorf("trace export: %w", err)
+			}
+			mu.Unlock()
+		case note:
+			fmt.Fprintf(os.Stderr, "trace %s: %d events retained (%d seen) → %s\n",
+				job.Label(), tr.Len(), tr.Seen(), path)
+		}
+	}
+	return func() error {
+		mu.Lock()
+		defer mu.Unlock()
+		return first
+	}
 }
 
 // FilterRegexp compiles -filter, exiting with a usage error when invalid.
@@ -366,7 +402,7 @@ func (c *Common) RunExperiment(id string) error {
 			return err
 		}
 		if !c.JSON {
-			fmt.Printf("  trace: %d events retained (%d seen) → %s\n", len(tr.Events()), tr.Seen(), path)
+			fmt.Printf("  trace: %d events retained (%d seen) → %s\n", tr.Len(), tr.Seen(), path)
 		}
 	}
 	if c.StoreDir != "" {

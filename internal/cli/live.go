@@ -174,6 +174,20 @@ func (s *LiveState) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
+// NewHTTPServer returns the http.Server every phantom listener runs: a
+// client must deliver its request headers within ReadHeaderTimeout and an
+// idle keep-alive connection is dropped after IdleTimeout, so stalled or
+// abandoned connections cannot pile up on a long-lived daemon. There is no
+// write timeout — NDJSON result streams legitimately stay open for as long
+// as a job runs.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // ServeLive starts the -http listener with the live endpoints and returns
 // a closer. CLIs that run one fleet and exit use this; phantom-serve
 // mounts the same handlers on its API mux instead.
@@ -184,7 +198,7 @@ func ServeLive(addr string, state *LiveState) (stop func(), err error) {
 	}
 	mux := http.NewServeMux()
 	state.Register(mux)
-	srv := &http.Server{Handler: mux}
+	srv := NewHTTPServer(mux)
 	go srv.Serve(ln)
 	return func() { srv.Close() }, nil
 }

@@ -42,3 +42,16 @@ func TestPprofGate(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPServerTimeouts pins the listener hardening: header and idle
+// timeouts are set, and there is no write timeout to cut a long-lived
+// NDJSON stream short.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := NewHTTPServer(http.NewServeMux())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v: both must be set", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout %v, ReadTimeout %v: result streams and 8 MB specs must not be cut off", srv.WriteTimeout, srv.ReadTimeout)
+	}
+}

@@ -30,6 +30,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Job is one unit of fleet work: an experiment definition plus the options
@@ -49,6 +50,12 @@ type Job struct {
 	// PinSeed keeps Opts.Seed as given instead of deriving it. Tests use
 	// it to replay a specific seed.
 	PinSeed bool
+	// TraceCap, when positive, asks the fleet to record the run on a flight
+	// recorder of that capacity. The job states the intent only: the
+	// storage is the executing worker's (see Fleet.OnTrace for who gets to
+	// read it, and when). A job that brings its own Opts.Trace is recorded
+	// there instead and TraceCap is ignored.
+	TraceCap int
 }
 
 // Label returns the job's display name.
@@ -65,6 +72,9 @@ func (j Job) Label() string {
 // Result is the outcome of one job. Exactly one of Res or Err is set; a
 // captured panic additionally carries its stack.
 type Result struct {
+	// Job is the job as submitted. A recorder the worker lent to the run is
+	// not in it: Job.Opts.Trace is whatever the caller set, nil for TraceCap
+	// jobs.
 	Job      Job
 	Res      *exp.Result
 	Err      error
@@ -84,8 +94,8 @@ type Result struct {
 
 // Stats aggregates a fleet run.
 type Stats struct {
-	Runs    int
-	Failed  int
+	Runs   int
+	Failed int
 	// Canceled counts jobs skipped because the fleet's context was done.
 	// They are not counted in Failed: a canceled job says nothing about
 	// the experiment, only about the caller's deadline.
@@ -164,9 +174,17 @@ type Fleet struct {
 	// worker goroutines; it must be safe for concurrent use and should
 	// return quickly.
 	OnResult func(i int, r Result)
+	// OnTrace, when set, is handed each recorded job's flight recorder on
+	// the worker, once the job is complete and its store segment committed,
+	// before OnResult. For a TraceCap job the recorder is the worker's own —
+	// one ring per worker, emptied and lent to each job in turn — so tr is
+	// valid only until OnTrace returns: export or copy what must outlive
+	// the call. Called from worker goroutines; it must be safe for
+	// concurrent use.
+	OnTrace func(i int, job *Job, tr *trace.Tracer)
 	// Store, when set, persists each job's results (summary metrics,
 	// telemetry counters when recorded, flight-recorder events when the job
-	// carries a tracer) into the columnar campaign store. Each worker
+	// is recorded) into the columnar campaign store. Each worker
 	// encodes and compresses its own job's segment in parallel; the writer
 	// serializes them to disk in job-index order, so the campaign's bytes
 	// are identical for any worker count. Write errors stick in the writer
@@ -178,7 +196,7 @@ type Fleet struct {
 // the worker goroutine (the compression happens here, in parallel); only
 // the final disk append is serialized inside Commit. A failed job commits
 // an empty segment so the campaign keeps its one-segment-per-job shape.
-func (f *Fleet) commitStore(i int, job *Job, r *Result) {
+func (f *Fleet) commitStore(i int, job *Job, r *Result, tr *trace.Tracer) {
 	seg := f.Store.NewSegment(store.RunMeta{
 		Experiment: job.Def.ID,
 		Sweep:      job.SweepIndex,
@@ -188,10 +206,31 @@ func (f *Fleet) commitStore(i int, job *Job, r *Result) {
 		seg.AddSummary(r.Res.Summary)
 		seg.AddCounters(r.Res.Counters)
 	}
-	if job.Opts.Trace != nil {
-		seg.AddTrace(job.Opts.Trace.Events())
+	if tr != nil {
+		seg.AddTrace(tr.Retained())
 	}
 	f.Store.Commit(i, seg)
+}
+
+// recorder is a fleet worker's resident flight recorder: one ring for the
+// worker's life, touched by that worker's goroutine only, so recording a
+// campaign costs a ring per worker instead of a ring per run.
+type recorder struct{ tr *trace.Tracer }
+
+// lend returns the tracer job runs under, or nil when it is not recorded:
+// the caller's own when Opts.Trace is preset, otherwise the resident ring,
+// allocated on the worker's first TraceCap job (or a change of capacity)
+// and emptied before every one — each run sees an empty ring of exactly the
+// capacity it asked for, as if freshly made.
+func (w *recorder) lend(job *Job) *trace.Tracer {
+	if job.Opts.Trace != nil || job.TraceCap <= 0 {
+		return job.Opts.Trace
+	}
+	if w.tr.Cap() != job.TraceCap {
+		w.tr = trace.New(job.TraceCap)
+	}
+	w.tr.Reset()
+	return w.tr
 }
 
 // Jobs builds one job per definition under shared options.
@@ -257,14 +296,19 @@ func (f *Fleet) RunContext(ctx context.Context, jobs []Job) ([]Result, Stats) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var rec recorder
 			for i := range idx {
+				tr := rec.lend(&jobs[i])
 				if err := ctx.Err(); err != nil {
 					results[i] = Result{Job: jobs[i], Err: err, Canceled: true}
 				} else {
-					results[i] = runOne(jobs[i], f.Hook, f.Telemetry)
+					results[i] = runOne(jobs[i], f.Hook, f.Telemetry, tr)
 				}
 				if f.Store != nil {
-					f.commitStore(i, &jobs[i], &results[i])
+					f.commitStore(i, &jobs[i], &results[i], tr)
+				}
+				if tr != nil && f.OnTrace != nil {
+					f.OnTrace(i, &jobs[i], tr)
 				}
 				if f.OnResult != nil {
 					f.OnResult(i, results[i])
@@ -302,10 +346,12 @@ func (f *Fleet) RunContext(ctx context.Context, jobs []Job) ([]Result, Stats) {
 	return results, stats
 }
 
-// runOne executes a single job with panic capture. One call runs exactly one
-// sim.Engine on the calling goroutine, honoring the engine contract.
-func runOne(job Job, hook exp.Hook, tel bool) (r Result) {
+// runOne executes a single job with panic capture, recording it on tr when
+// non-nil. One call runs exactly one sim.Engine on the calling goroutine,
+// honoring the engine contract.
+func runOne(job Job, hook exp.Hook, tel bool, tr *trace.Tracer) (r Result) {
 	r.Job = job
+	job.Opts.Trace = tr // after r.Job: the result must not alias a lent recorder
 	r.SimTime = job.Opts.Duration
 	if r.SimTime <= 0 {
 		r.SimTime = job.Def.Default

@@ -7,8 +7,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/shard"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/switchalg"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 

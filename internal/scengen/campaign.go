@@ -2,16 +2,12 @@ package scengen
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/exp"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/simconfig"
-	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // CampaignConfig sizes one fuzzing campaign.
@@ -36,24 +32,14 @@ type CampaignConfig struct {
 	// Hook observes job progress (optional, concurrency-safe).
 	Hook exp.Hook
 	// Telemetry gives every scenario run a private counter registry; the
-	// fleet totals land in the report's Stats.Counters, and per-run
-	// snapshots go to the Store when one is attached. Observation never
+	// fleet totals land in the report's Stats.Counters. Observation never
 	// changes fingerprints or findings.
 	Telemetry bool
-	// TraceDir, when non-empty, keeps a flight recorder per scenario and
-	// exports it to TraceDir/<family>-<index>.jsonl.
-	TraceDir string
-	// TraceRingCap caps each scenario's flight recorder (0: a default
-	// suitable for campaign-sized runs).
-	TraceRingCap int
-	// Store, when non-nil, persists every scenario run — summary, counter
-	// snapshot, trace events — through the fleet's campaign-store sink.
-	// The caller owns the writer and its Close.
-	Store *store.Writer
-	// ObserveTrace forces a flight recorder per scenario even when TraceDir
-	// and Store are unset, for executors (the phantom-serve daemon) that
-	// attach their own store sink to the fleet after building the jobs.
-	ObserveTrace bool
+	// TraceCap, when positive, marks every scenario for recording on a
+	// flight recorder of that capacity (runner.Job.TraceCap), for executors
+	// that attach a store sink or a trace export to the fleet they run the
+	// jobs on.
+	TraceCap int
 }
 
 // Finding is one scenario that violated an invariant.
@@ -84,10 +70,8 @@ type CampaignReport struct {
 // own fleet (with its own context, store sink and live hooks) and still
 // collect findings deterministically.
 type Campaign struct {
-	cfg      CampaignConfig
-	families []Family
-	jobs     []runner.Job
-	slots    []*Finding
+	jobs  []runner.Job
+	slots []*Finding
 }
 
 // NewCampaign expands cfg into one fleet job per scenario. Findings are
@@ -106,22 +90,10 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 		sched = sim.SchedulerHeap
 	}
 
-	observeTrace := cfg.TraceDir != "" || cfg.Store != nil || cfg.ObserveTrace
-	ringCap := cfg.TraceRingCap
-	if ringCap <= 0 {
-		ringCap = 1 << 12
-	}
-	c := &Campaign{cfg: cfg, families: families, slots: make([]*Finding, len(families)*cfg.N)}
+	c := &Campaign{slots: make([]*Finding, len(families)*cfg.N)}
 	for fi, fam := range families {
 		for i := 0; i < cfg.N; i++ {
 			fam, i, slot := fam, i, &c.slots[fi*cfg.N+i]
-			var opts exp.Options
-			if observeTrace {
-				// One recorder per job: tracers are single-goroutine like
-				// engines. The fleet's store sink reads it back from
-				// Opts.Trace after the job lands.
-				opts.Trace = trace.New(ringCap)
-			}
 			c.jobs = append(c.jobs, runner.Job{
 				Def: exp.Definition{
 					ID:    "fuzz/" + string(fam),
@@ -140,9 +112,9 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 						return res, nil
 					},
 				},
-				Opts:       opts,
 				SweepIndex: i,
 				Name:       fmt.Sprintf("fuzz/%s[%d]", fam, i),
+				TraceCap:   cfg.TraceCap,
 			})
 		}
 	}
@@ -159,22 +131,16 @@ func (c *Campaign) Jobs() []runner.Job { return c.jobs }
 // anything after the fleet drains) reads it race-free.
 func (c *Campaign) Finding(i int) *Finding { return c.slots[i] }
 
-// Finish compacts the findings into a deterministic report and exports the
-// per-scenario traces when the campaign was configured with a TraceDir.
-// Call it exactly once, after the fleet has drained.
-func (c *Campaign) Finish(stats runner.Stats) (*CampaignReport, error) {
-	if c.cfg.TraceDir != "" {
-		if err := exportTraces(c.cfg.TraceDir, c.jobs); err != nil {
-			return nil, err
-		}
-	}
+// Finish compacts the findings into a deterministic report. Call it after
+// the fleet has drained.
+func (c *Campaign) Finish(stats runner.Stats) *CampaignReport {
 	rep := &CampaignReport{Scenarios: len(c.jobs), Stats: stats}
 	for _, f := range c.slots {
 		if f != nil {
 			rep.Findings = append(rep.Findings, *f)
 		}
 	}
-	return rep, nil
+	return rep
 }
 
 // RunCampaign generates and checks cfg.N scenarios for every family, in
@@ -184,43 +150,14 @@ func RunCampaign(cfg CampaignConfig) (*CampaignReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	fleet := &runner.Fleet{Workers: cfg.Workers, Hook: cfg.Hook, Telemetry: cfg.Telemetry, Store: cfg.Store}
+	fleet := &runner.Fleet{Workers: cfg.Workers, Hook: cfg.Hook, Telemetry: cfg.Telemetry}
 	results, stats := fleet.Run(c.Jobs())
 	for _, r := range results {
 		if r.Err != nil {
 			return nil, fmt.Errorf("scengen: %s: %w", r.Job.Name, r.Err)
 		}
 	}
-	return c.Finish(stats)
-}
-
-// exportTraces writes each job's retained flight-recorder events to
-// dir/<family>-<index>.jsonl (the job names contain '/' and brackets, so
-// files are keyed by the family and sweep index instead).
-func exportTraces(dir string, jobs []runner.Job) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i := range jobs {
-		tr := jobs[i].Opts.Trace
-		if tr == nil {
-			continue
-		}
-		family := strings.TrimPrefix(jobs[i].Def.ID, "fuzz/")
-		path := filepath.Join(dir, fmt.Sprintf("%s-%04d.jsonl", family, jobs[i].SweepIndex))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := tr.ExportJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Finish(stats), nil
 }
 
 // runOne generates, runs and checks scenario (family, index); seed is the

@@ -188,9 +188,9 @@ func genParkingLot(rng *workload.RNG) string {
 
 func genFatTree(rng *workload.RNG) string {
 	var b strings.Builder
-	aggs := 2 + rng.Intn(2)         // aggregation switches
-	leavesPer := 1 + rng.Intn(2)    // leaves per aggregation
-	dur := 150 + 50*rng.Intn(3)     // 150..250ms
+	aggs := 2 + rng.Intn(2)      // aggregation switches
+	leavesPer := 1 + rng.Intn(2) // leaves per aggregation
+	dur := 150 + 50*rng.Intn(3)  // 150..250ms
 	core := 0
 	nodes := 1 + aggs + aggs*leavesPer
 	fmt.Fprintf(&b, "nodes %d\n", nodes)

@@ -43,8 +43,8 @@ type Outcome struct {
 	OracleActive []float64
 	// SettleACR[i] is when session i's ACR last entered and held the band
 	// around its own tail average (ok[i] false: it never settled).
-	SettleACR   []sim.Time
-	SettleOK    []bool
+	SettleACR []sim.Time
+	SettleOK  []bool
 	// ActiveTail[i]: the pattern is active through the whole tail window.
 	// StoppedEarly[i]: the pattern is idle forever from StopMargin before
 	// the end, so in-flight cells have drained by Duration.

@@ -173,20 +173,12 @@ func (s *Server) runJob(j *job) {
 	}
 	var stats runner.Stats
 	if infra == "" {
-		var results []runner.Result
-		results, stats = fleet.RunContext(ctx, j.exp.Jobs)
+		_, stats = fleet.RunContext(ctx, j.exp.Jobs)
 		if fleet.Store != nil {
 			// Canceled runs committed empty segments, so Close seals a
 			// complete, readable campaign even mid-cancel.
 			if err := fleet.Store.Close(); err != nil {
 				infra = fmt.Sprintf("store: %v", err)
-			}
-		}
-		if infra == "" {
-			// Finish runs the expansion's deferred work (fuzz trace export
-			// is off on the daemon — no TraceDir — so this is bookkeeping).
-			if _, err := j.exp.Finish(results, stats); err != nil {
-				infra = fmt.Sprintf("finish: %v", err)
 			}
 		}
 	}

@@ -137,6 +137,12 @@ func TestSubmitRejects(t *testing.T) {
 		!strings.Contains(err.Error(), "400") {
 		t.Errorf("bad spec error = %v, want a 400", err)
 	}
+	huge := quickSuite("^E01$")
+	huge.Suite.Sweep = api.MaxJobs + 1
+	if _, err := client.Submit(huge); err == nil ||
+		!strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "limit of 1000000 jobs") {
+		t.Errorf("oversized sweep error = %v, want a 400 naming the job limit", err)
+	}
 	if _, err := client.Job("job-99999"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown job error = %v, want a 404", err)
 	}
@@ -177,10 +183,7 @@ func TestDeterminism(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	directRep, err := expn.Finish(results, stats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	directRep := expn.Finish(results, stats)
 
 	// Daemon run of the same spec.
 	daemonDir := t.TempDir()

@@ -203,5 +203,5 @@ func TestEmitUnrepresentable(t *testing.T) {
 
 type customPattern struct{}
 
-func (customPattern) ActiveAt(sim.Time) bool                 { return true }
-func (customPattern) NextChange(sim.Time) (sim.Time, bool)   { return 0, false }
+func (customPattern) ActiveAt(sim.Time) bool               { return true }
+func (customPattern) NextChange(sim.Time) (sim.Time, bool) { return 0, false }

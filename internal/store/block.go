@@ -274,7 +274,10 @@ const (
 // dictionary (components, kinds, field keys, field string values, IDs in
 // first-appearance order — deterministic because event order is), then
 // time / component / kind / field-count columns, then per-row typed fields.
-func encodeTraceBlock(meta RunMeta, events []trace.Event) []byte {
+// The block's events arrive as consecutive runs (a wrapped recorder ring is
+// two) and are read in place: one pass fills the dictionary and the five
+// columns side by side, and the columns are laid end to end after it.
+func encodeTraceBlock(meta RunMeta, runs [][]trace.Event) []byte {
 	ids := map[string]uint64{}
 	var dict []string
 	intern := func(s string) uint64 {
@@ -286,14 +289,31 @@ func encodeTraceBlock(meta RunMeta, events []trace.Event) []byte {
 		dict = append(dict, s)
 		return id
 	}
-	for i := range events {
-		e := &events[i]
-		intern(e.Component)
-		intern(e.Kind)
-		for _, f := range e.Fields() {
-			intern(f.Key)
-			if f.Kind() == trace.FieldStr {
-				intern(f.Str())
+	var times, comps, kinds, counts, fields []byte
+	var te timeEncoder
+	for _, events := range runs {
+		for i := range events {
+			e := &events[i]
+			times = te.append(times, e.T)
+			comps = binary.AppendUvarint(comps, intern(e.Component))
+			kinds = binary.AppendUvarint(kinds, intern(e.Kind))
+			fs := e.Fields()
+			counts = append(counts, byte(len(fs)))
+			for _, f := range fs {
+				fields = binary.AppendUvarint(fields, intern(f.Key))
+				switch f.Kind() {
+				case trace.FieldInt:
+					fields = append(fields, ftInt)
+					fields = binary.AppendVarint(fields, f.Int())
+				case trace.FieldFloat:
+					fields = append(fields, ftFloat)
+					fields = binary.AppendUvarint(fields, math.Float64bits(f.Float()))
+				case trace.FieldStr:
+					fields = append(fields, ftStr)
+					fields = binary.AppendUvarint(fields, intern(f.Str()))
+				default:
+					fields = append(fields, ftNone)
+				}
 			}
 		}
 	}
@@ -303,36 +323,8 @@ func encodeTraceBlock(meta RunMeta, events []trace.Event) []byte {
 	for _, s := range dict {
 		b = appendStr(b, s)
 	}
-	var te timeEncoder
-	for i := range events {
-		b = te.append(b, events[i].T)
-	}
-	for i := range events {
-		b = binary.AppendUvarint(b, ids[events[i].Component])
-	}
-	for i := range events {
-		b = binary.AppendUvarint(b, ids[events[i].Kind])
-	}
-	for i := range events {
-		b = append(b, byte(len(events[i].Fields())))
-	}
-	for i := range events {
-		for _, f := range events[i].Fields() {
-			b = binary.AppendUvarint(b, ids[f.Key])
-			switch f.Kind() {
-			case trace.FieldInt:
-				b = append(b, ftInt)
-				b = binary.AppendVarint(b, f.Int())
-			case trace.FieldFloat:
-				b = append(b, ftFloat)
-				b = binary.AppendUvarint(b, math.Float64bits(f.Float()))
-			case trace.FieldStr:
-				b = append(b, ftStr)
-				b = binary.AppendUvarint(b, ids[f.Str()])
-			default:
-				b = append(b, ftNone)
-			}
-		}
+	for _, col := range [...][]byte{times, comps, kinds, counts, fields} {
+		b = append(b, col...)
 	}
 	return b
 }

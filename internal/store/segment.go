@@ -98,35 +98,58 @@ func (s *Segment) AddSummary(summary map[string]float64) {
 	s.push(sl, encodeSummaryBlock(s.meta, names, summary))
 }
 
-// AddTrace appends flight-recorder events (chronological, as
-// Tracer.Events returns them), split into blocks of at most
-// Options.BlockRows. When every event in a block shares one component the
-// slot is keyed by it, so component-filtered queries skip single-component
-// blocks without decompressing; mixed blocks get nameHash 0 (never
-// skipped by a component filter).
-func (s *Segment) AddTrace(events []trace.Event) {
-	for len(events) > 0 && s.err == nil {
-		n := len(events)
-		if n > s.opts.BlockRows {
-			n = s.opts.BlockRows
+// AddTrace appends flight-recorder events, split into blocks of at most
+// Options.BlockRows. The events are one chronological sequence handed over
+// as consecutive runs — Tracer.Retained's two ring halves, or a single
+// slice — and are encoded in place, never gathered into one. When every
+// event in a block shares one component the slot is keyed by it, so
+// component-filtered queries skip single-component blocks without
+// decompressing; mixed blocks get nameHash 0 (never skipped by a component
+// filter).
+func (s *Segment) AddTrace(runs ...[]trace.Event) {
+	for s.err == nil {
+		var chunk [][]trace.Event
+		chunk, runs = splitEvents(runs, s.opts.BlockRows)
+		if len(chunk) == 0 {
+			return
 		}
-		chunk := events[:n]
+		last := chunk[len(chunk)-1]
 		sl := slot{
 			kind: KindTrace,
-			rows: uint32(n),
-			tMin: chunk[0].T,
-			tMax: chunk[n-1].T,
+			tMin: chunk[0][0].T,
+			tMax: last[len(last)-1].T,
 		}
-		single := chunk[0].Component
-		for i := 1; i < n && single != ""; i++ {
-			if chunk[i].Component != single {
-				single = ""
+		single := chunk[0][0].Component
+		for _, events := range chunk {
+			sl.rows += uint32(len(events))
+			for i := 0; i < len(events) && single != ""; i++ {
+				if events[i].Component != single {
+					single = ""
+				}
 			}
 		}
 		if single != "" {
 			sl.nameHash = hashStr(single)
 		}
 		s.push(sl, encodeTraceBlock(s.meta, chunk))
-		events = events[n:]
 	}
+}
+
+// splitEvents cuts the first n events (all of them when there are fewer)
+// off a sequence of event runs: head holds them as non-empty runs, tail
+// what follows. The caller's slice of runs is left as it was.
+func splitEvents(runs [][]trace.Event, n int) (head, tail [][]trace.Event) {
+	for len(runs) > 0 && n > 0 {
+		r := runs[0]
+		if len(r) > n {
+			head = append(head, r[:n])
+			return head, append([][]trace.Event{r[n:]}, runs[1:]...)
+		}
+		if len(r) > 0 {
+			head = append(head, r)
+			n -= len(r)
+		}
+		runs = runs[1:]
+	}
+	return head, runs
 }

@@ -573,3 +573,46 @@ func TestExperimentAndNamePushdown(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 scanned / 3 skipped", st)
 	}
 }
+
+// TestAddTraceRunsEqualOneSlice: a chronological event sequence handed
+// over as consecutive runs (a wrapped recorder's two halves) encodes to the
+// very blocks its concatenation does, including blocks that straddle a
+// run boundary and empty runs.
+func TestAddTraceRunsEqualOneSlice(t *testing.T) {
+	w, err := Create(t.TempDir(), Options{BlockRows: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var all []trace.Event
+	for i := 0; i < 11; i++ {
+		comp := "link[0]"
+		if i >= 9 {
+			comp = "src[a]"
+		}
+		all = append(all, trace.NewEvent(sim.Time(10*i), comp, "enqueue",
+			trace.I("depth", int64(i)), trace.S("dir", fmt.Sprint("d", i%3))))
+	}
+	one := w.NewSegment(RunMeta{Experiment: "tr", End: 200})
+	one.AddTrace(all)
+	if one.Blocks() != 3 {
+		t.Fatalf("11 events at 4 rows a block made %d blocks, want 3", one.Blocks())
+	}
+	for _, cut := range []int{0, 1, 4, 6, 11} {
+		split := w.NewSegment(RunMeta{Experiment: "tr", End: 200})
+		runs := [][]trace.Event{nil, all[:cut], nil, all[cut:]}
+		split.AddTrace(runs...)
+		if !reflect.DeepEqual(split.blocks, one.blocks) {
+			t.Errorf("cut at %d: blocks differ from the single-slice encoding", cut)
+		}
+		if len(runs[1]) != cut || len(runs[3]) != 11-cut {
+			t.Errorf("cut at %d: AddTrace changed the caller's runs", cut)
+		}
+	}
+	none := w.NewSegment(RunMeta{Experiment: "tr", End: 200})
+	none.AddTrace()
+	none.AddTrace(nil, nil)
+	if none.Blocks() != 0 {
+		t.Errorf("empty runs made %d blocks", none.Blocks())
+	}
+}

@@ -98,19 +98,28 @@ func (e *Event) UnmarshalJSON(b []byte) error {
 // WriteJSONL writes events as JSON lines. This is the read path — it
 // allocates freely; the hot path is Emit.
 func WriteJSONL(w io.Writer, events []Event) error {
+	return writeJSONL(w, events, nil)
+}
+
+// writeJSONL writes two consecutive event runs through one buffer.
+func writeJSONL(w io.Writer, older, newer []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for i := range events {
-		if err := enc.Encode(events[i].wire()); err != nil {
-			return err
+	for _, events := range [2][]Event{older, newer} {
+		for i := range events {
+			if err := enc.Encode(events[i].wire()); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
 }
 
-// ExportJSONL writes the tracer's retained events as JSON lines.
+// ExportJSONL writes the tracer's retained events as JSON lines, straight
+// from the ring.
 func (tr *Tracer) ExportJSONL(w io.Writer) error {
-	return WriteJSONL(w, tr.Events())
+	older, newer := tr.Retained()
+	return writeJSONL(w, older, newer)
 }
 
 // ReadJSONL parses a JSONL export back into events. Blank lines are

@@ -199,39 +199,65 @@ func (tr *Tracer) Cap() int {
 }
 
 // Reset empties the tracer in place, keeping the ring storage, so one
-// tracer can be reused across the sweep points of an experiment the way
-// pooled metrics.Series are.
+// tracer can be reused across runs (a fleet worker's recorder, the sweep
+// points of an experiment) the way pooled metrics.Series are. The cost is
+// proportional to what was written since the last Reset, not to the
+// capacity: slots past next were never touched unless the ring wrapped.
 func (tr *Tracer) Reset() {
 	if tr == nil {
 		return
 	}
-	// Clear retained slots so the ring does not pin field strings from the
-	// previous sweep point beyond its lifetime.
-	for i := range tr.ring {
-		tr.ring[i] = Event{}
+	// Clear written slots so the ring does not pin field strings from the
+	// previous run beyond its lifetime.
+	written := tr.ring[:tr.next]
+	if tr.full {
+		written = tr.ring
+	}
+	for i := range written {
+		written[i] = Event{}
 	}
 	tr.next = 0
 	tr.full = false
 	tr.seen = 0
 }
 
-// Events returns the retained events in chronological order. Chronological
+// Len returns the number of retained events.
+func (tr *Tracer) Len() int {
+	if tr == nil {
+		return 0
+	}
+	if tr.full {
+		return len(tr.ring)
+	}
+	return tr.next
+}
+
+// Retained returns the retained events in place, as the two runs of the
+// ring: every event of older precedes every event of newer, and each run
+// is chronological (newer is empty until the ring wraps). Chronological
 // holds by construction: the engine fires in (time, seq) order and the ring
 // preserves arrival order, so oldest-to-newest is ring order starting at
-// next when full.
+// next when full. The slices alias the ring — valid only until the next
+// Emit or Reset; Events returns a copy that outlives both.
+func (tr *Tracer) Retained() (older, newer []Event) {
+	if tr == nil {
+		return nil, nil
+	}
+	if !tr.full {
+		return tr.ring[:tr.next], nil
+	}
+	return tr.ring[tr.next:], tr.ring[:tr.next]
+}
+
+// Events returns a copy of the retained events in chronological order.
 func (tr *Tracer) Events() []Event {
 	if tr == nil {
 		return nil
 	}
-	if !tr.full {
-		out := make([]Event, tr.next)
-		copy(out, tr.ring[:tr.next])
-		return out
-	}
-	out := make([]Event, 0, len(tr.ring))
-	out = append(out, tr.ring[tr.next:]...)
-	out = append(out, tr.ring[:tr.next]...)
-	return out
+	older, newer := tr.Retained()
+	out := make([]Event, 0, len(older)+len(newer))
+	out = append(out, older...)
+	return append(out, newer...)
 }
 
 // Query selects events. Zero fields match everything: string fields match

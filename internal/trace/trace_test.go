@@ -248,3 +248,80 @@ func TestReadJSONLSkipsMalformed(t *testing.T) {
 		t.Fatalf("blank lines: %v, %d, %v", evs, skipped, err)
 	}
 }
+
+// TestResetClearsWhatWasWritten: after a partial fill, an exact fill and a
+// wrap, Reset leaves no slot holding an event — so no component, kind or
+// field string of the previous run stays pinned — and the tracer records
+// the next run as a fresh one would.
+func TestResetClearsWhatWasWritten(t *testing.T) {
+	for _, emitted := range []int{0, 3, 8, 11} {
+		tr := New(8)
+		for i := 0; i < emitted; i++ {
+			tr.Emit(sim.Time(i), strings.Repeat("c", i+1), "k", S("s", strings.Repeat("v", i+1)))
+		}
+		tr.Reset()
+		if tr.Len() != 0 || tr.Seen() != 0 || len(tr.Events()) != 0 {
+			t.Fatalf("%d emitted: Reset left Len %d, Seen %d", emitted, tr.Len(), tr.Seen())
+		}
+		for i := range tr.ring {
+			if tr.ring[i] != (Event{}) {
+				t.Fatalf("%d emitted: slot %d still holds %+v after Reset", emitted, i, tr.ring[i])
+			}
+		}
+		fresh := New(8)
+		for i := 0; i < 10; i++ {
+			tr.Emit(sim.Time(100+i), "c", "k", I("i", int64(i)))
+			fresh.Emit(sim.Time(100+i), "c", "k", I("i", int64(i)))
+		}
+		if !reflect.DeepEqual(tr.Events(), fresh.Events()) || tr.Seen() != fresh.Seen() {
+			t.Fatalf("%d emitted: reused tracer diverges from a fresh one", emitted)
+		}
+	}
+}
+
+// TestResetIsProportional: an unwrapped ring is cleared up to the write
+// position only — the reason a worker can Reset a 65 536-slot recorder
+// before every millisecond-sized run.
+func TestResetIsProportional(t *testing.T) {
+	tr := New(8)
+	tr.Emit(1, "c", "k")
+	tr.Emit(2, "c", "k")
+	tr.ring[5].T = 99 // never written by Emit: Reset has no business here
+	tr.Reset()
+	if tr.ring[5].T != 99 {
+		t.Fatal("Reset cleared a slot past the write position of an unwrapped ring")
+	}
+}
+
+// TestRetained: the two in-place runs are Events without the copy, before
+// and after the ring wraps, and ExportJSONL writes exactly them.
+func TestRetained(t *testing.T) {
+	var nilTr *Tracer
+	if o, n := nilTr.Retained(); o != nil || n != nil || nilTr.Len() != 0 {
+		t.Fatal("nil tracer retained events")
+	}
+	for _, emitted := range []int{0, 3, 8, 11} {
+		tr := New(8)
+		for i := 0; i < emitted; i++ {
+			tr.Emit(sim.Time(i), "c", "k", I("i", int64(i)))
+		}
+		older, newer := tr.Retained()
+		joined := append(append([]Event{}, older...), newer...)
+		if !reflect.DeepEqual(joined, tr.Events()) || tr.Len() != len(joined) {
+			t.Fatalf("%d emitted: Retained %v+%v, Events %v, Len %d", emitted, older, newer, tr.Events(), tr.Len())
+		}
+		if emitted <= 8 && len(newer) != 0 {
+			t.Fatalf("%d emitted: unwrapped ring has a newer run %v", emitted, newer)
+		}
+		var fromRing, fromCopy strings.Builder
+		if err := tr.ExportJSONL(&fromRing); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteJSONL(&fromCopy, tr.Events()); err != nil {
+			t.Fatal(err)
+		}
+		if fromRing.String() != fromCopy.String() {
+			t.Fatalf("%d emitted: ExportJSONL differs from WriteJSONL(Events())", emitted)
+		}
+	}
+}
