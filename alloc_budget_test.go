@@ -13,14 +13,47 @@ import (
 	"repro/internal/trace"
 )
 
-// The PR 2 cell-path cost on this workload, from the committed
-// BENCH_scheduler.json of that revision: one closure per scheduled cell
+// The PR 2 cell-path cost on this workload, from the BENCH_scheduler.json
+// committed at that revision (since deleted): one closure per scheduled cell
 // event plus per-cell heap escapes put suite_e01_quick at ~753k allocs/op
 // and ~34 MB/op on both backends. The typed-payload refactor must keep the
 // suite at least 60% below these numbers (it is in fact >99% below).
 var cellPathBaseline = map[string]backendStats{
 	string(sim.SchedulerHeap):  {NsPerOp: 87627164, AllocsPerOp: 752726, BytesPerOp: 34130939},
 	string(sim.SchedulerWheel): {NsPerOp: 98138887, AllocsPerOp: 753454, BytesPerOp: 34193654},
+}
+
+// preRefactorAllocsPerOp is the engine hot-path cost before event-cell
+// pooling (one heap allocation per scheduled event plus loop overhead),
+// measured on the seed engine with the same 1000-event workload as
+// engineHotPath below. Pooled events must stay at least 20% below it on
+// every backend, whatever the budget file says.
+const preRefactorAllocsPerOp = 1005
+
+// backendStats is one backend's measured cost.
+type backendStats struct {
+	NsPerOp     int64 `json:"ns_per_op"`
+	AllocsPerOp int64 `json:"allocs_per_op"`
+	BytesPerOp  int64 `json:"bytes_per_op"`
+}
+
+// engineHotPath drives 1000 events through self-rescheduling chains — the
+// port-transmit pattern that dominates experiment run time.
+func engineHotPath(kind sim.SchedulerKind) {
+	e := sim.NewEngine(sim.WithScheduler(kind))
+	for s := 0; s < 8; s++ {
+		gap := sim.Duration(700 + 13*s)
+		left := 125
+		var tick sim.Handler
+		tick = func(en *sim.Engine) {
+			left--
+			if left > 0 {
+				en.After(gap, tick)
+			}
+		}
+		e.After(gap, tick)
+	}
+	e.Run()
 }
 
 // budgetFile mirrors testdata/alloc_budget.json.
@@ -126,6 +159,10 @@ func TestAllocBudget(t *testing.T) {
 	bf := loadBudgets(t)
 	for _, kind := range sim.SchedulerKinds() {
 		hot := measureHotPath(kind)
+		if hot.AllocsPerOp*100 > preRefactorAllocsPerOp*80 {
+			t.Errorf("engine_hot_path_1000_events/%s: %d allocs/op, want ≥20%% below the pre-pooling baseline %d",
+				kind, hot.AllocsPerOp, preRefactorAllocsPerOp)
+		}
 		suite := measureSuiteE01(t, kind)
 		suiteTel := measureSuiteE01Telemetry(t, kind)
 		for _, m := range []struct {

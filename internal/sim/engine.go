@@ -52,7 +52,6 @@ type event struct {
 	tfn     TypedHandler
 	payload Payload
 	stopped bool
-	index   int    // position in the heap backend, -1 when popped
 	next    *event // intrusive slot-list link in the wheel backend
 }
 
@@ -170,7 +169,7 @@ func (e *Engine) alloc() *event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &event{index: -1}
+	return new(event)
 }
 
 // recycle expires outstanding refs to ev and returns its cell to the pool.
@@ -182,7 +181,6 @@ func (e *Engine) recycle(ev *event) {
 	ev.tfn = nil
 	ev.payload = Payload{}
 	ev.stopped = false
-	ev.index = -1
 	ev.next = nil
 	e.free = append(e.free, ev)
 }
@@ -245,7 +243,7 @@ func (e *Engine) Every(period Duration, fn Handler) EventRef {
 	// the original ref stops all future ticks, not just the next one. The
 	// cell never enters the scheduler (each tick is its own pooled event),
 	// so it is deliberately not pool-allocated: it must outlive every tick.
-	cell := &event{index: -1}
+	cell := new(event)
 	var tick Handler
 	tick = func(en *Engine) {
 		if cell.stopped {
@@ -285,22 +283,21 @@ func (e *Engine) runTo(deadline Time) uint64 {
 	start := e.fired
 	e.stopped = false
 	for !e.stopped {
-		next := e.sched.next(deadline)
-		if next == nil {
+		ev := e.sched.pop(deadline)
+		if ev == nil {
 			break
 		}
-		e.sched.pop()
-		if next.stopped {
+		if ev.stopped {
 			e.canceled++
-			e.recycle(next)
+			e.recycle(ev)
 			continue
 		}
-		e.now = next.at
+		e.now = ev.at
 		e.fired++
-		fn, tfn, pl := next.fn, next.tfn, next.payload
+		fn, tfn, pl := ev.fn, ev.tfn, ev.payload
 		// Recycle before firing: the handler is the cell's last user, and
 		// returning it first lets fn's own follow-up schedule reuse it.
-		e.recycle(next)
+		e.recycle(ev)
 		if tfn != nil {
 			tfn(e, pl)
 		} else {
@@ -312,11 +309,13 @@ func (e *Engine) runTo(deadline Time) uint64 {
 
 // RunUntil executes events in order until the calendar empties, Stop is
 // called, or the next event lies beyond deadline. The clock finishes exactly
-// at deadline if the run was cut short by it, so successive RunUntil calls
-// compose. It returns the number of events fired by this call.
+// at deadline unless Stop cut the run short — events may then still be
+// pending before the deadline, and jumping past them would make the next
+// run fire them with the clock going backwards — so successive RunUntil
+// calls compose. It returns the number of events fired by this call.
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	n := e.runTo(deadline)
-	if e.now < deadline {
+	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
 	return n

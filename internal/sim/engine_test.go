@@ -406,6 +406,34 @@ func TestStopHaltsRun(t *testing.T) {
 	})
 }
 
+// A run halted by Stop leaves events pending before the deadline, so the
+// clock must stay where Stop left it: jumping to the deadline would make the
+// next run fire them with Now() going backwards.
+func TestRunUntilAfterStopKeepsClock(t *testing.T) {
+	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
+		e := newEngine()
+		var seen []Time
+		e.At(10, func(en *Engine) { seen = append(seen, en.Now()); en.Stop() })
+		e.At(20, func(en *Engine) { seen = append(seen, en.Now()) })
+		e.RunUntil(100)
+		if e.Now() != 10 {
+			t.Fatalf("Now() = %d after Stop at 10, want 10 (event at 20 still pending)", e.Now())
+		}
+		e.Run()
+		if len(seen) != 2 || seen[1] != 20 {
+			t.Fatalf("handlers observed %v, want [10 20]", seen)
+		}
+		if e.Now() != 20 {
+			t.Fatalf("Now() = %d after Run, want 20", e.Now())
+		}
+		// A deadline-ended run still lands on the deadline.
+		e.RunUntil(100)
+		if e.Now() != 100 {
+			t.Fatalf("Now() = %d after RunUntil(100), want 100", e.Now())
+		}
+	})
+}
+
 func TestFiredCounter(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()

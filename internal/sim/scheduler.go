@@ -19,16 +19,15 @@ type Scheduler interface {
 	Len() int
 
 	// schedule inserts ev. The engine guarantees ev.at is never before the
-	// time of the last event handed out by next/pop.
+	// time of the last event handed out by pop.
 	schedule(ev *event)
-	// next returns the earliest pending event by (time, seq) without
-	// removing it, or nil when the calendar is empty or the earliest event
-	// lies strictly beyond bound. A nil return must leave the structure in
-	// a state where events at or before bound can still be scheduled.
-	next(bound Time) *event
-	// pop removes and returns the earliest pending event, or nil when
-	// empty. It must return the same event a preceding next call reported.
-	pop() *event
+	// pop removes and returns the earliest pending event by (time, seq), or
+	// returns nil — removing nothing — when the calendar is empty or the
+	// earliest event lies strictly beyond bound. A nil return must leave
+	// the structure able to accept events at or before bound: RunUntil
+	// stops at a deadline and callers schedule between it and the next
+	// pending event.
+	pop(bound Time) *event
 }
 
 // SchedulerKind names a scheduler backend for configuration surfaces
@@ -40,8 +39,9 @@ const (
 	// SchedulerDefault is the zero value: the engine picks the default
 	// backend (currently the binary heap).
 	SchedulerDefault SchedulerKind = ""
-	// SchedulerHeap is the binary min-heap: O(log n) operations, the seed
-	// implementation and the reference for the determinism contract.
+	// SchedulerHeap is the binary min-heap of (time, seq, cell) value
+	// entries: O(log n) operations, the reference for the determinism
+	// contract.
 	SchedulerHeap SchedulerKind = "heap"
 	// SchedulerWheel is the hierarchical timer wheel: near-O(1) scheduling
 	// keyed by the bits of the event time, same (time, seq) order.

@@ -123,6 +123,38 @@ func TestWheelHugeDelays(t *testing.T) {
 	})
 }
 
+// TestHeapPopClearsTail pins two properties of the heap's value-entry
+// array: a popped slot beyond len no longer references its event cell, and
+// cancelled cells stay counted by Pending until the run loop drains them.
+func TestHeapPopClearsTail(t *testing.T) {
+	e := NewEngine(WithScheduler(SchedulerHeap))
+	h := e.sched.(*heapScheduler)
+	var refs []EventRef
+	for i := 0; i < 16; i++ {
+		refs = append(refs, e.At(Time(10+i), func(*Engine) {}))
+	}
+	for _, r := range refs[8:] {
+		r.Cancel()
+	}
+	if e.Pending() != 16 {
+		t.Fatalf("Pending() = %d with 8 cancelled cells undrained, want 16", e.Pending())
+	}
+	e.RunUntil(17)
+	if e.Pending() != 8 || e.Fired() != 8 || e.Canceled() != 0 {
+		t.Fatalf("after RunUntil(17): pending %d fired %d canceled %d, want 8 8 0",
+			e.Pending(), e.Fired(), e.Canceled())
+	}
+	e.Run()
+	if e.Pending() != 0 || e.Canceled() != 8 {
+		t.Fatalf("after Run: pending %d canceled %d, want 0 8", e.Pending(), e.Canceled())
+	}
+	for i, ent := range h.q[:cap(h.q)] {
+		if ent != (heapEntry{}) {
+			t.Fatalf("slot %d beyond len still holds %+v", i, ent)
+		}
+	}
+}
+
 // benchWorkload drives n events through an engine: a self-rescheduling
 // chain per source, mimicking the port-transmit pattern that dominates real
 // experiments. Returns the engine so callers can assert on Fired.

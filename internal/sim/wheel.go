@@ -70,12 +70,6 @@ type wheelScheduler struct {
 	// and its slot index; valid only while occ[l] != 0.
 	levelMin     [wheelLevels]Time
 	levelMinSlot [wheelLevels]int
-
-	// cached memoizes the event the last next call settled to level 0, so
-	// the pop that follows it (the engine always peeks before popping) does
-	// not repeat the level scan and cascade. Invalidated by pop and by any
-	// schedule that could change the minimum.
-	cached *event
 }
 
 func newWheelScheduler() *wheelScheduler { return &wheelScheduler{} }
@@ -85,12 +79,6 @@ func (w *wheelScheduler) Name() string { return string(SchedulerWheel) }
 func (w *wheelScheduler) Len() int { return w.n }
 
 func (w *wheelScheduler) schedule(ev *event) {
-	// An insert strictly before the memoized minimum displaces it. An equal
-	// timestamp cannot: the new event carries a higher seq, and it files at
-	// delta 0 into the very level-0 slot the cached minimum occupies.
-	if w.cached != nil && ev.at < w.cached.at {
-		w.cached = nil
-	}
 	w.place(ev)
 	w.n++
 }
@@ -136,18 +124,13 @@ func (w *wheelScheduler) refreshLevelMin(l int) {
 	}
 }
 
-// next settles the earliest pending event down to level 0 and returns it,
-// or returns nil — without mutating anything — when the calendar is empty
-// or the earliest event lies beyond bound. Leaving the cursor untouched in
-// the beyond-bound case is what lets RunUntil stop at a deadline and still
-// accept later schedules between the deadline and the next event.
-func (w *wheelScheduler) next(bound Time) *event {
-	if w.cached != nil {
-		if w.cached.at > bound {
-			return nil
-		}
-		return w.cached
-	}
+// pop settles the earliest pending event down to level 0, unlinks it and
+// returns it, or returns nil — without mutating anything — when the
+// calendar is empty or the earliest event lies beyond bound. Leaving the
+// cursor untouched in the beyond-bound case is what lets RunUntil stop at a
+// deadline and still accept later schedules between the deadline and the
+// next event: the cursor never moves past a time the engine has reached.
+func (w *wheelScheduler) pop(bound Time) *event {
 	for {
 		// Global minimum: O(levels) scan of the cached level minima.
 		// Ties prefer the highest level so that every slot holding the
@@ -167,14 +150,25 @@ func (w *wheelScheduler) next(bound Time) *event {
 		if best == 0 {
 			// A level-0 slot holds a single timestamp (see the cursor
 			// monotonicity argument above), so the tie-break is seq alone.
-			min := w.slots[0][s]
-			for ev := min.next; ev != nil; ev = ev.next {
-				if ev.seq < min.seq {
-					min = ev
+			// One walk finds the winner and its predecessor for the unlink.
+			ev, evPrev := w.slots[0][s], (*event)(nil)
+			for prev, c := ev, ev.next; c != nil; prev, c = c, c.next {
+				if c.seq < ev.seq {
+					ev, evPrev = c, prev
 				}
 			}
-			w.cached = min
-			return min
+			if evPrev == nil {
+				w.slots[0][s] = ev.next
+			} else {
+				evPrev.next = ev.next
+			}
+			ev.next = nil
+			if w.slots[0][s] == nil {
+				w.occ[0] &^= 1 << s
+				w.refreshLevelMin(0)
+			}
+			w.n--
+			return ev
 		}
 		// Cascade: detach the minimum's slot and refile each event relative
 		// to cur=m. The minimum itself refiles with delta 0, i.e. at level
@@ -191,31 +185,4 @@ func (w *wheelScheduler) next(bound Time) *event {
 			w.place(ev)
 		}
 	}
-}
-
-func (w *wheelScheduler) pop() *event {
-	ev := w.next(maxTime)
-	if ev == nil {
-		return nil
-	}
-	w.cached = nil
-	s := int(uint64(ev.at)) & wheelMask
-	var prev *event
-	for cur := w.slots[0][s]; cur != nil; prev, cur = cur, cur.next {
-		if cur == ev {
-			if prev == nil {
-				w.slots[0][s] = cur.next
-			} else {
-				prev.next = cur.next
-			}
-			cur.next = nil
-			break
-		}
-	}
-	if w.slots[0][s] == nil {
-		w.occ[0] &^= 1 << s
-		w.refreshLevelMin(0)
-	}
-	w.n--
-	return ev
 }
