@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // fakeDef builds a synthetic experiment definition for fleet tests.
@@ -76,6 +78,61 @@ func TestFleetPanicCapture(t *testing.T) {
 	for _, i := range []int{0, 2} {
 		if results[i].Err != nil {
 			t.Errorf("healthy job %d infected by neighbor's crash: %v", i, results[i].Err)
+		}
+	}
+}
+
+// panicAfter is a greedy traffic pattern that blows up the first time its
+// source consults it at or after the given time.
+type panicAfter sim.Time
+
+func (p panicAfter) ActiveAt(t sim.Time) bool {
+	if t >= sim.Time(p) {
+		panic("deliberate crash on a shard")
+	}
+	return true
+}
+
+func (panicAfter) NextChange(sim.Time) (sim.Time, bool) { return 0, false }
+
+// TestFleetShardedPanicCapture: a panic on a shard goroutine — which the
+// worker's recover cannot see — still comes back as that job's Panicked
+// result, and the jobs around it are untouched. Before shard.Group.Advance
+// carried panics to its caller this took the whole process down.
+func TestFleetShardedPanicCapture(t *testing.T) {
+	sharded := fakeDef("T01", func(exp.Options) (*exp.Result, error) {
+		n, err := scenario.BuildATM(scenario.ATMConfig{
+			Switches: 4, TrunkDelay: 20 * sim.Microsecond, Shards: 2,
+			Sessions: []scenario.ATMSessionSpec{
+				{Name: "healthy", Entry: 0, Exit: 3, Pattern: workload.Greedy{}},
+				// Enters at switch 2: its source lives on shard 1, whose
+				// engine runs on a goroutine Advance started.
+				{Name: "crashing", Entry: 2, Exit: 3, Pattern: panicAfter(sim.Millisecond)},
+			},
+		})
+		if err != nil {
+			return nil, err
+		}
+		defer n.Release()
+		if st, ok := n.ShardStats(); !ok || len(st.BusyNS) != 2 {
+			return nil, fmt.Errorf("scenario not sharded: %+v", st)
+		}
+		n.Run(5 * sim.Millisecond)
+		return nil, errors.New("run survived the panic")
+	})
+	jobs := []Job{{Def: okDef("T00", 0)}, {Def: sharded}, {Def: okDef("T02", 2)}}
+	results, stats := (&Fleet{Workers: 3}).Run(jobs)
+	if stats.Failed != 1 {
+		t.Fatalf("stats.Failed = %d, want 1", stats.Failed)
+	}
+	r := results[1]
+	if !r.Panicked || r.Err == nil || !strings.Contains(r.Err.Error(), "deliberate crash on a shard") ||
+		!strings.Contains(r.Err.Error(), "shard 1") {
+		t.Fatalf("shard panic not captured: %+v", r)
+	}
+	for _, i := range []int{0, 2} {
+		if results[i].Err != nil || results[i].Res == nil {
+			t.Errorf("healthy job %d infected by its neighbor's crash: %+v", i, results[i])
 		}
 	}
 }

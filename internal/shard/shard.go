@@ -11,15 +11,17 @@
 // The synchronization scheme is the epoch barrier (rather than per-channel
 // CMB null messages): all engines run the same window (T, T+W] in
 // parallel, where W is the minimum propagation delay over every cut link,
-// then rendezvous while the coordinator moves buffered cells between
-// shards. A cell transmitted at t ∈ (T, T+W] arrives at t+D ≥ t+W > T+W,
-// so barrier-time injections are always strictly in the destination
-// engine's future — no engine ever sees an event in its past. The barrier
-// was chosen over null messages because the topology here is dense (every
-// shard pair typically shares cut links, so per-channel lookahead ≈ global
-// lookahead), the uniform window keeps the run deterministic with a single
-// drain order, and the rendezvous doubles as the memory barrier that lets
-// live rings cross goroutines with no locks at all.
+// then rendezvous while the goroutine that called Advance — which also
+// runs shard 0 — moves buffered cells between shards. A cell transmitted
+// at t ∈ (T, T+W] arrives at t+D ≥ t+W > T+W, so barrier-time injections
+// are always strictly in the destination engine's future — no engine ever
+// sees an event in its past. The barrier was chosen over null messages
+// because the topology here is dense (every shard pair typically shares
+// cut links, so per-channel lookahead ≈ global lookahead), the uniform
+// window keeps the run deterministic with a single drain order, and the
+// rendezvous — two atomic words, spun on briefly before a waiter parks —
+// doubles as the memory barrier that lets live rings cross goroutines with
+// no locks at all.
 package shard
 
 import (

@@ -124,6 +124,11 @@ type Engine struct {
 	// hot path stops allocating once the pool warms to the peak number of
 	// simultaneously pending events.
 	free []*event
+	// Pads the struct to two cache lines, which is also an allocator size
+	// class, so an engine shares no line with the object next to it. The
+	// engines of a sharded run are allocated back to back and written on
+	// every event by different cores (DESIGN.md §14).
+	_ [48]byte
 }
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // forEachScheduler runs the test body once per calendar backend: every
@@ -589,4 +590,20 @@ func TestEngineReentrancyPanics(t *testing.T) {
 			t.Fatal("engine wedged after recovered re-entrancy panic")
 		}
 	})
+}
+
+// TestEngineStateFillsCacheLines holds the padding that keeps the engines
+// of a sharded run apart: the words an engine writes on every event must
+// not share a cache line with the next engine allocated. A size that is a
+// multiple of 64 up to 512 is its own allocator size class, whose objects
+// start on multiples of their size.
+func TestEngineStateFillsCacheLines(t *testing.T) {
+	for name, n := range map[string]uintptr{
+		"Engine":        unsafe.Sizeof(Engine{}),
+		"heapScheduler": unsafe.Sizeof(heapScheduler{}),
+	} {
+		if n%64 != 0 || n > 512 {
+			t.Errorf("%s is %d bytes, want a multiple of 64 no larger than 512: adjust its padding", name, n)
+		}
+	}
 }
