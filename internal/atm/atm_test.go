@@ -3,6 +3,7 @@ package atm
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -16,6 +17,17 @@ type captureSink struct {
 func (cs *captureSink) Receive(e *sim.Engine, c Cell) {
 	cs.cells = append(cs.cells, c)
 	cs.times = append(cs.times, e.Now())
+}
+
+// TestCellFitsCacheLine is the cell path's counterpart of sim's
+// TestEngineStateFillsCacheLines: a Cell is copied by value at every stage of
+// a hop, and 64 bytes is both one cache line and the largest struct the
+// compiler moves inline rather than through runtime.duffcopy. A new field has
+// to fit in the padding or earn the slower copy.
+func TestCellFitsCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(Cell{}); n > 64 {
+		t.Fatalf("Cell is %d bytes, want at most 64: keep the 8-byte fields first and the one-byte ones together", n)
+	}
 }
 
 func TestCPSBPSRoundTrip(t *testing.T) {

@@ -1,6 +1,8 @@
 package atmnet
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/atm"
@@ -144,15 +146,85 @@ func TestSwitchRoutesForwardAndBackward(t *testing.T) {
 	}
 }
 
+// mustPanicWith runs f and requires a panic whose message contains want.
+func mustPanicWith(t *testing.T, name, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Errorf("%s: recovered %v, want a panic containing %q", name, r, want)
+		}
+	}()
+	f()
+}
+
+// TestSwitchUnknownVCPanics covers every way a VC can miss the routing
+// tables — beyond their end, inside them but never routed, routed one way
+// only, negative — and Route's own refusal of a negative VC.
 func TestSwitchUnknownVCPanics(t *testing.T) {
 	e := sim.NewEngine()
 	sw := NewSwitch("sw")
-	defer func() {
-		if recover() == nil {
-			t.Error("unrouted VC did not panic")
+	mustPanicWith(t, "empty tables", "no forward route for VC 42", func() {
+		sw.Receive(e, atm.Cell{VC: 42, Kind: atm.Data})
+	})
+	fp := sw.AddPort(e, NewLink("fwd", 1e6, 0, &capture{}), nil)
+	sw.Route(5, fp, nil)
+	for _, tc := range []struct {
+		name, want string
+		cell       atm.Cell
+	}{
+		{"beyond the table", "switch sw has no forward route for VC 42", atm.Cell{VC: 42, Kind: atm.Data}},
+		{"hole in the table", "switch sw has no forward route for VC 3", atm.Cell{VC: 3, Kind: atm.ForwardRM}},
+		{"forward only", "switch sw has no backward route for VC 5", atm.Cell{VC: 5, Kind: atm.BackwardRM}},
+		{"negative, forward", "switch sw has no forward route for VC -1", atm.Cell{VC: -1, Kind: atm.Data}},
+		{"negative, backward", "switch sw has no backward route for VC -1", atm.Cell{VC: -1, Kind: atm.BackwardRM}},
+	} {
+		mustPanicWith(t, tc.name, tc.want, func() { sw.Receive(e, tc.cell) })
+	}
+	mustPanicWith(t, "Route", "negative VC -7", func() { sw.Route(-7, fp, nil) })
+}
+
+// TestLinkDelayLoweredMidRunPanics: the propagation pipe pairs delivery
+// events with cells by position, which only works while deliveries are
+// scheduled in transmission order. Lowering Delay under cells in flight
+// breaks that; the link must say so, by name, instead of delivering each
+// cell at another cell's time.
+func TestLinkDelayLoweredMidRunPanics(t *testing.T) {
+	for _, lowered := range []sim.Duration{sim.Millisecond, 0} {
+		e := sim.NewEngine()
+		dst := &capture{}
+		l := NewLink("trunk7", 1000, 7*sim.Millisecond, dst) // 1 ms per cell
+		for i := 0; i < 3; i++ {
+			l.Receive(e, atm.Cell{VC: atm.VCID(i)})
 		}
-	}()
-	sw.Receive(e, atm.Cell{VC: 42, Kind: atm.Data})
+		e.RunUntil(sim.Time(1500 * sim.Microsecond)) // cell 0 is propagating
+		l.Delay = lowered
+		mustPanicWith(t, fmt.Sprint("Delay lowered to ", lowered), `atmnet: link "trunk7": delivery time went backwards`, func() {
+			e.RunUntil(sim.Time(20 * sim.Millisecond))
+		})
+		if len(dst.cells) != 0 {
+			t.Errorf("Delay lowered to %v: %d cells delivered before the panic, want 0", lowered, len(dst.cells))
+		}
+	}
+	// Raising it keeps the order and is fine.
+	e := sim.NewEngine()
+	dst := &capture{}
+	l := NewLink("l", 1000, 7*sim.Millisecond, dst)
+	for i := 0; i < 3; i++ {
+		l.Receive(e, atm.Cell{VC: atm.VCID(i)})
+	}
+	e.RunUntil(sim.Time(1500 * sim.Microsecond))
+	l.Delay = 9 * sim.Millisecond
+	e.RunUntil(sim.Time(20 * sim.Millisecond))
+	want := []sim.Time{sim.Time(8 * sim.Millisecond), sim.Time(11 * sim.Millisecond), sim.Time(12 * sim.Millisecond)}
+	for i, c := range dst.cells {
+		if c.VC != atm.VCID(i) || dst.times[i] != want[i] {
+			t.Fatalf("after raising Delay: cell %d is VC %d at %v, want VC %d at %v", i, c.VC, dst.times[i], i, want[i])
+		}
+	}
+	if len(dst.cells) != 3 {
+		t.Fatalf("after raising Delay: delivered %d cells, want 3", len(dst.cells))
+	}
 }
 
 func TestSwitchBackwardRMGetsForwardPortFeedback(t *testing.T) {

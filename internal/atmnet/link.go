@@ -22,8 +22,9 @@ import (
 // The cell path through a link is allocation-free in steady state: the
 // output FIFO and the propagation pipe are reusable ring buffers whose
 // capacity stabilizes at the peak backlog, and every event the link
-// schedules is a typed callback (sim.AfterFunc) carrying only the link
-// pointer — no closure, and no cell escaping to the heap.
+// schedules is a typed callback (sim.AfterFunc, or the delivery lane)
+// carrying only the link pointer — no closure, and no cell escaping to the
+// heap.
 type Link struct {
 	Name string
 	// RateCPS is the line rate in cells/s.
@@ -59,6 +60,10 @@ type Link struct {
 	// FIFO with one constant Delay, so deliveries leave in transmission
 	// order and the delivery event needs no payload beyond the link itself.
 	inflight ring.Ring[atm.Cell]
+	// deliveries holds one delivery event per cell in inflight, in the same
+	// order; only the head's is in the engine's calendar. Made on the first
+	// transmission, by the engine that runs the link.
+	deliveries *sim.Lane
 	// scratch is the cell handed to OnTransmit by pointer; a field rather
 	// than a local so the observer call does not force a heap allocation
 	// per cell.
@@ -192,18 +197,34 @@ func linkTxDone(e *sim.Engine, p sim.Payload) {
 		l.OnTransmit(e.Now(), &l.scratch)
 	}
 	if l.Delay > 0 {
+		if l.deliveries == nil {
+			l.deliveries = e.NewLane(linkDeliver, sim.Payload{Obj: l})
+		}
+		if e.Now().Add(l.Delay) < l.deliveries.Last() {
+			l.panicBackwards()
+		}
 		l.inflight.Push(c)
-		e.AfterFunc(l.Delay, linkDeliver, sim.Payload{Obj: l})
+		l.deliveries.After(l.Delay)
 	} else {
+		if l.inflight.Len() > 0 {
+			l.panicBackwards()
+		}
 		l.Dst.Receive(e, c)
 	}
 	l.startTx(e)
 }
 
+// panicBackwards reports a cell about to be delivered ahead of one sent
+// before it, which takes a Delay lowered while cells were propagating. The
+// pipe pairs delivery events with cells by position, so carrying on would
+// hand each event the wrong cell.
+func (l *Link) panicBackwards() {
+	panic(fmt.Sprintf("atmnet: link %q: delivery time went backwards", l.Name))
+}
+
 // linkDeliver hands the oldest propagating cell to the destination. Cells
-// enter the pipe in transmission order and every delivery is scheduled
-// exactly Delay later, so head-of-pipe is always the cell this event was
-// scheduled for.
+// enter the pipe in transmission order and the lane fires in that order, so
+// head-of-pipe is always the cell this event was scheduled for.
 func linkDeliver(e *sim.Engine, p sim.Payload) {
 	l := p.Obj.(*Link)
 	l.Dst.Receive(e, l.inflight.Pop())

@@ -31,8 +31,10 @@ func (p *Port) Capacity() float64 { return p.Link.RateCPS }
 type Switch struct {
 	Name  string
 	ports []*Port
-	fwd   map[atm.VCID]*Port
-	bwd   map[atm.VCID]*Port
+	// fwd and bwd are the routing tables, indexed by VC: VCIDs are small
+	// dense integers and the tables are read once or twice per cell.
+	fwd []*Port
+	bwd []*Port
 	// scratch is the cell handed to the port algorithms by pointer (they
 	// mutate it in place: ER reduction, CI/EFCI marking) and then forwarded.
 	// A field rather than a local keeps the per-cell call from forcing a
@@ -62,7 +64,7 @@ func (s *Switch) Instrument(reg *telemetry.Registry) {
 
 // NewSwitch returns an empty switch.
 func NewSwitch(name string) *Switch {
-	return &Switch{Name: name, fwd: map[atm.VCID]*Port{}, bwd: map[atm.VCID]*Port{}}
+	return &Switch{Name: name}
 }
 
 // AddPort registers an output port built from link and an optional
@@ -89,12 +91,32 @@ func (s *Switch) AddPort(e *sim.Engine, link *Link, alg switchalg.Algorithm) *Po
 // not on that direction's path (e.g. the last switch before the destination
 // still forwards data but a different switch handles the reverse).
 func (s *Switch) Route(vc atm.VCID, fwd, bwd *Port) {
+	if vc < 0 {
+		panic(fmt.Sprintf("atmnet: switch %s: negative VC %d", s.Name, vc))
+	}
 	if fwd != nil {
-		s.fwd[vc] = fwd
+		s.fwd = setRoute(s.fwd, vc, fwd)
 	}
 	if bwd != nil {
-		s.bwd[vc] = bwd
+		s.bwd = setRoute(s.bwd, vc, bwd)
 	}
+}
+
+// setRoute stores p at tab[vc], growing the table to reach.
+func setRoute(tab []*Port, vc atm.VCID, p *Port) []*Port {
+	if n := int(vc) + 1; n > len(tab) {
+		tab = append(tab, make([]*Port, n-len(tab))...)
+	}
+	tab[vc] = p
+	return tab
+}
+
+// route returns tab[vc], or nil for a VC the table does not reach.
+func route(tab []*Port, vc atm.VCID) *Port {
+	if uint(vc) < uint(len(tab)) {
+		return tab[vc]
+	}
+	return nil
 }
 
 // Receive implements atm.Sink.
@@ -103,17 +125,17 @@ func (s *Switch) Receive(e *sim.Engine, c atm.Cell) {
 	s.scratch = c
 	if c.Kind == atm.BackwardRM {
 		s.tel.bRM.Inc()
-		if fp := s.fwd[c.VC]; fp != nil && fp.Alg != nil {
+		if fp := route(s.fwd, c.VC); fp != nil && fp.Alg != nil {
 			fp.Alg.OnBackwardRM(now, &s.scratch)
 		}
-		bp := s.bwd[c.VC]
+		bp := route(s.bwd, c.VC)
 		if bp == nil {
 			panic(fmt.Sprintf("atmnet: switch %s has no backward route for VC %d", s.Name, c.VC))
 		}
 		bp.Link.Receive(e, s.scratch)
 		return
 	}
-	fp := s.fwd[c.VC]
+	fp := route(s.fwd, c.VC)
 	if fp == nil {
 		panic(fmt.Sprintf("atmnet: switch %s has no forward route for VC %d", s.Name, c.VC))
 	}

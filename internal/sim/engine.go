@@ -53,6 +53,7 @@ type event struct {
 	payload Payload
 	stopped bool
 	next    *event // intrusive slot-list link in the wheel backend
+	lane    *Lane  // set only on a lane's permanent cell (lane.go)
 }
 
 // EventRef identifies a scheduled event so it can be cancelled. The zero
@@ -124,11 +125,14 @@ type Engine struct {
 	// hot path stops allocating once the pool warms to the peak number of
 	// simultaneously pending events.
 	free []*event
+	// laneQueued counts the events waiting in lanes behind their heads:
+	// pending, but not in the calendar.
+	laneQueued int
 	// Pads the struct to two cache lines, which is also an allocator size
 	// class, so an engine shares no line with the object next to it. The
 	// engines of a sharded run are allocated back to back and written on
 	// every event by different cores (DESIGN.md §14).
-	_ [48]byte
+	_ [40]byte
 }
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.
@@ -149,7 +153,7 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of events still scheduled (including cancelled
 // events that have not yet been discarded).
-func (e *Engine) Pending() int { return e.sched.Len() }
+func (e *Engine) Pending() int { return e.sched.Len() + e.laneQueued }
 
 // Fired returns the number of events executed so far. Useful for cost
 // accounting in benchmarks.
@@ -299,6 +303,10 @@ func (e *Engine) runTo(deadline Time) uint64 {
 		}
 		e.now = ev.at
 		e.fired++
+		if ev.lane != nil {
+			ev.lane.fire(e)
+			continue
+		}
 		fn, tfn, pl := ev.fn, ev.tfn, ev.payload
 		// Recycle before firing: the handler is the cell's last user, and
 		// returning it first lets fn's own follow-up schedule reuse it.

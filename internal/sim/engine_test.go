@@ -592,6 +592,81 @@ func TestEngineReentrancyPanics(t *testing.T) {
 	})
 }
 
+// TestPendingInsideHandler pins what a handler sees: its own event is no
+// longer pending, whatever the calendar does with the slot it left.
+func TestPendingInsideHandler(t *testing.T) {
+	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
+		e := newEngine()
+		var got []int
+		for i := 0; i < 4; i++ {
+			e.At(Time(10*(i+1)), func(en *Engine) {
+				got = append(got, en.Pending())
+				if en.Now() == 20 {
+					en.After(1, func(en *Engine) { got = append(got, en.Pending()) })
+					en.After(0, func(en *Engine) { got = append(got, en.Pending()) })
+					got = append(got, en.Pending())
+				}
+			})
+		}
+		e.Run()
+		want := []int{3, 2, 4, 3, 2, 1, 0}
+		if len(got) != len(want) {
+			t.Fatalf("Pending() in handlers = %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Pending() in handlers = %v, want %v", got, want)
+			}
+		}
+	})
+}
+
+// TestRunAfterHandlerPanic: a handler panic the caller recovers from leaves
+// the engine as Stop would — whatever the handler had scheduled is pending,
+// the rest of the calendar is in order — and the next run carries on.
+func TestRunAfterHandlerPanic(t *testing.T) {
+	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
+		for _, scheduleFirst := range []bool{false, true} {
+			e := newEngine()
+			var trace []Time
+			rec := func(en *Engine) { trace = append(trace, en.Now()) }
+			e.At(10, func(en *Engine) {
+				if scheduleFirst {
+					en.At(25, rec)
+				}
+				panic("boom")
+			})
+			e.At(20, rec)
+			e.At(30, rec)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("handler panic did not reach the caller")
+					}
+				}()
+				e.RunUntil(100)
+			}()
+			e.At(15, rec)
+			e.RunUntil(100)
+			want := []Time{15, 20, 30}
+			if scheduleFirst {
+				want = []Time{15, 20, 25, 30}
+			}
+			if len(trace) != len(want) {
+				t.Fatalf("scheduleFirst=%v: trace = %v, want %v", scheduleFirst, trace, want)
+			}
+			for i := range want {
+				if trace[i] != want[i] {
+					t.Fatalf("scheduleFirst=%v: trace = %v, want %v", scheduleFirst, trace, want)
+				}
+			}
+			if e.Pending() != 0 || e.Now() != 100 {
+				t.Fatalf("scheduleFirst=%v: pending %d now %v after the second run", scheduleFirst, e.Pending(), e.Now())
+			}
+		}
+	})
+}
+
 // TestEngineStateFillsCacheLines holds the padding that keeps the engines
 // of a sharded run apart: the words an engine writes on every event must
 // not share a cache line with the next engine allocated. A size that is a

@@ -6,19 +6,23 @@ import (
 	"testing"
 )
 
-// A fuzz program is a byte string read three bytes at a time — opcode,
-// width, mantissa — and decoded against a clock the decoder advances
-// itself (every RunUntil ends exactly on its deadline), so the ops carry
+// A fuzz program is a byte string read four bytes at a time — opcode, width,
+// mantissa, arg — and decoded against a clock the decoder advances itself
+// (every run op is resumed until it ends on its deadline), so the ops carry
 // absolute times and replay identically on any calendar. The opcode's low
-// two bits pick the op; on the two scheduling ops its high six are a repeat
-// count (1–64 events at the one instant), so a short input — cheap for the
+// three bits pick the op; on the scheduling ops its high five are a repeat
+// count (1–32 events at the one instant), so a short input — cheap for the
 // fuzzer to mutate and minimize — can still pile thousands of events onto
-// one timestamp.
+// one timestamp. arg tells an event what to do when it fires (fuzzState.fire).
 const (
-	fuzzSchedule = iota // At(clock+delay): plain events
-	fuzzResched         // AtFunc(clock+delay): fires, then schedules a child at its own instant
-	fuzzCancel          // cancel the (width<<8|mantissa)-th scheduled event, fired or not
-	fuzzRunUntil        // RunUntil(clock+delay)
+	fuzzSchedule   = iota // plain events at clock+delay
+	fuzzParent            // events that schedule 0–3 children, at their own instant and later
+	fuzzCancel            // cancel the (width<<8|mantissa)-th cancellable event, fired or not
+	fuzzRunUntil          // RunUntil(clock+delay)
+	fuzzStopper           // events that call Stop, most of them scheduling nothing first
+	fuzzLaneOp            // events on lane arg%fuzzLanes at clock+delay, or the lane's last time if later
+	fuzzLaneParent        // events that put 1–2 events on a lane
+	fuzzRunUntil2         // a second encoding of fuzzRunUntil: programs need many runs
 )
 
 // fuzzMaxEvents and fuzzMaxOps bound one program (the wheel is quadratic
@@ -26,12 +30,14 @@ const (
 const (
 	fuzzMaxEvents = 10_000
 	fuzzMaxOps    = 1 << 12
+	fuzzLanes     = 4
 )
 
 type fuzzOp struct {
 	kind   byte
 	at     Time
 	rep    int // scheduling ops: how many events
+	arg    byte
 	target int // fuzzCancel: which one
 }
 
@@ -49,24 +55,42 @@ func fuzzDelay(width, mantissa byte) Duration {
 	return Duration(base + int64(mantissa)*(base>>8))
 }
 
-func decodeFuzzProgram(prog []byte) []fuzzOp {
-	if len(prog) > 3*fuzzMaxOps {
-		prog = prog[:3*fuzzMaxOps]
+// fuzzAdd is t+d clamped instead of overflowing: the far end of time is a
+// legal instant.
+func fuzzAdd(t Time, d Duration) Time {
+	if d > Duration(maxTime-t) {
+		return maxTime
 	}
-	ops := make([]fuzzOp, 0, len(prog)/3)
+	return t.Add(d)
+}
+
+func decodeFuzzProgram(prog []byte) []fuzzOp {
+	if len(prog) > 4*fuzzMaxOps {
+		prog = prog[:4*fuzzMaxOps]
+	}
+	ops := make([]fuzzOp, 0, len(prog)/4)
 	clock, events := Time(0), 0
-	for ; len(prog) >= 3; prog = prog[3:] {
-		op := fuzzOp{kind: prog[0] % 4, target: int(prog[1])<<8 | int(prog[2])}
-		if op.kind == fuzzSchedule || op.kind == fuzzResched {
-			op.rep = min(1+int(prog[0]>>2), fuzzMaxEvents-events)
-			events += op.rep
+	for ; len(prog) >= 4; prog = prog[4:] {
+		op := fuzzOp{kind: prog[0] % 8, arg: prog[3], target: int(prog[1])<<8 | int(prog[2])}
+		// What one event of the op can add to the calendar, itself included.
+		cost := 0
+		switch op.kind {
+		case fuzzSchedule:
+			cost = 1
+		case fuzzParent:
+			cost = 1 + int(op.arg&3)
+		case fuzzStopper, fuzzLaneOp:
+			cost = 2
+		case fuzzLaneParent:
+			cost = 4
+		case fuzzRunUntil2:
+			op.kind = fuzzRunUntil
 		}
-		// Clamp instead of overflowing: the far end of time is a legal instant.
-		if d := fuzzDelay(prog[1], prog[2]); d > Duration(maxTime-clock) {
-			op.at = maxTime
-		} else {
-			op.at = clock.Add(d)
+		if cost > 0 {
+			op.rep = min(1+int(prog[0]>>3), (fuzzMaxEvents-events)/cost)
+			events += op.rep * cost
 		}
+		op.at = fuzzAdd(clock, fuzzDelay(prog[1], prog[2]))
 		if op.kind == fuzzRunUntil {
 			clock = op.at
 		}
@@ -75,9 +99,29 @@ func decodeFuzzProgram(prog []byte) []fuzzOp {
 	return ops
 }
 
-// fuzzRec is one line of a replay's log: an event firing ('f'), a child
-// firing ('c', id is the parent's), or the state after a run op ('r': the
-// clock, Pending and Canceled).
+// fuzzEvent is what a scheduled event carries to its firing: the letter it
+// logs under — 'f' plain, 'p' parent, 'c' child, 's' stopper, 'q' lane
+// parent, 'l' lane event, 'x' scheduled into a stopped engine — its op's
+// arg, and an id (the scheduling op's event number; a child's is its
+// parent's, a lane event's is its lane).
+type fuzzEvent struct {
+	kind byte
+	arg  byte
+	id   int
+}
+
+// fuzzLetter is the letter the events of a scheduling op log under.
+var fuzzLetter = [8]byte{fuzzSchedule: 'f', fuzzParent: 'p', fuzzStopper: 's', fuzzLaneParent: 'q'}
+
+func (ev fuzzEvent) pack() int64 { return int64(ev.id)<<16 | int64(ev.arg)<<8 | int64(ev.kind) }
+
+func unpackFuzzEvent(v int64) fuzzEvent {
+	return fuzzEvent{kind: byte(v), arg: byte(v >> 8), id: int(v >> 16)}
+}
+
+// fuzzRec is one line of a replay's log: an event firing (its letter, the
+// clock, its id, and Pending as the handler sees it), or the state after a
+// run ('r': the clock, Pending and Canceled).
 type fuzzRec struct {
 	kind     byte
 	at       Time
@@ -86,180 +130,350 @@ type fuzzRec struct {
 	canceled uint64
 }
 
-type fuzzLog struct{ recs []fuzzRec }
-
-func fuzzFireResched(e *Engine, p Payload) {
-	l := p.Obj.(*fuzzLog)
-	l.recs = append(l.recs, fuzzRec{kind: 'f', at: e.Now(), id: int(p.I)})
-	e.AfterFunc(0, fuzzFireChild, p)
+// fuzzCal is the calendar a program runs on: an Engine, or the oracle.
+type fuzzCal interface {
+	now() Time
+	pending() int
+	canceled() uint64
+	scheduled() uint64
+	// at schedules ev and returns its handle for cancel: 0, 1, 2, ...
+	at(t Time, ev fuzzEvent) int
+	cancel(handle int)
+	// laneAfter adds the next event of lane k, at t.
+	laneAfter(k int, t Time)
+	stop()
+	runUntil(deadline Time)
+	run()
 }
 
-func fuzzFireChild(e *Engine, p Payload) {
-	l := p.Obj.(*fuzzLog)
-	l.recs = append(l.recs, fuzzRec{kind: 'c', at: e.Now(), id: int(p.I)})
+// fuzzState interprets a program against a calendar. Everything an event
+// does when it fires is here, written once against fuzzCal, so the engine
+// replays and the oracle differ in nothing but the calendar underneath.
+type fuzzState struct {
+	cal       fuzzCal
+	recs      []fuzzRec
+	ids       int
+	handles   int
+	laneLast  [fuzzLanes]Time
+	laneFired [fuzzLanes]int
+	stopped   bool
+	stopArg   byte
 }
 
-// replayFuzzOps runs ops on an engine with the given backend, ending with
-// Run, and returns the log and the Scheduled count.
-func replayFuzzOps(kind SchedulerKind, ops []fuzzOp) ([]fuzzRec, uint64) {
-	e := NewEngine(WithScheduler(kind))
-	l := &fuzzLog{}
-	var refs []EventRef
-	checkpoint := func() {
-		l.recs = append(l.recs, fuzzRec{kind: 'r', at: e.Now(), pending: e.Pending(), canceled: e.Canceled()})
+func (st *fuzzState) at(t Time, ev fuzzEvent) int {
+	h := st.cal.at(t, ev)
+	st.handles = h + 1
+	return h
+}
+
+// laneAfter holds lane times monotone, the one thing a lane asks of its
+// caller, by pushing an early t back to the lane's last.
+func (st *fuzzState) laneAfter(k int, t Time) {
+	if t < st.laneLast[k] {
+		t = st.laneLast[k]
 	}
-	for _, op := range ops {
-		switch op.kind {
-		case fuzzSchedule:
-			for r := 0; r < op.rep; r++ {
-				id := len(refs)
-				refs = append(refs, e.At(op.at, func(en *Engine) {
-					l.recs = append(l.recs, fuzzRec{kind: 'f', at: en.Now(), id: id})
-				}))
+	st.laneLast[k] = t
+	st.cal.laneAfter(k, t)
+}
+
+func (st *fuzzState) fire(ev fuzzEvent) {
+	c := st.cal
+	now := c.now()
+	st.recs = append(st.recs, fuzzRec{kind: ev.kind, at: now, id: ev.id, pending: c.pending()})
+	later := fuzzAdd(now, Duration(1)<<(ev.arg>>4))
+	switch ev.kind {
+	case 'p':
+		// arg&3 children. The first — the one that lands in the hole the
+		// parent's pop left in the heap — fires later and the rest at the
+		// parent's instant (arg&4), or the other way round; arg&8 cancels it.
+		first := -1
+		for j := 0; j < int(ev.arg&3); j++ {
+			t := now
+			if (j == 0) == (ev.arg&4 != 0) {
+				t = later
 			}
-		case fuzzResched:
-			for r := 0; r < op.rep; r++ {
-				refs = append(refs, e.AtFunc(op.at, fuzzFireResched, Payload{Obj: l, I: int64(len(refs))}))
+			h := st.at(t, fuzzEvent{kind: 'c', id: ev.id})
+			if j == 0 {
+				first = h
 			}
-		case fuzzCancel:
-			if len(refs) > 0 {
-				refs[op.target%len(refs)].Cancel()
-			}
-		case fuzzRunUntil:
-			e.RunUntil(op.at)
-			checkpoint()
+		}
+		if first >= 0 && ev.arg&8 != 0 {
+			c.cancel(first)
+		}
+	case 's':
+		// Stop, with the hole open unless arg&2 fills it first. arg&1 is for
+		// runTo: schedule into the stopped engine before resuming.
+		if ev.arg&2 != 0 {
+			st.at(now, fuzzEvent{kind: 'c', id: ev.id})
+		}
+		st.stopped, st.stopArg = true, ev.arg
+		c.stop()
+	case 'q':
+		t := now
+		if ev.arg&8 != 0 {
+			t = later
+		}
+		for j := 0; j <= int(ev.arg&1); j++ {
+			st.laneAfter(int(ev.arg>>1)%fuzzLanes, t)
+		}
+	case 'l':
+		// A lane's events share one payload, so what they do goes by how
+		// many the lane has fired: every third puts another on its own lane
+		// (which is empty at that point, or not), some schedule a child.
+		k := ev.id
+		st.laneFired[k]++
+		switch n := st.laneFired[k]; {
+		case n%3 == 0:
+			st.laneAfter(k, fuzzAdd(now, Duration(1)<<(n%8)))
+		case n%4 == 1:
+			st.at(now, fuzzEvent{kind: 'c', id: k})
 		}
 	}
-	e.Run()
-	checkpoint()
-	return l.recs, e.Scheduled()
+}
+
+// runTo runs to deadline (final: to the end), resuming after every Stop.
+func (st *fuzzState) runTo(deadline Time, final bool) {
+	c := st.cal
+	for {
+		st.stopped = false
+		if final {
+			c.run()
+		} else {
+			c.runUntil(deadline)
+		}
+		st.recs = append(st.recs, fuzzRec{kind: 'r', at: c.now(), pending: c.pending(), canceled: c.canceled()})
+		if !st.stopped {
+			return
+		}
+		if st.stopArg&1 != 0 {
+			st.at(c.now(), fuzzEvent{kind: 'x'})
+		}
+	}
+}
+
+// runFuzzProgram runs ops on the calendar mk returns, ending with Run, and
+// returns the log and the Scheduled count.
+func runFuzzProgram(mk func(*fuzzState) fuzzCal, ops []fuzzOp) ([]fuzzRec, uint64) {
+	st := &fuzzState{}
+	st.cal = mk(st)
+	for _, op := range ops {
+		switch op.kind {
+		case fuzzSchedule, fuzzParent, fuzzStopper, fuzzLaneParent:
+			for r := 0; r < op.rep; r++ {
+				st.at(op.at, fuzzEvent{kind: fuzzLetter[op.kind], arg: op.arg, id: st.ids})
+				st.ids++
+			}
+		case fuzzLaneOp:
+			for r := 0; r < op.rep; r++ {
+				st.laneAfter(int(op.arg)%fuzzLanes, op.at)
+			}
+		case fuzzCancel:
+			if st.handles > 0 {
+				st.cal.cancel(op.target % st.handles)
+			}
+		case fuzzRunUntil:
+			st.runTo(op.at, false)
+		}
+	}
+	st.runTo(maxTime, true)
+	return st.recs, st.cal.scheduled()
+}
+
+// engineCal is an Engine as a fuzzCal. Plain events go through At and the
+// rest through AtFunc, so both cell shapes are in the calendar; lane events
+// go through real lanes, or — lanes false — through AtFunc, which is what a
+// lane claims to be indistinguishable from.
+type engineCal struct {
+	e     *Engine
+	st    *fuzzState
+	refs  []EventRef
+	lanes [fuzzLanes]*Lane
+}
+
+func newEngineCal(kind SchedulerKind, lanes bool) func(*fuzzState) fuzzCal {
+	return func(st *fuzzState) fuzzCal {
+		c := &engineCal{e: NewEngine(WithScheduler(kind)), st: st}
+		if lanes {
+			for k := range c.lanes {
+				c.lanes[k] = c.e.NewLane(fuzzFire, c.lanePayload(k))
+			}
+		}
+		return c
+	}
+}
+
+func fuzzFire(_ *Engine, p Payload) { p.Obj.(*fuzzState).fire(unpackFuzzEvent(p.I)) }
+
+func (c *engineCal) lanePayload(k int) Payload {
+	return Payload{Obj: c.st, I: fuzzEvent{kind: 'l', id: k}.pack()}
+}
+
+func (c *engineCal) now() Time         { return c.e.Now() }
+func (c *engineCal) pending() int      { return c.e.Pending() }
+func (c *engineCal) canceled() uint64  { return c.e.Canceled() }
+func (c *engineCal) scheduled() uint64 { return c.e.Scheduled() }
+func (c *engineCal) cancel(h int)      { c.refs[h].Cancel() }
+func (c *engineCal) stop()             { c.e.Stop() }
+func (c *engineCal) runUntil(d Time)   { c.e.RunUntil(d) }
+func (c *engineCal) run()              { c.e.Run() }
+
+func (c *engineCal) at(t Time, ev fuzzEvent) int {
+	if ev.kind == 'f' {
+		st := c.st
+		c.refs = append(c.refs, c.e.At(t, func(*Engine) { st.fire(ev) }))
+	} else {
+		c.refs = append(c.refs, c.e.AtFunc(t, fuzzFire, Payload{Obj: c.st, I: ev.pack()}))
+	}
+	return len(c.refs) - 1
+}
+
+func (c *engineCal) laneAfter(k int, t Time) {
+	if ln := c.lanes[k]; ln != nil {
+		ln.After(t.Sub(c.e.Now()))
+	} else {
+		c.e.AtFunc(t, fuzzFire, c.lanePayload(k))
+	}
 }
 
 // oracleEvent is a pending event of the reference calendar.
 type oracleEvent struct {
 	at      Time
 	seq     uint64
-	kind    byte // 'f' or 'c'
-	id      int
-	resched bool
+	ev      fuzzEvent
 	stopped bool
 	done    bool // fired or drained: a later cancel is a no-op
 }
 
 // orderOracle is the reference the backends are checked against: the
 // pending events as a slice kept sorted by (time, seq), the engine's run
-// loop restated over it with no heap and no wheel.
+// loop restated over it with no heap, no wheel and no lanes.
 type orderOracle struct {
-	now      Time
-	seq      uint64
-	canceled uint64
-	pending  []*oracleEvent
-	recs     []fuzzRec
+	st        *fuzzState
+	clock     Time
+	seq       uint64
+	ncanceled uint64
+	stopped   bool
+	queue     []*oracleEvent
+	byHandle  []*oracleEvent
 }
 
-func (o *orderOracle) schedule(ev *oracleEvent) {
-	ev.seq = o.seq
+func newOrderOracle(st *fuzzState) fuzzCal { return &orderOracle{st: st} }
+
+func (o *orderOracle) now() Time         { return o.clock }
+func (o *orderOracle) pending() int      { return len(o.queue) }
+func (o *orderOracle) canceled() uint64  { return o.ncanceled }
+func (o *orderOracle) scheduled() uint64 { return o.seq }
+func (o *orderOracle) stop()             { o.stopped = true }
+
+func (o *orderOracle) schedule(t Time, ev fuzzEvent) *oracleEvent {
+	oe := &oracleEvent{at: t, seq: o.seq, ev: ev}
 	o.seq++
-	i := sort.Search(len(o.pending), func(i int) bool {
-		p := o.pending[i]
-		return ev.at < p.at || (ev.at == p.at && ev.seq < p.seq)
+	i := sort.Search(len(o.queue), func(i int) bool {
+		p := o.queue[i]
+		return oe.at < p.at || (oe.at == p.at && oe.seq < p.seq)
 	})
-	o.pending = append(o.pending, nil)
-	copy(o.pending[i+1:], o.pending[i:])
-	o.pending[i] = ev
+	o.queue = append(o.queue, nil)
+	copy(o.queue[i+1:], o.queue[i:])
+	o.queue[i] = oe
+	return oe
 }
 
-func (o *orderOracle) runTo(deadline Time) {
-	for len(o.pending) > 0 && o.pending[0].at <= deadline {
-		ev := o.pending[0]
-		o.pending = o.pending[1:]
-		ev.done = true
-		if ev.stopped {
-			o.canceled++
-			continue
-		}
-		o.now = ev.at
-		o.recs = append(o.recs, fuzzRec{kind: ev.kind, at: o.now, id: ev.id})
-		if ev.resched {
-			o.schedule(&oracleEvent{at: o.now, kind: 'c', id: ev.id})
-		}
+func (o *orderOracle) at(t Time, ev fuzzEvent) int {
+	o.byHandle = append(o.byHandle, o.schedule(t, ev))
+	return len(o.byHandle) - 1
+}
+
+func (o *orderOracle) laneAfter(k int, t Time) { o.schedule(t, fuzzEvent{kind: 'l', id: k}) }
+
+func (o *orderOracle) cancel(h int) {
+	if oe := o.byHandle[h]; !oe.done {
+		oe.stopped = true
 	}
 }
 
-func (o *orderOracle) checkpoint() {
-	o.recs = append(o.recs, fuzzRec{kind: 'r', at: o.now, pending: len(o.pending), canceled: o.canceled})
-}
-
-func oracleFuzzOps(ops []fuzzOp) ([]fuzzRec, uint64) {
-	o := &orderOracle{}
-	var byID []*oracleEvent
-	for _, op := range ops {
-		switch op.kind {
-		case fuzzSchedule, fuzzResched:
-			for r := 0; r < op.rep; r++ {
-				ev := &oracleEvent{at: op.at, kind: 'f', id: len(byID), resched: op.kind == fuzzResched}
-				byID = append(byID, ev)
-				o.schedule(ev)
-			}
-		case fuzzCancel:
-			if len(byID) > 0 {
-				if ev := byID[op.target%len(byID)]; !ev.done {
-					ev.stopped = true
-				}
-			}
-		case fuzzRunUntil:
-			o.runTo(op.at)
-			o.now = op.at
-			o.checkpoint()
-		}
+func (o *orderOracle) run() {
+	o.stopped = false
+	for !o.stopped && len(o.queue) > 0 {
+		o.step()
 	}
-	o.runTo(maxTime)
-	o.checkpoint()
-	return o.recs, o.seq
 }
 
-// FuzzSchedulerOrder replays schedule/cancel/RunUntil programs on both
-// backends and on the sorted-slice oracle and requires three identical
-// logs: every firing's (time, id), and the clock, Pending and Canceled
-// after every run.
+func (o *orderOracle) runUntil(deadline Time) {
+	o.stopped = false
+	for !o.stopped && len(o.queue) > 0 && o.queue[0].at <= deadline {
+		o.step()
+	}
+	if !o.stopped && o.clock < deadline {
+		o.clock = deadline
+	}
+}
+
+func (o *orderOracle) step() {
+	oe := o.queue[0]
+	o.queue = o.queue[1:]
+	oe.done = true
+	if oe.stopped {
+		o.ncanceled++
+		return
+	}
+	o.clock = oe.at
+	o.st.fire(oe.ev)
+}
+
+// FuzzSchedulerOrder replays a program on the sorted-slice oracle and on
+// both backends, each with real lanes and with AtFunc standing in for them,
+// and requires five identical logs — every firing's (time, id) and the
+// Pending its handler saw, and the clock, Pending and Canceled after every
+// run — and five identical Scheduled counts.
+//
+// Besides the seeds added here, testdata/fuzz/FuzzSchedulerOrder holds one
+// per calendar state the lazy-pop heap and the lanes added:
+//
+//	hole-children   parents with 0–3 children, first child now or later
+//	hole-cancel     the child that filled the hole cancelled, by its parent and later by handle
+//	hole-stop       Stop with the hole open, then a pop, or a schedule and a pop; Stop with it filled
+//	lane-burst      32 events on one lane at one instant behind 32 at an earlier one, run in two legs
+//	lane-handlers   lane events added from handlers, now and later, four lanes, cancels and stops between
 func FuzzSchedulerOrder(f *testing.F) {
-	const fuzzBurst = 63 << 2
-	// 10⁴ events at one instant; 10³ zero-delay reschedulers ahead of 10³
-	// events at a later one.
-	f.Add(bytes.Repeat([]byte{fuzzBurst | fuzzSchedule, 7, 0}, 157))
-	f.Add(append(bytes.Repeat([]byte{fuzzBurst | fuzzSchedule, 7, 0}, 16), bytes.Repeat([]byte{fuzzBurst | fuzzResched, 0, 0}, 16)...))
+	const burst = 31 << 3
+	// 10⁴ events at one instant; 10³ parents of one same-instant child
+	// ahead of 10³ events at a later instant.
+	f.Add(bytes.Repeat([]byte{burst | fuzzSchedule, 7, 0, 0}, 313))
+	f.Add(append(bytes.Repeat([]byte{burst | fuzzSchedule, 7, 0, 0}, 32), bytes.Repeat([]byte{burst | fuzzParent, 0, 0, 1}, 32)...))
 	// Zero delays around a zero-length run.
-	f.Add([]byte{fuzzSchedule, 0, 0, fuzzResched, 0, 0, fuzzRunUntil, 0, 0, fuzzSchedule, 0, 0})
+	f.Add([]byte{fuzzSchedule, 0, 0, 0, fuzzParent, 0, 0, 1, fuzzRunUntil, 0, 0, 0, fuzzSchedule, 0, 0, 0})
 	// pop(bound) with the bound below, at and above the minimum (event at
 	// 64: run to 32, to 64; event at 128: run to 160), then on an empty
 	// calendar.
 	f.Add([]byte{
-		fuzzSchedule, 7, 0, fuzzRunUntil, 6, 0, fuzzRunUntil, 6, 0,
-		fuzzSchedule, 7, 0, fuzzRunUntil, 7, 32, fuzzRunUntil, 7, 0,
+		fuzzSchedule, 7, 0, 0, fuzzRunUntil, 6, 0, 0, fuzzRunUntil, 6, 0, 0,
+		fuzzSchedule, 7, 0, 0, fuzzRunUntil, 7, 32, 0, fuzzRunUntil, 7, 0, 0,
 	})
-	f.Add([]byte{fuzzRunUntil, 20, 9, fuzzRunUntil, 0, 0})
+	f.Add([]byte{fuzzRunUntil, 20, 9, 0, fuzzRunUntil, 0, 0, 0})
 	// Cancels of live, fired and drained events; delays up to the end of time.
 	f.Add([]byte{
-		fuzzSchedule, 63, 255, fuzzResched, 40, 1, fuzzSchedule, 12, 3,
-		fuzzCancel, 0, 1, fuzzRunUntil, 13, 0, fuzzCancel, 0, 2,
-		fuzzSchedule, 63, 255, fuzzRunUntil, 63, 0, fuzzCancel, 0, 1,
-		fuzzResched, 63, 255, fuzzRunUntil, 63, 255, fuzzSchedule, 63, 0,
+		fuzzSchedule, 63, 255, 0, fuzzParent, 40, 1, 1, fuzzSchedule, 12, 3, 0,
+		fuzzCancel, 0, 1, 0, fuzzRunUntil, 13, 0, 0, fuzzCancel, 0, 2, 0,
+		fuzzSchedule, 63, 255, 0, fuzzRunUntil, 63, 0, 0, fuzzCancel, 0, 1, 0,
+		fuzzParent, 63, 255, 0xf6, fuzzLaneOp, 63, 255, 0, fuzzRunUntil, 63, 255, 0, fuzzSchedule, 63, 0, 0,
 	})
 
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		ops := decodeFuzzProgram(prog)
-		want, wantScheduled := oracleFuzzOps(ops)
+		want, wantScheduled := runFuzzProgram(newOrderOracle, ops)
 		for _, kind := range SchedulerKinds() {
-			got, scheduled := replayFuzzOps(kind, ops)
-			if scheduled != wantScheduled {
-				t.Fatalf("%s: Scheduled() = %d, oracle %d", kind, scheduled, wantScheduled)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d log records, oracle %d", kind, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: record %d = %+v, oracle %+v", kind, i, got[i], want[i])
+			for _, lanes := range []bool{true, false} {
+				got, scheduled := runFuzzProgram(newEngineCal(kind, lanes), ops)
+				if scheduled != wantScheduled {
+					t.Fatalf("%s lanes=%v: Scheduled() = %d, oracle %d", kind, lanes, scheduled, wantScheduled)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s lanes=%v: %d log records, oracle %d", kind, lanes, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s lanes=%v: record %d = %+v, oracle %+v", kind, lanes, i, got[i], want[i])
+					}
 				}
 			}
 		}

@@ -123,9 +123,10 @@ func TestWheelHugeDelays(t *testing.T) {
 	})
 }
 
-// TestHeapPopClearsTail pins two properties of the heap's value-entry
-// array: a popped slot beyond len no longer references its event cell, and
-// cancelled cells stay counted by Pending until the run loop drains them.
+// TestHeapPopClearsTail pins three properties of the heap's value-entry
+// array: a popped slot beyond len no longer references its event cell, nor
+// does the hole a lazy pop leaves at the root, and cancelled cells stay
+// counted by Pending until the run loop drains them.
 func TestHeapPopClearsTail(t *testing.T) {
 	e := NewEngine(WithScheduler(SchedulerHeap))
 	h := e.sched.(*heapScheduler)
@@ -136,12 +137,18 @@ func TestHeapPopClearsTail(t *testing.T) {
 	for _, r := range refs[8:] {
 		r.Cancel()
 	}
+	e.At(5, func(en *Engine) { en.Stop() })
+	e.RunUntil(17)
+	// Stop from a handler that scheduled nothing leaves the hole open.
+	if h.hole != 1 || h.q[0].ev != nil {
+		t.Fatalf("after Stop: hole %d, root %+v, want an open hole holding no cell", h.hole, h.q[0])
+	}
 	if e.Pending() != 16 {
-		t.Fatalf("Pending() = %d with 8 cancelled cells undrained, want 16", e.Pending())
+		t.Fatalf("Pending() = %d with the hole open and 8 cancelled cells undrained, want 16", e.Pending())
 	}
 	e.RunUntil(17)
-	if e.Pending() != 8 || e.Fired() != 8 || e.Canceled() != 0 {
-		t.Fatalf("after RunUntil(17): pending %d fired %d canceled %d, want 8 8 0",
+	if e.Pending() != 8 || e.Fired() != 9 || e.Canceled() != 0 {
+		t.Fatalf("after RunUntil(17): pending %d fired %d canceled %d, want 8 9 0",
 			e.Pending(), e.Fired(), e.Canceled())
 	}
 	e.Run()
@@ -151,6 +158,35 @@ func TestHeapPopClearsTail(t *testing.T) {
 	for i, ent := range h.q[:cap(h.q)] {
 		if ent != (heapEntry{}) {
 			t.Fatalf("slot %d beyond len still holds %+v", i, ent)
+		}
+	}
+}
+
+// TestSiftDownPicksSmallerChild checks the borrow-chain child choice against
+// before at the corners of the key space: time zero, equal times (seq
+// decides), the end of time, and seqs with the top bit set.
+func TestSiftDownPicksSmallerChild(t *testing.T) {
+	var keys []heapEntry
+	for _, at := range []Time{0, 1, maxTime - 1, maxTime} {
+		for _, seq := range []uint64{0, 1, 1 << 63, 1<<64 - 2} {
+			keys = append(keys, heapEntry{at: at, seq: seq})
+		}
+	}
+	sinker := heapEntry{at: maxTime, seq: 1<<64 - 1}
+	for _, l := range keys {
+		for _, r := range keys {
+			if l == r {
+				continue
+			}
+			q := []heapEntry{{}, l, r}
+			siftDown(q, sinker)
+			want := l
+			if r.before(&l) {
+				want = r
+			}
+			if q[0] != want {
+				t.Errorf("children %+v, %+v: %+v rose, want %+v", l, r, q[0], want)
+			}
 		}
 	}
 }
