@@ -13,16 +13,6 @@ import (
 	"repro/internal/trace"
 )
 
-// The PR 2 cell-path cost on this workload, from the BENCH_scheduler.json
-// committed at that revision (since deleted): one closure per scheduled cell
-// event plus per-cell heap escapes put suite_e01_quick at ~753k allocs/op
-// and ~34 MB/op on both backends. The typed-payload refactor must keep the
-// suite at least 60% below these numbers (it is in fact >99% below).
-var cellPathBaseline = map[string]backendStats{
-	string(sim.SchedulerHeap):  {NsPerOp: 87627164, AllocsPerOp: 752726, BytesPerOp: 34130939},
-	string(sim.SchedulerWheel): {NsPerOp: 98138887, AllocsPerOp: 753454, BytesPerOp: 34193654},
-}
-
 // preRefactorAllocsPerOp is the engine hot-path cost before event-cell
 // pooling (one heap allocation per scheduled event plus loop overhead),
 // measured on the seed engine with the same 1000-event workload as
@@ -144,8 +134,9 @@ func measureSuiteE01Telemetry(t testing.TB, kind sim.SchedulerKind) backendStats
 }
 
 // TestAllocBudget enforces the committed allocation budgets on both
-// scheduler backends. It runs in the ordinary test suite (CI's
-// bench-cellpath job runs it explicitly) so a change that reintroduces a
+// scheduler backends. It runs in the ordinary test suite (CI's test job
+// also runs it once without -race, under which it skips itself) so a
+// change that reintroduces a
 // per-cell allocation — a closure in a transmit path, a cell escaping to
 // the heap at an observer call — fails the build rather than silently
 // regressing throughput.
@@ -190,67 +181,4 @@ func TestAllocBudget(t *testing.T) {
 				m.got.BytesPerOp, budget.BytesPerOp, m.got.NsPerOp)
 		}
 	}
-}
-
-// TestCellPathBenchArtifact measures the end-to-end cell path on both
-// backends, compares it against the committed PR 2 baseline, and writes
-// the before/after numbers as JSON to the path in BENCH_CELLPATH_OUT. It
-// is skipped unless that variable is set: CI's bench-cellpath job runs it
-// to publish BENCH_cellpath.json, and developers regenerate the committed
-// copy the same way. The acceptance gates — ≥60% fewer allocs/op and
-// improved ns/op on both backends — fail the test if the optimization
-// ever erodes below them.
-func TestCellPathBenchArtifact(t *testing.T) {
-	out := os.Getenv("BENCH_CELLPATH_OUT")
-	if out == "" {
-		t.Skip("set BENCH_CELLPATH_OUT=<path> to write the cell-path benchmark artifact")
-	}
-	if raceEnabled {
-		t.Skip("allocation counting is unreliable under -race")
-	}
-
-	artifact := struct {
-		SchemaVersion int                     `json:"schema_version"`
-		Workload      string                  `json:"workload"`
-		Baseline      map[string]backendStats `json:"suite_e01_quick_before"`
-		Current       map[string]backendStats `json:"suite_e01_quick_after"`
-		ReductionPct  map[string]float64      `json:"alloc_reduction_pct"`
-		SpeedupPct    map[string]float64      `json:"ns_per_op_reduction_pct"`
-	}{
-		SchemaVersion: exp.SchemaVersion,
-		Workload:      "E01 at quick duration, end to end",
-		Baseline:      cellPathBaseline,
-		Current:       map[string]backendStats{},
-		ReductionPct:  map[string]float64{},
-		SpeedupPct:    map[string]float64{},
-	}
-
-	for _, kind := range sim.SchedulerKinds() {
-		got := measureSuiteE01(t, kind)
-		base := cellPathBaseline[string(kind)]
-		artifact.Current[string(kind)] = got
-		red := 100 * (1 - float64(got.AllocsPerOp)/float64(base.AllocsPerOp))
-		spd := 100 * (1 - float64(got.NsPerOp)/float64(base.NsPerOp))
-		artifact.ReductionPct[string(kind)] = red
-		artifact.SpeedupPct[string(kind)] = spd
-		if red < 60 {
-			t.Errorf("%s: allocs/op %d is only %.1f%% below baseline %d, want ≥60%%",
-				kind, got.AllocsPerOp, red, base.AllocsPerOp)
-		}
-		if got.NsPerOp >= base.NsPerOp {
-			t.Errorf("%s: ns/op %d did not improve on baseline %d", kind, got.NsPerOp, base.NsPerOp)
-		}
-		t.Logf("%s: %d → %d allocs/op (−%.2f%%), %d → %d ns/op (−%.1f%%)",
-			kind, base.AllocsPerOp, got.AllocsPerOp, red, base.NsPerOp, got.NsPerOp, spd)
-	}
-
-	b, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b = append(b, '\n')
-	if err := os.WriteFile(out, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

@@ -1,7 +1,8 @@
 // Command phantom-sim runs an arbitrary ATM topology described in the
 // simconfig language on standard input and prints the standard figure
 // triple (queue, fair-share estimate, session rates) plus a summary table.
-// Linear ("switches") and general-graph ("nodes"/"edge") dialects both run.
+// Queues and fair shares are labelled link<u>-<v> by the switches they join,
+// whether the input spelled the topology nodes/edge or switches/trunk.
 //
 // Example:
 //
@@ -37,8 +38,8 @@ import (
 	"repro/internal/trace"
 )
 
-// view is the render-side picture of a finished run, the same for the
-// linear and the graph builder: labeled series plus the summary inputs.
+// view is the render-side picture of a finished run: labeled series plus
+// the summary inputs.
 type view struct {
 	algName  string
 	sessions []string
@@ -78,42 +79,22 @@ func main() {
 		reg = telemetry.New()
 	}
 
-	var v *view
-	var end sim.Time
-	if spec.Graph != nil {
-		cfg := *spec.Graph
-		cfg.Scheduler = c.Scheduler
-		cfg.Trace = tr
-		cfg.Telemetry = reg
-		if c.Shards != 0 {
-			cfg.Shards = c.Shards
-		}
-		n, err := scenario.BuildGraph(cfg)
-		if err != nil {
-			c.Fatal(err)
-		}
-		n.Run(spec.Duration)
-		end = n.Engine.Now()
-		if v, err = graphView(spec, n); err != nil {
-			c.Fatal(err)
-		}
-	} else {
-		cfg := spec.Config
-		cfg.Scheduler = c.Scheduler
-		cfg.Trace = tr
-		cfg.Telemetry = reg
-		if c.Shards != 0 {
-			cfg.Shards = c.Shards
-		}
-		n, err := scenario.BuildATM(cfg)
-		if err != nil {
-			c.Fatal(err)
-		}
-		n.Run(spec.Duration)
-		end = n.Engine.Now()
-		if v, err = linearView(spec, n); err != nil {
-			c.Fatal(err)
-		}
+	cfg := spec.Config
+	cfg.Scheduler = c.Scheduler
+	cfg.Trace = tr
+	cfg.Telemetry = reg
+	if c.Shards != 0 {
+		cfg.Shards = c.Shards
+	}
+	n, err := scenario.BuildGraph(cfg)
+	if err != nil {
+		c.Fatal(err)
+	}
+	n.Run(spec.Duration)
+	end := n.Engine.Now()
+	v, err := newView(spec, n)
+	if err != nil {
+		c.Fatal(err)
 	}
 
 	if !c.Quiet {
@@ -206,32 +187,7 @@ func summaryMap(v *view, end sim.Time) map[string]float64 {
 	return m
 }
 
-func linearView(spec *simconfig.Spec, n *scenario.ATMNet) (*view, error) {
-	oracle, err := n.MaxMinOracle()
-	if err != nil {
-		return nil, err
-	}
-	v := &view{algName: spec.AlgName, acr: n.ACR, goodput: n.Goodput,
-		oracle: oracle, trace: n.Config.Trace}
-	for _, s := range n.Config.Sessions {
-		v.sessions = append(v.sessions, s.Name)
-	}
-	for k, s := range n.TrunkQueue {
-		v.queues = append(v.queues, s)
-		v.queueLabels = append(v.queueLabels, fmt.Sprintf("trunk%d", k))
-		v.lines = append(v.lines, fmt.Sprintf("trunk%d: utilization %.1f%%, peak queue %d cells",
-			k, 100*n.TrunkUtilization(k), n.PeakTrunkQueue[k]))
-	}
-	for k, s := range n.FairShare {
-		if s != nil {
-			v.fairShares = append(v.fairShares, s)
-			v.fsLabels = append(v.fsLabels, fmt.Sprintf("trunk%d", k))
-		}
-	}
-	return v, nil
-}
-
-func graphView(spec *simconfig.Spec, n *scenario.GraphNet) (*view, error) {
+func newView(spec *simconfig.Spec, n *scenario.GraphNet) (*view, error) {
 	oracle, err := n.MaxMinOracle()
 	if err != nil {
 		return nil, err
@@ -251,19 +207,14 @@ func graphView(spec *simconfig.Spec, n *scenario.GraphNet) (*view, error) {
 		}
 		return fmt.Sprintf("link%d-%d", u, w)
 	}
-	elapsed := n.Engine.Now().Seconds()
 	for l, s := range n.LinkQueue {
 		if s == nil {
 			continue
 		}
 		v.queues = append(v.queues, s)
 		v.queueLabels = append(v.queueLabels, label(l))
-		util := 0.0
-		if elapsed > 0 {
-			util = float64(n.LinkSent(l)) / (n.LinkCapacityCPS(l) * elapsed)
-		}
 		v.lines = append(v.lines, fmt.Sprintf("%s: utilization %.1f%%, peak queue %d cells",
-			label(l), 100*util, n.PeakLinkQueue[l]))
+			label(l), 100*n.LinkUtilization(l), n.PeakLinkQueue[l]))
 	}
 	for l, s := range n.FairShare {
 		if s != nil {

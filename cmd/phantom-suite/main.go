@@ -7,7 +7,12 @@
 //
 //	phantom-suite [flags]
 //
-//	-filter regex   run only experiments whose ID matches (e.g. 'E0[1-5]')
+//	-filter regex   run only experiments whose ID matches (e.g. 'E0[1-5]');
+//	                a paper reference (fig3, table2, quench, ...) stands
+//	                for the experiment that reproduces it
+//	-figures        print each matched experiment's figures, tables and
+//	                notes (with -json, its full result) instead of the
+//	                golden report; runs here, one experiment at a time
 //	-j N            worker count (default GOMAXPROCS)
 //	-duration d     override every experiment's simulated duration
 //	-quick          use the reduced-duration profile (the golden baseline
@@ -75,11 +80,45 @@ func main() {
 		sweep        = flag.Int("sweep", 0, "run each matched experiment at this many seeded sweep points")
 		list         = flag.Bool("list", false, "list matching experiments and exit")
 		verbose      = flag.Bool("v", false, "print experiment notes")
+		figures      = flag.Bool("figures", false, "print each matched experiment's figures, tables and notes instead of the golden report")
 	)
 	c.Parse()
-	code := run(c, *goldenDir, *updateGolden, *sweep, *list, *verbose)
+	var code int
+	switch {
+	case *figures && (*list || *updateGolden || *sweep > 0 || c.Submit != "" || c.HTTPAddr != ""):
+		fmt.Fprintln(os.Stderr, "phantom-suite: -figures prints results of local, sequential runs; it does not combine with -list, -update-golden, -sweep, -submit or -http")
+		code = 2
+	case *figures:
+		code = printFigures(c)
+	default:
+		code = run(c, *goldenDir, *updateGolden, *sweep, *list, *verbose)
+	}
 	c.Close()
 	os.Exit(code)
+}
+
+// printFigures runs every matched experiment through cli.RunExperiment: the
+// paper's figures as ASCII charts, the tables, the notes.
+func printFigures(c *cli.Common) int {
+	re := c.FilterRegexp()
+	matched := false
+	var err error
+	exp.Walk(func(d exp.Definition) bool {
+		if re.MatchString(d.ID) {
+			matched = true
+			err = c.RunExperiment(d.ID)
+		}
+		return err == nil
+	})
+	switch {
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "phantom-suite:", err)
+		return 1
+	case !matched:
+		fmt.Fprintln(os.Stderr, "phantom-suite: no experiments match the filter")
+		return 2
+	}
+	return 0
 }
 
 func run(c *cli.Common, goldenDir string, updateGolden bool, sweep int, list, verbose bool) int {

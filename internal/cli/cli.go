@@ -88,7 +88,8 @@ type Common struct {
 	Quiet bool
 	// JSON switches output to machine-readable JSON.
 	JSON bool
-	// Filter is the raw -filter regexp source (empty matches everything).
+	// Filter is the -filter regexp source (empty matches everything), with
+	// a paper reference (fig3, table2) already resolved to its ID.
 	Filter string
 	// Workers is the fleet worker count (0 = GOMAXPROCS).
 	Workers int
@@ -135,7 +136,8 @@ func New(prog string, flags Flags) *Common {
 		flag.BoolVar(&c.JSON, "json", false, "emit machine-readable JSON")
 	}
 	if flags&FlagFilter != 0 {
-		flag.StringVar(&c.Filter, "filter", "", "regexp of experiment IDs to run (empty = all)")
+		flag.StringVar(&c.Filter, "filter", "",
+			"regexp of experiment IDs to run (empty = all), or a paper reference such as fig3, table2, quench")
 	}
 	if flags&FlagWorkers != 0 {
 		flag.IntVar(&c.Workers, "j", 0, "parallel workers (0 = GOMAXPROCS)")
@@ -184,6 +186,9 @@ func New(prog string, flags Flags) *Common {
 // with a usage error on invalid input.
 func (c *Common) Parse() {
 	flag.Parse()
+	if id, ok := aliases[strings.ToLower(c.Filter)]; ok {
+		c.Filter = id
+	}
 	kind, err := sim.ParseScheduler(c.schedulerName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: bad -scheduler: %v\n", c.prog, err)
@@ -347,31 +352,16 @@ func (c *Common) Fatal(err error) {
 	os.Exit(1)
 }
 
-// Usage prints the default usage text and exits 2, for commands invoked
-// without a required mode flag.
-func (c *Common) Usage() {
-	flag.Usage()
-	os.Exit(2)
-}
-
-// Resolve maps an informal experiment name (fig3, table1) onto its ID via
-// the command's alias table; unknown names pass through upper-cased.
-func Resolve(aliases map[string]string, name string) string {
-	if id, ok := aliases[strings.ToLower(name)]; ok {
-		return id
-	}
-	return strings.ToUpper(name)
-}
-
-// ListExperiments prints the ID/paper-ref/title line for each listed ID.
-func ListExperiments(ids []string) {
-	for _, d := range exp.All() {
-		for _, id := range ids {
-			if d.ID == id {
-				fmt.Printf("%-4s %-18s %s\n", d.ID, d.PaperRef, d.Title)
-			}
-		}
-	}
+// aliases maps the informal names of the paper's figures and tables onto
+// the experiment that reproduces them; -filter accepts either.
+var aliases = map[string]string{
+	"fig3": "E01", "fig4": "E02", "fig5": "E03", "fig6": "E04",
+	"fig7": "E05", "fig8": "E05", "fig9": "E06", "fig11": "E07",
+	"table1": "E08", "fig19": "E14", "fig20": "E14", "fig21": "E15",
+	"fig22": "E16", "table2": "E17", "exact": "E18", "gfc": "E21", "scaling": "E22",
+	"fig14": "E09", "fig17": "E10", "fig18": "E11",
+	"quench": "E12", "ecn": "E12", "red": "E13",
+	"vegas": "E19", "interop": "E20", "atm": "E20",
 }
 
 // RunExperiment looks up id, runs it under the parsed options, and prints
@@ -379,12 +369,15 @@ func ListExperiments(ids []string) {
 func (c *Common) RunExperiment(id string) error {
 	def, ok := exp.Get(id)
 	if !ok {
-		return fmt.Errorf("unknown experiment %q (use -list)", id)
+		return fmt.Errorf("unknown experiment %q", id)
 	}
 	if !c.JSON {
 		fmt.Printf("== %s (%s): %s\n", def.ID, def.PaperRef, def.Title)
 	}
 	o := c.Options()
+	if c.Quick && o.Duration == 0 {
+		o.Duration = runner.QuickDuration(def.ID)
+	}
 	var tr *trace.Tracer
 	if c.TraceDir != "" || c.StoreDir != "" {
 		// The store persists trace events too, so -store alone keeps a

@@ -1,7 +1,7 @@
 // Package plot renders the experiment output: ASCII line charts standing in
 // for the paper's figures and aligned-column tables for the numeric
 // comparisons. The goal is that every figure of the paper can be eyeballed
-// straight from a terminal (`go run ./cmd/phantom-atm -exp fig3`).
+// straight from a terminal (`go run ./cmd/phantom-suite -figures -filter fig3`).
 package plot
 
 import (

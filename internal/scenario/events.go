@@ -23,10 +23,10 @@ const (
 	TransientLoss TransientKind = "loss"
 )
 
-// TransientEvent is one scheduled perturbation of a running scenario. For
-// linear scenarios Index is the trunk index (0..Switches−2); for graph
-// scenarios it is the edge index. Events apply to both directions of the
-// trunk, matching the TrunkLossRate semantics.
+// TransientEvent is one scheduled perturbation of a running scenario. Index
+// is the edge index (the trunk index, 0..Switches−2, of a chain). Events
+// apply to both directions of the trunk, matching the TrunkLossRate
+// semantics.
 type TransientEvent struct {
 	At    sim.Duration
 	Kind  TransientKind
@@ -71,47 +71,29 @@ func applyTransient(l *atmnet.Link, ev TransientEvent) {
 	}
 }
 
-// scheduleEvents installs the transient schedule. fwd and rev are the two
-// directions of each trunk (rev may contain nils for edges with no reverse
-// link); fwdEng/revEng are the engines owning each direction and fwdTr the
-// tracer of the forward half's shard (nil when tracing is off). When both
-// halves share an engine — always true unsharded — one event mutates both,
-// exactly the pre-sharding schedule; a cut trunk gets one event per shard,
-// each applied by the engine that owns that half.
-func scheduleEvents(events []TransientEvent, fwd, rev []*atmnet.Link, fwdEng, revEng []*sim.Engine, fwdTr []*trace.Tracer) {
+// scheduleEvents installs the transient schedule over the directed links
+// (2k and 2k+1 are edge k's two halves). When both halves share an engine —
+// always true unsharded — one event on it mutates both; a cut edge gets one
+// event per shard, each applied by the engine that owns that half. The
+// trace record comes from the U→V half's shard.
+func scheduleEvents(events []TransientEvent, edges []GraphEdge, links []*atmnet.Link, plan *shardPlan) {
 	for _, ev := range events {
 		ev := ev
-		k := ev.Index
-		fl := fwd[k]
-		var rl *atmnet.Link
-		if rev != nil {
-			rl = rev[k]
-		}
-		tr := fwdTr[k]
-		if rl == nil || revEng[k] == fwdEng[k] {
-			links := []*atmnet.Link{fl}
-			if rl != nil {
-				links = append(links, rl)
-			}
-			fwdEng[k].At(sim.Time(ev.At), func(en *sim.Engine) {
-				for _, l := range links {
-					applyTransient(l, ev)
-				}
-				if tr != nil {
-					tr.Emit(en.Now(), fl.Name, "transient",
-						trace.S("kind", string(ev.Kind)), trace.F("value", ev.Value))
-				}
-			})
-			continue
-		}
-		fwdEng[k].At(sim.Time(ev.At), func(en *sim.Engine) {
+		ed := edges[ev.Index]
+		fl, rl := links[2*ev.Index], links[2*ev.Index+1]
+		fwdEng, revEng, tr := plan.engineFor(ed.U), plan.engineFor(ed.V), plan.traceFor(ed.U)
+		fwdEng.At(sim.Time(ev.At), func(en *sim.Engine) {
 			applyTransient(fl, ev)
+			if revEng == fwdEng {
+				applyTransient(rl, ev)
+			}
 			if tr != nil {
 				tr.Emit(en.Now(), fl.Name, "transient",
 					trace.S("kind", string(ev.Kind)), trace.F("value", ev.Value))
 			}
 		})
-		rl2 := rl
-		revEng[k].At(sim.Time(ev.At), func(en *sim.Engine) { applyTransient(rl2, ev) })
+		if revEng != fwdEng {
+			revEng.At(sim.Time(ev.At), func(*sim.Engine) { applyTransient(rl, ev) })
+		}
 	}
 }

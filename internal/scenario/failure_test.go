@@ -43,7 +43,7 @@ func TestPhantomSurvivesCellLoss(t *testing.T) {
 		t.Errorf("fairness under loss = %v", idx)
 	}
 	// And cells were really being destroyed.
-	if n.trunks[0].Lost() == 0 {
+	if n.links[0].Lost() == 0 {
 		t.Fatal("loss injection inert")
 	}
 }

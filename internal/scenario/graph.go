@@ -41,10 +41,10 @@ type GraphSessionSpec struct {
 }
 
 // GraphConfig describes an arbitrary-topology ATM network: Nodes switches
-// joined by full-duplex Edges. It generalizes the linear parking lot to the
-// fat-tree and Waxman/WAN-like meshes the scenario generator emits; the
-// data plane underneath (links, per-VC switch routing, RM turnaround) is
-// exactly the one the paper's configurations run on.
+// joined by full-duplex Edges. It is the one form every ATM topology is
+// built from — the paper's linear parking lots (ATMConfig lowers to it) as
+// much as the fat-tree and Waxman/WAN-like meshes the scenario generator
+// emits.
 type GraphConfig struct {
 	Nodes int
 	Edges []GraphEdge
@@ -78,8 +78,9 @@ type GraphConfig struct {
 	Scheduler sim.SchedulerKind
 	// Shards splits the topology across N engines under the conservative
 	// epoch-barrier protocol (DESIGN.md §14); 0 or 1 runs single-engine.
-	// Auto-partitioning is the greedy min-cut over edge delays
-	// (shard.Auto), clamped to the node count.
+	// Auto-partitioning, clamped to the node count, is read off the edge
+	// list: balanced contiguous ranges (shard.Linear) when it is a chain,
+	// the greedy min-cut over edge delays (shard.Auto) otherwise.
 	Shards int
 	// Partition optionally pins each node to a shard (length Nodes, values
 	// in [0, Shards)); nil auto-partitions.
@@ -125,6 +126,22 @@ func (c *GraphConfig) EdgeDelay(k int) sim.Duration {
 	return c.TrunkDelay
 }
 
+// chainShaped reports whether the edge list is exactly the chain (k, k+1)
+// in declaration order with one propagation delay: the parking lot, whose
+// balanced contiguous partition Auto's greedy merge does not always find
+// (DESIGN.md §14).
+func (c *GraphConfig) chainShaped() bool {
+	if len(c.Edges) != c.Nodes-1 {
+		return false
+	}
+	for k, ed := range c.Edges {
+		if ed.U != k || ed.V != k+1 || c.EdgeDelay(k) != c.EdgeDelay(0) {
+			return false
+		}
+	}
+	return true
+}
+
 // GraphNet is a built, runnable general-topology scenario. Directed link
 // 2k is edge k's U→V direction and 2k+1 its V→U direction.
 type GraphNet struct {
@@ -159,6 +176,37 @@ type GraphNet struct {
 	plan          *shardPlan
 	linkShard     []int // directed link -> owning shard (its source node's)
 	sessionShard  []int // session -> owning shard (its Dst node's)
+}
+
+// samplesHint sizes a sampled series from the planned run length: one point
+// per sampling period plus slack for the start/end samples. Zero (size
+// lazily) when no duration hint is available.
+func samplesHint(d, every sim.Duration) int {
+	if d <= 0 || every <= 0 {
+		return 0
+	}
+	return int(d/every) + 8
+}
+
+// fairShareGetter extracts the per-port fair-share estimate from a known
+// algorithm type, for the FairShare figures.
+func fairShareGetter(alg switchalg.Algorithm) func() float64 {
+	switch a := alg.(type) {
+	case *switchalg.Phantom:
+		return func() float64 { return a.Control().MACR() }
+	case *switchalg.EPRCA:
+		return a.MACR
+	case *switchalg.APRC:
+		return a.MACR
+	case *switchalg.CAPC:
+		return a.ERS
+	case *switchalg.ExactMaxMin:
+		return a.Share
+	case *switchalg.ERICA:
+		return a.FairShare
+	default:
+		return nil
+	}
 }
 
 // bfsPath returns the shortest Src→Dst path as node indices, using the
@@ -230,10 +278,14 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 	}
 	sedges := make([]shard.Edge, len(cfg.Edges))
 	for k, ed := range cfg.Edges {
-		sedges[k] = shard.Edge{U: ed.U, V: ed.V, Delay: cfg.EdgeDelay(k), Name: fmt.Sprintf("L%d.%d-%d", k, ed.U, ed.V)}
+		sedges[k] = shard.Edge{U: ed.U, V: ed.V, Delay: cfg.EdgeDelay(k), Name: fmt.Sprintf("F%d", k)}
 	}
-	part, err := resolvePartition(cfg.Nodes, cfg.Shards, cfg.Partition,
-		func(s int) shard.Partition { return shard.Auto(cfg.Nodes, sedges, s) })
+	part, err := resolvePartition(cfg.Nodes, cfg.Shards, cfg.Partition, func(s int) shard.Partition {
+		if cfg.chainShaped() {
+			return shard.Linear(cfg.Nodes, s)
+		}
+		return shard.Auto(cfg.Nodes, sedges, s)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -245,8 +297,8 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 	hint := samplesHint(cfg.Duration, cfg.SampleEvery)
 
 	// Route every session first: only directed links on some forward path
-	// host an algorithm instance, so an unused direction stays a plain
-	// FIFO exactly like the linear builder's reverse trunks.
+	// host an algorithm instance, so an unused direction (a chain's reverse
+	// trunks, say) stays a plain FIFO.
 	dirLink := func(from, to int, k int) int {
 		if cfg.Edges[k].U == from && cfg.Edges[k].V == to {
 			return 2 * k
@@ -281,7 +333,7 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 	}
 
 	for i := 0; i < cfg.Nodes; i++ {
-		sw := atmnet.NewSwitch(fmt.Sprintf("N%d", i))
+		sw := atmnet.NewSwitch(fmt.Sprintf("S%d", i))
 		sw.Instrument(plan.regFor(i))
 		n.Switches = append(n.Switches, sw)
 	}
@@ -300,17 +352,14 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 	n.FairShare = make([]*metrics.Series, 2*len(cfg.Edges))
 	n.PeakLinkQueue = make([]int, 2*len(cfg.Edges))
 	n.fairShareFns = make([]func() float64, 2*len(cfg.Edges))
-	fwdHalf := make([]*atmnet.Link, len(cfg.Edges))
-	revHalf := make([]*atmnet.Link, len(cfg.Edges))
 	for k, ed := range cfg.Edges {
 		cps := atm.CPS(cfg.EdgeRateBPS(k))
 		delay := cfg.EdgeDelay(k)
 		for dir := 0; dir < 2; dir++ {
-			from, to := ed.U, ed.V
+			from, to, name := ed.U, ed.V, fmt.Sprintf("F%d", k)
 			if dir == 1 {
-				from, to = ed.V, ed.U
+				from, to, name = ed.V, ed.U, fmt.Sprintf("R%d", k)
 			}
-			name := fmt.Sprintf("L%d.%d-%d", k, from, to)
 			linkDelay := delay
 			var dst atm.Sink = n.Switches[to]
 			if plan.part.Cut(from, to) {
@@ -319,6 +368,8 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 			}
 			l := atmnet.NewLink(name, cps, linkDelay, dst)
 			l.Instrument(plan.regFor(from))
+			// Seeds are assigned unconditionally so a TransientLoss event that
+			// turns loss on mid-run draws from a deterministic stream.
 			l.LossSeed = uint64(2*k + dir + 1)
 			if cfg.TrunkLossRate > 0 {
 				l.LossRate = cfg.TrunkLossRate
@@ -353,27 +404,15 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 				}
 				n.fairShareFns[idx] = fairShareGetter(alg)
 			}
-			if dir == 0 {
-				fwdHalf[k] = l
-			} else {
-				revHalf[k] = l
-			}
 		}
 	}
-	if len(cfg.Events) > 0 {
-		fwdEng := make([]*sim.Engine, len(cfg.Edges))
-		revEng := make([]*sim.Engine, len(cfg.Edges))
-		fwdTr := make([]*trace.Tracer, len(cfg.Edges))
-		for k, ed := range cfg.Edges {
-			fwdEng[k] = plan.engineFor(ed.U)
-			revEng[k] = plan.engineFor(ed.V)
-			fwdTr[k] = plan.traceFor(ed.U)
-		}
-		scheduleEvents(cfg.Events, fwdHalf, revHalf, fwdEng, revEng, fwdTr)
-	}
+	scheduleEvents(cfg.Events, cfg.Edges, n.links, plan)
 
-	// Sessions: source → access → N_src … N_dst → access → dest, with the
-	// reverse node path carrying backward RM.
+	// Sessions: source → access → S_src … S_dst → access → dest, with the
+	// reverse node path carrying backward RM. End systems are colocated
+	// with their switch: the source side lives on S_src's shard, the
+	// destination side on S_dst's — access links never cross shards, only
+	// trunks do.
 	accessCPS := atm.CPS(cfg.AccessRateBPS)
 	for i, spec := range cfg.Sessions {
 		vc := atm.VCID(i + 1)
@@ -483,7 +522,9 @@ func (n *GraphNet) sample(s int, now sim.Time) {
 }
 
 // Run executes the scenario for d of simulated time (cumulative across
-// calls).
+// calls) and folds the engines' event statistics into the telemetry
+// registry. Sharded scenarios advance under the epoch-barrier protocol;
+// the caller's goroutine coordinates and owns all merged observability.
 func (n *GraphNet) Run(d sim.Duration) {
 	n.plan.run(d)
 	n.plan.flush()
@@ -514,8 +555,10 @@ func (n *GraphNet) FiredTotal() uint64 {
 	return t
 }
 
-// Release returns every recorded series' storage to the metrics pool. The
-// network is unusable afterwards.
+// Release returns every recorded series' point storage to the metrics pool.
+// Call it only when all reads of the series are done — parameter sweeps
+// build and discard a full network per point, and pooling the storage keeps
+// a sweep's allocation cost flat. The network is unusable afterwards.
 func (n *GraphNet) Release() {
 	for _, s := range n.ACR {
 		s.Release()
@@ -538,14 +581,21 @@ func (n *GraphNet) Release() {
 // LinkQueueLen returns directed link l's current queue length.
 func (n *GraphNet) LinkQueueLen(l int) int { return n.links[l].QueueLen() }
 
-// LinkSent returns directed link l's lifetime transmitted cell count.
-func (n *GraphNet) LinkSent(l int) int64 { return n.links[l].Sent() }
-
 // LinkCapacityCPS returns directed link l's configured line rate in
 // cells/s (the build-time rate; transient events change the live rate but
 // not this oracle input).
 func (n *GraphNet) LinkCapacityCPS(l int) float64 {
 	return atm.CPS(n.Config.EdgeRateBPS(l / 2))
+}
+
+// LinkUtilization returns directed link l's lifetime utilization: cells
+// sent divided by the cells the line could have carried.
+func (n *GraphNet) LinkUtilization(l int) float64 {
+	elapsed := n.Engine.Now().Seconds()
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(n.links[l].Sent()) / (n.LinkCapacityCPS(l) * elapsed)
 }
 
 // MeanGoodputCPS returns session i's lifetime mean delivered rate.

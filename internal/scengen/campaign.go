@@ -221,11 +221,6 @@ func runOne(fam Family, index int, seed uint64, sched sim.SchedulerKind, crossCh
 func Unsharded(spec *simconfig.Spec) *simconfig.Spec {
 	un := *spec
 	un.Config.Shards, un.Config.Partition = 0, nil
-	if spec.Graph != nil {
-		g := *spec.Graph
-		g.Shards, g.Partition = 0, nil
-		un.Graph = &g
-	}
 	return &un
 }
 

@@ -29,21 +29,19 @@ func Minimize(spec *simconfig.Spec, violation string, sched sim.SchedulerKind) *
 	for {
 		shrunk := false
 		// Sessions, last first so indices stay stable while dropping.
-		for i := sessionCount(cur) - 1; i >= 0; i-- {
+		for i := len(cur.Config.Sessions) - 1; i >= 0; i-- {
 			if cand := renormalize(dropSession(cur, i)); cand != nil && failsWith(cand, violation, sched) {
 				cur, shrunk = cand, true
 			}
 		}
-		for i := eventCount(cur) - 1; i >= 0; i-- {
+		for i := len(cur.Config.Events) - 1; i >= 0; i-- {
 			if cand := renormalize(dropEvent(cur, i)); cand != nil && failsWith(cand, violation, sched) {
 				cur, shrunk = cand, true
 			}
 		}
-		if cur.Graph != nil {
-			for i := len(cur.Graph.Edges) - 1; i >= 0; i-- {
-				if cand := renormalize(dropEdge(cur, i)); cand != nil && failsWith(cand, violation, sched) {
-					cur, shrunk = cand, true
-				}
+		for i := len(cur.Config.Edges) - 1; i >= 0; i-- {
+			if cand := renormalize(dropEdge(cur, i)); cand != nil && failsWith(cand, violation, sched) {
+				cur, shrunk = cand, true
 			}
 		}
 		if half := cur.Duration / 2; half >= 10*sim.Millisecond {
@@ -87,61 +85,31 @@ func renormalize(spec *simconfig.Spec) *simconfig.Spec {
 // clone deep-copies the mutable slices of a spec so candidates never alias.
 func clone(spec *simconfig.Spec) *simconfig.Spec {
 	out := *spec
-	if spec.Graph != nil {
-		g := *spec.Graph
-		g.Edges = append([]scenario.GraphEdge(nil), spec.Graph.Edges...)
-		g.Events = append(eventSlice(nil), spec.Graph.Events...)
-		g.Sessions = append([]scenario.GraphSessionSpec(nil), spec.Graph.Sessions...)
-		out.Graph = &g
-	} else {
-		out.Config.TrunkRatesBPS = append([]float64(nil), spec.Config.TrunkRatesBPS...)
-		out.Config.Events = append(eventSlice(nil), spec.Config.Events...)
-		out.Config.Sessions = append([]scenario.ATMSessionSpec(nil), spec.Config.Sessions...)
-	}
+	out.Config.Edges = append([]scenario.GraphEdge(nil), spec.Config.Edges...)
+	out.Config.Events = append(eventSlice(nil), spec.Config.Events...)
+	out.Config.Sessions = append([]scenario.GraphSessionSpec(nil), spec.Config.Sessions...)
 	return &out
-}
-
-func sessionCount(spec *simconfig.Spec) int {
-	if spec.Graph != nil {
-		return len(spec.Graph.Sessions)
-	}
-	return len(spec.Config.Sessions)
-}
-
-func eventCount(spec *simconfig.Spec) int {
-	if spec.Graph != nil {
-		return len(spec.Graph.Events)
-	}
-	return len(spec.Config.Events)
 }
 
 func dropSession(spec *simconfig.Spec, i int) *simconfig.Spec {
 	out := clone(spec)
-	if out.Graph != nil {
-		out.Graph.Sessions = append(out.Graph.Sessions[:i:i], out.Graph.Sessions[i+1:]...)
-	} else {
-		out.Config.Sessions = append(out.Config.Sessions[:i:i], out.Config.Sessions[i+1:]...)
-	}
+	out.Config.Sessions = append(out.Config.Sessions[:i:i], out.Config.Sessions[i+1:]...)
 	return out
 }
 
 func dropEvent(spec *simconfig.Spec, i int) *simconfig.Spec {
 	out := clone(spec)
-	if out.Graph != nil {
-		out.Graph.Events = append(out.Graph.Events[:i:i], out.Graph.Events[i+1:]...)
-	} else {
-		out.Config.Events = append(out.Config.Events[:i:i], out.Config.Events[i+1:]...)
-	}
+	out.Config.Events = append(out.Config.Events[:i:i], out.Config.Events[i+1:]...)
 	return out
 }
 
 func dropEdge(spec *simconfig.Spec, i int) *simconfig.Spec {
 	out := clone(spec)
-	out.Graph.Edges = append(out.Graph.Edges[:i:i], out.Graph.Edges[i+1:]...)
+	out.Config.Edges = append(out.Config.Edges[:i:i], out.Config.Edges[i+1:]...)
 	// Events index edges; dropping edge i invalidates the schedule, so
 	// retarget or drop the affected events.
 	var keep eventSlice
-	for _, ev := range out.Graph.Events {
+	for _, ev := range out.Config.Events {
 		switch {
 		case ev.Index < i:
 			keep = append(keep, ev)
@@ -150,6 +118,6 @@ func dropEdge(spec *simconfig.Spec, i int) *simconfig.Spec {
 			keep = append(keep, ev)
 		}
 	}
-	out.Graph.Events = keep
+	out.Config.Events = keep
 	return out
 }

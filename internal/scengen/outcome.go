@@ -15,18 +15,17 @@ import (
 )
 
 // Outcome is the invariant checker's view of one finished run: per-session
-// and per-link counters plus the activity facts the gated invariants need,
-// extracted uniformly from either the linear or the graph builder. Series
-// storage is returned to the metrics pool before RunSpec returns, so an
-// Outcome is safe to keep.
+// and per-link counters plus the activity facts the gated invariants need.
+// Series storage is returned to the metrics pool before RunSpec returns, so
+// an Outcome is safe to keep.
 type Outcome struct {
 	AlgName  string
 	Duration sim.Duration
 
 	// Per session, indexed like spec sessions.
 	Names []string
-	// Links[i] lists the shared-link indices session i crosses (trunk
-	// indices for linear specs, directed-link indices for graph specs).
+	// Links[i] lists the directed-link indices session i crosses (2k is
+	// edge k's U→V half, 2k+1 its V→U half).
 	Links [][]int
 	// Sent is data+RM cells the source put on the wire; BackRM is backward
 	// RM cells returned to it. Data/RM are the destination's counts.
@@ -51,7 +50,7 @@ type Outcome struct {
 	ActiveTail, StoppedEarly []bool
 	Greedy                   []bool
 
-	// Per shared link (trunks or directed links).
+	// Per directed link.
 	LinkCaps  []float64 // cells/s, build-time
 	PeakQueue []int
 	EndQueue  []int
@@ -162,102 +161,49 @@ func RunSpecObserved(spec *simconfig.Spec, sched sim.SchedulerKind, obs Observe)
 		stopBy = sim.Time(spec.Duration - StopMargin)
 	}
 
-	type sessionView struct {
-		name    string
-		pattern workload.Pattern
+	cfg := spec.Config
+	cfg.Scheduler = sched
+	cfg.Telemetry = obs.Telemetry
+	cfg.Trace = obs.Trace
+	net, err := scenario.BuildGraph(cfg)
+	if err != nil {
+		return nil, err
 	}
-	var views []sessionView
-
-	if spec.Graph != nil {
-		cfg := *spec.Graph
-		cfg.Scheduler = sched
-		cfg.Telemetry = obs.Telemetry
-		cfg.Trace = obs.Trace
-		net, err := scenario.BuildGraph(cfg)
-		if err != nil {
-			return nil, err
+	net.Run(spec.Duration)
+	o.HasEvents = len(cfg.Events) > 0
+	o.HasLoss = cfg.TrunkLossRate > 0
+	for _, ev := range cfg.Events {
+		switch ev.Kind {
+		case scenario.TransientRate:
+			o.HasRateEvents = true
+		case scenario.TransientLoss:
+			o.HasLoss = true
 		}
-		net.Run(spec.Duration)
-		o.HasEvents = len(cfg.Events) > 0
-		o.HasLoss = cfg.TrunkLossRate > 0
-		for _, ev := range cfg.Events {
-			switch ev.Kind {
-			case scenario.TransientRate:
-				o.HasRateEvents = true
-			case scenario.TransientLoss:
-				o.HasLoss = true
-			}
-		}
-		o.Links = net.LinkPaths
-		nLinks := 2 * len(cfg.Edges)
-		for l := 0; l < nLinks; l++ {
-			o.LinkCaps = append(o.LinkCaps, net.LinkCapacityCPS(l))
-			o.PeakQueue = append(o.PeakQueue, net.PeakLinkQueue[l])
-			o.EndQueue = append(o.EndQueue, net.LinkQueueLen(l))
-			u := 0.0
-			if el := net.Engine.Now().Seconds(); el > 0 {
-				u = float64(net.LinkSent(l)) / (net.LinkCapacityCPS(l) * el)
-			}
-			o.LinkUtil = append(o.LinkUtil, u)
-		}
-		for i, s := range cfg.Sessions {
-			views = append(views, sessionView{s.Name, s.Pattern})
-			o.extractSession(net.Sources[i], net.Dests[i], net.Goodput[i], net.ACR[i], net.MeanGoodputCPS(i))
-		}
-		o.Fired = net.FiredTotal()
-		o.Shards = net.Shards()
-		net.Release()
-	} else {
-		cfg := spec.Config
-		cfg.Scheduler = sched
-		cfg.Telemetry = obs.Telemetry
-		cfg.Trace = obs.Trace
-		net, err := scenario.BuildATM(cfg)
-		if err != nil {
-			return nil, err
-		}
-		net.Run(spec.Duration)
-		o.HasEvents = len(cfg.Events) > 0
-		o.HasLoss = cfg.TrunkLossRate > 0
-		for _, ev := range cfg.Events {
-			switch ev.Kind {
-			case scenario.TransientRate:
-				o.HasRateEvents = true
-			case scenario.TransientLoss:
-				o.HasLoss = true
-			}
-		}
-		nTrunks := cfg.Switches - 1
-		for k := 0; k < nTrunks; k++ {
-			o.LinkCaps = append(o.LinkCaps, net.TrunkCapacityCPS(k))
-			o.PeakQueue = append(o.PeakQueue, net.PeakTrunkQueue[k])
-			o.EndQueue = append(o.EndQueue, net.TrunkQueueLen(k))
-			o.LinkUtil = append(o.LinkUtil, net.TrunkUtilization(k))
-		}
-		for i, s := range cfg.Sessions {
-			var path []int
-			for k := s.Entry; k < s.Exit; k++ {
-				path = append(path, k)
-			}
-			o.Links = append(o.Links, path)
-			views = append(views, sessionView{s.Name, s.Pattern})
-			o.extractSession(net.Sources[i], net.Dests[i], net.Goodput[i], net.ACR[i], net.MeanGoodputCPS(i))
-		}
-		o.Fired = net.FiredTotal()
-		o.Shards = net.Shards()
-		net.Release()
 	}
+	o.Links = net.LinkPaths
+	for l := 0; l < 2*len(cfg.Edges); l++ {
+		o.LinkCaps = append(o.LinkCaps, net.LinkCapacityCPS(l))
+		o.PeakQueue = append(o.PeakQueue, net.PeakLinkQueue[l])
+		o.EndQueue = append(o.EndQueue, net.LinkQueueLen(l))
+		o.LinkUtil = append(o.LinkUtil, net.LinkUtilization(l))
+	}
+	for i := range cfg.Sessions {
+		o.extractSession(net.Sources[i], net.Dests[i], net.Goodput[i], net.ACR[i], net.MeanGoodputCPS(i))
+	}
+	o.Fired = net.FiredTotal()
+	o.Shards = net.Shards()
+	net.Release()
 
 	o.AllGreedy, o.AllStopped = true, stopBy > 0
-	for _, v := range views {
-		o.Names = append(o.Names, v.name)
-		_, greedy := v.pattern.(workload.Greedy)
+	for _, s := range cfg.Sessions {
+		o.Names = append(o.Names, s.Name)
+		_, greedy := s.Pattern.(workload.Greedy)
 		o.Greedy = append(o.Greedy, greedy)
 		if !greedy {
 			o.AllGreedy = false
 		}
-		o.ActiveTail = append(o.ActiveTail, activeThroughout(v.pattern, o.TailFrom, sim.Time(o.Duration)))
-		stopped := stopBy > 0 && stoppedForever(v.pattern, stopBy)
+		o.ActiveTail = append(o.ActiveTail, activeThroughout(s.Pattern, o.TailFrom, sim.Time(o.Duration)))
+		stopped := stopBy > 0 && stoppedForever(s.Pattern, stopBy)
 		o.StoppedEarly = append(o.StoppedEarly, stopped)
 		if !stopped {
 			o.AllStopped = false

@@ -249,3 +249,41 @@ func TestActivityAnalysis(t *testing.T) {
 		t.Error("greedy is always active")
 	}
 }
+
+// TestSwitchesSpellingSameRun: the switches/trunk shorthand and its
+// hand-written nodes/edge/accessrate expansion are one scenario — equal
+// fingerprints, fired-event count included, at 1, 2 and 4 shards with no
+// partition line. (Which partition that is, the fingerprint cannot say —
+// moving a cut moves no event count — so scenario.TestChainShapedPartition
+// reads it off the plan.)
+func TestSwitchesSpellingSameRun(t *testing.T) {
+	const common = `trunkrate 100
+trunkdelay 20us
+alg phantom u=5
+session long 0 5 greedy
+session mid 1 4 greedy
+session hop 2 3 onoff 4ms 3ms
+at 10ms rate 1 25
+duration 30ms
+`
+	const short = "switches 6\ntrunk 3 50\n" + common
+	const long = "nodes 6\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 4 rate=50\nedge 4 5\naccessrate 150\n" + common
+	run := func(text string) string {
+		t.Helper()
+		spec, err := simconfig.Parse(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := RunSpec(spec, sim.SchedulerHeap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o.Fingerprint
+	}
+	for _, shards := range []string{"", "shards 2\n", "shards 4\n"} {
+		a, b := run(short+shards), run(long+shards)
+		if a != b {
+			t.Errorf("%q: spellings ran differently:\nswitches: %s\nnodes:    %s", shards, a, b)
+		}
+	}
+}

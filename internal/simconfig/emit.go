@@ -12,8 +12,10 @@ import (
 )
 
 // Emit renders spec back into the simconfig language in a canonical
-// directive order, such that Parse(Emit(spec)) reproduces spec. The
-// scenario generator uses it to freeze failing fuzz seeds as runnable,
+// directive order, such that Parse(Emit(spec)) reproduces spec. It writes
+// only the nodes/edge form — never the switches/trunk shorthand Parse also
+// reads — with accessrate whenever the spec sets one. The scenario
+// generator uses it to freeze failing fuzz seeds as runnable,
 // human-editable regression files.
 //
 // Only the patterns the language can express (greedy, onoff, window,
@@ -21,53 +23,54 @@ import (
 // error.
 func Emit(spec *Spec) (string, error) {
 	var b strings.Builder
-	var events []scenario.TransientEvent
-	if g := spec.Graph; g != nil {
-		fmt.Fprintf(&b, "nodes %d\n", g.Nodes)
-		for _, ed := range g.Edges {
-			fmt.Fprintf(&b, "edge %d %d", ed.U, ed.V)
-			if ed.RateBPS > 0 {
-				fmt.Fprintf(&b, " rate=%s", mbps(ed.RateBPS))
-			}
-			if ed.Delay > 0 {
-				fmt.Fprintf(&b, " delay=%s", durText(ed.Delay))
-			}
-			b.WriteByte('\n')
+	cfg := &spec.Config
+	fmt.Fprintf(&b, "nodes %d\n", cfg.Nodes)
+	for _, ed := range cfg.Edges {
+		fmt.Fprintf(&b, "edge %d %d", ed.U, ed.V)
+		if ed.RateBPS > 0 {
+			fmt.Fprintf(&b, " rate=%s", mbps(ed.RateBPS))
 		}
-		emitShared(&b, spec, g.TrunkRateBPS, g.TrunkDelay, g.TrunkLossRate)
-		emitSharding(&b, g.Shards, g.Partition)
-		for _, s := range g.Sessions {
-			pat, err := patternText(s.Pattern)
-			if err != nil {
-				return "", fmt.Errorf("session %q: %w", s.Name, err)
-			}
-			fmt.Fprintf(&b, "session %s %d %d %s\n", s.Name, s.Src, s.Dst, pat)
+		if ed.Delay > 0 {
+			fmt.Fprintf(&b, " delay=%s", durText(ed.Delay))
 		}
-		events = g.Events
-	} else {
-		cfg := &spec.Config
-		switches := cfg.Switches
-		if switches == 0 {
-			switches = 2
-		}
-		fmt.Fprintf(&b, "switches %d\n", switches)
-		emitShared(&b, spec, cfg.TrunkRateBPS, cfg.TrunkDelay, cfg.TrunkLossRate)
-		emitSharding(&b, cfg.Shards, cfg.Partition)
-		for k, v := range cfg.TrunkRatesBPS {
-			if v > 0 {
-				fmt.Fprintf(&b, "trunk %d %s\n", k, mbps(v))
-			}
-		}
-		for _, s := range cfg.Sessions {
-			pat, err := patternText(s.Pattern)
-			if err != nil {
-				return "", fmt.Errorf("session %q: %w", s.Name, err)
-			}
-			fmt.Fprintf(&b, "session %s %d %d %s\n", s.Name, s.Entry, s.Exit, pat)
-		}
-		events = cfg.Events
+		b.WriteByte('\n')
 	}
-	for _, ev := range events {
+	if cfg.TrunkRateBPS > 0 {
+		fmt.Fprintf(&b, "trunkrate %s\n", mbps(cfg.TrunkRateBPS))
+	}
+	if cfg.TrunkDelay > 0 {
+		fmt.Fprintf(&b, "trunkdelay %s\n", durText(cfg.TrunkDelay))
+	}
+	if cfg.AccessRateBPS > 0 {
+		fmt.Fprintf(&b, "accessrate %s\n", mbps(cfg.AccessRateBPS))
+	}
+	if cfg.TrunkLossRate > 0 {
+		fmt.Fprintf(&b, "loss %s\n", floatText(cfg.TrunkLossRate))
+	}
+	if spec.AlgU != 0 {
+		fmt.Fprintf(&b, "alg %s u=%s\n", spec.AlgName, floatText(spec.AlgU))
+	} else {
+		fmt.Fprintf(&b, "alg %s\n", spec.AlgName)
+	}
+	fmt.Fprintf(&b, "duration %s\n", durText(spec.Duration))
+	if cfg.Shards > 0 {
+		fmt.Fprintf(&b, "shards %d\n", cfg.Shards)
+	}
+	if cfg.Partition != nil {
+		b.WriteString("partition")
+		for _, s := range cfg.Partition {
+			fmt.Fprintf(&b, " %d", s)
+		}
+		b.WriteByte('\n')
+	}
+	for _, s := range cfg.Sessions {
+		pat, err := patternText(s.Pattern)
+		if err != nil {
+			return "", fmt.Errorf("session %q: %w", s.Name, err)
+		}
+		fmt.Fprintf(&b, "session %s %d %d %s\n", s.Name, s.Src, s.Dst, pat)
+	}
+	for _, ev := range cfg.Events {
 		switch ev.Kind {
 		case scenario.TransientRate:
 			fmt.Fprintf(&b, "at %s rate %d %s\n", durText(ev.At), ev.Index, mbps(ev.Value))
@@ -78,40 +81,6 @@ func Emit(spec *Spec) (string, error) {
 		}
 	}
 	return b.String(), nil
-}
-
-// emitShared writes the directives common to both dialects: trunk defaults,
-// loss, algorithm and duration.
-func emitShared(b *strings.Builder, spec *Spec, rateBPS float64, delay sim.Duration, loss float64) {
-	if rateBPS > 0 {
-		fmt.Fprintf(b, "trunkrate %s\n", mbps(rateBPS))
-	}
-	if delay > 0 {
-		fmt.Fprintf(b, "trunkdelay %s\n", durText(delay))
-	}
-	if loss > 0 {
-		fmt.Fprintf(b, "loss %s\n", floatText(loss))
-	}
-	if spec.AlgU != 0 {
-		fmt.Fprintf(b, "alg %s u=%s\n", spec.AlgName, floatText(spec.AlgU))
-	} else {
-		fmt.Fprintf(b, "alg %s\n", spec.AlgName)
-	}
-	fmt.Fprintf(b, "duration %s\n", durText(spec.Duration))
-}
-
-// emitSharding writes the shards/partition directives when set.
-func emitSharding(b *strings.Builder, shards int, partition []int) {
-	if shards > 0 {
-		fmt.Fprintf(b, "shards %d\n", shards)
-	}
-	if partition != nil {
-		b.WriteString("partition")
-		for _, s := range partition {
-			fmt.Fprintf(b, " %d", s)
-		}
-		b.WriteByte('\n')
-	}
 }
 
 // patternText renders a workload pattern in the session-directive syntax.

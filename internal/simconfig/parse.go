@@ -1,35 +1,41 @@
 // Package simconfig parses the small topology description language used by
 // cmd/phantom-sim and the scenario generator, turning a text file into a
-// runnable ATM scenario. The format is line-oriented; '#' starts a comment.
+// runnable ATM scenario (a scenario.GraphConfig). The format is
+// line-oriented; '#' starts a comment.
 //
-// Linear ("parking lot") networks:
-//
-//	switches 4                 # linear network of 4 switches (3 trunks)
-//	trunkrate 150              # default trunk rate, Mb/s
-//	trunk 1 50                 # override trunk 1 to 50 Mb/s
-//	trunkdelay 5us             # propagation delay per trunk
+//	nodes 4                    # switches 0..3
+//	edge 0 1                   # full-duplex trunk, default rate and delay
+//	edge 0 2 rate=50           # Mb/s
+//	edge 1 3 delay=1ms
+//	edge 2 3
+//	trunkrate 150              # default edge rate, Mb/s
+//	trunkdelay 5us             # default edge propagation delay
+//	accessrate 150             # end-system access links, Mb/s (default:
+//	                           # the fastest edge)
 //	alg phantom u=5            # phantom | phantom-ci | eprca | aprc |
 //	                           # capc | exact | erica | none
-//	session long 0 3 greedy    # name, entry switch, exit switch, pattern
+//	session across 0 3 greedy  # name, source node, destination node,
+//	                           # pattern; routed by deterministic shortest
+//	                           # path (scenario.BuildGraph)
 //	session b1 0 1 onoff 50ms 50ms [start]
 //	session w1 1 3 window 100ms 400ms
 //	session u1 0 3 randonoff 20ms 80ms 7     # exponential on/off, seed 7
-//	at 100ms rate 1 50         # cut trunk 1 to 50 Mb/s at t=100ms
-//	at 200ms loss 0 0.01       # 1% loss on trunk 0 from t=200ms
+//	at 100ms rate 1 50         # cut edge 1 to 50 Mb/s at t=100ms
+//	at 200ms loss 0 0.01       # 1% loss on edge 0 from t=200ms
 //	duration 500ms             # simulated time
 //	shards 2                   # split across 2 engines (optional; DESIGN.md §14)
 //	partition 0 0 1 1          # pin node→shard (optional; default auto-partition)
 //
-// General topologies replace switches/trunk with nodes/edge; sessions then
-// name source and destination nodes and are routed by deterministic
-// shortest path (scenario.BuildGraph):
+// That is the one form Emit writes. Parse also accepts a shorthand for the
+// paper's linear ("parking lot") networks and lowers it to the form above
+// as it reads: "switches n" is n nodes chained by edges (k, k+1), "trunk k
+// r" is rate=r on edge k, sessions must run entry < exit, and the access
+// rate is the paper's 150 Mb/s unless accessrate says otherwise.
 //
-//	nodes 4
-//	edge 0 1
-//	edge 0 2 rate=50
-//	edge 1 3 delay=1ms
-//	edge 2 3
-//	session across 0 3 greedy
+//	switches 4                 # nodes 4, edge 0 1, edge 1 2, edge 2 3,
+//	                           # accessrate 150
+//	trunk 1 50                 # edge 1 2 rate=50
+//	session long 0 3 greedy
 //
 // Patterns: greedy | onoff <on> <off> [start] | window <start> <stop> |
 // randonoff <meanOn> <meanOff> [seed] [start].
@@ -54,9 +60,9 @@ import (
 // Limits keep adversarial (fuzzed) inputs from describing scenarios that
 // would exhaust memory or simulated time before any invariant can fire.
 const (
-	// MaxNodes bounds switches (linear) and nodes (graph).
+	// MaxNodes bounds the node (switch) count.
 	MaxNodes = 4096
-	// MaxEdges bounds the edge list of a graph spec.
+	// MaxEdges bounds the edge list.
 	MaxEdges = 8192
 	// MaxSessions bounds the session population.
 	MaxSessions = 4096
@@ -78,11 +84,9 @@ const (
 
 // Spec is a parsed simulation description.
 type Spec struct {
-	// Config is the linear scenario; meaningful when Graph is nil.
-	Config scenario.ATMConfig
-	// Graph is non-nil when the spec declares a general topology with
-	// nodes/edge directives; build it with scenario.BuildGraph.
-	Graph    *scenario.GraphConfig
+	// Config is the scenario, whichever spelling declared it; build it with
+	// scenario.BuildGraph.
+	Config   scenario.GraphConfig
 	Duration sim.Duration
 	// AlgName records the chosen algorithm for display and re-emission.
 	AlgName string
@@ -108,11 +112,6 @@ func Parse(r io.Reader) (*Spec, error) {
 	var (
 		trunkOverrides map[int]float64
 		sessions       []sessionLine
-		events         []scenario.TransientEvent
-		edges          []scenario.GraphEdge
-		nodes          int
-		shards         int
-		partition      []int
 		mode           string // "", "linear", "graph"
 		names          = map[string]bool{}
 	)
@@ -140,30 +139,22 @@ func Parse(r io.Reader) (*Spec, error) {
 			return nil
 		}
 		switch fields[0] {
-		case "switches":
-			if err := setMode("linear"); err != nil {
+		case "switches", "nodes":
+			m := "graph"
+			if fields[0] == "switches" {
+				m = "linear"
+			}
+			if err := setMode(m); err != nil {
 				return nil, err
 			}
 			n, err := atoiField(fields, 1)
 			if err != nil {
-				return nil, fail("switches <n>: %v", err)
+				return nil, fail("%s <n>: %v", fields[0], err)
 			}
 			if n < 2 || n > MaxNodes {
-				return nil, fail("switches %d out of range [2, %d]", n, MaxNodes)
+				return nil, fail("%s %d out of range [2, %d]", fields[0], n, MaxNodes)
 			}
-			cfg.Switches = n
-		case "nodes":
-			if err := setMode("graph"); err != nil {
-				return nil, err
-			}
-			n, err := atoiField(fields, 1)
-			if err != nil {
-				return nil, fail("nodes <n>: %v", err)
-			}
-			if n < 2 || n > MaxNodes {
-				return nil, fail("nodes %d out of range [2, %d]", n, MaxNodes)
-			}
-			nodes = n
+			cfg.Nodes = n
 		case "edge":
 			if err := setMode("graph"); err != nil {
 				return nil, err
@@ -195,10 +186,10 @@ func Parse(r io.Reader) (*Spec, error) {
 					return nil, fail("unknown edge option %q", f)
 				}
 			}
-			if len(edges) >= MaxEdges {
+			if len(cfg.Edges) >= MaxEdges {
 				return nil, fail("more than %d edges", MaxEdges)
 			}
-			edges = append(edges, ed)
+			cfg.Edges = append(cfg.Edges, ed)
 		case "trunkrate":
 			if len(fields) < 2 {
 				return nil, fail("trunkrate <Mb/s>: missing argument")
@@ -239,6 +230,15 @@ func Parse(r io.Reader) (*Spec, error) {
 				return nil, fail("trunkdelay <duration>: %v", err)
 			}
 			cfg.TrunkDelay = d
+		case "accessrate":
+			if len(fields) < 2 {
+				return nil, fail("accessrate <Mb/s>: missing argument")
+			}
+			mbps, err := rateMbps(fields[1])
+			if err != nil {
+				return nil, fail("accessrate <Mb/s>: %v", err)
+			}
+			cfg.AccessRateBPS = mbps * 1e6
 		case "loss":
 			rate, err := floatField(fields, 1)
 			if err != nil || rate < 0 || rate >= 1 {
@@ -310,10 +310,10 @@ func Parse(r io.Reader) (*Spec, error) {
 			default:
 				return nil, fail("at kind %q (want rate or loss)", fields[2])
 			}
-			if len(events) >= MaxEvents {
+			if len(cfg.Events) >= MaxEvents {
 				return nil, fail("more than %d events", MaxEvents)
 			}
-			events = append(events, ev)
+			cfg.Events = append(cfg.Events, ev)
 		case "shards":
 			n, err := atoiField(fields, 1)
 			if err != nil {
@@ -322,15 +322,15 @@ func Parse(r io.Reader) (*Spec, error) {
 			if n < 1 || n > MaxNodes {
 				return nil, fail("shards %d out of range [1, %d]", n, MaxNodes)
 			}
-			shards = n
+			cfg.Shards = n
 		case "partition":
 			if len(fields) < 2 {
 				return nil, fail("partition <shard of node 0> <shard of node 1> ...")
 			}
-			if partition != nil {
+			if cfg.Partition != nil {
 				return nil, fail("duplicate partition directive")
 			}
-			partition = make([]int, 0, len(fields)-1)
+			cfg.Partition = make([]int, 0, len(fields)-1)
 			for _, f := range fields[1:] {
 				v, err := strconv.Atoi(f)
 				if err != nil {
@@ -339,7 +339,7 @@ func Parse(r io.Reader) (*Spec, error) {
 				if v < 0 || v >= MaxNodes {
 					return nil, fail("partition shard %d out of range [0, %d)", v, MaxNodes)
 				}
-				partition = append(partition, v)
+				cfg.Partition = append(cfg.Partition, v)
 			}
 		case "duration":
 			if len(fields) < 2 {
@@ -361,130 +361,94 @@ func Parse(r io.Reader) (*Spec, error) {
 		return nil, fmt.Errorf("no sessions declared")
 	}
 
-	if mode == "graph" {
-		return finishGraph(spec, nodes, edges, sessions, events, shards, partition)
+	if mode != "graph" {
+		if err := lowerLinear(cfg, trunkOverrides, sessions); err != nil {
+			return nil, err
+		}
 	}
-	return finishLinear(spec, trunkOverrides, sessions, events, shards, partition)
+	return finish(spec, sessions)
 }
 
-// validatePartition checks the shards/partition directives against the
-// node count once it is known. Shard ids never exceed the node count: a
-// shard needs at least one node to own.
-func validatePartition(nodes, shards int, partition []int) error {
-	if partition == nil {
-		return nil
+// lowerLinear turns the switches/trunk shorthand into the edge list and
+// explicit access rate it stands for — the same lowering scenario.BuildATM
+// applies to a chain — and holds sessions to the chain's entry < exit
+// direction.
+func lowerLinear(cfg *scenario.GraphConfig, trunkOverrides map[int]float64, sessions []sessionLine) error {
+	chain := scenario.ATMConfig{Switches: cfg.Nodes, AccessRateBPS: cfg.AccessRateBPS}
+	if chain.Switches == 0 {
+		chain.Switches = 2
 	}
-	if len(partition) != nodes {
-		return fmt.Errorf("partition assigns %d of %d nodes", len(partition), nodes)
+	if trunkOverrides != nil {
+		chain.TrunkRatesBPS = make([]float64, chain.Switches-1)
+		for k, v := range trunkOverrides {
+			if k >= len(chain.TrunkRatesBPS) {
+				return fmt.Errorf("trunk override %d out of range (have %d trunks)", k, len(chain.TrunkRatesBPS))
+			}
+			chain.TrunkRatesBPS[k] = v
+		}
 	}
-	limit := shards
-	if limit == 0 {
-		limit = nodes
-	}
-	for i, s := range partition {
-		if s >= limit {
-			return fmt.Errorf("partition assigns node %d to shard %d (have %d)", i, s, limit)
+	g := chain.Lower()
+	cfg.Nodes, cfg.Edges, cfg.AccessRateBPS = g.Nodes, g.Edges, g.AccessRateBPS
+	for _, s := range sessions {
+		if s.a >= s.b {
+			return fmt.Errorf("line %d: session %q route %d→%d invalid for %d switches (need 0 ≤ entry < exit)",
+				s.lineNo, s.name, s.a, s.b, cfg.Nodes)
 		}
 	}
 	return nil
 }
 
-// finishLinear validates the cross-line constraints of a linear spec and
-// materializes its sessions.
-func finishLinear(spec *Spec, trunkOverrides map[int]float64, sessions []sessionLine, events []scenario.TransientEvent, shards int, partition []int) (*Spec, error) {
+// finish validates the cross-line constraints — everything that needs the
+// final node count, edge list or duration — and materializes the sessions.
+func finish(spec *Spec, sessions []sessionLine) (*Spec, error) {
 	cfg := &spec.Config
-	if cfg.Switches == 0 {
-		cfg.Switches = 2
+	if cfg.Nodes == 0 {
+		return nil, fmt.Errorf("graph spec needs a nodes directive")
 	}
-	if err := validatePartition(cfg.Switches, shards, partition); err != nil {
-		return nil, err
-	}
-	cfg.Shards = shards
-	cfg.Partition = partition
-	if trunkOverrides != nil {
-		rates := make([]float64, cfg.Switches-1)
-		for k, v := range trunkOverrides {
-			if k < 0 || k >= len(rates) {
-				return nil, fmt.Errorf("trunk override %d out of range (have %d trunks)", k, len(rates))
+	if cfg.Partition != nil {
+		if len(cfg.Partition) != cfg.Nodes {
+			return nil, fmt.Errorf("partition assigns %d of %d nodes", len(cfg.Partition), cfg.Nodes)
+		}
+		// Shard ids never exceed the node count: a shard needs at least one
+		// node to own.
+		limit := cfg.Shards
+		if limit == 0 {
+			limit = cfg.Nodes
+		}
+		for i, s := range cfg.Partition {
+			if s >= limit {
+				return nil, fmt.Errorf("partition assigns node %d to shard %d (have %d)", i, s, limit)
 			}
-			rates[k] = v
-		}
-		cfg.TrunkRatesBPS = rates
-	}
-	for _, ev := range events {
-		if ev.Index >= cfg.Switches-1 {
-			return nil, fmt.Errorf("at event trunk %d out of range (have %d trunks)", ev.Index, cfg.Switches-1)
 		}
 	}
-	cfg.Events = events
+	if len(cfg.Edges) == 0 {
+		return nil, fmt.Errorf("graph spec needs at least one edge")
+	}
+	for k, ed := range cfg.Edges {
+		if ed.U < 0 || ed.U >= cfg.Nodes || ed.V < 0 || ed.V >= cfg.Nodes || ed.U == ed.V {
+			return nil, fmt.Errorf("edge %d joins invalid nodes %d–%d (have %d nodes)", k, ed.U, ed.V, cfg.Nodes)
+		}
+	}
+	for _, ev := range cfg.Events {
+		if ev.Index >= len(cfg.Edges) {
+			return nil, fmt.Errorf("at event edge %d out of range (have %d edges)", ev.Index, len(cfg.Edges))
+		}
+	}
 	cfg.Duration = spec.Duration
 	budget := maxRandTransitions
 	for _, s := range sessions {
-		if s.a < 0 || s.b >= cfg.Switches || s.a >= s.b {
-			return nil, fmt.Errorf("line %d: session %q route %d→%d invalid for %d switches (need 0 ≤ entry < exit)",
-				s.lineNo, s.name, s.a, s.b, cfg.Switches)
-		}
-		pat, err := parsePattern(s.pat, spec.Duration, &budget)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %v", s.lineNo, err)
-		}
-		cfg.Sessions = append(cfg.Sessions, scenario.ATMSessionSpec{
-			Name: s.name, Entry: s.a, Exit: s.b, Pattern: pat,
-		})
-	}
-	return spec, nil
-}
-
-// finishGraph validates the cross-line constraints of a graph spec and
-// assembles the GraphConfig.
-func finishGraph(spec *Spec, nodes int, edges []scenario.GraphEdge, sessions []sessionLine, events []scenario.TransientEvent, shards int, partition []int) (*Spec, error) {
-	if nodes == 0 {
-		return nil, fmt.Errorf("graph spec needs a nodes directive")
-	}
-	if err := validatePartition(nodes, shards, partition); err != nil {
-		return nil, err
-	}
-	if len(edges) == 0 {
-		return nil, fmt.Errorf("graph spec needs at least one edge")
-	}
-	for k, ed := range edges {
-		if ed.U < 0 || ed.U >= nodes || ed.V < 0 || ed.V >= nodes || ed.U == ed.V {
-			return nil, fmt.Errorf("edge %d joins invalid nodes %d–%d (have %d nodes)", k, ed.U, ed.V, nodes)
-		}
-	}
-	for _, ev := range events {
-		if ev.Index >= len(edges) {
-			return nil, fmt.Errorf("at event edge %d out of range (have %d edges)", ev.Index, len(edges))
-		}
-	}
-	cfg := &spec.Config
-	g := &scenario.GraphConfig{
-		Nodes:         nodes,
-		Edges:         edges,
-		TrunkRateBPS:  cfg.TrunkRateBPS,
-		TrunkDelay:    cfg.TrunkDelay,
-		TrunkLossRate: cfg.TrunkLossRate,
-		Alg:           cfg.Alg,
-		Events:        events,
-		Duration:      spec.Duration,
-		Shards:        shards,
-		Partition:     partition,
-	}
-	budget := maxRandTransitions
-	for _, s := range sessions {
-		if s.a < 0 || s.a >= nodes || s.b < 0 || s.b >= nodes || s.a == s.b {
+		if s.a < 0 || s.a >= cfg.Nodes || s.b < 0 || s.b >= cfg.Nodes || s.a == s.b {
 			return nil, fmt.Errorf("line %d: session %q endpoints %d→%d invalid for %d nodes",
-				s.lineNo, s.name, s.a, s.b, nodes)
+				s.lineNo, s.name, s.a, s.b, cfg.Nodes)
 		}
 		pat, err := parsePattern(s.pat, spec.Duration, &budget)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %v", s.lineNo, err)
 		}
-		g.Sessions = append(g.Sessions, scenario.GraphSessionSpec{
+		cfg.Sessions = append(cfg.Sessions, scenario.GraphSessionSpec{
 			Name: s.name, Src: s.a, Dst: s.b, Pattern: pat,
 		})
 	}
-	spec.Graph = g
 	return spec, nil
 }
 

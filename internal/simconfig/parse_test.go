@@ -2,6 +2,7 @@ package simconfig
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 	"repro/internal/workload"
 )
 
-func parseOK(t *testing.T, text string) *Spec {
+func parseOK(t testing.TB, text string) *Spec {
 	t.Helper()
 	spec, err := Parse(strings.NewReader(text))
 	if err != nil {
@@ -23,8 +24,11 @@ func TestParseMinimal(t *testing.T) {
 	spec := parseOK(t, `
 session a 0 1 greedy
 `)
-	if spec.Config.Switches != 2 {
-		t.Fatalf("default switches = %d", spec.Config.Switches)
+	if g := spec.Config; g.Nodes != 2 || len(g.Edges) != 1 || g.Edges[0] != (scenario.GraphEdge{U: 0, V: 1}) {
+		t.Fatalf("default topology = %d nodes, edges %+v; want the two-switch chain", g.Nodes, g.Edges)
+	}
+	if spec.Config.AccessRateBPS != 150e6 {
+		t.Fatalf("shorthand access rate = %v, want the explicit 150 Mb/s", spec.Config.AccessRateBPS)
 	}
 	if len(spec.Config.Sessions) != 1 || spec.Config.Sessions[0].Name != "a" {
 		t.Fatalf("sessions = %+v", spec.Config.Sessions)
@@ -55,11 +59,12 @@ session w 1 3 window 100ms 400ms
 duration 750ms
 `)
 	cfg := spec.Config
-	if cfg.Switches != 4 || cfg.TrunkRateBPS != 150e6 {
+	if cfg.Nodes != 4 || cfg.TrunkRateBPS != 150e6 {
 		t.Fatalf("basics wrong: %+v", cfg)
 	}
-	if len(cfg.TrunkRatesBPS) != 3 || cfg.TrunkRatesBPS[1] != 50e6 || cfg.TrunkRatesBPS[0] != 0 {
-		t.Fatalf("trunk overrides = %v", cfg.TrunkRatesBPS)
+	want := []scenario.GraphEdge{{U: 0, V: 1}, {U: 1, V: 2, RateBPS: 50e6}, {U: 2, V: 3}}
+	if !reflect.DeepEqual(cfg.Edges, want) {
+		t.Fatalf("switches 4 + trunk 1 50 lowered to %+v, want %+v", cfg.Edges, want)
 	}
 	if cfg.TrunkDelay != 10*sim.Microsecond {
 		t.Fatalf("delay = %v", cfg.TrunkDelay)
@@ -91,7 +96,7 @@ session a 0 1 greedy
 session b 0 1 greedy
 duration 100ms
 `)
-	n, err := scenario.BuildATM(spec.Config)
+	n, err := scenario.BuildGraph(spec.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +164,10 @@ func TestParseErrors(t *testing.T) {
 		{"at negative index", "at 5ms rate -1 50\nsession a 0 1 greedy\n"},
 		{"at loss out of range", "at 5ms loss 0 1.5\nsession a 0 1 greedy\n"},
 		{"at missing value", "at 5ms rate 0\nsession a 0 1 greedy\n"},
-		// Graph dialect validation.
+		{"accessrate missing", "accessrate\nsession a 0 1 greedy\n"},
+		{"accessrate zero", "accessrate 0\nsession a 0 1 greedy\n"},
+		{"accessrate nan", "nodes 2\nedge 0 1\naccessrate NaN\nsession a 0 1 greedy\n"},
+		// Graph spelling validation.
 		{"mixed dialects", "switches 2\nedge 0 1\nsession a 0 1 greedy\n"},
 		{"graph without nodes", "edge 0 1\nsession a 0 1 greedy\n"},
 		{"graph without edges", "nodes 2\nsession a 0 1 greedy\n"},
@@ -191,9 +199,9 @@ session top 0 1 greedy
 at 50ms rate 0 25
 duration 100ms
 `)
-	g := spec.Graph
-	if g == nil {
-		t.Fatal("graph spec parsed without a Graph config")
+	g := &spec.Config
+	if g.AccessRateBPS != 0 {
+		t.Fatalf("access rate = %v, want unset (the graph default)", g.AccessRateBPS)
 	}
 	if g.Nodes != 4 || len(g.Edges) != 4 {
 		t.Fatalf("topology = %d nodes, %d edges", g.Nodes, len(g.Edges))
@@ -221,6 +229,24 @@ duration 100ms
 	}
 }
 
+// TestParseAccessRate: accessrate is shared by both spellings; unset, the
+// shorthand means the paper's 150 Mb/s and the graph form leaves the
+// builder's fastest-edge default in charge.
+func TestParseAccessRate(t *testing.T) {
+	for text, want := range map[string]float64{
+		"switches 2\ntrunkrate 50\nsession a 0 1 greedy\n":                 150e6,
+		"switches 2\naccessrate 25\nsession a 0 1 greedy\n":                25e6,
+		"nodes 2\nedge 0 1 rate=50\nsession a 0 1 greedy\n":                0,
+		"nodes 2\nedge 0 1\naccessrate 622.08\nsession a 0 1 greedy\n":     622.08e6,
+		"session a 0 1 greedy\naccessrate 10\n":                            10e6,
+		"accessrate 10\nswitches 3\nsession a 0 1 greedy\naccessrate 20\n": 20e6,
+	} {
+		if got := parseOK(t, text).Config.AccessRateBPS; got != want {
+			t.Errorf("%q: access rate %v, want %v", text, got, want)
+		}
+	}
+}
+
 func TestParseTransientEvents(t *testing.T) {
 	spec := parseOK(t, `
 switches 3
@@ -239,7 +265,7 @@ at 20ms loss 0 0.25
 	if evs[1].Kind != scenario.TransientLoss || evs[1].Value != 0.25 {
 		t.Fatalf("loss event = %+v", evs[1])
 	}
-	if _, err := scenario.BuildATM(spec.Config); err != nil {
+	if _, err := scenario.BuildGraph(spec.Config); err != nil {
 		t.Fatalf("transient spec does not build: %v", err)
 	}
 }
@@ -284,12 +310,8 @@ func TestParseExamples(t *testing.T) {
 			t.Errorf("%s: %v", f, err)
 			continue
 		}
-		if spec.Graph != nil {
-			if _, err := scenario.BuildGraph(*spec.Graph); err != nil {
-				t.Errorf("%s: BuildGraph: %v", f, err)
-			}
-		} else if _, err := scenario.BuildATM(spec.Config); err != nil {
-			t.Errorf("%s: BuildATM: %v", f, err)
+		if _, err := scenario.BuildGraph(spec.Config); err != nil {
+			t.Errorf("%s: BuildGraph: %v", f, err)
 		}
 	}
 }

@@ -34,59 +34,31 @@ func specDiff(a, b *Spec, tol float64) string {
 	if a.AlgName != b.AlgName || !closeF(a.AlgU, b.AlgU, tol) {
 		return fmt.Sprintf("alg %s u=%v vs %s u=%v", a.AlgName, a.AlgU, b.AlgName, b.AlgU)
 	}
-	if (a.Graph == nil) != (b.Graph == nil) {
-		return "one spec is graph, the other linear"
-	}
-	if a.Graph != nil {
-		ga, gb := a.Graph, b.Graph
-		if ga.Nodes != gb.Nodes {
-			return fmt.Sprintf("nodes %d vs %d", ga.Nodes, gb.Nodes)
-		}
-		if len(ga.Edges) != len(gb.Edges) {
-			return fmt.Sprintf("%d edges vs %d", len(ga.Edges), len(gb.Edges))
-		}
-		for k := range ga.Edges {
-			ea, eb := ga.Edges[k], gb.Edges[k]
-			if ea.U != eb.U || ea.V != eb.V || ea.Delay != eb.Delay || !closeF(ea.RateBPS, eb.RateBPS, tol) {
-				return fmt.Sprintf("edge %d: %+v vs %+v", k, ea, eb)
-			}
-		}
-		if !closeF(ga.TrunkRateBPS, gb.TrunkRateBPS, tol) || ga.TrunkDelay != gb.TrunkDelay ||
-			!closeF(ga.TrunkLossRate, gb.TrunkLossRate, tol) {
-			return "graph trunk defaults differ"
-		}
-		if d := eventsDiff(ga.Events, gb.Events, tol); d != "" {
-			return d
-		}
-		if len(ga.Sessions) != len(gb.Sessions) {
-			return fmt.Sprintf("%d sessions vs %d", len(ga.Sessions), len(gb.Sessions))
-		}
-		for i := range ga.Sessions {
-			sa, sb := ga.Sessions[i], gb.Sessions[i]
-			if sa.Name != sb.Name || sa.Src != sb.Src || sa.Dst != sb.Dst {
-				return fmt.Sprintf("session %d header differs", i)
-			}
-			if !reflect.DeepEqual(sa.Pattern, sb.Pattern) {
-				return fmt.Sprintf("session %q pattern %#v vs %#v", sa.Name, sa.Pattern, sb.Pattern)
-			}
-		}
-		return ""
-	}
 	ca, cb := &a.Config, &b.Config
-	if ca.Switches != cb.Switches {
-		return fmt.Sprintf("switches %d vs %d", ca.Switches, cb.Switches)
+	if ca.Nodes != cb.Nodes {
+		return fmt.Sprintf("nodes %d vs %d", ca.Nodes, cb.Nodes)
+	}
+	if len(ca.Edges) != len(cb.Edges) {
+		return fmt.Sprintf("%d edges vs %d", len(ca.Edges), len(cb.Edges))
+	}
+	for k := range ca.Edges {
+		ea, eb := ca.Edges[k], cb.Edges[k]
+		if ea.U != eb.U || ea.V != eb.V || ea.Delay != eb.Delay || !closeF(ea.RateBPS, eb.RateBPS, tol) {
+			return fmt.Sprintf("edge %d: %+v vs %+v", k, ea, eb)
+		}
 	}
 	if !closeF(ca.TrunkRateBPS, cb.TrunkRateBPS, tol) || ca.TrunkDelay != cb.TrunkDelay ||
 		!closeF(ca.TrunkLossRate, cb.TrunkLossRate, tol) {
 		return "trunk defaults differ"
 	}
-	if len(ca.TrunkRatesBPS) != len(cb.TrunkRatesBPS) {
-		return fmt.Sprintf("%d trunk overrides vs %d", len(ca.TrunkRatesBPS), len(cb.TrunkRatesBPS))
+	if !closeF(ca.AccessRateBPS, cb.AccessRateBPS, tol) {
+		return fmt.Sprintf("access rate %v vs %v", ca.AccessRateBPS, cb.AccessRateBPS)
 	}
-	for k := range ca.TrunkRatesBPS {
-		if !closeF(ca.TrunkRatesBPS[k], cb.TrunkRatesBPS[k], tol) {
-			return fmt.Sprintf("trunk %d override %v vs %v", k, ca.TrunkRatesBPS[k], cb.TrunkRatesBPS[k])
-		}
+	if ca.Duration != cb.Duration {
+		return fmt.Sprintf("sizing hint %v vs %v", ca.Duration, cb.Duration)
+	}
+	if ca.Shards != cb.Shards || !reflect.DeepEqual(ca.Partition, cb.Partition) {
+		return fmt.Sprintf("shards %d %v vs %d %v", ca.Shards, ca.Partition, cb.Shards, cb.Partition)
 	}
 	if d := eventsDiff(ca.Events, cb.Events, tol); d != "" {
 		return d
@@ -96,7 +68,7 @@ func specDiff(a, b *Spec, tol float64) string {
 	}
 	for i := range ca.Sessions {
 		sa, sb := ca.Sessions[i], cb.Sessions[i]
-		if sa.Name != sb.Name || sa.Entry != sb.Entry || sa.Exit != sb.Exit {
+		if sa.Name != sb.Name || sa.Src != sb.Src || sa.Dst != sb.Dst {
 			return fmt.Sprintf("session %d header differs", i)
 		}
 		if !reflect.DeepEqual(sa.Pattern, sb.Pattern) {
@@ -128,37 +100,94 @@ func exampleFiles(t testing.TB) []string {
 	return files
 }
 
-// TestEmitRoundTrip checks Parse ∘ Emit ∘ Parse is the identity on every
-// example spec, and that Emit is canonical (emitting the reparse is
-// byte-identical).
+// roundTrip checks Parse ∘ Emit is the identity on a parsed spec (to within
+// tol on rates), that Emit writes only the canonical form, and that it is
+// canonical (emitting the reparse is byte-identical). It returns the
+// emitted text.
+func roundTrip(t testing.TB, s1 *Spec, tol float64) string {
+	t.Helper()
+	text, err := Emit(s1)
+	if err != nil {
+		t.Fatalf("Emit failed on a parsed spec: %v", err)
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && (f[0] == "switches" || f[0] == "trunk") {
+			t.Fatalf("Emit wrote the %q shorthand:\n%s", f[0], text)
+		}
+	}
+	s2, err := Parse(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("re-parse of emitted spec failed: %v\nemitted:\n%s", err, text)
+	}
+	if d := specDiff(s1, s2, tol); d != "" {
+		t.Fatalf("round trip changed the spec: %s\nemitted:\n%s", d, text)
+	}
+	text2, err := Emit(s2)
+	if err != nil {
+		t.Fatalf("second emit: %v", err)
+	}
+	if text2 != text {
+		t.Fatalf("emit not canonical:\n%s\nvs\n%s", text, text2)
+	}
+	return text
+}
+
+// TestEmitRoundTrip runs the round trip on every example spec (both
+// spellings are among them) and on the shorthand's corner cases.
 func TestEmitRoundTrip(t *testing.T) {
 	for _, f := range exampleFiles(t) {
 		data, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s1, err := Parse(strings.NewReader(string(data)))
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		text, err := Emit(s1)
-		if err != nil {
-			t.Fatalf("%s: emit: %v", f, err)
-		}
-		s2, err := Parse(strings.NewReader(text))
-		if err != nil {
-			t.Fatalf("%s: re-parse of emitted spec: %v\n%s", f, err, text)
-		}
-		if d := specDiff(s1, s2, 0); d != "" {
-			t.Errorf("%s: round trip changed the spec: %s\n%s", f, d, text)
-		}
-		text2, err := Emit(s2)
-		if err != nil {
-			t.Fatalf("%s: second emit: %v", f, err)
-		}
-		if text2 != text {
-			t.Errorf("%s: emit not canonical:\n%s\nvs\n%s", f, text, text2)
-		}
+		t.Run(filepath.Base(f), func(t *testing.T) { roundTrip(t, parseOK(t, string(data)), 0) })
+	}
+	for name, text := range map[string]string{
+		"default switches":   "session a 0 1 greedy\n",
+		"slow trunks":        "switches 2\ntrunkrate 50\nalg none\nsession a 0 1 greedy\n",
+		"explicit access":    "switches 3\naccessrate 622\ntrunk 1 25\nsession a 0 2 greedy\n",
+		"sharded shorthand":  "switches 4\nshards 2\npartition 0 0 1 1\ntrunkdelay 20us\nsession a 0 3 greedy\nat 1ms loss 2 0.1\n",
+		"graph with access":  "nodes 3\nedge 0 1 rate=50\nedge 2 1\naccessrate 25\nsession a 2 0 greedy\n",
+		"graph default rate": "nodes 2\nedge 0 1\nshards 2\nsession a 1 0 greedy\n",
+	} {
+		t.Run(name, func(t *testing.T) { roundTrip(t, parseOK(t, text), 0) })
+	}
+}
+
+// TestSwitchesIsShorthand: the switches/trunk spelling parses to exactly
+// the spec its hand-written nodes/edge/accessrate expansion parses to, and
+// emits as that expansion.
+func TestSwitchesIsShorthand(t *testing.T) {
+	short := `switches 4
+trunkrate 100
+trunk 1 50
+trunkdelay 10us
+alg phantom u=5
+shards 2
+session long 0 3 greedy
+session b 1 2 onoff 5ms 5ms
+at 10ms rate 2 25
+duration 50ms
+`
+	long := `nodes 4
+edge 0 1
+edge 1 2 rate=50
+edge 2 3
+trunkrate 100
+trunkdelay 10µs
+accessrate 150
+alg phantom u=5
+duration 50ms
+shards 2
+session long 0 3 greedy
+session b 1 2 onoff 5ms 5ms
+at 10ms rate 2 25
+`
+	if d := specDiff(parseOK(t, short), parseOK(t, long), 0); d != "" {
+		t.Errorf("shorthand and expansion parse differently: %s", d)
+	}
+	if got := roundTrip(t, parseOK(t, short), 0); got != long {
+		t.Errorf("shorthand emits as\n%s\nwant its expansion\n%s", got, long)
 	}
 }
 
