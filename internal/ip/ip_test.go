@@ -1,6 +1,8 @@
 package ip
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -92,12 +94,42 @@ func TestRouterRoutesByDirection(t *testing.T) {
 	if len(fwdDst.pkts) != 1 || len(revDst.pkts) != 1 {
 		t.Fatalf("routing wrong: %d fwd, %d rev", len(fwdDst.pkts), len(revDst.pkts))
 	}
+}
+
+// TestRouterUnknownFlowPanics covers every way a flow can miss the routing
+// tables — beyond their end, inside them but never routed, routed one way
+// only, negative — and Route's own refusal of a negative flow.
+func TestRouterUnknownFlowPanics(t *testing.T) {
+	e := sim.NewEngine()
+	r := NewRouter("R1")
+	mustPanicWith(t, "empty tables", "ip: router R1 has no route for flow 42 (ack=false)", func() {
+		r.Receive(e, &Packet{Flow: 42, Len: 512})
+	})
+	r.Route(5, NewPort("f", 1e9, 0, &pktCapture{}), nil)
+	for _, tc := range []struct {
+		name, want string
+		pkt        Packet
+	}{
+		{"beyond the table", "ip: router R1 has no route for flow 42 (ack=false)", Packet{Flow: 42, Len: 512}},
+		{"hole in the table", "ip: router R1 has no route for flow 3 (ack=false)", Packet{Flow: 3, Len: 512}},
+		{"forward only", "ip: router R1 has no route for flow 5 (ack=true)", Packet{Flow: 5, Ack: true}},
+		{"negative, forward", "ip: router R1 has no route for flow -1 (ack=false)", Packet{Flow: -1, Len: 512}},
+		{"negative, reverse", "ip: router R1 has no route for flow -1 (ack=true)", Packet{Flow: -1, Ack: true}},
+	} {
+		mustPanicWith(t, tc.name, tc.want, func() { r.Receive(e, &tc.pkt) })
+	}
+	mustPanicWith(t, "Route", "ip: router R1: negative flow -7", func() { r.Route(-7, nil, nil) })
+}
+
+func mustPanicWith(t *testing.T, name, want string, f func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Error("unknown flow did not panic")
+		t.Helper()
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Errorf("%s: recovered %v, want a panic containing %q", name, r, want)
 		}
 	}()
-	r.Receive(e, &Packet{Flow: 9})
+	f()
 }
 
 func TestREDDropsBetweenThresholds(t *testing.T) {

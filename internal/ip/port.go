@@ -235,35 +235,54 @@ func portDeliver(e *sim.Engine, pl sim.Payload) {
 // Router forwards packets by flow and direction: data packets use the
 // forward table, pure ACKs the reverse table. This mirrors the ATM switch
 // but for datagrams.
+//
+// The tables are dense slices indexed by flow and grown by Route, as the ATM
+// switch's are by VC: flows are small non-negative integers and the lookup
+// is on every packet's path.
 type Router struct {
 	Name string
-	fwd  map[int]*Port
-	rev  map[int]*Port
+	fwd  []*Port
+	rev  []*Port
 }
 
 // NewRouter returns an empty router.
 func NewRouter(name string) *Router {
-	return &Router{Name: name, fwd: map[int]*Port{}, rev: map[int]*Port{}}
+	return &Router{Name: name}
 }
 
 // Route installs the per-flow ports; either may be nil to leave the
-// existing entry.
+// existing entry. A negative flow panics.
 func (r *Router) Route(flow int, fwd, rev *Port) {
+	if flow < 0 {
+		panic(fmt.Sprintf("ip: router %s: negative flow %d", r.Name, flow))
+	}
 	if fwd != nil {
-		r.fwd[flow] = fwd
+		r.fwd = setRoute(r.fwd, flow, fwd)
 	}
 	if rev != nil {
-		r.rev[flow] = rev
+		r.rev = setRoute(r.rev, flow, rev)
 	}
+}
+
+// setRoute stores p at tab[flow], growing the table to reach.
+func setRoute(tab []*Port, flow int, p *Port) []*Port {
+	if n := flow + 1; n > len(tab) {
+		tab = append(tab, make([]*Port, n-len(tab))...)
+	}
+	tab[flow] = p
+	return tab
 }
 
 // Receive implements Sink.
 func (r *Router) Receive(e *sim.Engine, p *Packet) {
-	var port *Port
+	tab := r.fwd
 	if p.Ack {
-		port = r.rev[p.Flow]
-	} else {
-		port = r.fwd[p.Flow]
+		tab = r.rev
+	}
+	// A flow the table does not reach (negative ones included) has no route.
+	var port *Port
+	if uint(p.Flow) < uint(len(tab)) {
+		port = tab[p.Flow]
 	}
 	if port == nil {
 		panic(fmt.Sprintf("ip: router %s has no route for flow %d (ack=%v)", r.Name, p.Flow, p.Ack))

@@ -21,6 +21,11 @@ func instrumentAlg(alg switchalg.Algorithm, reg *telemetry.Registry) {
 // engineFlush folds an engine's lifetime event statistics into a registry
 // incrementally: each call adds only the delta since the previous flush, so
 // the cumulative Run calls the scenarios allow never double-count.
+//
+// engine.events_canceled is sim.Engine.Canceled: a timer's arming counts
+// when Stop or a later Reset supersedes it, so in the TCP scenarios, whose
+// only cancellations are timers, scheduled − fired − canceled is exactly the
+// number of events still to fire.
 type engineFlush struct {
 	scheduled, fired, canceled uint64
 }

@@ -44,6 +44,7 @@ type TypedHandler func(e *Engine, p Payload)
 // touching the cell's next occupant.
 //
 // Exactly one of fn and tfn is set; tfn carries its argument in payload.
+// A timer's cell (timer.go) sets neither: its payload.Obj is the *Timer.
 type event struct {
 	at      Time
 	seq     uint64
@@ -51,10 +52,23 @@ type event struct {
 	fn      Handler
 	tfn     TypedHandler
 	payload Payload
-	stopped bool
+	kind    cellKind
 	next    *event // intrusive slot-list link in the wheel backend
 	lane    *Lane  // set only on a lane's permanent cell (lane.go)
 }
+
+// cellKind says what the run loop does with a popped cell. The kinds
+// exclude one another — only a plain cell is ever behind an EventRef, so
+// only a plain cell is ever cancelled — which lets the loop send every
+// plain event down its fast path on one compare.
+type cellKind uint8
+
+const (
+	cellPlain    cellKind = iota // fire fn or tfn, recycle
+	cellCanceled                 // a plain cell after EventRef.Cancel: discard
+	cellLane                     // a lane's permanent cell (lane.go)
+	cellTimer                    // a timer's tracked cell (timer.go)
+)
 
 // EventRef identifies a scheduled event so it can be cancelled. The zero
 // value is inert: cancelling it is a no-op. A ref expires when its event
@@ -71,10 +85,10 @@ type EventRef struct {
 // the event already fired is a harmless no-op. It reports whether this call
 // transitioned the event to cancelled.
 func (r EventRef) Cancel() bool {
-	if r.ev == nil || r.ev.gen != r.gen || r.ev.stopped {
+	if r.ev == nil || r.ev.gen != r.gen || r.ev.kind == cellCanceled {
 		return false
 	}
-	r.ev.stopped = true
+	r.ev.kind = cellCanceled
 	return true
 }
 
@@ -151,8 +165,9 @@ func NewEngine(opts ...Option) *Engine {
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of events still scheduled (including cancelled
-// events that have not yet been discarded).
+// Pending returns the number of calendar entries, including ones the run
+// loop will discard when it reaches them: cancelled events, and the cell a
+// stopped or re-armed Timer left behind (timer.go).
 func (e *Engine) Pending() int { return e.sched.Len() + e.laneQueued }
 
 // Fired returns the number of events executed so far. Useful for cost
@@ -163,8 +178,14 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // (seq counts every schedule, fired or not).
 func (e *Engine) Scheduled() uint64 { return e.seq }
 
-// Canceled returns the number of cancelled events drained by the run loop
-// — the gap between Scheduled and Fired that is not still pending.
+// Canceled returns the number of scheduled events that will never fire. A
+// Timer's arming is counted the moment Stop or a later Reset supersedes it,
+// so on a run whose only cancellations are timers
+//
+//	Scheduled() == Fired() + Canceled() + (live pending events)
+//
+// holds at every instant. An event cancelled through its EventRef is counted
+// when the run loop drains its cell: the ref does not know its engine.
 func (e *Engine) Canceled() uint64 { return e.canceled }
 
 // SchedulerName reports which calendar backend this engine runs on.
@@ -189,7 +210,7 @@ func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.tfn = nil
 	ev.payload = Payload{}
-	ev.stopped = false
+	ev.kind = cellPlain
 	ev.next = nil
 	e.free = append(e.free, ev)
 }
@@ -255,11 +276,11 @@ func (e *Engine) Every(period Duration, fn Handler) EventRef {
 	cell := new(event)
 	var tick Handler
 	tick = func(en *Engine) {
-		if cell.stopped {
+		if cell.kind == cellCanceled {
 			return
 		}
 		fn(en)
-		if cell.stopped {
+		if cell.kind == cellCanceled {
 			return
 		}
 		en.After(period, tick)
@@ -296,17 +317,22 @@ func (e *Engine) runTo(deadline Time) uint64 {
 		if ev == nil {
 			break
 		}
-		if ev.stopped {
-			e.canceled++
-			e.recycle(ev)
+		if k := ev.kind; k != cellPlain {
+			switch k {
+			case cellLane:
+				e.now = ev.at
+				e.fired++
+				ev.lane.fire(e)
+			case cellTimer:
+				e.popTimer(ev)
+			default:
+				e.canceled++
+				e.recycle(ev)
+			}
 			continue
 		}
 		e.now = ev.at
 		e.fired++
-		if ev.lane != nil {
-			ev.lane.fire(e)
-			continue
-		}
 		fn, tfn, pl := ev.fn, ev.tfn, ev.payload
 		// Recycle before firing: the handler is the cell's last user, and
 		// returning it first lets fn's own follow-up schedule reuse it.

@@ -1,0 +1,35 @@
+package sim
+
+// CalendarCensus counts e's pending entries and how many of them are live:
+// not a cancelled event's cell, nor a cell a stopped or re-armed timer left
+// behind. A test helper — it walks the whole calendar — for the tests that
+// hold Pending and Canceled to what their comments say.
+func CalendarCensus(e *Engine) (entries, live int) {
+	count := func(ev *event) {
+		entries++
+		switch ev.kind {
+		case cellCanceled:
+		case cellTimer:
+			if t := ev.payload.Obj.(*Timer); t.cell == ev && t.armed {
+				live++
+			}
+		default:
+			live++
+		}
+	}
+	switch s := e.sched.(type) {
+	case *heapScheduler:
+		for _, x := range s.q[s.hole:] {
+			count(x.ev)
+		}
+	case *wheelScheduler:
+		for l := range s.slots {
+			for _, ev := range s.slots[l] {
+				for ; ev != nil; ev = ev.next {
+					count(ev)
+				}
+			}
+		}
+	}
+	return entries + e.laneQueued, live + e.laneQueued
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 	"testing"
 )
@@ -22,7 +23,18 @@ const (
 	fuzzStopper           // events that call Stop, most of them scheduling nothing first
 	fuzzLaneOp            // events on lane arg%fuzzLanes at clock+delay, or the lane's last time if later
 	fuzzLaneParent        // events that put 1–2 events on a lane
-	fuzzRunUntil2         // a second encoding of fuzzRunUntil: programs need many runs
+	fuzzTimer             // Reset/Stop timer arg%fuzzTimers, now or from an event at clock+delay
+)
+
+// A fuzzTimer op acts on timer arg&3 with deadline clock+delay, at once, or
+// — opcode bit 3 set — from a 't' event that fires at clock+delay and takes
+// its deadline 2^(arg>>4)−1 past that (so also at its own instant). arg's
+// bits 2–3 pick the action; a timer's own handler does more (fuzzState.fire).
+const (
+	fuzzTimerReset      = iota // Reset
+	fuzzTimerStop              // Stop
+	fuzzTimerStopReset         // Stop, then Reset
+	fuzzTimerResetTwice        // Reset twice to the one deadline
 )
 
 // fuzzMaxEvents and fuzzMaxOps bound one program (the wheel is quadratic
@@ -31,6 +43,7 @@ const (
 	fuzzMaxEvents = 10_000
 	fuzzMaxOps    = 1 << 12
 	fuzzLanes     = 4
+	fuzzTimers    = 4
 )
 
 type fuzzOp struct {
@@ -38,7 +51,8 @@ type fuzzOp struct {
 	at     Time
 	rep    int // scheduling ops: how many events
 	arg    byte
-	target int // fuzzCancel: which one
+	target int  // fuzzCancel: which one
+	event  bool // fuzzTimer: act from a 't' event instead of at once
 }
 
 // fuzzDelay stratifies delays by magnitude: width picks a power of two
@@ -83,11 +97,18 @@ func decodeFuzzProgram(prog []byte) []fuzzOp {
 			cost = 2
 		case fuzzLaneParent:
 			cost = 4
-		case fuzzRunUntil2:
-			op.kind = fuzzRunUntil
+		case fuzzTimer:
+			// The 't' event, two armings, each firing at most twice (a timer
+			// re-arms itself on every third firing) with a child apiece.
+			cost = 8
+			op.event = prog[0]&8 != 0
 		}
 		if cost > 0 {
-			op.rep = min(1+int(prog[0]>>3), (fuzzMaxEvents-events)/cost)
+			want := 1 + int(prog[0]>>3)
+			if op.kind == fuzzTimer {
+				want = 1 // its high bits are not a count
+			}
+			op.rep = min(want, (fuzzMaxEvents-events)/cost)
 			events += op.rep * cost
 		}
 		op.at = fuzzAdd(clock, fuzzDelay(prog[1], prog[2]))
@@ -101,9 +122,10 @@ func decodeFuzzProgram(prog []byte) []fuzzOp {
 
 // fuzzEvent is what a scheduled event carries to its firing: the letter it
 // logs under — 'f' plain, 'p' parent, 'c' child, 's' stopper, 'q' lane
-// parent, 'l' lane event, 'x' scheduled into a stopped engine — its op's
-// arg, and an id (the scheduling op's event number; a child's is its
-// parent's, a lane event's is its lane).
+// parent, 'l' lane event, 't' timer op, 'T' timer firing, 'x' scheduled into a
+// stopped engine — its op's arg, and an id (the scheduling op's event number;
+// a child's is its parent's, a lane event's its lane, a timer firing's its
+// timer).
 type fuzzEvent struct {
 	kind byte
 	arg  byte
@@ -111,7 +133,7 @@ type fuzzEvent struct {
 }
 
 // fuzzLetter is the letter the events of a scheduling op log under.
-var fuzzLetter = [8]byte{fuzzSchedule: 'f', fuzzParent: 'p', fuzzStopper: 's', fuzzLaneParent: 'q'}
+var fuzzLetter = [8]byte{fuzzSchedule: 'f', fuzzParent: 'p', fuzzStopper: 's', fuzzLaneParent: 'q', fuzzTimer: 't'}
 
 func (ev fuzzEvent) pack() int64 { return int64(ev.id)<<16 | int64(ev.arg)<<8 | int64(ev.kind) }
 
@@ -120,20 +142,23 @@ func unpackFuzzEvent(v int64) fuzzEvent {
 }
 
 // fuzzRec is one line of a replay's log: an event firing (its letter, the
-// clock, its id, and Pending as the handler sees it), or the state after a
-// run ('r': the clock, Pending and Canceled).
+// clock, its id, and the live pending events as the handler sees them), or the
+// state after a run ('r': the clock, live pending events, Fired and Canceled).
 type fuzzRec struct {
 	kind     byte
 	at       Time
 	id       int
 	pending  int
+	fired    uint64
 	canceled uint64
 }
 
 // fuzzCal is the calendar a program runs on: an Engine, or the oracle.
 type fuzzCal interface {
 	now() Time
+	// pending counts the events waiting to fire: Pending less the dead cells.
 	pending() int
+	fired() uint64
 	canceled() uint64
 	scheduled() uint64
 	// at schedules ev and returns its handle for cancel: 0, 1, 2, ...
@@ -141,6 +166,9 @@ type fuzzCal interface {
 	cancel(handle int)
 	// laneAfter adds the next event of lane k, at t.
 	laneAfter(k int, t Time)
+	// timerReset arms timer k to fire at t; timerStop disarms it.
+	timerReset(k int, t Time)
+	timerStop(k int)
 	stop()
 	runUntil(deadline Time)
 	run()
@@ -156,6 +184,7 @@ type fuzzState struct {
 	handles   int
 	laneLast  [fuzzLanes]Time
 	laneFired [fuzzLanes]int
+	timeFired [fuzzTimers]int
 	stopped   bool
 	stopArg   byte
 }
@@ -174,6 +203,23 @@ func (st *fuzzState) laneAfter(k int, t Time) {
 	}
 	st.laneLast[k] = t
 	st.cal.laneAfter(k, t)
+}
+
+// timerDo performs a fuzzTimer op's action on timer arg&3 with deadline t.
+func (st *fuzzState) timerDo(arg byte, t Time) {
+	c, k := st.cal, int(arg&3)
+	switch arg >> 2 & 3 {
+	case fuzzTimerReset:
+		c.timerReset(k, t)
+	case fuzzTimerStop:
+		c.timerStop(k)
+	case fuzzTimerStopReset:
+		c.timerStop(k)
+		c.timerReset(k, t)
+	case fuzzTimerResetTwice:
+		c.timerReset(k, t)
+		c.timerReset(k, t)
+	}
 }
 
 func (st *fuzzState) fire(ev fuzzEvent) {
@@ -228,6 +274,23 @@ func (st *fuzzState) fire(ev fuzzEvent) {
 		case n%4 == 1:
 			st.at(now, fuzzEvent{kind: 'c', id: k})
 		}
+	case 't':
+		st.timerDo(ev.arg, fuzzAdd(now, Duration(1)<<(ev.arg>>4)-1))
+	case 'T':
+		// Like a lane's, a timer's firings share one payload and go by their
+		// count: every third re-arms the timer from inside its own handler,
+		// with the hole open and no cell filed; some schedule a child, some
+		// stop the next timer, whose cell may be the root by then.
+		k := ev.id
+		st.timeFired[k]++
+		switch n := st.timeFired[k]; {
+		case n%3 == 0:
+			c.timerReset(k, fuzzAdd(now, Duration(1)<<(n%8)))
+		case n%4 == 1:
+			st.at(now, fuzzEvent{kind: 'c', id: k})
+		case n%5 == 2:
+			c.timerStop((k + 1) % fuzzTimers)
+		}
 	}
 }
 
@@ -241,7 +304,7 @@ func (st *fuzzState) runTo(deadline Time, final bool) {
 		} else {
 			c.runUntil(deadline)
 		}
-		st.recs = append(st.recs, fuzzRec{kind: 'r', at: c.now(), pending: c.pending(), canceled: c.canceled()})
+		st.recs = append(st.recs, fuzzRec{kind: 'r', at: c.now(), pending: c.pending(), fired: c.fired(), canceled: c.canceled()})
 		if !st.stopped {
 			return
 		}
@@ -271,6 +334,12 @@ func runFuzzProgram(mk func(*fuzzState) fuzzCal, ops []fuzzOp) ([]fuzzRec, uint6
 			if st.handles > 0 {
 				st.cal.cancel(op.target % st.handles)
 			}
+		case fuzzTimer:
+			if op.rep > 0 && op.event {
+				st.at(op.at, fuzzEvent{kind: 't', arg: op.arg})
+			} else if op.rep > 0 {
+				st.timerDo(op.arg, op.at)
+			}
 		case fuzzRunUntil:
 			st.runTo(op.at, false)
 		}
@@ -284,10 +353,11 @@ func runFuzzProgram(mk func(*fuzzState) fuzzCal, ops []fuzzOp) ([]fuzzRec, uint6
 // go through real lanes, or — lanes false — through AtFunc, which is what a
 // lane claims to be indistinguishable from.
 type engineCal struct {
-	e     *Engine
-	st    *fuzzState
-	refs  []EventRef
-	lanes [fuzzLanes]*Lane
+	e      *Engine
+	st     *fuzzState
+	refs   []EventRef
+	lanes  [fuzzLanes]*Lane
+	timers [fuzzTimers]*Timer
 }
 
 func newEngineCal(kind SchedulerKind, lanes bool) func(*fuzzState) fuzzCal {
@@ -297,6 +367,9 @@ func newEngineCal(kind SchedulerKind, lanes bool) func(*fuzzState) fuzzCal {
 			for k := range c.lanes {
 				c.lanes[k] = c.e.NewLane(fuzzFire, c.lanePayload(k))
 			}
+		}
+		for k := range c.timers {
+			c.timers[k] = c.e.NewTimer(fuzzFire, Payload{Obj: st, I: fuzzEvent{kind: 'T', id: k}.pack()})
 		}
 		return c
 	}
@@ -309,13 +382,24 @@ func (c *engineCal) lanePayload(k int) Payload {
 }
 
 func (c *engineCal) now() Time         { return c.e.Now() }
-func (c *engineCal) pending() int      { return c.e.Pending() }
+func (c *engineCal) fired() uint64     { return c.e.Fired() }
 func (c *engineCal) canceled() uint64  { return c.e.Canceled() }
 func (c *engineCal) scheduled() uint64 { return c.e.Scheduled() }
 func (c *engineCal) cancel(h int)      { c.refs[h].Cancel() }
 func (c *engineCal) stop()             { c.e.Stop() }
 func (c *engineCal) runUntil(d Time)   { c.e.RunUntil(d) }
 func (c *engineCal) run()              { c.e.Run() }
+
+// pending is the live entries, which is what the oracle's queue holds: a
+// walk of the calendar that leaves out cancelled cells and the cells stopped
+// and re-armed timers left behind. Pending counts those too.
+func (c *engineCal) pending() int {
+	entries, live := CalendarCensus(c.e)
+	if entries != c.e.Pending() {
+		panic(fmt.Sprintf("Pending() = %d, the calendar holds %d entries", c.e.Pending(), entries))
+	}
+	return live
+}
 
 func (c *engineCal) at(t Time, ev fuzzEvent) int {
 	if ev.kind == 'f' {
@@ -335,6 +419,9 @@ func (c *engineCal) laneAfter(k int, t Time) {
 	}
 }
 
+func (c *engineCal) timerReset(k int, t Time) { c.timers[k].Reset(t.Sub(c.e.Now())) }
+func (c *engineCal) timerStop(k int)          { c.timers[k].Stop() }
+
 // oracleEvent is a pending event of the reference calendar.
 type oracleEvent struct {
 	at      Time
@@ -344,34 +431,42 @@ type oracleEvent struct {
 	done    bool // fired or drained: a later cancel is a no-op
 }
 
+func (oe *oracleEvent) key() laneKey { return laneKey{at: oe.at, seq: oe.seq} }
+
 // orderOracle is the reference the backends are checked against: the
 // pending events as a slice kept sorted by (time, seq), the engine's run
-// loop restated over it with no heap, no wheel and no lanes.
+// loop restated over it with no heap, no wheel, no lanes and no timer cells.
+// A timer is its arming, an ordinary queue entry that Reset deletes and
+// inserts anew.
 type orderOracle struct {
 	st        *fuzzState
 	clock     Time
 	seq       uint64
+	nfired    uint64
 	ncanceled uint64
 	stopped   bool
 	queue     []*oracleEvent
+	dead      int // cancelled entries still in queue
 	byHandle  []*oracleEvent
+	timers    [fuzzTimers]*oracleEvent // nil while stopped
 }
 
 func newOrderOracle(st *fuzzState) fuzzCal { return &orderOracle{st: st} }
 
-func (o *orderOracle) now() Time         { return o.clock }
-func (o *orderOracle) pending() int      { return len(o.queue) }
-func (o *orderOracle) canceled() uint64  { return o.ncanceled }
+func (k laneKey) before(l laneKey) bool { return k.at < l.at || (k.at == l.at && k.seq < l.seq) }
+
+func (o *orderOracle) now() Time        { return o.clock }
+func (o *orderOracle) fired() uint64    { return o.nfired }
+func (o *orderOracle) canceled() uint64 { return o.ncanceled }
+
+func (o *orderOracle) pending() int      { return len(o.queue) - o.dead }
 func (o *orderOracle) scheduled() uint64 { return o.seq }
 func (o *orderOracle) stop()             { o.stopped = true }
 
 func (o *orderOracle) schedule(t Time, ev fuzzEvent) *oracleEvent {
 	oe := &oracleEvent{at: t, seq: o.seq, ev: ev}
 	o.seq++
-	i := sort.Search(len(o.queue), func(i int) bool {
-		p := o.queue[i]
-		return oe.at < p.at || (oe.at == p.at && oe.seq < p.seq)
-	})
+	i := sort.Search(len(o.queue), func(i int) bool { return oe.key().before(o.queue[i].key()) })
 	o.queue = append(o.queue, nil)
 	copy(o.queue[i+1:], o.queue[i:])
 	o.queue[i] = oe
@@ -386,25 +481,43 @@ func (o *orderOracle) at(t Time, ev fuzzEvent) int {
 func (o *orderOracle) laneAfter(k int, t Time) { o.schedule(t, fuzzEvent{kind: 'l', id: k}) }
 
 func (o *orderOracle) cancel(h int) {
-	if oe := o.byHandle[h]; !oe.done {
+	if oe := o.byHandle[h]; !oe.done && !oe.stopped {
 		oe.stopped = true
+		o.dead++
 	}
 }
 
-func (o *orderOracle) run() {
-	o.stopped = false
-	for !o.stopped && len(o.queue) > 0 {
-		o.step()
+// timerStop deletes the arming, which counts as cancelled there and then.
+func (o *orderOracle) timerStop(k int) {
+	oe := o.timers[k]
+	if oe == nil {
+		return
 	}
+	i := sort.Search(len(o.queue), func(i int) bool { return !o.queue[i].key().before(oe.key()) })
+	o.queue = append(o.queue[:i], o.queue[i+1:]...)
+	o.timers[k] = nil
+	o.ncanceled++
 }
+
+// timerReset is delete and insert at (t, next seq).
+func (o *orderOracle) timerReset(k int, t Time) {
+	o.timerStop(k)
+	o.timers[k] = o.schedule(t, fuzzEvent{kind: 'T', id: k})
+}
+
+func (o *orderOracle) run() { o.runTo(maxTime) }
 
 func (o *orderOracle) runUntil(deadline Time) {
+	o.runTo(deadline)
+	if !o.stopped && o.clock < deadline {
+		o.clock = deadline
+	}
+}
+
+func (o *orderOracle) runTo(deadline Time) {
 	o.stopped = false
 	for !o.stopped && len(o.queue) > 0 && o.queue[0].at <= deadline {
 		o.step()
-	}
-	if !o.stopped && o.clock < deadline {
-		o.clock = deadline
 	}
 }
 
@@ -413,27 +526,40 @@ func (o *orderOracle) step() {
 	o.queue = o.queue[1:]
 	oe.done = true
 	if oe.stopped {
+		o.dead--
 		o.ncanceled++
 		return
 	}
+	if oe.ev.kind == 'T' {
+		o.timers[oe.ev.id] = nil
+	}
 	o.clock = oe.at
+	o.nfired++
 	o.st.fire(oe.ev)
 }
 
 // FuzzSchedulerOrder replays a program on the sorted-slice oracle and on
 // both backends, each with real lanes and with AtFunc standing in for them,
 // and requires five identical logs — every firing's (time, id) and the
-// Pending its handler saw, and the clock, Pending and Canceled after every
-// run — and five identical Scheduled counts.
+// live pending events its handler saw, and the clock, live pending events,
+// Fired and Canceled after every run — and five identical Scheduled counts.
+// The oracle's timers are delete and insert and it has no dead cells to
+// count, so the backends report their live entries (engineCal.pending); how
+// many dead ones Pending adds is held by TestEventAccountingIsExact and
+// TestTimerLifecycle.
 //
 // Besides the seeds added here, testdata/fuzz/FuzzSchedulerOrder holds one
-// per calendar state the lazy-pop heap and the lanes added:
+// per calendar state the lazy-pop heap, the lanes and the timers added:
 //
-//	hole-children   parents with 0–3 children, first child now or later
-//	hole-cancel     the child that filled the hole cancelled, by its parent and later by handle
-//	hole-stop       Stop with the hole open, then a pop, or a schedule and a pop; Stop with it filled
-//	lane-burst      32 events on one lane at one instant behind 32 at an earlier one, run in two legs
-//	lane-handlers   lane events added from handlers, now and later, four lanes, cancels and stops between
+//	hole-children     parents with 0–3 children, first child now or later
+//	hole-cancel       the child that filled the hole cancelled, by its parent and later by handle
+//	hole-stop         Stop with the hole open, then a pop, or a schedule and a pop; Stop with it filled
+//	lane-burst        32 events on one lane at one instant behind 32 at an earlier one, run in two legs
+//	lane-handlers     lane events added from handlers, now and later, four lanes, cancels and stops between
+//	timer-rearm       a deadline pushed back over one cell: later, equal-time, ahead of and behind a plain event at its instant
+//	timer-earlier     deadlines earlier than the filed cell, of an armed and of a stopped timer: orphans, drained mid-run and last
+//	timer-stop-root   Stop with the tracked cell at the root; Stop then Reset over it; a dead cell the only thing left to pop
+//	timer-self-reset  timers re-armed inside their own handlers and from events at their instant, stopping one another, Stop between
 func FuzzSchedulerOrder(f *testing.F) {
 	const burst = 31 << 3
 	// 10⁴ events at one instant; 10³ parents of one same-instant child
@@ -450,6 +576,9 @@ func FuzzSchedulerOrder(f *testing.F) {
 		fuzzSchedule, 7, 0, 0, fuzzRunUntil, 7, 32, 0, fuzzRunUntil, 7, 0, 0,
 	})
 	f.Add([]byte{fuzzRunUntil, 20, 9, 0, fuzzRunUntil, 0, 0, 0})
+	// RunUntil to the end of time (the second delay is clamped there) lands
+	// the clock on it, which Run never does.
+	f.Add([]byte{fuzzSchedule, 7, 0, 0, fuzzRunUntil, 63, 255, 0, fuzzRunUntil, 63, 255, 0})
 	// Cancels of live, fired and drained events; delays up to the end of time.
 	f.Add([]byte{
 		fuzzSchedule, 63, 255, 0, fuzzParent, 40, 1, 1, fuzzSchedule, 12, 3, 0,

@@ -45,7 +45,7 @@ func (e *Engine) NewLane(fn TypedHandler, p Payload) *Lane {
 		panic("sim: nil handler")
 	}
 	ln := &Lane{e: e}
-	ln.ev.tfn, ln.ev.payload, ln.ev.lane = fn, p, ln
+	ln.ev.tfn, ln.ev.payload, ln.ev.kind, ln.ev.lane = fn, p, cellLane, ln
 	return ln
 }
 

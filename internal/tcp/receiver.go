@@ -36,7 +36,7 @@ type Receiver struct {
 	// Delayed-ACK state.
 	unacked  int
 	ecnPend  bool
-	ackTimer sim.EventRef
+	ackTimer *sim.Timer // made the first time an ACK is delayed
 
 	tel receiverTel
 }
@@ -107,20 +107,21 @@ func (r *Receiver) Receive(e *sim.Engine, p *ip.Packet) {
 		r.sendAck(e)
 		return
 	}
-	if r.ackTimer == (sim.EventRef{}) {
+	if r.ackTimer == nil {
+		r.ackTimer = e.NewTimer(receiverAckTimeout, sim.Payload{Obj: r})
+	}
+	if !r.ackTimer.Armed() {
 		delay := r.AckDelay
 		if delay == 0 {
 			delay = 200 * sim.Millisecond
 		}
-		r.ackTimer = e.AfterFunc(delay, receiverAckTimeout, sim.Payload{Obj: r})
+		r.ackTimer.Reset(delay)
 	}
 }
 
-// receiverAckTimeout fires the delayed-ACK timer; typed so arming it per
-// in-order segment allocates nothing.
+// receiverAckTimeout fires the delayed-ACK timer.
 func receiverAckTimeout(e *sim.Engine, p sim.Payload) {
 	r := p.Obj.(*Receiver)
-	r.ackTimer = sim.EventRef{}
 	if r.unacked > 0 {
 		r.sendAck(e)
 	}
@@ -133,7 +134,7 @@ func (r *Receiver) advance(e *sim.Engine, n int) {
 	if r.OnDeliver != nil {
 		r.OnDeliver(e.Now(), n)
 	}
-	for {
+	for len(r.outOfOrder) > 0 {
 		l, ok := r.outOfOrder[r.rcvNxt]
 		if !ok {
 			return
@@ -153,8 +154,9 @@ func (r *Receiver) sendAck(e *sim.Engine) {
 	r.acksSent++
 	r.tel.acksSent.Inc()
 	r.unacked = 0
-	r.ackTimer.Cancel()
-	r.ackTimer = sim.EventRef{}
+	if r.ackTimer != nil {
+		r.ackTimer.Stop()
+	}
 	echo := r.ecnPend
 	r.ecnPend = false
 	r.Back.Receive(e, &ip.Packet{

@@ -100,8 +100,8 @@ type Sender struct {
 	rttvar   float64
 	rto      sim.Duration
 	backoff  int
-	timer    sim.EventRef
-	timedSeq int64 // sequence being timed for RTT (Karn)
+	timer    *sim.Timer // retransmission timer; made by Start
+	timedSeq int64      // sequence being timed for RTT (Karn)
 	timedAt  sim.Time
 	timing   bool
 
@@ -191,6 +191,7 @@ func (s *Sender) Start(e *sim.Engine) error {
 	if s.Params.Vegas != nil {
 		s.vegas = &vegasState{params: *s.Params.Vegas, inSS: true}
 	}
+	s.timer = e.NewTimer(senderTimeout, sim.Payload{Obj: s})
 	s.started = true
 	begin := func(en *sim.Engine) {
 		s.lastRateAt = en.Now()
@@ -272,18 +273,13 @@ func (s *Sender) transmit(e *sim.Engine, seq int64, isRetransmit bool) {
 		s.timedSeq = seq
 		s.timedAt = e.Now()
 	}
-	if s.timer == (sim.EventRef{}) || seq == s.sndUna {
-		s.armTimer(e)
+	// Start the timer if it is not running, restart it for the oldest
+	// outstanding segment. (It reads as not running inside onTimeout too,
+	// whose retransmission is of sndUna.)
+	if !s.timer.Armed() || seq == s.sndUna {
+		s.timer.Reset(s.rto)
 	}
 	s.Out.Receive(e, p)
-}
-
-// armTimer (re)starts the retransmission timer. A typed callback: the timer
-// re-arms on every transmission and cumulative ACK, so a closure here would
-// allocate once per segment exchanged.
-func (s *Sender) armTimer(e *sim.Engine) {
-	s.timer.Cancel()
-	s.timer = e.AfterFunc(s.rto, senderTimeout, sim.Payload{Obj: s})
 }
 
 func senderTimeout(e *sim.Engine, p sim.Payload) {
@@ -291,10 +287,10 @@ func senderTimeout(e *sim.Engine, p sim.Payload) {
 }
 
 // onTimeout is the RTO expiry path: multiplicative backoff, window to one
-// segment, go-back-N from the oldest unacknowledged byte.
+// segment, go-back-N from the oldest unacknowledged byte. With nothing in
+// flight, or the sender stopped, the timer is left disarmed.
 func (s *Sender) onTimeout(e *sim.Engine) {
 	if s.sndNxt == s.sndUna || s.stopped {
-		s.timer = sim.EventRef{}
 		return
 	}
 	s.timeouts++
@@ -359,11 +355,12 @@ func (s *Sender) onNewAck(e *sim.Engine, ackNo int64) {
 		s.cwnd += mss * mss / s.cwnd // congestion avoidance
 	}
 	s.dupAcks = 0
+	// The timer restarts on every cumulative ACK; sim.Timer re-arms in
+	// place, so this neither allocates nor touches the calendar.
 	if s.sndNxt > s.sndUna {
-		s.armTimer(e)
+		s.timer.Reset(s.rto)
 	} else {
-		s.timer.Cancel()
-		s.timer = sim.EventRef{}
+		s.timer.Stop()
 	}
 	s.notifyCwnd(e.Now())
 }
