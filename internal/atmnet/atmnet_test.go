@@ -206,7 +206,8 @@ func TestLinkDelayLoweredMidRunPanics(t *testing.T) {
 			t.Errorf("Delay lowered to %v: %d cells delivered before the panic, want 0", lowered, len(dst.cells))
 		}
 	}
-	// Raising it keeps the order and is fine.
+	// Raising it keeps the order and is fine: the cells sent after the change
+	// ride another band than the one still propagating.
 	e := sim.NewEngine()
 	dst := &capture{}
 	l := NewLink("l", 1000, 7*sim.Millisecond, dst)
@@ -224,6 +225,74 @@ func TestLinkDelayLoweredMidRunPanics(t *testing.T) {
 	}
 	if len(dst.cells) != 3 {
 		t.Fatalf("after raising Delay: delivered %d cells, want 3", len(dst.cells))
+	}
+}
+
+// TestLinkRateChangedMidRunMovesBand: a transient (scenario/events.go) halves
+// RateCPS while a cell is on the line. That cell's tx-done stays on the band
+// of the old cell time, where a second link's events still are; the next
+// transmission goes on the band of the new one.
+func TestLinkRateChangedMidRunMovesBand(t *testing.T) {
+	e := sim.NewEngine()
+	dst, other := &capture{}, &capture{}
+	l := NewLink("l", 1000, 0, dst) // 1 ms per cell
+	o := NewLink("o", 1000, 0, other)
+	for i := 0; i < 3; i++ {
+		l.Receive(e, atm.Cell{VC: atm.VCID(i)})
+		o.Receive(e, atm.Cell{VC: atm.VCID(i)})
+	}
+	e.RunUntil(sim.Time(500 * sim.Microsecond))
+	l.RateCPS = 500 // 2 ms per cell
+	if l.tx != o.tx || l.tx != e.Band(sim.Millisecond) || e.Pending() != 2 {
+		t.Fatalf("before the first tx-done: the links' bands are %p and %p, the engine's %p; %d events pending, want 2 on one band",
+			l.tx, o.tx, e.Band(sim.Millisecond), e.Pending())
+	}
+	e.RunUntil(sim.Time(1500 * sim.Microsecond))
+	if l.tx != e.Band(2*sim.Millisecond) || o.tx != e.Band(sim.Millisecond) {
+		t.Fatalf("after the rate change l transmits on the %v band and o on the %v band, want 2ms and 1ms", l.tx.Delay(), o.tx.Delay())
+	}
+	e.RunUntil(sim.Time(20 * sim.Millisecond))
+	for i, want := range []sim.Duration{1, 3, 5} {
+		if len(dst.cells) != 3 || dst.cells[i].VC != atm.VCID(i) || dst.times[i] != sim.Time(want*sim.Millisecond) {
+			t.Fatalf("slowed link delivered VCs %v at %v, want 0 1 2 at 1, 3 and 5 ms", dst.cells, dst.times)
+		}
+		if len(other.cells) != 3 || other.times[i] != sim.Time(sim.Duration(i+1)*sim.Millisecond) {
+			t.Fatalf("the other link delivered at %v, want 1, 2 and 3 ms", other.times)
+		}
+	}
+}
+
+// TestLinksSharingBandsInterleave: two links of one rate and one delay have
+// both their events on the same two bands. Each keeps its own FIFO, and
+// between them cells arrive in (time, seq) order: at equal times the link
+// that was fed first delivers first.
+func TestLinksSharingBandsInterleave(t *testing.T) {
+	e := sim.NewEngine()
+	dst := &capture{}
+	a := NewLink("a", 1000, 7*sim.Millisecond, dst)
+	b := NewLink("b", 1000, 7*sim.Millisecond, dst)
+	c := NewLink("c", 1000, 7*sim.Millisecond, dst)
+	for i := 0; i < 3; i++ {
+		a.Receive(e, atm.Cell{VC: atm.VCID(i)})
+		b.Receive(e, atm.Cell{VC: atm.VCID(10 + i)})
+	}
+	e.RunUntil(sim.Time(500 * sim.Microsecond))
+	for i := 0; i < 3; i++ {
+		c.Receive(e, atm.Cell{VC: atm.VCID(20 + i)})
+	}
+	e.RunUntil(sim.Time(20 * sim.Millisecond))
+	if a.tx != b.tx || a.tx != c.tx || a.wire != b.wire || a.wire != c.wire || a.tx == a.wire {
+		t.Fatalf("the links do not share one tx band and one wire band: tx %p %p %p, wire %p %p %p", a.tx, b.tx, c.tx, a.wire, b.wire, c.wire)
+	}
+	wantVC := []atm.VCID{0, 10, 20, 1, 11, 21, 2, 12, 22}
+	wantUS := []sim.Duration{8000, 8000, 8500, 9000, 9000, 9500, 10000, 10000, 10500}
+	if len(dst.cells) != len(wantVC) {
+		t.Fatalf("delivered %d cells, want %d", len(dst.cells), len(wantVC))
+	}
+	for i := range wantVC {
+		if dst.cells[i].VC != wantVC[i] || dst.times[i] != sim.Time(wantUS[i]*sim.Microsecond) {
+			t.Fatalf("delivery %d is VC %d at %v, want VC %d at %v", i, dst.cells[i].VC, dst.times[i], wantVC[i], sim.Time(wantUS[i]*sim.Microsecond))
+		}
 	}
 }
 

@@ -22,9 +22,8 @@ import (
 // The cell path through a link is allocation-free in steady state: the
 // output FIFO and the propagation pipe are reusable ring buffers whose
 // capacity stabilizes at the peak backlog, and every event the link
-// schedules is a typed callback (sim.AfterFunc, or the delivery lane)
-// carrying only the link pointer — no closure, and no cell escaping to the
-// heap.
+// schedules is a typed callback on one of the engine's bands carrying only
+// the link pointer — no closure, and no cell escaping to the heap.
 type Link struct {
 	Name string
 	// RateCPS is the line rate in cells/s.
@@ -60,10 +59,12 @@ type Link struct {
 	// FIFO with one constant Delay, so deliveries leave in transmission
 	// order and the delivery event needs no payload beyond the link itself.
 	inflight ring.Ring[atm.Cell]
-	// deliveries holds one delivery event per cell in inflight, in the same
-	// order; only the head's is in the engine's calendar. Made on the first
-	// transmission, by the engine that runs the link.
-	deliveries *sim.Lane
+	// tx and wire are the running engine's bands for one cell time at
+	// RateCPS and for Delay, looked up again when a transient
+	// (scenario/events.go) has rewritten the field.
+	tx, wire *sim.Band
+	// lastDelivery is when the newest cell in inflight arrives.
+	lastDelivery sim.Time
 	// scratch is the cell handed to OnTransmit by pointer; a field rather
 	// than a local so the observer call does not force a heap allocation
 	// per cell.
@@ -174,7 +175,10 @@ func (l *Link) startTx(e *sim.Engine) {
 		return
 	}
 	l.busy = true
-	e.AfterFunc(sim.DurationOf(1, l.RateCPS), linkTxDone, sim.Payload{Obj: l})
+	if d := sim.DurationOf(1, l.RateCPS); l.tx == nil || l.tx.Delay() != d {
+		l.tx = e.Band(d)
+	}
+	l.tx.After(linkTxDone, l)
 }
 
 // linkTxDone fires when the head cell finishes serialization: meter it,
@@ -197,14 +201,16 @@ func linkTxDone(e *sim.Engine, p sim.Payload) {
 		l.OnTransmit(e.Now(), &l.scratch)
 	}
 	if l.Delay > 0 {
-		if l.deliveries == nil {
-			l.deliveries = e.NewLane(linkDeliver, sim.Payload{Obj: l})
+		if l.wire == nil || l.wire.Delay() != l.Delay {
+			l.wire = e.Band(l.Delay)
 		}
-		if e.Now().Add(l.Delay) < l.deliveries.Last() {
+		at := e.Now().Add(l.Delay)
+		if at < l.lastDelivery {
 			l.panicBackwards()
 		}
+		l.lastDelivery = at
 		l.inflight.Push(c)
-		l.deliveries.After(l.Delay)
+		l.wire.After(linkDeliver, l)
 	} else {
 		if l.inflight.Len() > 0 {
 			l.panicBackwards()
@@ -223,8 +229,8 @@ func (l *Link) panicBackwards() {
 }
 
 // linkDeliver hands the oldest propagating cell to the destination. Cells
-// enter the pipe in transmission order and the lane fires in that order, so
-// head-of-pipe is always the cell this event was scheduled for.
+// enter the pipe in transmission order and panicBackwards holds their events
+// to it, so head-of-pipe is always the cell this event was scheduled for.
 func linkDeliver(e *sim.Engine, p sim.Payload) {
 	l := p.Obj.(*Link)
 	l.Dst.Receive(e, l.inflight.Pop())

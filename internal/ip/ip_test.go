@@ -72,6 +72,62 @@ func TestPortTailDrop(t *testing.T) {
 	}
 }
 
+// TestPortDelayLoweredMidRunPanics: the propagation pipe pairs delivery
+// events with packets by position, which only works while deliveries are
+// scheduled in transmission order. Lowering Delay under packets in flight
+// breaks that; the port must say so, by name, instead of delivering each
+// packet at another packet's time.
+func TestPortDelayLoweredMidRunPanics(t *testing.T) {
+	// 552 bytes at 552*8 bits/ms → 1 ms per data packet.
+	const rate = 552 * 8 * 1000
+	mustPanicWith := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+				t.Errorf("%s: recovered %v, want a panic containing %q", name, r, want)
+			}
+		}()
+		f()
+	}
+	for _, lowered := range []sim.Duration{sim.Millisecond, 0} {
+		e := sim.NewEngine()
+		dst := &pktCapture{}
+		p := NewPort("trunk7", rate, 7*sim.Millisecond, dst)
+		for i := 0; i < 3; i++ {
+			p.Receive(e, &Packet{Seq: int64(i), Len: 512})
+		}
+		e.RunUntil(sim.Time(1500 * sim.Microsecond)) // packet 0 is propagating
+		p.Delay = lowered
+		mustPanicWith(fmt.Sprint("Delay lowered to ", lowered), `ip: port "trunk7": delivery time went backwards`, func() {
+			e.RunUntil(sim.Time(20 * sim.Millisecond))
+		})
+		if len(dst.pkts) != 0 {
+			t.Errorf("Delay lowered to %v: %d packets delivered before the panic, want 0", lowered, len(dst.pkts))
+		}
+	}
+	// Raising it keeps the order and is fine: the packets sent after the
+	// change ride another band than the one still propagating.
+	e := sim.NewEngine()
+	dst := &pktCapture{}
+	p := NewPort("p", rate, 7*sim.Millisecond, dst)
+	for i := 0; i < 3; i++ {
+		p.Receive(e, &Packet{Seq: int64(i), Len: 512})
+	}
+	e.RunUntil(sim.Time(1500 * sim.Microsecond))
+	p.Delay = 9 * sim.Millisecond
+	e.RunUntil(sim.Time(20 * sim.Millisecond))
+	want := []sim.Time{sim.Time(8 * sim.Millisecond), sim.Time(11 * sim.Millisecond), sim.Time(12 * sim.Millisecond)}
+	if len(dst.pkts) != 3 {
+		t.Fatalf("after raising Delay: delivered %d packets, want 3", len(dst.pkts))
+	}
+	for i, pkt := range dst.pkts {
+		if pkt.Seq != int64(i) || dst.times[i] != want[i] {
+			t.Fatalf("after raising Delay: packet %d is seq %d at %v, want seq %d at %v", i, pkt.Seq, dst.times[i], i, want[i])
+		}
+	}
+}
+
 func TestPortPanicsOnBadRate(t *testing.T) {
 	defer func() {
 		if recover() == nil {

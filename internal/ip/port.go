@@ -68,6 +68,12 @@ type Port struct {
 	sentPk   int64
 	sentBy   int64
 
+	// wire is the running engine's band for Delay, looked up again when Delay
+	// has changed. Tx-done stays an AfterFunc: its duration is the packet's.
+	wire *sim.Band
+	// lastDelivery is when the newest packet in inflight arrives.
+	lastDelivery sim.Time
+
 	tel portTel
 }
 
@@ -215,18 +221,30 @@ func portTxDone(e *sim.Engine, pl sim.Payload) {
 	if p.Disc != nil {
 		p.Disc.OnTransmit(e.Now(), pkt)
 	}
+	at := e.Now().Add(p.Delay)
+	if at < p.lastDelivery || p.Delay <= 0 && p.inflight.Len() > 0 {
+		// Delay was lowered while packets propagate. The pipe pairs delivery
+		// events with packets by position, so carrying on would hand each
+		// event the wrong packet.
+		panic(fmt.Sprintf("ip: port %q: delivery time went backwards", p.Name))
+	}
 	if p.Delay > 0 {
+		if p.wire == nil || p.wire.Delay() != p.Delay {
+			p.wire = e.Band(p.Delay)
+		}
+		p.lastDelivery = at
 		p.inflight.Push(pkt)
-		e.AfterFunc(p.Delay, portDeliver, sim.Payload{Obj: p})
+		p.wire.After(portDeliver, p)
 	} else {
 		p.Dst.Receive(e, pkt)
 	}
 	p.startTx(e)
 }
 
-// portDeliver hands the oldest propagating packet to the destination;
-// transmissions and deliveries are both FIFO at a constant Delay, so
-// head-of-pipe is always the packet this event was scheduled for.
+// portDeliver hands the oldest propagating packet to the destination.
+// Packets enter the pipe in transmission order and portTxDone holds their
+// events to it, so head-of-pipe is always the packet this event was
+// scheduled for.
 func portDeliver(e *sim.Engine, pl sim.Payload) {
 	p := pl.Obj.(*Port)
 	p.Dst.Receive(e, p.inflight.Pop())

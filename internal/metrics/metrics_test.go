@@ -438,3 +438,42 @@ func TestSettling(t *testing.T) {
 		t.Fatal("degenerate window should be zero")
 	}
 }
+
+// TestPointPoolDoesNotRatchet plays a sweep of scenarios whose series are of
+// unequal length — one in ten outgrows its hint tenfold, as a short-RTT
+// flow's cwnd series does — and holds the capacity the pool lends out in
+// round 100 to what it lent in round 10. Pooling regrown slices, the long
+// ones drift to short series and the total climbs every round.
+func TestPointPoolDoesNotRatchet(t *testing.T) {
+	const series, hint = 200, 100
+	lent := func(round int) (total int) {
+		ss := make([]*Series, series)
+		for i := range ss {
+			ss[i] = AcquireSeries("s", hint)
+			total += cap(ss[i].points)
+		}
+		for i, s := range ss {
+			n := hint / 2
+			if (i+round)%10 == 0 {
+				n = 10 * hint
+			}
+			for k := 0; k < n; k++ {
+				s.Add(sim.Time(k), 1)
+			}
+		}
+		for _, s := range ss {
+			s.Release()
+		}
+		return total
+	}
+	var at10 int
+	for round := 1; round <= 100; round++ {
+		got := lent(round)
+		if round == 10 {
+			at10 = got
+		}
+		if round == 100 && got > at10 {
+			t.Fatalf("pool lent %d points of capacity in round 100, %d in round 10", got, at10)
+		}
+	}
+}

@@ -26,6 +26,7 @@ type Point struct {
 type Series struct {
 	Name   string
 	points []Point
+	lent   int // capacity AcquireSeries handed out; 0: not pooled storage
 }
 
 // NewSeries returns an empty named series.
@@ -45,7 +46,10 @@ func NewSeriesCap(name string, capHint int) *Series {
 
 // pointPool recycles point storage across series lifetimes (sweep points in
 // a parameter sweep build and discard a full scenario each). Slices are
-// pooled with their capacity; Acquire re-slices to zero length.
+// pooled with their capacity; Acquire re-slices to zero length. A slice that
+// had to be regrown is not pooled: the pool hands slices out in no particular
+// order, so long series would keep drawing short slices while their long ones
+// went to short series, and pooled capacity would only ever rise (DESIGN.md §9).
 var pointPool = sync.Pool{New: func() any { return []Point(nil) }}
 
 // AcquireSeries returns a named series backed by pooled point storage. Pair
@@ -58,15 +62,19 @@ func AcquireSeries(name string, capHint int) *Series {
 		buf = make([]Point, 0, capHint)
 	}
 	s.points = buf[:0]
+	s.lent = cap(buf)
 	return s
 }
 
-// Release returns the series' point storage to the pool and empties the
-// series. The caller must not touch previously returned Points afterwards.
+// Release returns the series' point storage to the pool, unless the series
+// outgrew a pooled slice, and empties the series. The caller must not touch
+// previously returned Points afterwards.
 func (s *Series) Release() {
 	if s.points != nil {
-		pointPool.Put(s.points[:0])
-		s.points = nil
+		if s.lent == 0 || cap(s.points) == s.lent {
+			pointPool.Put(s.points[:0])
+		}
+		s.points, s.lent = nil, 0
 	}
 }
 

@@ -39,6 +39,17 @@ func (r *Ring[T]) Push(v T) {
 	r.n++
 }
 
+// PushSlot appends a zero element and returns a pointer to it, valid until
+// the next Push or Pop, for the caller to fill in place: a struct of several
+// words passed to Push by value is spilled and copied again on the way.
+func (r *Ring[T]) PushSlot() *T {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.n++
+	return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)]
+}
+
 // Pop removes and returns the head element. It panics on an empty ring —
 // like a slice index out of range, popping nothing is always a logic error
 // in the queue disciplines built on top. The vacated slot is zeroed so the

@@ -100,6 +100,33 @@ func TestCapacityStabilizes(t *testing.T) {
 
 // TestPopZeroesSlot checks dequeued pointer slots are cleared so the ring
 // cannot pin dead objects.
+// TestPushSlot: a slot filled in place is an element like one pushed by
+// value — same order across growth and wraparound — and is handed out zeroed.
+func TestPushSlot(t *testing.T) {
+	var r Ring[[2]int]
+	next, expect := 0, 0
+	for step := 0; step < 1000; step++ {
+		for k := 0; k < 1+step%3; k++ {
+			if step%2 == 0 {
+				r.Push([2]int{next, -next})
+			} else {
+				x := r.PushSlot()
+				if *x != ([2]int{}) {
+					t.Fatalf("step %d: PushSlot handed out %v, want a zero slot", step, *x)
+				}
+				x[0], x[1] = next, -next
+			}
+			next++
+		}
+		for r.Len() > 5 {
+			if got := r.Pop(); got != ([2]int{expect, -expect}) {
+				t.Fatalf("step %d: Pop = %v, want %d", step, got, expect)
+			}
+			expect++
+		}
+	}
+}
+
 func TestPopZeroesSlot(t *testing.T) {
 	var r Ring[*int]
 	v := new(int)

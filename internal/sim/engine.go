@@ -54,7 +54,7 @@ type event struct {
 	payload Payload
 	kind    cellKind
 	next    *event // intrusive slot-list link in the wheel backend
-	lane    *Lane  // set only on a lane's permanent cell (lane.go)
+	band    *Band  // set only on a band's permanent cell (band.go)
 }
 
 // cellKind says what the run loop does with a popped cell. The kinds
@@ -66,7 +66,7 @@ type cellKind uint8
 const (
 	cellPlain    cellKind = iota // fire fn or tfn, recycle
 	cellCanceled                 // a plain cell after EventRef.Cancel: discard
-	cellLane                     // a lane's permanent cell (lane.go)
+	cellBand                     // a band's permanent cell (band.go)
 	cellTimer                    // a timer's tracked cell (timer.go)
 )
 
@@ -139,14 +139,16 @@ type Engine struct {
 	// hot path stops allocating once the pool warms to the peak number of
 	// simultaneously pending events.
 	free []*event
-	// laneQueued counts the events waiting in lanes behind their heads:
+	// bands holds the engine's band for each delay asked for (band.go).
+	bands map[Duration]*Band
+	// bandQueued counts the events waiting in bands behind their heads:
 	// pending, but not in the calendar.
-	laneQueued int
+	bandQueued int
 	// Pads the struct to two cache lines, which is also an allocator size
 	// class, so an engine shares no line with the object next to it. The
 	// engines of a sharded run are allocated back to back and written on
 	// every event by different cores (DESIGN.md §14).
-	_ [40]byte
+	_ [32]byte
 }
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.
@@ -167,8 +169,9 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of calendar entries, including ones the run
 // loop will discard when it reaches them: cancelled events, and the cell a
-// stopped or re-armed Timer left behind (timer.go).
-func (e *Engine) Pending() int { return e.sched.Len() + e.laneQueued }
+// stopped or re-armed Timer left behind (timer.go); the events waiting in
+// bands behind their heads (band.go) count as the entries they stand for.
+func (e *Engine) Pending() int { return e.sched.Len() + e.bandQueued }
 
 // Fired returns the number of events executed so far. Useful for cost
 // accounting in benchmarks.
@@ -319,10 +322,10 @@ func (e *Engine) runTo(deadline Time) uint64 {
 		}
 		if k := ev.kind; k != cellPlain {
 			switch k {
-			case cellLane:
+			case cellBand:
 				e.now = ev.at
 				e.fired++
-				ev.lane.fire(e)
+				ev.band.fire(e)
 			case cellTimer:
 				e.popTimer(ev)
 			default:

@@ -31,5 +31,9 @@ func CalendarCensus(e *Engine) (entries, live int) {
 			}
 		}
 	}
-	return entries + e.laneQueued, live + e.laneQueued
+	return entries + e.bandQueued, live + e.bandQueued
 }
+
+// BandCensus returns how many bands e has made and how many events wait in
+// them behind their heads, outside the calendar.
+func BandCensus(e *Engine) (bands, queued int) { return len(e.bands), e.bandQueued }

@@ -21,8 +21,8 @@ const (
 	fuzzCancel            // cancel the (width<<8|mantissa)-th cancellable event, fired or not
 	fuzzRunUntil          // RunUntil(clock+delay)
 	fuzzStopper           // events that call Stop, most of them scheduling nothing first
-	fuzzLaneOp            // events on lane arg%fuzzLanes at clock+delay, or the lane's last time if later
-	fuzzLaneParent        // events that put 1–2 events on a lane
+	fuzzBandOp            // events on band width%fuzzBands, now; mantissa&1 picks the second handler
+	fuzzBandParent        // events that put 1–2 events on a band
 	fuzzTimer             // Reset/Stop timer arg%fuzzTimers, now or from an event at clock+delay
 )
 
@@ -42,9 +42,14 @@ const (
 const (
 	fuzzMaxEvents = 10_000
 	fuzzMaxOps    = 1 << 12
-	fuzzLanes     = 4
+	fuzzBands     = 3
 	fuzzTimers    = 4
 )
+
+// fuzzBandDelay is the delay of each band. One is zero; the middle one is
+// what a child scheduled with arg>>4 == 4 waits, and a width-5 mantissa-0
+// op, so band entries tie with plain events at their instant.
+var fuzzBandDelay = [fuzzBands]Duration{0, 16, 300}
 
 type fuzzOp struct {
 	kind   byte
@@ -93,10 +98,13 @@ func decodeFuzzProgram(prog []byte) []fuzzOp {
 			cost = 1
 		case fuzzParent:
 			cost = 1 + int(op.arg&3)
-		case fuzzStopper, fuzzLaneOp:
-			cost = 2
-		case fuzzLaneParent:
-			cost = 4
+		case fuzzStopper:
+			// Itself, a child, and after the Stop an 'x' and a two-link chain.
+			cost = 5
+		case fuzzBandOp:
+			cost = fuzzBandCost
+		case fuzzBandParent:
+			cost = 1 + 2*fuzzBandCost
 		case fuzzTimer:
 			// The 't' event, two armings, each firing at most twice (a timer
 			// re-arms itself on every third firing) with a child apiece.
@@ -121,19 +129,22 @@ func decodeFuzzProgram(prog []byte) []fuzzOp {
 }
 
 // fuzzEvent is what a scheduled event carries to its firing: the letter it
-// logs under — 'f' plain, 'p' parent, 'c' child, 's' stopper, 'q' lane
-// parent, 'l' lane event, 't' timer op, 'T' timer firing, 'x' scheduled into a
+// logs under — 'f' plain, 'p' parent, 'c' child, 's' stopper, 'q' band
+// parent, 'l' band event, 't' timer op, 'T' timer firing, 'x' scheduled into a
 // stopped engine — its op's arg, and an id (the scheduling op's event number;
-// a child's is its parent's, a lane event's its lane, a timer firing's its
-// timer).
+// a child's is its parent's, a timer firing's its timer). A band event also
+// carries its band and which of the two band handlers it was scheduled with;
+// its id counts band events.
 type fuzzEvent struct {
 	kind byte
 	arg  byte
 	id   int
+	band int
+	alt  bool
 }
 
 // fuzzLetter is the letter the events of a scheduling op log under.
-var fuzzLetter = [8]byte{fuzzSchedule: 'f', fuzzParent: 'p', fuzzStopper: 's', fuzzLaneParent: 'q', fuzzTimer: 't'}
+var fuzzLetter = [8]byte{fuzzSchedule: 'f', fuzzParent: 'p', fuzzStopper: 's', fuzzBandParent: 'q', fuzzTimer: 't'}
 
 func (ev fuzzEvent) pack() int64 { return int64(ev.id)<<16 | int64(ev.arg)<<8 | int64(ev.kind) }
 
@@ -142,12 +153,14 @@ func unpackFuzzEvent(v int64) fuzzEvent {
 }
 
 // fuzzRec is one line of a replay's log: an event firing (its letter, the
-// clock, its id, and the live pending events as the handler sees them), or the
-// state after a run ('r': the clock, live pending events, Fired and Canceled).
+// clock, its id, which band handler ran, and the live pending events as the
+// handler sees them), or the state after a run ('r': the clock, live pending
+// events, Fired and Canceled).
 type fuzzRec struct {
 	kind     byte
 	at       Time
 	id       int
+	alt      bool
 	pending  int
 	fired    uint64
 	canceled uint64
@@ -164,8 +177,8 @@ type fuzzCal interface {
 	// at schedules ev and returns its handle for cancel: 0, 1, 2, ...
 	at(t Time, ev fuzzEvent) int
 	cancel(handle int)
-	// laneAfter adds the next event of lane k, at t.
-	laneAfter(k int, t Time)
+	// bandAfter schedules ev, whose handler is ev.alt's, on band ev.band.
+	bandAfter(ev fuzzEvent)
 	// timerReset arms timer k to fire at t; timerStop disarms it.
 	timerReset(k int, t Time)
 	timerStop(k int)
@@ -182,8 +195,7 @@ type fuzzState struct {
 	recs      []fuzzRec
 	ids       int
 	handles   int
-	laneLast  [fuzzLanes]Time
-	laneFired [fuzzLanes]int
+	bandIDs   int
 	timeFired [fuzzTimers]int
 	stopped   bool
 	stopArg   byte
@@ -195,14 +207,19 @@ func (st *fuzzState) at(t Time, ev fuzzEvent) int {
 	return h
 }
 
-// laneAfter holds lane times monotone, the one thing a lane asks of its
-// caller, by pushing an early t back to the lane's last.
-func (st *fuzzState) laneAfter(k int, t Time) {
-	if t < st.laneLast[k] {
-		t = st.laneLast[k]
+// fuzzBandCost is what one band event can add to the calendar, itself
+// included: a chain of up to three more, each link with a second entry
+// beside it, a child now and a plain event a band's delay later.
+const fuzzBandCost = 16
+
+// bandAfter puts a band event with behaviour arg on band k. At the end of
+// time only the zero-delay band has room.
+func (st *fuzzState) bandAfter(k int, arg byte, alt bool) {
+	if st.cal.now() > maxTime-Time(fuzzBandDelay[k]) {
+		k = 0
 	}
-	st.laneLast[k] = t
-	st.cal.laneAfter(k, t)
+	st.cal.bandAfter(fuzzEvent{kind: 'l', arg: arg, id: st.bandIDs, band: k, alt: alt})
+	st.bandIDs++
 }
 
 // timerDo performs a fuzzTimer op's action on timer arg&3 with deadline t.
@@ -222,10 +239,12 @@ func (st *fuzzState) timerDo(arg byte, t Time) {
 	}
 }
 
-func (st *fuzzState) fire(ev fuzzEvent) {
+// fire is every handler's body; alt says which of the two band handlers the
+// calendar called, false for the other kinds.
+func (st *fuzzState) fire(ev fuzzEvent, alt bool) {
 	c := st.cal
 	now := c.now()
-	st.recs = append(st.recs, fuzzRec{kind: ev.kind, at: now, id: ev.id, pending: c.pending()})
+	st.recs = append(st.recs, fuzzRec{kind: ev.kind, at: now, id: ev.id, alt: alt, pending: c.pending()})
 	later := fuzzAdd(now, Duration(1)<<(ev.arg>>4))
 	switch ev.kind {
 	case 'p':
@@ -255,29 +274,42 @@ func (st *fuzzState) fire(ev fuzzEvent) {
 		st.stopped, st.stopArg = true, ev.arg
 		c.stop()
 	case 'q':
-		t := now
-		if ev.arg&8 != 0 {
-			t = later
-		}
+		// One or two entries (arg&1) on band arg>>1&3, the second with the
+		// other handler; arg's high half is what they do in their turn.
+		k := int(ev.arg>>1&3) % fuzzBands
 		for j := 0; j <= int(ev.arg&1); j++ {
-			st.laneAfter(int(ev.arg>>1)%fuzzLanes, t)
+			st.bandAfter(k, ev.arg>>4, (ev.arg&8 != 0) != (j == 1))
 		}
 	case 'l':
-		// A lane's events share one payload, so what they do goes by how
-		// many the lane has fired: every third puts another on its own lane
-		// (which is empty at that point, or not), some schedule a child.
-		k := ev.id
-		st.laneFired[k]++
-		switch n := st.laneFired[k]; {
-		case n%3 == 0:
-			st.laneAfter(k, fuzzAdd(now, Duration(1)<<(n%8)))
-		case n%4 == 1:
-			st.at(now, fuzzEvent{kind: 'c', id: k})
+		// arg&3 is how much longer the chain goes on. A link puts the next
+		// one on its own band — drained at that point, or not — or on one of
+		// the others (arg>>2&3; 3 is its own again, with a second entry under
+		// the other handler behind it), into the hole its pop left open
+		// unless a child fills that first (arg&16). arg&32 hands the chain to
+		// the other handler, arg&64 adds a plain event that ties with band
+		// 1's entries, arg&128 stops the run with the bands armed.
+		if ev.arg&16 != 0 {
+			st.at(now, fuzzEvent{kind: 'c', id: ev.id})
+		}
+		if depth := ev.arg & 3; depth > 0 {
+			next, hop := ev.arg&^3|(depth-1), int(ev.arg>>2&3)
+			alt := ev.alt != (ev.arg&32 != 0)
+			st.bandAfter((ev.band+hop%fuzzBands)%fuzzBands, next, alt)
+			if hop == 3 {
+				st.bandAfter(ev.band, 0, !alt)
+			}
+		}
+		if ev.arg&64 != 0 {
+			st.at(fuzzAdd(now, fuzzBandDelay[1]), fuzzEvent{kind: 'c', id: ev.id})
+		}
+		if ev.arg&128 != 0 {
+			st.stopped, st.stopArg = true, 0
+			c.stop()
 		}
 	case 't':
 		st.timerDo(ev.arg, fuzzAdd(now, Duration(1)<<(ev.arg>>4)-1))
 	case 'T':
-		// Like a lane's, a timer's firings share one payload and go by their
+		// A timer's firings share one payload, so what they do goes by their
 		// count: every third re-arms the timer from inside its own handler,
 		// with the hole open and no cell filed; some schedule a child, some
 		// stop the next timer, whose cell may be the root by then.
@@ -311,6 +343,9 @@ func (st *fuzzState) runTo(deadline Time, final bool) {
 		if st.stopArg&1 != 0 {
 			st.at(c.now(), fuzzEvent{kind: 'x'})
 		}
+		if st.stopArg&4 != 0 {
+			st.bandAfter(int(st.stopArg>>4)%fuzzBands, 1, false)
+		}
 	}
 }
 
@@ -321,14 +356,14 @@ func runFuzzProgram(mk func(*fuzzState) fuzzCal, ops []fuzzOp) ([]fuzzRec, uint6
 	st.cal = mk(st)
 	for _, op := range ops {
 		switch op.kind {
-		case fuzzSchedule, fuzzParent, fuzzStopper, fuzzLaneParent:
+		case fuzzSchedule, fuzzParent, fuzzStopper, fuzzBandParent:
 			for r := 0; r < op.rep; r++ {
 				st.at(op.at, fuzzEvent{kind: fuzzLetter[op.kind], arg: op.arg, id: st.ids})
 				st.ids++
 			}
-		case fuzzLaneOp:
+		case fuzzBandOp:
 			for r := 0; r < op.rep; r++ {
-				st.laneAfter(int(op.arg)%fuzzLanes, op.at)
+				st.bandAfter(op.target>>8%fuzzBands, op.arg, op.target&1 != 0)
 			}
 		case fuzzCancel:
 			if st.handles > 0 {
@@ -349,25 +384,20 @@ func runFuzzProgram(mk func(*fuzzState) fuzzCal, ops []fuzzOp) ([]fuzzRec, uint6
 }
 
 // engineCal is an Engine as a fuzzCal. Plain events go through At and the
-// rest through AtFunc, so both cell shapes are in the calendar; lane events
-// go through real lanes, or — lanes false — through AtFunc, which is what a
-// lane claims to be indistinguishable from.
+// rest through AtFunc, so both cell shapes are in the calendar; band events
+// go through the engine's bands, or — bands false — through AfterFunc, which
+// is what a band claims to be indistinguishable from.
 type engineCal struct {
 	e      *Engine
 	st     *fuzzState
 	refs   []EventRef
-	lanes  [fuzzLanes]*Lane
+	bands  bool
 	timers [fuzzTimers]*Timer
 }
 
-func newEngineCal(kind SchedulerKind, lanes bool) func(*fuzzState) fuzzCal {
+func newEngineCal(kind SchedulerKind, bands bool) func(*fuzzState) fuzzCal {
 	return func(st *fuzzState) fuzzCal {
-		c := &engineCal{e: NewEngine(WithScheduler(kind)), st: st}
-		if lanes {
-			for k := range c.lanes {
-				c.lanes[k] = c.e.NewLane(fuzzFire, c.lanePayload(k))
-			}
-		}
+		c := &engineCal{e: NewEngine(WithScheduler(kind)), st: st, bands: bands}
 		for k := range c.timers {
 			c.timers[k] = c.e.NewTimer(fuzzFire, Payload{Obj: st, I: fuzzEvent{kind: 'T', id: k}.pack()})
 		}
@@ -375,10 +405,23 @@ func newEngineCal(kind SchedulerKind, lanes bool) func(*fuzzState) fuzzCal {
 	}
 }
 
-func fuzzFire(_ *Engine, p Payload) { p.Obj.(*fuzzState).fire(unpackFuzzEvent(p.I)) }
+func fuzzFire(_ *Engine, p Payload) { p.Obj.(*fuzzState).fire(unpackFuzzEvent(p.I), false) }
 
-func (c *engineCal) lanePayload(k int) Payload {
-	return Payload{Obj: c.st, I: fuzzEvent{kind: 'l', id: k}.pack()}
+// fuzzBandEvent is the object a band event rides with: two components, the
+// handlers below, share each band.
+type fuzzBandEvent struct {
+	st *fuzzState
+	ev fuzzEvent
+}
+
+func fuzzBandFire(_ *Engine, p Payload) {
+	be := p.Obj.(*fuzzBandEvent)
+	be.st.fire(be.ev, false)
+}
+
+func fuzzBandFireAlt(_ *Engine, p Payload) {
+	be := p.Obj.(*fuzzBandEvent)
+	be.st.fire(be.ev, true)
 }
 
 func (c *engineCal) now() Time         { return c.e.Now() }
@@ -404,18 +447,22 @@ func (c *engineCal) pending() int {
 func (c *engineCal) at(t Time, ev fuzzEvent) int {
 	if ev.kind == 'f' {
 		st := c.st
-		c.refs = append(c.refs, c.e.At(t, func(*Engine) { st.fire(ev) }))
+		c.refs = append(c.refs, c.e.At(t, func(*Engine) { st.fire(ev, false) }))
 	} else {
 		c.refs = append(c.refs, c.e.AtFunc(t, fuzzFire, Payload{Obj: c.st, I: ev.pack()}))
 	}
 	return len(c.refs) - 1
 }
 
-func (c *engineCal) laneAfter(k int, t Time) {
-	if ln := c.lanes[k]; ln != nil {
-		ln.After(t.Sub(c.e.Now()))
+func (c *engineCal) bandAfter(ev fuzzEvent) {
+	fn, be := fuzzBandFire, &fuzzBandEvent{st: c.st, ev: ev}
+	if ev.alt {
+		fn = fuzzBandFireAlt
+	}
+	if c.bands {
+		c.e.Band(fuzzBandDelay[ev.band]).After(fn, be)
 	} else {
-		c.e.AtFunc(t, fuzzFire, c.lanePayload(k))
+		c.e.AfterFunc(fuzzBandDelay[ev.band], fn, Payload{Obj: be})
 	}
 }
 
@@ -431,11 +478,17 @@ type oracleEvent struct {
 	done    bool // fired or drained: a later cancel is a no-op
 }
 
-func (oe *oracleEvent) key() laneKey { return laneKey{at: oe.at, seq: oe.seq} }
+// oracleKey is an event's place in the order.
+type oracleKey struct {
+	at  Time
+	seq uint64
+}
+
+func (oe *oracleEvent) key() oracleKey { return oracleKey{at: oe.at, seq: oe.seq} }
 
 // orderOracle is the reference the backends are checked against: the
 // pending events as a slice kept sorted by (time, seq), the engine's run
-// loop restated over it with no heap, no wheel, no lanes and no timer cells.
+// loop restated over it with no heap, no wheel, no bands and no timer cells.
 // A timer is its arming, an ordinary queue entry that Reset deletes and
 // inserts anew.
 type orderOracle struct {
@@ -453,7 +506,7 @@ type orderOracle struct {
 
 func newOrderOracle(st *fuzzState) fuzzCal { return &orderOracle{st: st} }
 
-func (k laneKey) before(l laneKey) bool { return k.at < l.at || (k.at == l.at && k.seq < l.seq) }
+func (k oracleKey) before(l oracleKey) bool { return k.at < l.at || (k.at == l.at && k.seq < l.seq) }
 
 func (o *orderOracle) now() Time        { return o.clock }
 func (o *orderOracle) fired() uint64    { return o.nfired }
@@ -478,7 +531,7 @@ func (o *orderOracle) at(t Time, ev fuzzEvent) int {
 	return len(o.byHandle) - 1
 }
 
-func (o *orderOracle) laneAfter(k int, t Time) { o.schedule(t, fuzzEvent{kind: 'l', id: k}) }
+func (o *orderOracle) bandAfter(ev fuzzEvent) { o.schedule(o.clock.Add(fuzzBandDelay[ev.band]), ev) }
 
 func (o *orderOracle) cancel(h int) {
 	if oe := o.byHandle[h]; !oe.done && !oe.stopped {
@@ -535,27 +588,30 @@ func (o *orderOracle) step() {
 	}
 	o.clock = oe.at
 	o.nfired++
-	o.st.fire(oe.ev)
+	o.st.fire(oe.ev, oe.ev.alt)
 }
 
 // FuzzSchedulerOrder replays a program on the sorted-slice oracle and on
-// both backends, each with real lanes and with AtFunc standing in for them,
-// and requires five identical logs — every firing's (time, id) and the
-// live pending events its handler saw, and the clock, live pending events,
-// Fired and Canceled after every run — and five identical Scheduled counts.
+// both backends, each with bands and with AfterFunc standing in for them,
+// and requires five identical logs — every firing's (time, id), which band
+// handler ran and the live pending events it saw, and the clock, live
+// pending events, Fired and Canceled after every run — and five identical
+// Scheduled counts.
 // The oracle's timers are delete and insert and it has no dead cells to
 // count, so the backends report their live entries (engineCal.pending); how
 // many dead ones Pending adds is held by TestEventAccountingIsExact and
 // TestTimerLifecycle.
 //
 // Besides the seeds added here, testdata/fuzz/FuzzSchedulerOrder holds one
-// per calendar state the lazy-pop heap, the lanes and the timers added:
+// per calendar state the lazy-pop heap, the bands and the timers added:
 //
 //	hole-children     parents with 0–3 children, first child now or later
 //	hole-cancel       the child that filled the hole cancelled, by its parent and later by handle
 //	hole-stop         Stop with the hole open, then a pop, or a schedule and a pop; Stop with it filled
-//	lane-burst        32 events on one lane at one instant behind 32 at an earlier one, run in two legs
-//	lane-handlers     lane events added from handlers, now and later, four lanes, cancels and stops between
+//	band-burst        32 entries on one band behind 32 filed an instant earlier, plain events tying with both, run in two legs
+//	band-handlers     After from handlers: on an idle, an armed and the handler's own drained band, into the hole and behind a child, Stop with bands armed
+//	band-shared       two handlers alternating down one band, chains that swap handler and hop bands, ties with a plain event band 1's delay on
+//	band-zero-delay   the zero-delay band fed from the driver, from plain events and from its own handler at one instant, around zero-length runs
 //	timer-rearm       a deadline pushed back over one cell: later, equal-time, ahead of and behind a plain event at its instant
 //	timer-earlier     deadlines earlier than the filed cell, of an armed and of a stopped timer: orphans, drained mid-run and last
 //	timer-stop-root   Stop with the tracked cell at the root; Stop then Reset over it; a dead cell the only thing left to pop
@@ -584,24 +640,24 @@ func FuzzSchedulerOrder(f *testing.F) {
 		fuzzSchedule, 63, 255, 0, fuzzParent, 40, 1, 1, fuzzSchedule, 12, 3, 0,
 		fuzzCancel, 0, 1, 0, fuzzRunUntil, 13, 0, 0, fuzzCancel, 0, 2, 0,
 		fuzzSchedule, 63, 255, 0, fuzzRunUntil, 63, 0, 0, fuzzCancel, 0, 1, 0,
-		fuzzParent, 63, 255, 0xf6, fuzzLaneOp, 63, 255, 0, fuzzRunUntil, 63, 255, 0, fuzzSchedule, 63, 0, 0,
+		fuzzParent, 63, 255, 0xf6, fuzzBandOp, 63, 255, 0, fuzzRunUntil, 63, 255, 0, fuzzSchedule, 63, 0, 0,
 	})
 
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		ops := decodeFuzzProgram(prog)
 		want, wantScheduled := runFuzzProgram(newOrderOracle, ops)
 		for _, kind := range SchedulerKinds() {
-			for _, lanes := range []bool{true, false} {
-				got, scheduled := runFuzzProgram(newEngineCal(kind, lanes), ops)
+			for _, bands := range []bool{true, false} {
+				got, scheduled := runFuzzProgram(newEngineCal(kind, bands), ops)
 				if scheduled != wantScheduled {
-					t.Fatalf("%s lanes=%v: Scheduled() = %d, oracle %d", kind, lanes, scheduled, wantScheduled)
+					t.Fatalf("%s bands=%v: Scheduled() = %d, oracle %d", kind, bands, scheduled, wantScheduled)
 				}
 				if len(got) != len(want) {
-					t.Fatalf("%s lanes=%v: %d log records, oracle %d", kind, lanes, len(got), len(want))
+					t.Fatalf("%s bands=%v: %d log records, oracle %d", kind, bands, len(got), len(want))
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("%s lanes=%v: record %d = %+v, oracle %+v", kind, lanes, i, got[i], want[i])
+						t.Fatalf("%s bands=%v: record %d = %+v, oracle %+v", kind, bands, i, got[i], want[i])
 					}
 				}
 			}

