@@ -16,12 +16,12 @@ import (
 // preRefactorAllocsPerOp is the engine hot-path cost before event-cell
 // pooling (one heap allocation per scheduled event plus loop overhead),
 // measured on the seed engine with the same 1000-event workload as
-// engineHotPath below. Pooled events must stay at least 20% below it on
-// every backend, whatever the budget file says.
+// engineHotPath below. Pooled events must stay at least 20% below it,
+// whatever the budget file says.
 const preRefactorAllocsPerOp = 1005
 
-// backendStats is one backend's measured cost.
-type backendStats struct {
+// allocStats is one workload's measured cost.
+type allocStats struct {
 	NsPerOp     int64 `json:"ns_per_op"`
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
@@ -29,8 +29,8 @@ type backendStats struct {
 
 // engineHotPath drives 1000 events through self-rescheduling chains — the
 // port-transmit pattern that dominates experiment run time.
-func engineHotPath(kind sim.SchedulerKind) {
-	e := sim.NewEngine(sim.WithScheduler(kind))
+func engineHotPath() {
+	e := sim.NewEngine()
 	for s := 0; s < 8; s++ {
 		gap := sim.Duration(700 + 13*s)
 		left := 125
@@ -71,21 +71,21 @@ func loadBudgets(t *testing.T) budgetFile {
 	return bf
 }
 
-// measureHotPath benchmarks the 1000-event engine chain on one backend.
-func measureHotPath(kind sim.SchedulerKind) backendStats {
+// measureHotPath benchmarks the 1000-event engine chain.
+func measureHotPath() allocStats {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			engineHotPath(kind)
+			engineHotPath()
 		}
 	})
-	return backendStats{NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp()}
+	return allocStats{NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp()}
 }
 
-// measureSuiteE01 benchmarks the E01 experiment at quick duration on one
-// backend — the representative end-to-end cell path (sources, links,
-// switch algorithm, metrics sampling).
-func measureSuiteE01(t testing.TB, kind sim.SchedulerKind) backendStats {
+// measureSuiteE01 benchmarks the E01 experiment at quick duration — the
+// representative end-to-end cell path (sources, links, switch algorithm,
+// metrics sampling).
+func measureSuiteE01(t testing.TB) allocStats {
 	def, ok := exp.Get("E01")
 	if !ok {
 		t.Fatal("E01 not registered")
@@ -94,12 +94,12 @@ func measureSuiteE01(t testing.TB, kind sim.SchedulerKind) backendStats {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := exp.Execute(def, exp.Options{Quiet: true, Duration: d, Scheduler: kind}, nil); err != nil {
+			if _, err := exp.Execute(def, exp.Options{Quiet: true, Duration: d}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	return backendStats{NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp()}
+	return allocStats{NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp()}
 }
 
 // measureSuiteE01Telemetry is measureSuiteE01 with the full observability
@@ -108,7 +108,7 @@ func measureSuiteE01(t testing.TB, kind sim.SchedulerKind) backendStats {
 // reuse pattern the suite's sweeps use, so the measurement is the
 // steady-state cost of observing the run — budgeted at ≤2× the disabled
 // path.
-func measureSuiteE01Telemetry(t testing.TB, kind sim.SchedulerKind) backendStats {
+func measureSuiteE01Telemetry(t testing.TB) allocStats {
 	def, ok := exp.Get("E01")
 	if !ok {
 		t.Fatal("E01 not registered")
@@ -121,7 +121,7 @@ func measureSuiteE01Telemetry(t testing.TB, kind sim.SchedulerKind) backendStats
 		for i := 0; i < b.N; i++ {
 			reg.Reset()
 			tr.Reset()
-			res, err := exp.Execute(def, exp.Options{Quiet: true, Duration: d, Scheduler: kind, Telemetry: reg, Trace: tr}, nil)
+			res, err := exp.Execute(def, exp.Options{Quiet: true, Duration: d, Telemetry: reg, Trace: tr}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -130,16 +130,15 @@ func measureSuiteE01Telemetry(t testing.TB, kind sim.SchedulerKind) backendStats
 			}
 		}
 	})
-	return backendStats{NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp()}
+	return allocStats{NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp()}
 }
 
-// TestAllocBudget enforces the committed allocation budgets on both
-// scheduler backends. It runs in the ordinary test suite (CI's test job
+// TestAllocBudget enforces the committed allocation budgets of the engine's
+// calendar, the heap. It runs in the ordinary test suite (CI's test job
 // also runs it once without -race, under which it skips itself) so a
-// change that reintroduces a
-// per-cell allocation — a closure in a transmit path, a cell escaping to
-// the heap at an observer call — fails the build rather than silently
-// regressing throughput.
+// change that reintroduces a per-cell allocation — a closure in a transmit
+// path, a cell escaping to the heap at an observer call — fails the build
+// rather than silently regressing throughput.
 func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is unreliable under -race")
@@ -148,37 +147,31 @@ func TestAllocBudget(t *testing.T) {
 		t.Skip("benchmarking loop; skipped in -short mode")
 	}
 	bf := loadBudgets(t)
-	for _, kind := range sim.SchedulerKinds() {
-		hot := measureHotPath(kind)
-		if hot.AllocsPerOp*100 > preRefactorAllocsPerOp*80 {
-			t.Errorf("engine_hot_path_1000_events/%s: %d allocs/op, want ≥20%% below the pre-pooling baseline %d",
-				kind, hot.AllocsPerOp, preRefactorAllocsPerOp)
+	hot := measureHotPath()
+	if hot.AllocsPerOp*100 > preRefactorAllocsPerOp*80 {
+		t.Errorf("engine_hot_path_1000_events: %d allocs/op, want ≥20%% below the pre-pooling baseline %d",
+			hot.AllocsPerOp, preRefactorAllocsPerOp)
+	}
+	for _, m := range []struct {
+		workload string
+		got      allocStats
+	}{
+		{"engine_hot_path_1000_events", hot},
+		{"suite_e01_quick", measureSuiteE01(t)},
+		{"suite_e01_quick_telemetry", measureSuiteE01Telemetry(t)},
+	} {
+		budget, ok := bf.Budgets[m.workload]["heap"]
+		if !ok {
+			t.Fatalf("no heap budget for %s in testdata/alloc_budget.json", m.workload)
 		}
-		suite := measureSuiteE01(t, kind)
-		suiteTel := measureSuiteE01Telemetry(t, kind)
-		for _, m := range []struct {
-			workload string
-			got      backendStats
-		}{
-			{"engine_hot_path_1000_events", hot},
-			{"suite_e01_quick", suite},
-			{"suite_e01_quick_telemetry", suiteTel},
-		} {
-			budget, ok := bf.Budgets[m.workload][string(kind)]
-			if !ok {
-				t.Fatalf("no budget for %s/%s in testdata/alloc_budget.json", m.workload, kind)
-			}
-			if m.got.AllocsPerOp > budget.AllocsPerOp {
-				t.Errorf("%s/%s: %d allocs/op exceeds budget %d",
-					m.workload, kind, m.got.AllocsPerOp, budget.AllocsPerOp)
-			}
-			if m.got.BytesPerOp > budget.BytesPerOp {
-				t.Errorf("%s/%s: %d B/op exceeds budget %d",
-					m.workload, kind, m.got.BytesPerOp, budget.BytesPerOp)
-			}
-			t.Logf("%s/%s: %d allocs/op (budget %d), %d B/op (budget %d), %d ns/op",
-				m.workload, kind, m.got.AllocsPerOp, budget.AllocsPerOp,
-				m.got.BytesPerOp, budget.BytesPerOp, m.got.NsPerOp)
+		if m.got.AllocsPerOp > budget.AllocsPerOp {
+			t.Errorf("%s: %d allocs/op exceeds budget %d", m.workload, m.got.AllocsPerOp, budget.AllocsPerOp)
 		}
+		if m.got.BytesPerOp > budget.BytesPerOp {
+			t.Errorf("%s: %d B/op exceeds budget %d", m.workload, m.got.BytesPerOp, budget.BytesPerOp)
+		}
+		t.Logf("%s: %d allocs/op (budget %d), %d B/op (budget %d), %d ns/op",
+			m.workload, m.got.AllocsPerOp, budget.AllocsPerOp,
+			m.got.BytesPerOp, budget.BytesPerOp, m.got.NsPerOp)
 	}
 }

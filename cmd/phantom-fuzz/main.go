@@ -12,7 +12,7 @@
 //	phantom-fuzz -n 200                  # 200 scenarios per family
 //	phantom-fuzz -family waxman -n 1000  # one family, deeper
 //	phantom-fuzz -family waxman -seed 7  # replay one scenario, verbosely
-//	phantom-fuzz -n 50 -crosscheck       # also diff heap vs wheel runs
+//	phantom-fuzz -n 50 -crosscheck       # also diff each run against a re-run
 //	phantom-fuzz -n 200 -minimize -freeze testdata/fuzz-regressions
 //	phantom-fuzz -n 100 -telemetry -store out/fuzzdb  # persist every run
 //	phantom-fuzz -n 500 -submit :8080    # run the campaign on a daemon
@@ -43,21 +43,20 @@ import (
 	"repro/internal/cli"
 	"repro/internal/runner"
 	"repro/internal/scengen"
-	"repro/internal/sim"
 	"repro/internal/simconfig"
 	"repro/internal/telemetry"
 )
 
 func main() {
 	c := cli.New("phantom-fuzz",
-		cli.FlagWorkers|cli.FlagScheduler|cli.FlagQuiet|cli.FlagJSON|cli.FlagProfile|
+		cli.FlagWorkers|cli.FlagQuiet|cli.FlagJSON|cli.FlagProfile|
 			cli.FlagTelemetry|cli.FlagTrace|cli.FlagStore|cli.FlagHTTP|cli.FlagSubmit)
 	n := flag.Int("n", 100, "scenarios per family")
 	familyName := flag.String("family", "", "restrict to one family (default all): parkinglot, fattree, waxman, flashcrowd, webmix, transient, shardedmesh")
 	seedFlag := flag.Uint64("seed", 0, "replay exactly one scenario with this seed (requires -family)")
 	minimize := flag.Bool("minimize", false, "shrink each failing scenario to a minimal reproducer")
 	freezeDir := flag.String("freeze", "", "write failing scenarios as regression files into this directory")
-	crossCheck := flag.Bool("crosscheck", false, "run every scenario on both scheduler backends and compare")
+	crossCheck := flag.Bool("crosscheck", false, "re-run every scenario on a fresh engine (and a sharded one single-engine) and compare fingerprints")
 	c.Parse()
 
 	if *seedFlag != 0 {
@@ -71,7 +70,7 @@ func main() {
 		if err != nil {
 			c.Fatal(err)
 		}
-		clean, err := replayOne(c, fam, *seedFlag, *minimize, *freezeDir)
+		clean, err := replayOne(fam, *seedFlag, *minimize, *freezeDir)
 		if err != nil {
 			c.Fatal(err)
 		}
@@ -87,7 +86,6 @@ func main() {
 		Kind:          api.KindFuzz,
 		Fuzz:          &api.FuzzSpec{N: *n, CrossCheck: *crossCheck, Minimize: *minimize},
 		Workers:       c.Workers,
-		Scheduler:     string(c.Scheduler),
 		Telemetry:     c.Telemetry,
 	}
 	if *familyName != "" {
@@ -109,7 +107,6 @@ func main() {
 // export, -store).
 func runLocal(c *cli.Common, spec api.JobSpec, freezeDir string) int {
 	expn, err := api.Expand(spec, api.Env{
-		Scheduler:    c.Scheduler,
 		Trace:        c.TraceDir != "" || c.StoreDir != "",
 		TraceRingCap: cli.TraceRingCap,
 	})
@@ -263,17 +260,13 @@ func runRemote(c *cli.Common, spec api.JobSpec, freezeDir string) int {
 // replayOne generates and checks a single (family, seed) scenario,
 // printing its text and full outcome — the debugging view for a campaign
 // finding.
-func replayOne(c *cli.Common, fam scengen.Family, seed uint64, minimize bool, freezeDir string) (clean bool, err error) {
+func replayOne(fam scengen.Family, seed uint64, minimize bool, freezeDir string) (clean bool, err error) {
 	spec, text, err := scengen.Generate(fam, seed)
 	if err != nil {
 		return false, err
 	}
 	fmt.Printf("# %s seed=%d\n%s", fam, seed, text)
-	sched := c.Scheduler
-	if sched == sim.SchedulerDefault {
-		sched = sim.SchedulerHeap
-	}
-	o, err := scengen.RunSpec(spec, sched)
+	o, err := scengen.RunSpec(spec)
 	if err != nil {
 		return false, err
 	}
@@ -288,7 +281,7 @@ func replayOne(c *cli.Common, fam scengen.Family, seed uint64, minimize bool, fr
 	}
 	f := &scengen.Finding{Family: fam, Index: -1, Seed: seed, Text: text, Violations: violations}
 	if minimize {
-		min := scengen.Minimize(spec, violations[0].Name, sched)
+		min := scengen.Minimize(spec, violations[0].Name)
 		if mt, err := simconfig.Emit(min); err == nil && mt != text {
 			f.Minimized = mt
 			fmt.Printf("\nminimized reproducer:\n%s", mt)

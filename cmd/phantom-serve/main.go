@@ -26,7 +26,7 @@ import (
 func main() { os.Exit(run()) }
 
 func run() int {
-	c := cli.New("phantom-serve", cli.FlagWorkers|cli.FlagScheduler|cli.FlagHTTP)
+	c := cli.New("phantom-serve", cli.FlagWorkers|cli.FlagHTTP)
 	addr := flag.String("addr", ":8080", "job API listen address")
 	data := flag.String("data", "",
 		"data root: each job writes a phantomdb campaign to <data>/<job-id> (empty: no persistence)")
@@ -40,7 +40,6 @@ func run() int {
 		QueueDepth:   *queue,
 		JobWorkers:   *jobsN,
 		FleetWorkers: c.Workers,
-		Scheduler:    c.Scheduler,
 		Pprof:        c.Pprof,
 	})
 

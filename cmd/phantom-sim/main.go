@@ -58,7 +58,7 @@ type view struct {
 
 func main() {
 	c := cli.New("phantom-sim",
-		cli.FlagQuiet|cli.FlagScheduler|cli.FlagProfile|cli.FlagTelemetry|cli.FlagTrace|cli.FlagStore|cli.FlagShards)
+		cli.FlagQuiet|cli.FlagProfile|cli.FlagTelemetry|cli.FlagTrace|cli.FlagStore|cli.FlagShards)
 	traceN := flag.Int("trace", 0, "dump the last N trace events after the run")
 	svgDir := flag.String("svg", "", "write SVG figures into this directory")
 	csvPath := flag.String("csv", "", "write all series as CSV to this file")
@@ -80,7 +80,6 @@ func main() {
 	}
 
 	cfg := spec.Config
-	cfg.Scheduler = c.Scheduler
 	cfg.Trace = tr
 	cfg.Telemetry = reg
 	if c.Shards != 0 {

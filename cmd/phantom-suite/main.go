@@ -18,9 +18,6 @@
 //	-quick          use the reduced-duration profile (the golden baseline
 //	                profile; also what the benchmarks use)
 //	-sweep N        run each matched experiment at N seeded sweep points
-//	-scheduler s    engine calendar backend, heap (default) or wheel;
-//	                results are bit-identical either way, so golden
-//	                comparison still applies
 //	-golden dir     golden directory (default testdata/golden)
 //	-update-golden  rewrite the golden baselines from this run
 //	-telemetry      give every job a counter registry; report per-experiment
@@ -72,7 +69,7 @@ import (
 
 func main() {
 	c := cli.New("phantom-suite",
-		cli.FlagFilter|cli.FlagWorkers|cli.FlagDuration|cli.FlagQuick|cli.FlagJSON|cli.FlagScheduler|
+		cli.FlagFilter|cli.FlagWorkers|cli.FlagDuration|cli.FlagQuick|cli.FlagJSON|
 			cli.FlagProfile|cli.FlagTelemetry|cli.FlagTrace|cli.FlagStore|cli.FlagHTTP|cli.FlagSubmit|cli.FlagShards)
 	var (
 		goldenDir    = flag.String("golden", "testdata/golden", "golden baseline directory")
@@ -151,7 +148,6 @@ func run(c *cli.Common, goldenDir string, updateGolden bool, sweep int, list, ve
 			Sweep:      sweep,
 		},
 		Workers:   c.Workers,
-		Scheduler: string(c.Scheduler),
 		Telemetry: c.Telemetry,
 		Shards:    c.Shards,
 	}
@@ -203,7 +199,6 @@ func run(c *cli.Common, goldenDir string, updateGolden bool, sweep int, list, ve
 // runLocal expands the spec onto this process's own fleet.
 func runLocal(c *cli.Common, spec api.JobSpec, verbose bool) (*api.Report, int) {
 	expn, err := api.Expand(spec, api.Env{
-		Scheduler: c.Scheduler,
 		// The store persists trace events too, so -store alone records
 		// every job; JSONL files are only written for -trace-dir. Tracing
 		// never alters results either way.

@@ -8,6 +8,6 @@
 //
 // Start with README.md for the tour, DESIGN.md for the system inventory
 // and experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The top-level bench_test.go regenerates every experiment via
-// `go test -bench=.`.
+// `phantom-suite -quick -json` regenerates every experiment and reports
+// its wall time and summary metrics.
 package repro

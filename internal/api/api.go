@@ -24,7 +24,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/runner"
 	"repro/internal/scengen"
-	"repro/internal/sim"
 )
 
 // SchemaVersion is the payload schema every api envelope carries. It is
@@ -58,7 +57,7 @@ const (
 // JobSpec is the one job vocabulary: a complete, serializable description
 // of a campaign. Exactly one of Suite, Scenario, Fuzz is set, matching
 // Kind. The zero values of the common knobs defer to the executor (its
-// worker count, its default scheduler).
+// worker count).
 type JobSpec struct {
 	SchemaVersion int  `json:"schema_version"`
 	Kind          Kind `json:"kind"`
@@ -70,9 +69,6 @@ type JobSpec struct {
 	// Workers bounds the executing fleet's concurrency (0: executor's
 	// default, GOMAXPROCS for local runs, the daemon's -j for remote).
 	Workers int `json:"workers,omitempty"`
-	// Scheduler picks the engine calendar backend ("heap" or "wheel";
-	// empty: executor default). Results are bit-identical either way.
-	Scheduler string `json:"scheduler,omitempty"`
 	// Telemetry gives every run a private counter registry; per-run
 	// snapshots ride the results and fleet totals ride the stats.
 	Telemetry bool `json:"telemetry,omitempty"`
@@ -108,8 +104,9 @@ type ScenarioSpec struct {
 	Text string `json:"text"`
 	// Name labels the run in results (default "scenario").
 	Name string `json:"name,omitempty"`
-	// CrossCheck additionally runs the scenario on the other scheduler
-	// backend and reports a determinism violation on any divergence.
+	// CrossCheck additionally re-runs the scenario on a fresh engine (and a
+	// sharded one single-engine) and reports a determinism violation on any
+	// divergence.
 	CrossCheck bool `json:"crosscheck,omitempty"`
 }
 
@@ -119,22 +116,19 @@ type FuzzSpec struct {
 	Families []string `json:"families,omitempty"`
 	// N is the number of scenarios per family.
 	N int `json:"n"`
-	// CrossCheck diffs heap-vs-wheel fingerprints per scenario.
+	// CrossCheck diffs each scenario's fingerprint against a re-run's.
 	CrossCheck bool `json:"crosscheck,omitempty"`
 	// Minimize shrinks each failing scenario to a minimal reproducer.
 	Minimize bool `json:"minimize,omitempty"`
 }
 
 // Validate checks the spec's internal consistency: a known kind, exactly
-// the matching payload present, parseable scheduler and filter, and an
+// the matching payload present, a parseable filter, and an
 // expansion of at most MaxJobs jobs. It is the shared gate for both the
 // CLIs (before running or submitting) and the daemon (before accepting).
 func (s *JobSpec) Validate() error {
 	if s.SchemaVersion != 0 && s.SchemaVersion != SchemaVersion {
 		return fmt.Errorf("api: schema_version %d not supported (want %d)", s.SchemaVersion, SchemaVersion)
-	}
-	if _, err := sim.ParseScheduler(s.Scheduler); err != nil {
-		return fmt.Errorf("api: %w", err)
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("api: negative workers %d", s.Workers)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/runner"
 	"repro/internal/scengen"
-	"repro/internal/sim"
 )
 
 func suiteSpec(filter string) JobSpec {
@@ -34,7 +33,6 @@ func TestValidate(t *testing.T) {
 			s.Kind = KindFuzz
 		}, "without a fuzz payload"},
 		{"unknown kind", func(s *JobSpec) { s.Kind = "bogus" }, "unknown job kind"},
-		{"bad scheduler", func(s *JobSpec) { s.Scheduler = "fifo" }, "scheduler"},
 		{"negative workers", func(s *JobSpec) { s.Workers = -1 }, "workers"},
 		{"negative sweep", func(s *JobSpec) { s.Suite.Sweep = -2 }, "sweep"},
 		{"scenario needs text", func(s *JobSpec) {
@@ -193,7 +191,7 @@ func TestExpandScenario(t *testing.T) {
 		Kind:     KindScenario,
 		Scenario: &ScenarioSpec{Text: text, Name: "tiny"},
 	}
-	e, err := Expand(spec, Env{Scheduler: sim.SchedulerHeap})
+	e, err := Expand(spec, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,13 +12,10 @@ import (
 	"repro/internal/simconfig"
 )
 
-// Env is what the executor brings to a spec: its default scheduler and its
-// observation posture. The spec says what to run; the Env says where it
-// runs — the same spec expands identically on a CLI and on the daemon
-// apart from these knobs.
+// Env is what the executor brings to a spec: its observation posture. The
+// spec says what to run; the Env says where it runs — the same spec
+// expands identically on a CLI and on the daemon apart from these knobs.
 type Env struct {
-	// Scheduler is the fallback backend when the spec doesn't pick one.
-	Scheduler sim.SchedulerKind
 	// Trace records every job on a flight recorder, for executors that
 	// persist runs into a campaign store (the recorder feeds the store's
 	// trace blocks) or export them (runner.Fleet.OnTrace). Expansion only
@@ -39,7 +36,6 @@ type Expansion struct {
 	// exact slice: Convert is keyed by job index.
 	Jobs []runner.Job
 
-	sched    sim.SchedulerKind
 	campaign *scengen.Campaign // fuzz kind
 	scenViol []scengen.Violation
 	scenSet  bool
@@ -56,10 +52,6 @@ func Expand(spec JobSpec, env Env) (*Expansion, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	kind, _ := sim.ParseScheduler(spec.Scheduler) // Validate checked it
-	if kind == sim.SchedulerDefault {
-		kind = env.Scheduler
-	}
 	traceCap := 0 // runner.Job.TraceCap of every job: 0 leaves them unrecorded
 	if env.Trace {
 		traceCap = env.TraceRingCap
@@ -67,7 +59,7 @@ func Expand(spec JobSpec, env Env) (*Expansion, error) {
 			traceCap = TraceRingDefault
 		}
 	}
-	e := &Expansion{Spec: spec, sched: kind}
+	e := &Expansion{Spec: spec}
 	switch spec.Kind {
 	case KindSuite:
 		e.expandSuite(traceCap)
@@ -97,7 +89,7 @@ func (e *Expansion) expandSuite(traceCap int) {
 	e.Jobs = make([]runner.Job, 0, len(defs)*sweep) // at most MaxJobs: Validate checked
 	for _, d := range defs {
 		for i := 0; i < sweep; i++ {
-			o := exp.Options{Quiet: true, Duration: sim.Duration(s.DurationNS), Scheduler: e.sched, Shards: e.Spec.Shards}
+			o := exp.Options{Quiet: true, Duration: sim.Duration(s.DurationNS), Shards: e.Spec.Shards}
 			if s.Quick && o.Duration == 0 {
 				o.Duration = runner.QuickDuration(d.ID)
 			}
@@ -122,45 +114,23 @@ func (e *Expansion) expandScenario(traceCap int) error {
 	if name == "" {
 		name = "scenario"
 	}
-	sched := e.sched
-	if sched == sim.SchedulerDefault {
-		sched = sim.SchedulerHeap
-	}
 	crossCheck := s.CrossCheck
 	e.Jobs = []runner.Job{{
 		Def: exp.Definition{
 			ID:    name,
 			Title: "simconfig scenario",
 			Run: func(o exp.Options) (*exp.Result, error) {
-				out, err := scengen.RunSpecObserved(parsed, sched, scengen.Observe{Telemetry: o.Telemetry, Trace: o.Trace})
+				out, err := scengen.RunSpecObserved(parsed, scengen.Observe{Telemetry: o.Telemetry, Trace: o.Trace})
 				if err != nil {
 					return nil, err
 				}
 				violations := scengen.Check(out)
 				if crossCheck {
-					other := sim.SchedulerWheel
-					if sched == sim.SchedulerWheel {
-						other = sim.SchedulerHeap
-					}
-					out2, err := scengen.RunSpec(parsed, other)
+					more, err := scengen.CrossCheck(parsed, out)
 					if err != nil {
-						return nil, fmt.Errorf("scenario failed on %s: %w", other, err)
+						return nil, fmt.Errorf("scenario %w", err)
 					}
-					if out2.Fingerprint != out.Fingerprint {
-						violations = append(violations, scengen.Violation{Name: "determinism", Detail: fmt.Sprintf(
-							"%s and %s runs disagree:\n  %s\nvs\n  %s", sched, other, out.Fingerprint, out2.Fingerprint)})
-					}
-					if out.Shards > 1 {
-						out3, err := scengen.RunSpec(scengen.Unsharded(parsed), sched)
-						if err != nil {
-							return nil, fmt.Errorf("scenario failed single-engine: %w", err)
-						}
-						if out3.DataFingerprint != out.DataFingerprint {
-							violations = append(violations, scengen.Violation{Name: "shard-determinism", Detail: fmt.Sprintf(
-								"%d-shard and single-engine runs disagree:\n  %s\nvs\n  %s",
-								out.Shards, out.DataFingerprint, out3.DataFingerprint)})
-						}
-					}
+					violations = append(violations, more...)
 				}
 				// The job runs at most once per expansion, on one worker:
 				// the slot write is ordered before every reader (Convert
@@ -201,7 +171,6 @@ func (e *Expansion) expandFuzz(traceCap int) error {
 	c, err := scengen.NewCampaign(scengen.CampaignConfig{
 		Families:   families,
 		N:          s.N,
-		Scheduler:  e.sched,
 		CrossCheck: s.CrossCheck,
 		Minimize:   s.Minimize,
 		TraceCap:   traceCap,

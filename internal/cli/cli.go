@@ -2,7 +2,7 @@
 // phantom-* commands. Each binary declares which of the common flags it
 // supports with a Flags mask; the flags parse into one Common value that
 // converts straight into exp.Options, so a flag added here (like
-// -scheduler) reaches every binary in one place instead of six.
+// -shards) reaches every binary in one place instead of six.
 package cli
 
 import (
@@ -42,8 +42,6 @@ const (
 	FlagWorkers
 	// FlagQuick registers -quick: the reduced-duration golden profile.
 	FlagQuick
-	// FlagScheduler registers -scheduler: the engine calendar backend.
-	FlagScheduler
 	// FlagProfile registers -cpuprofile and -memprofile: write pprof
 	// profiles of the run for performance work on the cell path.
 	FlagProfile
@@ -95,8 +93,6 @@ type Common struct {
 	Workers int
 	// Quick selects the reduced-duration golden profile.
 	Quick bool
-	// Scheduler is the validated engine backend selected by -scheduler.
-	Scheduler sim.SchedulerKind
 	// Telemetry enables the counter registry for each run.
 	Telemetry bool
 	// TraceDir, when non-empty, is where each run's flight-recorder JSONL
@@ -116,10 +112,9 @@ type Common struct {
 	// Shards is the engine count per scenario (0 or 1 = single-engine).
 	Shards int
 
-	schedulerName string
-	cpuProfile    string
-	memProfile    string
-	cpuFile       *os.File
+	cpuProfile string
+	memProfile string
+	cpuFile    *os.File
 }
 
 // New registers the selected common flags on the default flag set. Call it
@@ -144,10 +139,6 @@ func New(prog string, flags Flags) *Common {
 	}
 	if flags&FlagQuick != 0 {
 		flag.BoolVar(&c.Quick, "quick", false, "use the reduced-duration golden profile")
-	}
-	if flags&FlagScheduler != 0 {
-		flag.StringVar(&c.schedulerName, "scheduler", "",
-			"simulation engine calendar backend: heap or wheel (default heap); results are identical, only run cost differs")
 	}
 	if flags&FlagProfile != 0 {
 		flag.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -188,16 +179,6 @@ func (c *Common) Parse() {
 	flag.Parse()
 	if id, ok := aliases[strings.ToLower(c.Filter)]; ok {
 		c.Filter = id
-	}
-	kind, err := sim.ParseScheduler(c.schedulerName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: bad -scheduler: %v\n", c.prog, err)
-		os.Exit(2)
-	}
-	// Keep the zero value when the flag was absent or empty so configs fall
-	// through to the engine default.
-	if c.schedulerName != "" {
-		c.Scheduler = kind
 	}
 	if c.Shards < 0 {
 		fmt.Fprintf(os.Stderr, "%s: bad -shards: must be ≥ 0, got %d\n", c.prog, c.Shards)
@@ -247,10 +228,9 @@ func (c *Common) Close() {
 // that execute several experiments keep their counters separated.
 func (c *Common) Options() exp.Options {
 	o := exp.Options{
-		Duration:  sim.Duration(c.Duration),
-		Quiet:     c.Quiet || c.JSON,
-		Scheduler: c.Scheduler,
-		Shards:    c.Shards,
+		Duration: sim.Duration(c.Duration),
+		Quiet:    c.Quiet || c.JSON,
+		Shards:   c.Shards,
 	}
 	if c.Telemetry {
 		o.Telemetry = telemetry.New()

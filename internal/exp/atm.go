@@ -23,10 +23,9 @@ func phantomTarget() float64 {
 }
 
 // buildAndRun constructs an ATM scenario and runs it for d, applying the
-// run-shaping options (scheduler backend) to the config. The run length
-// doubles as the series pre-sizing hint.
+// run-shaping options (telemetry, trace, shards) to the config. The run
+// length doubles as the series pre-sizing hint.
 func buildAndRun(cfg scenario.ATMConfig, d sim.Duration, o Options) (*scenario.ATMNet, error) {
-	cfg.Scheduler = o.Scheduler
 	cfg.Duration = d
 	cfg.Telemetry = o.Telemetry
 	cfg.Shards = o.Shards

@@ -30,11 +30,6 @@ type Options struct {
 	// the fleet runner derives a stable non-zero Seed per (experiment,
 	// sweep index) so that future stochastic sweeps stay reproducible.
 	Seed uint64
-	// Scheduler selects the simulation engine's calendar backend (heap or
-	// wheel) for every engine the experiment builds. It tunes run cost
-	// only: results are bit-identical across backends, which the golden
-	// snapshots verify. Empty picks the default.
-	Scheduler sim.SchedulerKind
 	// Telemetry, if non-nil, receives counters from every component the
 	// experiment builds. Experiments that build several networks (sweeps,
 	// comparisons) accumulate into the one registry, so the snapshot that

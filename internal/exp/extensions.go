@@ -52,7 +52,6 @@ func init() {
 			cloud, err := scenario.BuildTCPOverATM(scenario.InteropConfig{
 				Alg:       switchalg.NewPhantom(core.Config{}),
 				Flows:     flows,
-				Scheduler: o.Scheduler,
 				Telemetry: o.Telemetry,
 				Trace:     o.Trace,
 			})

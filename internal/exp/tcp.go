@@ -21,10 +21,9 @@ func fig14Flows() []scenario.TCPFlowSpec {
 }
 
 // runTCP builds and runs a TCP scenario, applying the run-shaping options
-// (scheduler backend) to the config. The run length doubles as the series
+// (telemetry, trace) to the config. The run length doubles as the series
 // pre-sizing hint.
 func runTCP(cfg scenario.TCPConfig, d sim.Duration, o Options) (*scenario.TCPNet, error) {
-	cfg.Scheduler = o.Scheduler
 	cfg.Duration = d
 	cfg.Telemetry = o.Telemetry
 	cfg.Trace = o.Trace
@@ -174,7 +173,6 @@ func init() {
 					disc = ip.NewPhantomDiscipline(ip.SelectiveDiscard, core.Config{})
 					return disc
 				},
-				Scheduler: o.Scheduler,
 				Duration:  d,
 				Telemetry: o.Telemetry,
 				Trace:     o.Trace,
@@ -242,7 +240,6 @@ func init() {
 					Disc: func() ip.Discipline {
 						return ip.NewPhantomDiscipline(mode, core.Config{})
 					},
-					Scheduler: o.Scheduler,
 					Duration:  d,
 					Telemetry: o.Telemetry,
 					Trace:     o.Trace,

@@ -18,16 +18,15 @@ import (
 // when dir is non-empty, the campaign store attached. Runs are recorded on
 // the workers' resident recorders, or — with fresh set — each on a recorder
 // of its own, made for it and never reused.
-func runFleetStore(t *testing.T, sched sim.SchedulerKind, workers int, dir string, fresh bool) []Result {
+func runFleetStore(t *testing.T, workers int, dir string, fresh bool) []Result {
 	t.Helper()
 	const ringCap = 1 << 10
 	defs := exp.All()
 	jobs := make([]Job, len(defs))
 	for i, d := range defs {
 		jobs[i] = Job{Def: d, Opts: exp.Options{
-			Quiet:     true,
-			Duration:  shortDuration(d.ID),
-			Scheduler: sched,
+			Quiet:    true,
+			Duration: shortDuration(d.ID),
 		}}
 		switch {
 		case dir == "":
@@ -63,58 +62,56 @@ func runFleetStore(t *testing.T, sched sim.SchedulerKind, workers int, dir strin
 }
 
 // TestStoreObservationFree extends the observation-freeness contract to
-// the results store: on both scheduler backends, a fleet persisting every
-// run (summaries, counters, traces) produces summaries bit-identical to a
-// store-less fleet, and the persisted summaries read back bit-identical to
-// the in-memory results.
+// the results store: a fleet persisting every run (summaries, counters,
+// traces) produces summaries bit-identical to a store-less fleet, and the
+// persisted summaries read back bit-identical to the in-memory results.
 func TestStoreObservationFree(t *testing.T) {
 	defs := exp.All()
 	if len(defs) == 0 {
 		t.Fatal("registry is empty")
 	}
-	for _, sched := range []sim.SchedulerKind{sim.SchedulerHeap, sim.SchedulerWheel} {
-		t.Run(string(sched), func(t *testing.T) {
-			off := runFleetStore(t, sched, 4, "", false)
-			dir := t.TempDir()
-			on := runFleetStore(t, sched, 4, dir, false)
-			for i := range defs {
-				summariesIdentical(t, defs[i].ID+" store on-vs-off", on[i].Res.Summary, off[i].Res.Summary)
-			}
+	// The heap is the engine's one calendar; the subtest keeps its name.
+	t.Run("heap", func(t *testing.T) {
+		off := runFleetStore(t, 4, "", false)
+		dir := t.TempDir()
+		on := runFleetStore(t, 4, dir, false)
+		for i := range defs {
+			summariesIdentical(t, defs[i].ID+" store on-vs-off", on[i].Res.Summary, off[i].Res.Summary)
+		}
 
-			rd, err := store.Open(dir)
-			if err != nil {
-				t.Fatal(err)
+		rd, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var persisted []store.RunSummary
+		if err := rd.Summaries(store.Query{Sweep: store.AnySweep}, func(s store.RunSummary) error {
+			persisted = append(persisted, s)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(persisted) != len(defs) {
+			t.Fatalf("store holds %d run summaries, want %d", len(persisted), len(defs))
+		}
+		for i := range defs {
+			if persisted[i].Experiment != defs[i].ID {
+				t.Fatalf("store run %d is %q, want %q — run order lost", i, persisted[i].Experiment, defs[i].ID)
 			}
-			var persisted []store.RunSummary
-			if err := rd.Summaries(store.Query{Sweep: store.AnySweep}, func(s store.RunSummary) error {
-				persisted = append(persisted, s)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if len(persisted) != len(defs) {
-				t.Fatalf("store holds %d run summaries, want %d", len(persisted), len(defs))
-			}
-			for i := range defs {
-				if persisted[i].Experiment != defs[i].ID {
-					t.Fatalf("store run %d is %q, want %q — run order lost", i, persisted[i].Experiment, defs[i].ID)
-				}
-				summariesIdentical(t, defs[i].ID+" store read-back", persisted[i].Summary, on[i].Res.Summary)
-			}
-			// Counters persisted too (telemetry was on), and every run that
-			// carried a tracer stored events.
-			nCounters := 0
-			if err := rd.Counters(store.Query{Sweep: store.AnySweep}, func(c store.RunCounters) error {
-				nCounters++
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if nCounters != len(defs) {
-				t.Fatalf("store holds %d counter snapshots, want %d", nCounters, len(defs))
-			}
-		})
-	}
+			summariesIdentical(t, defs[i].ID+" store read-back", persisted[i].Summary, on[i].Res.Summary)
+		}
+		// Counters persisted too (telemetry was on), and every run that carried
+		// a tracer stored events.
+		nCounters := 0
+		if err := rd.Counters(store.Query{Sweep: store.AnySweep}, func(c store.RunCounters) error {
+			nCounters++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if nCounters != len(defs) {
+			t.Fatalf("store holds %d counter snapshots, want %d", nCounters, len(defs))
+		}
+	})
 }
 
 // readCampaign loads every file of a campaign directory.
@@ -160,11 +157,11 @@ func campaignsIdentical(t *testing.T, label string, a, b map[string][]byte) {
 // job records on a fresh ring of its own.
 func TestStoreWorkerCountByteIdentical(t *testing.T) {
 	dirFresh := t.TempDir()
-	runFleetStore(t, sim.SchedulerHeap, 4, dirFresh, true)
+	runFleetStore(t, 4, dirFresh, true)
 	want := readCampaign(t, dirFresh)
 	for _, workers := range []int{1, 2, 8} {
 		dir := t.TempDir()
-		runFleetStore(t, sim.SchedulerHeap, workers, dir, false)
+		runFleetStore(t, workers, dir, false)
 		campaignsIdentical(t, fmt.Sprintf("%d workers vs fresh recorders", workers), want, readCampaign(t, dir))
 	}
 }

@@ -75,10 +75,6 @@ type ATMConfig struct {
 	// and Run folds the engine's event statistics in when it returns.
 	Telemetry *telemetry.Registry
 	Sessions  []ATMSessionSpec
-	// Scheduler selects the engine's calendar backend (heap or wheel);
-	// empty picks the default. The choice never changes results — both
-	// backends honor the same (time, seq) order — only run cost.
-	Scheduler sim.SchedulerKind
 	// Shards splits the chain across N engines synchronized by the
 	// conservative epoch-barrier protocol (DESIGN.md §14); 0 or 1 runs the
 	// classic single engine. Auto-partitioning is contiguous balanced
@@ -112,7 +108,6 @@ func (c *ATMConfig) Lower() GraphConfig {
 		Trace:         c.Trace,
 		Telemetry:     c.Telemetry,
 		Sessions:      make([]GraphSessionSpec, len(c.Sessions)),
-		Scheduler:     c.Scheduler,
 		Shards:        c.Shards,
 		Partition:     c.Partition,
 	}

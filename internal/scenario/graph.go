@@ -74,8 +74,6 @@ type GraphConfig struct {
 	// Telemetry, if non-nil, receives the scenario's counters.
 	Telemetry *telemetry.Registry
 	Sessions  []GraphSessionSpec
-	// Scheduler selects the engine's calendar backend; empty is the default.
-	Scheduler sim.SchedulerKind
 	// Shards splits the topology across N engines under the conservative
 	// epoch-barrier protocol (DESIGN.md §14); 0 or 1 runs single-engine.
 	// Auto-partitioning, clamped to the node count, is read off the edge
@@ -272,10 +270,6 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 		return nil, err
 	}
 
-	sched, err := sim.ParseScheduler(string(cfg.Scheduler))
-	if err != nil {
-		return nil, err
-	}
 	sedges := make([]shard.Edge, len(cfg.Edges))
 	for k, ed := range cfg.Edges {
 		sedges[k] = shard.Edge{U: ed.U, V: ed.V, Delay: cfg.EdgeDelay(k), Name: fmt.Sprintf("F%d", k)}
@@ -289,7 +283,7 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := newShardPlan(part, sedges, sched, cfg.Telemetry, cfg.Trace)
+	plan, err := newShardPlan(part, sedges, cfg.Telemetry, cfg.Trace)
 	if err != nil {
 		return nil, err
 	}

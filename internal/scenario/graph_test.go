@@ -124,10 +124,8 @@ func TestGraphSharedBottleneckFairness(t *testing.T) {
 }
 
 func TestGraphDeterminism(t *testing.T) {
-	run := func(kind sim.SchedulerKind) string {
-		cfg := diamondConfig()
-		cfg.Scheduler = kind
-		n, err := BuildGraph(cfg)
+	run := func() string {
+		n, err := BuildGraph(diamondConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,11 +136,8 @@ func TestGraphDeterminism(t *testing.T) {
 		}
 		return out + fmt.Sprint(n.Engine.Fired())
 	}
-	if a, b := run(""), run(""); a != b {
+	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %q vs %q", a, b)
-	}
-	if a, b := run(sim.SchedulerHeap), run(sim.SchedulerWheel); a != b {
-		t.Fatalf("scheduler-dependent: heap %q vs wheel %q", a, b)
 	}
 }
 

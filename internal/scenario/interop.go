@@ -38,9 +38,6 @@ type InteropConfig struct {
 	// and Run folds the engine's event statistics in when it returns.
 	Telemetry *telemetry.Registry
 	Flows     []TCPFlowSpec // Entry/Exit are ignored: the cloud is one hop
-	// Scheduler selects the engine's calendar backend (heap or wheel);
-	// empty picks the default. Results are identical either way.
-	Scheduler sim.SchedulerKind
 }
 
 func (c *InteropConfig) setDefaults() {
@@ -83,11 +80,7 @@ func BuildTCPOverATM(cfg InteropConfig) (*InteropNet, error) {
 		return nil, fmt.Errorf("scenario: no flows")
 	}
 
-	sched, err := sim.ParseScheduler(string(cfg.Scheduler))
-	if err != nil {
-		return nil, err
-	}
-	e := sim.NewEngine(sim.WithScheduler(sched))
+	e := sim.NewEngine()
 	n := &InteropNet{Engine: e, Config: cfg}
 	s0, s1 := atmnet.NewSwitch("S0"), atmnet.NewSwitch("S1")
 	s0.Instrument(cfg.Telemetry)

@@ -69,11 +69,10 @@ func resolvePartition(nodes, shards int, explicit []int, auto func(int) shard.Pa
 
 // newShardPlan builds the engines and per-shard observability for a
 // resolved partition, validating the cut's lookahead against edges.
-func newShardPlan(part shard.Partition, edges []shard.Edge, sched sim.SchedulerKind,
-	reg *telemetry.Registry, tr *trace.Tracer) (*shardPlan, error) {
+func newShardPlan(part shard.Partition, edges []shard.Edge, reg *telemetry.Registry, tr *trace.Tracer) (*shardPlan, error) {
 	p := &shardPlan{part: part, parentReg: reg, parentTr: tr}
 	if part.Shards == 1 {
-		p.engines = []*sim.Engine{sim.NewEngine(sim.WithScheduler(sched))}
+		p.engines = []*sim.Engine{sim.NewEngine()}
 		p.regs = []*telemetry.Registry{reg}
 		p.tracers = []*trace.Tracer{tr}
 		p.flushes = make([]engineFlush, 1)
@@ -88,7 +87,7 @@ func newShardPlan(part shard.Partition, edges []shard.Edge, sched sim.SchedulerK
 	p.regs = make([]*telemetry.Registry, part.Shards)
 	p.tracers = make([]*trace.Tracer, part.Shards)
 	for i := range p.engines {
-		p.engines[i] = sim.NewEngine(sim.WithScheduler(sched))
+		p.engines[i] = sim.NewEngine()
 		if reg != nil {
 			p.regs[i] = telemetry.New()
 		}

@@ -31,9 +31,8 @@ func graphOutcome(n *GraphNet, tail sim.Time) string {
 // protocol produces the identical per-session data to a single engine, with
 // a transient event in flight to exercise the split event-scheduling path.
 func TestGraphShardedMatchesSingle(t *testing.T) {
-	run := func(shards int, kind sim.SchedulerKind) (string, *GraphNet) {
+	run := func(shards int) (string, *GraphNet) {
 		cfg := diamondConfig()
-		cfg.Scheduler = kind
 		cfg.Shards = shards
 		cfg.Events = []TransientEvent{
 			{At: 100 * sim.Millisecond, Kind: TransientRate, Index: 0, Value: 50e6},
@@ -46,9 +45,9 @@ func TestGraphShardedMatchesSingle(t *testing.T) {
 		return graphOutcome(n, sim.Time(100*sim.Millisecond)), n
 	}
 
-	single, _ := run(1, "")
+	single, _ := run(1)
 	for _, N := range []int{2, 3, 4} {
-		got, n := run(N, "")
+		got, n := run(N)
 		if got != single {
 			t.Errorf("shards=%d diverges from single engine:\n  %s\nvs\n  %s", N, got, single)
 		}
@@ -64,16 +63,11 @@ func TestGraphShardedMatchesSingle(t *testing.T) {
 		}
 	}
 
-	// Run-to-run byte identity at a fixed shard count, on both backends, and
-	// backend-independence of the sharded run itself.
-	h1, _ := run(3, sim.SchedulerHeap)
-	h2, _ := run(3, sim.SchedulerHeap)
-	if h1 != h2 {
-		t.Errorf("sharded heap run not reproducible:\n  %s\nvs\n  %s", h1, h2)
-	}
-	w1, _ := run(3, sim.SchedulerWheel)
-	if h1 != w1 {
-		t.Errorf("sharded run scheduler-dependent: heap %s vs wheel %s", h1, w1)
+	// Run-to-run byte identity at a fixed shard count.
+	a, _ := run(3)
+	b, _ := run(3)
+	if a != b {
+		t.Errorf("sharded run not reproducible:\n  %s\nvs\n  %s", a, b)
 	}
 }
 

@@ -60,9 +60,6 @@ type TCPConfig struct {
 	// engine's event statistics in when it returns.
 	Telemetry *telemetry.Registry
 	Flows     []TCPFlowSpec
-	// Scheduler selects the engine's calendar backend (heap or wheel);
-	// empty picks the default. Results are identical either way.
-	Scheduler sim.SchedulerKind
 }
 
 func (c *TCPConfig) setDefaults() {
@@ -148,11 +145,7 @@ func BuildTCP(cfg TCPConfig) (*TCPNet, error) {
 		}
 	}
 
-	sched, err := sim.ParseScheduler(string(cfg.Scheduler))
-	if err != nil {
-		return nil, err
-	}
-	e := sim.NewEngine(sim.WithScheduler(sched))
+	e := sim.NewEngine()
 	n := &TCPNet{Engine: e, Config: cfg}
 	hint := samplesHint(cfg.Duration, cfg.SampleEvery)
 	for i := 0; i < cfg.Routers; i++ {

@@ -76,51 +76,47 @@ func TestTCPEventIdentity(t *testing.T) {
 		ipDuration, atmDuration          = 3 * sim.Second, 2 * sim.Second
 		ipFlows, atmFlows, ipRouterCount = 40, 6, 3
 	)
-	for _, kind := range sim.SchedulerKinds() {
-		n, err := BuildTCP(TCPConfig{
-			Routers:       ipRouterCount,
-			TrunkLossRate: 0.01,
-			Disc: func() ip.Discipline {
-				return ip.NewPhantomDiscipline(ip.SelectiveDiscard, core.Config{})
-			},
-			Duration:  ipDuration,
-			Flows:     timerFlows(ipFlows, ipRouterCount-1),
-			Scheduler: kind,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Run(ipDuration)
-		got := fmt.Sprintf("%s drops=%d/%d macr=%x/%x", endpointFingerprint(n.Senders, n.Receivers),
-			n.TrunkDrops(0), n.TrunkDrops(1), math.Float64bits(n.MACR[0].Last()), math.Float64bits(n.MACR[1].Last()))
-		if f, s := n.Engine.Fired(), n.Engine.Scheduled(); f != wantIPFired || s != wantIPScheduled {
-			t.Errorf("%s: TCP/IP fired %d scheduled %d, want %d and %d", kind, f, s, wantIPFired, wantIPScheduled)
-		}
-		if got != wantIP {
-			t.Errorf("%s: TCP/IP\n got %s\nwant %s", kind, got, wantIP)
-		}
-		n.Release()
+	n, err := BuildTCP(TCPConfig{
+		Routers:       ipRouterCount,
+		TrunkLossRate: 0.01,
+		Disc: func() ip.Discipline {
+			return ip.NewPhantomDiscipline(ip.SelectiveDiscard, core.Config{})
+		},
+		Duration: ipDuration,
+		Flows:    timerFlows(ipFlows, ipRouterCount-1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run(ipDuration)
+	got := fmt.Sprintf("%s drops=%d/%d macr=%x/%x", endpointFingerprint(n.Senders, n.Receivers),
+		n.TrunkDrops(0), n.TrunkDrops(1), math.Float64bits(n.MACR[0].Last()), math.Float64bits(n.MACR[1].Last()))
+	if f, s := n.Engine.Fired(), n.Engine.Scheduled(); f != wantIPFired || s != wantIPScheduled {
+		t.Errorf("TCP/IP fired %d scheduled %d, want %d and %d", f, s, wantIPFired, wantIPScheduled)
+	}
+	if got != wantIP {
+		t.Errorf("TCP/IP\n got %s\nwant %s", got, wantIP)
+	}
+	n.Release()
 
-		a, err := BuildTCPOverATM(InteropConfig{
-			Alg:            switchalg.NewPhantom(core.Config{}),
-			EdgeQueueBytes: 8 * 1024,
-			Flows:          timerFlows(atmFlows, 1),
-			Scheduler:      kind,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.Run(atmDuration)
-		var edgeDrops int64
-		for _, in := range a.Ingress {
-			edgeDrops += in.DroppedPackets()
-		}
-		got = fmt.Sprintf("%s edgedrops=%d", endpointFingerprint(a.Senders, a.Receivers), edgeDrops)
-		if f, s := a.Engine.Fired(), a.Engine.Scheduled(); f != wantATMFired || s != wantATMScheduled {
-			t.Errorf("%s: TCP over ATM fired %d scheduled %d, want %d and %d", kind, f, s, wantATMFired, wantATMScheduled)
-		}
-		if got != wantATM {
-			t.Errorf("%s: TCP over ATM\n got %s\nwant %s", kind, got, wantATM)
-		}
+	a, err := BuildTCPOverATM(InteropConfig{
+		Alg:            switchalg.NewPhantom(core.Config{}),
+		EdgeQueueBytes: 8 * 1024,
+		Flows:          timerFlows(atmFlows, 1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Run(atmDuration)
+	var edgeDrops int64
+	for _, in := range a.Ingress {
+		edgeDrops += in.DroppedPackets()
+	}
+	got = fmt.Sprintf("%s edgedrops=%d", endpointFingerprint(a.Senders, a.Receivers), edgeDrops)
+	if f, s := a.Engine.Fired(), a.Engine.Scheduled(); f != wantATMFired || s != wantATMScheduled {
+		t.Errorf("TCP over ATM fired %d scheduled %d, want %d and %d", f, s, wantATMFired, wantATMScheduled)
+	}
+	if got != wantATM {
+		t.Errorf("TCP over ATM\n got %s\nwant %s", got, wantATM)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/simconfig"
 )
 
@@ -20,11 +19,11 @@ type CampaignConfig struct {
 	// bit-identical for every worker count: seeds derive from (family,
 	// index) and findings land at their job's slot.
 	Workers int
-	// Scheduler is the engine backend scenarios run on (default heap).
-	Scheduler sim.SchedulerKind
-	// CrossCheck additionally runs every scenario on the other scheduler
-	// backend and reports a "determinism" violation if any observable
-	// counter differs — the two calendars promise bit-identical order.
+	// CrossCheck additionally re-runs every scenario on a fresh engine in
+	// the same process and reports a "determinism" violation if any
+	// observable counter differs — state leaking from one run into the next
+	// (through a pool, say) breaks reproducibility — and runs a sharded
+	// scenario single-engine as well ("shard-determinism").
 	CrossCheck bool
 	// Minimize shrinks each failing scenario to a minimal reproducer
 	// (costly: the minimizer re-runs candidates many times).
@@ -85,11 +84,6 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	if len(families) == 0 {
 		families = Families()
 	}
-	sched := cfg.Scheduler
-	if sched == sim.SchedulerDefault {
-		sched = sim.SchedulerHeap
-	}
-
 	c := &Campaign{slots: make([]*Finding, len(families)*cfg.N)}
 	for fi, fam := range families {
 		for i := 0; i < cfg.N; i++ {
@@ -99,7 +93,7 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 					ID:    "fuzz/" + string(fam),
 					Title: "scenario fuzz: " + string(fam),
 					Run: func(o exp.Options) (*exp.Result, error) {
-						f, err := runOne(fam, i, o.Seed, sched, cfg.CrossCheck, cfg.Minimize,
+						f, err := runOne(fam, i, o.Seed, cfg.CrossCheck, cfg.Minimize,
 							Observe{Telemetry: o.Telemetry, Trace: o.Trace})
 						if err != nil {
 							return nil, err
@@ -165,41 +159,23 @@ func RunCampaign(cfg CampaignConfig) (*CampaignReport, error) {
 // the scenario held every invariant. The observation sinks attach to the
 // primary run only: the cross-check re-run compares fingerprints, and
 // observation is contractually invisible to those.
-func runOne(fam Family, index int, seed uint64, sched sim.SchedulerKind, crossCheck, minimize bool, obs Observe) (*Finding, error) {
+func runOne(fam Family, index int, seed uint64, crossCheck, minimize bool, obs Observe) (*Finding, error) {
 	spec, text, err := Generate(fam, seed)
 	if err != nil {
 		return nil, err
 	}
-	o, err := RunSpecObserved(spec, sched, obs)
+	o, err := RunSpecObserved(spec, obs)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s[%d] failed to run: %w\n%s", fam, index, err, text)
 	}
 	violations := Check(o)
 
 	if crossCheck {
-		other := sim.SchedulerWheel
-		if sched == sim.SchedulerWheel {
-			other = sim.SchedulerHeap
-		}
-		o2, err := RunSpec(spec, other)
+		more, err := CrossCheck(spec, o)
 		if err != nil {
-			return nil, fmt.Errorf("scenario %s[%d] failed on %s: %w", fam, index, other, err)
+			return nil, fmt.Errorf("scenario %s[%d] %w", fam, index, err)
 		}
-		if o2.Fingerprint != o.Fingerprint {
-			violations = append(violations, Violation{"determinism", fmt.Sprintf(
-				"%s and %s runs disagree:\n  %s\nvs\n  %s", sched, other, o.Fingerprint, o2.Fingerprint)})
-		}
-		if o.Shards > 1 {
-			o3, err := RunSpec(Unsharded(spec), sched)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s[%d] failed single-engine: %w", fam, index, err)
-			}
-			if o3.DataFingerprint != o.DataFingerprint {
-				violations = append(violations, Violation{"shard-determinism", fmt.Sprintf(
-					"%d-shard and single-engine runs disagree:\n  %s\nvs\n  %s",
-					o.Shards, o.DataFingerprint, o3.DataFingerprint)})
-			}
-		}
+		violations = append(violations, more...)
 	}
 
 	if len(violations) == 0 {
@@ -207,12 +183,41 @@ func runOne(fam Family, index int, seed uint64, sched sim.SchedulerKind, crossCh
 	}
 	f := &Finding{Family: fam, Index: index, Seed: seed, Text: text, Violations: violations}
 	if minimize && violations[0].Name != "determinism" {
-		min := Minimize(spec, violations[0].Name, sched)
+		min := Minimize(spec, violations[0].Name)
 		if mt, err := simconfig.Emit(min); err == nil && mt != text {
 			f.Minimized = mt
 		}
 	}
 	return f, nil
+}
+
+// CrossCheck re-runs spec, whose run gave o, on a fresh engine and reports
+// a "determinism" violation unless the fingerprints are equal: a run that
+// is not reproducible in the same process has state leaking between runs,
+// through a pool say. A sharded spec also runs single-engine and reports a
+// "shard-determinism" violation unless the data fingerprints are equal.
+func CrossCheck(spec *simconfig.Spec, o *Outcome) ([]Violation, error) {
+	var violations []Violation
+	o2, err := RunSpec(spec)
+	if err != nil {
+		return nil, fmt.Errorf("failed on re-run: %w", err)
+	}
+	if o2.Fingerprint != o.Fingerprint {
+		violations = append(violations, Violation{"determinism", fmt.Sprintf(
+			"run and re-run disagree:\n  %s\nvs\n  %s", o.Fingerprint, o2.Fingerprint)})
+	}
+	if o.Shards > 1 {
+		o3, err := RunSpec(Unsharded(spec))
+		if err != nil {
+			return nil, fmt.Errorf("failed single-engine: %w", err)
+		}
+		if o3.DataFingerprint != o.DataFingerprint {
+			violations = append(violations, Violation{"shard-determinism", fmt.Sprintf(
+				"%d-shard and single-engine runs disagree:\n  %s\nvs\n  %s",
+				o.Shards, o.DataFingerprint, o3.DataFingerprint)})
+		}
+	}
+	return violations, nil
 }
 
 // Unsharded returns a copy of spec with the sharding directives cleared, so

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/sim"
 	"repro/internal/simconfig"
 )
 
@@ -115,8 +114,8 @@ func LoadFrozen(dir string) ([]FrozenCase, error) {
 
 // Replay runs a frozen case and reports the violation names that did NOT
 // reproduce (empty: the regression still fires as recorded).
-func Replay(c *FrozenCase, sched sim.SchedulerKind) []string {
-	o, err := RunSpec(c.Spec, sched)
+func Replay(c *FrozenCase) []string {
+	o, err := RunSpec(c.Spec)
 	if err != nil {
 		return []string{fmt.Sprintf("run failed: %v", err)}
 	}

@@ -12,42 +12,42 @@ type eventSlice = []scenario.TransientEvent
 
 // Minimize shrinks a failing scenario while it keeps failing the same way:
 // the result is the smallest spec this greedy pass finds that still
-// triggers a violation with the given name under the given scheduler. Every
-// candidate is renormalized through Emit→Parse, so anything duration-coupled
-// (randonoff schedules are generated over the horizon) is rebuilt exactly
-// the way a frozen regression file will rebuild it when replayed.
+// triggers a violation with the given name. Every candidate is renormalized
+// through Emit→Parse, so anything duration-coupled (randonoff schedules are
+// generated over the horizon) is rebuilt exactly the way a frozen regression
+// file will rebuild it when replayed.
 //
 // The pass order drops the biggest structure first: sessions one at a time,
 // then transient events, then graph edges, then halving the duration. Each
 // pass restarts whenever a removal sticks, and the whole sequence repeats
 // until a full sweep removes nothing.
-func Minimize(spec *simconfig.Spec, violation string, sched sim.SchedulerKind) *simconfig.Spec {
+func Minimize(spec *simconfig.Spec, violation string) *simconfig.Spec {
 	cur := renormalize(spec)
-	if cur == nil || !failsWith(cur, violation, sched) {
+	if cur == nil || !failsWith(cur, violation) {
 		return spec
 	}
 	for {
 		shrunk := false
 		// Sessions, last first so indices stay stable while dropping.
 		for i := len(cur.Config.Sessions) - 1; i >= 0; i-- {
-			if cand := renormalize(dropSession(cur, i)); cand != nil && failsWith(cand, violation, sched) {
+			if cand := renormalize(dropSession(cur, i)); cand != nil && failsWith(cand, violation) {
 				cur, shrunk = cand, true
 			}
 		}
 		for i := len(cur.Config.Events) - 1; i >= 0; i-- {
-			if cand := renormalize(dropEvent(cur, i)); cand != nil && failsWith(cand, violation, sched) {
+			if cand := renormalize(dropEvent(cur, i)); cand != nil && failsWith(cand, violation) {
 				cur, shrunk = cand, true
 			}
 		}
 		for i := len(cur.Config.Edges) - 1; i >= 0; i-- {
-			if cand := renormalize(dropEdge(cur, i)); cand != nil && failsWith(cand, violation, sched) {
+			if cand := renormalize(dropEdge(cur, i)); cand != nil && failsWith(cand, violation) {
 				cur, shrunk = cand, true
 			}
 		}
 		if half := cur.Duration / 2; half >= 10*sim.Millisecond {
 			cand := clone(cur)
 			cand.Duration = half
-			if cand = renormalize(cand); cand != nil && failsWith(cand, violation, sched) {
+			if cand = renormalize(cand); cand != nil && failsWith(cand, violation) {
 				cur, shrunk = cand, true
 			}
 		}
@@ -58,8 +58,8 @@ func Minimize(spec *simconfig.Spec, violation string, sched sim.SchedulerKind) *
 }
 
 // failsWith runs the spec and reports whether the named violation appears.
-func failsWith(spec *simconfig.Spec, violation string, sched sim.SchedulerKind) bool {
-	o, err := RunSpec(spec, sched)
+func failsWith(spec *simconfig.Spec, violation string) bool {
+	o, err := RunSpec(spec)
 	if err != nil {
 		return false
 	}

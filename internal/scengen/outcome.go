@@ -65,7 +65,7 @@ type Outcome struct {
 	AllStopped    bool
 
 	Fired uint64
-	// Fingerprint folds every observable total, including the scheduler's
+	// Fingerprint folds every observable total, including the engine's
 	// fired-event count; equal fingerprints mean equal runs on the same
 	// shard count. DataFingerprint drops the event count — cross-shard
 	// delivery adds conduit events, so it is the shard-invariant form used
@@ -139,18 +139,18 @@ type Observe struct {
 	Trace     *trace.Tracer
 }
 
-// RunSpec builds and runs a parsed spec to its duration under the given
-// scheduler backend and extracts the Outcome. The caller owns spec and may
-// run it again (patterns are stateless observers; nothing is consumed).
-func RunSpec(spec *simconfig.Spec, sched sim.SchedulerKind) (*Outcome, error) {
-	return RunSpecObserved(spec, sched, Observe{})
+// RunSpec builds and runs a parsed spec to its duration and extracts the
+// Outcome. The caller owns spec and may run it again (patterns are
+// stateless observers; nothing is consumed).
+func RunSpec(spec *simconfig.Spec) (*Outcome, error) {
+	return RunSpecObserved(spec, Observe{})
 }
 
 // RunSpecObserved is RunSpec with counter and flight-recorder sinks
 // attached to every component the scenario builds. Observation never
 // changes the Outcome — fingerprints are bit-identical with or without
 // sinks, which the campaign's cross-check path relies on.
-func RunSpecObserved(spec *simconfig.Spec, sched sim.SchedulerKind, obs Observe) (*Outcome, error) {
+func RunSpecObserved(spec *simconfig.Spec, obs Observe) (*Outcome, error) {
 	o := &Outcome{
 		AlgName:  spec.AlgName,
 		Duration: spec.Duration,
@@ -162,7 +162,6 @@ func RunSpecObserved(spec *simconfig.Spec, sched sim.SchedulerKind, obs Observe)
 	}
 
 	cfg := spec.Config
-	cfg.Scheduler = sched
 	cfg.Telemetry = obs.Telemetry
 	cfg.Trace = obs.Trace
 	net, err := scenario.BuildGraph(cfg)

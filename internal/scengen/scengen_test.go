@@ -64,7 +64,7 @@ func TestFamiliesRunAndCheck(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s[%d]: %v", fam, i, err)
 			}
-			o, err := RunSpec(spec, sim.SchedulerHeap)
+			o, err := RunSpec(spec)
 			if err != nil {
 				t.Fatalf("%s[%d]: run: %v\n%s", fam, i, err, text)
 			}
@@ -97,7 +97,7 @@ func TestKnownBadCaughtMinimizedFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := RunSpec(spec, sim.SchedulerHeap)
+	o, err := RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestKnownBadCaughtMinimizedFrozen(t *testing.T) {
 		t.Fatalf("uncontrolled overload not caught; violations: %v", vs)
 	}
 
-	min := Minimize(spec, "queue-bound", sim.SchedulerHeap)
+	min := Minimize(spec, "queue-bound")
 	minText, err := simconfig.Emit(min)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestKnownBadCaughtMinimizedFrozen(t *testing.T) {
 	if min.Duration >= spec.Duration {
 		t.Errorf("minimizer did not shrink duration: %v → %v", spec.Duration, min.Duration)
 	}
-	if !failsWith(min, "queue-bound", sim.SchedulerHeap) {
+	if !failsWith(min, "queue-bound") {
 		t.Fatalf("minimized spec no longer fails:\n%s", minText)
 	}
 
@@ -138,7 +138,7 @@ func TestKnownBadCaughtMinimizedFrozen(t *testing.T) {
 	if len(cases[0].ExpectViolations) == 0 || cases[0].ExpectViolations[0] != "queue-bound" {
 		t.Fatalf("frozen expectations = %v, want [queue-bound]", cases[0].ExpectViolations)
 	}
-	if missing := Replay(&cases[0], sim.SchedulerHeap); len(missing) > 0 {
+	if missing := Replay(&cases[0]); len(missing) > 0 {
 		t.Fatalf("frozen case no longer reproduces: %v", missing)
 	}
 }
@@ -161,7 +161,7 @@ func TestFrozenRegressions(t *testing.T) {
 			t.Errorf("%s: no expect-violation header", c.Path)
 			continue
 		}
-		if missing := Replay(c, sim.SchedulerHeap); len(missing) > 0 {
+		if missing := Replay(c); len(missing) > 0 {
 			t.Errorf("%s (%s): expected violations no longer reproduce: %v",
 				c.Path, c.Origin, missing)
 		}
@@ -192,33 +192,6 @@ func TestCampaignWorkerInvariance(t *testing.T) {
 	}
 	if r1.Scenarios != 4 {
 		t.Fatalf("campaign ran %d scenarios, want 4", r1.Scenarios)
-	}
-}
-
-// TestCrossSchedulerFingerprints: one scenario per family, run under heap
-// and wheel, must leave identical fingerprints — the invariant behind the
-// campaign's CrossCheck mode.
-func TestCrossSchedulerFingerprints(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full simulations")
-	}
-	for _, fam := range Families() {
-		spec, text, err := Generate(fam, DeriveSeed(fam, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		oh, err := RunSpec(spec, sim.SchedulerHeap)
-		if err != nil {
-			t.Fatalf("%s: heap: %v", fam, err)
-		}
-		ow, err := RunSpec(spec, sim.SchedulerWheel)
-		if err != nil {
-			t.Fatalf("%s: wheel: %v", fam, err)
-		}
-		if oh.Fingerprint != ow.Fingerprint {
-			t.Errorf("%s: schedulers disagree:\nheap:  %s\nwheel: %s\nscenario:\n%s",
-				fam, oh.Fingerprint, ow.Fingerprint, text)
-		}
 	}
 }
 
@@ -274,7 +247,7 @@ duration 30ms
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := RunSpec(spec, sim.SchedulerHeap)
+		o, err := RunSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -23,7 +24,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/cli"
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -41,8 +41,6 @@ type Config struct {
 	// FleetWorkers is the per-job fleet size when the spec doesn't pick one
 	// (0: GOMAXPROCS).
 	FleetWorkers int
-	// Scheduler is the default engine backend for specs that don't choose.
-	Scheduler sim.SchedulerKind
 	// TraceRingCap caps per-run flight recorders (0: api.TraceRingDefault).
 	TraceRingCap int
 	// Pprof mounts net/http/pprof on the daemon's HTTP surface.
@@ -190,7 +188,6 @@ func (s *Server) runJob(j *job) {
 // enqueues the job.
 func (s *Server) Submit(spec api.JobSpec) (*job, error) {
 	expn, err := api.Expand(spec, api.Env{
-		Scheduler:    s.cfg.Scheduler,
 		Trace:        s.cfg.Dir != "",
 		TraceRingCap: s.cfg.TraceRingCap,
 	})
@@ -302,10 +299,30 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 	w.Write([]byte("\n"))
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads a body that must be exactly one JobSpec: a field the
+// spec does not have and anything after the spec's closing brace are
+// errors naming the offending token, not silently dropped.
+func decodeSpec(body io.Reader) (api.JobSpec, error) {
 	var spec api.JobSpec
-	dec := json.NewDecoder(io.LimitReader(r.Body, 8<<20))
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	var extra json.RawMessage
+	switch err := dec.Decode(&extra); err {
+	case io.EOF:
+		return spec, nil
+	case nil:
+	default: // not a JSON value: name the bytes the decoder stopped at
+		extra, _ = io.ReadAll(dec.Buffered()) // an in-memory reader: cannot fail
+	}
+	return spec, fmt.Errorf("trailing data after the spec: %.64s", bytes.TrimSpace(extra))
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(io.LimitReader(r.Body, 8<<20))
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
 		return
 	}

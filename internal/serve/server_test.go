@@ -129,7 +129,10 @@ func TestJobLifecycle(t *testing.T) {
 }
 
 // TestSubmitRejects pins the error surface: bad specs 400, unknown jobs
-// 404, all as api.Error envelopes.
+// 404, all as api.Error envelopes. A raw body must be exactly one spec: an
+// unknown field (the removed "scheduler" among them) or anything after the
+// spec is a 400 naming the offending token, while the body CI submits with
+// curl is accepted.
 func TestSubmitRejects(t *testing.T) {
 	_, client, ts := newTestServer(t, Config{})
 
@@ -147,17 +150,32 @@ func TestSubmitRejects(t *testing.T) {
 		t.Errorf("unknown job error = %v, want a 404", err)
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("garbage body: status %d, want 400", resp.StatusCode)
-	}
-	var e api.Error
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Message == "" {
-		t.Errorf("error envelope = %+v (%v), want a message", e, err)
+	const ciBody = `{"schema_version":3,"kind":"suite","suite":{"filter":"E02","quick":true}}`
+	for _, tc := range []struct {
+		name, body string
+		code       int
+		want       string
+	}{
+		{"not json", "{not json", http.StatusBadRequest, "invalid character"},
+		{"unknown field", `{"kind":"suite","suite":{"filtr":"E02"}}`, http.StatusBadRequest, `"filtr"`},
+		{"removed scheduler", `{"kind":"suite","suite":{"filter":"E02"},"scheduler":"wheel"}`, http.StatusBadRequest, `"scheduler"`},
+		{"trailing object", ciBody + `{"tag":"again"}`, http.StatusBadRequest, "again"},
+		{"trailing garbage", ciBody + " garbage\n", http.StatusBadRequest, "garbage"},
+		{"ci curl body", ciBody + "\n", http.StatusAccepted, ""},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e api.Error
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s: status %d (%q), want %d", tc.name, resp.StatusCode, e.Message, tc.code)
+		}
+		if tc.want != "" && (err != nil || !strings.Contains(e.Message, "bad job spec") || !strings.Contains(e.Message, tc.want)) {
+			t.Errorf("%s: error envelope = %+v (%v), want a bad job spec message containing %s", tc.name, e, err, tc.want)
+		}
 	}
 }
 

@@ -20,7 +20,9 @@ import (
 // entries being Pending — the calendar's entries and the events queued in
 // bands behind their heads — less the dead cells a walk of the calendar
 // finds. The census is logged (-v): the dead share is what is left of the
-// tombstones that an RTO restarted by every ACK used to file.
+// tombstones that an RTO restarted by every ACK used to file. Scenarios
+// build their engines on the heap; the wheel's accounting is held by the
+// sweeps of the package's own tests.
 func TestEventAccountingIsExact(t *testing.T) {
 	flows := make([]scenario.TCPFlowSpec, 200)
 	for i := range flows {
@@ -38,9 +40,9 @@ func TestEventAccountingIsExact(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name  string
-		build func(sim.SchedulerKind) (net, error)
+		build func() (net, error)
 	}{
-		{"TCP/IP", func(kind sim.SchedulerKind) (net, error) {
+		{"TCP/IP", func() (net, error) {
 			n, err := scenario.BuildTCP(scenario.TCPConfig{
 				Routers:       2,
 				TrunkRateBPS:  100e6,
@@ -48,20 +50,18 @@ func TestEventAccountingIsExact(t *testing.T) {
 				Disc: func() ip.Discipline {
 					return ip.NewPhantomDiscipline(ip.SelectiveDiscard, core.Config{})
 				},
-				Flows:     flows,
-				Scheduler: kind,
+				Flows: flows,
 			})
 			if err != nil {
 				return net{}, err
 			}
 			return net{n.Engine, n.Run, n.Release}, nil
 		}},
-		{"TCP over ATM", func(kind sim.SchedulerKind) (net, error) {
+		{"TCP over ATM", func() (net, error) {
 			n, err := scenario.BuildTCPOverATM(scenario.InteropConfig{
 				Alg:            switchalg.NewPhantom(core.Config{}),
 				EdgeQueueBytes: 8 * 1024,
 				Flows:          flows[:6],
-				Scheduler:      kind,
 			})
 			if err != nil {
 				return net{}, err
@@ -69,33 +69,31 @@ func TestEventAccountingIsExact(t *testing.T) {
 			return net{n.Engine, n.Run, func() {}}, nil
 		}},
 	} {
-		for _, kind := range sim.SchedulerKinds() {
-			n, err := tc.build(kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, name := n.e, fmt.Sprintf("%s, %s", tc.name, kind)
-			for _, d := range []sim.Duration{300 * sim.Millisecond, 450 * sim.Millisecond, 750 * sim.Millisecond} {
-				n.run(d)
-				entries, live := sim.CalendarCensus(e)
-				bands, queued := sim.BandCensus(e)
-				t.Logf("%s t=%v: scheduled %d fired %d canceled %d, %d pending of which %d live and %d queued in %d bands",
-					name, e.Now(), e.Scheduled(), e.Fired(), e.Canceled(), entries, live, queued, bands)
-				if entries != e.Pending() {
-					t.Errorf("%s t=%v: Pending() = %d, the calendar and the bands hold %d entries", name, e.Now(), e.Pending(), entries)
-				}
-				if got := e.Fired() + e.Canceled() + uint64(live); got != e.Scheduled() {
-					t.Errorf("%s t=%v: fired %d + canceled %d + live %d = %d, Scheduled() = %d",
-						name, e.Now(), e.Fired(), e.Canceled(), live, got, e.Scheduled())
-				}
-				if e.Canceled() == 0 || entries == live {
-					t.Errorf("%s t=%v: canceled %d, %d dead cells: the run exercises no timer", name, e.Now(), e.Canceled(), entries-live)
-				}
-				if queued == 0 {
-					t.Errorf("%s t=%v: no event waits in a band: the run exercises none", name, e.Now())
-				}
-			}
-			n.release()
+		n, err := tc.build()
+		if err != nil {
+			t.Fatal(err)
 		}
+		e, name := n.e, tc.name
+		for _, d := range []sim.Duration{300 * sim.Millisecond, 450 * sim.Millisecond, 750 * sim.Millisecond} {
+			n.run(d)
+			entries, live := sim.CalendarCensus(e)
+			bands, queued := sim.BandCensus(e)
+			t.Logf("%s t=%v: scheduled %d fired %d canceled %d, %d pending of which %d live and %d queued in %d bands",
+				name, e.Now(), e.Scheduled(), e.Fired(), e.Canceled(), entries, live, queued, bands)
+			if entries != e.Pending() {
+				t.Errorf("%s t=%v: Pending() = %d, the calendar and the bands hold %d entries", name, e.Now(), e.Pending(), entries)
+			}
+			if got := e.Fired() + e.Canceled() + uint64(live); got != e.Scheduled() {
+				t.Errorf("%s t=%v: fired %d + canceled %d + live %d = %d, Scheduled() = %d",
+					name, e.Now(), e.Fired(), e.Canceled(), live, got, e.Scheduled())
+			}
+			if e.Canceled() == 0 || entries == live {
+				t.Errorf("%s t=%v: canceled %d, %d dead cells: the run exercises no timer", name, e.Now(), e.Canceled(), entries-live)
+			}
+			if queued == 0 {
+				t.Errorf("%s t=%v: no event waits in a band: the run exercises none", name, e.Now())
+			}
+		}
+		n.release()
 	}
 }

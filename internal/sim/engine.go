@@ -95,20 +95,6 @@ func (r EventRef) Cancel() bool {
 // Option configures an Engine at construction.
 type Option func(e *Engine)
 
-// WithScheduler selects the calendar backend: SchedulerHeap (the default)
-// or SchedulerWheel. Both honor the exact (time, seq) ordering contract, so
-// a run is bit-identical under either; they differ only in cost. Unknown
-// kinds panic — validate external input with ParseScheduler first.
-func WithScheduler(kind SchedulerKind) Option {
-	if _, err := newScheduler(kind); err != nil {
-		panic(err.Error())
-	}
-	return func(e *Engine) {
-		s, _ := newScheduler(kind)
-		e.sched = s
-	}
-}
-
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; simulations are deterministic precisely because all state
 // transitions happen on one goroutine in event order.
@@ -128,7 +114,7 @@ func WithScheduler(kind SchedulerKind) Option {
 // to the race detector, which CI runs on every test.
 type Engine struct {
 	now      Time
-	sched    Scheduler
+	sched    scheduler
 	seq      uint64
 	fired    uint64
 	canceled uint64
@@ -151,8 +137,8 @@ type Engine struct {
 	_ [32]byte
 }
 
-// NewEngine returns an engine with the clock at zero and an empty calendar.
-// With no options it uses the default (heap) scheduler.
+// NewEngine returns an engine with the clock at zero and an empty calendar,
+// which is a heap (heap.go) unless an option says otherwise.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{}
 	for _, opt := range opts {
@@ -190,9 +176,6 @@ func (e *Engine) Scheduled() uint64 { return e.seq }
 // holds at every instant. An event cancelled through its EventRef is counted
 // when the run loop drains its cell: the ref does not know its engine.
 func (e *Engine) Canceled() uint64 { return e.canceled }
-
-// SchedulerName reports which calendar backend this engine runs on.
-func (e *Engine) SchedulerName() string { return e.sched.Name() }
 
 // alloc takes a cell from the pool, or makes one when the pool is dry.
 func (e *Engine) alloc() *event {

@@ -12,7 +12,7 @@ import (
 // interchangeable.
 func forEachScheduler(t *testing.T, body func(t *testing.T, newEngine func() *Engine)) {
 	t.Helper()
-	for _, kind := range SchedulerKinds() {
+	for _, kind := range backends {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			body(t, func() *Engine { return NewEngine(WithScheduler(kind)) })
@@ -155,29 +155,6 @@ func TestUnknownSchedulerPanics(t *testing.T) {
 		}
 	}()
 	NewEngine(WithScheduler(SchedulerKind("calendar")))
-}
-
-func TestParseScheduler(t *testing.T) {
-	for name, want := range map[string]SchedulerKind{
-		"": SchedulerHeap, "heap": SchedulerHeap, "wheel": SchedulerWheel,
-	} {
-		got, err := ParseScheduler(name)
-		if err != nil || got != want {
-			t.Errorf("ParseScheduler(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := ParseScheduler("splay"); err == nil {
-		t.Error("ParseScheduler accepted an unknown backend")
-	}
-}
-
-func TestSchedulerName(t *testing.T) {
-	if got := NewEngine().SchedulerName(); got != "heap" {
-		t.Errorf("default SchedulerName() = %q, want heap", got)
-	}
-	if got := NewEngine(WithScheduler(SchedulerWheel)).SchedulerName(); got != "wheel" {
-		t.Errorf("wheel SchedulerName() = %q", got)
-	}
 }
 
 func TestEventCancel(t *testing.T) {

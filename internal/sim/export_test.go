@@ -1,5 +1,9 @@
 package sim
 
+// backends are the calendars the tests sweep: every engine behavior must
+// hold on the wheel too, the heap's differential oracle.
+var backends = []SchedulerKind{SchedulerHeap, SchedulerWheel}
+
 // CalendarCensus counts e's pending entries and how many of them are live:
 // not a cancelled event's cell, nor a cell a stopped or re-armed timer left
 // behind. A test helper — it walks the whole calendar — for the tests that

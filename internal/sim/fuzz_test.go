@@ -646,7 +646,7 @@ func FuzzSchedulerOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		ops := decodeFuzzProgram(prog)
 		want, wantScheduled := runFuzzProgram(newOrderOracle, ops)
-		for _, kind := range SchedulerKinds() {
+		for _, kind := range backends {
 			for _, bands := range []bool{true, false} {
 				got, scheduled := runFuzzProgram(newEngineCal(kind, bands), ops)
 				if scheduled != wantScheduled {

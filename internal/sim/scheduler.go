@@ -2,18 +2,16 @@ package sim
 
 import "fmt"
 
-// Scheduler is the pending-event priority queue behind an Engine. It owns
+// scheduler is the pending-event priority queue behind an Engine. It owns
 // the calendar data structure and nothing else: the engine keeps the clock,
 // the sequence counter and the event-cell pool, and every backend must hand
 // events back in exactly (time, seq) order — the determinism contract that
-// makes runs bit-for-bit reproducible regardless of backend.
+// makes runs bit-for-bit reproducible.
 //
-// The interface is sealed (its mutating methods are unexported) because a
-// scheduler manipulates the engine's pooled event cells directly; the two
-// implementations live in this package and are selected with WithScheduler.
-type Scheduler interface {
-	// Name identifies the backend for reports and benchmarks.
-	Name() string
+// Engines run on the heap (heap.go). The wheel (wheel.go) honors the same
+// contract and is kept only as the heap's differential oracle and as a
+// rung of the benchmark's ladder (see SchedulerKind).
+type scheduler interface {
 	// Len returns the number of pending events, including cancelled events
 	// that have not yet been discarded.
 	Len() int
@@ -30,51 +28,33 @@ type Scheduler interface {
 	pop(bound Time) *event
 }
 
-// SchedulerKind names a scheduler backend for configuration surfaces
-// (flags, scenario configs, experiment options). The zero value selects the
-// default backend.
+// SchedulerKind names a calendar backend for WithScheduler. It, its two
+// values and WithScheduler are exported for two reasons only: the sim tests
+// and FuzzSchedulerOrder run every engine behavior on the wheel as well, as
+// a differential oracle for the heap, and the benchmark's ladder (bench/)
+// times both. Nothing above this package chooses a backend.
 type SchedulerKind string
 
 const (
-	// SchedulerDefault is the zero value: the engine picks the default
-	// backend (currently the binary heap).
-	SchedulerDefault SchedulerKind = ""
 	// SchedulerHeap is the binary min-heap of (time, seq, cell) value
-	// entries: O(log n) operations, the reference for the determinism
-	// contract.
+	// entries: O(log n) operations, the calendar every engine runs on.
 	SchedulerHeap SchedulerKind = "heap"
 	// SchedulerWheel is the hierarchical timer wheel: near-O(1) scheduling
 	// keyed by the bits of the event time, same (time, seq) order.
 	SchedulerWheel SchedulerKind = "wheel"
 )
 
-// SchedulerKinds lists the selectable backends, for -scheduler flag help
-// and for tests that sweep every backend.
-func SchedulerKinds() []SchedulerKind {
-	return []SchedulerKind{SchedulerHeap, SchedulerWheel}
-}
-
-// ParseScheduler validates a backend name from a flag or config file. The
-// empty string selects the default backend.
-func ParseScheduler(name string) (SchedulerKind, error) {
-	switch k := SchedulerKind(name); k {
-	case SchedulerDefault:
-		return SchedulerHeap, nil
-	case SchedulerHeap, SchedulerWheel:
-		return k, nil
-	default:
-		return "", fmt.Errorf("sim: unknown scheduler %q (have: heap, wheel)", name)
+// WithScheduler selects the calendar backend: SchedulerHeap, which is what
+// NewEngine uses without it, or SchedulerWheel. Both honor the exact (time,
+// seq) ordering contract, so a run is bit-identical under either; they
+// differ only in cost. Unknown kinds panic.
+func WithScheduler(kind SchedulerKind) Option {
+	if kind != SchedulerHeap && kind != SchedulerWheel {
+		panic(fmt.Sprintf("sim: unknown scheduler %q (have: heap, wheel)", kind))
 	}
-}
-
-// newScheduler instantiates the backend for k.
-func newScheduler(k SchedulerKind) (Scheduler, error) {
-	switch k {
-	case SchedulerDefault, SchedulerHeap:
-		return newHeapScheduler(), nil
-	case SchedulerWheel:
-		return newWheelScheduler(), nil
-	default:
-		return nil, fmt.Errorf("sim: unknown scheduler %q (have: heap, wheel)", k)
+	return func(e *Engine) {
+		if kind == SchedulerWheel {
+			e.sched = newWheelScheduler()
+		}
 	}
 }

@@ -126,9 +126,10 @@ func TestWheelHugeDelays(t *testing.T) {
 // TestHeapPopClearsTail pins three properties of the heap's value-entry
 // array: a popped slot beyond len no longer references its event cell, nor
 // does the hole a lazy pop leaves at the root, and cancelled cells stay
-// counted by Pending until the run loop drains them.
+// counted by Pending until the run loop drains them. NewEngine's calendar
+// is the heap, or the assertion below panics.
 func TestHeapPopClearsTail(t *testing.T) {
-	e := NewEngine(WithScheduler(SchedulerHeap))
+	e := NewEngine()
 	h := e.sched.(*heapScheduler)
 	var refs []EventRef
 	for i := 0; i < 16; i++ {
@@ -217,7 +218,7 @@ func benchWorkload(kind SchedulerKind, sources, events int) *Engine {
 // backend. The allocs/op figure is the ISSUE acceptance metric: pooled
 // cells must cut it by ≥ 20% versus the pre-pool baseline (~1 alloc/event).
 func BenchmarkScheduler(b *testing.B) {
-	for _, kind := range SchedulerKinds() {
+	for _, kind := range backends {
 		b.Run(string(kind), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -231,7 +232,7 @@ func BenchmarkScheduler(b *testing.B) {
 // (ns to seconds) so the wheel's cascade path is exercised, not just its
 // level-0 fast path.
 func BenchmarkSchedulerMixedHorizon(b *testing.B) {
-	for _, kind := range SchedulerKinds() {
+	for _, kind := range backends {
 		b.Run(string(kind), func(b *testing.B) {
 			b.ReportAllocs()
 			rng := rand.New(rand.NewSource(7))

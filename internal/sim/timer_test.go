@@ -155,7 +155,7 @@ func TestTimerMatchesCancelAfterFunc(t *testing.T) {
 		if wantCounts[2] == 0 || len(want) < nOps/4 {
 			t.Fatalf("seed %d: script too tame: %d firings, %d cancels", seed, len(want), wantCounts[2])
 		}
-		for _, kind := range SchedulerKinds() {
+		for _, kind := range backends {
 			got, counts := run(kind, true, seed)
 			if counts != wantCounts {
 				t.Fatalf("seed %d %s: fired/scheduled/canceled %v, Cancel+AfterFunc %v", seed, kind, counts, wantCounts)

@@ -6,7 +6,7 @@ import "testing"
 // must behave identically on each.
 func forBackends(t *testing.T, f func(t *testing.T, e *Engine)) {
 	t.Helper()
-	for _, kind := range []SchedulerKind{SchedulerHeap, SchedulerWheel} {
+	for _, kind := range backends {
 		t.Run(string(kind), func(t *testing.T) {
 			f(t, NewEngine(WithScheduler(kind)))
 		})

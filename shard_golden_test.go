@@ -6,7 +6,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/runner"
 	"repro/internal/scengen"
-	"repro/internal/sim"
 )
 
 // TestShardedGoldenEquality is the end-to-end determinism acceptance test
@@ -48,42 +47,26 @@ func TestShardedGoldenEquality(t *testing.T) {
 
 // TestShardedRunToRunIdentity pins the reproducibility half of the contract
 // on a generated multi-shard mesh: at a fixed shard count the full
-// fingerprint (fired-event count included) is byte-identical run-to-run and
-// across scheduler backends, and the data fingerprint matches the same
-// scenario run on one engine.
+// fingerprint (fired-event count included) is byte-identical run-to-run,
+// and the data fingerprint matches the same scenario run on one engine —
+// both of which scengen.CrossCheck reports as violations.
 func TestShardedRunToRunIdentity(t *testing.T) {
 	spec, text, err := scengen.Generate(scengen.ShardedMesh, 12345)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var firstFull string
-	for _, sched := range []sim.SchedulerKind{sim.SchedulerHeap, sim.SchedulerWheel} {
-		a, err := scengen.RunSpec(spec, sched)
-		if err != nil {
-			t.Fatalf("%s: %v\n%s", sched, err, text)
-		}
-		if a.Shards < 2 {
-			t.Fatalf("shardedmesh generator produced %d shards, want ≥ 2", a.Shards)
-		}
-		b, err := scengen.RunSpec(spec, sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Fingerprint != b.Fingerprint {
-			t.Errorf("%s: sharded run not reproducible:\n  %s\nvs\n  %s", sched, a.Fingerprint, b.Fingerprint)
-		}
-		if firstFull == "" {
-			firstFull = a.Fingerprint
-		} else if a.Fingerprint != firstFull {
-			t.Errorf("sharded run scheduler-dependent:\n  %s\nvs\n  %s", firstFull, a.Fingerprint)
-		}
-		un, err := scengen.RunSpec(scengen.Unsharded(spec), sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if un.DataFingerprint != a.DataFingerprint {
-			t.Errorf("%s: sharded data diverges from single engine:\n  %s\nvs\n  %s",
-				sched, a.DataFingerprint, un.DataFingerprint)
-		}
+	a, err := scengen.RunSpec(spec)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, text)
+	}
+	if a.Shards < 2 {
+		t.Fatalf("shardedmesh generator produced %d shards, want ≥ 2", a.Shards)
+	}
+	violations, err := scengen.CrossCheck(spec, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range violations {
+		t.Error(v)
 	}
 }
