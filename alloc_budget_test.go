@@ -82,15 +82,16 @@ func measureHotPath() allocStats {
 	return allocStats{NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp()}
 }
 
-// measureSuiteE01 benchmarks the E01 experiment at quick duration — the
+// measureSuite benchmarks experiment id at quick duration. E01 is the
 // representative end-to-end cell path (sources, links, switch algorithm,
-// metrics sampling).
-func measureSuiteE01(t testing.TB) allocStats {
-	def, ok := exp.Get("E01")
+// metrics sampling); E09 (Reno over drop-tail and Selective Discard
+// routers) is the packet path: senders, receivers, ports and routers.
+func measureSuite(t testing.TB, id string) allocStats {
+	def, ok := exp.Get(id)
 	if !ok {
-		t.Fatal("E01 not registered")
+		t.Fatalf("%s not registered", id)
 	}
-	d := runner.QuickDuration("E01")
+	d := runner.QuickDuration(id)
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -102,7 +103,7 @@ func measureSuiteE01(t testing.TB) allocStats {
 	return allocStats{NsPerOp: r.NsPerOp(), AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp()}
 }
 
-// measureSuiteE01Telemetry is measureSuiteE01 with the full observability
+// measureSuiteE01Telemetry is measureSuite(E01) with the full observability
 // stack on: a counter registry and a flight recorder at the CLI ring
 // capacity. The registry and ring are created once and Reset per op, the
 // reuse pattern the suite's sweeps use, so the measurement is the
@@ -136,8 +137,9 @@ func measureSuiteE01Telemetry(t testing.TB) allocStats {
 // TestAllocBudget enforces the committed allocation budgets of the engine's
 // calendar, the heap. It runs in the ordinary test suite (CI's test job
 // also runs it once without -race, under which it skips itself) so a
-// change that reintroduces a per-cell allocation — a closure in a transmit
-// path, a cell escaping to the heap at an observer call — fails the build
+// change that reintroduces a per-cell or per-packet allocation — a closure
+// in a transmit path, a cell escaping to the heap at an observer call, a
+// packet built with & instead of ip.NewPacket — fails the build
 // rather than silently regressing throughput.
 func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -157,7 +159,8 @@ func TestAllocBudget(t *testing.T) {
 		got      allocStats
 	}{
 		{"engine_hot_path_1000_events", hot},
-		{"suite_e01_quick", measureSuiteE01(t)},
+		{"suite_e01_quick", measureSuite(t, "E01")},
+		{"suite_e09_quick", measureSuite(t, "E09")},
 		{"suite_e01_quick_telemetry", measureSuiteE01Telemetry(t)},
 	} {
 		budget, ok := bf.Budgets[m.workload]["heap"]

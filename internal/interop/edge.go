@@ -54,7 +54,8 @@ type IngressEdge struct {
 	MaxQueueBytes int
 	// OnRateChange observes ACR changes (cells/s) for figures.
 	OnRateChange func(now sim.Time, acr float64)
-	// OnDrop observes datagrams dropped at the edge queue.
+	// OnDrop observes datagrams dropped at the edge queue. The packet is
+	// released when it returns, so OnDrop must not keep it.
 	OnDrop func(now sim.Time, p *ip.Packet)
 
 	acr        float64
@@ -115,7 +116,9 @@ func (g *IngressEdge) Start(e *sim.Engine) error {
 	return nil
 }
 
-// Receive implements ip.Sink: queue the datagram and arm the cell pacer.
+// Receive implements ip.Sink: queue the datagram and arm the cell pacer. A
+// datagram the queue bound turns away ends here and is released; a queued
+// one rides its end-of-packet cell to the egress edge.
 func (g *IngressEdge) Receive(e *sim.Engine, p *ip.Packet) {
 	if !g.started {
 		panic(fmt.Sprintf("interop: ingress edge VC %d received before Start", g.VC))
@@ -126,6 +129,7 @@ func (g *IngressEdge) Receive(e *sim.Engine, p *ip.Packet) {
 		if g.OnDrop != nil {
 			g.OnDrop(e.Now(), p)
 		}
+		p.Release()
 		return
 	}
 	g.queue.Push(p)
@@ -271,9 +275,14 @@ func (g *EgressEdge) Receive(e *sim.Engine, c atm.Cell) {
 		pkt, ok := c.Payload.(*ip.Packet)
 		if !ok || int(count) != c.PacketCells {
 			// A cell of this packet was lost: the AAL5 length check fails
-			// and the whole datagram is discarded.
+			// and the whole datagram is discarded. (A packet whose
+			// end-of-packet cell is the one lost never gets here; the GC
+			// takes it instead of the pool.)
 			g.corrupted++
 			g.tel.corrupted.Inc()
+			if ok {
+				pkt.Release()
+			}
 			return
 		}
 		g.reassembly++

@@ -127,12 +127,25 @@ func TestIngressQueueBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var drops int
-	g.OnDrop = func(sim.Time, *ip.Packet) { drops++ }
-	for i := 0; i < 10; i++ {
-		g.Receive(e, &ip.Packet{Flow: 1, Len: 512})
+	g.OnDrop = func(_ sim.Time, p *ip.Packet) {
+		if p.Flow != 1 {
+			t.Errorf("OnDrop saw %+v", p)
+		}
+		drops++
+	}
+	pkts := make([]*ip.Packet, 10)
+	for i := range pkts {
+		pkts[i] = &ip.Packet{Flow: 1, Len: 512}
+		g.Receive(e, pkts[i])
 	}
 	if g.DroppedPackets() != 7 || drops != 7 {
 		t.Fatalf("dropped = %d/%d, want 7", g.DroppedPackets(), drops)
+	}
+	// The queued three ride their cells; the dropped seven were released.
+	for i, p := range pkts {
+		if released := p.Flow == -1; released != (i >= 3) {
+			t.Errorf("packet %d: released = %v", i, released)
+		}
 	}
 }
 
@@ -170,12 +183,16 @@ func TestEgressDiscardsOnCellLoss(t *testing.T) {
 	if g.Corrupted() != 1 {
 		t.Fatalf("corrupted = %d", g.Corrupted())
 	}
+	if pkt.Flow != -1 {
+		t.Fatalf("discarded packet not released: %+v", pkt)
+	}
 	// The next intact packet still reassembles (counter reset).
+	next := &ip.Packet{Flow: 1, Len: 512}
 	for i := 0; i < 11; i++ {
 		g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data})
 	}
-	g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data, EndOfPacket: true, PacketCells: 12, Payload: pkt})
-	if len(dst.pkts) != 1 {
+	g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data, EndOfPacket: true, PacketCells: 12, Payload: next})
+	if len(dst.pkts) != 1 || dst.pkts[0] != next || next.Flow != 1 {
 		t.Fatal("recovery after corruption failed")
 	}
 }

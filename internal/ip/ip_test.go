@@ -72,6 +72,51 @@ func TestPortTailDrop(t *testing.T) {
 	}
 }
 
+// TestPortDroppedCountsEveryCause pins what Dropped counts: injected loss
+// (which Lost counts as well), the discipline's verdicts and the tail bound,
+// each dropped packet once. Every dropped packet is released after OnDrop.
+func TestPortDroppedCountsEveryCause(t *testing.T) {
+	e := sim.NewEngine()
+	p := NewPort("p", 1e6, 0, &pktCapture{}) // slow: the queue builds
+	p.MaxQueue = 12
+	p.LossRate = 0.1
+	p.LossSeed = 3
+	red := NewRED(7)
+	red.Wq = 0.5
+	p.Attach(e, red)
+	byReason := map[string]int64{}
+	p.OnDrop = func(_ sim.Time, pkt *Packet, r string) {
+		if pkt.Flow != 1 {
+			t.Errorf("OnDrop saw %+v", pkt)
+		}
+		byReason[r]++
+	}
+	pkts := make([]*Packet, 400)
+	for i := range pkts {
+		pkts[i] = &Packet{Flow: 1, Len: 512}
+		p.Receive(e, pkts[i])
+	}
+	loss, disc, tail := byReason["loss"], byReason[red.Name()], byReason["tail"]
+	if loss == 0 || disc == 0 || tail == 0 || len(byReason) != 3 {
+		t.Fatalf("drops by reason = %v, want loss, %s and tail all present", byReason, red.Name())
+	}
+	if p.Lost() != loss {
+		t.Errorf("Lost() = %d, OnDrop saw %d loss drops", p.Lost(), loss)
+	}
+	if p.Dropped() != p.Lost()+disc+tail {
+		t.Errorf("Dropped() = %d, want Lost() %d + disc %d + tail %d", p.Dropped(), p.Lost(), disc, tail)
+	}
+	var released int64
+	for _, pkt := range pkts {
+		if pkt.Flow == -1 {
+			released++
+		}
+	}
+	if released != p.Dropped() {
+		t.Errorf("%d packets released, %d dropped", released, p.Dropped())
+	}
+}
+
 // TestPortDelayLoweredMidRunPanics: the propagation pipe pairs delivery
 // events with packets by position, which only works while deliveries are
 // scheduled in transmission order. Lowering Delay under packets in flight

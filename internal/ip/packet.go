@@ -7,14 +7,22 @@
 // Selective RED.
 package ip
 
-import "repro/internal/sim"
+import (
+	"sync"
+
+	"repro/internal/sim"
+)
 
 // HeaderBytes is the combined IP+TCP header size used for wire accounting.
 const HeaderBytes = 40
 
 // Packet is one IP datagram carrying either a TCP data segment or a pure
-// ACK. Packets are heap-allocated once at the sender and flow through the
-// network by pointer.
+// ACK. Packets come from NewPacket at the sender and flow through the
+// network by pointer; ownership moves with the pointer down the Sink chain,
+// and whichever component ends the packet's life — the consuming end
+// system, a port or edge that drops it, an edge whose reassembly check
+// fails — calls Release. Anyone else handed the packet (drop observers,
+// disciplines, trace emitters) may read it only during that call.
 type Packet struct {
 	// Flow identifies the TCP session.
 	Flow int
@@ -40,13 +48,41 @@ type Packet struct {
 	SentAt sim.Time
 }
 
+// packetPool recycles packets across their lifetimes. A sync.Pool keeps the
+// recycling safe for the fleet's engines running side by side.
+var packetPool = sync.Pool{New: func() any { return new(Packet) }}
+
+// recycle returns released packets to packetPool. Tests turn it off so a
+// read after Release meets a poisoned packet that is never handed out again.
+var recycle = true
+
+// NewPacket returns a packet holding v, taken from the pool. Every field is
+// overwritten, so nothing of a previous occupant survives.
+func NewPacket(v Packet) *Packet {
+	p := packetPool.Get().(*Packet)
+	*p = v
+	return p
+}
+
+// Release ends the packet's life: it poisons the packet (Flow -1, which no
+// router routes and no end system accepts) and returns it to the pool. The
+// caller must own the packet and not touch it afterwards.
+func (p *Packet) Release() {
+	*p = Packet{Flow: -1}
+	if recycle {
+		packetPool.Put(p)
+	}
+}
+
 // SizeBytes is the wire size of the packet.
 func (p *Packet) SizeBytes() int { return p.Len + HeaderBytes }
 
 // SizeBits is the wire size in bits.
 func (p *Packet) SizeBits() float64 { return float64(p.SizeBytes()) * 8 }
 
-// Sink consumes packets.
+// Sink consumes packets. Receive takes ownership of p: the caller must not
+// touch it after the call, and the receiver either passes it on or releases
+// it.
 type Sink interface {
 	Receive(e *sim.Engine, p *Packet)
 }

@@ -47,7 +47,8 @@ type Port struct {
 	OnQuench func(e *sim.Engine, flow int)
 	// OnQueue observes queue length changes (packets).
 	OnQueue func(now sim.Time, qlen int)
-	// OnDrop observes every dropped packet with the reason.
+	// OnDrop observes every dropped packet with the reason. The packet is
+	// released when it returns, so OnDrop must not keep it.
 	OnDrop func(now sim.Time, p *Packet, reason string)
 
 	// LossRate injects random packet loss in [0,1) for failure testing,
@@ -138,7 +139,9 @@ func (p *Port) QueueBytes() int {
 	return n
 }
 
-// Dropped returns the count of packets dropped (discipline + buffer).
+// Dropped returns the count of packets dropped for any reason: injected
+// loss (which Lost also counts), the discipline's verdict and the tail
+// bound.
 func (p *Port) Dropped() int64 { return p.dropped }
 
 // SentPackets returns the count of packets fully transmitted.
@@ -188,11 +191,15 @@ func (p *Port) Receive(e *sim.Engine, pkt *Packet) {
 	p.startTx(e)
 }
 
+// drop counts and reports a packet the port will not carry, then releases
+// it: the port owns what it was handed, and this is where a dropped packet
+// ends.
 func (p *Port) drop(e *sim.Engine, pkt *Packet, reason string) {
 	p.dropped++
 	if p.OnDrop != nil {
 		p.OnDrop(e.Now(), pkt, reason)
 	}
+	pkt.Release()
 }
 
 func (p *Port) startTx(e *sim.Engine) {

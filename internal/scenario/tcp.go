@@ -334,7 +334,8 @@ func (n *TCPNet) TrunkUtilization(k int) float64 {
 	return float64(n.trunks[k].SentBytes()) * 8 / (n.Config.TrunkRateBPS * elapsed)
 }
 
-// TrunkDrops returns the drop count on trunk k.
+// TrunkDrops returns the drop count on trunk k: injected loss, discipline
+// and tail drops together (ip.Port.Dropped).
 func (n *TCPNet) TrunkDrops(k int) int64 { return n.trunks[k].Dropped() }
 
 // SetTrunkDropObserver installs fn as trunk k's drop observer, chaining any

@@ -48,8 +48,6 @@ type heapScheduler struct {
 
 func newHeapScheduler() *heapScheduler { return &heapScheduler{} }
 
-func (h *heapScheduler) Name() string { return string(SchedulerHeap) }
-
 func (h *heapScheduler) Len() int { return len(h.q) - h.hole }
 
 func (h *heapScheduler) schedule(ev *event) {

@@ -74,8 +74,6 @@ type wheelScheduler struct {
 
 func newWheelScheduler() *wheelScheduler { return &wheelScheduler{} }
 
-func (w *wheelScheduler) Name() string { return string(SchedulerWheel) }
-
 func (w *wheelScheduler) Len() int { return w.n }
 
 func (w *wheelScheduler) schedule(ev *event) {

@@ -70,23 +70,26 @@ func (r *Receiver) AcksSent() int64 { return r.acksSent }
 // RcvNxt returns the next expected sequence number.
 func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
 
-// Receive implements ip.Sink.
+// Receive implements ip.Sink. The receiver is where a data packet ends: it
+// copies the header fields it needs and releases the packet before acting.
 func (r *Receiver) Receive(e *sim.Engine, p *ip.Packet) {
-	if p.Ack || p.Flow != r.Flow || p.Len == 0 {
+	ack, flow, seq, n, ecn := p.Ack, p.Flow, p.Seq, p.Len, p.ECN
+	p.Release()
+	if ack || flow != r.Flow || n == 0 {
 		return
 	}
-	if p.ECN {
+	if ecn {
 		r.ecnPend = true
 	}
-	inOrder := p.Seq == r.rcvNxt
+	inOrder := seq == r.rcvNxt
 	switch {
 	case inOrder:
-		r.advance(e, p.Len)
-	case p.Seq > r.rcvNxt:
+		r.advance(e, n)
+	case seq > r.rcvNxt:
 		// Out of order: buffer (idempotently); the ACK below is a dup ACK.
 		r.tel.oooSegs.Inc()
-		if _, ok := r.outOfOrder[p.Seq]; !ok {
-			r.outOfOrder[p.Seq] = p.Len
+		if _, ok := r.outOfOrder[seq]; !ok {
+			r.outOfOrder[seq] = n
 		}
 	default:
 		// Below rcvNxt: duplicate of already-delivered data; just re-ACK.
@@ -159,11 +162,11 @@ func (r *Receiver) sendAck(e *sim.Engine) {
 	}
 	echo := r.ecnPend
 	r.ecnPend = false
-	r.Back.Receive(e, &ip.Packet{
+	r.Back.Receive(e, ip.NewPacket(ip.Packet{
 		Flow:   r.Flow,
 		Ack:    true,
 		AckNo:  r.rcvNxt,
 		ECN:    echo,
 		SentAt: e.Now(),
-	})
+	}))
 }

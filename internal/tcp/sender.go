@@ -253,14 +253,14 @@ func (s *Sender) trySend(e *sim.Engine) {
 
 // transmit emits one segment.
 func (s *Sender) transmit(e *sim.Engine, seq int64, isRetransmit bool) {
-	p := &ip.Packet{
+	p := ip.NewPacket(ip.Packet{
 		Flow:        s.Flow,
 		Seq:         seq,
 		Len:         s.Params.MSS,
 		CurrentRate: s.rate,
 		Retransmit:  isRetransmit,
 		SentAt:      e.Now(),
-	}
+	})
 	s.sent++
 	s.tel.segsSent.Inc()
 	if isRetransmit {
@@ -312,18 +312,22 @@ func (s *Sender) onTimeout(e *sim.Engine) {
 	s.notifyCwnd(e.Now())
 }
 
-// Receive implements ip.Sink: the sender consumes ACKs for its flow.
+// Receive implements ip.Sink: the sender consumes ACKs for its flow. It is
+// where every packet handed to it ends, ignored ones included: it copies the
+// header fields it needs and releases the packet before acting.
 func (s *Sender) Receive(e *sim.Engine, p *ip.Packet) {
-	if !p.Ack || p.Flow != s.Flow || !s.started {
+	ack, flow, ackNo, ecn := p.Ack, p.Flow, p.AckNo, p.ECN
+	p.Release()
+	if !ack || flow != s.Flow || !s.started {
 		return
 	}
-	if p.ECN {
+	if ecn {
 		s.onECNEcho(e)
 	}
 	switch {
-	case p.AckNo > s.sndUna:
-		s.onNewAck(e, p.AckNo)
-	case p.AckNo == s.sndUna && s.sndNxt > s.sndUna:
+	case ackNo > s.sndUna:
+		s.onNewAck(e, ackNo)
+	case ackNo == s.sndUna && s.sndNxt > s.sndUna:
 		s.onDupAck(e)
 	}
 	s.trySend(e)
