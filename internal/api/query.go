@@ -32,6 +32,7 @@ type QueryStats struct {
 	Jobs            int   `json:"jobs,omitempty"`
 	Files           int   `json:"files"`
 	FilesInProgress int   `json:"files_in_progress,omitempty"`
+	FilesSkipped    int   `json:"files_skipped"`
 	Blocks          int   `json:"blocks"`
 	BlocksScanned   int   `json:"blocks_scanned"`
 	BlocksSkipped   int   `json:"blocks_skipped"`
@@ -43,6 +44,7 @@ func WireScanStats(s store.ScanStats) QueryStats {
 	return QueryStats{
 		Files:           s.Files,
 		FilesInProgress: s.FilesInProgress,
+		FilesSkipped:    s.FilesSkipped,
 		Blocks:          s.Blocks,
 		BlocksScanned:   s.BlocksScanned,
 		BlocksSkipped:   s.BlocksSkipped,
@@ -54,6 +56,7 @@ func WireScanStats(s store.ScanStats) QueryStats {
 func (a *QueryStats) Add(s store.ScanStats) {
 	a.Files += s.Files
 	a.FilesInProgress += s.FilesInProgress
+	a.FilesSkipped += s.FilesSkipped
 	a.Blocks += s.Blocks
 	a.BlocksScanned += s.BlocksScanned
 	a.BlocksSkipped += s.BlocksSkipped
@@ -297,6 +300,7 @@ func (a *QueryStats) merge(b QueryStats) {
 	a.Jobs += b.Jobs
 	a.Files += b.Files
 	a.FilesInProgress += b.FilesInProgress
+	a.FilesSkipped += b.FilesSkipped
 	a.Blocks += b.Blocks
 	a.BlocksScanned += b.BlocksScanned
 	a.BlocksSkipped += b.BlocksSkipped

@@ -55,8 +55,8 @@ func RunTraceQuery(w io.Writer, src api.QuerySource, o TraceQueryOpts) error {
 // stderr line). Non-zero live or fan-out counts get called out so a
 // partial answer (a still-growing campaign) is visible.
 func PrintScanStats(w io.Writer, prog string, s api.QueryStats) {
-	fmt.Fprintf(w, "%s: %d files, %d blocks: scanned %d, skipped %d, read %d bytes",
-		prog, s.Files, s.Blocks, s.BlocksScanned, s.BlocksSkipped, s.BytesRead)
+	fmt.Fprintf(w, "%s: %d files (%d skipped), %d blocks: scanned %d, skipped %d, read %d bytes",
+		prog, s.Files, s.FilesSkipped, s.Blocks, s.BlocksScanned, s.BlocksSkipped, s.BytesRead)
 	if s.FilesInProgress > 0 {
 		fmt.Fprintf(w, " (%d files still being written)", s.FilesInProgress)
 	}

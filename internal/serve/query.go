@@ -28,6 +28,7 @@ import (
 type queryStats struct {
 	requests      uint64
 	errors        uint64
+	filesSkipped  uint64
 	blocksScanned uint64
 	blocksSkipped uint64
 	bytesRead     uint64
@@ -87,6 +88,7 @@ func (s *Server) ndjsonStream(w http.ResponseWriter) (enc *json.Encoder, finish 
 		w.Header().Set(api.TrailerScanStats, string(b))
 		s.mu.Lock()
 		s.queries.requests++
+		s.queries.filesSkipped += uint64(stats.FilesSkipped)
 		s.queries.blocksScanned += uint64(stats.BlocksScanned)
 		s.queries.blocksSkipped += uint64(stats.BlocksSkipped)
 		s.queries.bytesRead += uint64(stats.BytesRead)
@@ -349,6 +351,8 @@ func (s *Server) promQueries(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE phantom_query_requests untyped\n")
 	fmt.Fprintf(w, "phantom_query_requests %d\n", q.requests)
 	fmt.Fprintf(w, "phantom_query_errors %d\n", q.errors)
+	fmt.Fprintf(w, "# TYPE phantom_query_files untyped\n")
+	fmt.Fprintf(w, "phantom_query_files{result=\"skipped\"} %d\n", q.filesSkipped)
 	fmt.Fprintf(w, "# TYPE phantom_query_blocks untyped\n")
 	fmt.Fprintf(w, "phantom_query_blocks{result=\"scanned\"} %d\n", q.blocksScanned)
 	fmt.Fprintf(w, "phantom_query_blocks{result=\"skipped\"} %d\n", q.blocksSkipped)

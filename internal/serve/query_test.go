@@ -111,8 +111,8 @@ func TestRemoteMatchesLocal(t *testing.T) {
 
 // TestWindowedSeriesPushdown is the other half of the acceptance
 // criterion: a windowed series query on a multi-thousand-run campaign must
-// decompress only the matching blocks, asserted through the trailer's
-// ScanStats.
+// decompress only the matching blocks and walk only the file holding them,
+// asserted through the trailer's ScanStats and /metrics.
 func TestWindowedSeriesPushdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-run campaign build")
@@ -121,7 +121,7 @@ func TestWindowedSeriesPushdown(t *testing.T) {
 	const runs = 3000
 	writeSyntheticCampaign(t, filepath.Join(dir, "job-00001"), runs)
 
-	_, client, _ := newTestServer(t, Config{Dir: dir})
+	_, client, ts := newTestServer(t, Config{Dir: dir})
 
 	// One run's window: of the 3000 series blocks, exactly one contains
 	// [1_234_000_000, 1_234_031_000].
@@ -144,6 +144,20 @@ func TestWindowedSeriesPushdown(t *testing.T) {
 	}
 	if stats.BlocksSkipped != runs-1 {
 		t.Fatalf("skipped %d blocks, want %d", stats.BlocksSkipped, runs-1)
+	}
+	// Runs' windows are disjoint, so every file but the one holding run
+	// 1234's series block is ruled out by its zone and never walked.
+	if stats.Files < 2 || stats.FilesSkipped != stats.Files-1 {
+		t.Fatalf("skipped %d of %d files whole, want all but the one holding the run", stats.FilesSkipped, stats.Files)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if want := fmt.Sprintf("phantom_query_files{result=\"skipped\"} %d\n", stats.FilesSkipped); !strings.Contains(string(body), want) {
+		t.Errorf("missing %q in /metrics:\n%s", want, body)
 	}
 }
 

@@ -59,6 +59,13 @@ func (q *Query) matchSlot(s *slot, expHash, nameHash, compHash uint64) bool {
 	return true
 }
 
+// rulesOut decides from a file's zone alone that matchSlot rejects every
+// slot the zone summarises: matchSlot's window test, against the zone's
+// time range. A file with no slot of the kind is ruled out too.
+func (q *Query) rulesOut(z *zone) bool {
+	return z.n == 0 || z.tMax < q.From || (q.To != 0 && z.tMin > q.To)
+}
+
 // inWindow reports whether t falls in the query's time window.
 func (q *Query) inWindow(t sim.Time) bool {
 	return t >= q.From && (q.To == 0 || t <= q.To)
@@ -66,30 +73,54 @@ func (q *Query) inWindow(t sim.Time) bool {
 
 // ScanStats counts index-level work per kind-matching block: Blocks were
 // considered, BlocksScanned were read + decompressed, BlocksSkipped were
-// rejected from the slot alone. BytesRead is compressed bytes fetched.
-// FilesInProgress counts trailing files a live-mode open skipped because a
-// writer had not sealed them yet — non-zero means the answer is a prefix of
-// a still-growing campaign.
+// rejected from the index alone. BytesRead is compressed bytes fetched.
+// FilesSkipped counts files whose zone map ruled out every block of the
+// queried kind, so their slots were never walked; their blocks still count
+// in Blocks and BlocksSkipped. FilesInProgress counts trailing files a
+// live-mode open skipped because a writer had not sealed them yet —
+// non-zero means the answer is a prefix of a still-growing campaign.
 type ScanStats struct {
 	Files           int
 	FilesInProgress int
+	FilesSkipped    int
 	Blocks          int
 	BlocksScanned   int
 	BlocksSkipped   int
 	BytesRead       int64
 }
 
-// fileIndex is one campaign file's loaded index.
+// fileIndex is one campaign file's loaded index, with one zone per block
+// kind.
 type fileIndex struct {
 	path  string
 	slots []slot
+	zones [KindSummary + 1]zone
+}
+
+// zone summarises every slot of one kind in one file: a query whose window
+// misses the zone's time range cannot match any of them, so the scan need
+// not walk the file. It is built once, when the index is loaded. The skip
+// pays off only when runs occupy separate stretches of simulated time;
+// runs that all start at t = 0 give every file the same range.
+type zone struct {
+	n          int
+	tMin, tMax sim.Time // least slot tMin, greatest slot tMax
+}
+
+func (z *zone) add(s *slot) {
+	if z.n == 0 {
+		z.tMin, z.tMax = s.tMin, s.tMax
+	}
+	z.n++
+	z.tMin = min(z.tMin, s.tMin)
+	z.tMax = max(z.tMax, s.tMax)
 }
 
 // Reader answers queries over a campaign directory by streaming matching
 // blocks from disk — it never loads a whole campaign. A Reader is
 // single-goroutine; its query methods accumulate ScanStats.
 type Reader struct {
-	files []fileIndex
+	files []*fileIndex
 	stats ScanStats
 }
 
@@ -120,23 +151,24 @@ type Cache struct {
 }
 
 // cachedIndex remembers the file size the index was loaded at; a size
-// mismatch (a recreated path) invalidates the entry.
+// mismatch (a recreated path) invalidates the entry. A loaded index is
+// never modified, so every reader shares it.
 type cachedIndex struct {
 	size int64
-	fi   fileIndex
+	fi   *fileIndex
 }
 
 // NewCache returns an empty index cache.
 func NewCache() *Cache { return &Cache{files: make(map[string]cachedIndex)} }
 
 // load returns the file's index, from cache when its size still matches.
-func (c *Cache) load(path string) (fileIndex, error) {
+func (c *Cache) load(path string) (*fileIndex, error) {
 	if c == nil {
 		return readIndex(path)
 	}
 	info, err := os.Stat(path)
 	if err != nil {
-		return fileIndex{}, err
+		return nil, err
 	}
 	c.mu.Lock()
 	e, ok := c.files[path]
@@ -146,7 +178,7 @@ func (c *Cache) load(path string) (fileIndex, error) {
 	}
 	fi, err := readIndex(path)
 	if err != nil {
-		return fileIndex{}, err
+		return nil, err
 	}
 	c.mu.Lock()
 	c.files[path] = cachedIndex{size: info.Size(), fi: fi}
@@ -185,43 +217,89 @@ func (c *Cache) open(dir string, live bool) (*Reader, error) {
 	return r, nil
 }
 
-// readIndex loads and validates one file's header + index region.
-func readIndex(path string) (fileIndex, error) {
+// maxFlateRatio is deflate's format limit on expansion: a 258-byte match
+// costs at least two bits.
+const maxFlateRatio = 1032
+
+// checkSlot bounds by the file's size everything a slot makes the reader
+// allocate: the block lies in the data region, its raw length is one its
+// codec can produce from encLen bytes, and its row count fits in rawLen
+// (a row of any kind costs at least two raw bytes).
+func checkSlot(s *slot, dataStart, size uint64) error {
+	switch {
+	case s.kind < KindSeries || s.kind > KindSummary:
+		return fmt.Errorf("unknown block kind %d", s.kind)
+	case s.off < dataStart:
+		return fmt.Errorf("points into the index region")
+	case s.off > size || uint64(s.encLen) > size-s.off:
+		return fmt.Errorf("block of %d bytes at offset %d runs past the end of the file (%d bytes)", s.encLen, s.off, size)
+	case 2*uint64(s.rows) > uint64(s.rawLen):
+		return fmt.Errorf("%d rows cannot fit in %d raw bytes", s.rows, s.rawLen)
+	}
+	switch s.comp {
+	case CompressionNone:
+		if s.rawLen != s.encLen {
+			return fmt.Errorf("uncompressed block of %d bytes claims %d raw bytes", s.encLen, s.rawLen)
+		}
+	case CompressionFlate:
+		if uint64(s.rawLen) > maxFlateRatio*uint64(s.encLen) {
+			return fmt.Errorf("flate block of %d bytes claims %d raw bytes", s.encLen, s.rawLen)
+		}
+	default:
+		return fmt.Errorf("unknown compression %d", s.comp)
+	}
+	return nil
+}
+
+// readIndex loads and validates one file's header + index region and
+// builds its zones. Every allocation it, or a later read of the file's
+// blocks, makes is bounded by the file's size.
+func readIndex(path string) (*fileIndex, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fileIndex{}, err
+		return nil, err
 	}
 	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := uint64(info.Size())
 	var hdr [headerSize]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return fileIndex{}, fmt.Errorf("store: %s: short header: %w", path, err)
+		return nil, fmt.Errorf("store: %s: short header: %w", path, err)
 	}
 	if string(hdr[:4]) != Magic {
-		return fileIndex{}, fmt.Errorf("store: %s: bad magic %q", path, hdr[:4])
+		return nil, fmt.Errorf("store: %s: bad magic %q", path, hdr[:4])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:]); v != Version {
-		return fileIndex{}, fmt.Errorf("store: %s: version %d, want %d", path, v, Version)
+		return nil, fmt.Errorf("store: %s: version %d, want %d", path, v, Version)
 	}
 	slotCount := binary.LittleEndian.Uint32(hdr[8:])
 	used := binary.LittleEndian.Uint32(hdr[12:])
 	sealed := binary.LittleEndian.Uint32(hdr[16:])
 	if sealed != 1 {
-		return fileIndex{}, fmt.Errorf("store: %s: unsealed file (crashed writer?)", path)
+		return nil, fmt.Errorf("store: %s: unsealed file (crashed writer?)", path)
 	}
 	if slotCount == 0 || slotCount > 1<<20 || used > slotCount {
-		return fileIndex{}, fmt.Errorf("store: %s: implausible index (%d/%d slots)", path, used, slotCount)
+		return nil, fmt.Errorf("store: %s: implausible index (%d/%d slots)", path, used, slotCount)
+	}
+	dataStart := uint64(headerSize) + uint64(slotCount)*slotSize
+	if dataStart > size {
+		return nil, fmt.Errorf("store: %s: short index: %d slots need %d bytes, file has %d", path, slotCount, dataStart, size)
 	}
 	buf := make([]byte, int(used)*slotSize)
 	if _, err := f.ReadAt(buf, headerSize); err != nil {
-		return fileIndex{}, fmt.Errorf("store: %s: short index: %w", path, err)
+		return nil, fmt.Errorf("store: %s: short index: %w", path, err)
 	}
-	fi := fileIndex{path: path, slots: make([]slot, used)}
-	dataStart := uint64(headerSize) + uint64(slotCount)*slotSize
+	fi := &fileIndex{path: path, slots: make([]slot, used)}
 	for i := range fi.slots {
-		fi.slots[i].unmarshal(buf[i*slotSize:])
-		if fi.slots[i].off < dataStart {
-			return fileIndex{}, fmt.Errorf("store: %s: slot %d points into the index region", path, i)
+		s := &fi.slots[i]
+		s.unmarshal(buf[i*slotSize:])
+		if err := checkSlot(s, dataStart, size); err != nil {
+			return nil, fmt.Errorf("store: %s: slot %d: %v", path, i, err)
 		}
+		fi.zones[s.kind].add(s)
 	}
 	return fi, nil
 }
@@ -249,13 +327,20 @@ func readBlock(f *os.File, path string, i int, s *slot) ([]byte, error) {
 
 // scan walks every block of the wanted kind, applying the index filter,
 // and hands decompressed payloads to fn in (file, block) order — which is
-// commit order, i.e. run order. Skipped blocks are never read.
+// commit order, i.e. run order. Skipped blocks are never read, and a file
+// whose zone rules the query out is not walked at all.
 func (r *Reader) scan(kind Kind, q Query, fn func(s *slot, raw []byte) error) error {
 	expHash := hashStr(q.Experiment)
 	nameHash := hashStr(q.Name)
 	compHash := hashStr(q.Component)
 	for fi := range r.files {
-		file := &r.files[fi]
+		file := r.files[fi]
+		if z := &file.zones[kind]; q.rulesOut(z) {
+			r.stats.FilesSkipped++
+			r.stats.Blocks += z.n
+			r.stats.BlocksSkipped += z.n
+			continue
+		}
 		var f *os.File
 		for i := range file.slots {
 			s := &file.slots[i]

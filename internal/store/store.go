@@ -20,9 +20,13 @@
 // decide relevance without touching the block: the kind, the 64-bit FNV-1a
 // hashes of the experiment label and the series name / trace component, the
 // sweep index, the row count, and the [tMin, tMax] timestamp range. A query
-// for one experiment and time window therefore seeks straight past
-// non-matching blocks — no decompression, no parse — which is what makes
-// post-hoc analysis of a million-run campaign tractable.
+// for one experiment and time window therefore rejects non-matching blocks
+// from their slots — no read, no decompression, no parse. When a file's
+// index loads, the reader also folds its slots into one zone map per block
+// kind (slot count and time range), and a query whose window misses the
+// zone skips the whole file without walking its slots — when runs occupy
+// separate stretches of simulated time. That is what makes post-hoc
+// analysis of a million-run campaign tractable.
 //
 // Block payloads are columnar: timestamps are delta-of-delta zigzag
 // varints (a fixed-cadence sampler costs ~1 byte per row), float values are
