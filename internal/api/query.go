@@ -3,9 +3,12 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/url"
+	"slices"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -29,14 +32,17 @@ const TrailerScanStats = "Phantom-Scan-Stats"
 type QueryStats struct {
 	// Jobs is how many job stores a cross-job query visited (0 on
 	// single-job endpoints).
-	Jobs            int   `json:"jobs,omitempty"`
-	Files           int   `json:"files"`
-	FilesInProgress int   `json:"files_in_progress,omitempty"`
-	FilesSkipped    int   `json:"files_skipped"`
-	Blocks          int   `json:"blocks"`
-	BlocksScanned   int   `json:"blocks_scanned"`
-	BlocksSkipped   int   `json:"blocks_skipped"`
-	BytesRead       int64 `json:"bytes_read"`
+	Jobs            int `json:"jobs,omitempty"`
+	Files           int `json:"files"`
+	FilesInProgress int `json:"files_in_progress,omitempty"`
+	FilesSkipped    int `json:"files_skipped"`
+	Blocks          int `json:"blocks"`
+	BlocksScanned   int `json:"blocks_scanned"`
+	BlocksSkipped   int `json:"blocks_skipped"`
+	// BytesRead is the compressed bytes of the scanned blocks. A coalesced
+	// read may also fetch skipped blocks lying between two matches; those
+	// bytes are not counted.
+	BytesRead int64 `json:"bytes_read"`
 }
 
 // WireScanStats converts reader scan statistics to their wire form.
@@ -136,20 +142,14 @@ func ParseStoreQuery(v url.Values) (store.Query, error) {
 
 // --- NDJSON row shapes ---
 
-// PointWire is one series sample: simulated nanoseconds, value.
-type PointWire struct {
-	T int64   `json:"t"`
-	V float64 `json:"v"`
-}
-
 // SeriesRow is one block's worth of one run's series points — the NDJSON
 // row of /v1/jobs/{id}/series. A long series spans several rows, in time
 // order.
 type SeriesRow struct {
-	Experiment string      `json:"experiment"`
-	Sweep      int         `json:"sweep"`
-	Name       string      `json:"name"`
-	Points     []PointWire `json:"points"`
+	Experiment string          `json:"experiment"`
+	Sweep      int             `json:"sweep"`
+	Name       string          `json:"name"`
+	Points     []metrics.Point `json:"points"`
 }
 
 // SummaryRow is one run's scalar summary metrics — the NDJSON row of
@@ -161,6 +161,50 @@ type SummaryRow struct {
 	Summary    map[string]float64 `json:"summary"`
 }
 
+// AppendJSON appends the row without reflection: exactly the bytes
+// json.Encoder.Encode writes for it (fields in declaration order, map keys
+// sorted, strings HTML-escaped, floats in encoding/json's format, a nil
+// map as null, then a newline). It refuses NaN and ±Inf where
+// encoding/json does, with its error. A full /summary stream is one row
+// per run, so the per-row cost of reflection is what the stream paid;
+// encoding/json stays the reference the tests hold this writer to, and
+// the reader side decodes every row with it.
+func (r *SummaryRow) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"experiment":`...)
+	b = appendString(b, r.Experiment)
+	b = append(b, `,"sweep":`...)
+	b = strconv.AppendInt(b, int64(r.Sweep), 10)
+	b = append(b, `,"at_ns":`...)
+	b = strconv.AppendInt(b, r.AtNS, 10)
+	b = append(b, `,"summary":`...)
+	if r.Summary == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '{')
+		// encoding/json sorts keys bytewise; a stack array holds a small
+		// summary's keys.
+		var arr [8]string
+		keys := arr[:0]
+		for k := range r.Summary {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, k)
+			b = append(b, ':')
+			var err error
+			if b, err = appendFloat(b, r.Summary[k]); err != nil {
+				return b, err
+			}
+		}
+		b = append(b, '}')
+	}
+	return append(b, "}\n"...), nil
+}
+
 // CountersRow is one run's telemetry snapshot — the NDJSON row of
 // /v1/jobs/{id}/counters — or, on the cross-job endpoint, the merge of
 // Runs snapshots sharing (experiment, sweep).
@@ -170,6 +214,44 @@ type CountersRow struct {
 	AtNS       int64             `json:"at_ns,omitempty"`
 	Runs       int               `json:"runs,omitempty"`
 	Counters   map[string]uint64 `json:"counters"`
+}
+
+// appendString appends s as a JSON string. Printable ASCII other than the
+// five characters encoding/json escapes (" \ < > &) is copied as is;
+// anything else — rare in labels and metric names — is left to
+// json.Marshal, which cannot fail on a string.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendFloat appends f as encoding/json does: the shortest decimal that
+// reads back as f, in 'f' form inside [1e-6, 1e21) and 'e' form outside
+// it, with a one-digit negative exponent's leading zero dropped (1e-07 is
+// written 1e-7). NaN and ±Inf have no JSON form; the error is
+// encoding/json's.
+func appendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		_, err := json.Marshal(f)
+		return b, err
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 // TraceRow is one block's worth of one run's flight-recorder events — the
@@ -238,14 +320,7 @@ type RemoteSource struct {
 
 func (s *RemoteSource) Series(q store.Query, fn func(store.SeriesChunk) error) error {
 	return queryRows(s, "series", q, func(row SeriesRow) error {
-		c := store.SeriesChunk{
-			Experiment: row.Experiment, Sweep: row.Sweep, Name: row.Name,
-			Points: make([]metrics.Point, len(row.Points)),
-		}
-		for i, p := range row.Points {
-			c.Points[i] = metrics.Point{T: sim.Time(p.T), V: p.V}
-		}
-		return fn(c)
+		return fn(store.SeriesChunk{Experiment: row.Experiment, Sweep: row.Sweep, Name: row.Name, Points: row.Points})
 	})
 }
 

@@ -1,0 +1,88 @@
+package api
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"strconv"
+	"testing"
+)
+
+// checkRowJSON holds SummaryRow.AppendJSON to json.Encoder.Encode, in
+// every shape the writer branches on (nil, empty and many-keyed maps)
+// around one string s, one float f and one integer n: the same bytes, or
+// an error with the same text where encoding/json refuses the row.
+func checkRowJSON(t *testing.T, s string, f float64, n int64) {
+	t.Helper()
+	many := map[string]float64{}
+	for i := 0; i < 12; i++ { // more keys than the writer's stack array holds
+		many[fmt.Sprint(s, 11-i)] = f * float64(i)
+	}
+	for _, m := range []map[string]float64{nil, {}, {s: f}, {"b": 1, s: f, "a": -f, "A" + s: 0}, many} {
+		r := &SummaryRow{Experiment: s, Sweep: int(n), AtNS: n, Summary: m}
+		var want bytes.Buffer
+		wantErr := json.NewEncoder(&want).Encode(r)
+		got, gotErr := r.AppendJSON([]byte("prefix"))
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%+v: error %v, encoding/json %v", r, gotErr, wantErr)
+		}
+		if !bytes.HasPrefix(got, []byte("prefix")) {
+			t.Fatalf("%+v: the writer dropped what it was appending to", r)
+		}
+		if wantErr == nil && !bytes.Equal(got[len("prefix"):], want.Bytes()) {
+			t.Fatalf("%+v:\n got %q\nwant %q", r, got[len("prefix"):], want.Bytes())
+		}
+	}
+}
+
+// TestRowJSONMatchesEncoder: the hand-written summary row is byte-identical
+// to encoding/json's over the strings and floats it treats specially.
+func TestRowJSONMatchesEncoder(t *testing.T) {
+	strs := []string{
+		"", "goodput", "synth/acr", "link.cells_in",
+		"<script>alert(1)</script> & co", `say "hi" \ bye`,
+		"\x00\x01\x07\x1f \b\f\n\r\t\x7f",
+		"bad \xff\xfe utf-8 \xc3", "line\u2028para\u2029end",
+		"débit · 日本語 · 🙂",
+	}
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 1.5, 123456789.125, 1e20, -2.5e-3,
+		1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1), -1e-6, 1e-7, 1.234e-9, 1e-300,
+		1e21, math.Nextafter(1e21, 0), math.Nextafter(1e21, math.Inf(1)), -1e21, 1.5e300,
+		math.SmallestNonzeroFloat64, 2.2250738585072009e-308, math.MaxFloat64, -math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for _, s := range strs {
+		for _, f := range floats {
+			for _, n := range []int64{0, -1, 42, math.MinInt64, math.MaxInt64} {
+				checkRowJSON(t, s, f, n)
+			}
+		}
+	}
+}
+
+// FuzzRowJSON drives the comparison of TestRowJSONMatchesEncoder from
+// fuzzed string bytes, float bits and integers.
+func FuzzRowJSON(f *testing.F) {
+	f.Add("goodput", math.Float64bits(0.5), int64(7))
+	f.Add("<&>\"\\\x00\xff\u2028", math.Float64bits(1e-7), int64(-1))
+	f.Add("日本", math.Float64bits(math.NaN()), int64(0))
+	f.Add("", math.Float64bits(1e21), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, s string, bits uint64, n int64) {
+		checkRowJSON(t, s, math.Float64frombits(bits), n)
+	})
+}
+
+// TestRowJSONStaysOnTheStack: writing a summary row into a buffer with
+// room allocates nothing — the reason the writer exists.
+func TestRowJSONStaysOnTheStack(t *testing.T) {
+	r := &SummaryRow{Experiment: "sweep/acr", Sweep: 12, AtNS: 12063, Summary: map[string]float64{"goodput": 12, "jain_normalized": 0.99}}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = r.AppendJSON(buf[:0]) }); n != 0 {
+		t.Fatalf("SummaryRow.AppendJSON allocates %v times per row", n)
+	}
+	if got := string(buf); got != `{"experiment":"sweep/acr","sweep":12,"at_ns":12063,"summary":{"goodput":12,"jain_normalized":0.99}}`+"\n" {
+		t.Fatalf("row = %s", strconv.Quote(got))
+	}
+}

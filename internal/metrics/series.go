@@ -14,10 +14,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Point is one sample of a time series.
+// Point is one sample of a time series. Its JSON form, {"t": simulated
+// nanoseconds, "v": value}, is a series point on the daemon's analytics
+// wire.
 type Point struct {
-	T sim.Time
-	V float64
+	T sim.Time `json:"t"`
+	V float64  `json:"v"`
 }
 
 // Series is an append-only time series with non-decreasing timestamps.

@@ -112,14 +112,7 @@ func (s *Server) handleQuerySeries(w http.ResponseWriter, r *http.Request) {
 	}
 	enc, finish := s.ndjsonStream(w)
 	err := rd.Series(q, func(c store.SeriesChunk) error {
-		row := api.SeriesRow{
-			Experiment: c.Experiment, Sweep: c.Sweep, Name: c.Name,
-			Points: make([]api.PointWire, len(c.Points)),
-		}
-		for i, p := range c.Points {
-			row.Points[i] = api.PointWire{T: int64(p.T), V: p.V}
-		}
-		return enc.Encode(row)
+		return enc.Encode(api.SeriesRow{Experiment: c.Experiment, Sweep: c.Sweep, Name: c.Name, Points: c.Points})
 	})
 	if err != nil {
 		s.queryFailed(w, err)
@@ -133,12 +126,18 @@ func (s *Server) handleQuerySummary(w http.ResponseWriter, r *http.Request) {
 	if rd == nil {
 		return
 	}
-	enc, finish := s.ndjsonStream(w)
+	// Summary rows, the bulk of a sweep's analysis, are appended without
+	// reflection into one per-request buffer and written one per Write.
+	_, finish := s.ndjsonStream(w)
+	var buf []byte
 	err := rd.Summaries(q, func(rs store.RunSummary) error {
-		return enc.Encode(api.SummaryRow{
-			Experiment: rs.Experiment, Sweep: rs.Sweep,
-			AtNS: int64(rs.At), Summary: rs.Summary,
-		})
+		row := api.SummaryRow{Experiment: rs.Experiment, Sweep: rs.Sweep, AtNS: int64(rs.At), Summary: rs.Summary}
+		var err error
+		if buf, err = row.AppendJSON(buf[:0]); err != nil {
+			return err
+		}
+		_, err = w.Write(buf)
+		return err
 	})
 	if err != nil {
 		s.queryFailed(w, err)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -106,6 +107,86 @@ func TestRemoteMatchesLocal(t *testing.T) {
 				t.Errorf("scan stats differ: local %+v, remote %+v", lst, rst)
 			}
 		})
+	}
+}
+
+// TestQueryBodiesMatchEncoder: the raw bodies of the row endpoints — the
+// summary rows the daemon writes without reflection among them — are the
+// bytes json.Encoder renders from the local reader's rows, and their
+// trailers carry the local reader's stats. The data is a daemon-run
+// E01/E02 sweep with telemetry and traces, whose summary blocks sit
+// between trace blocks, and an adopted campaign carrying series.
+func TestQueryBodiesMatchEncoder(t *testing.T) {
+	dir := t.TempDir()
+	writeSyntheticCampaign(t, filepath.Join(dir, "synth"), 300)
+	_, client, ts := newTestServer(t, Config{Dir: dir})
+	spec := quickSuite("^E0[12]$")
+	spec.Suite.Sweep = 3
+	spec.Telemetry = true
+	st, err := client.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := client.Results(st.ID, nil); err != nil || rep.Job.State != api.JobDone {
+		t.Fatalf("job %s: %v, %+v", st.ID, err, rep.Job)
+	}
+
+	all := store.Query{Sweep: store.AnySweep}
+	for _, tc := range []struct {
+		job, endpoint string
+		q             store.Query
+	}{
+		{st.ID, "summary", all},
+		{st.ID, "counters", all},
+		{"synth", "summary", all},
+		{"synth", "counters", all},
+		{"synth", "series", store.Query{Name: "acr", Sweep: store.AnySweep}},
+		{"synth", "series", store.Query{Name: "acr", Sweep: store.AnySweep, From: 40_010_000, To: 120_020_000}},
+	} {
+		r, err := store.Open(filepath.Join(dir, tc.job))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		switch tc.endpoint {
+		case "summary":
+			err = r.Summaries(tc.q, func(rs store.RunSummary) error {
+				return enc.Encode(api.SummaryRow{Experiment: rs.Experiment, Sweep: rs.Sweep, AtNS: int64(rs.At), Summary: rs.Summary})
+			})
+		case "counters":
+			err = r.Counters(tc.q, func(rc store.RunCounters) error {
+				return enc.Encode(api.CountersRow{Experiment: rc.Experiment, Sweep: rc.Sweep, AtNS: int64(rc.At), Counters: rc.Counters})
+			})
+		case "series":
+			err = r.Series(tc.q, func(c store.SeriesChunk) error {
+				return enc.Encode(api.SeriesRow{Experiment: c.Experiment, Sweep: c.Sweep, Name: c.Name, Points: c.Points})
+			})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTrailer, _ := json.Marshal(api.WireScanStats(r.Stats()))
+
+		resp, err := http.Get(ts.URL + api.PathPrefix + "/jobs/" + tc.job + "/" + tc.endpoint + "?" + api.QueryValues(tc.q).Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := fmt.Sprintf("%s /%s %+v", tc.job, tc.endpoint, tc.q)
+		if want.Len() == 0 {
+			t.Fatalf("%s: no rows, so the comparison proves nothing", ctx)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Fatalf("%s: body differs from json.Encoder's rendering\n got %.300q\nwant %.300q", ctx, body, want.Bytes())
+		}
+		if got := resp.Trailer.Get(api.TrailerScanStats); got != string(wantTrailer) {
+			t.Errorf("%s: trailer %s, local reader %s", ctx, got, wantTrailer)
+		}
 	}
 }
 

@@ -95,7 +95,8 @@ var flateWriters = sync.Pool{New: func() any {
 	return w
 }}
 
-// flateReaders recycles decompressors through the flate.Resetter interface.
+// flateReaders recycles decompressors through the flate.Resetter interface;
+// a scan holds one for its duration.
 var flateReaders = sync.Pool{New: func() any {
 	return flate.NewReader(bytes.NewReader(nil))
 }}
@@ -120,31 +121,6 @@ func compress(comp Compression, raw []byte) ([]byte, error) {
 		}
 		flateWriters.Put(fw)
 		return buf.Bytes(), nil
-	}
-	return nil, fmt.Errorf("store: unknown compression %d", comp)
-}
-
-// decompress decodes enc back to rawLen payload bytes.
-func decompress(comp Compression, enc []byte, rawLen int) ([]byte, error) {
-	switch comp {
-	case CompressionNone:
-		if len(enc) != rawLen {
-			return nil, fmt.Errorf("store: raw block length %d, slot says %d", len(enc), rawLen)
-		}
-		return enc, nil
-	case CompressionFlate:
-		fr := flateReaders.Get().(io.ReadCloser)
-		if err := fr.(flate.Resetter).Reset(bytes.NewReader(enc), nil); err != nil {
-			flateReaders.Put(fr)
-			return nil, err
-		}
-		raw := make([]byte, rawLen)
-		_, err := io.ReadFull(fr, raw)
-		flateReaders.Put(fr)
-		if err != nil {
-			return nil, fmt.Errorf("store: short block decompress: %w", err)
-		}
-		return raw, nil
 	}
 	return nil, fmt.Errorf("store: unknown compression %d", comp)
 }

@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -73,7 +76,9 @@ func (q *Query) inWindow(t sim.Time) bool {
 
 // ScanStats counts index-level work per kind-matching block: Blocks were
 // considered, BlocksScanned were read + decompressed, BlocksSkipped were
-// rejected from the index alone. BytesRead is compressed bytes fetched.
+// rejected from the index alone. BytesRead is the compressed bytes of the
+// scanned blocks; a coalesced read may also fetch skipped blocks lying
+// between two matches, and those bytes are not counted.
 // FilesSkipped counts files whose zone map ruled out every block of the
 // queried kind, so their slots were never walked; their blocks still count
 // in Blocks and BlocksSkipped. FilesInProgress counts trailing files a
@@ -313,64 +318,198 @@ func (r *Reader) ResetStats() {
 	r.stats = ScanStats{Files: r.stats.Files, FilesInProgress: r.stats.FilesInProgress}
 }
 
-// readBlock fetches, CRC-checks and decompresses one block.
-func readBlock(f *os.File, path string, i int, s *slot) ([]byte, error) {
-	enc := make([]byte, s.encLen)
-	if _, err := f.ReadAt(enc, int64(s.off)); err != nil {
-		return nil, fmt.Errorf("store: %s: block %d read: %w", path, i, err)
-	}
-	if crc := crc32.ChecksumIEEE(enc); crc != s.crc {
-		return nil, fmt.Errorf("store: %s: block %d CRC mismatch (%08x != %08x): corrupt file", path, i, crc, s.crc)
-	}
-	return decompress(s.comp, enc, int(s.rawLen))
-}
+// A scan fetches the matching blocks of a file in spans: one ReadAt covers
+// a run of matches and whatever lies between them. A match joins the
+// current span only while the bytes skipped since the previous match stay
+// under readGap and the span stays within readSpan; a block larger than
+// readSpan is read alone. Both are constants because the index already
+// says where every block lies and how long it is — there is nothing left
+// for a caller to tune.
+const (
+	// readGap is where reading through the bytes between two matches stops
+	// beating a second read. Measured by full summary scans of
+	// daemon-written campaigns (2-vCPU Linux, warm page cache), against
+	// reading every block alone: reading through 331-byte gaps was 5 %
+	// faster, through 3.4 KiB gaps even, through 5.4 KiB gaps 1–5 % slower
+	// and through 12–16 KiB gaps 9–18 % slower.
+	readGap = 4 << 10
+	// readSpan bounds one read, and with it the span buffer.
+	readSpan = 256 << 10
+)
 
 // scan walks every block of the wanted kind, applying the index filter,
 // and hands decompressed payloads to fn in (file, block) order — which is
-// commit order, i.e. run order. Skipped blocks are never read, and a file
-// whose zone rules the query out is not walked at all.
+// commit order, i.e. run order. Skipped blocks are never decompressed, and
+// a file whose zone rules the query out is not walked at all. raw is valid
+// only during fn: the scan reuses its buffers for the blocks that follow,
+// so fn copies what it keeps (every decoder does).
 func (r *Reader) scan(kind Kind, q Query, fn func(s *slot, raw []byte) error) error {
-	expHash := hashStr(q.Experiment)
-	nameHash := hashStr(q.Name)
-	compHash := hashStr(q.Component)
-	for fi := range r.files {
-		file := r.files[fi]
-		if z := &file.zones[kind]; q.rulesOut(z) {
-			r.stats.FilesSkipped++
-			r.stats.Blocks += z.n
-			r.stats.BlocksSkipped += z.n
+	sc := newScanner(r, kind, q)
+	defer sc.release()
+	return sc.run(fn)
+}
+
+// scanner is one scan's state: the query's hashed keys, the current span,
+// and the buffers and flate reader every block of the scan reuses.
+type scanner struct {
+	r                           *Reader
+	kind                        Kind
+	q                           Query
+	expHash, nameHash, compHash uint64
+
+	// span holds the file's bytes from offset start; the first n are valid,
+	// and err says why a read stopped short of len(span). Slots before next
+	// are the ones the span was planned for.
+	span  []byte
+	start uint64
+	n     int
+	err   error
+	next  int
+
+	raw []byte
+	br  bytes.Reader
+	fr  io.ReadCloser // from flateReaders, taken at the first flate block
+}
+
+func newScanner(r *Reader, kind Kind, q Query) *scanner {
+	return &scanner{
+		r: r, kind: kind, q: q,
+		expHash: hashStr(q.Experiment), nameHash: hashStr(q.Name), compHash: hashStr(q.Component),
+	}
+}
+
+// run walks every file whose zone does not rule the query out.
+func (sc *scanner) run(fn func(s *slot, raw []byte) error) error {
+	st := &sc.r.stats
+	for _, file := range sc.r.files {
+		if z := &file.zones[sc.kind]; sc.q.rulesOut(z) {
+			st.FilesSkipped++
+			st.Blocks += z.n
+			st.BlocksSkipped += z.n
 			continue
 		}
-		var f *os.File
-		for i := range file.slots {
-			s := &file.slots[i]
-			if s.kind != kind {
-				continue
-			}
-			r.stats.Blocks++
-			if !q.matchSlot(s, expHash, nameHash, compHash) {
-				r.stats.BlocksSkipped++
-				continue
-			}
-			if f == nil {
-				var err error
-				if f, err = os.Open(file.path); err != nil {
-					return err
-				}
-				defer f.Close()
-			}
-			raw, err := readBlock(f, file.path, i, s)
-			if err != nil {
-				return err
-			}
-			r.stats.BlocksScanned++
-			r.stats.BytesRead += int64(s.encLen)
-			if err := fn(s, raw); err != nil {
-				return err
-			}
+		if err := sc.walk(file, fn); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+func (sc *scanner) match(s *slot) bool {
+	return s.kind == sc.kind && sc.q.matchSlot(s, sc.expHash, sc.nameHash, sc.compHash)
+}
+
+// release returns the flate reader to its pool.
+func (sc *scanner) release() {
+	if sc.fr != nil {
+		flateReaders.Put(sc.fr)
+	}
+}
+
+// walk hands fn the file's matching blocks in slot order. The file is
+// opened at its first match and closed when its walk ends, so a scan holds
+// at most one campaign file open.
+func (sc *scanner) walk(file *fileIndex, fn func(s *slot, raw []byte) error) error {
+	st := &sc.r.stats
+	var f *os.File
+	defer func() {
+		if f != nil {
+			f.Close()
+		}
+	}()
+	sc.next = 0
+	for i := range file.slots {
+		s := &file.slots[i]
+		if s.kind != sc.kind {
+			continue
+		}
+		st.Blocks++
+		if !sc.match(s) {
+			st.BlocksSkipped++
+			continue
+		}
+		if f == nil {
+			var err error
+			if f, err = os.Open(file.path); err != nil {
+				return err
+			}
+		}
+		if i >= sc.next {
+			sc.fill(f, file.slots, i)
+		}
+		raw, err := sc.block(file.path, i, s)
+		if err != nil {
+			return err
+		}
+		st.BlocksScanned++
+		st.BytesRead += int64(s.encLen)
+		if err := fn(s, raw); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fill reads the span that opens with slot i's block. Lookahead stops at
+// the first slot past the gap: a well-formed file lays blocks out in slot
+// order, so nothing after it can join.
+func (sc *scanner) fill(f *os.File, slots []slot, i int) {
+	start := slots[i].off
+	end := start + uint64(slots[i].encLen)
+	next := i + 1
+	for j := i + 1; j < len(slots); j++ {
+		s := &slots[j]
+		if s.off >= end+readGap {
+			break
+		}
+		if !sc.match(s) {
+			continue
+		}
+		if s.off < end || s.off+uint64(s.encLen)-start > readSpan {
+			break
+		}
+		end = s.off + uint64(s.encLen)
+		next = j + 1
+	}
+	// checkSlot bounds every block by the file's size, and so the span.
+	need := int(end - start)
+	if cap(sc.span) < need {
+		sc.span = make([]byte, need)
+	}
+	sc.span = sc.span[:need]
+	sc.n, sc.err = f.ReadAt(sc.span, int64(start))
+	sc.start, sc.next = start, next
+}
+
+// block CRC-checks slot i's block in the span and decompresses it.
+func (sc *scanner) block(path string, i int, s *slot) ([]byte, error) {
+	lo := s.off - sc.start
+	hi := lo + uint64(s.encLen)
+	if hi > uint64(sc.n) && hi > lo { // an empty block needs no bytes
+		return nil, fmt.Errorf("store: %s: block %d read: %w", path, i, sc.err)
+	}
+	enc := sc.span[lo:hi]
+	if crc := crc32.ChecksumIEEE(enc); crc != s.crc {
+		return nil, fmt.Errorf("store: %s: block %d CRC mismatch (%08x != %08x): corrupt file", path, i, crc, s.crc)
+	}
+	if s.comp == CompressionNone { // checkSlot: rawLen == encLen
+		return enc, nil
+	}
+	sc.br.Reset(enc)
+	if sc.fr == nil {
+		sc.fr = flateReaders.Get().(io.ReadCloser)
+	}
+	if err := sc.fr.(flate.Resetter).Reset(&sc.br, nil); err != nil {
+		return nil, err
+	}
+	if cap(sc.raw) < int(s.rawLen) {
+		sc.raw = make([]byte, s.rawLen)
+	}
+	raw := sc.raw[:s.rawLen]
+	if _, err := io.ReadFull(sc.fr, raw); err != nil {
+		return nil, fmt.Errorf("store: short block decompress: %w", err)
+	}
+	return raw, nil
 }
 
 // SeriesChunk is one delivered run of series points: a block's rows after
