@@ -86,7 +86,11 @@ func measureHotPath() allocStats {
 // representative end-to-end cell path (sources, links, switch algorithm,
 // metrics sampling); E09 (Reno over drop-tail and Selective Discard
 // routers) is the packet path: senders, receivers, ports and routers.
-func measureSuite(t testing.TB, id string) allocStats {
+// With newTrace set, each op runs on a recorder of its own, the way each
+// fleet worker, daemon job and shard gets one: E01 quick records ~400
+// events, so the op pays for those, while a ring that allocated its
+// capacity up front (17.8 MB at cli.TraceRingCap) would exceed the budget.
+func measureSuite(t testing.TB, id string, newTrace func() *trace.Tracer) allocStats {
 	def, ok := exp.Get(id)
 	if !ok {
 		t.Fatalf("%s not registered", id)
@@ -95,7 +99,11 @@ func measureSuite(t testing.TB, id string) allocStats {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := exp.Execute(def, exp.Options{Quiet: true, Duration: d}, nil); err != nil {
+			o := exp.Options{Quiet: true, Duration: d}
+			if newTrace != nil {
+				o.Trace = newTrace()
+			}
+			if _, err := exp.Execute(def, o, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -159,9 +167,10 @@ func TestAllocBudget(t *testing.T) {
 		got      allocStats
 	}{
 		{"engine_hot_path_1000_events", hot},
-		{"suite_e01_quick", measureSuite(t, "E01")},
-		{"suite_e09_quick", measureSuite(t, "E09")},
+		{"suite_e01_quick", measureSuite(t, "E01", nil)},
+		{"suite_e09_quick", measureSuite(t, "E09", nil)},
 		{"suite_e01_quick_telemetry", measureSuiteE01Telemetry(t)},
+		{"suite_e01_quick_fresh_recorder", measureSuite(t, "E01", func() *trace.Tracer { return trace.New(cli.TraceRingCap) })},
 	} {
 		budget, ok := bf.Budgets[m.workload]["heap"]
 		if !ok {

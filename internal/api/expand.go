@@ -41,7 +41,10 @@ type Expansion struct {
 	scenSet  bool
 }
 
-// TraceRingDefault sizes per-job flight recorders for campaign-scale runs.
+// TraceRingDefault caps per-job flight recorders for campaign-scale runs:
+// each run retains its newest 4096 events. A recorder's storage grows with
+// what its runs record, so a 1 ms E01 run (2 events) holds 64 slots, not
+// the 1.1 MB a full ring takes.
 const TraceRingDefault = 1 << 12
 
 // Expand turns a validated spec into fleet jobs under env. Invalid specs

@@ -71,8 +71,11 @@ const (
 
 // TraceRingCap is the per-run flight-recorder capacity behind -trace-dir:
 // enough to hold the interesting tail of a long run (the ring keeps the
-// newest events). A fleet pays for it once per worker (17.8 MB), not per
-// run: runner.Fleet workers reuse one ring.
+// newest events). It bounds what a run retains, not what it allocates: a
+// ring's storage grows with the events recorded (E01 quick's ~400 fit in
+// 512 slots, ~140 KB), and only a run that records this many holds all
+// 17.8 MB — once per worker, not per run, since runner.Fleet workers reuse
+// one ring.
 const TraceRingCap = 1 << 16
 
 // Common holds the parsed common flags of one command invocation.

@@ -219,9 +219,10 @@ type recorder struct{ tr *trace.Tracer }
 
 // lend returns the tracer job runs under, or nil when it is not recorded:
 // the caller's own when Opts.Trace is preset, otherwise the resident ring,
-// allocated on the worker's first TraceCap job (or a change of capacity)
-// and emptied before every one — each run sees an empty ring of exactly the
-// capacity it asked for, as if freshly made.
+// made on the worker's first TraceCap job (or a change of capacity) and
+// emptied before every one — each run sees an empty ring that retains
+// exactly the capacity it asked for, as if freshly made. Its storage is what
+// the worker's busiest run so far recorded, never more than the capacity.
 func (w *recorder) lend(job *Job) *trace.Tracer {
 	if job.Opts.Trace != nil || job.TraceCap <= 0 {
 		return job.Opts.Trace

@@ -153,31 +153,37 @@ func (p *shardPlan) flush() {
 // into the parent tracer, k-way merged by event time (ties by shard
 // index), so the parent ring reads like a single chronological recorder.
 // Events evicted from a shard's ring between flushes are lost, exactly as
-// they would be from a single ring of the same capacity.
+// they would be from a single ring of the same capacity. The new events are
+// read in place, as the tail of each ring's two retained runs: tails[i][0]
+// is the part still to merge, tails[i][1] what follows it, and [0] is empty
+// only once both are.
 func (p *shardPlan) mergeTraces() {
-	batches := make([][]trace.Event, len(p.tracers))
+	tails := make([][2][]trace.Event, len(p.tracers))
 	for i, tr := range p.tracers {
-		evs := tr.Events()
-		n := tr.Seen() - p.traceSeen[i]
+		n := int(min(tr.Seen()-p.traceSeen[i], int64(tr.Len())))
 		p.traceSeen[i] = tr.Seen()
-		if n > int64(len(evs)) {
-			n = int64(len(evs))
+		older, newer := tr.Retained()
+		if n <= len(newer) {
+			tails[i][0] = newer[len(newer)-n:]
+		} else {
+			tails[i] = [2][]trace.Event{older[len(older)-(n-len(newer)):], newer}
 		}
-		batches[i] = evs[int64(len(evs))-n:]
 	}
-	idx := make([]int, len(batches))
 	for {
 		best := -1
-		for i := range batches {
-			if idx[i] < len(batches[i]) && (best < 0 || batches[i][idx[i]].T < batches[best][idx[best]].T) {
+		for i := range tails {
+			if len(tails[i][0]) > 0 && (best < 0 || tails[i][0][0].T < tails[best][0][0].T) {
 				best = i
 			}
 		}
 		if best < 0 {
 			return
 		}
-		ev := &batches[best][idx[best]]
-		idx[best]++
+		t := &tails[best]
+		ev := &t[0][0]
 		p.parentTr.Emit(ev.T, ev.Component, ev.Kind, ev.Fields()...)
+		if t[0] = t[0][1:]; len(t[0]) == 0 {
+			t[0], t[1] = t[1], nil
+		}
 	}
 }

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/switchalg"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -115,6 +118,70 @@ func TestATMShardedMatchesSingle(t *testing.T) {
 		if st, ok := n.ShardStats(); !ok || st.CellsCrossed == 0 {
 			t.Errorf("shards=%d: conduits idle (stats %+v ok=%v)", N, st, ok)
 		}
+	}
+}
+
+// TestShardTraceMerge runs a traced 2-shard chain in Run slices with rings
+// small enough that a shard's ring wraps between flushes. After every slice the
+// parent ring must equal a recorder fed, slice by slice, each shard's
+// events since the previous flush (as far as its ring kept them) merged by
+// time, ties to the lower shard index.
+func TestShardTraceMerge(t *testing.T) {
+	const ringCap = 8
+	tr := trace.New(ringCap)
+	n, err := BuildATM(ATMConfig{
+		Switches:      6,
+		TrunkRatesBPS: []float64{0, 50e6, 0, 100e6, 0},
+		TrunkDelay:    20 * sim.Microsecond,
+		Alg:           switchalg.NewPhantom(core.Config{UtilizationFactor: 5}),
+		Events: []TransientEvent{
+			{At: 10 * sim.Millisecond, Kind: TransientRate, Index: 1, Value: 25e6},
+			{At: 15 * sim.Millisecond, Kind: TransientLoss, Index: 3, Value: 0.02},
+		},
+		Trace: tr,
+		Sessions: []ATMSessionSpec{
+			{Name: "long", Entry: 0, Exit: 5, Pattern: workload.Greedy{}},
+			{Name: "mid", Entry: 1, Exit: 4, Pattern: workload.Greedy{}},
+			{Name: "head", Entry: 0, Exit: 1, Pattern: workload.PeriodicOnOff{On: 4 * sim.Millisecond, Off: 3 * sim.Millisecond}},
+			{Name: "tail", Entry: 4, Exit: 5, Pattern: workload.Window{Start: sim.Time(5 * sim.Millisecond), Stop: sim.Time(25 * sim.Millisecond)}},
+		},
+		Shards: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := trace.New(ringCap)
+	seen := make([]int64, len(n.plan.tracers))
+	type tagged struct {
+		shard int
+		ev    trace.Event
+	}
+	wrapped := 0
+	for _, ms := range []sim.Duration{1, 1, 1, 2, 5, 10, 3, 7} {
+		n.Run(ms * sim.Millisecond)
+		var batch []tagged
+		for i, st := range n.plan.tracers {
+			evs := st.Events()
+			k := st.Seen() - seen[i]
+			seen[i] = st.Seen()
+			if k > int64(len(evs)) {
+				wrapped++
+				k = int64(len(evs))
+			}
+			for _, ev := range evs[int64(len(evs))-k:] {
+				batch = append(batch, tagged{i, ev})
+			}
+		}
+		sort.SliceStable(batch, func(a, b int) bool { return batch[a].ev.T < batch[b].ev.T })
+		for _, b := range batch {
+			want.Emit(b.ev.T, b.ev.Component, b.ev.Kind, b.ev.Fields()...)
+		}
+		if !reflect.DeepEqual(tr.Events(), want.Events()) || tr.Seen() != want.Seen() {
+			t.Fatalf("after %v: parent ring (%d seen)\n%v\nwant (%d seen)\n%v", n.Engine.Now(), tr.Seen(), tr.Events(), want.Seen(), want.Events())
+		}
+	}
+	if wrapped == 0 {
+		t.Fatal("no shard ring wrapped between flushes; the merge's eviction path went unexercised")
 	}
 }
 

@@ -139,12 +139,19 @@ func (e Event) String() string {
 	return fmt.Sprintf("%12s %-12s %-12s %s", e.T, e.Component, e.Kind, e.Detail())
 }
 
-// Tracer records events into a fixed-size ring.
+// initialSlots is the storage a new ring starts with (~17 KB).
+const initialSlots = 64
+
+// Tracer records events into a ring that retains the newest capacity
+// events. The capacity bounds retention, not allocation: storage starts at
+// initialSlots and doubles as events arrive, so a run pays for the events
+// it records, and only a ring that fills its capacity wraps.
 type Tracer struct {
-	ring []Event
-	next int
-	full bool
-	seen int64
+	ring     []Event
+	capacity int
+	next     int
+	full     bool
+	seen     int64
 }
 
 // New returns a tracer holding the last capacity events.
@@ -152,7 +159,7 @@ func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Tracer{ring: make([]Event, capacity)}
+	return &Tracer{ring: make([]Event, min(capacity, initialSlots)), capacity: capacity}
 }
 
 // Emit records an event with up to MaxFields typed fields (extras are
@@ -177,9 +184,22 @@ func (tr *Tracer) Emit(t sim.Time, component, kind string, fields ...Field) {
 	tr.next++
 	tr.seen++
 	if tr.next == len(tr.ring) {
-		tr.next = 0
-		tr.full = true
+		if len(tr.ring) < tr.capacity {
+			tr.grow()
+		} else {
+			tr.next = 0
+			tr.full = true
+		}
 	}
+}
+
+// grow doubles the storage, up to the capacity. It runs only before the
+// ring first wraps, when the events fill ring[:next] in order, so every
+// event keeps its slot.
+func (tr *Tracer) grow() {
+	ring := make([]Event, min(2*len(tr.ring), tr.capacity))
+	copy(ring, tr.ring)
+	tr.ring = ring
 }
 
 // Seen returns the total number of events emitted (including evicted ones).
@@ -190,19 +210,19 @@ func (tr *Tracer) Seen() int64 {
 	return tr.seen
 }
 
-// Cap returns the ring capacity.
+// Cap returns the ring capacity: how many events it retains.
 func (tr *Tracer) Cap() int {
 	if tr == nil {
 		return 0
 	}
-	return len(tr.ring)
+	return tr.capacity
 }
 
-// Reset empties the tracer in place, keeping the ring storage, so one
-// tracer can be reused across runs (a fleet worker's recorder, the sweep
-// points of an experiment) the way pooled metrics.Series are. The cost is
-// proportional to what was written since the last Reset, not to the
-// capacity: slots past next were never touched unless the ring wrapped.
+// Reset empties the tracer in place, keeping the storage it has grown, so
+// one tracer can be reused across runs (a fleet worker's recorder, the
+// sweep points of an experiment) the way pooled metrics.Series are. The
+// cost is proportional to what was written since the last Reset, not to
+// the capacity: slots past next were never touched unless the ring wrapped.
 func (tr *Tracer) Reset() {
 	if tr == nil {
 		return

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -279,18 +281,80 @@ func TestResetClearsWhatWasWritten(t *testing.T) {
 	}
 }
 
-// TestResetIsProportional: an unwrapped ring is cleared up to the write
-// position only — the reason a worker can Reset a 65 536-slot recorder
-// before every millisecond-sized run.
-func TestResetIsProportional(t *testing.T) {
-	tr := New(8)
-	tr.Emit(1, "c", "k")
-	tr.Emit(2, "c", "k")
-	tr.ring[5].T = 99 // never written by Emit: Reset has no business here
+// TestStorageFollowsEvents: the capacity bounds what a ring retains, not
+// what it allocates. A 65 536-event recorder that saw 10 events holds at
+// most 64 slots, a wrapped ring holds exactly its capacity, and Reset keeps
+// the grown storage but clears only the slots written since the last one.
+func TestStorageFollowsEvents(t *testing.T) {
+	tr := New(1 << 16)
+	for i := 0; i < 10; i++ {
+		tr.Emit(sim.Time(i), "c", "k")
+	}
+	if cap(tr.ring) > 64 || tr.Cap() != 1<<16 {
+		t.Fatalf("10 events of 65536: %d slots held, Cap %d", cap(tr.ring), tr.Cap())
+	}
+	tr.ring[40].T = 99 // never written by Emit: Reset has no business here
 	tr.Reset()
-	if tr.ring[5].T != 99 {
+	if tr.ring[40].T != 99 {
 		t.Fatal("Reset cleared a slot past the write position of an unwrapped ring")
 	}
+
+	tr = New(100)
+	for i := 0; i < 250; i++ {
+		tr.Emit(sim.Time(i), "c", "k")
+	}
+	if len(tr.ring) != 100 || cap(tr.ring) != 100 || tr.Len() != 100 {
+		t.Fatalf("wrapped ring of 100 holds %d slots (cap %d), Len %d", len(tr.ring), cap(tr.ring), tr.Len())
+	}
+	tr.Reset()
+	if len(tr.ring) != 100 {
+		t.Fatalf("Reset dropped the grown storage: %d slots", len(tr.ring))
+	}
+}
+
+// FuzzTracer holds the growing ring to the fixed-size ring it replaced
+// (fixedRing, the oracle): byte programs of Emit with 0–6 fields and Reset
+// at capacities 1–600, every observable compared after every step.
+func FuzzTracer(f *testing.F) {
+	f.Add(uint16(0), []byte{0, 1, 2, 3})
+	f.Add(uint16(6), []byte{0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 0, 1})
+	f.Add(uint16(63), bytes.Repeat([]byte{1, 6, 3}, 50))
+	f.Add(uint16(99), append(bytes.Repeat([]byte{2, 5}, 120), 7, 1, 2, 3))
+	f.Add(uint16(599), append(bytes.Repeat([]byte{4}, 700), 7, 6))
+	components := [3]string{"S0", "trunk1", "src2"}
+	f.Fuzz(func(t *testing.T, c uint16, prog []byte) {
+		capacity := 1 + int(c)%600
+		tr, ref := New(capacity), newFixedRing(capacity)
+		for step, op := range prog {
+			if op%8 == 7 {
+				tr.Reset()
+				ref.Reset()
+			} else {
+				fields := [6]Field{
+					I("i", int64(step)), F("f", float64(op)/3), S("s", components[step%3]),
+					I("j", -int64(op)), F("g", float64(step)), S("t", components[op%3]),
+				}
+				n := int(op % 8)
+				tr.Emit(sim.Time(step), components[op%3], "k", fields[:n]...)
+				ref.Emit(sim.Time(step), components[op%3], "k", fields[:n]...)
+			}
+			o, n := tr.Retained()
+			ro, rn := ref.Retained()
+			if !slices.Equal(o, ro) || !slices.Equal(n, rn) {
+				t.Fatalf("step %d: Retained %d+%d events, oracle %d+%d", step, len(o), len(n), len(ro), len(rn))
+			}
+			if !slices.Equal(tr.Events(), ref.Events()) {
+				t.Fatalf("step %d: Events differ from the oracle's", step)
+			}
+			if tr.Len() != ref.Len() || tr.Seen() != ref.Seen() || tr.Cap() != ref.Cap() {
+				t.Fatalf("step %d: Len/Seen/Cap %d/%d/%d, oracle %d/%d/%d",
+					step, tr.Len(), tr.Seen(), tr.Cap(), ref.Len(), ref.Seen(), ref.Cap())
+			}
+			if len(tr.ring) > capacity {
+				t.Fatalf("step %d: %d slots held at capacity %d", step, len(tr.ring), capacity)
+			}
+		}
+	})
 }
 
 // TestRetained: the two in-place runs are Events without the copy, before
