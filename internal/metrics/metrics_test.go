@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -441,15 +442,17 @@ func TestSettling(t *testing.T) {
 
 // TestPointPoolDoesNotRatchet plays a sweep of scenarios whose series are of
 // unequal length — one in ten outgrows its hint tenfold, as a short-RTT
-// flow's cwnd series does — and holds the capacity the pool lends out in
-// round 100 to what it lent in round 10. Pooling regrown slices, the long
-// ones drift to short series and the total climbs every round.
+// flow's cwnd series once did — and holds the capacity the pool lends out
+// in round 100 to what it lent in round 10. Pooling regrown slices
+// without a class per capacity, the long ones drift to short series and
+// the total climbs every round. The same sweep of growing (hint 0) series,
+// one in ten long, holds their capacity after the appends the same way.
 func TestPointPoolDoesNotRatchet(t *testing.T) {
 	const series, hint = 200, 100
-	lent := func(round int) (total int) {
+	lent := func(round, capHint int) (total int) {
 		ss := make([]*Series, series)
 		for i := range ss {
-			ss[i] = AcquireSeries("s", hint)
+			ss[i] = AcquireSeries("s", capHint)
 			total += cap(ss[i].points)
 		}
 		for i, s := range ss {
@@ -460,20 +463,54 @@ func TestPointPoolDoesNotRatchet(t *testing.T) {
 			for k := 0; k < n; k++ {
 				s.Add(sim.Time(k), 1)
 			}
+			if capHint == 0 {
+				total += cap(s.points)
+			}
 		}
 		for _, s := range ss {
 			s.Release()
 		}
 		return total
 	}
-	var at10 int
-	for round := 1; round <= 100; round++ {
-		got := lent(round)
-		if round == 10 {
-			at10 = got
-		}
-		if round == 100 && got > at10 {
-			t.Fatalf("pool lent %d points of capacity in round 100, %d in round 10", got, at10)
+	for _, capHint := range []int{hint, 0} {
+		var at10 int
+		for round := 1; round <= 100; round++ {
+			got := lent(round, capHint)
+			if round == 10 {
+				at10 = got
+			}
+			if round == 100 && got > at10 {
+				t.Fatalf("hint %d: pool lent %d points of capacity in round 100, %d in round 10", capHint, got, at10)
+			}
 		}
 	}
+}
+
+// TestSeriesPoolsAcrossGoroutines grows and releases series from several
+// goroutines at once, as the fleet's engines do: each series must read
+// back exactly what it was given while other goroutines recycle the same
+// class pools. Run under -race to check the hand-back ordering.
+func TestSeriesPoolsAcrossGoroutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				s := AcquireSeries("s", (round%2)*37)
+				n := 1 + (g*131+round*17)%300
+				for k := 0; k < n; k++ {
+					s.Add(sim.Time(k), float64(g*1000+k))
+				}
+				for k, p := range s.Points() {
+					if p.T != sim.Time(k) || p.V != float64(g*1000+k) {
+						t.Errorf("goroutine %d round %d: point %d is %v", g, round, k, p)
+						break
+					}
+				}
+				s.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
 }

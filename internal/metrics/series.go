@@ -8,8 +8,10 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -28,56 +30,77 @@ type Point struct {
 type Series struct {
 	Name   string
 	points []Point
-	lent   int // capacity AcquireSeries handed out; 0: not pooled storage
+	pooled bool // grows through the capacity classes (AcquireSeries)
 }
 
 // NewSeries returns an empty named series.
 func NewSeries(name string) *Series { return &Series{Name: name} }
 
-// NewSeriesCap returns an empty named series whose point storage is
-// pre-sized for capHint samples, so a sampler with a known cadence (run
-// duration / sample interval) appends without any append-doubling
-// reallocations. A non-positive hint is the same as NewSeries.
-func NewSeriesCap(name string, capHint int) *Series {
-	s := &Series{Name: name}
-	if capHint > 0 {
-		s.points = make([]Point, 0, capHint)
+// Point storage is recycled across series lifetimes (sweep points in a
+// parameter sweep build and discard a full scenario each). A slice whose
+// capacity is a power of two of at least minClass points belongs to that
+// capacity's class pool; any other capacity is a sampler's exact hint and
+// goes to hintPool, which lends it only to the same hint. Every pool thus
+// holds one size per key, so capacity lent out cannot ratchet up however
+// long and short series trade slices (DESIGN.md §9).
+const minClass = 16
+
+var (
+	classPools [bits.UintSize]sync.Pool // [k]: *Point heading 1<<k points
+	hintPool   sync.Pool
+)
+
+// class returns the pool index of capacity n, or -1 if n is not a class.
+func class(n int) int {
+	if n < minClass || n&(n-1) != 0 {
+		return -1
 	}
-	return s
+	return bits.TrailingZeros(uint(n))
 }
 
-// pointPool recycles point storage across series lifetimes (sweep points in
-// a parameter sweep build and discard a full scenario each). Slices are
-// pooled with their capacity; Acquire re-slices to zero length. A slice that
-// had to be regrown is not pooled: the pool hands slices out in no particular
-// order, so long series would keep drawing short slices while their long ones
-// went to short series, and pooled capacity would only ever rise (DESIGN.md §9).
-var pointPool = sync.Pool{New: func() any { return []Point(nil) }}
-
-// AcquireSeries returns a named series backed by pooled point storage. Pair
-// with Release when every read of the series is done; a series that escapes
-// to a caller (figure data) should use NewSeries/NewSeriesCap instead.
-func AcquireSeries(name string, capHint int) *Series {
-	s := &Series{Name: name}
-	buf := pointPool.Get().([]Point)
-	if cap(buf) < capHint {
-		buf = make([]Point, 0, capHint)
-	}
-	s.points = buf[:0]
-	s.lent = cap(buf)
-	return s
-}
-
-// Release returns the series' point storage to the pool, unless the series
-// outgrew a pooled slice, and empties the series. The caller must not touch
-// previously returned Points afterwards.
-func (s *Series) Release() {
-	if s.points != nil {
-		if s.lent == 0 || cap(s.points) == s.lent {
-			pointPool.Put(s.points[:0])
+// getPoints returns an empty slice of capacity exactly n > 0.
+func getPoints(n int) []Point {
+	if k := class(n); k >= 0 {
+		if p, ok := classPools[k].Get().(*Point); ok {
+			return unsafe.Slice(p, n)[:0]
 		}
-		s.points, s.lent = nil, 0
+	} else if buf, ok := hintPool.Get().([]Point); ok && cap(buf) == n {
+		return buf
 	}
+	return make([]Point, 0, n)
+}
+
+// putPoints hands buf's storage back to the pool of its capacity. A class
+// pool keeps only the first element's address, which an interface holds
+// without allocating; the class fixes the length.
+func putPoints(buf []Point) {
+	if k := class(cap(buf)); k >= 0 {
+		classPools[k].Put(unsafe.SliceData(buf))
+	} else if cap(buf) > 0 {
+		hintPool.Put(buf[:0])
+	}
+}
+
+// AcquireSeries returns a named series backed by pooled point storage. A
+// positive capHint pre-sizes it exactly, for a sampler with a known cadence
+// (run duration / sample interval); with 0, for a series that records
+// events, storage starts empty and doubles through the capacity classes,
+// handing each outgrown slice back. Either way Points is valid until the
+// next Add. Pair with Release when every read of the series is done; a
+// series that escapes to a caller (figure data) should use NewSeries.
+func AcquireSeries(name string, capHint int) *Series {
+	s := &Series{Name: name, pooled: true}
+	if capHint > 0 {
+		s.points = getPoints(capHint)
+	}
+	return s
+}
+
+// Release returns the series' point storage to its pool and empties the
+// series. The caller must not touch previously returned Points afterwards.
+func (s *Series) Release() {
+	putPoints(s.points)
+	s.points = nil
 }
 
 // Reset empties the series in place, keeping its storage for reuse.
@@ -96,6 +119,14 @@ func (s *Series) Add(t sim.Time, v float64) {
 			s.points[n-1].V = v
 			return
 		}
+	}
+	if s.pooled && len(s.points) == cap(s.points) {
+		// Move up a class; the outgrown slice goes back only once copied,
+		// since another engine's series may take it at once.
+		next := getPoints(max(minClass, 1<<bits.Len(uint(cap(s.points)))))
+		next = append(next, s.points...)
+		putPoints(s.points)
+		s.points = next
 	}
 	s.points = append(s.points, Point{T: t, V: v})
 }

@@ -458,7 +458,9 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 			n.Switches[node].Route(vc, fwd, bwd)
 		}
 
-		acr := metrics.AcquireSeries(fmt.Sprintf("ACR[%s]", spec.Name), hint)
+		// ACR changes per backward RM cell, not per SampleEvery: its
+		// storage grows with the points it records.
+		acr := metrics.AcquireSeries(fmt.Sprintf("ACR[%s]", spec.Name), 0)
 		if cfg.Trace != nil {
 			tr := plan.traceFor(spec.Src)
 			name := spec.Name

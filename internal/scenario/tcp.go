@@ -170,7 +170,8 @@ func BuildTCP(cfg TCPConfig) (*TCPNet, error) {
 		if cfg.Disc != nil {
 			d := cfg.Disc()
 			if pd, ok := d.(*ip.PhantomDiscipline); ok {
-				macrSeries = metrics.AcquireSeries(fmt.Sprintf("MACR[F%d]", k), hint)
+				// MACR ticks every discipline interval, not per SampleEvery.
+				macrSeries = metrics.AcquireSeries(fmt.Sprintf("MACR[F%d]", k), 0)
 				ms := macrSeries
 				pd.OnTick = func(now sim.Time, _, macr float64) { ms.Add(now, macr) }
 			}
@@ -261,9 +262,11 @@ func BuildTCP(cfg TCPConfig) (*TCPNet, error) {
 			}
 		}
 
-		cwnd := metrics.AcquireSeries(fmt.Sprintf("cwnd[%s]", spec.Name), hint)
+		// cwnd and CR change per ACK and rate tick, not per SampleEvery:
+		// their storage grows with the points they record.
+		cwnd := metrics.AcquireSeries(fmt.Sprintf("cwnd[%s]", spec.Name), 0)
 		snd.OnCwnd = func(now sim.Time, w float64) { cwnd.Add(now, w) }
-		rate := metrics.AcquireSeries(fmt.Sprintf("CR[%s]", spec.Name), hint)
+		rate := metrics.AcquireSeries(fmt.Sprintf("CR[%s]", spec.Name), 0)
 		snd.OnRate = func(now sim.Time, r float64) { rate.Add(now, r) }
 
 		n.Cwnd = append(n.Cwnd, cwnd)

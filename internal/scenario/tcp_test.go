@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -166,4 +167,67 @@ func TestTCPMaxMinOracle(t *testing.T) {
 			t.Fatalf("oracle[%d] = %v, want ≈%v", i, r, want)
 		}
 	}
+}
+
+// TestSeriesStorageFollowsPoints runs a tcp_timers-shaped network — many
+// Reno flows under Selective Discard, each recording far fewer cwnd and CR
+// changes than the sampler's cadence would — and holds every event-driven
+// series to at most twice the points it recorded (or the smallest capacity
+// class, 16 points), while the sampled series keep exactly their hint.
+func TestSeriesStorageFollowsPoints(t *testing.T) {
+	const (
+		flows, routers = 1000, 4
+		dur            = 3 * sim.Second
+		minClass       = 16
+	)
+	pairs := [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 2}, {1, 3}, {0, 3}}
+	cfg := TCPConfig{
+		Routers:      routers,
+		TrunkRateBPS: 155e6,
+		Duration:     dur,
+		Disc: func() ip.Discipline {
+			return ip.NewPhantomDiscipline(ip.SelectiveDiscard, core.Config{UtilizationFactor: 5})
+		},
+	}
+	for i := 0; i < flows; i++ {
+		p := pairs[i%len(pairs)]
+		cfg.Flows = append(cfg.Flows, TCPFlowSpec{
+			Name: fmt.Sprintf("f%d", i), Entry: p[0], Exit: p[1],
+			AccessDelay: sim.Duration(1+i/len(pairs)%20) * sim.Millisecond,
+			DelayedAcks: i%2 == 0,
+		})
+	}
+	n, err := BuildTCP(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Release()
+	n.Run(dur)
+
+	hint := samplesHint(dur, n.Config.SampleEvery)
+	var recorded, held int
+	for _, group := range [][]*metrics.Series{n.Cwnd, n.FlowRate, n.MACR} {
+		for _, s := range group {
+			recorded, held = recorded+s.Len(), held+cap(s.Points())
+			if c := cap(s.Points()); c > max(minClass, 2*s.Len()) {
+				t.Errorf("%s holds %d slots for %d points", s.Name, c, s.Len())
+			}
+		}
+	}
+	cwndPoints := 0
+	for _, s := range n.Cwnd {
+		cwndPoints += s.Len()
+	}
+	if cwndPoints == 0 || cwndPoints > flows*hint/2 {
+		t.Fatalf("cwnd series recorded %d points against %d at the hint: not the shape under test", cwndPoints, flows*hint)
+	}
+	for _, group := range [][]*metrics.Series{n.Goodput, n.TrunkQueue} {
+		for _, s := range group {
+			if c := cap(s.Points()); c != hint || s.Len() > hint {
+				t.Errorf("%s holds %d slots for %d points, want exactly the hint %d", s.Name, c, s.Len(), hint)
+			}
+		}
+	}
+	t.Logf("event-driven series: %d points in %d slots (%d at the sampler's hint)",
+		recorded, held, hint*(2*flows+len(n.MACR)))
 }
