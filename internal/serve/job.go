@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/runner"
+	"repro/internal/store"
 )
 
 // job is one accepted campaign: the expansion plus its live execution
@@ -33,6 +34,9 @@ type job struct {
 	stats     runner.Stats
 	haveStats bool
 	errMsg    string
+	// sealed is the terminal job's campaign, opened once; every query
+	// scans a clone of it (see Server.openJobStore).
+	sealed    *store.Reader
 	cancelled bool // cancel requested (by DELETE or drain)
 	cancel    func()
 	submitted time.Time

@@ -32,27 +32,61 @@ type queryStats struct {
 	blocksScanned uint64
 	blocksSkipped uint64
 	bytesRead     uint64
+	sealedOpens   uint64 // campaign directory listings: terminal jobs
+	liveOpens     uint64 // and running ones
 }
 
-// openJobStore opens the job's campaign through the daemon's index cache:
-// strict mode for terminal jobs (their stores are sealed; an unsealed file
-// is damage worth reporting), live mode while the job still runs.
+// openJobStore returns a reader over the job's campaign. A terminal job's
+// store is sealed, so it is opened once, strictly, and every query scans a
+// clone: no directory listing, no stat. That stays correct or loud: a scan
+// CRC-checks every block against its slot and opens its files by path. A
+// running job is re-opened live per query. An open error is not kept.
 func (s *Server) openJobStore(j *job) (*store.Reader, error) {
-	dir, terminal := j.storeInfo()
-	if dir == "" {
+	dir, state, sealed := j.storeInfo()
+	switch {
+	case dir == "":
 		return nil, fmt.Errorf("job %s has no store (daemon runs without -data)", j.id)
+	case !state.Terminal():
+		s.count(&s.queries.liveOpens)
+		return s.index.OpenLive(dir)
+	case sealed == nil:
+		var err error
+		if sealed, err = s.openSealed(j); err != nil {
+			return nil, err
+		}
 	}
-	if terminal {
-		return s.index.Open(dir)
+	return sealed.Clone(), nil
+}
+
+// openSealed opens a terminal job's campaign strictly and keeps it for
+// every later query. Concurrent first queries may both open; the first
+// to finish is kept.
+func (s *Server) openSealed(j *job) (*store.Reader, error) {
+	s.count(&s.queries.sealedOpens)
+	rd, err := s.index.Open(j.storeDir)
+	if err != nil {
+		return nil, err
 	}
-	return s.index.OpenLive(dir)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.sealed == nil {
+		j.sealed = rd
+	}
+	return j.sealed, nil
+}
+
+// count increments one of the query counters.
+func (s *Server) count(n *uint64) {
+	s.mu.Lock()
+	*n++
+	s.mu.Unlock()
 }
 
 // storeInfo snapshots the store fields the query plane needs.
-func (j *job) storeInfo() (dir string, terminal bool) {
+func (j *job) storeInfo() (dir string, state api.JobState, sealed *store.Reader) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.storeDir, j.state.Terminal()
+	return j.storeDir, j.state, j.sealed
 }
 
 // queryJob resolves the {id} job and its store query, or writes the
@@ -100,9 +134,7 @@ func (s *Server) ndjsonStream(w http.ResponseWriter) (enc *json.Encoder, finish 
 // already went out) and counts it.
 func (s *Server) queryFailed(w http.ResponseWriter, err error) {
 	fmt.Fprintf(w, "%s\n", api.MarshalError(err.Error()))
-	s.mu.Lock()
-	s.queries.errors++
-	s.mu.Unlock()
+	s.count(&s.queries.errors)
 }
 
 func (s *Server) handleQuerySeries(w http.ResponseWriter, r *http.Request) {
@@ -185,7 +217,8 @@ func (s *Server) handleQueryTrace(w http.ResponseWriter, r *http.Request) {
 // aggregates run summaries per (experiment, sweep, metric), kind=counters
 // merges telemetry snapshots per (experiment, sweep) with the store's
 // merge semantics (sum counters, max _peak gauges). jobs= selects a CSV of
-// job IDs; absent, every job with a store is visited.
+// job IDs; absent, every job with a store is visited except failed ones,
+// whose stores did not seal or did not open (their status says why).
 func (s *Server) handleCrossQuery(w http.ResponseWriter, r *http.Request) {
 	params := r.URL.Query()
 	kind := params.Get("kind")
@@ -201,6 +234,7 @@ func (s *Server) handleCrossQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	all := params.Get("jobs") == ""
 	jobs, err := s.selectJobs(params.Get("jobs"))
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err.Error())
@@ -226,7 +260,7 @@ func (s *Server) handleCrossQuery(w http.ResponseWriter, r *http.Request) {
 	merged := map[cKey]*api.CountersRow{}
 
 	for _, j := range jobs {
-		if dir, _ := j.storeInfo(); dir == "" {
+		if dir, state, _ := j.storeInfo(); dir == "" || (all && state == api.JobFailed) {
 			continue
 		}
 		rd, err := s.openJobStore(j)
@@ -267,6 +301,7 @@ func (s *Server) handleCrossQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, fmt.Sprintf("%s: %v", j.id, err))
+			s.count(&s.queries.errors)
 			return
 		}
 		stats.Add(rd.Stats())
@@ -357,4 +392,7 @@ func (s *Server) promQueries(w io.Writer) {
 	fmt.Fprintf(w, "phantom_query_blocks{result=\"skipped\"} %d\n", q.blocksSkipped)
 	fmt.Fprintf(w, "# TYPE phantom_query_bytes_read untyped\n")
 	fmt.Fprintf(w, "phantom_query_bytes_read %d\n", q.bytesRead)
+	fmt.Fprintf(w, "# TYPE phantom_query_campaign_opens untyped\n")
+	fmt.Fprintf(w, "phantom_query_campaign_opens{mode=\"sealed\"} %d\n", q.sealedOpens)
+	fmt.Fprintf(w, "phantom_query_campaign_opens{mode=\"live\"} %d\n", q.liveOpens)
 }

@@ -54,8 +54,9 @@ type Server struct {
 	live *cli.LiveState
 	mux  *http.ServeMux
 	// index memoizes per-file block indexes across analytics queries, so
-	// re-opening a campaign (live ones on every query) costs a ReadDir plus
-	// one Stat per already-seen file.
+	// re-opening a running job's campaign on every query costs a ReadDir
+	// plus one Stat per already-seen file, and the job's one strict open
+	// once it is terminal re-reads none of them.
 	index *store.Cache
 
 	mu       sync.Mutex
@@ -234,9 +235,11 @@ func (s *Server) lookup(id string) *job {
 // adoptCampaigns lists every subdirectory of the data root that already
 // holds phantomdb files and registers each as a terminal, adopted job —
 // campaigns from previous daemon lives (or dropped in from elsewhere) stay
-// queryable through the analytics endpoints after a restart. Adopted IDs
-// shaped like job-NNNNN advance the ID counter so new submissions never
-// collide with an adopted store directory.
+// queryable through the analytics endpoints after a restart. Each is
+// opened strictly here: one that does not open (an unsealed or damaged
+// file) is registered failed, with the open error as its reason. Adopted
+// IDs shaped like job-NNNNN advance the ID counter so new submissions
+// never collide with an adopted store directory.
 func (s *Server) adoptCampaigns() {
 	if s.cfg.Dir == "" {
 		return
@@ -254,6 +257,9 @@ func (s *Server) adoptCampaigns() {
 			continue
 		}
 		j := adoptedJob(e.Name(), dir)
+		if _, err := s.openSealed(j); err != nil {
+			j.state, j.errMsg = api.JobFailed, err.Error()
+		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j)
 		var n int

@@ -318,6 +318,16 @@ func (r *Reader) ResetStats() {
 	r.stats = ScanStats{Files: r.stats.Files, FilesInProgress: r.stats.FilesInProgress}
 }
 
+// Clone returns a reader over the same loaded indexes with fresh scan
+// counters, as ResetStats leaves them. Loaded indexes are never modified,
+// so clones may query on separate goroutines while r's owner keeps r as a
+// template; each clone is single-goroutine like any Reader.
+func (r *Reader) Clone() *Reader {
+	c := &Reader{files: r.files, stats: r.stats}
+	c.ResetStats()
+	return c
+}
+
 // A scan fetches the matching blocks of a file in spans: one ReadAt covers
 // a run of matches and whatever lies between them. A match joins the
 // current span only while the bytes skipped since the previous match stay
