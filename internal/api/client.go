@@ -138,7 +138,7 @@ func (c *Client) Results(id string, onRun func(RunResult)) (*Report, error) {
 		return nil, decodeError(resp)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(nil, 16<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -183,7 +183,7 @@ func (c *Client) QueryNDJSON(path string, v url.Values, onRow func(line []byte) 
 		return stats, decodeError(resp)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(nil, 16<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

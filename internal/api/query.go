@@ -161,48 +161,36 @@ type SummaryRow struct {
 	Summary    map[string]float64 `json:"summary"`
 }
 
-// AppendJSON appends the row without reflection: exactly the bytes
-// json.Encoder.Encode writes for it (fields in declaration order, map keys
-// sorted, strings HTML-escaped, floats in encoding/json's format, a nil
-// map as null, then a newline). It refuses NaN and ±Inf where
-// encoding/json does, with its error. A full /summary stream is one row
-// per run, so the per-row cost of reflection is what the stream paid;
-// encoding/json stays the reference the tests hold this writer to, and
-// the reader side decodes every row with it.
-func (r *SummaryRow) AppendJSON(b []byte) ([]byte, error) {
+// AppendSummaryRow appends rs as its SummaryRow without reflection:
+// exactly the bytes json.Encoder.Encode writes for the row whose map holds
+// rs's columns (fields in declaration order, strings HTML-escaped, floats
+// in encoding/json's format, then a newline). The columns are already in
+// the bytewise order encoding/json sorts map keys into, so each pair is
+// written as it comes. It refuses NaN and ±Inf where encoding/json does,
+// with its error. A full /summary stream is one row per run, so the
+// per-row cost of reflection is what the stream paid; encoding/json stays
+// the reference the tests hold this writer to, and the reader side
+// decodes every row with it.
+func AppendSummaryRow(b []byte, rs store.RunSummary) ([]byte, error) {
 	b = append(b, `{"experiment":`...)
-	b = appendString(b, r.Experiment)
+	b = appendString(b, rs.Experiment)
 	b = append(b, `,"sweep":`...)
-	b = strconv.AppendInt(b, int64(r.Sweep), 10)
+	b = strconv.AppendInt(b, int64(rs.Sweep), 10)
 	b = append(b, `,"at_ns":`...)
-	b = strconv.AppendInt(b, r.AtNS, 10)
-	b = append(b, `,"summary":`...)
-	if r.Summary == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '{')
-		// encoding/json sorts keys bytewise; a stack array holds a small
-		// summary's keys.
-		var arr [8]string
-		keys := arr[:0]
-		for k := range r.Summary {
-			keys = append(keys, k)
+	b = strconv.AppendInt(b, int64(rs.At), 10)
+	b = append(b, `,"summary":{`...)
+	for i, name := range rs.Names {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		slices.Sort(keys)
-		for i, k := range keys {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendString(b, k)
-			b = append(b, ':')
-			var err error
-			if b, err = appendFloat(b, r.Summary[k]); err != nil {
-				return b, err
-			}
+		b = appendString(b, name)
+		b = append(b, ':')
+		var err error
+		if b, err = appendFloat(b, rs.Values[i]); err != nil {
+			return b, err
 		}
-		b = append(b, '}')
 	}
-	return append(b, "}\n"...), nil
+	return append(b, "}}\n"...), nil
 }
 
 // CountersRow is one run's telemetry snapshot — the NDJSON row of
@@ -335,10 +323,19 @@ func (s *RemoteSource) Counters(q store.Query, fn func(store.RunCounters) error)
 
 func (s *RemoteSource) Summaries(q store.Query, fn func(store.RunSummary) error) error {
 	return queryRows(s, "summary", q, func(row SummaryRow) error {
-		return fn(store.RunSummary{
+		rs := store.RunSummary{
 			Experiment: row.Experiment, Sweep: row.Sweep,
-			At: sim.Time(row.AtNS), Summary: row.Summary,
-		})
+			At: sim.Time(row.AtNS), Names: make([]string, 0, len(row.Summary)),
+		}
+		for name := range row.Summary {
+			rs.Names = append(rs.Names, name)
+		}
+		slices.Sort(rs.Names)
+		rs.Values = make([]float64, len(rs.Names))
+		for i, name := range rs.Names {
+			rs.Values[i] = row.Summary[name]
+		}
+		return fn(rs)
 	})
 }
 

@@ -5,25 +5,39 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/store"
 )
 
-// checkRowJSON holds SummaryRow.AppendJSON to json.Encoder.Encode, in
-// every shape the writer branches on (nil, empty and many-keyed maps)
-// around one string s, one float f and one integer n: the same bytes, or
-// an error with the same text where encoding/json refuses the row.
+// checkRowJSON holds AppendSummaryRow to json.Encoder.Encode over the
+// SummaryRow whose map holds the same columns, in every shape the writer
+// branches on (no, one and many names) around one string s, one float f
+// and one integer n: the same bytes, or an error with the same text where
+// encoding/json refuses the row.
 func checkRowJSON(t *testing.T, s string, f float64, n int64) {
 	t.Helper()
 	many := map[string]float64{}
-	for i := 0; i < 12; i++ { // more keys than the writer's stack array holds
+	for i := 0; i < 12; i++ {
 		many[fmt.Sprint(s, 11-i)] = f * float64(i)
 	}
 	for _, m := range []map[string]float64{nil, {}, {s: f}, {"b": 1, s: f, "a": -f, "A" + s: 0}, many} {
-		r := &SummaryRow{Experiment: s, Sweep: int(n), AtNS: n, Summary: m}
+		rs := store.RunSummary{Experiment: s, Sweep: int(n), At: sim.Time(n)}
+		for name := range m {
+			rs.Names = append(rs.Names, name)
+		}
+		slices.Sort(rs.Names)
+		r := &SummaryRow{Experiment: s, Sweep: int(n), AtNS: n, Summary: map[string]float64{}}
+		for _, name := range rs.Names {
+			rs.Values = append(rs.Values, m[name])
+			r.Summary[name] = m[name]
+		}
 		var want bytes.Buffer
 		wantErr := json.NewEncoder(&want).Encode(r)
-		got, gotErr := r.AppendJSON([]byte("prefix"))
+		got, gotErr := AppendSummaryRow([]byte("prefix"), rs)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("%+v: error %v, encoding/json %v", r, gotErr, wantErr)
 		}
@@ -77,10 +91,10 @@ func FuzzRowJSON(f *testing.F) {
 // TestRowJSONStaysOnTheStack: writing a summary row into a buffer with
 // room allocates nothing — the reason the writer exists.
 func TestRowJSONStaysOnTheStack(t *testing.T) {
-	r := &SummaryRow{Experiment: "sweep/acr", Sweep: 12, AtNS: 12063, Summary: map[string]float64{"goodput": 12, "jain_normalized": 0.99}}
+	rs := store.RunSummary{Experiment: "sweep/acr", Sweep: 12, At: 12063, Names: []string{"goodput", "jain_normalized"}, Values: []float64{12, 0.99}}
 	buf := make([]byte, 0, 256)
-	if n := testing.AllocsPerRun(100, func() { buf, _ = r.AppendJSON(buf[:0]) }); n != 0 {
-		t.Fatalf("SummaryRow.AppendJSON allocates %v times per row", n)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendSummaryRow(buf[:0], rs) }); n != 0 {
+		t.Fatalf("AppendSummaryRow allocates %v times per row", n)
 	}
 	if got := string(buf); got != `{"experiment":"sweep/acr","sweep":12,"at_ns":12063,"summary":{"goodput":12,"jain_normalized":0.99}}`+"\n" {
 		t.Fatalf("row = %s", strconv.Quote(got))

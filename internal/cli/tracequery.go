@@ -106,7 +106,8 @@ func printResults(w io.Writer, src api.QuerySource, q store.Query) error {
 	runs := 0
 	err := src.Summaries(q, func(rs store.RunSummary) error {
 		runs++
-		for name, v := range rs.Summary {
+		for i, name := range rs.Names {
+			v := rs.Values[i]
 			a, ok := metrics[name]
 			if !ok {
 				a = &agg{min: math.Inf(1), max: math.Inf(-1)}

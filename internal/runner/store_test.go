@@ -97,7 +97,11 @@ func TestStoreObservationFree(t *testing.T) {
 			if persisted[i].Experiment != defs[i].ID {
 				t.Fatalf("store run %d is %q, want %q — run order lost", i, persisted[i].Experiment, defs[i].ID)
 			}
-			summariesIdentical(t, defs[i].ID+" store read-back", persisted[i].Summary, on[i].Res.Summary)
+			stored := make(map[string]float64, len(persisted[i].Names))
+			for j, name := range persisted[i].Names {
+				stored[name] = persisted[i].Values[j]
+			}
+			summariesIdentical(t, defs[i].ID+" store read-back", stored, on[i].Res.Summary)
 		}
 		// Counters persisted too (telemetry was on), and every run that carried
 		// a tracer stored events.

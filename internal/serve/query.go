@@ -163,9 +163,8 @@ func (s *Server) handleQuerySummary(w http.ResponseWriter, r *http.Request) {
 	_, finish := s.ndjsonStream(w)
 	var buf []byte
 	err := rd.Summaries(q, func(rs store.RunSummary) error {
-		row := api.SummaryRow{Experiment: rs.Experiment, Sweep: rs.Sweep, AtNS: int64(rs.At), Summary: rs.Summary}
 		var err error
-		if buf, err = row.AppendJSON(buf[:0]); err != nil {
+		if buf, err = api.AppendSummaryRow(buf[:0], rs); err != nil {
 			return err
 		}
 		_, err = w.Write(buf)
@@ -272,7 +271,8 @@ func (s *Server) handleCrossQuery(w http.ResponseWriter, r *http.Request) {
 		switch kind {
 		case "summary":
 			err = rd.Summaries(q, func(rs store.RunSummary) error {
-				for metric, v := range rs.Summary {
+				for i, metric := range rs.Names {
+					v := rs.Values[i]
 					k := aggKey{rs.Experiment, rs.Sweep, metric}
 					a, ok := aggs[k]
 					if !ok {

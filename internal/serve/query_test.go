@@ -175,7 +175,11 @@ func (tc queryCase) want(root string) (body, trailer []byte, err error) {
 		switch tc.endpoint {
 		case "summary":
 			err = r.Summaries(tc.q, func(rs store.RunSummary) error {
-				return enc.Encode(api.SummaryRow{Experiment: rs.Experiment, Sweep: rs.Sweep, AtNS: int64(rs.At), Summary: rs.Summary})
+				m := make(map[string]float64, len(rs.Names))
+				for i, name := range rs.Names {
+					m[name] = rs.Values[i]
+				}
+				return enc.Encode(api.SummaryRow{Experiment: rs.Experiment, Sweep: rs.Sweep, AtNS: int64(rs.At), Summary: m})
 			})
 		case "counters":
 			err = r.Counters(tc.q, func(rc store.RunCounters) error {

@@ -223,19 +223,44 @@ func encodeSummaryBlock(meta RunMeta, names []string, summary map[string]float64
 	return b
 }
 
-func decodeSummaryBlock(raw []byte, rows int) (exp string, summary map[string]float64, err error) {
+// decodeSummaryBlock decodes a summary block into its columns. The names
+// must be strictly increasing — the order AddSummary writes them in, and
+// the key order of a JSON row. prev is the row decoded before this one:
+// an experiment label or name column with the same bytes reuses prev's
+// string or slice, so a sweep's rows share one name column. A Names slice
+// once returned is never written again.
+func decodeSummaryBlock(raw []byte, rows int, prev RunSummary) (RunSummary, error) {
 	c := &cursor{b: raw}
-	exp = c.str()
-	names := make([]string, rows)
-	for i := range names {
-		names[i] = c.str()
+	rs := RunSummary{Experiment: prev.Experiment, Names: prev.Names}
+	if exp := c.bytes(); string(exp) != rs.Experiment {
+		rs.Experiment = string(exp)
 	}
-	summary = make(map[string]float64, rows)
+	shared := len(rs.Names) == rows
+	if !shared {
+		rs.Names = make([]string, rows)
+	}
+	for i := 0; i < rows && c.err == nil; i++ {
+		b := c.bytes()
+		switch {
+		case i > 0 && string(b) <= rs.Names[i-1]:
+			c.fail("summary names not strictly increasing")
+		case shared && string(b) == rs.Names[i]:
+		default:
+			if shared {
+				shared = false
+				fresh := make([]string, rows)
+				copy(fresh, rs.Names[:i])
+				rs.Names = fresh
+			}
+			rs.Names[i] = string(b)
+		}
+	}
+	rs.Values = make([]float64, rows)
 	var fd floatDecoder
-	for _, n := range names {
-		summary[n] = fd.next(c)
+	for i := range rs.Values {
+		rs.Values[i] = fd.next(c)
 	}
-	return exp, summary, c.err
+	return rs, c.err
 }
 
 // field type tags inside trace blocks.

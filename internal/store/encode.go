@@ -99,18 +99,21 @@ func (c *cursor) varint() int64 {
 	return v
 }
 
-func (c *cursor) str() string {
+func (c *cursor) str() string { return string(c.bytes()) }
+
+// bytes returns the next length-prefixed string's bytes in place.
+func (c *cursor) bytes() []byte {
 	n := c.uvarint()
 	if c.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(c.b)-c.off) {
 		c.fail("string length past end")
-		return ""
+		return nil
 	}
-	s := string(c.b[c.off : c.off+int(n)])
+	b := c.b[c.off : c.off+int(n)]
 	c.off += int(n)
-	return s
+	return b
 }
 
 func (c *cursor) byte() byte {

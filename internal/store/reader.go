@@ -579,25 +579,32 @@ func (r *Reader) Counters(q Query, fn func(RunCounters) error) error {
 	})
 }
 
-// RunSummary is one run's scalar summary metrics.
+// RunSummary is one run's scalar summary metrics, in the two columns its
+// block stores: Names sorted bytewise and strictly increasing, and
+// Values[i] the value of Names[i]. Consecutive rows may share one Names
+// slice, which is never modified once handed out.
 type RunSummary struct {
 	Experiment string
 	Sweep      int
 	At         sim.Time
-	Summary    map[string]float64
+	Names      []string
+	Values     []float64
 }
 
 // Summaries streams matching run summaries in run order.
 func (r *Reader) Summaries(q Query, fn func(RunSummary) error) error {
+	var prev RunSummary
 	return r.scan(KindSummary, q, func(s *slot, raw []byte) error {
-		exp, summary, err := decodeSummaryBlock(raw, int(s.rows))
+		rs, err := decodeSummaryBlock(raw, int(s.rows), prev)
 		if err != nil {
 			return err
 		}
-		if q.Experiment != "" && exp != q.Experiment {
+		prev = rs
+		if q.Experiment != "" && rs.Experiment != q.Experiment {
 			return nil
 		}
-		return fn(RunSummary{Experiment: exp, Sweep: int(s.sweep), At: s.tMin, Summary: summary})
+		rs.Sweep, rs.At = int(s.sweep), s.tMin
+		return fn(rs)
 	})
 }
 

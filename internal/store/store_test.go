@@ -126,7 +126,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 			if d.counters[0].At != sim.Time(7100) {
 				t.Fatalf("counters At = %d, want 7100", d.counters[0].At)
 			}
-			if len(d.summaries) != 1 || d.summaries[0].Summary["goodput_a"] != 10.5 {
+			if len(d.summaries) != 1 || summaryMap(d.summaries[0])["goodput_a"] != 10.5 {
 				t.Fatalf("summaries = %+v", d.summaries)
 			}
 			if len(d.traces) != 1 || len(d.traces[0].Events) != 9 {
@@ -201,7 +201,7 @@ func TestSingleBlockFile(t *testing.T) {
 		t.Fatalf("files = %v, %v", names, err)
 	}
 	d := dumpCampaign(t, dir, Query{Sweep: AnySweep})
-	if len(d.summaries) != 1 || d.summaries[0].Summary["x"] != 1 {
+	if len(d.summaries) != 1 || summaryMap(d.summaries[0])["x"] != 1 {
 		t.Fatalf("summaries = %+v", d.summaries)
 	}
 }
@@ -234,7 +234,7 @@ func TestFileRoll(t *testing.T) {
 		t.Fatalf("summaries = %d, want 10", len(d.summaries))
 	}
 	for i, s := range d.summaries {
-		if s.Sweep != i || s.Summary["i"] != float64(i) {
+		if s.Sweep != i || summaryMap(s)["i"] != float64(i) {
 			t.Fatalf("summary %d out of order: %+v", i, s)
 		}
 	}

@@ -1,0 +1,189 @@
+package store
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// summaryMap is a run summary's columns as a map.
+func summaryMap(rs RunSummary) map[string]float64 {
+	m := make(map[string]float64, len(rs.Names))
+	for i, name := range rs.Names {
+		m[name] = rs.Values[i]
+	}
+	return m
+}
+
+// decodeSummaryMap is the map decoder the columns replaced, kept as the
+// oracle: it reads any name order and lets a duplicated name collapse.
+func decodeSummaryMap(raw []byte, rows int) (exp string, summary map[string]float64, err error) {
+	c := &cursor{b: raw}
+	exp = c.str()
+	names := make([]string, rows)
+	for i := range names {
+		names[i] = c.str()
+	}
+	summary = make(map[string]float64, rows)
+	var fd floatDecoder
+	for _, n := range names {
+		summary[n] = fd.next(c)
+	}
+	return exp, summary, c.err
+}
+
+// summaryBlock lays out a summary block in the given name order, sorted
+// or not, duplicates and all.
+func summaryBlock(exp string, names []string, values ...float64) []byte {
+	b := appendStr(nil, exp)
+	for _, n := range names {
+		b = appendStr(b, n)
+	}
+	var fe floatEncoder
+	for _, v := range values {
+		b = fe.append(b, v)
+	}
+	return b
+}
+
+// TestSummaryBlockRejectsHostile: a duplicated name, an unsorted name
+// column and a truncated value column are each a corrupt payload, where
+// the map decoder kept the first two silently.
+func TestSummaryBlockRejectsHostile(t *testing.T) {
+	good := summaryBlock("E01", []string{"goodput", "util"}, 1.5, 0.25)
+	for name, raw := range map[string][]byte{
+		"duplicated": summaryBlock("E01", []string{"goodput", "goodput"}, 1.5, 0.25),
+		"unsorted":   summaryBlock("E01", []string{"util", "goodput"}, 1.5, 0.25),
+		"truncated":  good[:len(good)-1],
+	} {
+		if _, err := decodeSummaryBlock(raw, 2, RunSummary{}); err == nil || !strings.Contains(err.Error(), "store: corrupt block payload") {
+			t.Errorf("%s block: err = %v, want a corrupt payload", name, err)
+		}
+	}
+	rs, err := decodeSummaryBlock(good, 2, RunSummary{})
+	if err != nil || !slices.Equal(rs.Names, []string{"goodput", "util"}) || !slices.Equal(rs.Values, []float64{1.5, 0.25}) {
+		t.Fatalf("good block = %+v, %v", rs, err)
+	}
+}
+
+// FuzzSummaryBlock feeds arbitrary bytes and row counts to the column
+// decoder, after a previous row decoded from other arbitrary bytes. The
+// decoder must fail, or return strictly increasing names whose (name,
+// value bits) pairs are the map decoder's; it may refuse only a block
+// whose names are out of order or repeated; and the previous row's names
+// must not change.
+func FuzzSummaryBlock(f *testing.F) {
+	ab := []string{"goodput", "util"}
+	f.Add(summaryBlock("E01", ab, 1.5, 0.25), uint16(2), summaryBlock("E01", ab, 3, -1), uint16(2))
+	f.Add(summaryBlock("E01", ab, 1.5, 0.25), uint16(2), summaryBlock("E02", []string{"goodput", "x"}, 3, 4), uint16(2))
+	f.Add(summaryBlock("E01", []string{"b", "a"}, 1, 2), uint16(2), []byte{}, uint16(0))
+	f.Add(summaryBlock("E01", []string{"a", "a"}, 1, 2), uint16(2), summaryBlock("E01", []string{"a"}, 1), uint16(1))
+	f.Add(summaryBlock("<&>", []string{"", "\xff", "\xff\x00"}, math.NaN(), math.Inf(-1), 0), uint16(3), []byte{0}, uint16(0))
+	f.Fuzz(func(t *testing.T, raw []byte, rows uint16, prevRaw []byte, prevRows uint16) {
+		// Open bounds a slot's rows the same way (checkSlot).
+		if 2*int(rows) > len(raw) || 2*int(prevRows) > len(prevRaw) {
+			return
+		}
+		prev, err := decodeSummaryBlock(prevRaw, int(prevRows), RunSummary{})
+		if err != nil {
+			prev = RunSummary{}
+		}
+		handed := slices.Clone(prev.Names)
+		rs, err := decodeSummaryBlock(raw, int(rows), prev)
+		if !slices.Equal(prev.Names, handed) {
+			t.Fatalf("decoding changed the previous row's names: %q, was %q", prev.Names, handed)
+		}
+		exp, want, wantErr := decodeSummaryMap(raw, int(rows))
+		if err != nil {
+			if wantErr == nil {
+				c := &cursor{b: raw}
+				c.str()
+				names := make([]string, rows)
+				for i := range names {
+					names[i] = c.str()
+				}
+				if slices.IsSorted(names) && len(slices.Compact(names)) == len(names) {
+					t.Fatalf("refused a well-formed block: %v", err)
+				}
+			}
+			return
+		}
+		if wantErr != nil {
+			t.Fatalf("accepted a block the map decoder refuses: %v", wantErr)
+		}
+		if rs.Experiment != exp || len(rs.Names) != int(rows) || len(rs.Values) != int(rows) || len(want) != int(rows) {
+			t.Fatalf("%q: %d names, %d values; map decoder %q, %d names", rs.Experiment, len(rs.Names), len(rs.Values), exp, len(want))
+		}
+		for i, name := range rs.Names {
+			if i > 0 && rs.Names[i-1] >= name {
+				t.Fatalf("names %q not strictly increasing", rs.Names)
+			}
+			if v, ok := want[name]; !ok || math.Float64bits(v) != math.Float64bits(rs.Values[i]) {
+				t.Fatalf("%q = %v, map decoder %v (present %v)", name, rs.Values[i], v, ok)
+			}
+		}
+	})
+}
+
+// TestSummaryScanAllocsPerRow: a full summary scan of a 1 000-run sweep
+// allocates at most 1.1 times per row — each row's value column, with the
+// experiment label and the name column shared while they repeat. The name
+// set changes every 125 runs, so sharing must also survive a change. A
+// map, or name strings per row, would cost more than one allocation each.
+func TestSummaryScanAllocsPerRow(t *testing.T) {
+	const runs = 1000
+	dir := t.TempDir()
+	w, err := Create(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < runs; i++ {
+		seg := w.NewSegment(RunMeta{Experiment: "E01", Sweep: i, End: sim.Time(1000 * i)})
+		seg.AddSummary(map[string]float64{
+			"goodput":                  float64(i),
+			"jain":                     0.99,
+			fmt.Sprint("util_", i/125): 0.5,
+			"peak_queue":               float64(i % 7),
+			"tail_goodput.flow0":       1.25,
+		})
+		if err := w.Append(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows, changes int
+	var last []string
+	scanErr := r.Summaries(Query{Sweep: AnySweep}, func(rs RunSummary) error {
+		if rows > 0 && &rs.Names[0] != &last[0] {
+			changes++
+		}
+		if rs.Names[4] != fmt.Sprint("util_", rows/125) {
+			return fmt.Errorf("run %d: names %q", rows, rs.Names)
+		}
+		rows, last = rows+1, rs.Names
+		return nil
+	})
+	if scanErr != nil || rows != runs || changes != runs/125-1 {
+		t.Fatalf("%d rows, %d name columns after the first, err %v", rows, changes, scanErr)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		scanErr = r.Summaries(Query{Sweep: AnySweep}, func(RunSummary) error { return nil })
+	})
+	if scanErr != nil {
+		t.Fatal(scanErr)
+	}
+	t.Logf("%.0f allocations per scan, %.3f per row", allocs, allocs/runs)
+	if allocs/runs > 1.1 {
+		t.Fatalf("a summary scan allocates %.3f times per row, budget 1.1", allocs/runs)
+	}
+}
