@@ -24,15 +24,7 @@ import (
 // build their engines on the heap; the wheel's accounting is held by the
 // sweeps of the package's own tests.
 func TestEventAccountingIsExact(t *testing.T) {
-	flows := make([]scenario.TCPFlowSpec, 200)
-	for i := range flows {
-		flows[i] = scenario.TCPFlowSpec{
-			Name:        fmt.Sprintf("f%d", i),
-			Exit:        1,
-			AccessDelay: sim.Duration(1+i%9) * sim.Millisecond,
-			DelayedAcks: i%2 == 1,
-		}
-	}
+	flows := accountingFlows()
 	type net struct {
 		e       *sim.Engine
 		run     func(sim.Duration)
@@ -43,15 +35,7 @@ func TestEventAccountingIsExact(t *testing.T) {
 		build func() (net, error)
 	}{
 		{"TCP/IP", func() (net, error) {
-			n, err := scenario.BuildTCP(scenario.TCPConfig{
-				Routers:       2,
-				TrunkRateBPS:  100e6,
-				TrunkLossRate: 0.005,
-				Disc: func() ip.Discipline {
-					return ip.NewPhantomDiscipline(ip.SelectiveDiscard, core.Config{})
-				},
-				Flows: flows,
-			})
+			n, err := buildLossyTCP(flows)
 			if err != nil {
 				return net{}, err
 			}
@@ -95,5 +79,62 @@ func TestEventAccountingIsExact(t *testing.T) {
 			}
 		}
 		n.release()
+	}
+}
+
+// accountingFlows is 200 Reno flows, half of them with delayed ACKs.
+func accountingFlows() []scenario.TCPFlowSpec {
+	flows := make([]scenario.TCPFlowSpec, 200)
+	for i := range flows {
+		flows[i] = scenario.TCPFlowSpec{
+			Name:        fmt.Sprintf("f%d", i),
+			Exit:        1,
+			AccessDelay: sim.Duration(1+i%9) * sim.Millisecond,
+			DelayedAcks: i%2 == 1,
+		}
+	}
+	return flows
+}
+
+// buildLossyTCP runs flows through a lossy Selective Discard trunk.
+func buildLossyTCP(flows []scenario.TCPFlowSpec) (*scenario.TCPNet, error) {
+	return scenario.BuildTCP(scenario.TCPConfig{
+		Routers:       2,
+		TrunkRateBPS:  100e6,
+		TrunkLossRate: 0.005,
+		Disc: func() ip.Discipline {
+			return ip.NewPhantomDiscipline(ip.SelectiveDiscard, core.Config{})
+		},
+		Flows: flows,
+	})
+}
+
+// TestEventHeapHoldsNoTimers: the events that fire sift past no long-lived
+// ones. At three instants of the 200-flow TCP/IP run the event calendar
+// holds no timer cell, every sender's rate ticker waits in a band, and the
+// timer heap holds every armed timer's tracked cell: they are what Scheduled − Fired − Canceled leaves once the live
+// events outside the timer heap are taken off.
+func TestEventHeapHoldsNoTimers(t *testing.T) {
+	flows := accountingFlows()
+	n, err := buildLossyTCP(flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Release()
+	e := n.Engine
+	for _, d := range []sim.Duration{300 * sim.Millisecond, 450 * sim.Millisecond, 750 * sim.Millisecond} {
+		n.Run(d)
+		c := sim.Filing(e)
+		t.Logf("t=%v: %+v", e.Now(), c)
+		if c.TimerCells != 0 {
+			t.Errorf("t=%v: the event calendar holds %d timer cells", e.Now(), c.TimerCells)
+		}
+		if c.BandTicks < len(flows) {
+			t.Errorf("t=%v: %d ticks wait in bands, want one per sender (%d) at least", e.Now(), c.BandTicks, len(flows))
+		}
+		armed := int(e.Scheduled()-e.Fired()-e.Canceled()) - c.LiveElsewhere
+		if armed <= 0 || c.ArmedInHeap != armed {
+			t.Errorf("t=%v: %d armed timers, %d of them tracked in the timer heap", e.Now(), armed, c.ArmedInHeap)
+		}
 	}
 }

@@ -15,10 +15,11 @@ type bandEntry struct {
 }
 
 // Band is the engine's FIFO of every event scheduled one constant delay
-// ahead — a cell time at some line rate, a trunk's propagation delay —
-// shared by all the components that use that delay, whatever their handlers.
-// Only its head occupies a calendar slot, so a thousand links with a cell in
-// flight each cost the calendar one entry per distinct delay.
+// ahead — a cell time at some line rate, a trunk's propagation delay, the
+// period of an Every — shared by all the components that use that delay,
+// whatever their handlers. Only its head occupies a calendar slot, so a
+// thousand links with a cell in flight each cost the calendar one entry per
+// distinct delay.
 //
 // A band changes nothing an observer can see, counters included (DESIGN.md
 // §8). After draws seq from the engine's counter exactly as AfterFunc does;

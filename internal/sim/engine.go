@@ -130,15 +130,21 @@ type Engine struct {
 	// bandQueued counts the events waiting in bands behind their heads:
 	// pending, but not in the calendar.
 	bandQueued int
-	// Pads the struct to two cache lines, which is also an allocator size
-	// class, so an engine shares no line with the object next to it. The
-	// engines of a sharded run are allocated back to back and written on
-	// every event by different cores (DESIGN.md §14).
+	// Pads the fields above to two cache lines. With the timer heap the
+	// struct is three, which is also an allocator size class, so an engine
+	// shares no line with the object next to it. The engines of a sharded
+	// run are allocated back to back and written on every event by
+	// different cores (DESIGN.md §14).
 	_ [32]byte
+	// timers holds every timer cell (timer.go), apart from the calendar:
+	// they are long-lived and rarely due, and every other event would sift
+	// past them. Its pops are eager, so it never has a root hole.
+	timers heapScheduler
 }
 
 // NewEngine returns an engine with the clock at zero and an empty calendar,
-// which is a heap (heap.go) unless an option says otherwise.
+// which is a heap (heap.go) unless an option says otherwise. Timer cells
+// always go to the engine's separate timer heap, whichever the calendar.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{}
 	for _, opt := range opts {
@@ -153,11 +159,12 @@ func NewEngine(opts ...Option) *Engine {
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of calendar entries, including ones the run
-// loop will discard when it reaches them: cancelled events, and the cell a
-// stopped or re-armed Timer left behind (timer.go); the events waiting in
-// bands behind their heads (band.go) count as the entries they stand for.
-func (e *Engine) Pending() int { return e.sched.Len() + e.bandQueued }
+// Pending returns the number of entries in the calendar and the timer heap,
+// including ones the run loop will discard when it reaches them: cancelled
+// events, and the cell a stopped or re-armed Timer left behind (timer.go);
+// the events waiting in bands behind their heads (band.go) — an Every's
+// ticks among them — count as the entries they stand for.
+func (e *Engine) Pending() int { return e.sched.Len() + e.timers.Len() + e.bandQueued }
 
 // Fired returns the number of events executed so far. Useful for cost
 // accounting in benchmarks.
@@ -250,29 +257,39 @@ func (e *Engine) AfterFunc(d Duration, fn TypedHandler, p Payload) EventRef {
 
 // Every schedules fn to run every period, starting one period from now, until
 // the returned ref is cancelled or the run ends. fn observes the engine clock
-// at each tick.
+// at each tick. A period is a constant of its ticker, so the ticks ride the
+// engine's band for it (band.go): a thousand tickers with one period are one
+// calendar entry. A tick after a cancel still fires, as a no-op.
 func (e *Engine) Every(period Duration, fn Handler) EventRef {
 	if period <= 0 {
 		panic("sim: non-positive period")
 	}
-	// The ticker reschedules itself through a stable cell so that Cancel on
-	// the original ref stops all future ticks, not just the next one. The
-	// cell never enters the scheduler (each tick is its own pooled event),
-	// so it is deliberately not pool-allocated: it must outlive every tick.
-	cell := new(event)
-	var tick Handler
-	tick = func(en *Engine) {
-		if cell.kind == cellCanceled {
-			return
-		}
-		fn(en)
-		if cell.kind == cellCanceled {
-			return
-		}
-		en.After(period, tick)
+	tk := &ticker{fn: fn, band: e.Band(period)}
+	tk.band.After(tickerFire, tk)
+	return EventRef{ev: &tk.cell, gen: tk.cell.gen}
+}
+
+// ticker is an Every: the band entry each tick files carries it.
+type ticker struct {
+	fn   Handler
+	band *Band
+	// cell is what the ref from Every points at, so Cancel stops all future
+	// ticks, not just the next one. It never enters the calendar.
+	cell event
+}
+
+// tickerFire is a tick. It re-arms only after fn, so fn's own schedules draw
+// their seqs first, and not when fn or an earlier event cancelled it.
+func tickerFire(e *Engine, p Payload) {
+	tk := p.Obj.(*ticker)
+	if tk.cell.kind == cellCanceled {
+		return
 	}
-	e.After(period, tick)
-	return EventRef{ev: cell, gen: cell.gen}
+	tk.fn(e)
+	if tk.cell.kind == cellCanceled {
+		return
+	}
+	tk.band.After(tickerFire, tk)
 }
 
 // Stop halts the run after the currently executing event returns.
@@ -292,16 +309,28 @@ func (e *Engine) enter() {
 func (e *Engine) leave() { e.running = false }
 
 // runTo is the shared event loop: execute events in (time, seq) order until
-// the calendar holds nothing at or before deadline, or Stop is called.
+// neither the calendar nor the timer heap holds anything at or before
+// deadline, or Stop is called. A due timer root bounds the calendar's pop by
+// its key; keys are unique, so a nil pop under that bound means the timer
+// root is next.
 func (e *Engine) runTo(deadline Time) uint64 {
 	e.enter()
 	defer e.leave()
 	start := e.fired
 	e.stopped = false
 	for !e.stopped {
-		ev := e.sched.pop(deadline)
+		bound, boundSeq := deadline, uint64(math.MaxUint64)
+		tq := e.timers.q
+		timerDue := len(tq) > 0 && tq[0].at <= deadline
+		if timerDue {
+			bound, boundSeq = tq[0].at, tq[0].seq
+		}
+		ev := e.sched.pop(bound, boundSeq)
 		if ev == nil {
-			break
+			if !timerDue {
+				break
+			}
+			ev = e.timers.popRoot()
 		}
 		if k := ev.kind; k != cellPlain {
 			switch k {

@@ -24,6 +24,7 @@ const (
 	fuzzBandOp            // events on band width%fuzzBands, now; mantissa&1 picks the second handler
 	fuzzBandParent        // events that put 1–2 events on a band
 	fuzzTimer             // Reset/Stop timer arg%fuzzTimers, now or from an event at clock+delay
+	fuzzEvery             // opcode 7 with bit 4 set: Every, now, maybe cancelled by an event at clock+delay
 )
 
 // A fuzzTimer op acts on timer arg&3 with deadline clock+delay, at once, or
@@ -36,6 +37,27 @@ const (
 	fuzzTimerStopReset         // Stop, then Reset
 	fuzzTimerResetTwice        // Reset twice to the one deadline
 )
+
+// A fuzzEvery op starts 1 + opcode>>5 tickers with one period, so they
+// share its band, and — opcode bit 3 — a 'k' event apiece at clock+delay
+// that cancels its ticker. arg is what each tick does (fuzzState.fire):
+//
+//	bit 0     the period: band 1's delay or band 2's (band 0's is no period)
+//	bits 1–3  the tick that cancels its own ticker, less one
+//	bit 4     a plain child a period later, tying with the next tick
+//	bit 5     an event on the ticker's band, between its ticks
+//	bit 6     cancel the next ticker started
+//	bit 7     the self-cancel comes first, the tick's other work after it
+//
+// Every ticker cancels itself by its eighth tick, so the final Run ends.
+
+// fuzzTickerCost is what one ticker can add to the calendar: its 'k' event
+// and nine ticks — the last a no-op after a cancel — with a child and a
+// band event apiece.
+const fuzzTickerCost = 1 + 9*3
+
+// fuzzTickPeriod is the period a ticker's arg picks.
+func fuzzTickPeriod(arg byte) Duration { return fuzzBandDelay[1+arg&1] }
 
 // fuzzMaxEvents and fuzzMaxOps bound one program (the wheel is quadratic
 // in the events sharing one instant); the seed corpus needs 10⁴ events.
@@ -57,7 +79,7 @@ type fuzzOp struct {
 	rep    int // scheduling ops: how many events
 	arg    byte
 	target int  // fuzzCancel: which one
-	event  bool // fuzzTimer: act from a 't' event instead of at once
+	event  bool // fuzzTimer: act from a 't' event instead of at once; fuzzEvery: file 'k' events
 }
 
 // fuzzDelay stratifies delays by magnitude: width picks a power of two
@@ -91,6 +113,9 @@ func decodeFuzzProgram(prog []byte) []fuzzOp {
 	clock, events := Time(0), 0
 	for ; len(prog) >= 4; prog = prog[4:] {
 		op := fuzzOp{kind: prog[0] % 8, arg: prog[3], target: int(prog[1])<<8 | int(prog[2])}
+		if op.kind == fuzzTimer && prog[0]&16 != 0 {
+			op.kind = fuzzEvery
+		}
 		// What one event of the op can add to the calendar, itself included.
 		cost := 0
 		switch op.kind {
@@ -110,11 +135,17 @@ func decodeFuzzProgram(prog []byte) []fuzzOp {
 			// re-arms itself on every third firing) with a child apiece.
 			cost = 8
 			op.event = prog[0]&8 != 0
+		case fuzzEvery:
+			cost = fuzzTickerCost
+			op.event = prog[0]&8 != 0
 		}
 		if cost > 0 {
 			want := 1 + int(prog[0]>>3)
-			if op.kind == fuzzTimer {
+			switch op.kind {
+			case fuzzTimer:
 				want = 1 // its high bits are not a count
+			case fuzzEvery:
+				want = 1 + int(prog[0]>>5)
 			}
 			op.rep = min(want, (fuzzMaxEvents-events)/cost)
 			events += op.rep * cost
@@ -130,9 +161,10 @@ func decodeFuzzProgram(prog []byte) []fuzzOp {
 
 // fuzzEvent is what a scheduled event carries to its firing: the letter it
 // logs under — 'f' plain, 'p' parent, 'c' child, 's' stopper, 'q' band
-// parent, 'l' band event, 't' timer op, 'T' timer firing, 'x' scheduled into a
-// stopped engine — its op's arg, and an id (the scheduling op's event number;
-// a child's is its parent's, a timer firing's its timer). A band event also
+// parent, 'l' band event, 't' timer op, 'T' timer firing, 'K' tick, 'k' ticker
+// cancel, 'x' scheduled into a stopped engine — its op's arg, and an id (the
+// scheduling op's event number; a child's is its parent's, a timer firing's
+// its timer, a tick's and a ticker cancel's its ticker). A band event also
 // carries its band and which of the two band handlers it was scheduled with;
 // its id counts band events.
 type fuzzEvent struct {
@@ -182,6 +214,8 @@ type fuzzCal interface {
 	// timerReset arms timer k to fire at t; timerStop disarms it.
 	timerReset(k int, t Time)
 	timerStop(k int)
+	// every starts a ticker whose ticks are ev, and returns its handle.
+	every(period Duration, ev fuzzEvent) int
 	stop()
 	runUntil(deadline Time)
 	run()
@@ -197,14 +231,38 @@ type fuzzState struct {
 	handles   int
 	bandIDs   int
 	timeFired [fuzzTimers]int
+	tickers   []fuzzTicker
 	stopped   bool
 	stopArg   byte
+}
+
+// fuzzTicker is a ticker's handle and how many times it has ticked.
+type fuzzTicker struct {
+	handle int
+	ticks  int
 }
 
 func (st *fuzzState) at(t Time, ev fuzzEvent) int {
 	h := st.cal.at(t, ev)
 	st.handles = h + 1
 	return h
+}
+
+// every starts a ticker with behaviour arg and, if kill, a 'k' event at t
+// that cancels it. One whose first tick would pass the end of time is not
+// started.
+func (st *fuzzState) every(arg byte, kill bool, t Time) {
+	d := fuzzTickPeriod(arg)
+	if st.cal.now() > maxTime-Time(d) {
+		return
+	}
+	k := len(st.tickers)
+	h := st.cal.every(d, fuzzEvent{kind: 'K', arg: arg, id: k})
+	st.handles = h + 1
+	st.tickers = append(st.tickers, fuzzTicker{handle: h})
+	if kill {
+		st.at(t, fuzzEvent{kind: 'k', id: k})
+	}
 }
 
 // fuzzBandCost is what one band event can add to the calendar, itself
@@ -323,6 +381,30 @@ func (st *fuzzState) fire(ev fuzzEvent, alt bool) {
 		case n%5 == 2:
 			c.timerStop((k + 1) % fuzzTimers)
 		}
+	case 'K':
+		// The ticker cancels itself on its last tick, or when the next one
+		// would pass the end of time; the arg bits are at fuzzEvery.
+		tk := &st.tickers[ev.id]
+		tk.ticks++
+		d := fuzzTickPeriod(ev.arg)
+		last := tk.ticks > int(ev.arg>>1&7) || now > maxTime-Time(d)
+		if last && ev.arg&128 != 0 {
+			c.cancel(tk.handle)
+		}
+		if ev.arg&16 != 0 {
+			st.at(fuzzAdd(now, d), fuzzEvent{kind: 'c', id: ev.id})
+		}
+		if ev.arg&32 != 0 {
+			st.bandAfter(1+int(ev.arg&1), 0, false)
+		}
+		if ev.arg&64 != 0 {
+			c.cancel(st.tickers[(ev.id+1)%len(st.tickers)].handle)
+		}
+		if last && ev.arg&128 == 0 {
+			c.cancel(tk.handle)
+		}
+	case 'k':
+		c.cancel(st.tickers[ev.id].handle)
 	}
 }
 
@@ -368,6 +450,10 @@ func runFuzzProgram(mk func(*fuzzState) fuzzCal, ops []fuzzOp) ([]fuzzRec, uint6
 		case fuzzCancel:
 			if st.handles > 0 {
 				st.cal.cancel(op.target % st.handles)
+			}
+		case fuzzEvery:
+			for r := 0; r < op.rep; r++ {
+				st.every(op.arg, op.event, op.at)
 			}
 		case fuzzTimer:
 			if op.rep > 0 && op.event {
@@ -469,13 +555,23 @@ func (c *engineCal) bandAfter(ev fuzzEvent) {
 func (c *engineCal) timerReset(k int, t Time) { c.timers[k].Reset(t.Sub(c.e.Now())) }
 func (c *engineCal) timerStop(k int)          { c.timers[k].Stop() }
 
-// oracleEvent is a pending event of the reference calendar.
+func (c *engineCal) every(d Duration, ev fuzzEvent) int {
+	st := c.st
+	c.refs = append(c.refs, c.e.Every(d, func(*Engine) { st.fire(ev, false) }))
+	return len(c.refs) - 1
+}
+
+// oracleEvent is a pending event of the reference calendar, or a ticker's
+// handle: that one is never queued, its ticks point back at it, and
+// cancelling it only marks it.
 type oracleEvent struct {
 	at      Time
 	seq     uint64
 	ev      fuzzEvent
 	stopped bool
 	done    bool // fired or drained: a later cancel is a no-op
+	period  Duration
+	ticker  *oracleEvent // a tick's ticker
 }
 
 // oracleKey is an event's place in the order.
@@ -490,7 +586,7 @@ func (oe *oracleEvent) key() oracleKey { return oracleKey{at: oe.at, seq: oe.seq
 // pending events as a slice kept sorted by (time, seq), the engine's run
 // loop restated over it with no heap, no wheel, no bands and no timer cells.
 // A timer is its arming, an ordinary queue entry that Reset deletes and
-// inserts anew.
+// inserts anew. A ticker is an event that re-arms itself a period later.
 type orderOracle struct {
 	st        *fuzzState
 	clock     Time
@@ -536,8 +632,17 @@ func (o *orderOracle) bandAfter(ev fuzzEvent) { o.schedule(o.clock.Add(fuzzBandD
 func (o *orderOracle) cancel(h int) {
 	if oe := o.byHandle[h]; !oe.done && !oe.stopped {
 		oe.stopped = true
-		o.dead++
+		if oe.period == 0 {
+			o.dead++
+		}
 	}
+}
+
+func (o *orderOracle) every(d Duration, ev fuzzEvent) int {
+	tk := &oracleEvent{ev: ev, period: d}
+	o.byHandle = append(o.byHandle, tk)
+	o.schedule(o.clock.Add(d), ev).ticker = tk
+	return len(o.byHandle) - 1
 }
 
 // timerStop deletes the arming, which counts as cancelled there and then.
@@ -588,34 +693,49 @@ func (o *orderOracle) step() {
 	}
 	o.clock = oe.at
 	o.nfired++
+	if tk := oe.ticker; tk != nil {
+		// A tick after a cancel fires and does nothing; fn's own schedules
+		// come before the re-arm.
+		if tk.stopped {
+			return
+		}
+		o.st.fire(oe.ev, false)
+		if !tk.stopped {
+			o.schedule(o.clock.Add(tk.period), oe.ev).ticker = tk
+		}
+		return
+	}
 	o.st.fire(oe.ev, oe.ev.alt)
 }
 
 // FuzzSchedulerOrder replays a program on the sorted-slice oracle and on
-// both backends, each with bands and with AfterFunc standing in for them,
-// and requires five identical logs — every firing's (time, id), which band
-// handler ran and the live pending events it saw, and the clock, live
-// pending events, Fired and Canceled after every run — and five identical
-// Scheduled counts.
+// both backends, each with bands and with AfterFunc standing in for them
+// (an Every rides its band either way), and requires five identical logs
+// — every firing's (time, id), which band handler ran and the live pending
+// events it saw, and the clock, live pending events, Fired and Canceled
+// after every run — and five identical Scheduled counts.
 // The oracle's timers are delete and insert and it has no dead cells to
 // count, so the backends report their live entries (engineCal.pending); how
 // many dead ones Pending adds is held by TestEventAccountingIsExact and
 // TestTimerLifecycle.
 //
 // Besides the seeds added here, testdata/fuzz/FuzzSchedulerOrder holds one
-// per calendar state the lazy-pop heap, the bands and the timers added:
+// per calendar state the lazy-pop heap, the bands, the timers and the
+// tickers added:
 //
-//	hole-children     parents with 0–3 children, first child now or later
-//	hole-cancel       the child that filled the hole cancelled, by its parent and later by handle
-//	hole-stop         Stop with the hole open, then a pop, or a schedule and a pop; Stop with it filled
-//	band-burst        32 entries on one band behind 32 filed an instant earlier, plain events tying with both, run in two legs
-//	band-handlers     After from handlers: on an idle, an armed and the handler's own drained band, into the hole and behind a child, Stop with bands armed
-//	band-shared       two handlers alternating down one band, chains that swap handler and hop bands, ties with a plain event band 1's delay on
-//	band-zero-delay   the zero-delay band fed from the driver, from plain events and from its own handler at one instant, around zero-length runs
-//	timer-rearm       a deadline pushed back over one cell: later, equal-time, ahead of and behind a plain event at its instant
-//	timer-earlier     deadlines earlier than the filed cell, of an armed and of a stopped timer: orphans, drained mid-run and last
-//	timer-stop-root   Stop with the tracked cell at the root; Stop then Reset over it; a dead cell the only thing left to pop
-//	timer-self-reset  timers re-armed inside their own handlers and from events at their instant, stopping one another, Stop between
+//	hole-children      parents with 0–3 children, first child now or later
+//	hole-cancel        the child that filled the hole cancelled, by its parent and later by handle
+//	hole-stop          Stop with the hole open, then a pop, or a schedule and a pop; Stop with it filled
+//	band-burst         32 entries on one band behind 32 filed an instant earlier, plain events tying with both, run in two legs
+//	band-handlers      After from handlers: on an idle, an armed and the handler's own drained band, into the hole and behind a child, Stop with bands armed
+//	band-shared        two handlers alternating down one band, chains that swap handler and hop bands, ties with a plain event band 1's delay on
+//	band-zero-delay    the zero-delay band fed from the driver, from plain events and from its own handler at one instant, around zero-length runs
+//	timer-rearm        a deadline pushed back over one cell: later, equal-time, ahead of and behind a plain event at its instant
+//	timer-earlier      deadlines earlier than the filed cell, of an armed and of a stopped timer: orphans, drained mid-run and last
+//	timer-stop-root    Stop with the tracked cell at the root; Stop then Reset over it; a dead cell the only thing left to pop
+//	timer-self-reset   timers re-armed inside their own handlers and from events at their instant, stopping one another, Stop between
+//	ticker-shared      tickers sharing a band with each other and with band events, ticks tying with children, band and plain events
+//	ticker-cancel-self tickers cancelled by their own tick before and after its work, by 'k' events, by the driver and by another ticker's tick
 func FuzzSchedulerOrder(f *testing.F) {
 	const burst = 31 << 3
 	// 10⁴ events at one instant; 10³ parents of one same-instant child

@@ -79,24 +79,15 @@ func (h *heapScheduler) schedule(ev *event) {
 	h.q = q
 }
 
-func (h *heapScheduler) pop(bound Time) *event {
-	q := h.q
+func (h *heapScheduler) pop(bound Time, boundSeq uint64) *event {
 	if h.hole != 0 {
 		// The last handler scheduled nothing: close its hole with the tail
 		// entry, as an eager pop would have.
 		h.hole = 0
-		n := len(q) - 1
-		x := q[n]
-		// Zero the vacated tail slot: beyond len the backing array must not
-		// alias a cell that is about to be recycled for another event.
-		q[n] = heapEntry{}
-		q = q[:n]
-		h.q = q
-		if n > 0 {
-			siftDown(q, x)
-		}
+		h.removeRoot()
 	}
-	if len(q) == 0 || q[0].at > bound {
+	q := h.q
+	if len(q) == 0 || (&heapEntry{at: bound, seq: boundSeq}).before(&q[0]) {
 		return nil
 	}
 	ev := q[0].ev
@@ -104,6 +95,29 @@ func (h *heapScheduler) pop(bound Time) *event {
 	q[0].ev = nil
 	h.hole = 1
 	return ev
+}
+
+// popRoot removes and returns the root's cell eagerly, leaving no hole: the
+// timer heap's pop, rare enough that a hole would save nothing.
+func (h *heapScheduler) popRoot() *event {
+	ev := h.q[0].ev
+	h.removeRoot()
+	return ev
+}
+
+// removeRoot moves the tail entry into the root and sinks it.
+func (h *heapScheduler) removeRoot() {
+	q := h.q
+	n := len(q) - 1
+	x := q[n]
+	// Zero the vacated tail slot: beyond len the backing array must not
+	// alias a cell that is about to be recycled for another event.
+	q[n] = heapEntry{}
+	q = q[:n]
+	h.q = q
+	if n > 0 {
+		siftDown(q, x)
+	}
 }
 
 // siftDown writes x into the vacant root of q and sinks it to its place.

@@ -21,11 +21,13 @@ type scheduler interface {
 	schedule(ev *event)
 	// pop removes and returns the earliest pending event by (time, seq), or
 	// returns nil — removing nothing — when the calendar is empty or the
-	// earliest event lies strictly beyond bound. A nil return must leave
-	// the structure able to accept events at or before bound: RunUntil
-	// stops at a deadline and callers schedule between it and the next
-	// pending event.
-	pop(bound Time) *event
+	// earliest event orders strictly after the key (bound, boundSeq). The
+	// run loop bounds by its deadline with the largest seq, or by the
+	// timer heap's root when that is due first. A nil return must leave
+	// the structure able to accept events at or after the engine's clock:
+	// RunUntil stops at a deadline and callers schedule between it and the
+	// next pending event.
+	pop(bound Time, boundSeq uint64) *event
 }
 
 // SchedulerKind names a calendar backend for WithScheduler. It, its two

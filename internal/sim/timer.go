@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // Timer is a one-shot event that is re-armed in place — a retransmission
-// timer restarted by every ACK, say. Reset and Stop cost the calendar
+// timer restarted by every ACK, say. Reset and Stop cost the timer heap
 // nothing while the timer already has a cell filed at or before its new
 // deadline: the deadline is recorded in the timer, and the run loop moves
 // the cell up to it when the cell's own, earlier, key comes round.
@@ -13,12 +13,13 @@ import "fmt"
 // Reset draws seq from the engine's counter exactly as AfterFunc does and the
 // timer fires under that (time, seq); Fired and Scheduled count as they
 // would. What differs is documented at Pending and Canceled: fewer dead
-// calendar entries, and a superseded arming counted at once.
+// entries, and a superseded arming counted at once.
 //
 // The tracked-cell invariant: an armed timer has exactly one tracked cell in
-// the calendar, keyed at or before the timer's (at, seq); a stopped timer has
-// one or none. Every other cell that names the timer is an orphan and is
-// discarded when popped.
+// the engine's timer heap, keyed at or before the timer's (at, seq); a
+// stopped timer has one or none. Every other cell that names the timer is an
+// orphan and is discarded when popped. Timer cells live in that heap and
+// never in the calendar, so the events that fire sift past none of them.
 //
 // A timer belongs to the engine that made it and follows that engine's
 // single-goroutine contract.
@@ -77,10 +78,10 @@ func (t *Timer) Reset(d Duration) {
 	ev := e.alloc()
 	ev.at, ev.seq, ev.kind, ev.payload.Obj = t.at, t.seq, cellTimer, t
 	t.cell = ev
-	e.sched.schedule(ev)
+	e.timers.schedule(ev)
 }
 
-// popTimer runs when the calendar pops a timer cell. Only a tracked cell
+// popTimer runs when the run loop pops the timer heap. Only a tracked cell
 // popped under its armed timer's current key is an event. Any other pop is
 // calendar upkeep — it is not counted as fired and does not move the clock,
 // which may still be behind the popped key.
@@ -94,11 +95,10 @@ func (e *Engine) popTimer(ev *event) {
 		e.recycle(ev)
 	case ev.seq != t.seq:
 		// Re-armed since the cell was filed: move it to the deadline. The
-		// new key is past the popped one, so it may refill the root the pop
-		// just vacated — one sift on the heap — and is ahead of the wheel's
-		// cursor.
+		// new key is past the popped one and usually past most of the timer
+		// heap, so it sifts up from the tail a level or none.
 		ev.at, ev.seq = t.at, t.seq
-		e.sched.schedule(ev)
+		e.timers.schedule(ev)
 	default:
 		t.cell, t.armed = nil, false
 		e.now = ev.at

@@ -123,12 +123,15 @@ func (w *wheelScheduler) refreshLevelMin(l int) {
 }
 
 // pop settles the earliest pending event down to level 0, unlinks it and
-// returns it, or returns nil — without mutating anything — when the
-// calendar is empty or the earliest event lies beyond bound. Leaving the
-// cursor untouched in the beyond-bound case is what lets RunUntil stop at a
+// returns it, or returns nil when the calendar is empty or the earliest
+// event orders after (bound, boundSeq). Leaving the cursor untouched when
+// the earliest time lies beyond bound is what lets RunUntil stop at a
 // deadline and still accept later schedules between the deadline and the
 // next event: the cursor never moves past a time the engine has reached.
-func (w *wheelScheduler) pop(bound Time) *event {
+// When only the seq is beyond, the cursor rests on bound, the time of the
+// timer cell the engine pops instead, and the earliest event stays at
+// level 0.
+func (w *wheelScheduler) pop(bound Time, boundSeq uint64) *event {
 	for {
 		// Global minimum: O(levels) scan of the cached level minima.
 		// Ties prefer the highest level so that every slot holding the
@@ -154,6 +157,9 @@ func (w *wheelScheduler) pop(bound Time) *event {
 				if c.seq < ev.seq {
 					ev, evPrev = c, prev
 				}
+			}
+			if m == bound && ev.seq > boundSeq {
+				return nil
 			}
 			if evPrev == nil {
 				w.slots[0][s] = ev.next

@@ -195,12 +195,18 @@ func encodeCountersBlock(meta RunMeta, names []string, snap map[string]uint64) [
 	return b
 }
 
+// decodeCountersBlock decodes a telemetry snapshot. The names must be
+// strictly increasing, the order AddCounters writes them in: a repeated
+// name would otherwise fold into one map key.
 func decodeCountersBlock(raw []byte, rows int) (exp string, snap map[string]uint64, err error) {
 	c := &cursor{b: raw}
 	exp = c.str()
 	names := make([]string, rows)
 	for i := range names {
 		names[i] = c.str()
+		if i > 0 && names[i] <= names[i-1] {
+			c.fail("counter names not strictly increasing")
+		}
 	}
 	snap = make(map[string]uint64, rows)
 	for _, n := range names {

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -67,6 +69,39 @@ func TestSummaryBlockRejectsHostile(t *testing.T) {
 	rs, err := decodeSummaryBlock(good, 2, RunSummary{})
 	if err != nil || !slices.Equal(rs.Names, []string{"goodput", "util"}) || !slices.Equal(rs.Values, []float64{1.5, 0.25}) {
 		t.Fatalf("good block = %+v, %v", rs, err)
+	}
+}
+
+// countersBlock lays out a counters block in the given name order, sorted
+// or not, duplicates and all.
+func countersBlock(exp string, names []string, values ...uint64) []byte {
+	b := appendStr(nil, exp)
+	for _, n := range names {
+		b = appendStr(b, n)
+	}
+	for _, v := range values {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// TestCountersBlockRejectsHostile: a repeated name, an unsorted name column
+// and a truncated value column are each a corrupt payload, as they are in a
+// summary block; the map decoder used to fold a repeated name into one key.
+func TestCountersBlockRejectsHostile(t *testing.T) {
+	good := countersBlock("E01", []string{"link.cells_in", "link.cells_out"}, 17, 18)
+	for name, raw := range map[string][]byte{
+		"repeated":  countersBlock("E01", []string{"link.cells_out", "link.cells_out"}, 17, 18),
+		"unsorted":  countersBlock("E01", []string{"link.cells_out", "link.cells_in"}, 17, 18),
+		"truncated": good[:len(good)-1],
+	} {
+		if _, _, err := decodeCountersBlock(raw, 2); err == nil || !strings.Contains(err.Error(), "store: corrupt block payload") {
+			t.Errorf("%s block: err = %v, want a corrupt payload", name, err)
+		}
+	}
+	exp, snap, err := decodeCountersBlock(good, 2)
+	if err != nil || exp != "E01" || !maps.Equal(snap, map[string]uint64{"link.cells_in": 17, "link.cells_out": 18}) {
+		t.Fatalf("good block = %q %v, %v", exp, snap, err)
 	}
 }
 
