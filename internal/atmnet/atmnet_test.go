@@ -281,8 +281,9 @@ func TestLinksSharingBandsInterleave(t *testing.T) {
 		c.Receive(e, atm.Cell{VC: atm.VCID(20 + i)})
 	}
 	e.RunUntil(sim.Time(20 * sim.Millisecond))
-	if a.tx != b.tx || a.tx != c.tx || a.wire != b.wire || a.wire != c.wire || a.tx == a.wire {
-		t.Fatalf("the links do not share one tx band and one wire band: tx %p %p %p, wire %p %p %p", a.tx, b.tx, c.tx, a.wire, b.wire, c.wire)
+	aw, bw, cw := a.pipe.Wire(), b.pipe.Wire(), c.pipe.Wire()
+	if a.tx != b.tx || a.tx != c.tx || aw != bw || aw != cw || a.tx == aw {
+		t.Fatalf("the links do not share one tx band and one wire band: tx %p %p %p, wire %p %p %p", a.tx, b.tx, c.tx, aw, bw, cw)
 	}
 	wantVC := []atm.VCID{0, 10, 20, 1, 11, 21, 2, 12, 22}
 	wantUS := []sim.Duration{8000, 8000, 8500, 9000, 9000, 9500, 10000, 10000, 10500}

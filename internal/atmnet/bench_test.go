@@ -14,18 +14,29 @@ type nullSink struct{ n int64 }
 func (s *nullSink) Receive(*sim.Engine, atm.Cell) { s.n++ }
 
 // BenchmarkLinkCellPath measures the per-cell cost of the enqueue →
-// serialize → deliver pipeline, the innermost loop of every ATM run.
+// serialize → deliver pipeline, the innermost loop of every ATM run: on a
+// zero-delay line, which hands each cell straight to Dst (a shard conduit's
+// spelling), and on a line whose cells ride the wire band for 10 µs.
 func BenchmarkLinkCellPath(b *testing.B) {
-	e := sim.NewEngine()
-	dst := &nullSink{}
-	l := NewLink("l", 1e9, 0, dst) // fast line: no standing queue
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l.Receive(e, atm.Cell{VC: 1})
-		e.RunUntil(e.Now().Add(sim.Microsecond))
-	}
-	if dst.n == 0 {
-		b.Fatal("no deliveries")
+	for _, bc := range []struct {
+		name  string
+		delay sim.Duration
+	}{{"delay=0", 0}, {"delay=10us", 10 * sim.Microsecond}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := sim.NewEngine()
+			dst := &nullSink{}
+			l := NewLink("l", 1e9, bc.delay, dst) // fast line: no standing queue
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.Receive(e, atm.Cell{VC: 1})
+				e.RunUntil(e.Now().Add(sim.Microsecond))
+			}
+			b.StopTimer()
+			e.RunUntil(e.Now().Add(bc.delay + sim.Microsecond))
+			if dst.n != int64(b.N) {
+				b.Fatalf("delivered %d of %d", dst.n, b.N)
+			}
+		})
 	}
 }
 

@@ -19,11 +19,10 @@ import (
 // of the paper plots. A Link implements atm.Sink so any component can feed
 // it.
 //
-// The cell path through a link is allocation-free in steady state: the
-// output FIFO and the propagation pipe are reusable ring buffers whose
-// capacity stabilizes at the peak backlog, and every event the link
-// schedules is a typed callback on one of the engine's bands carrying only
-// the link pointer — no closure, and no cell escaping to the heap.
+// The FIFO server and the propagation delay line are a sim.Pipe. The link
+// adds the loss and MaxQueue verdicts, its counters and observers, and ends
+// each cell's service on the engine's band for one cell time. Nothing on
+// the cell path allocates in steady state.
 type Link struct {
 	Name string
 	// RateCPS is the line rate in cells/s.
@@ -54,22 +53,14 @@ type Link struct {
 	lossRNG *workload.RNG
 	lost    int64
 
-	queue ring.Ring[atm.Cell]
-	// inflight holds cells transmitted but still propagating. The line is
-	// FIFO with one constant Delay, so deliveries leave in transmission
-	// order and the delivery event needs no payload beyond the link itself.
-	inflight ring.Ring[atm.Cell]
-	// tx and wire are the running engine's bands for one cell time at
-	// RateCPS and for Delay, looked up again when a transient
-	// (scenario/events.go) has rewritten the field.
-	tx, wire *sim.Band
-	// lastDelivery is when the newest cell in inflight arrives.
-	lastDelivery sim.Time
+	pipe sim.Pipe[atm.Cell]
+	// tx is the running engine's band for one cell time at RateCPS, looked
+	// up again when a transient (scenario/events.go) has rewritten the field.
+	tx *sim.Band
 	// scratch is the cell handed to OnTransmit by pointer; a field rather
 	// than a local so the observer call does not force a heap allocation
 	// per cell.
 	scratch atm.Cell
-	busy    bool
 	dropped int64
 	sent    int64
 
@@ -121,12 +112,12 @@ func NewLink(name string, rateCPS float64, delay sim.Duration, dst atm.Sink) *Li
 
 // QueueLen returns the number of cells waiting (excluding the one on the
 // wire).
-func (l *Link) QueueLen() int { return l.queue.Len() }
+func (l *Link) QueueLen() int { return l.pipe.QueueLen() }
 
 // QueueCap returns the current capacity of the FIFO's backing array. It
 // grows to the peak backlog and then stabilizes; tests use it to pin the
 // no-unbounded-growth property.
-func (l *Link) QueueCap() int { return l.queue.Cap() }
+func (l *Link) QueueCap() int { return l.pipe.QueueCap() }
 
 // Dropped returns the number of cells dropped by the queue bound.
 func (l *Link) Dropped() int64 { return l.dropped }
@@ -157,7 +148,7 @@ func (l *Link) Receive(e *sim.Engine, c atm.Cell) {
 		}
 		return
 	}
-	l.queue.Push(c)
+	l.pipe.Push(c)
 	l.tel.queuePeak.Observe(uint64(l.QueueLen()))
 	l.tel.queueDepth.Observe(uint64(l.QueueLen()))
 	if l.tel.cellWait.Active() {
@@ -171,10 +162,9 @@ func (l *Link) Receive(e *sim.Engine, c atm.Cell) {
 
 // startTx begins transmitting the head cell if the line is idle.
 func (l *Link) startTx(e *sim.Engine) {
-	if l.busy || l.queue.Len() == 0 {
+	if l.pipe.Start() == nil {
 		return
 	}
-	l.busy = true
 	if d := sim.DurationOf(1, l.RateCPS); l.tx == nil || l.tx.Delay() != d {
 		l.tx = e.Band(d)
 	}
@@ -182,12 +172,10 @@ func (l *Link) startTx(e *sim.Engine) {
 }
 
 // linkTxDone fires when the head cell finishes serialization: meter it,
-// hand it to the propagation pipe (or straight to Dst on a zero-delay
-// line) and restart the transmitter.
+// hand it to the propagation pipe and restart the transmitter.
 func linkTxDone(e *sim.Engine, p sim.Payload) {
 	l := p.Obj.(*Link)
-	c := l.queue.Pop()
-	l.busy = false
+	c := l.pipe.Finish()
 	l.sent++
 	l.tel.sent.Inc()
 	if l.tel.cellWait.Active() {
@@ -200,38 +188,8 @@ func linkTxDone(e *sim.Engine, p sim.Payload) {
 		l.scratch = c
 		l.OnTransmit(e.Now(), &l.scratch)
 	}
-	if l.Delay > 0 {
-		if l.wire == nil || l.wire.Delay() != l.Delay {
-			l.wire = e.Band(l.Delay)
-		}
-		at := e.Now().Add(l.Delay)
-		if at < l.lastDelivery {
-			l.panicBackwards()
-		}
-		l.lastDelivery = at
-		l.inflight.Push(c)
-		l.wire.After(linkDeliver, l)
-	} else {
-		if l.inflight.Len() > 0 {
-			l.panicBackwards()
-		}
-		l.Dst.Receive(e, c)
+	if !l.pipe.Depart(e, c, l.Delay, l.Dst) {
+		panic(fmt.Sprintf("atmnet: link %q: delivery time went backwards", l.Name))
 	}
 	l.startTx(e)
-}
-
-// panicBackwards reports a cell about to be delivered ahead of one sent
-// before it, which takes a Delay lowered while cells were propagating. The
-// pipe pairs delivery events with cells by position, so carrying on would
-// hand each event the wrong cell.
-func (l *Link) panicBackwards() {
-	panic(fmt.Sprintf("atmnet: link %q: delivery time went backwards", l.Name))
-}
-
-// linkDeliver hands the oldest propagating cell to the destination. Cells
-// enter the pipe in transmission order and panicBackwards holds their events
-// to it, so head-of-pipe is always the cell this event was scheduled for.
-func linkDeliver(e *sim.Engine, p sim.Payload) {
-	l := p.Obj.(*Link)
-	l.Dst.Receive(e, l.inflight.Pop())
 }

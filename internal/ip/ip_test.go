@@ -56,8 +56,10 @@ func TestPortTailDrop(t *testing.T) {
 	p.MaxQueue = 2
 	var reasons []string
 	p.OnDrop = func(_ sim.Time, _ *Packet, r string) { reasons = append(reasons, r) }
-	for i := 0; i < 5; i++ {
-		p.Receive(e, &Packet{Len: 512})
+	var pkts [5]*Packet
+	for i := range pkts {
+		pkts[i] = &Packet{Len: 512}
+		p.Receive(e, pkts[i])
 	}
 	if p.Dropped() != 3 {
 		t.Fatalf("dropped = %d, want 3", p.Dropped())
@@ -67,8 +69,9 @@ func TestPortTailDrop(t *testing.T) {
 			t.Fatalf("reason = %q", r)
 		}
 	}
-	if p.QueueBytes() != 2*552 {
-		t.Fatalf("QueueBytes = %d", p.QueueBytes())
+	// The backlog is the two packets admitted first.
+	if n := pkts[0].SizeBytes() + pkts[1].SizeBytes(); p.QueueLen() != 2 || n != 2*552 {
+		t.Fatalf("queued %d packets of %d bytes, want 2 of %d", p.QueueLen(), n, 2*552)
 	}
 }
 
@@ -169,6 +172,43 @@ func TestPortDelayLoweredMidRunPanics(t *testing.T) {
 	for i, pkt := range dst.pkts {
 		if pkt.Seq != int64(i) || dst.times[i] != want[i] {
 			t.Fatalf("after raising Delay: packet %d is seq %d at %v, want seq %d at %v", i, pkt.Seq, dst.times[i], i, want[i])
+		}
+	}
+}
+
+// TestPortsSharingWireBandInterleave: three ports of one Delay file their
+// deliveries on one wire band, which is how tcp_timers' 8 000 ports run on
+// about 20 bands (DESIGN.md §8). Each keeps its own FIFO, and between them
+// packets arrive in (time, seq) order: at equal times the port whose packet
+// finished first in seq order — the one fed first — delivers first.
+func TestPortsSharingWireBandInterleave(t *testing.T) {
+	const rate = 552 * 8 * 1000 // 1 ms per data packet
+	e := sim.NewEngine()
+	dst := &pktCapture{}
+	a := NewPort("a", rate, 7*sim.Millisecond, dst)
+	b := NewPort("b", rate, 7*sim.Millisecond, dst)
+	c := NewPort("c", rate, 7*sim.Millisecond, dst)
+	for i := 0; i < 3; i++ {
+		a.Receive(e, &Packet{Seq: int64(i), Len: 512})
+		b.Receive(e, &Packet{Seq: int64(10 + i), Len: 512})
+	}
+	e.RunUntil(sim.Time(500 * sim.Microsecond))
+	for i := 0; i < 3; i++ {
+		c.Receive(e, &Packet{Seq: int64(20 + i), Len: 512})
+	}
+	e.RunUntil(sim.Time(20 * sim.Millisecond))
+	aw, bw, cw := a.pipe.Wire(), b.pipe.Wire(), c.pipe.Wire()
+	if aw != e.Band(7*sim.Millisecond) || aw != bw || aw != cw {
+		t.Fatalf("the ports do not share the engine's 7ms band %p: wire %p %p %p", e.Band(7*sim.Millisecond), aw, bw, cw)
+	}
+	wantSeq := []int64{0, 10, 20, 1, 11, 21, 2, 12, 22}
+	wantUS := []sim.Duration{8000, 8000, 8500, 9000, 9000, 9500, 10000, 10000, 10500}
+	if len(dst.pkts) != len(wantSeq) {
+		t.Fatalf("delivered %d packets, want %d", len(dst.pkts), len(wantSeq))
+	}
+	for i := range wantSeq {
+		if dst.pkts[i].Seq != wantSeq[i] || dst.times[i] != sim.Time(wantUS[i]*sim.Microsecond) {
+			t.Fatalf("delivery %d is seq %d at %v, want seq %d at %v", i, dst.pkts[i].Seq, dst.times[i], wantSeq[i], sim.Time(wantUS[i]*sim.Microsecond))
 		}
 	}
 }

@@ -83,9 +83,7 @@ func (p *Packet) SizeBits() float64 { return float64(p.SizeBytes()) * 8 }
 // Sink consumes packets. Receive takes ownership of p: the caller must not
 // touch it after the call, and the receiver either passes it on or releases
 // it.
-type Sink interface {
-	Receive(e *sim.Engine, p *Packet)
-}
+type Sink = sim.Sink[*Packet]
 
 // SinkFunc adapts a function to Sink.
 type SinkFunc func(e *sim.Engine, p *Packet)

@@ -3,7 +3,6 @@ package ip
 import (
 	"fmt"
 
-	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -31,9 +30,9 @@ type Discipline interface {
 	OnTransmit(now sim.Time, p *Packet)
 }
 
-// Port is a router output port: a rate-limited FIFO with a queue
-// discipline. The physical buffer bound MaxQueue (in packets) applies after
-// the discipline admits; 0 means unbounded.
+// Port is a router output port: a rate-limited FIFO (a sim.Pipe) with a
+// queue discipline. The physical buffer bound MaxQueue (in packets) applies
+// after the discipline admits; 0 means unbounded.
 type Port struct {
 	Name     string
 	RateBPS  float64
@@ -59,21 +58,13 @@ type Port struct {
 	lossRNG *workload.RNG
 	lost    int64
 
-	queue ring.Ring[*Packet]
-	// inflight holds packets transmitted but still propagating; the wire is
-	// FIFO with one constant Delay, so delivery events carry no payload
-	// beyond the port itself.
-	inflight ring.Ring[*Packet]
-	busy     bool
-	dropped  int64
-	sentPk   int64
-	sentBy   int64
-
-	// wire is the running engine's band for Delay, looked up again when Delay
-	// has changed. Tx-done stays an AfterFunc: its duration is the packet's.
-	wire *sim.Band
-	// lastDelivery is when the newest packet in inflight arrives.
-	lastDelivery sim.Time
+	// pipe is the FIFO server and the propagation delay line. A packet's
+	// tx-done is an AfterFunc, not a band event: its duration is the
+	// packet's own.
+	pipe    sim.Pipe[*Packet]
+	dropped int64
+	sentPk  int64
+	sentBy  int64
 
 	tel portTel
 }
@@ -124,20 +115,11 @@ func (p *Port) Attach(e *sim.Engine, d Discipline) {
 }
 
 // QueueLen returns the backlog in packets.
-func (p *Port) QueueLen() int { return p.queue.Len() }
+func (p *Port) QueueLen() int { return p.pipe.QueueLen() }
 
 // QueueCap returns the current capacity of the FIFO's backing array; it
 // grows to the peak backlog and then stabilizes.
-func (p *Port) QueueCap() int { return p.queue.Cap() }
-
-// QueueBytes returns the backlog in bytes.
-func (p *Port) QueueBytes() int {
-	n := 0
-	for i := 0; i < p.queue.Len(); i++ {
-		n += (*p.queue.At(i)).SizeBytes()
-	}
-	return n
-}
+func (p *Port) QueueCap() int { return p.pipe.QueueCap() }
 
 // Dropped returns the count of packets dropped for any reason: injected
 // loss (which Lost also counts), the discipline's verdict and the tail
@@ -182,7 +164,7 @@ func (p *Port) Receive(e *sim.Engine, pkt *Packet) {
 		p.drop(e, pkt, "tail")
 		return
 	}
-	p.queue.Push(pkt)
+	p.pipe.Push(pkt)
 	p.tel.queuePeak.Observe(uint64(p.QueueLen()))
 	p.tel.queueDepth.Observe(uint64(p.QueueLen()))
 	if p.OnQueue != nil {
@@ -203,21 +185,16 @@ func (p *Port) drop(e *sim.Engine, pkt *Packet, reason string) {
 }
 
 func (p *Port) startTx(e *sim.Engine) {
-	if p.busy || p.queue.Len() == 0 {
-		return
+	if next := p.pipe.Start(); next != nil {
+		e.AfterFunc(sim.DurationOf((*next).SizeBits(), p.RateBPS), portTxDone, sim.Payload{Obj: p})
 	}
-	p.busy = true
-	next := *p.queue.Peek()
-	e.AfterFunc(sim.DurationOf(next.SizeBits(), p.RateBPS), portTxDone, sim.Payload{Obj: p})
 }
 
 // portTxDone fires when the head packet finishes serialization: account it,
-// hand it to the propagation pipe (or straight to Dst on a zero-delay wire)
-// and restart the transmitter.
+// hand it to the propagation pipe and restart the transmitter.
 func portTxDone(e *sim.Engine, pl sim.Payload) {
 	p := pl.Obj.(*Port)
-	pkt := p.queue.Pop()
-	p.busy = false
+	pkt := p.pipe.Finish()
 	p.sentPk++
 	p.sentBy += int64(pkt.SizeBytes())
 	p.tel.pktsSent.Inc()
@@ -228,33 +205,10 @@ func portTxDone(e *sim.Engine, pl sim.Payload) {
 	if p.Disc != nil {
 		p.Disc.OnTransmit(e.Now(), pkt)
 	}
-	at := e.Now().Add(p.Delay)
-	if at < p.lastDelivery || p.Delay <= 0 && p.inflight.Len() > 0 {
-		// Delay was lowered while packets propagate. The pipe pairs delivery
-		// events with packets by position, so carrying on would hand each
-		// event the wrong packet.
+	if !p.pipe.Depart(e, pkt, p.Delay, p.Dst) {
 		panic(fmt.Sprintf("ip: port %q: delivery time went backwards", p.Name))
 	}
-	if p.Delay > 0 {
-		if p.wire == nil || p.wire.Delay() != p.Delay {
-			p.wire = e.Band(p.Delay)
-		}
-		p.lastDelivery = at
-		p.inflight.Push(pkt)
-		p.wire.After(portDeliver, p)
-	} else {
-		p.Dst.Receive(e, pkt)
-	}
 	p.startTx(e)
-}
-
-// portDeliver hands the oldest propagating packet to the destination.
-// Packets enter the pipe in transmission order and portTxDone holds their
-// events to it, so head-of-pipe is always the packet this event was
-// scheduled for.
-func portDeliver(e *sim.Engine, pl sim.Payload) {
-	p := pl.Obj.(*Port)
-	p.Dst.Receive(e, p.inflight.Pop())
 }
 
 // Router forwards packets by flow and direction: data packets use the
