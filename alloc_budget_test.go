@@ -43,7 +43,7 @@ func engineHotPath() {
 		}
 		e.After(gap, tick)
 	}
-	e.Run()
+	e.RunUntil(sim.Time(sim.Second))
 }
 
 // budgetFile mirrors testdata/alloc_budget.json.
@@ -113,9 +113,9 @@ func measureSuite(t testing.TB, id string, newTrace func() *trace.Tracer) allocS
 
 // measureSuiteE01Telemetry is measureSuite(E01) with the full observability
 // stack on: a counter registry and a flight recorder at the CLI ring
-// capacity. The registry and ring are created once and Reset per op, the
-// reuse pattern the suite's sweeps use, so the measurement is the
-// steady-state cost of observing the run — budgeted at ≤2× the disabled
+// capacity. The registry and ring are created once and reused by every
+// op (the ring Reset, the registry's names resolved once), so the
+// measurement is the steady-state cost of observing the run — budgeted at ≤2× the disabled
 // path.
 func measureSuiteE01Telemetry(t testing.TB) allocStats {
 	def, ok := exp.Get("E01")
@@ -128,7 +128,6 @@ func measureSuiteE01Telemetry(t testing.TB) allocStats {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			reg.Reset()
 			tr.Reset()
 			res, err := exp.Execute(def, exp.Options{Quiet: true, Duration: d, Telemetry: reg, Trace: tr}, nil)
 			if err != nil {

@@ -52,8 +52,8 @@ func benchSuite(b *testing.B, workers int) {
 		}
 		last = stats
 	}
-	b.ReportMetric(last.Speedup(), "speedup")
-	b.ReportMetric(last.SimPerWallSecond(), "sim_s/wall_s")
+	b.ReportMetric(float64(last.WorkWall)/float64(last.Wall), "speedup")
+	b.ReportMetric(last.SimTime.Seconds()/last.Wall.Seconds(), "sim_s/wall_s")
 }
 
 // BenchmarkSuiteSequential is the baseline: the whole E-series on one

@@ -183,7 +183,7 @@ func TestExpandScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, text, err := scengen.Generate(fam, scengen.DeriveSeed(fam, 0))
+	_, text, err := scengen.Generate(fam, runner.DeriveSeed("fuzz/"+string(fam), 0))
 	if err != nil {
 		t.Fatal(err)
 	}

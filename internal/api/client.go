@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"time"
 
 	"repro/internal/store"
 )
@@ -228,23 +227,4 @@ func crossValues(kind string, jobs []string, q store.Query) url.Values {
 		v.Set("jobs", strings.Join(jobs, ","))
 	}
 	return v
-}
-
-// Wait polls until the job reaches a terminal state. Results is the
-// better primitive (no polling); Wait serves callers that only need the
-// final status.
-func (c *Client) Wait(id string, poll time.Duration) (*JobStatus, error) {
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
-	for {
-		st, err := c.Job(id)
-		if err != nil {
-			return nil, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		time.Sleep(poll)
-	}
 }

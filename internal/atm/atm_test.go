@@ -131,7 +131,7 @@ func TestSourceEmitsRMEveryNrm(t *testing.T) {
 			if (i+1)%nrm != 0 {
 				t.Fatalf("RM cell at index %d, want positions k·Nrm−1", i)
 			}
-			if c.CCR != src.ACR() && c.CCR <= 0 {
+			if c.CCR != src.acr && c.CCR <= 0 {
 				t.Fatalf("RM cell CCR = %v", c.CCR)
 			}
 			if c.ER != src.Params.PCR {
@@ -150,11 +150,11 @@ func TestSourceIncreaseOnCleanRM(t *testing.T) {
 	if err := src.Start(e); err != nil {
 		t.Fatal(err)
 	}
-	before := src.ACR()
+	before := src.acr
 	src.Receive(e, Cell{VC: 1, Kind: BackwardRM, ER: src.Params.PCR, CI: false})
 	want := before + src.Params.AIRNrm
-	if math.Abs(src.ACR()-want) > 1e-9 {
-		t.Fatalf("ACR = %v, want %v", src.ACR(), want)
+	if math.Abs(src.acr-want) > 1e-9 {
+		t.Fatalf("ACR = %v, want %v", src.acr, want)
 	}
 }
 
@@ -168,11 +168,11 @@ func TestSourceDecreaseOnCI(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		src.Receive(e, Cell{VC: 1, Kind: BackwardRM, ER: src.Params.PCR})
 	}
-	before := src.ACR()
+	before := src.acr
 	src.Receive(e, Cell{VC: 1, Kind: BackwardRM, ER: src.Params.PCR, CI: true})
 	want := before * (1 - float64(src.Params.Nrm)/src.Params.RDF)
-	if math.Abs(src.ACR()-want) > 1e-6 {
-		t.Fatalf("ACR = %v, want %v (12.5%% decrease)", src.ACR(), want)
+	if math.Abs(src.acr-want) > 1e-6 {
+		t.Fatalf("ACR = %v, want %v (12.5%% decrease)", src.acr, want)
 	}
 }
 
@@ -182,15 +182,15 @@ func TestSourceHoldsOnNI(t *testing.T) {
 	if err := src.Start(e); err != nil {
 		t.Fatal(err)
 	}
-	before := src.ACR()
+	before := src.acr
 	src.Receive(e, Cell{VC: 1, Kind: BackwardRM, ER: src.Params.PCR, NI: true})
-	if src.ACR() != before {
-		t.Fatalf("ACR changed on NI: %v → %v", before, src.ACR())
+	if src.acr != before {
+		t.Fatalf("ACR changed on NI: %v → %v", before, src.acr)
 	}
 	// CI dominates NI: both set → decrease.
 	src.Receive(e, Cell{VC: 1, Kind: BackwardRM, ER: src.Params.PCR, NI: true, CI: true})
-	if src.ACR() >= before {
-		t.Fatalf("CI+NI did not decrease: %v", src.ACR())
+	if src.acr >= before {
+		t.Fatalf("CI+NI did not decrease: %v", src.acr)
 	}
 }
 
@@ -202,15 +202,15 @@ func TestSourceClampsToERAndPCR(t *testing.T) {
 	}
 	// ER below current ACR forces an immediate cut.
 	src.Receive(e, Cell{VC: 1, Kind: BackwardRM, ER: 5000})
-	if src.ACR() != 5000 {
-		t.Fatalf("ACR = %v, want clamp to ER 5000", src.ACR())
+	if src.acr != 5000 {
+		t.Fatalf("ACR = %v, want clamp to ER 5000", src.acr)
 	}
 	// Huge ER: rises additively, never past PCR.
 	for i := 0; i < 100; i++ {
 		src.Receive(e, Cell{VC: 1, Kind: BackwardRM, ER: 1e12})
 	}
-	if src.ACR() > src.Params.PCR {
-		t.Fatalf("ACR %v exceeded PCR %v", src.ACR(), src.Params.PCR)
+	if src.acr > src.Params.PCR {
+		t.Fatalf("ACR %v exceeded PCR %v", src.acr, src.Params.PCR)
 	}
 }
 
@@ -223,8 +223,8 @@ func TestSourceFloorsAtTCR(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		src.Receive(e, Cell{VC: 1, Kind: BackwardRM, ER: 1e12, CI: true})
 	}
-	if src.ACR() != src.Params.TCR {
-		t.Fatalf("ACR = %v, want floor at TCR %v", src.ACR(), src.Params.TCR)
+	if src.acr != src.Params.TCR {
+		t.Fatalf("ACR = %v, want floor at TCR %v", src.acr, src.Params.TCR)
 	}
 }
 
@@ -234,10 +234,10 @@ func TestSourceIgnoresForeignCells(t *testing.T) {
 	if err := src.Start(e); err != nil {
 		t.Fatal(err)
 	}
-	before := src.ACR()
+	before := src.acr
 	src.Receive(e, Cell{VC: 2, Kind: BackwardRM, ER: 1}) // other VC
 	src.Receive(e, Cell{VC: 1, Kind: Data})              // wrong kind
-	if src.ACR() != before {
+	if src.acr != before {
 		t.Fatal("foreign cell changed ACR")
 	}
 }
@@ -292,13 +292,13 @@ func TestSourceACRRetentionAfterIdle(t *testing.T) {
 		}
 	})
 	e.RunUntil(sim.Time(2 * sim.Millisecond))
-	if src.ACR() <= p.ICR {
-		t.Fatalf("setup failed: ACR %v not above ICR", src.ACR())
+	if src.acr <= p.ICR {
+		t.Fatalf("setup failed: ACR %v not above ICR", src.acr)
 	}
 	// Run through the idle gap into the next on-phase.
 	e.RunUntil(sim.Time(23 * sim.Millisecond))
-	if src.ACR() != p.ICR {
-		t.Fatalf("ACR after long idle = %v, want reset to ICR %v", src.ACR(), p.ICR)
+	if src.acr != p.ICR {
+		t.Fatalf("ACR after long idle = %v, want reset to ICR %v", src.acr, p.ICR)
 	}
 }
 

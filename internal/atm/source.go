@@ -79,9 +79,6 @@ func NewSource(vc VCID, params SourceParams, pattern workload.Pattern, out Sink)
 	return &Source{VC: vc, Params: params, Pattern: pattern, Out: out}
 }
 
-// ACR returns the current allowed cell rate in cells/s.
-func (s *Source) ACR() float64 { return s.acr }
-
 // CellsSent returns the total number of cells the source has emitted.
 func (s *Source) CellsSent() int64 { return s.cellsSent }
 

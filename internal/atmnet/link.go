@@ -61,7 +61,6 @@ type Link struct {
 	// than a local so the observer call does not force a heap allocation
 	// per cell.
 	scratch atm.Cell
-	dropped int64
 	sent    int64
 
 	// waitSince shadows the queue + wire with each cell's enqueue time,
@@ -119,9 +118,6 @@ func (l *Link) QueueLen() int { return l.pipe.QueueLen() }
 // no-unbounded-growth property.
 func (l *Link) QueueCap() int { return l.pipe.QueueCap() }
 
-// Dropped returns the number of cells dropped by the queue bound.
-func (l *Link) Dropped() int64 { return l.dropped }
-
 // Sent returns the number of cells fully transmitted.
 func (l *Link) Sent() int64 { return l.sent }
 
@@ -141,7 +137,6 @@ func (l *Link) Receive(e *sim.Engine, c atm.Cell) {
 		}
 	}
 	if l.MaxQueue > 0 && l.QueueLen() >= l.MaxQueue {
-		l.dropped++
 		l.tel.dropped.Inc()
 		if l.OnDrop != nil {
 			l.OnDrop(e.Now(), c)

@@ -12,7 +12,7 @@ func BenchmarkEstimatorObserve(b *testing.B) {
 	m := NewMACREstimator(Config{Capacity: 150e6})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Observe(float64(i % 100e6))
+		m.observe(float64(i % 100e6))
 	}
 }
 

@@ -43,30 +43,18 @@ func NewMACREstimator(cfg Config) *MACREstimator {
 // units/s.
 func (m *MACREstimator) MACR() float64 { return m.macr }
 
-// MeanDev returns the current mean-deviation estimate, exposed for figures
-// and tests.
-func (m *MACREstimator) MeanDev() float64 { return m.mdev }
-
 // SetCapacity rebases the estimator on a new link capacity (units/s),
 // keeping the filter state. Mid-run capacity changes (transient schedules)
 // call this so clamps and the adaptive-gain epsilon follow the live line
 // instead of the build-time snapshot.
 func (m *MACREstimator) SetCapacity(c float64) { m.cfg.Capacity = c }
 
-// Observe folds one interval's measured residual bandwidth (units/s) into
-// the estimate and returns the updated MACR. The estimate is clamped to
-// [0, target capacity]: the phantom session can neither have negative rate
-// nor exceed the link. The load used by the stability cap is inferred from
-// the residual; callers that adjust the residual (e.g. by a queue-drain
-// charge) should use ObserveLoad with the true transmission rate instead.
-func (m *MACREstimator) Observe(residual float64) float64 {
-	target := m.cfg.Capacity * m.cfg.TargetUtilization
-	used := target - residual
-	return m.ObserveLoad(residual, used)
-}
-
-// ObserveLoad is Observe with the port's true transmission rate supplied
-// separately, so residual adjustments do not distort the loop-gain
+// ObserveLoad folds one interval's measured residual bandwidth (units/s)
+// into the estimate and returns the updated MACR. The estimate is clamped
+// to [0, target capacity]: the phantom session can neither have negative
+// rate nor exceed the link. usedRate, the port's true transmission rate,
+// feeds the stability cap; it is supplied apart from the residual so
+// residual adjustments (a queue-drain charge) do not distort the loop-gain
 // estimate.
 func (m *MACREstimator) ObserveLoad(residual, usedRate float64) float64 {
 	target := m.cfg.Capacity * m.cfg.TargetUtilization

@@ -62,7 +62,7 @@ func TestEstimatorConvergesToConstantResidual(t *testing.T) {
 	m := NewMACREstimator(validCfg())
 	const residual = 20e6
 	for i := 0; i < 500; i++ {
-		m.Observe(residual)
+		m.observe(residual)
 	}
 	if math.Abs(m.MACR()-residual) > residual*0.01 {
 		t.Fatalf("MACR = %v, want ≈%v", m.MACR(), residual)
@@ -73,13 +73,13 @@ func TestEstimatorClampsToTargetAndZero(t *testing.T) {
 	m := NewMACREstimator(validCfg())
 	target := 150e6 * DefaultTargetUtilization
 	for i := 0; i < 100; i++ {
-		m.Observe(1e12) // absurd over-measurement
+		m.observe(1e12) // absurd over-measurement
 	}
 	if m.MACR() > target {
 		t.Fatalf("MACR %v exceeded target %v", m.MACR(), target)
 	}
 	for i := 0; i < 1000; i++ {
-		m.Observe(-1e12) // negative residual → treated as 0
+		m.observe(-1e12) // negative residual → treated as 0
 	}
 	if m.MACR() < 0 {
 		t.Fatalf("MACR went negative: %v", m.MACR())
@@ -95,13 +95,13 @@ func TestEstimatorDecreaseFasterThanIncrease(t *testing.T) {
 	settle := func() *MACREstimator {
 		m := NewMACREstimator(validCfg())
 		for i := 0; i < 1000; i++ {
-			m.Observe(50e6)
+			m.observe(50e6)
 		}
 		return m
 	}
 	stepsTo := func(m *MACREstimator, target float64) int {
 		for i := 1; i <= 10000; i++ {
-			m.Observe(target)
+			m.observe(target)
 			if math.Abs(m.MACR()-target) < 1e6 {
 				return i
 			}
@@ -124,7 +124,7 @@ func TestAdaptiveGainRejectsNoiseBetterThanFixed(t *testing.T) {
 		m := NewMACREstimator(cfg)
 		const mean = 40e6
 		for i := 0; i < 500; i++ { // settle
-			m.Observe(mean)
+			m.observe(mean)
 		}
 		min, max := m.MACR(), m.MACR()
 		for i := 0; i < 500; i++ {
@@ -132,7 +132,7 @@ func TestAdaptiveGainRejectsNoiseBetterThanFixed(t *testing.T) {
 			if i%2 == 0 {
 				v = mean * 0.8
 			}
-			m.Observe(v)
+			m.observe(v)
 			if m.MACR() < min {
 				min = m.MACR()
 			}
@@ -175,7 +175,7 @@ func TestMACRBoundsProperty(t *testing.T) {
 		m := NewMACREstimator(cfg)
 		target := cfg.Capacity * DefaultTargetUtilization
 		for _, o := range obs {
-			v := m.Observe(float64(o) * 1e3)
+			v := m.observe(float64(o) * 1e3)
 			if v < 0 || v > target || math.IsNaN(v) {
 				return false
 			}
@@ -204,7 +204,7 @@ func TestClosedLoopEquilibriumProperty(t *testing.T) {
 			if used > target {
 				used = target // sessions cannot exceed the line
 			}
-			m.Observe(target - used)
+			m.observe(target - used)
 		}
 		wantMACR := target / (1 + float64(k)*u)
 		return math.Abs(m.MACR()-wantMACR) < wantMACR*0.02
@@ -221,7 +221,7 @@ func TestEstimatorIsConstantSpace(t *testing.T) {
 	// Simulate "many sessions" by many observations — no per-session state
 	// can exist because the API never learns session identities.
 	for i := 0; i < 100000; i++ {
-		m.Observe(float64(i % 100e3))
+		m.observe(float64(i % 100e3))
 	}
 	// Compile-time shape check: the struct holds exactly cfg + two floats.
 	_ = struct {

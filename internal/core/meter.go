@@ -27,9 +27,6 @@ func (m *Meter) Add(n float64) { m.used += n }
 // use this so the residual observation tracks the live line.
 func (m *Meter) SetTarget(target float64) { m.target = target }
 
-// Used returns the units accumulated in the current interval.
-func (m *Meter) Used() float64 { return m.used }
-
 // Close ends the interval at time now, returning the measured residual
 // bandwidth in units/s, and starts the next interval. A zero-length
 // interval returns the full target (nothing could have been used).

@@ -104,6 +104,3 @@ func (p *PortControl) ClampER(er float64) float64 { return p.est.ClampER(er) }
 
 // Exceeds reports whether rate is above u·MACR.
 func (p *PortControl) Exceeds(rate float64) bool { return p.est.Exceeds(rate) }
-
-// Estimator exposes the underlying estimator for figures and tests.
-func (p *PortControl) Estimator() *MACREstimator { return p.est }

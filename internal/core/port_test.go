@@ -11,15 +11,15 @@ func TestMeterResidual(t *testing.T) {
 	m := NewMeter(100, 0) // 100 units/s target
 	m.Add(30)
 	m.Add(20)
-	if m.Used() != 50 {
-		t.Fatalf("Used = %v", m.Used())
+	if m.used != 50 {
+		t.Fatalf("Used = %v", m.used)
 	}
 	// Close after 1 s: used rate 50 → residual 50.
 	res := m.Close(sim.Time(sim.Second))
 	if math.Abs(res-50) > 1e-9 {
 		t.Fatalf("residual = %v, want 50", res)
 	}
-	if m.Used() != 0 {
+	if m.used != 0 {
 		t.Fatal("Close must reset the accumulator")
 	}
 	// Idle interval: full target is residual.
@@ -112,9 +112,6 @@ func TestPortControlDelegates(t *testing.T) {
 	}
 	if !pc.Exceeds(25) || pc.Exceeds(15) {
 		t.Fatal("Exceeds wrong")
-	}
-	if pc.Estimator() == nil {
-		t.Fatal("Estimator accessor nil")
 	}
 }
 

@@ -151,19 +151,6 @@ func ordered() []Definition {
 	return sorted
 }
 
-// All returns every definition ordered by ID. The returned slice is the
-// caller's to mutate: it is a copy of the registry's cached order, so
-// reordering or overwriting entries cannot corrupt later calls.
-func All() []Definition {
-	src := ordered()
-	out := make([]Definition, len(src))
-	copy(out, src)
-	return out
-}
-
-// Count returns the number of registered experiments.
-func Count() int { return len(registry) }
-
 // Walk calls fn for every definition in ID order without allocating a new
 // slice. It stops early when fn returns false. This is the iteration path
 // for hot callers (the fleet runner walks the registry once per suite run).

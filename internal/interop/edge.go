@@ -94,9 +94,6 @@ func NewIngressEdge(vc atm.VCID, params atm.SourceParams, out atm.Sink) *Ingress
 	return &IngressEdge{VC: vc, Params: params, Out: out}
 }
 
-// ACR returns the edge's current allowed cell rate.
-func (g *IngressEdge) ACR() float64 { return g.acr }
-
 // DroppedPackets returns datagrams dropped at the edge queue.
 func (g *IngressEdge) DroppedPackets() int64 { return g.dropped }
 
@@ -218,9 +215,7 @@ type EgressEdge struct {
 	// Dst receives reassembled datagrams.
 	Dst ip.Sink
 
-	cellCount  int64 // cells of the current partial packet
-	reassembly int64 // packets delivered
-	corrupted  int64 // packets failing the cell-count check
+	cellCount int64 // cells of the current partial packet
 
 	tel egressTel
 }
@@ -247,12 +242,6 @@ func NewEgressEdge(vc atm.VCID, back atm.Sink, dst ip.Sink) *EgressEdge {
 	return &EgressEdge{VC: vc, Back: back, Dst: dst}
 }
 
-// Delivered returns reassembled datagrams delivered to the IP side.
-func (g *EgressEdge) Delivered() int64 { return g.reassembly }
-
-// Corrupted returns packets discarded by the reassembly length check.
-func (g *EgressEdge) Corrupted() int64 { return g.corrupted }
-
 // Receive implements atm.Sink.
 func (g *EgressEdge) Receive(e *sim.Engine, c atm.Cell) {
 	if c.VC != g.VC {
@@ -278,14 +267,12 @@ func (g *EgressEdge) Receive(e *sim.Engine, c atm.Cell) {
 			// and the whole datagram is discarded. (A packet whose
 			// end-of-packet cell is the one lost never gets here; the GC
 			// takes it instead of the pool.)
-			g.corrupted++
 			g.tel.corrupted.Inc()
 			if ok {
 				pkt.Release()
 			}
 			return
 		}
-		g.reassembly++
 		g.tel.reassembled.Inc()
 		g.Dst.Receive(e, pkt)
 	}

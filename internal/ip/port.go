@@ -56,14 +56,12 @@ type Port struct {
 	LossSeed uint64
 
 	lossRNG *workload.RNG
-	lost    int64
 
 	// pipe is the FIFO server and the propagation delay line. A packet's
 	// tx-done is an AfterFunc, not a band event: its duration is the
 	// packet's own.
 	pipe    sim.Pipe[*Packet]
 	dropped int64
-	sentPk  int64
 	sentBy  int64
 
 	tel portTel
@@ -122,18 +120,11 @@ func (p *Port) QueueLen() int { return p.pipe.QueueLen() }
 func (p *Port) QueueCap() int { return p.pipe.QueueCap() }
 
 // Dropped returns the count of packets dropped for any reason: injected
-// loss (which Lost also counts), the discipline's verdict and the tail
-// bound.
+// loss, the discipline's verdict and the tail bound.
 func (p *Port) Dropped() int64 { return p.dropped }
-
-// SentPackets returns the count of packets fully transmitted.
-func (p *Port) SentPackets() int64 { return p.sentPk }
 
 // SentBytes returns the bytes fully transmitted.
 func (p *Port) SentBytes() int64 { return p.sentBy }
-
-// Lost returns the number of packets destroyed by injected loss.
-func (p *Port) Lost() int64 { return p.lost }
 
 // Receive implements Sink.
 func (p *Port) Receive(e *sim.Engine, pkt *Packet) {
@@ -142,7 +133,6 @@ func (p *Port) Receive(e *sim.Engine, pkt *Packet) {
 			p.lossRNG = workload.NewRNG(p.LossSeed)
 		}
 		if p.lossRNG.Float64() < p.LossRate {
-			p.lost++
 			p.tel.dropLoss.Inc()
 			p.drop(e, pkt, "loss")
 			return
@@ -195,7 +185,6 @@ func (p *Port) startTx(e *sim.Engine) {
 func portTxDone(e *sim.Engine, pl sim.Payload) {
 	p := pl.Obj.(*Port)
 	pkt := p.pipe.Finish()
-	p.sentPk++
 	p.sentBy += int64(pkt.SizeBytes())
 	p.tel.pktsSent.Inc()
 	p.tel.bytesSent.Add(uint64(pkt.SizeBytes()))

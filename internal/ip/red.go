@@ -83,9 +83,6 @@ func (r *RED) updateAvg(now sim.Time) {
 	r.avg = (1-r.Wq)*r.avg + r.Wq*q
 }
 
-// Avg exposes the averaged queue length for figures.
-func (r *RED) Avg() float64 { return r.avg }
-
 // shouldDrop runs the RED lottery for the current average.
 func (r *RED) shouldDrop() bool {
 	switch {

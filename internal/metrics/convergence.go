@@ -40,46 +40,3 @@ func ConvergenceTime(s *Series, from, until sim.Time, target, tol float64, hold 
 	}
 	return 0, false
 }
-
-// SettlingStats summarizes a series against a target over [from, to]:
-// mean absolute error relative to the target and the peak overshoot ratio.
-type SettlingStats struct {
-	MeanAbsErr float64 // time-averaged |v-target|/target
-	Overshoot  float64 // max(v)/target
-}
-
-// Settling computes SettlingStats for the series.
-func Settling(s *Series, from, to sim.Time, target float64) SettlingStats {
-	if target == 0 || to <= from {
-		return SettlingStats{}
-	}
-	var errSum float64
-	cur := s.At(from)
-	prev := from
-	peak := cur
-	abs := func(x float64) float64 {
-		if x < 0 {
-			return -x
-		}
-		return x
-	}
-	for _, p := range s.Points() {
-		if p.T <= from {
-			continue
-		}
-		if p.T > to {
-			break
-		}
-		errSum += abs(cur-target) * float64(p.T-prev)
-		if p.V > peak {
-			peak = p.V
-		}
-		cur = p.V
-		prev = p.T
-	}
-	errSum += abs(cur-target) * float64(to-prev)
-	return SettlingStats{
-		MeanAbsErr: errSum / float64(to-from) / target,
-		Overshoot:  peak / target,
-	}
-}

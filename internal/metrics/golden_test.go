@@ -105,7 +105,7 @@ func metricsSummary(t *testing.T) map[string]float64 {
 }
 
 func TestMetricsGolden(t *testing.T) {
-	snap := runner.MakeSnapshot("metrics", metricsSummary(t))
+	snap := runner.Snapshot{ID: "metrics", Summary: metricsSummary(t)}
 	if *updateGolden {
 		if err := snap.WriteFile(goldenDir); err != nil {
 			t.Fatal(err)

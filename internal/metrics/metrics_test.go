@@ -26,8 +26,8 @@ func TestSeriesAddAndAt(t *testing.T) {
 	if s.Last() != 3 {
 		t.Fatalf("Last() = %v", s.Last())
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len() = %d", s.Len())
+	if len(s.points) != 3 {
+		t.Fatalf("Len() = %d", len(s.points))
 	}
 }
 
@@ -35,8 +35,8 @@ func TestSeriesSameInstantReplaces(t *testing.T) {
 	s := NewSeries("q")
 	s.Add(10, 1)
 	s.Add(10, 7)
-	if s.Len() != 1 || s.At(10) != 7 {
-		t.Fatalf("same-instant add should replace: len=%d v=%v", s.Len(), s.At(10))
+	if len(s.points) != 1 || s.At(10) != 7 {
+		t.Fatalf("same-instant add should replace: len=%d v=%v", len(s.points), s.At(10))
 	}
 }
 

@@ -59,7 +59,7 @@ func TestPercentileProperties(t *testing.T) {
 			s.Add(tcur, float64(v))
 			tcur += sim.Time(i%7 + 1)
 		}
-		if s.Len() == 0 {
+		if len(s.points) == 0 {
 			return true
 		}
 		to := tcur + 10

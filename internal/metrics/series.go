@@ -7,7 +7,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -103,9 +102,6 @@ func (s *Series) Release() {
 	s.points = nil
 }
 
-// Reset empties the series in place, keeping its storage for reuse.
-func (s *Series) Reset() { s.points = s.points[:0] }
-
 // Add appends a sample. Samples must arrive in non-decreasing time order;
 // a sample at the same instant as the previous one replaces it (the series
 // records the post-event value of the quantity).
@@ -131,9 +127,6 @@ func (s *Series) Add(t sim.Time, v float64) {
 	s.points = append(s.points, Point{T: t, V: v})
 }
 
-// Len returns the number of stored samples.
-func (s *Series) Len() int { return len(s.points) }
-
 // Points returns the underlying samples. Callers must not mutate the slice.
 func (s *Series) Points() []Point { return s.points }
 
@@ -154,26 +147,6 @@ func (s *Series) Last() float64 {
 		return 0
 	}
 	return s.points[len(s.points)-1].V
-}
-
-// Max returns the maximum sample value in [from, to], or 0 if no samples
-// fall in the window.
-func (s *Series) Max(from, to sim.Time) float64 {
-	max := math.Inf(-1)
-	any := false
-	for _, p := range s.points {
-		if p.T < from || p.T > to {
-			continue
-		}
-		any = true
-		if p.V > max {
-			max = p.V
-		}
-	}
-	if !any {
-		return 0
-	}
-	return max
 }
 
 // TimeAvg returns the time-weighted average of the series over [from, to]

@@ -60,12 +60,12 @@ func FuzzSeries(f *testing.F) {
 			case s == nil:
 			case kind == 2:
 				s.Release()
-				if s.Len() != 0 || s.Points() != nil {
-					t.Fatalf("step %d: released series holds %d points", step, s.Len())
+				if len(s.points) != 0 || s.Points() != nil {
+					t.Fatalf("step %d: released series holds %d points", step, len(s.points))
 				}
 				live[slot], oracle[slot] = nil, nil
 			case kind == 3:
-				s.Reset()
+				s.points = s.points[:0]
 				oracle[slot] = oracle[slot][:0]
 			case kind == 4: // same instant: replaces the last value
 				add(max(last, 0), float64(step))
@@ -100,7 +100,7 @@ func checkSeries(t *testing.T, step, hint int, live [4]*Series, oracle [4][]Poin
 			continue
 		}
 		ref := &Series{points: oracle[slot]}
-		if !slices.Equal(s.Points(), ref.Points()) || s.Len() != ref.Len() || s.Last() != ref.Last() {
+		if !slices.Equal(s.Points(), ref.Points()) || len(s.points) != len(ref.points) || s.Last() != ref.Last() {
 			t.Fatalf("step %d slot %d: points %v, oracle %v", step, slot, s.Points(), ref.Points())
 		}
 		end := sim.Time(3)

@@ -14,11 +14,6 @@
 // analysis and our reproduction.
 package model
 
-import (
-	"fmt"
-	"math"
-)
-
 // FluidConfig parameterizes the fluid recursion.
 type FluidConfig struct {
 	// Capacity is the raw line rate (units/s); Target the measurement
@@ -36,25 +31,6 @@ type FluidConfig struct {
 	AlphaDec float64
 	// M0 is the initial MACR.
 	M0 float64
-}
-
-// Validate reports whether the configuration is usable.
-func (c FluidConfig) Validate() error {
-	switch {
-	case c.Capacity <= 0:
-		return fmt.Errorf("model: Capacity must be positive")
-	case c.Target <= 0 || c.Target > c.Capacity:
-		return fmt.Errorf("model: Target must be in (0, Capacity]")
-	case c.Sessions < 0:
-		return fmt.Errorf("model: Sessions must be non-negative")
-	case c.U <= 0:
-		return fmt.Errorf("model: U must be positive")
-	case c.AlphaInc <= 0 || c.AlphaInc > 1 || c.AlphaDec <= 0 || c.AlphaDec > 1:
-		return fmt.Errorf("model: gains must be in (0,1]")
-	case c.M0 < 0:
-		return fmt.Errorf("model: M0 must be non-negative")
-	}
-	return nil
 }
 
 // Equilibrium returns the fixed point MACR* = C_t/(1+k·u), clamped to the
@@ -124,16 +100,4 @@ func (c FluidConfig) SettlingSteps(tol float64, maxN int) (int, bool) {
 		return 0, false
 	}
 	return settled, true
-}
-
-// IsStable reports whether the fixed point is locally stable: the map's
-// derivative magnitude |1 − α(1 + k·u)| must be below 1 in the
-// unsaturated region. This is the design constraint on α given k and u —
-// the reason α_dec cannot be arbitrarily large for many sessions.
-func (c FluidConfig) IsStable() bool {
-	// Near equilibrium the residual moves opposite MACR, so the relevant
-	// gain is the larger of the two (worst case).
-	alpha := math.Max(c.AlphaInc, c.AlphaDec)
-	deriv := 1 - alpha*(1+float64(c.Sessions)*c.U)
-	return math.Abs(deriv) < 1
 }

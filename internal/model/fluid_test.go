@@ -18,22 +18,6 @@ func cfg() FluidConfig {
 	}
 }
 
-func TestFluidValidate(t *testing.T) {
-	if err := cfg().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := cfg()
-	bad.Target = bad.Capacity * 2
-	if err := bad.Validate(); err == nil {
-		t.Fatal("target above capacity accepted")
-	}
-	bad2 := cfg()
-	bad2.U = 0
-	if err := bad2.Validate(); err == nil {
-		t.Fatal("zero u accepted")
-	}
-}
-
 func TestFluidEquilibrium(t *testing.T) {
 	c := cfg()
 	want := c.Target / 11

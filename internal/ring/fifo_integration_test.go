@@ -27,8 +27,9 @@ type fifoDevice interface {
 }
 
 type atmDevice struct {
-	link *atmnet.Link
-	got  []int
+	link  *atmnet.Link
+	got   []int
+	drops int64
 }
 
 func newATMDevice() *atmDevice {
@@ -37,13 +38,14 @@ func newATMDevice() *atmDevice {
 	d.link = atmnet.NewLink("l", 1000, 0, atm.SinkFunc(func(_ *sim.Engine, c atm.Cell) {
 		d.got = append(d.got, int(c.VC))
 	}))
+	d.link.OnDrop = func(sim.Time, atm.Cell) { d.drops++ }
 	return d
 }
 
 func (d *atmDevice) push(e *sim.Engine, seq int) { d.link.Receive(e, atm.Cell{VC: atm.VCID(seq)}) }
 func (d *atmDevice) queueLen() int               { return d.link.QueueLen() }
 func (d *atmDevice) queueCap() int               { return d.link.QueueCap() }
-func (d *atmDevice) dropped() int64              { return d.link.Dropped() }
+func (d *atmDevice) dropped() int64              { return d.drops }
 func (d *atmDevice) delivered() []int            { return d.got }
 func (d *atmDevice) setMaxQueue(n int)           { d.link.MaxQueue = n }
 

@@ -75,25 +75,6 @@ func (r *Ring[T]) Peek() *T {
 	return &r.buf[r.head]
 }
 
-// At returns a pointer to the i-th element from the head (0 = oldest),
-// valid until the next Push or Pop. It panics when i is out of range.
-func (r *Ring[T]) At(i int) *T {
-	if i < 0 || i >= r.n {
-		panic("ring: At out of range")
-	}
-	return &r.buf[(r.head+i)&(len(r.buf)-1)]
-}
-
-// Reset empties the ring, zeroing the occupied slots (dropping references)
-// while keeping the backing array for reuse.
-func (r *Ring[T]) Reset() {
-	var zero T
-	for i := 0; i < r.n; i++ {
-		r.buf[(r.head+i)&(len(r.buf)-1)] = zero
-	}
-	r.head, r.n = 0, 0
-}
-
 // grow doubles the backing array and re-linearizes the contents so the
 // head returns to index 0.
 func (r *Ring[T]) grow() {

@@ -132,8 +132,7 @@ func TestPopZeroesSlot(t *testing.T) {
 	v := new(int)
 	r.Push(v)
 	r.Pop()
-	r.Push(nil) // reoccupy slot 0 via the public API
-	if got := *r.At(0); got != nil {
+	if r.buf[0] != nil {
 		t.Fatal("slot not zeroed after Pop")
 	}
 }
@@ -150,25 +149,9 @@ func TestPeekAndAt(t *testing.T) {
 		t.Fatalf("Peek = %d, want 3", got)
 	}
 	for i := 0; i < r.Len(); i++ {
-		if got := *r.At(i); got != i+3 {
-			t.Fatalf("At(%d) = %d, want %d", i, got, i+3)
+		if got := r.buf[(r.head+i)&(len(r.buf)-1)]; got != i+3 {
+			t.Fatalf("element %d from the head = %d, want %d", i, got, i+3)
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	var r Ring[*int]
-	for i := 0; i < 20; i++ {
-		r.Push(new(int))
-	}
-	c := r.Cap()
-	r.Reset()
-	if r.Len() != 0 || r.Cap() != c {
-		t.Fatalf("after Reset: Len=%d Cap=%d, want 0 and %d", r.Len(), r.Cap(), c)
-	}
-	r.Push(nil)
-	if *r.At(0) != nil {
-		t.Fatal("Reset left stale contents")
 	}
 }
 
@@ -176,7 +159,6 @@ func TestEmptyOpsPanic(t *testing.T) {
 	for name, op := range map[string]func(*Ring[int]){
 		"Pop":  func(r *Ring[int]) { r.Pop() },
 		"Peek": func(r *Ring[int]) { r.Peek() },
-		"At":   func(r *Ring[int]) { r.At(0) },
 	} {
 		func() {
 			defer func() {

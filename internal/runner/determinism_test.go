@@ -47,13 +47,23 @@ func summariesIdentical(t *testing.T, label string, a, b map[string]float64) boo
 	return ok
 }
 
+// registered returns every experiment definition in ID order.
+func registered() []exp.Definition {
+	var defs []exp.Definition
+	exp.Walk(func(d exp.Definition) bool {
+		defs = append(defs, d)
+		return true
+	})
+	return defs
+}
+
 // TestDeterminism is the suite's reproducibility contract: every registered
 // experiment run twice directly yields bit-identical summaries (same seed ⇒
 // same metrics), and the parallel fleet yields the same bits as the direct
 // runs (sequential ≡ parallel — worker count and completion order are
 // invisible to the results).
 func TestDeterminism(t *testing.T) {
-	defs := exp.All()
+	defs := registered()
 	if len(defs) == 0 {
 		t.Fatal("registry is empty")
 	}
@@ -124,7 +134,7 @@ func countersIdentical(t *testing.T, label string, a, b map[string]uint64) {
 // and fleet totals (merge order is invisible), and enabling telemetry does
 // not perturb the metric results a telemetry-off fleet produces.
 func TestTelemetryDeterminism(t *testing.T) {
-	defs := exp.All()
+	defs := registered()
 	if len(defs) == 0 {
 		t.Fatal("registry is empty")
 	}

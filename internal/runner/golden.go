@@ -30,33 +30,10 @@ type Snapshot struct {
 // Duration returns the snapshot's simulated duration.
 func (s Snapshot) Duration() sim.Duration { return sim.Duration(s.SimNanos) }
 
-// Snap converts a fleet result into a snapshot.
-func Snap(r Result) Snapshot {
-	var seed uint64
-	if !r.Job.PinSeed {
-		seed = DeriveSeed(r.Job.Def.ID, r.Job.SweepIndex)
-	} else {
-		seed = r.Job.Opts.Seed
-	}
-	return Snapshot{
-		ID:       r.Job.Label(),
-		SimNanos: int64(r.SimTime),
-		Seed:     seed,
-		Summary:  r.Res.Summary,
-	}
-}
-
 // SnapResult builds a snapshot directly from an experiment result, for
 // callers that ran an experiment outside the fleet.
 func SnapResult(res *exp.Result, d sim.Duration) Snapshot {
 	return Snapshot{ID: res.ID, SimNanos: int64(d), Summary: res.Summary}
-}
-
-// MakeSnapshot wraps an arbitrary metric map for golden comparison. Unit
-// tests of metric code use it to pin computed values without running a
-// simulation.
-func MakeSnapshot(id string, summary map[string]float64) Snapshot {
-	return Snapshot{ID: id, Summary: summary}
 }
 
 // GoldenPath returns the file a snapshot lives at inside dir. IDs are file

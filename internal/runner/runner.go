@@ -130,28 +130,6 @@ func (s Stats) AllocsPerRun() float64 {
 	return float64(s.Mallocs) / float64(s.Runs)
 }
 
-// Speedup returns the realized parallelism WorkWall/Wall (1.0 when
-// sequential; approaches Workers when the jobs are balanced). Note that on
-// a machine with fewer cores than workers each job's wall time includes the
-// scheduler's time-slicing, which inflates WorkWall — the true wall-clock
-// win is the ratio of a j=1 run's Wall to a j=N run's Wall (what the
-// BenchmarkSuite pair at the repository root measures).
-func (s Stats) Speedup() float64 {
-	if s.Wall <= 0 {
-		return 0
-	}
-	return float64(s.WorkWall) / float64(s.Wall)
-}
-
-// SimPerWallSecond returns simulated seconds executed per wall second, the
-// fleet's throughput headline.
-func (s Stats) SimPerWallSecond() float64 {
-	if s.Wall <= 0 {
-		return 0
-	}
-	return s.SimTime.Seconds() / s.Wall.Seconds()
-}
-
 // Fleet runs jobs on a bounded pool of workers.
 type Fleet struct {
 	// Workers bounds the concurrency; zero or negative means
@@ -232,29 +210,6 @@ func (w *recorder) lend(job *Job) *trace.Tracer {
 	}
 	w.tr.Reset()
 	return w.tr
-}
-
-// Jobs builds one job per definition under shared options.
-func Jobs(defs []exp.Definition, opts exp.Options) []Job {
-	jobs := make([]Job, len(defs))
-	for i, d := range defs {
-		jobs[i] = Job{Def: d, Opts: opts}
-	}
-	return jobs
-}
-
-// Sweep expands def into n jobs, calling vary(i, &opts) to mutate the i-th
-// point's options. Each point gets its own derived seed via SweepIndex.
-func Sweep(def exp.Definition, base exp.Options, n int, vary func(i int, o *exp.Options)) []Job {
-	jobs := make([]Job, n)
-	for i := range jobs {
-		o := base
-		if vary != nil {
-			vary(i, &o)
-		}
-		jobs[i] = Job{Def: def, Opts: o, SweepIndex: i}
-	}
-	return jobs
 }
 
 // Run executes the jobs and returns one Result per job, in job order

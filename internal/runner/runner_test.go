@@ -219,26 +219,19 @@ func TestFleetHookPhases(t *testing.T) {
 	}
 }
 
-func TestJobsAndSweepHelpers(t *testing.T) {
-	defs := []exp.Definition{okDef("T00", 0), okDef("T01", 1)}
-	jobs := Jobs(defs, exp.Options{Quiet: true})
-	if len(jobs) != 2 || jobs[1].Def.ID != "T01" || !jobs[1].Opts.Quiet {
-		t.Fatalf("Jobs built %+v", jobs)
-	}
-
-	sweep := Sweep(defs[0], exp.Options{Quiet: true}, 3, func(i int, o *exp.Options) {
-		o.Duration = sim.Duration(i+1) * sim.Millisecond
-	})
-	if len(sweep) != 3 {
-		t.Fatalf("Sweep built %d jobs", len(sweep))
-	}
-	for i, j := range sweep {
-		if j.SweepIndex != i || j.Opts.Duration != sim.Duration(i+1)*sim.Millisecond || !j.Opts.Quiet {
-			t.Errorf("sweep point %d = %+v", i, j)
+func TestJobLabel(t *testing.T) {
+	def := okDef("T00", 0)
+	for _, c := range []struct {
+		job  Job
+		want string
+	}{
+		{Job{Def: def}, "T00"},
+		{Job{Def: def, SweepIndex: 2}, "T00#2"},
+		{Job{Def: def, SweepIndex: 2, Name: "named"}, "named"},
+	} {
+		if got := c.job.Label(); got != c.want {
+			t.Errorf("Label() = %q, want %q", got, c.want)
 		}
-	}
-	if sweep[0].Label() != "T00" || sweep[2].Label() != "T00#2" {
-		t.Errorf("labels: %q, %q", sweep[0].Label(), sweep[2].Label())
 	}
 }
 
@@ -258,8 +251,8 @@ func TestFleetSimTime(t *testing.T) {
 	if stats.SimTime != 4*sim.Millisecond {
 		t.Errorf("stats.SimTime = %v, want 4ms", stats.SimTime)
 	}
-	if stats.Speedup() <= 0 {
-		t.Errorf("speedup = %v", stats.Speedup())
+	if stats.WorkWall <= 0 || stats.Wall <= 0 {
+		t.Errorf("work wall %v, wall %v, want both positive", stats.WorkWall, stats.Wall)
 	}
 }
 

@@ -61,7 +61,7 @@ func deriveSeedReference(id string, index int) uint64 {
 // pairs never collide across every registered experiment and a wide index
 // range, plus adversarial ID shapes (prefixes of each other, single chars).
 func TestDeriveSeedNoCollisions(t *testing.T) {
-	ids := make([]string, 0, exp.Count()+16)
+	var ids []string
 	exp.Walk(func(d exp.Definition) bool {
 		ids = append(ids, d.ID)
 		return true

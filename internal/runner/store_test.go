@@ -21,7 +21,7 @@ import (
 func runFleetStore(t *testing.T, workers int, dir string, fresh bool) []Result {
 	t.Helper()
 	const ringCap = 1 << 10
-	defs := exp.All()
+	defs := registered()
 	jobs := make([]Job, len(defs))
 	for i, d := range defs {
 		jobs[i] = Job{Def: d, Opts: exp.Options{
@@ -66,7 +66,7 @@ func runFleetStore(t *testing.T, workers int, dir string, fresh bool) []Result {
 // traces) produces summaries bit-identical to a store-less fleet, and the
 // persisted summaries read back bit-identical to the in-memory results.
 func TestStoreObservationFree(t *testing.T) {
-	defs := exp.All()
+	defs := registered()
 	if len(defs) == 0 {
 		t.Fatal("registry is empty")
 	}

@@ -183,13 +183,6 @@ func (n *ATMNet) Run(d sim.Duration) {
 	}
 }
 
-// TrunkQueueLen returns trunk k's current output-queue length.
-func (n *ATMNet) TrunkQueueLen(k int) int { return n.LinkQueueLen(2 * k) }
-
-// TrunkCapacityCPS returns trunk k's configured line rate in cells/s (the
-// build-time rate; transient events change the live rate, not this value).
-func (n *ATMNet) TrunkCapacityCPS(k int) float64 { return n.LinkCapacityCPS(2 * k) }
-
 // TrunkUtilization returns trunk k's lifetime utilization: cells sent
 // divided by the cells the line could have carried.
 func (n *ATMNet) TrunkUtilization(k int) float64 { return n.LinkUtilization(2 * k) }

@@ -30,8 +30,8 @@ func chainFingerprint(n *ATMNet, tr *trace.Tracer) string {
 		if s := n.FairShare[k]; s != nil {
 			fs = fmt.Sprintf("%s:%x", s.Name, math.Float64bits(s.Last()))
 		}
-		fmt.Fprintf(&b, "t%d=%s:%d/%x/%s/%d/%d ", k, n.TrunkQueue[k].Name, n.TrunkQueue[k].Len(),
-			math.Float64bits(n.TrunkUtilization(k)), fs, n.PeakTrunkQueue[k], n.TrunkQueueLen(k))
+		fmt.Fprintf(&b, "t%d=%s:%d/%x/%s/%d/%d ", k, n.TrunkQueue[k].Name, len(n.TrunkQueue[k].Points()),
+			math.Float64bits(n.TrunkUtilization(k)), fs, n.PeakTrunkQueue[k], n.LinkQueueLen(2*k))
 	}
 	h := fnv.New64a()
 	for _, ev := range tr.Events() {
@@ -135,12 +135,12 @@ func TestChainIdleTrunk(t *testing.T) {
 	if n.TrunkQueue[idle] != nil || n.FairShare[idle] != nil {
 		t.Errorf("idle trunk recorded series %v / %v", n.TrunkQueue[idle], n.FairShare[idle])
 	}
-	if n.PeakTrunkQueue[idle] != 0 || n.TrunkQueueLen(idle) != 0 || n.TrunkUtilization(idle) != 0 {
+	if n.PeakTrunkQueue[idle] != 0 || n.LinkQueueLen(2*idle) != 0 || n.TrunkUtilization(idle) != 0 {
 		t.Errorf("idle trunk carried traffic: peak %d, queue %d, utilization %v",
-			n.PeakTrunkQueue[idle], n.TrunkQueueLen(idle), n.TrunkUtilization(idle))
+			n.PeakTrunkQueue[idle], n.LinkQueueLen(2*idle), n.TrunkUtilization(idle))
 	}
-	if c := n.TrunkCapacityCPS(idle); c != n.TrunkCapacityCPS(0) {
-		t.Errorf("idle trunk capacity %v, want %v", c, n.TrunkCapacityCPS(0))
+	if c := n.LinkCapacityCPS(2 * idle); c != n.LinkCapacityCPS(0) {
+		t.Errorf("idle trunk capacity %v, want %v", c, n.LinkCapacityCPS(0))
 	}
 	if n.TrunkQueue[0] == nil || n.FairShare[1] == nil || n.TrunkUtilization(0) <= 0 || n.PeakTrunkQueue[0] == 0 {
 		t.Error("used trunks lost their series")

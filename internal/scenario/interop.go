@@ -231,15 +231,6 @@ func (n *InteropNet) Run(d sim.Duration) {
 	n.telFlush.flush(n.Config.Telemetry, n.Engine)
 }
 
-// MeanGoodputBPS returns flow i's lifetime mean delivered payload rate.
-func (n *InteropNet) MeanGoodputBPS(i int) float64 {
-	elapsed := n.Engine.Now().Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(n.Receivers[i].DeliveredBytes()) * 8 / elapsed
-}
-
 // TrunkUtilization returns the forward trunk's lifetime utilization.
 func (n *InteropNet) TrunkUtilization() float64 {
 	elapsed := n.Engine.Now().Seconds()

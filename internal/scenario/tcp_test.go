@@ -208,23 +208,23 @@ func TestSeriesStorageFollowsPoints(t *testing.T) {
 	var recorded, held int
 	for _, group := range [][]*metrics.Series{n.Cwnd, n.FlowRate, n.MACR} {
 		for _, s := range group {
-			recorded, held = recorded+s.Len(), held+cap(s.Points())
-			if c := cap(s.Points()); c > max(minClass, 2*s.Len()) {
-				t.Errorf("%s holds %d slots for %d points", s.Name, c, s.Len())
+			recorded, held = recorded+len(s.Points()), held+cap(s.Points())
+			if c := cap(s.Points()); c > max(minClass, 2*len(s.Points())) {
+				t.Errorf("%s holds %d slots for %d points", s.Name, c, len(s.Points()))
 			}
 		}
 	}
 	cwndPoints := 0
 	for _, s := range n.Cwnd {
-		cwndPoints += s.Len()
+		cwndPoints += len(s.Points())
 	}
 	if cwndPoints == 0 || cwndPoints > flows*hint/2 {
 		t.Fatalf("cwnd series recorded %d points against %d at the hint: not the shape under test", cwndPoints, flows*hint)
 	}
 	for _, group := range [][]*metrics.Series{n.Goodput, n.TrunkQueue} {
 		for _, s := range group {
-			if c := cap(s.Points()); c != hint || s.Len() > hint {
-				t.Errorf("%s holds %d slots for %d points, want exactly the hint %d", s.Name, c, s.Len(), hint)
+			if c := cap(s.Points()); c != hint || len(s.Points()) > hint {
+				t.Errorf("%s holds %d slots for %d points, want exactly the hint %d", s.Name, c, len(s.Points()), hint)
 			}
 		}
 	}

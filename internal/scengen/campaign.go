@@ -64,7 +64,7 @@ type CampaignReport struct {
 }
 
 // Campaign is a built-but-not-yet-run campaign: the fleet jobs plus the
-// finding slots they write into. It exists so any executor — RunCampaign
+// finding slots they write into. It exists so any executor — phantom-fuzz
 // locally, the phantom-serve daemon remotely — can run the same jobs on its
 // own fleet (with its own context, store sink and live hooks) and still
 // collect findings deterministically.
@@ -125,39 +125,10 @@ func (c *Campaign) Jobs() []runner.Job { return c.jobs }
 // anything after the fleet drains) reads it race-free.
 func (c *Campaign) Finding(i int) *Finding { return c.slots[i] }
 
-// Finish compacts the findings into a deterministic report. Call it after
-// the fleet has drained.
-func (c *Campaign) Finish(stats runner.Stats) *CampaignReport {
-	rep := &CampaignReport{Scenarios: len(c.jobs), Stats: stats}
-	for _, f := range c.slots {
-		if f != nil {
-			rep.Findings = append(rep.Findings, *f)
-		}
-	}
-	return rep
-}
-
-// RunCampaign generates and checks cfg.N scenarios for every family, in
-// parallel, deterministically.
-func RunCampaign(cfg CampaignConfig) (*CampaignReport, error) {
-	c, err := NewCampaign(cfg)
-	if err != nil {
-		return nil, err
-	}
-	fleet := &runner.Fleet{Workers: cfg.Workers, Hook: cfg.Hook, Telemetry: cfg.Telemetry}
-	results, stats := fleet.Run(c.Jobs())
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("scengen: %s: %w", r.Job.Name, r.Err)
-		}
-	}
-	return c.Finish(stats), nil
-}
-
 // runOne generates, runs and checks scenario (family, index); seed is the
-// fleet-derived seed (equal to DeriveSeed(fam, index)). A nil Finding means
-// the scenario held every invariant. The observation sinks attach to the
-// primary run only: the cross-check re-run compares fingerprints, and
+// fleet-derived seed, runner.DeriveSeed("fuzz/"+fam, index). A nil Finding
+// means the scenario held every invariant. The observation sinks attach to
+// the primary run only: the cross-check re-run compares fingerprints, and
 // observation is contractually invisible to those.
 func runOne(fam Family, index int, seed uint64, crossCheck, minimize bool, obs Observe) (*Finding, error) {
 	spec, text, err := Generate(fam, seed)

@@ -9,8 +9,9 @@
 // frozen as a regression file.
 //
 // Everything is deterministic: Generate(family, seed) is a pure function,
-// seeds derive from (family, index) exactly like runner.DeriveSeed derives
-// fleet seeds, and campaign reports are bit-identical across worker counts.
+// the seed of scenario (family, index) is the fleet's
+// runner.DeriveSeed("fuzz/"+family, index), and campaign reports are
+// bit-identical across worker counts.
 package scengen
 
 import (
@@ -66,36 +67,6 @@ func ParseFamily(s string) (Family, error) {
 		}
 	}
 	return "", fmt.Errorf("scengen: unknown family %q (have %v)", s, Families())
-}
-
-// DeriveSeed maps (family, index) to the scenario seed, with the same
-// frozen FNV-1a + splitmix64 derivation the fleet runner uses for
-// experiment sweeps, keyed under "fuzz/<family>".
-func DeriveSeed(f Family, index int) uint64 {
-	return deriveSeed("fuzz/"+string(f), index)
-}
-
-// deriveSeed duplicates runner.DeriveSeed's frozen derivation; scengen
-// repeats the five lines rather than importing the runner so the generator
-// stays a leaf package the runner itself can depend on.
-func deriveSeed(id string, index int) uint64 {
-	const (
-		fnvOffset64 = 0xcbf29ce484222325
-		fnvPrime64  = 0x100000001b3
-	)
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= fnvPrime64
-	}
-	z := h + uint64(index)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	if z == 0 {
-		z = fnvOffset64
-	}
-	return z
 }
 
 // Generate draws one scenario from the family's distribution. The result

@@ -18,7 +18,7 @@ func TestRerunFingerprints(t *testing.T) {
 		t.Skip("runs full simulations")
 	}
 	for _, fam := range scengen.Families() {
-		spec, text, err := scengen.Generate(fam, scengen.DeriveSeed(fam, 0))
+		spec, text, err := scengen.Generate(fam, runner.DeriveSeed("fuzz/"+string(fam), 0))
 		if err != nil {
 			t.Fatal(err)
 		}

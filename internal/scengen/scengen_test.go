@@ -16,7 +16,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	for _, fam := range Families() {
 		distinct := map[string]bool{}
 		for i := 0; i < 5; i++ {
-			seed := DeriveSeed(fam, i)
+			seed := runner.DeriveSeed("fuzz/"+string(fam), i)
 			_, text1, err := Generate(fam, seed)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", fam, seed, err)
@@ -37,13 +37,19 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 // TestDeriveSeedMatchesRunner pins the contract that lets anyone replay a
-// campaign finding by hand: the fleet derives exactly the seed the
-// generator documents for (family, index).
+// campaign finding by hand: scenario (family, index) runs as the fleet job
+// whose derived seed is runner.DeriveSeed("fuzz/"+family, index).
 func TestDeriveSeedMatchesRunner(t *testing.T) {
-	for _, fam := range Families() {
+	c, err := NewCampaign(CampaignConfig{N: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := c.Jobs()
+	for fi, fam := range Families() {
 		for i := 0; i < 100; i++ {
-			if got, want := DeriveSeed(fam, i), runner.DeriveSeed("fuzz/"+string(fam), i); got != want {
-				t.Fatalf("DeriveSeed(%s, %d) = %d, fleet derives %d", fam, i, got, want)
+			j := jobs[fi*100+i]
+			if j.Def.ID != "fuzz/"+string(fam) || j.SweepIndex != i || j.PinSeed {
+				t.Fatalf("scenario %s[%d] runs as job %s sweep %d (pinned %v)", fam, i, j.Def.ID, j.SweepIndex, j.PinSeed)
 			}
 		}
 	}
@@ -59,7 +65,7 @@ func TestFamiliesRunAndCheck(t *testing.T) {
 	}
 	for _, fam := range Families() {
 		for i := 0; i < 2; i++ {
-			seed := DeriveSeed(fam, i)
+			seed := runner.DeriveSeed("fuzz/"+string(fam), i)
 			spec, text, err := Generate(fam, seed)
 			if err != nil {
 				t.Fatalf("%s[%d]: %v", fam, i, err)

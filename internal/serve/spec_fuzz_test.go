@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/exp"
+	"repro/internal/runner"
 	"repro/internal/scengen"
 )
 
@@ -50,7 +51,7 @@ func FuzzJobSpec(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	_, text, err := scengen.Generate(fam, scengen.DeriveSeed(fam, 0))
+	_, text, err := scengen.Generate(fam, runner.DeriveSeed("fuzz/"+string(fam), 0))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -41,7 +41,7 @@ type pingNet struct {
 	work []uint64
 }
 
-const pingWindow = 10 * sim.Nanosecond
+const pingWindow = 10 * time.Nanosecond
 
 func buildPingNet(n int, reg *telemetry.Registry) *pingNet {
 	engines := make([]*sim.Engine, n)
@@ -66,15 +66,15 @@ func buildPingNet(n int, reg *telemetry.Registry) *pingNet {
 				sum = sum*31 + uint64(k)
 			}
 			p.work[dst] += sum
-			e.After(sim.Duration(1+int(cell.VC)%3)*sim.Nanosecond, func(e *sim.Engine) {
+			e.After(sim.Duration(1+int(cell.VC)%3)*time.Nanosecond, func(e *sim.Engine) {
 				conduits[reverse].Receive(e, cell)
 			})
 		})
-		conduits[c] = p.g.NewConduit(fmt.Sprintf("c%d", c), pingWindow+sim.Duration(c%3)*sim.Nanosecond, engines[dst], sink)
+		conduits[c] = p.g.NewConduit(fmt.Sprintf("c%d", c), pingWindow+sim.Duration(c%3)*time.Nanosecond, engines[dst], sink)
 	}
 	for c, ed := range ends {
 		c := c
-		engines[ed.src].At(sim.Time(1+c%7)*sim.Time(sim.Nanosecond), func(e *sim.Engine) {
+		engines[ed.src].At(sim.Time(1+c%7)*sim.Time(time.Nanosecond), func(e *sim.Engine) {
 			conduits[c].Receive(e, atm.Cell{VC: atm.VCID(c + 1)})
 		})
 	}

@@ -45,9 +45,6 @@ func (cd *Conduit) Receive(e *sim.Engine, c atm.Cell) {
 	cd.pending.Push(crossCell{at: e.Now().Add(cd.Delay), cell: c})
 }
 
-// Pending returns the number of parked cells (for tests).
-func (cd *Conduit) Pending() int { return cd.pending.Len() }
-
 // conduitDeliver is the typed handler the Group schedules on the
 // destination engine: pop the next crossed cell and hand it to the real
 // destination. FIFO pop is correct because injection order equals arrival
@@ -158,12 +155,6 @@ func (g *Group) NewConduit(name string, delay sim.Duration, dstEngine *sim.Engin
 	g.conduits = append(g.conduits, cd)
 	return cd
 }
-
-// Window returns the group's lookahead window.
-func (g *Group) Window() sim.Duration { return g.window }
-
-// Conduits returns the registered crossings in drain order.
-func (g *Group) Conduits() []*Conduit { return g.conduits }
 
 // Stat copies the group's accounting.
 func (g *Group) Stat() Stats {

@@ -183,8 +183,8 @@ func TestGroupAdvance(t *testing.T) {
 	if snap["shard.null_messages"] != 7 {
 		t.Fatalf("shard.null_messages = %d, want 7", snap["shard.null_messages"])
 	}
-	if cd.Pending() != 0 {
-		t.Fatalf("conduit still holds %d cells", cd.Pending())
+	if cd.pending.Len() != 0 {
+		t.Fatalf("conduit still holds %d cells", cd.pending.Len())
 	}
 }
 
@@ -211,9 +211,9 @@ func TestGroupPartialWindow(t *testing.T) {
 	if len(arrivals) != 0 {
 		t.Fatalf("cell delivered at %v before its arrival time", arrivals)
 	}
-	if cd.Pending() != 0 {
+	if cd.pending.Len() != 0 {
 		// The barrier at the horizon must still have moved it to the inbox.
-		t.Fatalf("cell not flushed at final barrier (%d pending)", cd.Pending())
+		t.Fatalf("cell not flushed at final barrier (%d pending)", cd.pending.Len())
 	}
 	g.Advance(15 * sim.Microsecond)
 	if len(arrivals) != 1 || arrivals[0] != sim.Time(23*sim.Microsecond) {

@@ -74,8 +74,6 @@ func (b *Band) After(fn TypedHandler, obj any) {
 	if b.q.Len() == 0 {
 		b.ev.at, b.ev.seq = t, e.seq
 		e.sched.schedule(&b.ev)
-	} else {
-		e.bandQueued++
 	}
 	x := b.q.PushSlot()
 	x.at, x.seq, x.fn, x.obj = t, e.seq, fn, obj
@@ -91,7 +89,6 @@ func (b *Band) fire(e *Engine) {
 	if b.q.Len() > 0 {
 		next := b.q.Peek()
 		b.ev.at, b.ev.seq = next.at, next.seq
-		e.bandQueued--
 		e.sched.schedule(&b.ev)
 	}
 	x.fn(e, Payload{Obj: x.obj})

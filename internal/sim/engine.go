@@ -5,9 +5,6 @@ import (
 	"math"
 )
 
-// maxTime is the end of simulated time; Run uses it as its deadline.
-const maxTime = Time(math.MaxInt64)
-
 // Handler is a callback invoked when an event fires. It receives the engine
 // so it can schedule follow-up events without capturing it in a closure.
 type Handler func(e *Engine)
@@ -108,7 +105,7 @@ type Option func(e *Engine)
 // forbidden is two goroutines touching the same engine: there is
 // deliberately no internal locking, because a lock would serialize the hot
 // path every experiment spends all its time in and would still not make
-// interleaved event execution meaningful. Run and RunUntil enforce the
+// interleaved event execution meaningful. RunUntil enforces the
 // reentrant half of the contract by panicking when called while a run is
 // already in progress on the same engine; the cross-goroutine half is left
 // to the race detector, which CI runs on every test.
@@ -127,15 +124,12 @@ type Engine struct {
 	free []*event
 	// bands holds the engine's band for each delay asked for (band.go).
 	bands map[Duration]*Band
-	// bandQueued counts the events waiting in bands behind their heads:
-	// pending, but not in the calendar.
-	bandQueued int
 	// Pads the fields above to two cache lines. With the timer heap the
 	// struct is three, which is also an allocator size class, so an engine
 	// shares no line with the object next to it. The engines of a sharded
 	// run are allocated back to back and written on every event by
 	// different cores (DESIGN.md §14).
-	_ [32]byte
+	_ [40]byte
 	// timers holds every timer cell (timer.go), apart from the calendar:
 	// they are long-lived and rarely due, and every other event would sift
 	// past them. Its pops are eager, so it never has a root hole.
@@ -158,13 +152,6 @@ func NewEngine(opts ...Option) *Engine {
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
-
-// Pending returns the number of entries in the calendar and the timer heap,
-// including ones the run loop will discard when it reaches them: cancelled
-// events, and the cell a stopped or re-armed Timer left behind (timer.go);
-// the events waiting in bands behind their heads (band.go) — an Every's
-// ticks among them — count as the entries they stand for.
-func (e *Engine) Pending() int { return e.sched.Len() + e.timers.Len() + e.bandQueued }
 
 // Fired returns the number of events executed so far. Useful for cost
 // accounting in benchmarks.
@@ -295,7 +282,7 @@ func tickerFire(e *Engine, p Payload) {
 // Stop halts the run after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
-// enter marks the engine as running; calling Run or RunUntil while a run is
+// enter marks the engine as running; calling RunUntil while a run is
 // already in progress (from an event handler, or from a second goroutine that
 // happens to be caught by this flag before the race detector sees it) is a
 // contract violation, never a recoverable condition, so it panics.
@@ -373,10 +360,4 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 		e.now = deadline
 	}
 	return n
-}
-
-// Run executes every remaining event. Use RunUntil for open-ended sources
-// (periodic timers never drain the calendar).
-func (e *Engine) Run() uint64 {
-	return e.runTo(maxTime)
 }

@@ -1,10 +1,37 @@
 package sim
 
-import "reflect"
+import (
+	"math"
+	"reflect"
+)
 
 // backends are the calendars the tests sweep: every engine behavior must
 // hold on the wheel too, the heap's differential oracle.
 var backends = []SchedulerKind{SchedulerHeap, SchedulerWheel}
+
+// maxTime is the end of simulated time; Run uses it as its deadline.
+const maxTime = Time(math.MaxInt64)
+
+// Run executes every remaining event.
+func (e *Engine) Run() uint64 { return e.runTo(maxTime) }
+
+// Pending returns the number of entries in the calendar and the timer heap,
+// including ones the run loop will discard when it reaches them: cancelled
+// events, and the cell a stopped or re-armed Timer left behind (timer.go);
+// the events waiting in bands behind their heads (band.go) — an Every's
+// ticks among them — count as the entries they stand for.
+func (e *Engine) Pending() int { return e.sched.Len() + e.timers.Len() + bandQueued(e) }
+
+// bandQueued counts the events waiting in e's bands behind their heads:
+// pending, but not in the calendar. A band's head is filed exactly while
+// its queue is non-empty.
+func bandQueued(e *Engine) int {
+	n := 0
+	for _, b := range e.bands {
+		n += max(b.q.Len()-1, 0)
+	}
+	return n
+}
 
 // CalendarCensus counts e's pending entries and how many of them are live:
 // not a cancelled event's cell, nor a cell a stopped or re-armed timer left
@@ -21,7 +48,7 @@ func CalendarCensus(e *Engine) (entries, live int) {
 	for _, x := range e.timers.q {
 		count(x.ev)
 	}
-	return entries + e.bandQueued, live + e.bandQueued
+	return entries + bandQueued(e), live + bandQueued(e)
 }
 
 // isLive reports whether the popped cell will be an event.
@@ -79,13 +106,17 @@ func Filing(e *Engine) FilingCensus {
 			c.LiveElsewhere++
 		}
 	})
-	c.LiveElsewhere += e.bandQueued
+	c.LiveElsewhere += bandQueued(e)
 	tick := reflect.ValueOf(tickerFire).Pointer()
 	for _, b := range e.bands {
-		for i := range b.q.Len() {
-			if reflect.ValueOf(b.q.At(i).fn).Pointer() == tick {
+		// One lap of the band's ring: its order, and so the head's key,
+		// come back unchanged.
+		for range b.q.Len() {
+			x := b.q.Pop()
+			if reflect.ValueOf(x.fn).Pointer() == tick {
 				c.BandTicks++
 			}
+			b.q.Push(x)
 		}
 	}
 	for _, x := range e.timers.q {
@@ -98,4 +129,4 @@ func Filing(e *Engine) FilingCensus {
 
 // BandCensus returns how many bands e has made and how many events wait in
 // them behind their heads, outside the calendar.
-func BandCensus(e *Engine) (bands, queued int) { return len(e.bands), e.bandQueued }
+func BandCensus(e *Engine) (bands, queued int) { return len(e.bands), bandQueued(e) }

@@ -22,7 +22,6 @@ type Duration = time.Duration
 
 // Common durations re-exported for readability at call sites.
 const (
-	Nanosecond  Duration = time.Nanosecond
 	Microsecond Duration = time.Microsecond
 	Millisecond Duration = time.Millisecond
 	Second      Duration = time.Second
@@ -43,9 +42,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 // Seconds returns t expressed in seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Duration returns t as a Duration since the epoch.
-func (t Time) Duration() Duration { return Duration(t) }
 
 // String formats the time with millisecond precision, e.g. "12.345ms".
 func (t Time) String() string {

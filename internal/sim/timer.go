@@ -12,8 +12,8 @@ import "fmt"
 // replaces: cancel the old EventRef, keep the one a new AfterFunc returns.
 // Reset draws seq from the engine's counter exactly as AfterFunc does and the
 // timer fires under that (time, seq); Fired and Scheduled count as they
-// would. What differs is documented at Pending and Canceled: fewer dead
-// entries, and a superseded arming counted at once.
+// would. What differs: Canceled counts a superseded arming at once, and
+// fewer dead entries are left pending.
 //
 // The tracked-cell invariant: an armed timer has exactly one tracked cell in
 // the engine's timer heap, keyed at or before the timer's (at, seq); a

@@ -112,7 +112,7 @@ func TestLiveReaderConcurrentWriter(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, open := range []func(string) (*Reader, error){Open, OpenLive, cache.Open, cache.OpenLive} {
+	for _, open := range []func(string) (*Reader, error){Open, (*Cache)(nil).OpenLive, cache.Open, cache.OpenLive} {
 		r, err := open(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -152,7 +152,7 @@ func TestOpenLiveSkipsOnlyTrailingFile(t *testing.T) {
 	if _, err := Open(dir); err == nil {
 		t.Fatal("Open accepted a campaign with an unsealed trailing file")
 	}
-	r, err := OpenLive(dir)
+	r, err := (*Cache)(nil).OpenLive(dir)
 	if err != nil {
 		t.Fatalf("OpenLive: %v", err)
 	}

@@ -135,16 +135,6 @@ func Open(dir string) (*Reader, error) {
 	return (*Cache)(nil).Open(dir)
 }
 
-// OpenLive opens an in-progress campaign: every sealed file is served,
-// and the trailing file a live Writer is still appending to (unsealed, or
-// sealing concurrently with our header read) is skipped and counted in
-// ScanStats.FilesInProgress. Sealed files are immutable, so a live reader
-// and a concurrent writer never share mutable state — dashboards can query
-// a campaign mid-run and re-open cheaply as new files seal.
-func OpenLive(dir string) (*Reader, error) {
-	return (*Cache)(nil).OpenLive(dir)
-}
-
 // Cache memoizes per-file block indexes across Reader opens. Sealed
 // campaign files never change, so a daemon serving many queries over the
 // same campaigns pays the header+index read once per file, making re-Open
@@ -194,7 +184,13 @@ func (c *Cache) load(path string) (*fileIndex, error) {
 // Open is Open(dir) with this cache's memoized indexes.
 func (c *Cache) Open(dir string) (*Reader, error) { return c.open(dir, false) }
 
-// OpenLive is OpenLive(dir) with this cache's memoized indexes.
+// OpenLive opens an in-progress campaign with this cache's memoized
+// indexes: every sealed file is served, and the trailing file a live
+// Writer is still appending to (unsealed, or sealing concurrently with our
+// header read) is skipped and counted in ScanStats.FilesInProgress. Sealed
+// files are immutable, so a live reader and a concurrent writer never
+// share mutable state — dashboards can query a campaign mid-run and
+// re-open cheaply as new files seal.
 func (c *Cache) OpenLive(dir string) (*Reader, error) { return c.open(dir, true) }
 
 func (c *Cache) open(dir string, live bool) (*Reader, error) {

@@ -18,16 +18,6 @@ type Segment struct {
 	err    error
 }
 
-// Meta returns the run identity the segment was created with.
-func (s *Segment) Meta() RunMeta { return s.meta }
-
-// Blocks returns the number of sealed blocks.
-func (s *Segment) Blocks() int { return len(s.blocks) }
-
-// Err returns the first encoding error (sticky; Commit refuses a segment
-// with a pending error).
-func (s *Segment) Err() error { return s.err }
-
 // push seals raw into a block and appends it.
 func (s *Segment) push(sl slot, raw []byte) {
 	if s.err != nil {

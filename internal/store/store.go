@@ -121,17 +121,6 @@ const (
 	CompressionFlate Compression = 2
 )
 
-// ParseCompression maps a CLI name onto a codec.
-func ParseCompression(name string) (Compression, error) {
-	switch name {
-	case "", "flate":
-		return CompressionFlate, nil
-	case "none":
-		return CompressionNone, nil
-	}
-	return 0, fmt.Errorf("store: unknown compression %q (want flate or none)", name)
-}
-
 // Options tune a campaign writer. The zero value is ready to use.
 type Options struct {
 	// Compression is the per-block codec (default flate).

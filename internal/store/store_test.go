@@ -144,6 +144,32 @@ func TestRoundTripAllKinds(t *testing.T) {
 	}
 }
 
+// TestZeroFieldRoundTrip: a zero trace.Field keeps its slot and its lack
+// of kind through a store block, next to a typed zero value.
+func TestZeroFieldRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := w.NewSegment(RunMeta{Experiment: "e", End: 10})
+	seg.AddTrace([]trace.Event{trace.NewEvent(5, "c", "k", trace.Field{}, trace.I("x", 0))})
+	if err := w.Append(seg); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d := dumpCampaign(t, dir, Query{Sweep: AnySweep})
+	if len(d.traces) != 1 || len(d.traces[0].Events) != 1 {
+		t.Fatalf("traces = %+v", d.traces)
+	}
+	ev := d.traces[0].Events[0]
+	if f := ev.Fields(); len(f) != 2 || f[0] != (trace.Field{}) || f[1] != trace.I("x", 0) {
+		t.Fatalf("fields read back as %+v (detail %q)", f, ev.Detail())
+	}
+}
+
 // TestEmptyCampaign pins the edges: an existing-but-empty directory is a
 // valid empty campaign; a missing directory is an error; a writer that
 // commits nothing leaves a readable empty campaign.
@@ -595,8 +621,8 @@ func TestAddTraceRunsEqualOneSlice(t *testing.T) {
 	}
 	one := w.NewSegment(RunMeta{Experiment: "tr", End: 200})
 	one.AddTrace(all)
-	if one.Blocks() != 3 {
-		t.Fatalf("11 events at 4 rows a block made %d blocks, want 3", one.Blocks())
+	if len(one.blocks) != 3 {
+		t.Fatalf("11 events at 4 rows a block made %d blocks, want 3", len(one.blocks))
 	}
 	for _, cut := range []int{0, 1, 4, 6, 11} {
 		split := w.NewSegment(RunMeta{Experiment: "tr", End: 200})
@@ -612,7 +638,7 @@ func TestAddTraceRunsEqualOneSlice(t *testing.T) {
 	none := w.NewSegment(RunMeta{Experiment: "tr", End: 200})
 	none.AddTrace()
 	none.AddTrace(nil, nil)
-	if none.Blocks() != 0 {
-		t.Errorf("empty runs made %d blocks", none.Blocks())
+	if len(none.blocks) != 0 {
+		t.Errorf("empty runs made %d blocks", len(none.blocks))
 	}
 }

@@ -223,10 +223,3 @@ func (w *Writer) Close() error {
 	}
 	return w.err
 }
-
-// Err returns the writer's sticky error without closing it.
-func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}

@@ -37,8 +37,6 @@ type Port interface {
 //     through this port; the cell itself travels on the reverse port, but
 //     the feedback must come from the forward port's state.
 type Algorithm interface {
-	// Name identifies the algorithm in tables and figures.
-	Name() string
 	// Attach binds the algorithm to its port and lets it schedule periodic
 	// work on the engine. It is called exactly once, before any other hook.
 	Attach(e *sim.Engine, p Port)

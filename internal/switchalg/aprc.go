@@ -49,9 +49,6 @@ func NewAPRC() Factory {
 	return func() Algorithm { return &APRC{} }
 }
 
-// Name implements Algorithm.
-func (a *APRC) Name() string { return "APRC" }
-
 // Attach implements Algorithm.
 func (a *APRC) Attach(e *sim.Engine, p Port) {
 	a.port = p

@@ -60,9 +60,6 @@ func NewCAPC() Factory {
 	return func() Algorithm { return &CAPC{} }
 }
 
-// Name implements Algorithm.
-func (a *CAPC) Name() string { return "CAPC" }
-
 // Attach implements Algorithm.
 func (a *CAPC) Attach(e *sim.Engine, p Port) {
 	a.port = p

@@ -53,9 +53,6 @@ func NewEPRCA() Factory {
 	return func() Algorithm { return &EPRCA{} }
 }
 
-// Name implements Algorithm.
-func (a *EPRCA) Name() string { return "EPRCA" }
-
 // Attach implements Algorithm.
 func (a *EPRCA) Attach(_ *sim.Engine, p Port) {
 	a.port = p

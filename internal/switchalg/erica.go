@@ -50,9 +50,6 @@ func NewERICA() Factory {
 	return func() Algorithm { return &ERICA{} }
 }
 
-// Name implements Algorithm.
-func (a *ERICA) Name() string { return "ERICA" }
-
 // Attach implements Algorithm.
 func (a *ERICA) Attach(e *sim.Engine, p Port) {
 	a.port = p
@@ -69,15 +66,8 @@ func (a *ERICA) Attach(e *sim.Engine, p Port) {
 	e.Every(a.Interval, func(en *sim.Engine) { a.tick(en.Now()) })
 }
 
-// Z returns the current load factor.
-func (a *ERICA) Z() float64 { return a.z }
-
 // FairShare returns the current per-VC fair share (cells/s).
 func (a *ERICA) FairShare() float64 { return a.fairShare }
-
-// ActiveVCs returns the per-session state size — the quantity the paper's
-// taxonomy is about.
-func (a *ERICA) ActiveVCs() int { return a.activeN }
 
 // tick closes a measurement interval.
 func (a *ERICA) tick(now sim.Time) {

@@ -13,16 +13,13 @@ func TestERICAFairShareTracking(t *testing.T) {
 	p := &fakePort{cap: 100000}
 	alg := NewERICA()().(*ERICA)
 	alg.Attach(e, p)
-	if alg.Name() != "ERICA" {
-		t.Fatalf("name = %q", alg.Name())
-	}
 	// Three VCs active during the first interval.
 	for vc := 1; vc <= 3; vc++ {
 		alg.OnArrival(0, &atm.Cell{VC: atm.VCID(vc)})
 	}
 	e.RunUntil(sim.Time(sim.Millisecond))
-	if alg.ActiveVCs() != 3 {
-		t.Fatalf("active VCs = %d", alg.ActiveVCs())
+	if alg.activeN != 3 {
+		t.Fatalf("active VCs = %d", alg.activeN)
 	}
 	want := 0.95 * 100000 / 3
 	if math.Abs(alg.FairShare()-want) > 1 {
@@ -41,8 +38,8 @@ func TestERICAOverloadScalesDown(t *testing.T) {
 		alg.OnArrival(0, &atm.Cell{VC: 1})
 	}
 	e.RunUntil(sim.Time(sim.Millisecond))
-	if alg.Z() < 1.8 || alg.Z() > 2.2 {
-		t.Fatalf("z = %v, want ≈2", alg.Z())
+	if alg.z < 1.8 || alg.z > 2.2 {
+		t.Fatalf("z = %v, want ≈2", alg.z)
 	}
 	// A session at CCR 50k gets scaled to CCR/z ≈ 25k (above the fair
 	// share 95k/1=95k? no: one VC → fair share 95k, so ER = max(95k, 25k)
@@ -87,13 +84,13 @@ func TestERICAIsPerVCState(t *testing.T) {
 		alg.OnArrival(0, &atm.Cell{VC: atm.VCID(vc)})
 	}
 	e.RunUntil(sim.Time(sim.Millisecond))
-	if alg.ActiveVCs() != 500 {
-		t.Fatalf("state did not grow with VCs: %d", alg.ActiveVCs())
+	if alg.activeN != 500 {
+		t.Fatalf("state did not grow with VCs: %d", alg.activeN)
 	}
 	// The activity set resets each interval (stale VCs age out at once).
 	e.RunUntil(sim.Time(2 * sim.Millisecond))
-	if alg.ActiveVCs() != 0 {
-		t.Fatalf("stale VCs retained: %d", alg.ActiveVCs())
+	if alg.activeN != 0 {
+		t.Fatalf("stale VCs retained: %d", alg.activeN)
 	}
 }
 

@@ -47,9 +47,6 @@ func NewExactMaxMin() Factory {
 	return func() Algorithm { return &ExactMaxMin{} }
 }
 
-// Name implements Algorithm.
-func (a *ExactMaxMin) Name() string { return "ExactMaxMin" }
-
 // Attach implements Algorithm.
 func (a *ExactMaxMin) Attach(e *sim.Engine, p Port) {
 	if a.TargetUtil == 0 {
@@ -69,10 +66,6 @@ func (a *ExactMaxMin) Attach(e *sim.Engine, p Port) {
 
 // Share returns the current fair share (cells/s).
 func (a *ExactMaxMin) Share() float64 { return a.share }
-
-// Sessions returns the number of live VCs being tracked — the unbounded
-// state the paper's taxonomy is about.
-func (a *ExactMaxMin) Sessions() int { return len(a.demands) }
 
 // recompute expires stale VCs and water-fills the capacity over the
 // remaining demands: sessions demanding less than an equal split keep

@@ -13,9 +13,6 @@ func TestExactMaxMinWaterFilling(t *testing.T) {
 	p := &fakePort{cap: 100000}
 	alg := NewExactMaxMin()().(*ExactMaxMin)
 	alg.Attach(e, p)
-	if alg.Name() != "ExactMaxMin" {
-		t.Fatalf("name = %q", alg.Name())
-	}
 	// capacity·0.95 = 95000. Demands: 10k, 20k, 80k.
 	alg.OnForwardRM(0, &atm.Cell{VC: 1, CCR: 10000})
 	alg.OnForwardRM(0, &atm.Cell{VC: 2, CCR: 20000})
@@ -25,8 +22,8 @@ func TestExactMaxMinWaterFilling(t *testing.T) {
 	if math.Abs(alg.Share()-65000) > 1 {
 		t.Fatalf("share = %v, want 65000", alg.Share())
 	}
-	if alg.Sessions() != 3 {
-		t.Fatalf("sessions = %d", alg.Sessions())
+	if len(alg.demands) != 3 {
+		t.Fatalf("sessions = %d", len(alg.demands))
 	}
 	// Backward RM clamps to the share.
 	c := atm.Cell{Kind: atm.BackwardRM, ER: 1e9}
@@ -81,8 +78,8 @@ func TestExactMaxMinExpiresIdleVCs(t *testing.T) {
 		alg.OnForwardRM(en.Now(), &atm.Cell{VC: 1, CCR: 90000})
 	})
 	e.RunUntil(sim.Time(200 * sim.Millisecond))
-	if alg.Sessions() != 1 {
-		t.Fatalf("sessions = %d after expiry, want 1", alg.Sessions())
+	if len(alg.demands) != 1 {
+		t.Fatalf("sessions = %d after expiry, want 1", len(alg.demands))
 	}
 	if math.Abs(alg.Share()-95000) > 1 {
 		t.Fatalf("share after expiry = %v, want full target", alg.Share())
@@ -98,7 +95,7 @@ func TestExactMaxMinIsUnboundedSpace(t *testing.T) {
 	for vc := 0; vc < 1000; vc++ {
 		alg.OnForwardRM(0, &atm.Cell{VC: atm.VCID(vc), CCR: 1})
 	}
-	if alg.Sessions() != 1000 {
-		t.Fatalf("sessions = %d, want state to grow with VCs", alg.Sessions())
+	if len(alg.demands) != 1000 {
+		t.Fatalf("sessions = %d, want state to grow with VCs", len(alg.demands))
 	}
 }

@@ -50,14 +50,6 @@ func NewPhantomCI(cfg core.Config) Factory {
 	return func() Algorithm { return &Phantom{Config: cfg, BinaryMode: true} }
 }
 
-// Name implements Algorithm.
-func (p *Phantom) Name() string {
-	if p.BinaryMode {
-		return "Phantom-CI"
-	}
-	return "Phantom"
-}
-
 // Attach implements Algorithm.
 func (p *Phantom) Attach(e *sim.Engine, port Port) {
 	cfg := p.Config

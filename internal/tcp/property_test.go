@@ -44,12 +44,12 @@ func TestSenderInvariantsUnderRandomAcks(t *testing.T) {
 				e.RunUntil(e.Now().Add(300 * sim.Millisecond))
 			}
 
-			if s.Cwnd() < float64(mss) {
-				t.Logf("cwnd %v below one MSS", s.Cwnd())
+			if s.cwnd < float64(mss) {
+				t.Logf("cwnd %v below one MSS", s.cwnd)
 				return false
 			}
-			if s.Ssthresh() != 0 && s.Ssthresh() < 2*float64(mss)-1e-9 && s.Ssthresh() != float64(s.Params.RcvWnd) {
-				t.Logf("ssthresh %v below 2 MSS", s.Ssthresh())
+			if s.ssthresh != 0 && s.ssthresh < 2*float64(mss)-1e-9 && s.ssthresh != float64(s.Params.RcvWnd) {
+				t.Logf("ssthresh %v below 2 MSS", s.ssthresh)
 				return false
 			}
 			if s.AckedBytes() < prevUna {
@@ -95,8 +95,8 @@ func TestReceiverPrefixDeliveryProperty(t *testing.T) {
 				t.Logf("delivered %d, want prefix %d (arrived %v)", r.DeliveredBytes(), want, arrived)
 				return false
 			}
-			if r.RcvNxt() != want {
-				t.Logf("rcvNxt %d, want %d", r.RcvNxt(), want)
+			if r.rcvNxt != want {
+				t.Logf("rcvNxt %d, want %d", r.rcvNxt, want)
 				return false
 			}
 			// Last ACK always announces rcvNxt.

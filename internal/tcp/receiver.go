@@ -67,9 +67,6 @@ func (r *Receiver) DeliveredBytes() int64 { return r.delivered }
 // AcksSent returns the number of ACKs emitted.
 func (r *Receiver) AcksSent() int64 { return r.acksSent }
 
-// RcvNxt returns the next expected sequence number.
-func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
-
 // Receive implements ip.Sink. The receiver is where a data packet ends: it
 // copies the header fields it needs and releases the packet before acting.
 func (r *Receiver) Receive(e *sim.Engine, p *ip.Packet) {

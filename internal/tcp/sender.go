@@ -153,15 +153,6 @@ func NewSender(flow int, params SenderParams, out ip.Sink) *Sender {
 	return &Sender{Flow: flow, Params: params, Out: out}
 }
 
-// Cwnd returns the congestion window in bytes.
-func (s *Sender) Cwnd() float64 { return s.cwnd }
-
-// Ssthresh returns the slow-start threshold in bytes.
-func (s *Sender) Ssthresh() float64 { return s.ssthresh }
-
-// Rate returns the current measured CR in bits/s.
-func (s *Sender) Rate() float64 { return s.rate }
-
 // AckedBytes returns the cumulatively acknowledged payload.
 func (s *Sender) AckedBytes() int64 { return s.sndUna }
 
@@ -173,9 +164,6 @@ func (s *Sender) Timeouts() int64 { return s.timeouts }
 
 // Quenches returns the number of Source Quench signals honoured.
 func (s *Sender) Quenches() int64 { return s.quenches }
-
-// RTO returns the current retransmission timeout.
-func (s *Sender) RTO() sim.Duration { return s.rto }
 
 // Start validates parameters and begins transmitting at Params.Start.
 func (s *Sender) Start(e *sim.Engine) error {
@@ -448,9 +436,6 @@ func (s *Sender) sampleRTT(m sim.Duration) {
 	}
 	s.rto = rto
 }
-
-// SRTT returns the smoothed RTT estimate.
-func (s *Sender) SRTT() sim.Duration { return sim.Duration(s.srtt) }
 
 func maxF(a, b float64) float64 {
 	if a > b {

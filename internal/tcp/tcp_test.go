@@ -62,8 +62,8 @@ func TestSenderInitialWindowIsOneSegment(t *testing.T) {
 	if p.Seq != 0 || p.Len != 512 || p.Ack {
 		t.Fatalf("first segment wrong: %+v", p)
 	}
-	if s.Cwnd() != 512 {
-		t.Fatalf("cwnd = %v", s.Cwnd())
+	if s.cwnd != 512 {
+		t.Fatalf("cwnd = %v", s.cwnd)
 	}
 }
 
@@ -73,8 +73,8 @@ func TestSlowStartDoublesPerRTT(t *testing.T) {
 	s := newSender(t, e, out)
 	// ACK the first segment: cwnd 1→2 MSS, two new segments out.
 	ack(e, s, 512)
-	if s.Cwnd() != 1024 {
-		t.Fatalf("cwnd after 1st ACK = %v, want 1024", s.Cwnd())
+	if s.cwnd != 1024 {
+		t.Fatalf("cwnd after 1st ACK = %v, want 1024", s.cwnd)
 	}
 	if len(out.pkts) != 3 { // initial + 2
 		t.Fatalf("segments out = %d, want 3", len(out.pkts))
@@ -82,8 +82,8 @@ func TestSlowStartDoublesPerRTT(t *testing.T) {
 	// ACK both: cwnd = 4 MSS.
 	ack(e, s, 1024)
 	ack(e, s, 1536)
-	if s.Cwnd() != 2048 {
-		t.Fatalf("cwnd = %v, want 2048", s.Cwnd())
+	if s.cwnd != 2048 {
+		t.Fatalf("cwnd = %v, want 2048", s.cwnd)
 	}
 }
 
@@ -97,13 +97,13 @@ func TestCongestionAvoidanceLinearGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	ack(e, s, 512) // slow start: 512→1024
-	if s.Cwnd() != 1024 {
-		t.Fatalf("cwnd = %v", s.Cwnd())
+	if s.cwnd != 1024 {
+		t.Fatalf("cwnd = %v", s.cwnd)
 	}
 	// Now at ssthresh: next ACK grows by MSS²/cwnd = 256.
 	ack(e, s, 1024)
-	if s.Cwnd() != 1024+256 {
-		t.Fatalf("cwnd = %v, want 1280", s.Cwnd())
+	if s.cwnd != 1024+256 {
+		t.Fatalf("cwnd = %v, want 1280", s.cwnd)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestFastRetransmitOnTripleDupAck(t *testing.T) {
 	ack(e, s, 1024)
 	ack(e, s, 1536) // cwnd = 2048, una=1536, nxt=3584 (4 in flight)
 	sent := len(out.pkts)
-	cwndBefore := s.Cwnd()
+	cwndBefore := s.cwnd
 
 	// Three duplicate ACKs for 1536.
 	ack(e, s, 1536)
@@ -133,17 +133,17 @@ func TestFastRetransmitOnTripleDupAck(t *testing.T) {
 		t.Fatalf("retransmitted wrong segment: %+v", retx)
 	}
 	// ssthresh = flight/2 = 1024; cwnd = ssthresh + 3 MSS.
-	if s.Ssthresh() != 1024 {
-		t.Fatalf("ssthresh = %v, want 1024 (half of flight %v)", s.Ssthresh(), cwndBefore)
+	if s.ssthresh != 1024 {
+		t.Fatalf("ssthresh = %v, want 1024 (half of flight %v)", s.ssthresh, cwndBefore)
 	}
-	if s.Cwnd() != 1024+3*512 {
-		t.Fatalf("cwnd = %v, want ssthresh+3MSS", s.Cwnd())
+	if s.cwnd != 1024+3*512 {
+		t.Fatalf("cwnd = %v, want ssthresh+3MSS", s.cwnd)
 	}
 
 	// Recovery exit on new ACK deflates to ssthresh.
 	ack(e, s, 3584)
-	if s.Cwnd() != s.Ssthresh() {
-		t.Fatalf("cwnd after recovery = %v, want ssthresh %v", s.Cwnd(), s.Ssthresh())
+	if s.cwnd != s.ssthresh {
+		t.Fatalf("cwnd after recovery = %v, want ssthresh %v", s.cwnd, s.ssthresh)
 	}
 }
 
@@ -157,10 +157,10 @@ func TestWindowInflationDuringRecovery(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ack(e, s, 2560)
 	}
-	inRecovery := s.Cwnd()
+	inRecovery := s.cwnd
 	ack(e, s, 2560) // 4th dupack inflates by one MSS
-	if s.Cwnd() != inRecovery+512 {
-		t.Fatalf("cwnd = %v, want inflation to %v", s.Cwnd(), inRecovery+512)
+	if s.cwnd != inRecovery+512 {
+		t.Fatalf("cwnd = %v, want inflation to %v", s.cwnd, inRecovery+512)
 	}
 }
 
@@ -170,18 +170,18 @@ func TestTimeoutCollapsesWindowAndBacksOff(t *testing.T) {
 	s := newSender(t, e, out)
 	ack(e, s, 512)
 	ack(e, s, 1024) // cwnd = 3 MSS, several segments in flight
-	rtoBefore := s.RTO()
+	rtoBefore := s.rto
 
 	// Let the retransmission timer expire with no ACKs.
 	e.RunUntil(e.Now().Add(2 * rtoBefore))
 	if s.Timeouts() == 0 {
 		t.Fatal("no timeout fired")
 	}
-	if s.Cwnd() != 512 {
-		t.Fatalf("cwnd after RTO = %v, want 1 MSS", s.Cwnd())
+	if s.cwnd != 512 {
+		t.Fatalf("cwnd after RTO = %v, want 1 MSS", s.cwnd)
 	}
-	if s.RTO() <= rtoBefore {
-		t.Fatalf("RTO did not back off: %v → %v", rtoBefore, s.RTO())
+	if s.rto <= rtoBefore {
+		t.Fatalf("RTO did not back off: %v → %v", rtoBefore, s.rto)
 	}
 	// Go-back-N: the retransmission must restart at snd.una.
 	last := out.pkts[len(out.pkts)-1]
@@ -199,8 +199,8 @@ func TestRTOBackoffCapsAtMax(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RunUntil(sim.Time(60 * sim.Second))
-	if s.RTO() > p.MaxRTO {
-		t.Fatalf("RTO %v exceeded cap %v", s.RTO(), p.MaxRTO)
+	if s.rto > p.MaxRTO {
+		t.Fatalf("RTO %v exceeded cap %v", s.rto, p.MaxRTO)
 	}
 	if s.Timeouts() < 3 {
 		t.Fatalf("timeouts = %d, want several", s.Timeouts())
@@ -214,12 +214,12 @@ func TestRTTEstimation(t *testing.T) {
 	// ACK arrives 10 ms after the initial transmission at t=0.
 	e.At(sim.Time(10*sim.Millisecond), func(en *sim.Engine) { ack(en, s, 512) })
 	e.RunUntil(sim.Time(20 * sim.Millisecond))
-	if s.SRTT() != 10*sim.Millisecond {
-		t.Fatalf("srtt = %v, want 10ms", s.SRTT())
+	if sim.Duration(s.srtt) != 10*sim.Millisecond {
+		t.Fatalf("srtt = %v, want 10ms", sim.Duration(s.srtt))
 	}
 	// RTO = srtt + 4·rttvar = 10 + 4·5 = 30 ms, floored at MinRTO 200 ms.
-	if s.RTO() != s.Params.MinRTO {
-		t.Fatalf("rto = %v, want MinRTO floor", s.RTO())
+	if s.rto != s.Params.MinRTO {
+		t.Fatalf("rto = %v, want MinRTO floor", s.rto)
 	}
 }
 
@@ -234,8 +234,8 @@ func TestKarnRuleSkipsRetransmittedSamples(t *testing.T) {
 		t.Fatal("setup: no timeout")
 	}
 	ack(e, s, 512)
-	if s.SRTT() != 0 {
-		t.Fatalf("srtt = %v from a retransmitted segment (Karn violated)", s.SRTT())
+	if sim.Duration(s.srtt) != 0 {
+		t.Fatalf("srtt = %v from a retransmitted segment (Karn violated)", sim.Duration(s.srtt))
 	}
 }
 
@@ -246,17 +246,17 @@ func TestECNEchoHalvesOncePerRTT(t *testing.T) {
 	for _, a := range []int64{512, 1024, 1536, 2048} {
 		ack(e, s, a)
 	}
-	before := s.Cwnd()
+	before := s.cwnd
 	s.Receive(e, &ip.Packet{Flow: 1, Ack: true, AckNo: 2048, ECN: true})
 	// The congestion response must dominate any dupack bookkeeping.
-	if s.Cwnd() > before/2+512 {
-		t.Fatalf("cwnd = %v, want ≈half of %v", s.Cwnd(), before)
+	if s.cwnd > before/2+512 {
+		t.Fatalf("cwnd = %v, want ≈half of %v", s.cwnd, before)
 	}
-	after := s.Cwnd()
+	after := s.cwnd
 	// A second echo within the same RTT is ignored.
 	s.Receive(e, &ip.Packet{Flow: 1, Ack: true, AckNo: 2048, ECN: true})
-	if s.Cwnd() < after {
-		t.Fatalf("second echo within RTT reduced cwnd again: %v → %v", after, s.Cwnd())
+	if s.cwnd < after {
+		t.Fatalf("second echo within RTT reduced cwnd again: %v → %v", after, s.cwnd)
 	}
 }
 
@@ -266,13 +266,13 @@ func TestQuenchCollapsesToOneSegment(t *testing.T) {
 	for _, a := range []int64{512, 1024, 1536} {
 		ack(e, s, a)
 	}
-	before := s.Cwnd()
+	before := s.cwnd
 	s.Quench(e)
-	if s.Cwnd() != 512 {
-		t.Fatalf("cwnd after quench = %v, want 1 MSS", s.Cwnd())
+	if s.cwnd != 512 {
+		t.Fatalf("cwnd after quench = %v, want 1 MSS", s.cwnd)
 	}
-	if s.Ssthresh() != before/2 {
-		t.Fatalf("ssthresh = %v, want half of %v", s.Ssthresh(), before)
+	if s.ssthresh != before/2 {
+		t.Fatalf("ssthresh = %v, want half of %v", s.ssthresh, before)
 	}
 	if s.Quenches() != 1 {
 		t.Fatalf("quenches = %d", s.Quenches())
@@ -289,8 +289,8 @@ func TestRateMeasurementStampsCR(t *testing.T) {
 	})
 	e.RunUntil(sim.Time(200 * sim.Millisecond))
 	// 512 B/ms = 4.096 Mb/s.
-	if s.Rate() < 3e6 || s.Rate() > 5e6 {
-		t.Fatalf("measured rate = %v, want ≈4.1e6", s.Rate())
+	if s.rate < 3e6 || s.rate > 5e6 {
+		t.Fatalf("measured rate = %v, want ≈4.1e6", s.rate)
 	}
 	// Packets sent late in the run carry the stamp.
 	last := out.pkts[len(out.pkts)-1]

@@ -47,8 +47,8 @@ func TestVegasSlowStartDoublesEveryOtherRTT(t *testing.T) {
 		ackAt(e, s, at, ackNo)
 	}
 	e.RunUntil(at.Add(sim.Millisecond))
-	if s.Cwnd() <= 2*512 {
-		t.Fatalf("cwnd = %v, Vegas slow start never grew", s.Cwnd())
+	if s.cwnd <= 2*512 {
+		t.Fatalf("cwnd = %v, Vegas slow start never grew", s.cwnd)
 	}
 }
 

@@ -122,14 +122,6 @@ func (c Counter) Inc() {
 	}
 }
 
-// Value reads the current count (zero on an inert handle).
-func (c Counter) Value() uint64 {
-	if c.e == nil {
-		return 0
-	}
-	return c.e.v
-}
-
 // Gauge is a handle to a max-aggregated high-water mark. The zero value is
 // inert.
 type Gauge struct{ e *entry }
@@ -139,14 +131,6 @@ func (g Gauge) Observe(v uint64) {
 	if g.e != nil && v > g.e.v {
 		g.e.v = v
 	}
-}
-
-// Value reads the current high-water mark (zero on an inert handle).
-func (g Gauge) Value() uint64 {
-	if g.e == nil {
-		return 0
-	}
-	return g.e.v
 }
 
 // HistBuckets is the fixed number of log2 buckets a Histogram carries.
@@ -206,18 +190,6 @@ func (h Histogram) Observe(v uint64) {
 // this so a telemetry-off run skips the computation, not just the store.
 func (h Histogram) Active() bool { return h.h != nil }
 
-// Count returns the histogram's total number of observations.
-func (h Histogram) Count() uint64 {
-	if h.h == nil {
-		return 0
-	}
-	var n uint64
-	for _, c := range h.h.counts {
-		n += c
-	}
-	return n
-}
-
 // BucketIndex maps a value to its log2 bucket.
 func BucketIndex(v uint64) int {
 	b := bits.Len64(v)
@@ -225,18 +197,6 @@ func BucketIndex(v uint64) int {
 		b = HistBuckets - 1
 	}
 	return b
-}
-
-// BucketBound returns the exclusive upper bound of bucket i (its lower
-// bound is the previous bucket's upper bound; bucket 0 is exactly zero).
-func BucketBound(i int) uint64 {
-	if i <= 0 {
-		return 1
-	}
-	if i >= 63 {
-		return ^uint64(0)
-	}
-	return 1 << uint(i)
 }
 
 // BucketName formats the snapshot key of bucket i of a histogram.
@@ -283,30 +243,6 @@ func (r *Registry) Snapshot() map[string]uint64 {
 		return nil
 	}
 	return out
-}
-
-// Reset zeroes every registered value in place, keeping the entries and any
-// outstanding handles valid, so one registry can be reused across the sweep
-// points of an experiment without re-resolving handles.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	for _, e := range r.entries {
-		e.v = 0
-	}
-	for _, h := range r.hists {
-		h.counts = [HistBuckets]uint64{}
-		h.sum = 0
-	}
-}
-
-// Len returns the number of registered names.
-func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.entries)
 }
 
 // Merge folds src into dst: names ending in PeakSuffix aggregate by max,

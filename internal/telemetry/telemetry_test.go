@@ -13,16 +13,12 @@ func TestNilRegistryIsFree(t *testing.T) {
 	c.Inc()
 	c.Add(10)
 	g.Observe(99)
-	if c.Value() != 0 || g.Value() != 0 {
-		t.Fatal("inert handles must read zero")
+	if c.e != nil || g.e != nil {
+		t.Fatal("a nil registry's handles must be inert")
 	}
 	if snap := r.Snapshot(); snap != nil {
 		t.Fatalf("nil registry snapshot = %v, want nil", snap)
 	}
-	if r.Len() != 0 {
-		t.Fatal("nil registry must report zero length")
-	}
-	r.Reset() // must not panic
 }
 
 func TestNilHandleAllocFree(t *testing.T) {
@@ -58,14 +54,14 @@ func TestCounterAndGaugeSemantics(t *testing.T) {
 	c := r.Counter("link.cells_sent")
 	c.Inc()
 	c.Add(9)
-	if got := c.Value(); got != 10 {
+	if got := c.e.v; got != 10 {
 		t.Fatalf("counter = %d, want 10", got)
 	}
 	g := r.Gauge("link.queue_cells_peak")
 	g.Observe(5)
 	g.Observe(3) // below the high-water mark: ignored
 	g.Observe(8)
-	if got := g.Value(); got != 8 {
+	if got := g.e.v; got != 8 {
 		t.Fatalf("gauge = %d, want 8", got)
 	}
 }
@@ -76,11 +72,11 @@ func TestIdempotentRegistrationSharesAccumulator(t *testing.T) {
 	b := r.Counter("link.cells_sent")
 	a.Inc()
 	b.Add(2)
-	if a.Value() != 3 || b.Value() != 3 {
-		t.Fatalf("handles read %d/%d, want shared 3", a.Value(), b.Value())
+	if a.e.v != 3 || b.e.v != 3 {
+		t.Fatalf("handles read %d/%d, want shared 3", a.e.v, b.e.v)
 	}
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", r.Len())
+	if len(r.entries) != 1 {
+		t.Fatalf("%d entries, want 1", len(r.entries))
 	}
 }
 
@@ -111,23 +107,6 @@ func TestSnapshotIsDetached(t *testing.T) {
 	}
 	if r.Snapshot()["x.count"] != 101 {
 		t.Fatal("live value lost")
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := New()
-	c := r.Counter("x.count")
-	g := r.Gauge("x.q_peak")
-	c.Add(7)
-	g.Observe(7)
-	r.Reset()
-	if c.Value() != 0 || g.Value() != 0 {
-		t.Fatal("Reset must zero values")
-	}
-	// Handles stay wired to the same entries after Reset.
-	c.Inc()
-	if r.Snapshot()["x.count"] != 1 {
-		t.Fatal("handle detached by Reset")
 	}
 }
 

@@ -36,15 +36,15 @@ const MaxFields = 4
 // it without reflection.
 type FieldKind uint8
 
+// Kind 0 is left unused, so the zero Field is no kind's zero value.
 const (
-	FieldNone FieldKind = iota
-	FieldInt
+	FieldInt FieldKind = iota + 1
 	FieldFloat
 	FieldStr
 )
 
 // Field is one typed key/value attached to an event. Construct with I, F
-// or S; the zero Field is empty and ignored.
+// or S; the zero Field has no kind, and no encoder writes a value for it.
 type Field struct {
 	Key  string
 	kind FieldKind
@@ -309,11 +309,6 @@ func (q Query) Match(e *Event) bool {
 	return true
 }
 
-// Select returns the retained events satisfying q, in chronological order.
-func (tr *Tracer) Select(q Query) []Event {
-	return SelectEvents(tr.Events(), q)
-}
-
 // SelectEvents filters an event slice (retained or loaded from a JSONL
 // export) by q, preserving order.
 func SelectEvents(events []Event, q Query) []Event {
@@ -321,19 +316,6 @@ func SelectEvents(events []Event, q Query) []Event {
 	for i := range events {
 		if q.Match(&events[i]) {
 			out = append(out, events[i])
-		}
-	}
-	return out
-}
-
-// Filter returns retained events whose component, kind or formatted detail
-// contains q — the quick one-string lookup behind the CLIs' -trace-grep.
-func (tr *Tracer) Filter(q string) []Event {
-	var out []Event
-	for _, e := range tr.Events() {
-		if strings.Contains(e.Component, q) || strings.Contains(e.Kind, q) ||
-			strings.Contains(e.Detail(), q) {
-			out = append(out, e)
 		}
 	}
 	return out

@@ -17,7 +17,7 @@ func TestNilTracerIsFree(t *testing.T) {
 		t.Fatal("nil tracer not inert")
 	}
 	tr.Reset() // must not panic
-	if got := tr.Select(Query{}); got != nil {
+	if got := SelectEvents(tr.Events(), Query{}); got != nil {
 		t.Fatalf("nil Select = %v", got)
 	}
 }
@@ -135,16 +135,15 @@ func TestFilterMatchesDetail(t *testing.T) {
 	tr.Emit(1, "src1", "rate", F("acr", 10))
 	tr.Emit(2, "trunk0", "drop", I("vc", 7))
 	tr.Emit(3, "src2", "rate", F("acr", 20))
-	if got := len(tr.Filter("rate")); got != 2 {
-		t.Fatalf("Filter(rate) = %d", got)
+	if got := len(SelectEvents(tr.Events(), Query{Kind: "rate"})); got != 2 {
+		t.Fatalf("kind rate = %d", got)
 	}
-	if got := len(tr.Filter("trunk")); got != 1 {
-		t.Fatalf("Filter(trunk) = %d", got)
+	if got := len(SelectEvents(tr.Events(), Query{Component: "trunk"})); got != 1 {
+		t.Fatalf("component trunk = %d", got)
 	}
-	// The satellite fix: a value that only appears in the detail text is
-	// findable (formerly Filter silently ignored Detail).
-	if got := len(tr.Filter("vc=7")); got != 1 {
-		t.Fatalf("Filter(vc=7) = %d, want 1", got)
+	// A value that only appears in the detail text is findable.
+	if got := len(SelectEvents(tr.Events(), Query{Detail: "vc=7"})); got != 1 {
+		t.Fatalf("detail vc=7 = %d, want 1", got)
 	}
 }
 
@@ -155,21 +154,21 @@ func TestSelectQuery(t *testing.T) {
 	tr.Emit(sim.Time(3*sim.Millisecond), "S1", "rate", F("acr", 5))
 	tr.Emit(sim.Time(4*sim.Millisecond), "S1", "drop", I("vc", 2))
 
-	if got := tr.Select(Query{Component: "S1"}); len(got) != 3 {
+	if got := SelectEvents(tr.Events(), Query{Component: "S1"}); len(got) != 3 {
 		t.Fatalf("component query = %d", len(got))
 	}
-	if got := tr.Select(Query{Component: "S1", Kind: "drop"}); len(got) != 2 {
+	if got := SelectEvents(tr.Events(), Query{Component: "S1", Kind: "drop"}); len(got) != 2 {
 		t.Fatalf("component+kind query = %d", len(got))
 	}
-	win := tr.Select(Query{From: sim.Time(2 * sim.Millisecond), To: sim.Time(3 * sim.Millisecond)})
+	win := SelectEvents(tr.Events(), Query{From: sim.Time(2 * sim.Millisecond), To: sim.Time(3 * sim.Millisecond)})
 	if len(win) != 2 || win[0].T != sim.Time(2*sim.Millisecond) {
 		t.Fatalf("window query = %+v", win)
 	}
-	if got := tr.Select(Query{Detail: "vc=2"}); len(got) != 2 {
+	if got := SelectEvents(tr.Events(), Query{Detail: "vc=2"}); len(got) != 2 {
 		t.Fatalf("detail query = %d", len(got))
 	}
 	// To == 0 means unbounded above.
-	if got := tr.Select(Query{From: sim.Time(3 * sim.Millisecond)}); len(got) != 2 {
+	if got := SelectEvents(tr.Events(), Query{From: sim.Time(3 * sim.Millisecond)}); len(got) != 2 {
 		t.Fatalf("open-ended window = %d", len(got))
 	}
 }
@@ -202,13 +201,18 @@ func TestJSONLRoundTrip(t *testing.T) {
 	tr.Emit(sim.Time(218*sim.Millisecond), "S1", "drop", I("vc", 3), S("cell", "data"))
 	tr.Emit(sim.Time(219*sim.Millisecond), "src0", "rate", F("acr", 353207.5471698113))
 	tr.Emit(sim.Time(220*sim.Millisecond), "S1", "tick")
+	tr.Emit(sim.Time(221*sim.Millisecond), "S1", "zero", Field{})
 
 	var b strings.Builder
 	if err := tr.ExportJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(b.String(), "\n"); got != 3 {
-		t.Fatalf("exported %d lines, want 3", got)
+	if got := strings.Count(b.String(), "\n"); got != 4 {
+		t.Fatalf("exported %d lines, want 4", got)
+	}
+	// The zero Field has no kind: it is written with no value.
+	if !strings.Contains(b.String(), `"fields":[{"k":""}]`) {
+		t.Fatalf("zero field exported as %q", b.String())
 	}
 	back, skipped, err := ReadJSONL(strings.NewReader(b.String()))
 	if err != nil {
@@ -223,6 +227,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 	// Typed values survive exactly, including the full float.
 	if back[1].Detail() != tr.Events()[1].Detail() {
 		t.Fatalf("float detail drifted: %q vs %q", back[1].Detail(), tr.Events()[1].Detail())
+	}
+	if f := back[3].Fields(); len(f) != 1 || f[0] != (Field{}) || back[3].Detail() != "=" {
+		t.Fatalf("zero field read back as %+v (detail %q)", f, back[3].Detail())
 	}
 }
 

@@ -14,7 +14,7 @@ func TestRNGStreamEquality(t *testing.T) {
 	f := func(seed uint64) bool {
 		a, b := NewRNG(seed), NewRNG(seed)
 		for i := 0; i < 50; i++ {
-			switch i % 5 {
+			switch i % 4 {
 			case 0:
 				if a.Uint64() != b.Uint64() {
 					return false
@@ -27,12 +27,8 @@ func TestRNGStreamEquality(t *testing.T) {
 				if a.Intn(1000) != b.Intn(1000) {
 					return false
 				}
-			case 3:
-				if a.Exp(3.5) != b.Exp(3.5) {
-					return false
-				}
 			default:
-				if a.Norm(10, 2) != b.Norm(10, 2) {
+				if a.Exp(3.5) != b.Exp(3.5) {
 					return false
 				}
 			}

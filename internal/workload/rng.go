@@ -59,13 +59,3 @@ func (r *RNG) Exp(mean float64) float64 {
 	}
 	return -mean * math.Log(u)
 }
-
-// Norm returns a normally distributed value via Box–Muller.
-func (r *RNG) Norm(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
-}

@@ -72,25 +72,6 @@ func TestRNGExpMean(t *testing.T) {
 	}
 }
 
-func TestRNGNormMoments(t *testing.T) {
-	r := NewRNG(13)
-	const n = 200000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Norm(10, 2)
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean-10) > 0.05 {
-		t.Fatalf("Norm mean = %v, want ≈10", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-2) > 0.05 {
-		t.Fatalf("Norm stddev = %v, want ≈2", math.Sqrt(variance))
-	}
-}
-
 func TestGreedyPattern(t *testing.T) {
 	var p Pattern = Greedy{}
 	if !p.ActiveAt(0) || !p.ActiveAt(1e9) {
