@@ -26,8 +26,8 @@
 // With -telemetry the fleet's merged counter totals print after the
 // campaign summary. With -store every scenario's summary, counter
 // snapshot, and retained trace events land in a phantomdb campaign
-// directory; -trace-dir additionally exports per-scenario JSONL. -json
-// emits the schema-v3 api.Report.
+// directory, readable with phantom-trace -store. -json emits the
+// schema-v3 api.Report.
 //
 // Exit status is 1 when any scenario violated an invariant.
 package main
@@ -37,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/api"
 	"repro/internal/cli"
@@ -50,7 +49,7 @@ import (
 func main() {
 	c := cli.New("phantom-fuzz",
 		cli.FlagWorkers|cli.FlagQuiet|cli.FlagJSON|cli.FlagProfile|
-			cli.FlagTelemetry|cli.FlagTrace|cli.FlagStore|cli.FlagHTTP|cli.FlagSubmit)
+			cli.FlagTelemetry|cli.FlagStore|cli.FlagHTTP|cli.FlagSubmit)
 	n := flag.Int("n", 100, "scenarios per family")
 	familyName := flag.String("family", "", "restrict to one family (default all): parkinglot, fattree, waxman, flashcrowd, webmix, transient, shardedmesh")
 	seedFlag := flag.Uint64("seed", 0, "replay exactly one scenario with this seed (requires -family)")
@@ -103,11 +102,10 @@ func main() {
 }
 
 // runLocal expands the campaign onto this process's own fleet: the same
-// path the daemon takes, plus the local-only sinks (freeze dir, trace
-// export, -store).
+// path the daemon takes, plus the local-only sinks (freeze dir, -store).
 func runLocal(c *cli.Common, spec api.JobSpec, freezeDir string) int {
 	expn, err := api.Expand(spec, api.Env{
-		Trace:        c.TraceDir != "" || c.StoreDir != "",
+		Trace:        c.StoreDir != "",
 		TraceRingCap: cli.TraceRingCap,
 	})
 	if err != nil {
@@ -120,11 +118,6 @@ func runLocal(c *cli.Common, spec api.JobSpec, freezeDir string) int {
 		return 2
 	}
 	fleet := &runner.Fleet{Workers: c.Workers, Telemetry: c.Telemetry, Store: sw}
-	// Job names contain '/' and brackets, so trace files are keyed by the
-	// family and sweep index instead.
-	traceErr := c.ExportTraces(fleet, func(j *runner.Job) string {
-		return fmt.Sprintf("%s-%04d", strings.TrimPrefix(j.Def.ID, "fuzz/"), j.SweepIndex)
-	}, false)
 	if c.HTTPAddr != "" {
 		state := cli.NewLiveState(len(expn.Jobs))
 		state.SetPprof(c.Pprof)
@@ -148,10 +141,6 @@ func runLocal(c *cli.Common, spec api.JobSpec, freezeDir string) int {
 			fmt.Fprintf(os.Stderr, "phantom-fuzz: %s: %v\n", r.Job.Name, r.Err)
 			return 2
 		}
-	}
-	if err := traceErr(); err != nil {
-		fmt.Fprintln(os.Stderr, "phantom-fuzz:", err)
-		return 2
 	}
 	rep := expn.Finish(results, stats)
 	findings := expn.Findings()
@@ -196,8 +185,8 @@ func runLocal(c *cli.Common, spec api.JobSpec, freezeDir string) int {
 // runRemote submits the campaign to a phantom-serve daemon and streams the
 // results back. Findings arrive as violation strings on the run results.
 func runRemote(c *cli.Common, spec api.JobSpec, freezeDir string) int {
-	if freezeDir != "" || c.StoreDir != "" || c.TraceDir != "" {
-		fmt.Fprintln(os.Stderr, "phantom-fuzz: -freeze, -store and -trace-dir are local sinks; drop them with -submit (the daemon persists runs under its own -data root)")
+	if freezeDir != "" || c.StoreDir != "" {
+		fmt.Fprintln(os.Stderr, "phantom-fuzz: -freeze and -store are local sinks; drop them with -submit (the daemon persists runs under its own -data root)")
 		return 2
 	}
 	client := api.NewClient(c.Submit)

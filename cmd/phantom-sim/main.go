@@ -15,10 +15,10 @@
 //	duration 500ms
 //	EOF
 //
-// Observability flags: -telemetry prints the run's counter snapshot,
-// -trace-dir exports the flight recorder as JSONL, and -store appends the
-// run (series, summary metrics, counters, trace events) to a phantomdb
-// campaign directory under experiment id "sim" for phantom-trace -store.
+// Observability flags: -telemetry prints the run's counter snapshot, and
+// -store appends the run (series, summary metrics, counters, trace events)
+// to a phantomdb campaign directory under experiment id "sim" for
+// phantom-trace -store.
 package main
 
 import (
@@ -58,7 +58,7 @@ type view struct {
 
 func main() {
 	c := cli.New("phantom-sim",
-		cli.FlagQuiet|cli.FlagProfile|cli.FlagTelemetry|cli.FlagTrace|cli.FlagStore|cli.FlagShards)
+		cli.FlagQuiet|cli.FlagProfile|cli.FlagTelemetry|cli.FlagStore|cli.FlagShards)
 	traceN := flag.Int("trace", 0, "dump the last N trace events after the run")
 	svgDir := flag.String("svg", "", "write SVG figures into this directory")
 	csvPath := flag.String("csv", "", "write all series as CSV to this file")
@@ -71,7 +71,7 @@ func main() {
 	var tr *trace.Tracer
 	if *traceN > 0 {
 		tr = trace.New(*traceN)
-	} else if c.TraceDir != "" || c.StoreDir != "" {
+	} else if c.StoreDir != "" {
 		tr = trace.New(cli.TraceRingCap)
 	}
 	var reg *telemetry.Registry
@@ -114,13 +114,6 @@ func main() {
 	if reg != nil {
 		fmt.Println("\ntelemetry:")
 		telemetry.WriteText(os.Stdout, reg.Snapshot(), "  ")
-	}
-	if c.TraceDir != "" {
-		path, err := cli.ExportTrace(c.TraceDir, "sim", tr)
-		if err != nil {
-			c.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", path)
 	}
 	if c.StoreDir != "" {
 		if err := storeRun(c, v, reg, tr, end); err != nil {

@@ -22,10 +22,9 @@
 //	-update-golden  rewrite the golden baselines from this run
 //	-telemetry      give every job a counter registry; report per-experiment
 //	                counters and fleet totals
-//	-trace-dir d    record every job on a flight recorder and export each
-//	                job's retained events to d/<id>.jsonl as it completes
-//	-store d        append every run's results (summary metrics, counters
-//	                when -telemetry is on, trace events) to the phantomdb
+//	-store d        record every job on a flight recorder and append every
+//	                run's results (summary metrics, counters when
+//	                -telemetry is on, trace events) to the phantomdb
 //	                campaign directory d; query it with phantom-trace -store
 //	-http addr      serve live fleet progress while the suite runs:
 //	                /status (JSON) and /metrics (Prometheus text)
@@ -70,7 +69,7 @@ import (
 func main() {
 	c := cli.New("phantom-suite",
 		cli.FlagFilter|cli.FlagWorkers|cli.FlagDuration|cli.FlagQuick|cli.FlagJSON|
-			cli.FlagProfile|cli.FlagTelemetry|cli.FlagTrace|cli.FlagStore|cli.FlagHTTP|cli.FlagSubmit|cli.FlagShards)
+			cli.FlagProfile|cli.FlagTelemetry|cli.FlagStore|cli.FlagHTTP|cli.FlagSubmit|cli.FlagShards)
 	var (
 		goldenDir    = flag.String("golden", "testdata/golden", "golden baseline directory")
 		updateGolden = flag.Bool("update-golden", false, "rewrite golden baselines from this run")
@@ -154,8 +153,8 @@ func run(c *cli.Common, goldenDir string, updateGolden bool, sweep int, list, ve
 
 	var rep *api.Report
 	if c.Submit != "" {
-		if c.StoreDir != "" || c.TraceDir != "" {
-			fmt.Fprintln(os.Stderr, "phantom-suite: -store and -trace-dir are local sinks; with -submit the daemon persists runs under its own -data root")
+		if c.StoreDir != "" {
+			fmt.Fprintln(os.Stderr, "phantom-suite: -store is a local sink; with -submit the daemon persists runs under its own -data root")
 			return 2
 		}
 		var err error
@@ -199,10 +198,9 @@ func run(c *cli.Common, goldenDir string, updateGolden bool, sweep int, list, ve
 // runLocal expands the spec onto this process's own fleet.
 func runLocal(c *cli.Common, spec api.JobSpec, verbose bool) (*api.Report, int) {
 	expn, err := api.Expand(spec, api.Env{
-		// The store persists trace events too, so -store alone records
-		// every job; JSONL files are only written for -trace-dir. Tracing
-		// never alters results either way.
-		Trace:        c.TraceDir != "" || c.StoreDir != "",
+		// The store persists trace events, so -store records every job.
+		// Tracing never alters results.
+		Trace:        c.StoreDir != "",
 		TraceRingCap: cli.TraceRingCap,
 	})
 	if err != nil {
@@ -221,7 +219,6 @@ func runLocal(c *cli.Common, spec api.JobSpec, verbose bool) (*api.Report, int) 
 		return nil, 2
 	}
 	fleet.Store = sw
-	traceErr := c.ExportTraces(fleet, func(j *runner.Job) string { return j.Label() }, verbose && !c.JSON)
 	if c.HTTPAddr != "" {
 		state := cli.NewLiveState(len(expn.Jobs))
 		state.SetPprof(c.Pprof)
@@ -239,10 +236,6 @@ func runLocal(c *cli.Common, spec api.JobSpec, verbose bool) (*api.Report, int) 
 			fmt.Fprintln(os.Stderr, "phantom-suite: -store:", err)
 			return nil, 2
 		}
-	}
-	if err := traceErr(); err != nil {
-		fmt.Fprintln(os.Stderr, "phantom-suite:", err)
-		return nil, 2
 	}
 	if verbose {
 		for _, r := range results {

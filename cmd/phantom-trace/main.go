@@ -1,18 +1,12 @@
-// Command phantom-trace inspects recorded observability data in any of
-// its persisted forms: the JSONL flight-recorder exports written by
-// -trace-dir, a phantomdb campaign directory written by -store, or — with
-// -remote — a phantom-serve daemon's analytics endpoints over the same
-// filters.
-//
-// JSONL mode loads one or more exports, filters by component, kind, detail
-// substring and time window, and either prints the matching events,
-// summarizes them per (component, kind), or re-emits them as JSONL.
-// Malformed lines are skipped and counted (the count lands on stderr), so
-// a truncated export still yields every intact event.
+// Command phantom-trace inspects recorded observability data: a phantomdb
+// campaign directory written by -store, or — with -remote — a
+// phantom-serve daemon's analytics endpoints over the same filters.
 //
 // Store mode (-store dir) queries the columnar campaign store without
 // loading it: the block index narrows by experiment, sweep, component and
-// time window first, and only matching blocks are decompressed.
+// time window first, and only matching blocks are decompressed. Kind and
+// detail are substring post-filters on the decoded events, which print
+// one per line, summarize per (component, kind), or re-emit as JSONL.
 //
 // Remote mode (-remote addr -job id) runs the same query against a
 // daemon's job store; the daemon does the pushdown and streams rows back,
@@ -22,11 +16,10 @@
 //
 // Usage:
 //
-//	phantom-trace [flags] file.jsonl [file.jsonl ...]
 //	phantom-trace -store dir [flags]
 //	phantom-trace -remote addr [-job id] [flags]
 //
-//	-component s   component name (substring in JSONL mode, exact in store mode)
+//	-component s   exact component name
 //	-kind s        substring match on the event kind (e.g. 'drop', 'rate')
 //	-detail s      substring match on the formatted fields ('vc=3')
 //	-from d        window start in simulated time (e.g. 100ms)
@@ -34,36 +27,34 @@
 //	-summary       per-(component, kind) event counts and rates
 //	-json          re-emit the selected events as JSONL on stdout
 //
-//	-store dir     query a phantomdb campaign directory instead of JSONL files
-//	-remote addr   query a phantom-serve daemon instead of local files
+//	-store dir     query a phantomdb campaign directory
+//	-remote addr   query a phantom-serve daemon
 //	-job id        daemon job whose store to query (remote mode)
-//	-experiment s  exact experiment id filter (store mode)
-//	-sweep n       sweep index, -1 = all (store mode)
+//	-experiment s  exact experiment id filter
+//	-sweep n       sweep index, -1 = all
 //	-series name   print the named series' points instead of trace events
 //	-counters      print the campaign's merged telemetry counters
 //	-results       print per-metric aggregates of the run summaries
 //	-scan-stats    report blocks scanned vs skipped on stderr after the query
 //
 // Exit status is 0 even when nothing matches (an empty selection is an
-// answer); 1 on unreadable input.
+// answer); 1 on unreadable input; 2 without -store or -remote.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"repro/internal/api"
 	"repro/internal/cli"
 	"repro/internal/sim"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 func main() {
 	var (
-		component = flag.String("component", "", "component name (substring; exact in store mode)")
+		component = flag.String("component", "", "exact component name")
 		kind      = flag.String("kind", "", "substring match on the event kind")
 		detail    = flag.String("detail", "", "substring match on the formatted fields")
 		from      = flag.Duration("from", 0, "window start in simulated time (e.g. 100ms)")
@@ -71,122 +62,72 @@ func main() {
 		summary   = flag.Bool("summary", false, "print per-(component, kind) counts and rates instead of events")
 		jsonOut   = flag.Bool("json", false, "re-emit the selected events as JSONL")
 
-		storeDir  = flag.String("store", "", "query a phantomdb campaign directory instead of JSONL files")
-		remote    = flag.String("remote", "", "query a phantom-serve daemon at this address instead of local files")
+		storeDir  = flag.String("store", "", "query a phantomdb campaign directory")
+		remote    = flag.String("remote", "", "query a phantom-serve daemon at this address")
 		jobID     = flag.String("job", "", "daemon job whose store to query (remote mode)")
-		exp       = flag.String("experiment", "", "exact experiment id filter (store mode)")
-		sweep     = flag.Int("sweep", store.AnySweep, "sweep index, -1 = all (store mode)")
-		series    = flag.String("series", "", "print the named series' points instead of trace events (store mode)")
-		counters  = flag.Bool("counters", false, "print the campaign's merged telemetry counters (store mode)")
-		results   = flag.Bool("results", false, "print per-metric aggregates of the run summaries (store mode)")
-		scanStats = flag.Bool("scan-stats", false, "report blocks scanned vs skipped on stderr (store mode)")
+		exp       = flag.String("experiment", "", "exact experiment id filter")
+		sweep     = flag.Int("sweep", store.AnySweep, "sweep index, -1 = all")
+		series    = flag.String("series", "", "print the named series' points instead of trace events")
+		counters  = flag.Bool("counters", false, "print the campaign's merged telemetry counters")
+		results   = flag.Bool("results", false, "print per-metric aggregates of the run summaries")
+		scanStats = flag.Bool("scan-stats", false, "report blocks scanned vs skipped on stderr")
 	)
 	flag.Parse()
 
-	if *storeDir != "" && *remote != "" {
-		fatal(fmt.Errorf("-store and -remote are mutually exclusive"))
-	}
-
-	if *storeDir != "" || *remote != "" {
-		q := store.Query{
-			Experiment: *exp,
-			Name:       *series,
-			Sweep:      *sweep,
-			From:       sim.Time(*from),
-			To:         sim.Time(*to),
-		}
-		if *series == "" && !*counters && !*results {
-			q.Component = *component
-		}
-		o := cli.TraceQueryOpts{
-			Query: q, Counters: *counters, Results: *results,
-			Kind: *kind, Detail: *detail, Summary: *summary, JSON: *jsonOut,
-		}
-
-		var src api.QuerySource
-		switch {
-		case *storeDir != "":
-			r, err := store.Open(*storeDir)
-			if err != nil {
-				fatal(err)
-			}
-			src = api.LocalSource{R: r}
-		case *jobID != "":
-			src = &api.RemoteSource{C: api.NewClient(*remote), Job: *jobID}
-		default:
-			// Cross-job mode: aggregate over every job store on the daemon.
-			if *series != "" || !(*counters || *results) {
-				fatal(fmt.Errorf("-remote without -job supports only -counters and -results (cross-job aggregation); use -job for series and traces"))
-			}
-			kind := "summary"
-			if *counters {
-				kind = "counters"
-			}
-			stats, err := cli.RunCrossQuery(os.Stdout, api.NewClient(*remote), kind, nil, q)
-			if err != nil {
-				fatal(err)
-			}
-			if *scanStats {
-				cli.PrintScanStats(os.Stderr, "phantom-trace", stats)
-			}
-			return
-		}
-		if err := cli.RunTraceQuery(os.Stdout, src, o); err != nil {
-			fatal(err)
-		}
-		if *scanStats {
-			cli.PrintScanStats(os.Stderr, "phantom-trace", src.Stats())
-		}
-		return
-	}
-
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "phantom-trace: no input (expected JSONL exports from -trace-dir, or -store dir, or -remote addr)")
+	if (*storeDir == "") == (*remote == "") || flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "usage: phantom-trace -store dir | -remote addr [-job id] [flags] (exactly one of -store and -remote, no file arguments)")
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	var events []trace.Event
-	for _, path := range flag.Args() {
-		f, err := os.Open(path)
-		if err != nil {
-			fatal(err)
-		}
-		evs, skipped, err := trace.ReadJSONL(f)
-		f.Close()
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		if skipped > 0 {
-			fmt.Fprintf(os.Stderr, "phantom-trace: %s: skipped %d malformed lines\n", path, skipped)
-		}
-		events = append(events, evs...)
+	q := store.Query{
+		Experiment: *exp,
+		Name:       *series,
+		Sweep:      *sweep,
+		From:       sim.Time(*from),
+		To:         sim.Time(*to),
 	}
-	// Multiple inputs concatenate; restore the global chronology so windows
-	// and summaries read the same as a single merged recording. The sort is
-	// stable so events of one file keep their (time-tied) emission order.
-	sort.SliceStable(events, func(i, j int) bool { return events[i].T < events[j].T })
-
-	q := trace.Query{
-		Component: *component,
-		Kind:      *kind,
-		Detail:    *detail,
-		From:      sim.Time(*from),
-		To:        sim.Time(*to),
+	if *series == "" && !*counters && !*results {
+		q.Component = *component
 	}
-	matched := trace.SelectEvents(events, q)
+	o := cli.TraceQueryOpts{
+		Query: q, Counters: *counters, Results: *results,
+		Kind: *kind, Detail: *detail, Summary: *summary, JSON: *jsonOut,
+	}
 
+	var src api.QuerySource
 	switch {
-	case *jsonOut:
-		if err := trace.WriteJSONL(os.Stdout, matched); err != nil {
+	case *storeDir != "":
+		r, err := store.Open(*storeDir)
+		if err != nil {
 			fatal(err)
 		}
-	case *summary:
-		cli.PrintTraceSummary(os.Stdout, matched)
+		src = api.LocalSource{R: r}
+	case *jobID != "":
+		src = &api.RemoteSource{C: api.NewClient(*remote), Job: *jobID}
 	default:
-		for _, e := range matched {
-			fmt.Println(e.String())
+		// Cross-job mode: aggregate over every job store on the daemon.
+		if *series != "" || !(*counters || *results) {
+			fatal(fmt.Errorf("-remote without -job supports only -counters and -results (cross-job aggregation); use -job for series and traces"))
 		}
+		kind := "summary"
+		if *counters {
+			kind = "counters"
+		}
+		stats, err := cli.RunCrossQuery(os.Stdout, api.NewClient(*remote), kind, nil, q)
+		if err != nil {
+			fatal(err)
+		}
+		if *scanStats {
+			cli.PrintScanStats(os.Stderr, "phantom-trace", stats)
+		}
+		return
+	}
+	if err := cli.RunTraceQuery(os.Stdout, src, o); err != nil {
+		fatal(err)
+	}
+	if *scanStats {
+		cli.PrintScanStats(os.Stderr, "phantom-trace", src.Stats())
 	}
 }
 

@@ -18,9 +18,8 @@ import (
 type Env struct {
 	// Trace records every job on a flight recorder, for executors that
 	// persist runs into a campaign store (the recorder feeds the store's
-	// trace blocks) or export them (runner.Fleet.OnTrace). Expansion only
-	// marks the jobs (runner.Job.TraceCap); the rings belong to the fleet's
-	// workers. Tracing never alters results.
+	// trace blocks). Expansion only marks the jobs (runner.Job.TraceCap);
+	// the rings belong to the fleet's workers. Tracing never alters results.
 	Trace bool
 	// TraceRingCap caps each job's recorder (0: a campaign-sized default).
 	TraceRingCap int

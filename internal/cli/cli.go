@@ -2,20 +2,18 @@
 // phantom-* commands. Each binary declares which of the common flags it
 // supports with a Flags mask; the flags parse into one Common value that
 // converts straight into exp.Options, so a flag added here (like
-// -shards) reaches every binary in one place instead of six.
+// -shards) reaches every binary from one place.
 package cli
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"regexp"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/exp"
@@ -48,9 +46,6 @@ const (
 	// FlagTelemetry registers -telemetry: record per-component counters and
 	// report them with the results.
 	FlagTelemetry
-	// FlagTrace registers -trace-dir: record each run on a flight recorder
-	// and export its retained events as JSONL under the given directory.
-	FlagTrace
 	// FlagStore registers -store: persist run results (summaries, counters,
 	// traces) into a columnar phantomdb campaign directory, queryable with
 	// phantom-trace -store.
@@ -69,7 +64,7 @@ const (
 	FlagShards
 )
 
-// TraceRingCap is the per-run flight-recorder capacity behind -trace-dir:
+// TraceRingCap is the per-run flight-recorder capacity behind -store:
 // enough to hold the interesting tail of a long run (the ring keeps the
 // newest events). It bounds what a run retains, not what it allocates: a
 // ring's storage grows with the events recorded (E01 quick's ~400 fit in
@@ -98,9 +93,6 @@ type Common struct {
 	Quick bool
 	// Telemetry enables the counter registry for each run.
 	Telemetry bool
-	// TraceDir, when non-empty, is where each run's flight-recorder JSONL
-	// export lands.
-	TraceDir string
 	// StoreDir, when non-empty, is the phantomdb campaign directory run
 	// results append to.
 	StoreDir string
@@ -150,10 +142,6 @@ func New(prog string, flags Flags) *Common {
 	if flags&FlagTelemetry != 0 {
 		flag.BoolVar(&c.Telemetry, "telemetry", false,
 			"record per-component counters and report them with the results")
-	}
-	if flags&FlagTrace != 0 {
-		flag.StringVar(&c.TraceDir, "trace-dir", "",
-			"export each run's flight-recorder events as JSONL files under this directory")
 	}
 	if flags&FlagStore != 0 {
 		flag.StringVar(&c.StoreDir, "store", "",
@@ -266,57 +254,6 @@ func StoreRun(w *store.Writer, meta store.RunMeta, res *exp.Result, tr *trace.Tr
 	return w.Append(seg)
 }
 
-// ExportTrace writes tr's retained events to dir/<id>.jsonl (the ID is
-// lower-cased), creating dir as needed, and returns the written path.
-func ExportTrace(dir, id string, tr *trace.Tracer) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, strings.ToLower(id)+".jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := tr.ExportJSONL(f); err != nil {
-		f.Close()
-		return "", err
-	}
-	return path, f.Close()
-}
-
-// ExportTraces wires -trace-dir into a fleet: each recorded job's flight
-// recorder is exported to TraceDir/<name(job)>.jsonl on the worker as the
-// job completes (runner.Fleet.OnTrace — a worker's recorder is on loan to
-// the job only until then), and reported on stderr when note is set. The
-// returned function gives the first export error; call it once the fleet
-// has drained. Without -trace-dir nothing is wired.
-func (c *Common) ExportTraces(f *runner.Fleet, name func(*runner.Job) string, note bool) (firstErr func() error) {
-	if c.TraceDir == "" {
-		return func() error { return nil }
-	}
-	var mu sync.Mutex
-	var first error
-	f.OnTrace = func(_ int, job *runner.Job, tr *trace.Tracer) {
-		path, err := ExportTrace(c.TraceDir, name(job), tr)
-		switch {
-		case err != nil:
-			mu.Lock()
-			if first == nil {
-				first = fmt.Errorf("trace export: %w", err)
-			}
-			mu.Unlock()
-		case note:
-			fmt.Fprintf(os.Stderr, "trace %s: %d events retained (%d seen) → %s\n",
-				job.Label(), tr.Len(), tr.Seen(), path)
-		}
-	}
-	return func() error {
-		mu.Lock()
-		defer mu.Unlock()
-		return first
-	}
-}
-
 // FilterRegexp compiles -filter, exiting with a usage error when invalid.
 func (c *Common) FilterRegexp() *regexp.Regexp {
 	re, err := regexp.Compile(c.Filter)
@@ -362,24 +299,15 @@ func (c *Common) RunExperiment(id string) error {
 		o.Duration = runner.QuickDuration(def.ID)
 	}
 	var tr *trace.Tracer
-	if c.TraceDir != "" || c.StoreDir != "" {
-		// The store persists trace events too, so -store alone keeps a
-		// flight recorder; tracing never alters results.
+	if c.StoreDir != "" {
+		// The store persists trace events, so -store keeps a flight
+		// recorder; tracing never alters results.
 		tr = trace.New(TraceRingCap)
 		o.Trace = tr
 	}
 	res, err := exp.Execute(def, o, nil)
 	if err != nil {
 		return err
-	}
-	if c.TraceDir != "" {
-		path, err := ExportTrace(c.TraceDir, def.ID, tr)
-		if err != nil {
-			return err
-		}
-		if !c.JSON {
-			fmt.Printf("  trace: %d events retained (%d seen) → %s\n", tr.Len(), tr.Seen(), path)
-		}
 	}
 	if c.StoreDir != "" {
 		w, err := c.OpenStore()

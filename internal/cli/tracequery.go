@@ -156,7 +156,7 @@ func runTraceEvents(w io.Writer, src api.QuerySource, o TraceQueryOpts) error {
 	case o.JSON:
 		return trace.WriteJSONL(w, events)
 	case o.Summary:
-		PrintTraceSummary(w, events)
+		printTraceSummary(w, events)
 	default:
 		for _, e := range events {
 			fmt.Fprintln(w, e.String())
@@ -201,9 +201,11 @@ func RunCrossQuery(w io.Writer, c *api.Client, kind string, jobs []string, q sto
 	}
 }
 
-// PrintTraceSummary renders per-(component, kind) counts and event rates
-// over each group's own first-to-last span, then a total line.
-func PrintTraceSummary(w io.Writer, events []trace.Event) {
+// printTraceSummary renders per-(component, kind) counts and event rates
+// over each group's own first-to-last span, then a total line over the
+// earliest-to-latest span. Events need not be in time order: the store
+// returns them run by run, each run starting again near t = 0.
+func printTraceSummary(w io.Writer, events []trace.Event) {
 	if len(events) == 0 {
 		fmt.Fprintln(w, "0 events")
 		return
@@ -213,6 +215,7 @@ func PrintTraceSummary(w io.Writer, events []trace.Event) {
 		first, last sim.Time
 	}
 	groups := map[string]*stats{}
+	first, last := events[0].T, events[0].T
 	for i := range events {
 		e := &events[i]
 		key := e.Component + "\x00" + e.Kind
@@ -228,6 +231,7 @@ func PrintTraceSummary(w io.Writer, events []trace.Event) {
 		if e.T > g.last {
 			g.last = e.T
 		}
+		first, last = min(first, e.T), max(last, e.T)
 	}
 	keys := make([]string, 0, len(groups))
 	for k := range groups {
@@ -247,6 +251,5 @@ func PrintTraceSummary(w io.Writer, events []trace.Event) {
 		fmt.Fprintf(w, "%-16s %-12s %10d %12s %12s %12.1f\n",
 			comp, kind, g.count, g.first, g.last, rate)
 	}
-	span := events[len(events)-1].T.Sub(events[0].T)
-	fmt.Fprintf(w, "\n%d events over %v of simulated time\n", len(events), time.Duration(span))
+	fmt.Fprintf(w, "\n%d events over %v of simulated time\n", len(events), time.Duration(last.Sub(first)))
 }

@@ -52,9 +52,10 @@ type Job struct {
 	PinSeed bool
 	// TraceCap, when positive, asks the fleet to record the run on a flight
 	// recorder of that capacity. The job states the intent only: the
-	// storage is the executing worker's (see Fleet.OnTrace for who gets to
-	// read it, and when). A job that brings its own Opts.Trace is recorded
-	// there instead and TraceCap is ignored.
+	// storage is the executing worker's, lent to the run and read only by
+	// the job's Fleet.Store segment before the worker's next job. A job
+	// that brings its own Opts.Trace is recorded there instead and TraceCap
+	// is ignored.
 	TraceCap int
 }
 
@@ -152,14 +153,6 @@ type Fleet struct {
 	// worker goroutines; it must be safe for concurrent use and should
 	// return quickly.
 	OnResult func(i int, r Result)
-	// OnTrace, when set, is handed each recorded job's flight recorder on
-	// the worker, once the job is complete and its store segment committed,
-	// before OnResult. For a TraceCap job the recorder is the worker's own —
-	// one ring per worker, emptied and lent to each job in turn — so tr is
-	// valid only until OnTrace returns: export or copy what must outlive
-	// the call. Called from worker goroutines; it must be safe for
-	// concurrent use.
-	OnTrace func(i int, job *Job, tr *trace.Tracer)
 	// Store, when set, persists each job's results (summary metrics,
 	// telemetry counters when recorded, flight-recorder events when the job
 	// is recorded) into the columnar campaign store. Each worker
@@ -262,9 +255,6 @@ func (f *Fleet) RunContext(ctx context.Context, jobs []Job) ([]Result, Stats) {
 				}
 				if f.Store != nil {
 					f.commitStore(i, &jobs[i], &results[i], tr)
-				}
-				if tr != nil && f.OnTrace != nil {
-					f.OnTrace(i, &jobs[i], tr)
 				}
 				if f.OnResult != nil {
 					f.OnResult(i, results[i])

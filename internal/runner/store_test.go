@@ -171,10 +171,10 @@ func TestStoreWorkerCountByteIdentical(t *testing.T) {
 }
 
 // TestRecorderReuseIsolation: one worker, so one ring; a job that wraps it
-// three times over is followed by a job that emits a handful. The second
-// job's stored trace is the one a fresh recorder produces, its completion
-// hook sees its own events only, and when the fleet is done nothing — no
-// Job, no Result — still points at the ring.
+// three times over is followed by a job that emits a handful. The campaign
+// is the one fresh recorders produce, each job's stored trace holds its
+// own newest events only, and when the fleet is done nothing — no Job, no
+// Result — still points at the ring.
 func TestRecorderReuseIsolation(t *testing.T) {
 	const ringCap = 64
 	emitter := func(id string, n int) exp.Definition {
@@ -196,13 +196,13 @@ func TestRecorderReuseIsolation(t *testing.T) {
 		}
 		return jobs
 	}
-	run := func(jobs []Job, onTrace func(int, *Job, *trace.Tracer)) (string, []Result) {
+	run := func(jobs []Job) (string, []Result) {
 		dir := t.TempDir()
 		sw, err := store.Create(dir, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fleet := &Fleet{Workers: 1, Store: sw, OnTrace: onTrace}
+		fleet := &Fleet{Workers: 1, Store: sw}
 		results, stats := fleet.Run(jobs)
 		if stats.Failed != 0 {
 			t.Fatalf("%d jobs failed", stats.Failed)
@@ -213,42 +213,65 @@ func TestRecorderReuseIsolation(t *testing.T) {
 		return dir, results
 	}
 
-	type seen struct {
-		tr     *trace.Tracer
-		events []trace.Event
-		total  int64
-	}
-	var hooked []seen
 	jobs := build(false)
-	dirReused, results := run(jobs, func(i int, job *Job, tr *trace.Tracer) {
-		if i != len(hooked) || job != &jobs[i] {
-			t.Errorf("OnTrace(%d, %s) out of order on a one-worker fleet", i, job.Label())
-		}
-		hooked = append(hooked, seen{tr, tr.Events(), tr.Seen()})
-	})
-	dirFresh, _ := run(build(true), nil)
+	dirReused, results := run(jobs)
+	dirFresh, _ := run(build(true))
 	campaignsIdentical(t, "reused vs fresh recorders", readCampaign(t, dirFresh), readCampaign(t, dirReused))
 
-	if len(hooked) != 2 {
-		t.Fatalf("OnTrace ran for %d jobs, want the 2 recorded ones", len(hooked))
+	r, err := store.Open(dirReused)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hooked[0].tr != hooked[1].tr {
-		t.Error("a one-worker fleet recorded two jobs on two rings")
+	stored := map[string][]trace.Event{}
+	if err := r.Trace(store.Query{Sweep: store.AnySweep}, func(c store.TraceChunk) error {
+		stored[c.Experiment] = append(stored[c.Experiment], c.Events...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if len(hooked[0].events) != ringCap || hooked[0].total != 3*ringCap+7 {
-		t.Errorf("flood: %d retained of %d seen, want %d of %d", len(hooked[0].events), hooked[0].total, ringCap, 3*ringCap+7)
-	}
-	if len(hooked[1].events) != 5 || hooked[1].total != 5 {
-		t.Fatalf("trickle: %d retained of %d seen, want 5 of 5", len(hooked[1].events), hooked[1].total)
-	}
-	for i, e := range hooked[1].events {
-		if e.Component != "trickle" || e.T != sim.Time(i) {
-			t.Errorf("trickle event %d is %v — the previous job's", i, e)
+	for _, c := range []struct {
+		id         string
+		n, emitted int
+	}{{"flood", ringCap, 3*ringCap + 7}, {"trickle", 5, 5}} {
+		evs := stored[c.id]
+		if len(evs) != c.n {
+			t.Fatalf("%s: %d events stored, want %d", c.id, len(evs), c.n)
 		}
+		for i, e := range evs {
+			if want := sim.Time(c.emitted - c.n + i); e.Component != c.id || e.T != want {
+				t.Errorf("%s event %d is %v, want %s's at %v", c.id, i, e, c.id, want)
+			}
+		}
+	}
+	if len(stored) != 2 {
+		t.Errorf("trace blocks stored for %d experiments, want the 2 recorded ones", len(stored))
 	}
 	for i := range jobs {
 		if jobs[i].Opts.Trace != nil || results[i].Job.Opts.Trace != nil {
 			t.Errorf("job %d still aliases the worker's recorder after the fleet drained", i)
 		}
+	}
+}
+
+// TestRecorderLendsOneRing: a worker's recorder lends the same ring, empty,
+// to every job that asks for its capacity; a new capacity gets a new ring,
+// an unrecorded job gets none, and a job's own Opts.Trace is left alone.
+func TestRecorderLendsOneRing(t *testing.T) {
+	var rec recorder
+	first := rec.lend(&Job{TraceCap: 64})
+	first.Emit(1, "flood", "tick")
+	if again := rec.lend(&Job{TraceCap: 64}); again != first || again.Len() != 0 || again.Seen() != 0 {
+		t.Errorf("second lend: same ring %v, %d retained of %d seen; want the same ring, empty",
+			again == first, again.Len(), again.Seen())
+	}
+	if tr := rec.lend(&Job{}); tr != nil {
+		t.Error("a job without TraceCap was lent a recorder")
+	}
+	own := trace.New(8)
+	if tr := rec.lend(&Job{TraceCap: 64, Opts: exp.Options{Trace: own}}); tr != own {
+		t.Error("a job's own Opts.Trace was replaced by the worker's ring")
+	}
+	if bigger := rec.lend(&Job{TraceCap: 128}); bigger == first || bigger.Cap() != 128 {
+		t.Errorf("capacity change: cap %d, same ring %v; want a new ring of 128", bigger.Cap(), bigger == first)
 	}
 }

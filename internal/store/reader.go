@@ -28,8 +28,7 @@ const AnySweep = -1
 //
 // The zero value matches everything except sweeps: set Sweep to AnySweep
 // (-1) to span a parameter sweep, or >= 0 to pin one point. The window
-// [From, To] is inclusive, with To == 0 meaning unbounded — the same
-// convention as trace.Query.
+// [From, To] is inclusive, with To == 0 meaning unbounded.
 type Query struct {
 	Experiment string
 	// Name is the exact series name (KindSeries queries only).

@@ -81,9 +81,9 @@ func (e Event) MarshalJSON() ([]byte, error) {
 	return json.Marshal(e.wire())
 }
 
-// UnmarshalJSON is the inverse of MarshalJSON. Unlike ReadJSONL — which
-// skips and counts malformed lines — a malformed embedded event is an
-// error, because an envelope consumer has no skip channel.
+// UnmarshalJSON is the inverse of MarshalJSON. A malformed event is an
+// error: it decodes bytes this process did not write (the daemon's trace
+// rows read by api.RemoteSource).
 func (e *Event) UnmarshalJSON(b []byte) error {
 	var je jsonEvent
 	if err := json.Unmarshal(b, &je); err != nil {
@@ -98,59 +98,12 @@ func (e *Event) UnmarshalJSON(b []byte) error {
 // WriteJSONL writes events as JSON lines. This is the read path — it
 // allocates freely; the hot path is Emit.
 func WriteJSONL(w io.Writer, events []Event) error {
-	return writeJSONL(w, events, nil)
-}
-
-// writeJSONL writes two consecutive event runs through one buffer.
-func writeJSONL(w io.Writer, older, newer []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, events := range [2][]Event{older, newer} {
-		for i := range events {
-			if err := enc.Encode(events[i].wire()); err != nil {
-				return err
-			}
+	for i := range events {
+		if err := enc.Encode(events[i].wire()); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
-}
-
-// ExportJSONL writes the tracer's retained events as JSON lines, straight
-// from the ring.
-func (tr *Tracer) ExportJSONL(w io.Writer) error {
-	older, newer := tr.Retained()
-	return writeJSONL(w, older, newer)
-}
-
-// ReadJSONL parses a JSONL export back into events. Blank lines are
-// ignored; malformed lines (bad JSON, too many fields) are skipped and
-// counted rather than aborting the read — a truncated or interleaved
-// export should still yield every intact event, with the damage surfaced
-// as the skipped count. Only an I/O error fails the call.
-func ReadJSONL(r io.Reader) ([]Event, int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var out []Event
-	skipped := 0
-	for sc.Scan() {
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var je jsonEvent
-		if err := json.Unmarshal(raw, &je); err != nil {
-			skipped++
-			continue
-		}
-		var e Event
-		if !e.fromWire(je) {
-			skipped++
-			continue
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return out, skipped, err
-	}
-	return out, skipped, nil
 }

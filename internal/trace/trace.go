@@ -280,26 +280,17 @@ func (tr *Tracer) Events() []Event {
 	return append(out, newer...)
 }
 
-// Query selects events. Zero fields match everything: string fields match
-// by substring (Detail against the formatted field text, so a session ID
-// in a field is findable), and the window [From, To] is inclusive with
-// To == 0 meaning unbounded.
+// Query selects events by substring. Zero fields match everything; Detail
+// matches against the formatted field text, so a session ID in a field is
+// findable. Component and time window are the store index's to answer
+// (store.Query), exactly, before events are decoded.
 type Query struct {
-	Component string
-	Kind      string
-	Detail    string
-	From      sim.Time
-	To        sim.Time
+	Kind   string
+	Detail string
 }
 
 // Match reports whether e satisfies q.
 func (q Query) Match(e *Event) bool {
-	if e.T < q.From || (q.To != 0 && e.T > q.To) {
-		return false
-	}
-	if q.Component != "" && !strings.Contains(e.Component, q.Component) {
-		return false
-	}
 	if q.Kind != "" && !strings.Contains(e.Kind, q.Kind) {
 		return false
 	}
@@ -309,8 +300,7 @@ func (q Query) Match(e *Event) bool {
 	return true
 }
 
-// SelectEvents filters an event slice (retained or loaded from a JSONL
-// export) by q, preserving order.
+// SelectEvents filters an event slice by q, preserving order.
 func SelectEvents(events []Event, q Query) []Event {
 	var out []Event
 	for i := range events {

@@ -138,9 +138,6 @@ func TestFilterMatchesDetail(t *testing.T) {
 	if got := len(SelectEvents(tr.Events(), Query{Kind: "rate"})); got != 2 {
 		t.Fatalf("kind rate = %d", got)
 	}
-	if got := len(SelectEvents(tr.Events(), Query{Component: "trunk"})); got != 1 {
-		t.Fatalf("component trunk = %d", got)
-	}
 	// A value that only appears in the detail text is findable.
 	if got := len(SelectEvents(tr.Events(), Query{Detail: "vc=7"})); got != 1 {
 		t.Fatalf("detail vc=7 = %d, want 1", got)
@@ -154,22 +151,16 @@ func TestSelectQuery(t *testing.T) {
 	tr.Emit(sim.Time(3*sim.Millisecond), "S1", "rate", F("acr", 5))
 	tr.Emit(sim.Time(4*sim.Millisecond), "S1", "drop", I("vc", 2))
 
-	if got := SelectEvents(tr.Events(), Query{Component: "S1"}); len(got) != 3 {
-		t.Fatalf("component query = %d", len(got))
-	}
-	if got := SelectEvents(tr.Events(), Query{Component: "S1", Kind: "drop"}); len(got) != 2 {
-		t.Fatalf("component+kind query = %d", len(got))
-	}
-	win := SelectEvents(tr.Events(), Query{From: sim.Time(2 * sim.Millisecond), To: sim.Time(3 * sim.Millisecond)})
-	if len(win) != 2 || win[0].T != sim.Time(2*sim.Millisecond) {
-		t.Fatalf("window query = %+v", win)
+	if got := SelectEvents(tr.Events(), Query{Kind: "drop"}); len(got) != 3 {
+		t.Fatalf("kind query = %d", len(got))
 	}
 	if got := SelectEvents(tr.Events(), Query{Detail: "vc=2"}); len(got) != 2 {
 		t.Fatalf("detail query = %d", len(got))
 	}
-	// To == 0 means unbounded above.
-	if got := SelectEvents(tr.Events(), Query{From: sim.Time(3 * sim.Millisecond)}); len(got) != 2 {
-		t.Fatalf("open-ended window = %d", len(got))
+	// Both set: an event must match each.
+	got := SelectEvents(tr.Events(), Query{Kind: "drop", Detail: "vc=1"})
+	if len(got) != 1 || got[0].Component != "S0" {
+		t.Fatalf("kind+detail query = %+v", got)
 	}
 }
 
@@ -204,7 +195,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	tr.Emit(sim.Time(221*sim.Millisecond), "S1", "zero", Field{})
 
 	var b strings.Builder
-	if err := tr.ExportJSONL(&b); err != nil {
+	if err := WriteJSONL(&b, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(b.String(), "\n"); got != 4 {
@@ -214,13 +205,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if !strings.Contains(b.String(), `"fields":[{"k":""}]`) {
 		t.Fatalf("zero field exported as %q", b.String())
 	}
-	back, skipped, err := ReadJSONL(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 0 {
-		t.Fatalf("clean export skipped %d lines", skipped)
-	}
+	back := unmarshalLines(t, b.String())
 	if !reflect.DeepEqual(back, tr.Events()) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, tr.Events())
 	}
@@ -233,29 +218,41 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadJSONLSkipsMalformed(t *testing.T) {
-	// A truncated line, an over-long field list and blank lines must not
-	// cost the intact events around them: skip-with-count, never abort.
-	input := "not json\n" +
-		"\n" +
-		`{"t":1,"component":"c","kind":"ok"}` + "\n" +
-		`{"t":2,"component":"c","kind":"big","fields":[{"k":"a","i":1},{"k":"b","i":2},{"k":"c","i":3},{"k":"d","i":4},{"k":"e","i":5}]}` + "\n" +
-		`{"t":3,"component":"c","kind":"also-ok"}` + "\n"
-	evs, skipped, err := ReadJSONL(strings.NewReader(input))
-	if err != nil {
-		t.Fatal(err)
+func TestEventJSONRejectsMalformed(t *testing.T) {
+	// A decoder of bytes this process did not write has no skip channel:
+	// truncated JSON, a wrong type and an over-long field list are errors.
+	for _, line := range []string{
+		"not json",
+		`{"t":1,"component":"c","kind":"ok"`,
+		`{"t":1.5,"component":"c","kind":"half"}`,
+		`{"t":2,"component":"c","kind":"big","fields":[{"k":"a","i":1},{"k":"b","i":2},{"k":"c","i":3},{"k":"d","i":4},{"k":"e","i":5}]}`,
+	} {
+		var e Event
+		if err := e.UnmarshalJSON([]byte(line)); err == nil {
+			t.Errorf("%s: decoded as %+v, want an error", line, e)
+		}
 	}
-	if skipped != 2 {
-		t.Fatalf("skipped %d lines, want 2", skipped)
+	var e Event
+	if err := e.UnmarshalJSON([]byte(`{"t":3,"component":"c","kind":"ok"}`)); err != nil || e.T != 3 || e.Kind != "ok" {
+		t.Fatalf("intact line: %+v, %v", e, err)
 	}
-	if len(evs) != 2 || evs[0].Kind != "ok" || evs[1].Kind != "also-ok" {
-		t.Fatalf("kept events: %+v", evs)
-	}
+}
 
-	evs, skipped, err = ReadJSONL(strings.NewReader("\n\n"))
-	if err != nil || skipped != 0 || len(evs) != 0 {
-		t.Fatalf("blank lines: %v, %d, %v", evs, skipped, err)
+// unmarshalLines decodes a JSONL export line by line with Event.UnmarshalJSON.
+func unmarshalLines(t *testing.T, jsonl string) []Event {
+	t.Helper()
+	var out []Event
+	for _, line := range strings.Split(strings.TrimSuffix(jsonl, "\n"), "\n") {
+		if line == "" {
+			continue
+		}
+		var e Event
+		if err := e.UnmarshalJSON([]byte(line)); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		out = append(out, e)
 	}
+	return out
 }
 
 // TestResetClearsWhatWasWritten: after a partial fill, an exact fill and a
@@ -365,7 +362,7 @@ func FuzzTracer(f *testing.F) {
 }
 
 // TestRetained: the two in-place runs are Events without the copy, before
-// and after the ring wraps, and ExportJSONL writes exactly them.
+// and after the ring wraps, and their JSONL decodes back to exactly them.
 func TestRetained(t *testing.T) {
 	var nilTr *Tracer
 	if o, n := nilTr.Retained(); o != nil || n != nil || nilTr.Len() != 0 {
@@ -384,15 +381,12 @@ func TestRetained(t *testing.T) {
 		if emitted <= 8 && len(newer) != 0 {
 			t.Fatalf("%d emitted: unwrapped ring has a newer run %v", emitted, newer)
 		}
-		var fromRing, fromCopy strings.Builder
-		if err := tr.ExportJSONL(&fromRing); err != nil {
+		var b strings.Builder
+		if err := WriteJSONL(&b, tr.Events()); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteJSONL(&fromCopy, tr.Events()); err != nil {
-			t.Fatal(err)
-		}
-		if fromRing.String() != fromCopy.String() {
-			t.Fatalf("%d emitted: ExportJSONL differs from WriteJSONL(Events())", emitted)
+		if back := unmarshalLines(t, b.String()); !slices.EqualFunc(back, joined, func(a, b Event) bool { return reflect.DeepEqual(a, b) }) {
+			t.Fatalf("%d emitted: JSONL decodes to %v, want %v", emitted, back, joined)
 		}
 	}
 }
