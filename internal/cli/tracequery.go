@@ -142,22 +142,34 @@ func printResults(w io.Writer, src api.QuerySource, q store.Query) error {
 // runTraceEvents streams trace events through the selected output path.
 // Kind/detail substrings are post-filters on the returned events — local
 // and remote answers carry the same rows, so the filter result matches.
+// The store answers run by run; consecutive chunks of one (experiment,
+// sweep) are one run's events.
 func runTraceEvents(w io.Writer, src api.QuerySource, o TraceQueryOpts) error {
 	post := trace.Query{Kind: o.Kind, Detail: o.Detail}
-	var events []trace.Event
+	var runs [][]trace.Event
+	var prev store.TraceChunk
 	err := src.Trace(o.Query, func(c store.TraceChunk) error {
-		events = append(events, trace.SelectEvents(c.Events, post)...)
+		if len(runs) == 0 || c.Experiment != prev.Experiment || c.Sweep != prev.Sweep {
+			runs = append(runs, nil)
+		}
+		prev = c
+		runs[len(runs)-1] = append(runs[len(runs)-1], trace.SelectEvents(c.Events, post)...)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	switch {
-	case o.JSON:
-		return trace.WriteJSONL(w, events)
-	case o.Summary:
-		printTraceSummary(w, events)
-	default:
+	if o.Summary {
+		printTraceSummary(w, runs)
+		return nil
+	}
+	for _, events := range runs {
+		if o.JSON {
+			if err := trace.WriteJSONL(w, events); err != nil {
+				return err
+			}
+			continue
+		}
 		for _, e := range events {
 			fmt.Fprintln(w, e.String())
 		}
@@ -202,36 +214,51 @@ func RunCrossQuery(w io.Writer, c *api.Client, kind string, jobs []string, q sto
 }
 
 // printTraceSummary renders per-(component, kind) counts and event rates
-// over each group's own first-to-last span, then a total line over the
-// earliest-to-latest span. Events need not be in time order: the store
-// returns them run by run, each run starting again near t = 0.
-func printTraceSummary(w io.Writer, events []trace.Event) {
-	if len(events) == 0 {
-		fmt.Fprintln(w, "0 events")
-		return
-	}
+// over runs, each one run's events. A group's rate is its events over the
+// sum of its per-run spans (first to last event in each run), so a sweep of
+// identical runs reads the rate of one; the total line sums the runs' spans
+// the same way.
+func printTraceSummary(w io.Writer, runs [][]trace.Event) {
 	type stats struct {
 		count       int
-		first, last sim.Time
+		first, last sim.Time     // over every run
+		span        sim.Duration // summed per-run spans
 	}
 	groups := map[string]*stats{}
-	first, last := events[0].T, events[0].T
-	for i := range events {
-		e := &events[i]
-		key := e.Component + "\x00" + e.Kind
-		g, ok := groups[key]
-		if !ok {
-			g = &stats{first: e.T, last: e.T}
-			groups[key] = g
+	total, nruns := 0, 0
+	var span sim.Duration
+	for _, events := range runs {
+		if len(events) == 0 {
+			continue
 		}
-		g.count++
-		if e.T < g.first {
-			g.first = e.T
+		type window struct{ first, last sim.Time }
+		inRun := map[string]window{}
+		first, last := events[0].T, events[0].T
+		for i := range events {
+			e := &events[i]
+			key := e.Component + "\x00" + e.Kind
+			g, ok := groups[key]
+			if !ok {
+				g = &stats{first: e.T, last: e.T}
+				groups[key] = g
+			}
+			g.count++
+			g.first, g.last = min(g.first, e.T), max(g.last, e.T)
+			r, ok := inRun[key]
+			if !ok {
+				r = window{e.T, e.T}
+			}
+			inRun[key] = window{min(r.first, e.T), max(r.last, e.T)}
+			first, last = min(first, e.T), max(last, e.T)
 		}
-		if e.T > g.last {
-			g.last = e.T
+		for key, r := range inRun {
+			groups[key].span += r.last.Sub(r.first)
 		}
-		first, last = min(first, e.T), max(last, e.T)
+		total, nruns, span = total+len(events), nruns+1, span+last.Sub(first)
+	}
+	if total == 0 {
+		fmt.Fprintln(w, "0 events")
+		return
 	}
 	keys := make([]string, 0, len(groups))
 	for k := range groups {
@@ -245,11 +272,11 @@ func printTraceSummary(w io.Writer, events []trace.Event) {
 		sep := strings.IndexByte(k, 0)
 		comp, kind := k[:sep], k[sep+1:]
 		rate := 0.0
-		if span := g.last.Sub(g.first).Seconds(); span > 0 {
-			rate = float64(g.count) / span
+		if g.span > 0 {
+			rate = float64(g.count) / g.span.Seconds()
 		}
 		fmt.Fprintf(w, "%-16s %-12s %10d %12s %12s %12.1f\n",
 			comp, kind, g.count, g.first, g.last, rate)
 	}
-	fmt.Fprintf(w, "\n%d events over %v of simulated time\n", len(events), time.Duration(last.Sub(first)))
+	fmt.Fprintf(w, "\n%d events over %v of simulated time in %d run(s)\n", total, time.Duration(span), nruns)
 }

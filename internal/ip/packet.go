@@ -84,9 +84,3 @@ func (p *Packet) SizeBits() float64 { return float64(p.SizeBytes()) * 8 }
 // touch it after the call, and the receiver either passes it on or releases
 // it.
 type Sink = sim.Sink[*Packet]
-
-// SinkFunc adapts a function to Sink.
-type SinkFunc func(e *sim.Engine, p *Packet)
-
-// Receive implements Sink.
-func (f SinkFunc) Receive(e *sim.Engine, p *Packet) { f(e, p) }

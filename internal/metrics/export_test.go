@@ -6,6 +6,10 @@ import (
 	"repro/internal/sim"
 )
 
+// NewSeries returns an empty named series that grows by plain append, the
+// kernels' test fixture.
+func NewSeries(name string) *Series { return &Series{Name: name} }
+
 // The golden test pins these two kernels' values on its fixtures
 // (testdata/golden/metrics.json); no production code computes them.
 

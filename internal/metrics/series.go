@@ -32,9 +32,6 @@ type Series struct {
 	pooled bool // grows through the capacity classes (AcquireSeries)
 }
 
-// NewSeries returns an empty named series.
-func NewSeries(name string) *Series { return &Series{Name: name} }
-
 // Point storage is recycled across series lifetimes (sweep points in a
 // parameter sweep build and discard a full scenario each). A slice whose
 // capacity is a power of two of at least minClass points belongs to that
@@ -86,7 +83,8 @@ func putPoints(buf []Point) {
 // events, storage starts empty and doubles through the capacity classes,
 // handing each outgrown slice back. Either way Points is valid until the
 // next Add. Pair with Release when every read of the series is done; a
-// series that escapes to a caller (figure data) should use NewSeries.
+// series that escapes to a caller (figure data) should be a plain
+// &Series{Name: name}, which grows by append.
 func AcquireSeries(name string, capHint int) *Series {
 	s := &Series{Name: name, pooled: true}
 	if capHint > 0 {

@@ -9,7 +9,7 @@ import (
 )
 
 func rampSeries(name string, n int) *metrics.Series {
-	s := metrics.NewSeries(name)
+	s := &metrics.Series{Name: name}
 	for i := 0; i < n; i++ {
 		s.Add(sim.Time(i)*sim.Time(sim.Millisecond), float64(i))
 	}
@@ -73,7 +73,7 @@ func TestChartEmpty(t *testing.T) {
 }
 
 func TestChartFlatSeries(t *testing.T) {
-	s := metrics.NewSeries("flat")
+	s := &metrics.Series{Name: "flat"}
 	s.Add(0, 5)
 	s.Add(100, 5)
 	out := NewChart("Flat", "y", 0, 100).Add(s, "f").Render()

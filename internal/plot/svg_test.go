@@ -47,10 +47,10 @@ func TestSVGEscapesLabels(t *testing.T) {
 }
 
 func TestCSVExport(t *testing.T) {
-	a := metrics.NewSeries("a")
+	a := &metrics.Series{Name: "a"}
 	a.Add(0, 1)
 	a.Add(sim.Time(5*sim.Millisecond), 2)
-	b := metrics.NewSeries("b")
+	b := &metrics.Series{Name: "b"}
 	b.Add(0, 10)
 	out := CSV(0, sim.Time(10*sim.Millisecond), 2, []*metrics.Series{a, b}, []string{"a", "b"})
 	lines := strings.Split(strings.TrimSpace(out), "\n")
@@ -72,7 +72,7 @@ func TestCSVValidation(t *testing.T) {
 	if CSV(0, 100, 0, nil, nil) != "" {
 		t.Fatal("degenerate CSV not empty")
 	}
-	a := metrics.NewSeries("a")
+	a := &metrics.Series{Name: "a"}
 	if CSV(0, 100, 2, []*metrics.Series{a}, []string{"a", "b"}) != "" {
 		t.Fatal("mismatched labels accepted")
 	}

@@ -57,11 +57,11 @@ type ipDevice struct {
 func newIPDevice() *ipDevice {
 	d := &ipDevice{}
 	// 85-byte payload + 40-byte header = 1000 bits at 1 Mb/s → 1 ms/packet.
-	d.port = ip.NewPort("p", 1e6, 0, ip.SinkFunc(func(_ *sim.Engine, p *ip.Packet) {
-		d.got = append(d.got, int(p.Seq))
-	}))
+	d.port = ip.NewPort("p", 1e6, 0, d)
 	return d
 }
+
+func (d *ipDevice) Receive(_ *sim.Engine, p *ip.Packet) { d.got = append(d.got, int(p.Seq)) }
 
 func (d *ipDevice) push(e *sim.Engine, seq int) {
 	d.port.Receive(e, &ip.Packet{Seq: int64(seq), Len: 85})

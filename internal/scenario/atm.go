@@ -1,10 +1,12 @@
 // Package scenario assembles complete experiment topologies — end systems,
-// access links, switches, trunks — and records the time series every figure
-// of the paper is drawn from. ATM networks of any shape are wired by one
-// builder, BuildGraph; the linear ("parking lot") networks that cover all of
-// the paper's configurations — a single shared link is the two-switch
-// special case, multi-bottleneck fairness (the beat-down experiments) uses
-// longer chains — are described by ATMConfig and lowered onto it.
+// access links, switches or routers, trunks — and records the time series
+// every figure of the paper is drawn from. Networks of any shape are wired
+// by one builder, BuildGraph. The linear ("parking lot") networks that cover
+// all of the paper's ATM configurations — a single shared link is the
+// two-switch special case, multi-bottleneck fairness (the beat-down
+// experiments) uses longer chains — are described by ATMConfig, the TCP
+// router chains by TCPConfig and the TCP-over-ATM cloud by InteropConfig;
+// each is lowered onto BuildGraph and read through a thin view.
 package scenario
 
 import (
@@ -95,7 +97,7 @@ type ATMConfig struct {
 func (c *ATMConfig) Lower() GraphConfig {
 	g := GraphConfig{
 		Nodes:         c.Switches,
-		Edges:         make([]GraphEdge, c.Switches-1),
+		Edges:         chainEdges(c.Switches),
 		TrunkRateBPS:  c.TrunkRateBPS,
 		TrunkDelay:    c.TrunkDelay,
 		AccessRateBPS: c.AccessRateBPS,
@@ -114,9 +116,8 @@ func (c *ATMConfig) Lower() GraphConfig {
 	if g.AccessRateBPS == 0 {
 		g.AccessRateBPS = 150e6
 	}
-	for k := range g.Edges {
-		g.Edges[k] = GraphEdge{U: k, V: k + 1}
-		if c.TrunkRatesBPS != nil {
+	if c.TrunkRatesBPS != nil {
+		for k := range g.Edges {
 			g.Edges[k].RateBPS = c.TrunkRatesBPS[k]
 		}
 	}
@@ -126,63 +127,93 @@ func (c *ATMConfig) Lower() GraphConfig {
 	return g
 }
 
-// ATMNet is a built, runnable chain: the GraphNet that runs it plus a
-// trunk-indexed view of its recorded series. Trunk k is the graph's
-// directed link 2k (edge k's k→k+1 half); the reverse halves carry only
-// backward RM cells.
-type ATMNet struct {
-	*GraphNet
-	// Config is the chain description the network was built from; the
-	// lowered, defaulted form is GraphNet.Config.
-	Config ATMConfig
+// chainEdges returns the edges (k, k+1) of an n-node chain.
+func chainEdges(n int) []GraphEdge {
+	edges := make([]GraphEdge, max(n-1, 0))
+	for k := range edges {
+		edges[k] = GraphEdge{U: k, V: k + 1}
+	}
+	return edges
+}
 
-	// TrunkQueue[k] is trunk k's output-queue length (cells), sampled. Nil
-	// for a trunk no session crosses.
+// chain is the trunk-indexed view the chain spellings (ATMConfig,
+// TCPConfig) put on their lowered graph. Trunk k is the graph's directed
+// link 2k (edge k's k→k+1 half); the reverse halves carry only backward RM
+// cells or ACKs.
+type chain struct {
+	*GraphNet
+	// TrunkQueue[k] is trunk k's output-queue length (cells or packets),
+	// sampled. Nil for an ATM trunk no session crosses.
 	TrunkQueue []*metrics.Series
-	// FairShare[k] is trunk k's algorithm estimate (MACR for Phantom,
-	// EPRCA, APRC; ERS for CAPC), sampled. Nil entries mean no algorithm,
-	// or no session to run one for.
-	FairShare []*metrics.Series
 	// PeakTrunkQueue[k] is the exact maximum queue seen on trunk k, as of
 	// the last Run.
 	PeakTrunkQueue []int
 }
 
-// BuildATM wires the scenario. Sources are started; call Run to execute.
-func BuildATM(cfg ATMConfig) (*ATMNet, error) {
-	if cfg.Switches < 2 {
-		return nil, fmt.Errorf("scenario: need at least 2 switches, got %d", cfg.Switches)
+// buildChain builds a lowered chain after the checks both chain spellings
+// share: at least two nodes, and every session entering upstream of where
+// it exits.
+func buildChain(g GraphConfig, nodes string) (chain, error) {
+	if g.Nodes < 2 {
+		return chain{}, fmt.Errorf("scenario: need at least 2 %s, got %d", nodes, g.Nodes)
 	}
-	for i, s := range cfg.Sessions {
-		if s.Entry < 0 || s.Exit >= cfg.Switches || s.Entry >= s.Exit {
-			return nil, fmt.Errorf("scenario: session %d has invalid path %d→%d", i, s.Entry, s.Exit)
+	for i, s := range g.Sessions {
+		if s.Src < 0 || s.Dst >= g.Nodes || s.Src >= s.Dst {
+			return chain{}, fmt.Errorf("scenario: session %d has invalid path %d→%d", i, s.Src, s.Dst)
 		}
 	}
-	if cfg.TrunkRatesBPS != nil && len(cfg.TrunkRatesBPS) != cfg.Switches-1 {
-		return nil, fmt.Errorf("scenario: TrunkRatesBPS has %d entries for %d trunks",
-			len(cfg.TrunkRatesBPS), cfg.Switches-1)
-	}
-	g, err := BuildGraph(cfg.Lower())
+	n, err := BuildGraph(g)
 	if err != nil {
-		return nil, err
+		return chain{}, err
 	}
-	n := &ATMNet{GraphNet: g, Config: cfg, PeakTrunkQueue: make([]int, cfg.Switches-1)}
-	for k := range n.PeakTrunkQueue {
-		n.TrunkQueue = append(n.TrunkQueue, g.LinkQueue[2*k])
-		n.FairShare = append(n.FairShare, g.FairShare[2*k])
+	return chain{GraphNet: n, TrunkQueue: trunks(n.LinkQueue), PeakTrunkQueue: make([]int, g.Nodes-1)}, nil
+}
+
+// trunks returns a per-directed-link series slice's trunk entries (links
+// 2k).
+func trunks(links []*metrics.Series) []*metrics.Series {
+	out := make([]*metrics.Series, len(links)/2)
+	for k := range out {
+		out[k] = links[2*k]
 	}
-	return n, nil
+	return out
 }
 
 // Run executes the scenario for d of simulated time (cumulative across
 // calls) and refreshes the trunk-indexed queue peaks.
-func (n *ATMNet) Run(d sim.Duration) {
-	n.GraphNet.Run(d)
-	for k := range n.PeakTrunkQueue {
-		n.PeakTrunkQueue[k] = n.PeakLinkQueue[2*k]
+func (c chain) Run(d sim.Duration) {
+	c.GraphNet.Run(d)
+	for k := range c.PeakTrunkQueue {
+		c.PeakTrunkQueue[k] = c.PeakLinkQueue[2*k]
 	}
 }
 
-// TrunkUtilization returns trunk k's lifetime utilization: cells sent
-// divided by the cells the line could have carried.
-func (n *ATMNet) TrunkUtilization(k int) float64 { return n.LinkUtilization(2 * k) }
+// TrunkUtilization returns trunk k's lifetime utilization: what it sent
+// divided by what the line could have carried.
+func (c chain) TrunkUtilization(k int) float64 { return c.LinkUtilization(2 * k) }
+
+// ATMNet is a built, runnable chain: the GraphNet that runs it plus a
+// trunk-indexed view of its recorded series.
+type ATMNet struct {
+	chain
+	// Config is the chain description the network was built from; the
+	// lowered, defaulted form is GraphNet.Config.
+	Config ATMConfig
+	// FairShare[k] is trunk k's algorithm estimate (MACR for Phantom,
+	// EPRCA, APRC; ERS for CAPC), sampled. Nil entries mean no algorithm,
+	// or no session to run one for.
+	FairShare []*metrics.Series
+}
+
+// BuildATM wires the scenario. Sources are started; call Run to execute.
+func BuildATM(cfg ATMConfig) (*ATMNet, error) {
+	if cfg.TrunkRatesBPS != nil && len(cfg.TrunkRatesBPS) != cfg.Switches-1 {
+		return nil, fmt.Errorf("scenario: TrunkRatesBPS has %d entries for %d trunks",
+			len(cfg.TrunkRatesBPS), cfg.Switches-1)
+	}
+	c, err := buildChain(cfg.Lower(), "switches")
+	if err != nil {
+		return nil, err
+	}
+	return &ATMNet{chain: c, Config: cfg, FairShare: trunks(c.FairShare)}, nil
+}

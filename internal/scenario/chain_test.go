@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ip"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/switchalg"
@@ -152,6 +153,49 @@ func TestChainIdleTrunk(t *testing.T) {
 		t.Error("unsharded run reports shard stats")
 	}
 	n.Release()
+}
+
+// TestTCPChainIdleTrunk pins where the router chain's attach rule differs
+// from the ATM chain's (TestChainIdleTrunk): every forward trunk of a TCP
+// chain carries its discipline and recorded series, used or not, so the
+// idle trunk's Phantom controller still ticks (50 MACR points in 500 ms) and
+// its queue is still sampled. The counts are the ones the dedicated TCP
+// builder recorded.
+func TestTCPChainIdleTrunk(t *testing.T) {
+	n, err := BuildTCP(TCPConfig{
+		Routers: 4,
+		Disc: func() ip.Discipline {
+			return ip.NewPhantomDiscipline(ip.SelectiveDiscard, core.Config{})
+		},
+		Flows: []TCPFlowSpec{
+			{Name: "a", Entry: 0, Exit: 1, AccessDelay: sim.Millisecond},
+			{Name: "b", Entry: 0, Exit: 2, AccessDelay: 3 * sim.Millisecond},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Release()
+	n.Run(500 * sim.Millisecond)
+
+	if got, want := endpointFingerprint(n.Senders, n.Receivers),
+		"delivered=323072 retx=5 timeouts=2 acks=710 flows=4a46aaccde2cd58c"; got != want {
+		t.Errorf("endpoints moved:\n got %s\nwant %s", got, want)
+	}
+	if f, s := n.Engine.Fired(), n.Engine.Scheduled(); f != 10780 || s != 11349 {
+		t.Errorf("fired %d scheduled %d, want 10780 and 11349", f, s)
+	}
+	const idle = 2
+	if q, m := n.TrunkQueue[idle], n.MACR[idle]; q == nil || m == nil || len(q.Points()) != 50 || len(m.Points()) != 50 {
+		t.Fatalf("idle trunk lost its discipline or series: queue %v, MACR %v", q, m)
+	}
+	if n.PeakTrunkQueue[idle] != 0 || n.TrunkUtilization(idle) != 0 || n.TrunkDrops(idle) != 0 {
+		t.Errorf("idle trunk carried traffic: peak %d, utilization %v, drops %d",
+			n.PeakTrunkQueue[idle], n.TrunkUtilization(idle), n.TrunkDrops(idle))
+	}
+	if n.PeakTrunkQueue[0] != 60 || n.TrunkDrops(0) != 235 {
+		t.Errorf("bottleneck peak %d drops %d, want 60 and 235", n.PeakTrunkQueue[0], n.TrunkDrops(0))
+	}
 }
 
 // TestChainShapedPartition pins the auto-partition rule: an edge list that

@@ -2,12 +2,14 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ip"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/tcp"
 )
 
 func TestBuildTCPValidation(t *testing.T) {
@@ -22,6 +24,17 @@ func TestBuildTCPValidation(t *testing.T) {
 		Flows:   []TCPFlowSpec{{Name: "f", Entry: 0, Exit: 0}},
 	}); err == nil {
 		t.Error("degenerate path accepted")
+	}
+	// TCP flows run on one engine: a lowered router chain or cloud asked
+	// for shards is refused at build.
+	flows := []TCPFlowSpec{{Name: "f", Entry: 0, Exit: 1}}
+	routed := (&TCPConfig{Routers: 2, Flows: flows}).lower()
+	cloud := (&InteropConfig{Flows: flows}).lower()
+	for _, g := range []GraphConfig{routed, cloud} {
+		g.Shards = 2
+		if _, err := BuildGraph(g); err == nil || !strings.Contains(err.Error(), "one engine") {
+			t.Errorf("sharded TCP graph: err %v, want a refusal", err)
+		}
 	}
 }
 
@@ -145,27 +158,42 @@ func TestQuenchDeliveryPath(t *testing.T) {
 }
 
 func TestTCPMaxMinOracle(t *testing.T) {
-	n, err := BuildTCP(TCPConfig{
-		Routers: 3,
-		Flows: []TCPFlowSpec{
-			{Name: "long", Entry: 0, Exit: 2},
-			{Name: "short", Entry: 0, Exit: 1},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates, err := n.MaxMinOracle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both share trunk 0: payload capacity ≈ 9.275 Mb/s → ≈4.64 each; the
-	// long flow is not further restricted on trunk 1.
-	want := 10e6 * 512.0 / 552.0 / 2
-	for i, r := range rates {
-		if r < want*0.99 || r > want*1.01 {
-			t.Fatalf("oracle[%d] = %v, want ≈%v", i, r, want)
+	jumbo := tcp.DefaultSenderParams()
+	jumbo.MSS = 1460
+	for _, tc := range []struct {
+		name string
+		long *tcp.SenderParams
+		// want is each flow's payload share: the max-min split of the wire,
+		// less the IP header on every segment of the flow's own size.
+		want []float64
+	}{
+		// Both share trunk 0: payload capacity ≈ 9.275 Mb/s → ≈4.64 each;
+		// the long flow is not further restricted on trunk 1.
+		{"default MSS", nil, []float64{10e6 * 512.0 / 552.0 / 2, 10e6 * 512.0 / 552.0 / 2}},
+		// The wire splits the same way; the long flow's 1460-byte segments
+		// carry a larger payload share of its half.
+		{"MSS 1460", &jumbo, []float64{10e6 / 2 * 1460.0 / 1500.0, 10e6 / 2 * 512.0 / 552.0}},
+	} {
+		n, err := BuildTCP(TCPConfig{
+			Routers: 3,
+			Flows: []TCPFlowSpec{
+				{Name: "long", Entry: 0, Exit: 2, Params: tc.long},
+				{Name: "short", Entry: 0, Exit: 1},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		rates, err := n.MaxMinOracle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rates {
+			if want := tc.want[i]; r < want*0.99 || r > want*1.01 {
+				t.Errorf("%s: oracle[%d] = %v, want ≈%v", tc.name, i, r, want)
+			}
+		}
+		n.Release()
 	}
 }
 
