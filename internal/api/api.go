@@ -245,6 +245,10 @@ type RunResult struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
+// Failed reports whether the run failed: it carries an error and was not
+// canceled. A canceled run says nothing about the experiment.
+func (r *RunResult) Failed() bool { return r.Error != "" && !r.Canceled }
+
 // FleetStats is the wire form of runner.Stats.
 type FleetStats struct {
 	Runs       int               `json:"runs"`

@@ -126,7 +126,9 @@ func (c *Client) Cancel(id string) (*JobStatus, error) {
 // Results streams the job's runs in submission order, calling onRun for
 // each as it lands, and returns the terminal report (stats + final job
 // status, no result rows — they just streamed). It blocks until the job
-// reaches a terminal state. A nil onRun just waits for completion.
+// reaches a terminal state. A nil onRun just waits for completion. Run
+// lines in the form RunLineWriter writes are decoded without reflection;
+// any other line goes to json.Unmarshal.
 func (c *Client) Results(id string, onRun func(RunResult)) (*Report, error) {
 	resp, err := c.httpClient().Get(c.Base + PathPrefix + "/jobs/" + id + "/results")
 	if err != nil {
@@ -138,9 +140,17 @@ func (c *Client) Results(id string, onRun func(RunResult)) (*Report, error) {
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(nil, 16<<20)
+	var dec runDecoder
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
+			continue
+		}
+		var rr RunResult
+		if dec.decode(line, &rr) {
+			if onRun != nil {
+				onRun(rr)
+			}
 			continue
 		}
 		var l ResultLine

@@ -2,6 +2,9 @@ package api
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -208,6 +211,7 @@ func (e *Expansion) Convert(i int, r runner.Result) RunResult {
 		rr.Summary = r.Res.Summary
 		rr.Counters = r.Res.Counters
 		rr.Notes = r.Res.Notes
+		dropNonFinite(&rr)
 	}
 	switch {
 	case e.campaign != nil:
@@ -224,12 +228,46 @@ func (e *Expansion) Convert(i int, r runner.Result) RunResult {
 	return rr
 }
 
+// dropNonFinite takes every NaN and ±Inf out of rr's summary — JSON has
+// no form for them, so a run line or report carrying one could not be
+// written — and names them in rr's error, which makes the run a failed
+// one. The map is copied, never edited: the store has the raw values.
+func dropNonFinite(rr *RunResult) {
+	var bad []string
+	for name, v := range rr.Summary {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			bad = append(bad, name)
+		}
+	}
+	if bad == nil {
+		return
+	}
+	slices.Sort(bad)
+	finite := make(map[string]float64, len(rr.Summary)-len(bad))
+	for name, v := range rr.Summary {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			finite[name] = v
+		}
+	}
+	for i, name := range bad {
+		bad[i] = name + "=" + strconv.FormatFloat(rr.Summary[name], 'g', -1, 64)
+	}
+	// A run with a result has no error of its own to keep.
+	rr.Summary, rr.Error = finite, "summary values with no JSON form: "+strings.Join(bad, ", ")
+}
+
 // Finish converts every result (in job order) into the report. Call once,
-// after the fleet drains.
+// after the fleet drains. The report counts as failed the runs that fail
+// once converted, so a run Convert fails for a non-finite summary value
+// is among them.
 func (e *Expansion) Finish(results []runner.Result, stats runner.Stats) *Report {
 	rrs := make([]RunResult, len(results))
+	stats.Failed = 0
 	for i, r := range results {
 		rrs[i] = e.Convert(i, r)
+		if rrs[i].Failed() {
+			stats.Failed++
+		}
 	}
 	return NewReport(e.Spec.Kind, rrs, stats)
 }

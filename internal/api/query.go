@@ -205,19 +205,42 @@ type CountersRow struct {
 }
 
 // appendString appends s as a JSON string. Printable ASCII other than the
-// five characters encoding/json escapes (" \ < > &) is copied as is;
-// anything else — rare in labels and metric names — is left to
+// five characters encoding/json escapes (" \ < > &) and valid UTF-8 other
+// than U+2028 and U+2029 are copied as is; a string holding anything else
+// — a control character, one of those five, invalid UTF-8 — is left to
 // json.Marshal, which cannot fail on a string.
 func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s)
-			return append(b, q...)
+	for i := 0; i < len(s); {
+		if c := s[i]; jsonPlain[c] {
+			i++
+			continue
+		} else if c < utf8.RuneSelf {
+			return appendMarshaled(b, s)
 		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			return appendMarshaled(b, s)
+		}
+		i += size
 	}
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
+}
+
+// jsonPlain marks the bytes encoding/json writes as themselves inside a
+// string without looking further: printable ASCII other than " \ < > &.
+var jsonPlain = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
+// appendMarshaled appends s as encoding/json writes it.
+func appendMarshaled(b []byte, s string) []byte {
+	q, _ := json.Marshal(s)
+	return append(b, q...)
 }
 
 // appendFloat appends f as encoding/json does: the shortest decimal that

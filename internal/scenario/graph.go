@@ -716,14 +716,15 @@ func deliverQuench(e *sim.Engine, p sim.Payload) {
 // accessAAL5 builds session i's TCP hosts across the ATM cloud: the
 // sender's segments ride data VC vc from an ingress edge at S_src to an
 // egress edge at S_dst, the receiver's ACKs ride ACK VC vc+1 back along the
-// same path. The receiver acknowledges every segment (the flow's
-// DelayedAcks is not applied here).
+// same path. The receiver coalesces ACKs when the flow asks for
+// DelayedAcks, as on IP access ports.
 func (n *GraphNet) accessAAL5(i int, vc atm.VCID, params tcp.SenderParams) (*tcp.Sender, *tcp.Receiver, error) {
 	cfg, spec := &n.Config, n.Config.Sessions[i]
 	snd := tcp.NewSender(i+1, params, nil)
 	snd.Instrument(cfg.Telemetry)
 	rcv := tcp.NewReceiver(i+1, nil)
 	rcv.Instrument(cfg.Telemetry)
+	rcv.DelayedAcks = spec.flow.DelayedAcks
 	// edges wires one direction: its host → ingress edge → VC → egress
 	// edge → dst.
 	edges := func(prefix string, vc atm.VCID, back bool, inDelay, outDelay sim.Duration, dst ip.Sink) *interop.IngressEdge {

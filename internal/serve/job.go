@@ -88,7 +88,7 @@ func (j *job) land(i int, rr api.RunResult) {
 	switch {
 	case rr.Canceled:
 		j.canceled++
-	case rr.Error != "":
+	case rr.Failed():
 		j.failed++
 	}
 	for j.waterline < len(j.landed) && j.landed[j.waterline] {
@@ -124,6 +124,9 @@ func (j *job) start(cancel func()) bool {
 func (j *job) finish(stats runner.Stats, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	// The fleet counts the runs whose experiment returned an error; the
+	// landed runs also count those Convert failed, as the stream shows them.
+	stats.Failed = j.failed
 	j.stats = stats
 	j.haveStats = true
 	j.errMsg = errMsg

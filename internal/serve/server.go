@@ -195,6 +195,11 @@ func (s *Server) Submit(spec api.JobSpec) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.enqueue(spec, expn)
+}
+
+// enqueue registers an expanded spec as a new job and queues it.
+func (s *Server) enqueue(spec api.JobSpec, expn *api.Expansion) (*job, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -377,6 +382,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleResults streams the job's runs as NDJSON in submission order and
 // terminates with the report line once the job is terminal and flushed.
+// Each run line is appended without reflection into one per-request
+// buffer and written on its own; the report line stays on encoding/json.
+// Convert leaves no value a run line cannot encode, so a line that fails
+// to encode ends the stream without its report, loudly.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
@@ -386,12 +395,19 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var lines api.RunLineWriter
+	var buf []byte
 	sent := 0
 	for {
 		next, ch, terminal := j.watch(sent)
 		for i := range next {
-			enc.Encode(api.ResultLine{Run: &next[i]})
+			var err error
+			if buf, err = lines.AppendRunLine(buf[:0], &next[i]); err != nil {
+				return
+			}
+			if _, err := w.Write(buf); err != nil {
+				return
+			}
 		}
 		sent += len(next)
 		if len(next) > 0 && flusher != nil {
@@ -400,7 +416,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		if terminal {
 			// Everything landed before the terminal transition is flushed
 			// (finish bumps after the last land); stragglers can't exist.
-			enc.Encode(api.ResultLine{Report: j.report()})
+			json.NewEncoder(w).Encode(api.ResultLine{Report: j.report()})
 			if flusher != nil {
 				flusher.Flush()
 			}
