@@ -153,7 +153,7 @@ func runLocal(c *cli.Common, spec api.JobSpec, freezeDir string) int {
 		}
 		fmt.Println(string(b))
 	} else {
-		crep := scengen.CampaignReport{Scenarios: len(results), Findings: findings, Stats: stats}
+		crep := scengen.CampaignReport{Scenarios: len(results), Findings: findings}
 		fmt.Print(crep.Summary())
 		if !c.Quiet {
 			fmt.Printf("wall %v, %.1fx parallel speedup\n",

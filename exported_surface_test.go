@@ -55,11 +55,24 @@ var exportedSurfaceAllow = map[string]string{
 	"sim.Engine.Stop": "ends a run between two events of one instant; FuzzSchedulerOrder and the heap tests reach the run loop's resume states (an open lazy-pop hole, armed bands) through it",
 }
 
+// fieldCensusAllow lists the struct fields that may stay without a
+// non-test read, each naming its reader. The same staleness rules hold
+// as for exportedSurfaceAllow.
+var fieldCensusAllow = map[string]string{
+	"atm.Cell.SentAt":               "scenario's TestPerVCInOrderDelivery and interop's TestIngressSegmentsAndPaces read each cell's send time",
+	"scenario.InteropNet.Senders":   "ip's TestRecycleIsInvisible fingerprints the cloud's senders; the test stays as recorded",
+	"scenario.InteropNet.Receivers": "ip's TestRecycleIsInvisible fingerprints the cloud's receivers; the test stays as recorded",
+}
+
 // TestExportedSurface is the exported-surface census: every exported
 // func, method, interface method, type, const and var declared under
 // internal/ and cmd/ needs a caller outside the test files, or a row in
-// exportedSurfaceAllow saying why it stays. Every package is type-checked
-// from source, and the bench/ module's files count as callers.
+// exportedSurfaceAllow saying why it stays. In the same pass it is the
+// field census: every named struct type's fields there, exported or
+// not, need a read outside the test files (a write is not a read; see
+// fieldWrites), a struct tag (its encoder reads it), or a row in
+// fieldCensusAllow. Every package is type-checked from source once, and
+// the bench/ module's files count as callers and readers.
 func TestExportedSurface(t *testing.T) {
 	pkgs := goListDeps(t, "./internal/...", "./cmd/...", "./examples/...", ".")
 	bench, err := filepath.Glob("bench/*.go")
@@ -74,13 +87,14 @@ func TestExportedSurface(t *testing.T) {
 	}
 	pkgs = append(pkgs, listedPackage{ImportPath: "repro/bench", GoFiles: benchFiles, bench: true})
 
-	problems, allowed := surfaceCensus(t, pkgs, func(path string) bool {
+	r := surfaceCensus(t, pkgs, func(path string) bool {
 		return strings.HasPrefix(path, "repro/internal/") || strings.HasPrefix(path, "repro/cmd/")
-	}, exportedSurfaceAllow)
-	for _, name := range allowed {
-		t.Logf("allowlisted: %s — %s", name, exportedSurfaceAllow[name])
+	}, exportedSurfaceAllow, fieldCensusAllow)
+	t.Logf("censused %d exported names and %d struct fields", r.names, r.fields)
+	for _, a := range r.allowed {
+		t.Logf("allowlisted: %s", a)
 	}
-	for _, p := range problems {
+	for _, p := range r.problems {
 		t.Error(p)
 	}
 }
@@ -95,15 +109,24 @@ func TestExportedSurfaceCensus(t *testing.T) {
 		"testdata/surface/p.Called":   "planted: has a non-test caller",
 		"testdata/surface/p.NoReason": " ",
 	}
-	problems, _ := surfaceCensus(t, pkgs, func(path string) bool {
+	fieldAllow := map[string]string{
+		"testdata/surface/p.Fields.read": "planted: has a non-test read",
+	}
+	r := surfaceCensus(t, pkgs, func(path string) bool {
 		return path == "repro/testdata/surface/p"
-	}, allow)
+	}, allow, fieldAllow)
+	problems := r.problems
 	want := []string{
-		"testdata/surface/p.Called",     // allowlisted, but called
-		"testdata/surface/p.Gone",       // allowlisted, but not declared
-		"testdata/surface/p.NoReason",   // allowlisted without a reason
-		"testdata/surface/p.OnlyTested", // called only from p_test.go
-		"testdata/surface/p.Unused",     // no caller at all
+		"testdata/surface/p.Called",          // allowlisted, but called
+		"testdata/surface/p.Fields.appended", // only appended to itself
+		"testdata/surface/p.Fields.read",     // allowlisted, but read
+		"testdata/surface/p.Fields.summed",   // only +='d and ++'d
+		"testdata/surface/p.Fields.tested",   // read only in p_test.go
+		"testdata/surface/p.Fields.written",  // only assigned and keyed
+		"testdata/surface/p.Gone",            // allowlisted, but not declared
+		"testdata/surface/p.NoReason",        // allowlisted without a reason
+		"testdata/surface/p.OnlyTested",      // called only from p_test.go
+		"testdata/surface/p.Unused",          // no caller at all
 	}
 	if len(problems) != len(want) {
 		t.Fatalf("census found %d problems, want %d:\n%s", len(problems), len(want), strings.Join(problems, "\n"))
@@ -160,12 +183,22 @@ var methodsAlwaysUsed = map[string]bool{
 	"String": true, "Error": true, "MarshalJSON": true, "UnmarshalJSON": true, "WriteTo": true,
 }
 
-// surfaceCensus type-checks pkgs (listed dependencies first) and returns
-// one problem line per censused exported name without a non-test caller
-// and not allowlisted, and per stale or reason-less allowlist row, sorted
-// by name; and the allowlisted names that held. censused says which
-// packages' declarations are counted.
-func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string) bool, allow map[string]string) (problems, allowed []string) {
+// censusReport is what surfaceCensus finds.
+type censusReport struct {
+	// problems has one line per censused name without a non-test
+	// caller, per censused field without a non-test read, and per stale
+	// or reason-less allowlist row, sorted by name.
+	problems []string
+	// allowed has one "name — reason" line per allowlist row that held.
+	allowed []string
+	// names and fields count what was censused.
+	names, fields int
+}
+
+// surfaceCensus type-checks pkgs (listed dependencies first) and censuses
+// the exported names (against allow) and struct fields (against
+// fieldAllow) that the packages censused says are counted declare.
+func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string) bool, allow, fieldAllow map[string]string) censusReport {
 	t.Helper()
 	fset := token.NewFileSet()
 	std := importer.Default()
@@ -184,16 +217,18 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 		start, end token.Pos
 	}
 	decls := map[types.Object]*decl{}
-	// used holds each name's first caller; one in bench/ is replaced by
-	// any other.
+	// used holds each name's first caller and read each field's first
+	// read; one in bench/ is replaced by any other. A zero pos is a use
+	// only the standard library makes: a struct tag's encoder, or a
+	// method it finds dynamically.
 	type use struct {
 		pos   token.Pos
 		bench bool
 	}
-	used := map[types.Object]use{}
-	mark := func(o types.Object, u use) {
-		if old, ok := used[o]; !ok || old.bench && !u.bench {
-			used[o] = u
+	used, read := map[types.Object]use{}, map[types.Object]use{}
+	mark := func(m map[types.Object]use, o types.Object, u use) {
+		if old, ok := m[o]; !ok || old.bench && !u.bench {
+			m[o] = u
 		}
 	}
 	recvIdents := map[*ast.Ident]bool{}
@@ -202,6 +237,15 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 		bench bool
 	}
 	var infos []checkedInfo
+	// fields are the censused struct fields; writes are the uses of
+	// fields that fieldWrites finds.
+	type field struct {
+		name   string
+		pos    token.Pos
+		tagged bool
+	}
+	fields := map[*types.Var]*field{}
+	writes := map[*ast.Ident]bool{}
 	// origin maps a method of an instantiated generic type, or of an
 	// instantiated generic interface, to its declaration.
 	origin := func(o types.Object) types.Object {
@@ -232,10 +276,43 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 		}
 		checked[lp.ImportPath] = pkg
 		infos = append(infos, checkedInfo{info, lp.bench})
+		for _, f := range files {
+			fieldWrites(info, f, writes)
+		}
 		if !censused(lp.ImportPath) {
 			continue
 		}
 		prefix := strings.TrimPrefix(strings.TrimPrefix(lp.ImportPath, "repro/internal/"), "repro/")
+		// Every named struct type's fields, nested struct types' fields
+		// under their field's name. Embedded fields are used through what
+		// they promote, and blank ones are padding: neither is censused.
+		var addFields func(name string, typ ast.Expr)
+		addFields = func(name string, typ ast.Expr) {
+			ast.Inspect(typ, func(n ast.Node) bool {
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if id.Name == "_" {
+							continue
+						}
+						fields[info.Defs[id].(*types.Var)] = &field{name + "." + id.Name, id.Pos(), fl.Tag != nil}
+						addFields(name+"."+id.Name, fl.Type)
+					}
+				}
+				return false
+			})
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					addFields(prefix+"."+ts.Name.Name, ts.Type)
+				}
+				return true
+			})
+		}
 		add := func(id *ast.Ident, name string, start, end token.Pos) {
 			if o := info.Defs[id]; o != nil && id.IsExported() {
 				decls[o] = &decl{prefix + "." + name, id.Pos(), start, end}
@@ -286,9 +363,15 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 	}
 
 	// Direct uses: a reference outside the name's own declaration. A
-	// method's receiver is part of its type's declaration.
+	// method's receiver is part of its type's declaration. A field's use
+	// is a read unless fieldWrites says it is a write.
 	for _, info := range infos {
 		for id, o := range info.Uses {
+			if v, ok := o.(*types.Var); ok && fields[v.Origin()] != nil && !writes[id] {
+				// A read in bench/ is a read: the field stays for as
+				// long as the benchmark reads it, with no row to say so.
+				mark(read, v.Origin(), use{id.Pos(), false})
+			}
 			if recvIdents[id] {
 				continue
 			}
@@ -296,7 +379,7 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 			if d := decls[o]; d != nil && id.Pos() >= d.start && id.Pos() < d.end {
 				continue
 			}
-			mark(o, use{id.Pos(), info.bench})
+			mark(used, o, use{id.Pos(), info.bench})
 		}
 	}
 	// Dynamic uses: a method that implements a used method of an
@@ -393,7 +476,7 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 					continue
 				}
 				if o, _, _ := types.LookupFieldOrMethod(recv, false, m.Pkg(), m.Name()); o != nil {
-					mark(origin(o), u)
+					mark(used, origin(o), u)
 				}
 			}
 		}
@@ -407,46 +490,118 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 		}
 		return p.String()
 	}
-	byName := map[string]types.Object{}
-	for o, d := range decls {
-		byName[d.name] = o
-	}
-	var names []string
-	for name := range byName {
-		names = append(names, name)
-	}
-	for name := range allow {
-		if _, ok := byName[name]; !ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		o, declared := byName[name]
+	// A censused name or field is judged by whether non-test code uses it
+	// (a name only bench/ calls needs a row, since bench/ changes only
+	// with the benchmark) and by its allowlist row.
+	var r censusReport
+	judge := func(name, where, kind string, u use, isUsed bool, allow map[string]string) {
 		reason, listed := allow[name]
-		if !declared {
-			problems = append(problems, name+" (allowlist): stale row, nothing by that name is declared; delete the row")
-			continue
+		switch {
+		case listed && isUsed && !u.bench:
+			by := "the standard library"
+			if u.pos != token.NoPos {
+				by = at(u.pos)
+			}
+			r.problems = append(r.problems, fmt.Sprintf("%s (%s): stale allowlist row, the %s has a non-test use (%s); delete the row", name, where, kind, by))
+		case listed && strings.TrimSpace(reason) == "":
+			r.problems = append(r.problems, fmt.Sprintf("%s (%s): allowlist row gives no reason", name, where))
+		case listed:
+			r.allowed = append(r.allowed, name+" — "+reason)
+		case !isUsed && kind == "name":
+			r.problems = append(r.problems, fmt.Sprintf("%s (%s): exported, but no non-test code refers to it; delete it, unexport it, or allowlist it with a reason", name, where))
+		case !isUsed:
+			r.problems = append(r.problems, fmt.Sprintf("%s (%s): no non-test code reads it; delete it with what only fills it, or allowlist it naming its reader", name, where))
+		case u.bench:
+			r.problems = append(r.problems, fmt.Sprintf("%s (%s): only bench/ uses it (%s); allowlist it with a reason, since bench/ changes only with the benchmark", name, where, at(u.pos)))
 		}
-		where := at(decls[o].pos)
+	}
+	stale := func(allow map[string]string, declared map[string]bool) {
+		for name := range allow {
+			if !declared[name] {
+				r.problems = append(r.problems, name+" (allowlist): stale row, nothing by that name is declared; delete the row")
+			}
+		}
+	}
+
+	declared := map[string]bool{}
+	for o, d := range decls {
+		declared[d.name] = true
 		u, isUsed := used[o]
 		if f, ok := o.(*types.Func); ok && methodsAlwaysUsed[f.Name()] && f.Type().(*types.Signature).Recv() != nil {
 			u, isUsed = use{}, true
 		}
-		switch {
-		case listed && isUsed && !u.bench:
-			problems = append(problems, fmt.Sprintf("%s (%s): stale allowlist row, the name has a non-test caller at %s; delete the row", name, where, at(u.pos)))
-		case listed && strings.TrimSpace(reason) == "":
-			problems = append(problems, fmt.Sprintf("%s (%s): allowlist row gives no reason", name, where))
-		case listed:
-			allowed = append(allowed, name)
-		case !isUsed:
-			problems = append(problems, fmt.Sprintf("%s (%s): exported, but no non-test code refers to it; delete it, unexport it, or allowlist it with a reason", name, where))
-		case u.bench:
-			problems = append(problems, fmt.Sprintf("%s (%s): only bench/ refers to it (%s); allowlist it with a reason, since bench/ changes only with the benchmark", name, where, at(u.pos)))
-		}
+		judge(d.name, at(d.pos), "name", u, isUsed, allow)
 	}
-	return problems, allowed
+	stale(allow, declared)
+	r.names = len(decls)
+
+	declared = map[string]bool{}
+	for v, f := range fields {
+		declared[f.name] = true
+		u, isRead := read[v]
+		if f.tagged {
+			u, isRead = use{}, true
+		}
+		judge(f.name, at(f.pos), "field", u, isRead, fieldAllow)
+	}
+	stale(fieldAllow, declared)
+	r.fields = len(fields)
+
+	sort.Strings(r.problems)
+	sort.Strings(r.allowed)
+	return r
+}
+
+// fieldWrites adds to writes the selector identifiers in f that only
+// write a field: the whole left side of = or op=, the operand of ++ or
+// --, a composite-literal key, and the first argument of an append
+// whose result is assigned back to that same expression. Every other
+// use of a field reads it.
+func fieldWrites(info *types.Info, f *ast.File, writes map[*ast.Ident]bool) {
+	sel := func(e ast.Expr) *ast.Ident {
+		if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			return s.Sel
+		}
+		return nil
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok == token.DEFINE {
+				break
+			}
+			for i, lhs := range n.Lhs {
+				id := sel(lhs)
+				if id == nil {
+					continue
+				}
+				writes[id] = true
+				if len(n.Rhs) != len(n.Lhs) {
+					continue
+				}
+				call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					continue
+				}
+				if fn, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+					if b, ok := info.Uses[fn].(*types.Builtin); ok && b.Name() == "append" && types.ExprString(call.Args[0]) == types.ExprString(lhs) {
+						if arg := sel(call.Args[0]); arg != nil {
+							writes[arg] = true
+						}
+					}
+				}
+			}
+		case *ast.IncDecStmt:
+			if id := sel(n.X); id != nil {
+				writes[id] = true
+			}
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				writes[id] = true
+			}
+		}
+		return true
+	})
 }
 
 type importerFunc func(path string) (*types.Package, error)

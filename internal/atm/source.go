@@ -47,7 +47,6 @@ type Source struct {
 	lastSend     sim.Time
 	everSent     bool
 	sendPending  bool
-	sendRef      sim.EventRef
 	started      bool
 
 	tel sourceTel
@@ -187,7 +186,7 @@ func (s *Source) armSend(e *sim.Engine) {
 	} else if !s.everSent {
 		gap = 0
 	}
-	s.sendRef = e.AfterFunc(gap, sourceSend, sim.Payload{Obj: s})
+	e.AfterFunc(gap, sourceSend, sim.Payload{Obj: s})
 }
 
 // sendCell emits one cell and re-arms the loop while the pattern stays

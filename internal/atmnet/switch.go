@@ -29,8 +29,7 @@ func (p *Port) Capacity() float64 { return p.Link.RateCPS }
 // algorithm, because that is the port the VC's data contends for — exactly
 // how the ATM-Forum switch proposals are specified.
 type Switch struct {
-	Name  string
-	ports []*Port
+	Name string
 	// fwd and bwd are the routing tables, indexed by VC: VCIDs are small
 	// dense integers and the tables are read once or twice per cell.
 	fwd []*Port
@@ -82,7 +81,6 @@ func (s *Switch) AddPort(e *sim.Engine, link *Link, alg switchalg.Algorithm) *Po
 			}
 		}
 	}
-	s.ports = append(s.ports, p)
 	return p
 }
 

@@ -41,11 +41,6 @@ type Packet struct {
 	// ECN is the congestion bit (the paper's EFCI-on-IP-header variant).
 	// On data packets it is set by routers; receivers echo it on ACKs.
 	ECN bool
-	// Retransmit marks retransmitted segments (Karn's rule needs it and
-	// traces display it; routers do not read it).
-	Retransmit bool
-	// SentAt is the transmission time used for RTT sampling.
-	SentAt sim.Time
 }
 
 // packetPool recycles packets across their lifetimes. A sync.Pool keeps the

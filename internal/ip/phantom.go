@@ -55,8 +55,7 @@ type PhantomDiscipline struct {
 	// OnTick observes estimator updates for figures.
 	OnTick func(now sim.Time, residual, macr float64)
 
-	pc   *core.PortControl
-	port *Port
+	pc *core.PortControl
 }
 
 // NewPhantomDiscipline builds a discipline with the given mode and
@@ -70,7 +69,6 @@ func (d *PhantomDiscipline) Name() string { return "Phantom-" + d.Mode.String() 
 
 // Attach implements Discipline.
 func (d *PhantomDiscipline) Attach(e *sim.Engine, p *Port) {
-	d.port = p
 	cfg := d.Config
 	cfg.Capacity = p.RateBPS // units: bits/s
 	if cfg.Interval == 0 {

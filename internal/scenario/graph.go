@@ -206,12 +206,11 @@ type GraphNet struct {
 	atmPorts []*atmnet.Port // their switch output ports
 	ipPorts  []*ip.Port     // router directed links, 2 per edge
 	routers  []*ip.Router
-	// A TCP session's end systems and event-driven series (nil entries for
-	// an ABR session); ingress only behind AAL5 edges.
-	senders        []*tcp.Sender
-	receivers      []*tcp.Receiver
-	cwnd, flowRate []*metrics.Series
-	ingress        []*interop.IngressEdge
+	// A TCP session's end systems (nil entries for an ABR session);
+	// ingress only behind AAL5 edges.
+	senders   []*tcp.Sender
+	receivers []*tcp.Receiver
+	ingress   []*interop.IngressEdge
 
 	fairShareFns  []func() float64
 	lastDelivered []int64
@@ -405,7 +404,6 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 	n.Sources, n.Dests = make([]*atm.Source, ns), make([]*atm.Dest, ns)
 	n.ACR, n.Goodput = make([]*metrics.Series, ns), make([]*metrics.Series, ns)
 	n.senders, n.receivers = make([]*tcp.Sender, ns), make([]*tcp.Receiver, ns)
-	n.cwnd, n.flowRate = make([]*metrics.Series, ns), make([]*metrics.Series, ns)
 	n.ingress = make([]*interop.IngressEdge, ns)
 	n.lastDelivered, n.sessionShard = make([]int64, ns), make([]int, ns)
 	vc := atm.VCID(1)
@@ -465,7 +463,7 @@ func (n *GraphNet) addLink(l int, used bool) {
 	linkDelay := delay
 	var dst atm.Sink = n.Switches[to]
 	if plan.part.Cut(from, to) {
-		dst = plan.group.NewConduit(name, delay, plan.engineFor(to), n.Switches[to])
+		dst = plan.group.NewConduit(delay, plan.engineFor(to), n.Switches[to])
 		linkDelay = 0
 	}
 	link := atmnet.NewLink(name, atm.CPS(cfg.EdgeRateBPS(l/2)), linkDelay, dst)
@@ -659,9 +657,7 @@ func (n *GraphNet) attachTCP(i int, vc atm.VCID) error {
 // accessIP builds session i's TCP hosts on IP access ports: sender →
 // access port → entry router, entry router → reverse access port → sender
 // (ACKs); exit router → egress port → receiver, receiver → ACK access port
-// → exit router. It records the sender's cwnd and CR: they change per ACK
-// and rate tick, not per SampleEvery, so their storage grows with the
-// points they record.
+// → exit router.
 func (n *GraphNet) accessIP(i int, params tcp.SenderParams) (*tcp.Sender, *tcp.Receiver) {
 	cfg, spec := &n.Config, n.Config.Sessions[i]
 	f := spec.flow
@@ -698,12 +694,6 @@ func (n *GraphNet) accessIP(i int, params tcp.SenderParams) (*tcp.Sender, *tcp.R
 		}
 		delay += cfg.EdgeDelay(l / 2)
 	}
-
-	cwnd := metrics.AcquireSeries(fmt.Sprintf("cwnd[%s]", spec.Name), 0)
-	snd.OnCwnd = func(now sim.Time, w float64) { cwnd.Add(now, w) }
-	rate := metrics.AcquireSeries(fmt.Sprintf("CR[%s]", spec.Name), 0)
-	snd.OnRate = func(now sim.Time, r float64) { rate.Add(now, r) }
-	n.cwnd[i], n.flowRate[i] = cwnd, rate
 	return snd, rcv
 }
 
@@ -834,7 +824,7 @@ func (n *GraphNet) FiredTotal() uint64 {
 // build and discard a full network per point, and pooling the storage keeps
 // a sweep's allocation cost flat. The network is unusable afterwards.
 func (n *GraphNet) Release() {
-	for _, group := range [][]*metrics.Series{n.ACR, n.Goodput, n.LinkQueue, n.FairShare, n.cwnd, n.flowRate} {
+	for _, group := range [][]*metrics.Series{n.ACR, n.Goodput, n.LinkQueue, n.FairShare} {
 		for _, s := range group {
 			if s != nil {
 				s.Release()

@@ -85,8 +85,6 @@ type InteropNet struct {
 
 	// EdgeACR[i] is flow i's data-VC allowed cell rate over time.
 	EdgeACR []*metrics.Series
-	// TrunkQueue is the forward trunk's queue (cells), sampled.
-	TrunkQueue *metrics.Series
 }
 
 // BuildTCPOverATM wires the interop scenario and starts the edges and
@@ -98,7 +96,7 @@ func BuildTCPOverATM(cfg InteropConfig) (*InteropNet, error) {
 		return nil, err
 	}
 	return &InteropNet{GraphNet: g, Config: cfg, Senders: g.senders, Receivers: g.receivers,
-		Ingress: g.ingress, EdgeACR: g.ACR, TrunkQueue: g.LinkQueue[0]}, nil
+		Ingress: g.ingress, EdgeACR: g.ACR}, nil
 }
 
 // TrunkUtilization returns the forward trunk's lifetime utilization.

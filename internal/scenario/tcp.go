@@ -114,11 +114,6 @@ type TCPNet struct {
 	Config    TCPConfig
 	Senders   []*tcp.Sender
 	Receivers []*tcp.Receiver
-
-	// Cwnd[i] is flow i's congestion window (bytes) over time.
-	Cwnd []*metrics.Series
-	// FlowRate[i] is flow i's self-measured CR (bits/s).
-	FlowRate []*metrics.Series
 	// MACR[k] is trunk k's Phantom MACR (bits/s) when the discipline is a
 	// PhantomDiscipline; nil otherwise.
 	MACR []*metrics.Series
@@ -132,7 +127,7 @@ func BuildTCP(cfg TCPConfig) (*TCPNet, error) {
 		return nil, err
 	}
 	return &TCPNet{chain: c, Config: cfg, Senders: c.senders, Receivers: c.receivers,
-		Cwnd: c.cwnd, FlowRate: c.flowRate, MACR: trunks(c.FairShare)}, nil
+		MACR: trunks(c.FairShare)}, nil
 }
 
 // MeanGoodputBPS returns flow i's lifetime mean delivered payload rate in

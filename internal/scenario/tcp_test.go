@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -9,7 +10,9 @@ import (
 	"repro/internal/ip"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/switchalg"
 	"repro/internal/tcp"
+	"repro/internal/telemetry"
 )
 
 func TestBuildTCPValidation(t *testing.T) {
@@ -107,14 +110,18 @@ func TestSelectiveDiscardRepairsRTTUnfairness(t *testing.T) {
 	}
 }
 
+// TestTCPScenarioDeterminism runs one network twice and wants the same
+// deliveries, drops and telemetry snapshot, tcp.cwnd_bytes_peak included.
 func TestTCPScenarioDeterminism(t *testing.T) {
-	run := func() []float64 {
+	run := func() ([]float64, map[string]uint64) {
+		reg := telemetry.New()
 		n, err := BuildTCP(TCPConfig{
 			Routers: 2,
 			Flows: []TCPFlowSpec{
 				{Name: "a", Entry: 0, Exit: 1, AccessDelay: sim.Millisecond},
 				{Name: "b", Entry: 0, Exit: 1, AccessDelay: 3 * sim.Millisecond},
 			},
+			Telemetry: reg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -123,15 +130,21 @@ func TestTCPScenarioDeterminism(t *testing.T) {
 		return []float64{
 			float64(n.Receivers[0].DeliveredBytes()),
 			float64(n.Receivers[1].DeliveredBytes()),
-			n.Cwnd[0].Last(), n.Cwnd[1].Last(),
 			float64(n.TrunkDrops(0)),
-		}
+		}, reg.Snapshot()
 	}
-	a, b := run(), run()
+	a, snapA := run()
+	b, snapB := run()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("diverged at %d: %v vs %v", i, a, b)
 		}
+	}
+	if snapA["tcp.cwnd_bytes_peak"] == 0 {
+		t.Fatalf("no tcp.cwnd_bytes_peak in the snapshot: %v", snapA)
+	}
+	if !maps.Equal(snapA, snapB) {
+		t.Fatalf("telemetry diverged:\n%v\nvs\n%v", snapA, snapB)
 	}
 }
 
@@ -197,18 +210,65 @@ func TestTCPMaxMinOracle(t *testing.T) {
 	}
 }
 
-// TestSeriesStorageFollowsPoints runs a tcp_timers-shaped network — many
-// Reno flows under Selective Discard, each recording far fewer cwnd and CR
-// changes than the sampler's cadence would — and holds every event-driven
-// series to at most twice the points it recorded (or the smallest capacity
-// class, 16 points), while the sampled series keep exactly their hint.
+// TestSeriesStorageFollowsPoints holds every event-driven series (hint 0)
+// to at most twice the points it recorded (or the smallest capacity class,
+// 16 points), and every sampled series to exactly its hint. The
+// event-driven series are the ACR series of a many-session ATM network,
+// each recording far fewer rate changes than the sampler's cadence would,
+// and the trunks' MACR series of a tcp_timers-shaped network: many Reno
+// flows under Selective Discard.
 func TestSeriesStorageFollowsPoints(t *testing.T) {
 	const (
 		flows, routers = 1000, 4
 		dur            = 3 * sim.Second
 		minClass       = 16
 	)
+	var recorded, held, atHint int
+	eventDriven := func(groups ...[]*metrics.Series) {
+		for _, group := range groups {
+			for _, s := range group {
+				recorded, held = recorded+len(s.Points()), held+cap(s.Points())
+				if c := cap(s.Points()); c > max(minClass, 2*len(s.Points())) {
+					t.Errorf("%s holds %d slots for %d points", s.Name, c, len(s.Points()))
+				}
+			}
+		}
+	}
+	sampled := func(hint int, groups ...[]*metrics.Series) {
+		for _, group := range groups {
+			for _, s := range group {
+				if c := cap(s.Points()); c != hint || len(s.Points()) > hint {
+					t.Errorf("%s holds %d slots for %d points, want exactly the hint %d", s.Name, c, len(s.Points()), hint)
+				}
+			}
+		}
+	}
 	pairs := [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 2}, {1, 3}, {0, 3}}
+
+	const sessions, atmDur = 200, sim.Second
+	acfg := ATMConfig{Switches: routers, Alg: switchalg.NewPhantom(core.Config{}), Duration: atmDur}
+	for i := 0; i < sessions; i++ {
+		p := pairs[i%len(pairs)]
+		acfg.Sessions = append(acfg.Sessions, ATMSessionSpec{Name: fmt.Sprintf("s%d", i), Entry: p[0], Exit: p[1]})
+	}
+	a, err := BuildATM(acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Release()
+	a.Run(atmDur)
+	ahint := samplesHint(atmDur, a.GraphNet.Config.SampleEvery)
+	acrPoints := 0
+	for _, s := range a.ACR {
+		acrPoints += len(s.Points())
+	}
+	if acrPoints == 0 || acrPoints > sessions*ahint/2 {
+		t.Fatalf("ACR series recorded %d points against %d at the hint: not the shape under test", acrPoints, sessions*ahint)
+	}
+	eventDriven(a.ACR)
+	sampled(ahint, a.Goodput, a.TrunkQueue)
+	atHint += ahint * len(a.ACR)
+
 	cfg := TCPConfig{
 		Routers:      routers,
 		TrunkRateBPS: 155e6,
@@ -233,29 +293,8 @@ func TestSeriesStorageFollowsPoints(t *testing.T) {
 	n.Run(dur)
 
 	hint := samplesHint(dur, n.Config.SampleEvery)
-	var recorded, held int
-	for _, group := range [][]*metrics.Series{n.Cwnd, n.FlowRate, n.MACR} {
-		for _, s := range group {
-			recorded, held = recorded+len(s.Points()), held+cap(s.Points())
-			if c := cap(s.Points()); c > max(minClass, 2*len(s.Points())) {
-				t.Errorf("%s holds %d slots for %d points", s.Name, c, len(s.Points()))
-			}
-		}
-	}
-	cwndPoints := 0
-	for _, s := range n.Cwnd {
-		cwndPoints += len(s.Points())
-	}
-	if cwndPoints == 0 || cwndPoints > flows*hint/2 {
-		t.Fatalf("cwnd series recorded %d points against %d at the hint: not the shape under test", cwndPoints, flows*hint)
-	}
-	for _, group := range [][]*metrics.Series{n.Goodput, n.TrunkQueue} {
-		for _, s := range group {
-			if c := cap(s.Points()); c != hint || len(s.Points()) > hint {
-				t.Errorf("%s holds %d slots for %d points, want exactly the hint %d", s.Name, c, len(s.Points()), hint)
-			}
-		}
-	}
-	t.Logf("event-driven series: %d points in %d slots (%d at the sampler's hint)",
-		recorded, held, hint*(2*flows+len(n.MACR)))
+	eventDriven(n.MACR)
+	sampled(hint, n.Goodput, n.TrunkQueue)
+	atHint += hint * len(n.MACR)
+	t.Logf("event-driven series: %d points in %d slots (%d at the sampler's hint)", recorded, held, atHint)
 }

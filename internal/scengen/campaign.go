@@ -13,12 +13,10 @@ import (
 type CampaignConfig struct {
 	// Families to draw from; nil means all of them.
 	Families []Family
-	// N is the number of scenarios per family.
+	// N is the number of scenarios per family. The report is
+	// bit-identical for every fleet worker count: seeds derive from
+	// (family, index) and findings land at their job's slot.
 	N int
-	// Workers bounds concurrency (0: GOMAXPROCS). The report is
-	// bit-identical for every worker count: seeds derive from (family,
-	// index) and findings land at their job's slot.
-	Workers int
 	// CrossCheck additionally re-runs every scenario on a fresh engine in
 	// the same process and reports a "determinism" violation if any
 	// observable counter differs — state leaking from one run into the next
@@ -28,12 +26,6 @@ type CampaignConfig struct {
 	// Minimize shrinks each failing scenario to a minimal reproducer
 	// (costly: the minimizer re-runs candidates many times).
 	Minimize bool
-	// Hook observes job progress (optional, concurrency-safe).
-	Hook exp.Hook
-	// Telemetry gives every scenario run a private counter registry; the
-	// fleet totals land in the report's Stats.Counters. Observation never
-	// changes fingerprints or findings.
-	Telemetry bool
 	// TraceCap, when positive, marks every scenario for recording on a
 	// flight recorder of that capacity (runner.Job.TraceCap), for executors
 	// that attach a store sink or a trace export to the fleet they run the
@@ -60,7 +52,6 @@ type CampaignReport struct {
 	Scenarios int
 	// Findings in (family, index) order regardless of worker scheduling.
 	Findings []Finding
-	Stats    runner.Stats
 }
 
 // Campaign is a built-but-not-yet-run campaign: the fleet jobs plus the

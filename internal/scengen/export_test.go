@@ -22,27 +22,26 @@ type FrozenCase struct {
 	Spec             *simconfig.Spec
 }
 
-// RunCampaign generates and checks cfg.N scenarios for every family, in
-// parallel, deterministically.
-func RunCampaign(cfg CampaignConfig) (*CampaignReport, error) {
+// RunCampaign generates and checks cfg.N scenarios for every family on a
+// fleet of workers (0: GOMAXPROCS), deterministically.
+func RunCampaign(cfg CampaignConfig, workers int) (*CampaignReport, error) {
 	c, err := NewCampaign(cfg)
 	if err != nil {
 		return nil, err
 	}
-	fleet := &runner.Fleet{Workers: cfg.Workers, Hook: cfg.Hook, Telemetry: cfg.Telemetry}
-	results, stats := fleet.Run(c.Jobs())
+	results, _ := (&runner.Fleet{Workers: workers}).Run(c.Jobs())
 	for _, r := range results {
 		if r.Err != nil {
 			return nil, fmt.Errorf("scengen: %s: %w", r.Job.Name, r.Err)
 		}
 	}
-	return c.Finish(stats), nil
+	return c.Finish(), nil
 }
 
 // Finish compacts the findings into a deterministic report. Call it after
 // the fleet has drained.
-func (c *Campaign) Finish(stats runner.Stats) *CampaignReport {
-	rep := &CampaignReport{Scenarios: len(c.jobs), Stats: stats}
+func (c *Campaign) Finish() *CampaignReport {
+	rep := &CampaignReport{Scenarios: len(c.jobs)}
 	for _, f := range c.slots {
 		if f != nil {
 			rep.Findings = append(rep.Findings, *f)

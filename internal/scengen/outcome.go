@@ -40,29 +40,25 @@ type Outcome struct {
 	// sessions not active through the tail.
 	Oracle       []float64
 	OracleActive []float64
-	// SettleACR[i] is when session i's ACR last entered and held the band
-	// around its own tail average (ok[i] false: it never settled).
-	SettleACR []sim.Time
-	SettleOK  []bool
+	// SettleOK[i]: session i's ACR entered and held the band around its
+	// own tail average.
+	SettleOK []bool
 	// ActiveTail[i]: the pattern is active through the whole tail window.
-	// StoppedEarly[i]: the pattern is idle forever from StopMargin before
-	// the end, so in-flight cells have drained by Duration.
-	ActiveTail, StoppedEarly []bool
-	Greedy                   []bool
+	ActiveTail []bool
 
 	// Per directed link.
 	LinkCaps  []float64 // cells/s, build-time
 	PeakQueue []int
 	EndQueue  []int
-	LinkUtil  []float64
 
 	TailFrom sim.Time
 
-	HasEvents     bool
-	HasRateEvents bool
-	HasLoss       bool
-	AllGreedy     bool
-	AllStopped    bool
+	HasEvents bool
+	HasLoss   bool
+	AllGreedy bool
+	// AllStopped: every pattern is idle forever from StopMargin before
+	// the end, so in-flight cells have drained by Duration.
+	AllStopped bool
 
 	Fired uint64
 	// Fingerprint folds every observable total, including the engine's
@@ -172,10 +168,7 @@ func RunSpecObserved(spec *simconfig.Spec, obs Observe) (*Outcome, error) {
 	o.HasEvents = len(cfg.Events) > 0
 	o.HasLoss = cfg.TrunkLossRate > 0
 	for _, ev := range cfg.Events {
-		switch ev.Kind {
-		case scenario.TransientRate:
-			o.HasRateEvents = true
-		case scenario.TransientLoss:
+		if ev.Kind == scenario.TransientLoss {
 			o.HasLoss = true
 		}
 	}
@@ -184,7 +177,6 @@ func RunSpecObserved(spec *simconfig.Spec, obs Observe) (*Outcome, error) {
 		o.LinkCaps = append(o.LinkCaps, net.LinkCapacityCPS(l))
 		o.PeakQueue = append(o.PeakQueue, net.PeakLinkQueue[l])
 		o.EndQueue = append(o.EndQueue, net.LinkQueueLen(l))
-		o.LinkUtil = append(o.LinkUtil, net.LinkUtilization(l))
 	}
 	for i := range cfg.Sessions {
 		o.extractSession(net.Sources[i], net.Dests[i], net.Goodput[i], net.ACR[i], net.MeanGoodputCPS(i))
@@ -196,15 +188,11 @@ func RunSpecObserved(spec *simconfig.Spec, obs Observe) (*Outcome, error) {
 	o.AllGreedy, o.AllStopped = true, stopBy > 0
 	for _, s := range cfg.Sessions {
 		o.Names = append(o.Names, s.Name)
-		_, greedy := s.Pattern.(workload.Greedy)
-		o.Greedy = append(o.Greedy, greedy)
-		if !greedy {
+		if _, greedy := s.Pattern.(workload.Greedy); !greedy {
 			o.AllGreedy = false
 		}
 		o.ActiveTail = append(o.ActiveTail, activeThroughout(s.Pattern, o.TailFrom, sim.Time(o.Duration)))
-		stopped := stopBy > 0 && stoppedForever(s.Pattern, stopBy)
-		o.StoppedEarly = append(o.StoppedEarly, stopped)
-		if !stopped {
+		if stopBy == 0 || !stoppedForever(s.Pattern, stopBy) {
 			o.AllStopped = false
 		}
 	}
@@ -259,8 +247,7 @@ func (o *Outcome) extractSession(src *atm.Source, dst *atm.Dest, goodput, acr *m
 	end := sim.Time(o.Duration)
 	o.TailGoodput = append(o.TailGoodput, goodput.TimeAvg(o.TailFrom, end))
 	target := acr.TimeAvg(o.TailFrom, end)
-	at, ok := metrics.ConvergenceTime(acr, 0, end, target, settleTol, settleHold)
-	o.SettleACR = append(o.SettleACR, at)
+	_, ok := metrics.ConvergenceTime(acr, 0, end, target, settleTol, settleHold)
 	o.SettleOK = append(o.SettleOK, ok)
 }
 

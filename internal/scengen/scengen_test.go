@@ -185,8 +185,7 @@ func TestCampaignWorkerInvariance(t *testing.T) {
 		rep, err := RunCampaign(CampaignConfig{
 			Families: []Family{FlashCrowd, Transient},
 			N:        2,
-			Workers:  workers,
-		})
+		}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

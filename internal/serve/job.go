@@ -32,7 +32,6 @@ type job struct {
 	failed    int
 	canceled  int // canceled runs
 	stats     runner.Stats
-	haveStats bool
 	errMsg    string
 	// sealed is the terminal job's campaign, opened once; every query
 	// scans a clone of it (see Server.openJobStore).
@@ -128,7 +127,6 @@ func (j *job) finish(stats runner.Stats, errMsg string) {
 	// landed runs also count those Convert failed, as the stream shows them.
 	stats.Failed = j.failed
 	j.stats = stats
-	j.haveStats = true
 	j.errMsg = errMsg
 	j.finished = time.Now()
 	switch {

@@ -70,7 +70,7 @@ func buildPingNet(n int, reg *telemetry.Registry) *pingNet {
 				conduits[reverse].Receive(e, cell)
 			})
 		})
-		conduits[c] = p.g.NewConduit(fmt.Sprintf("c%d", c), pingWindow+sim.Duration(c%3)*time.Nanosecond, engines[dst], sink)
+		conduits[c] = p.g.NewConduit(pingWindow+sim.Duration(c%3)*time.Nanosecond, engines[dst], sink)
 	}
 	for c, ed := range ends {
 		c := c
@@ -143,8 +143,8 @@ func TestRendezvousStress(t *testing.T) {
 				long.g.Advance(horizon)
 				sameLogs(t, "one Advance", long.logs, ref.logs, sim.Time(horizon))
 				st := long.g.Stat()
-				if st.Epochs != epochs || len(st.WaitNS) != n {
-					t.Errorf("stats %+v: want %d epochs and %d WaitNS entries", st, epochs, n)
+				if st.Epochs != epochs || len(st.BusyNS) != n {
+					t.Errorf("stats %+v: want %d epochs and %d BusyNS entries", st, epochs, n)
 				}
 				snap := reg.Snapshot()
 				if min(procs, runtime.NumCPU()) < n && snap["shard.barrier_parks"] == 0 {
@@ -196,7 +196,7 @@ func TestAdvancePanic(t *testing.T) {
 			// Shard 0 feeds shard 1, so the healthy shards are mid-protocol
 			// — conduit traffic, several barriers behind them — when the
 			// handler blows up inside the fourth window.
-			cd := g.NewConduit("x", 10*sim.Microsecond, engines[1], atm.SinkFunc(func(*sim.Engine, atm.Cell) {}))
+			cd := g.NewConduit(10*sim.Microsecond, engines[1], atm.SinkFunc(func(*sim.Engine, atm.Cell) {}))
 			engines[0].Every(3*sim.Microsecond, func(e *sim.Engine) { cd.Receive(e, atm.Cell{VC: 1}) })
 			engines[bad].At(sim.Time(35*sim.Microsecond), func(*sim.Engine) { panic("boom") })
 

@@ -21,8 +21,6 @@ import (
 // arrival times are non-decreasing and delivery order equals send order —
 // exactly the wire the conduit replaces.
 type Conduit struct {
-	// Name labels the conduit (the cut link's name) in errors and tests.
-	Name string
 	// Delay is the cut link's real propagation delay.
 	Delay sim.Duration
 	// Dst is the receiving component on the destination shard.
@@ -82,11 +80,6 @@ type Stats struct {
 	// protocol's critical path, i.e. what the wall clock becomes when every
 	// shard has its own core (plus barrier overhead).
 	CritNS uint64
-	// WaitNS[i] is shard i's accumulated time at the barrier: from the end
-	// of its own window until every shard had arrived and the drain began.
-	WaitNS []uint64
-	// FlushNS is the accumulated time of the conduit drains.
-	FlushNS uint64
 }
 
 // Group couples the engines of one sharded topology and advances them in
@@ -102,8 +95,6 @@ type Group struct {
 	cellsCrossed uint64
 	busyNS       []uint64
 	critNS       uint64
-	waitNS       []uint64
-	flushNS      uint64
 
 	// The rendezvous (see Advance). deadline is written by the caller's
 	// goroutine and polled by the workers; arrived is bumped by the workers
@@ -131,7 +122,6 @@ func NewGroup(engines []*sim.Engine, window sim.Duration, reg *telemetry.Registr
 		engines:       engines,
 		window:        window,
 		busyNS:        make([]uint64, len(engines)),
-		waitNS:        make([]uint64, len(engines)),
 		slots:         make([]slot, len(engines)),
 		barrierWaits:  reg.Counter("shard.barrier_waits"),
 		nullMsgs:      reg.Counter("shard.null_messages"),
@@ -150,8 +140,8 @@ func NewGroup(engines []*sim.Engine, window sim.Duration, reg *telemetry.Registr
 // NewConduit registers the crossing for one cut link: cells it receives on
 // the source shard surface at dst on engine dstEngine after delay. Call
 // during the build, before Advance.
-func (g *Group) NewConduit(name string, delay sim.Duration, dstEngine *sim.Engine, dst atm.Sink) *Conduit {
-	cd := &Conduit{Name: name, Delay: delay, Dst: dst, dst: dstEngine}
+func (g *Group) NewConduit(delay sim.Duration, dstEngine *sim.Engine, dst atm.Sink) *Conduit {
+	cd := &Conduit{Delay: delay, Dst: dst, dst: dstEngine}
 	g.conduits = append(g.conduits, cd)
 	return cd
 }
@@ -161,7 +151,6 @@ func (g *Group) Stat() Stats {
 	return Stats{
 		Epochs: g.epochs, CellsCrossed: g.cellsCrossed,
 		BusyNS: append([]uint64(nil), g.busyNS...), CritNS: g.critNS,
-		WaitNS: append([]uint64(nil), g.waitNS...), FlushNS: g.flushNS,
 	}
 }
 
@@ -274,7 +263,6 @@ func (g *Group) Advance(d sim.Duration) {
 			busy, wait := s.end-s.start, drain-s.end
 			g.busyNS[i] += uint64(busy)
 			g.advanceNS.Observe(uint64(busy))
-			g.waitNS[i] += uint64(wait)
 			g.barrierWaitNS.Observe(uint64(wait))
 			if busy > maxBusy {
 				maxBusy = busy
@@ -294,9 +282,7 @@ func (g *Group) Advance(d sim.Duration) {
 				g.crossedCtr.Add(uint64(c))
 			}
 		}
-		flush := time.Since(base) - drain
-		g.flushNS += uint64(flush)
-		g.flushHistNS.Observe(uint64(flush))
+		g.flushHistNS.Observe(uint64(time.Since(base) - drain))
 	}
 }
 

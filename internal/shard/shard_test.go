@@ -141,7 +141,7 @@ func TestGroupAdvance(t *testing.T) {
 			vc atm.VCID
 		}{e.Now(), c.VC})
 	})
-	cd := g.NewConduit("x", 25*sim.Microsecond, e1, sink)
+	cd := g.NewConduit(25*sim.Microsecond, e1, sink)
 
 	// Shard 0 sends one cell per window for 3 windows, starting mid-window.
 	for i := 0; i < 3; i++ {
@@ -198,7 +198,7 @@ func TestGroupPartialWindow(t *testing.T) {
 	g := NewGroup([]*sim.Engine{e0, e1}, window, nil)
 
 	var arrivals []sim.Time
-	cd := g.NewConduit("x", window, e1, atm.SinkFunc(func(e *sim.Engine, c atm.Cell) {
+	cd := g.NewConduit(window, e1, atm.SinkFunc(func(e *sim.Engine, c atm.Cell) {
 		arrivals = append(arrivals, e.Now())
 	}))
 	// Sent at t=13µs inside the partial window (10, 15]; arrival 23µs is

@@ -15,13 +15,12 @@ type Handler func(e *Engine)
 // closure per event: the component stores a fixed package-level TypedHandler
 // and passes itself (and any in-flight object) through the payload.
 //
-// Obj and Aux hold pointer-shaped values (component pointers, packets);
+// Obj holds a pointer-shaped value (a component pointer, a packet);
 // storing a pointer in an interface does not allocate. I and F are scalar
 // slots for counts, sequence numbers or rates. The whole struct is copied
 // into the event cell by value.
 type Payload struct {
 	Obj any
-	Aux any
 	I   int64
 	F   float64
 }

@@ -160,10 +160,9 @@ func (r *Receiver) sendAck(e *sim.Engine) {
 	echo := r.ecnPend
 	r.ecnPend = false
 	r.Back.Receive(e, ip.NewPacket(ip.Packet{
-		Flow:   r.Flow,
-		Ack:    true,
-		AckNo:  r.rcvNxt,
-		ECN:    echo,
-		SentAt: e.Now(),
+		Flow:  r.Flow,
+		Ack:   true,
+		AckNo: r.rcvNxt,
+		ECN:   echo,
 	}))
 }

@@ -80,11 +80,6 @@ type Sender struct {
 	Params SenderParams
 	Out    ip.Sink // toward the first router
 
-	// OnCwnd observes congestion-window changes (bytes) for figures.
-	OnCwnd func(now sim.Time, cwnd float64)
-	// OnRate observes the measured CR (bits/s).
-	OnRate func(now sim.Time, rate float64)
-
 	// Connection state (bytes).
 	sndUna   int64
 	sndNxt   int64
@@ -99,7 +94,6 @@ type Sender struct {
 	srtt     float64
 	rttvar   float64
 	rto      sim.Duration
-	backoff  int
 	timer    *sim.Timer // retransmission timer; made by Start
 	timedSeq int64      // sequence being timed for RTT (Karn)
 	timedAt  sim.Time
@@ -118,9 +112,9 @@ type Sender struct {
 	vegas *vegasState
 
 	// Stats.
-	sent, retransmits, timeouts, quenches int64
-	started                               bool
-	stopped                               bool
+	retransmits, timeouts, quenches int64
+	started                         bool
+	stopped                         bool
 
 	tel senderTel
 }
@@ -194,15 +188,13 @@ func (s *Sender) Start(e *sim.Engine) error {
 	if s.Params.Stop > 0 {
 		e.At(s.Params.Stop, func(*sim.Engine) { s.stopped = true })
 	}
-	s.notifyCwnd(e.Now())
+	s.notifyCwnd()
 	return nil
 }
 
-func (s *Sender) notifyCwnd(now sim.Time) {
+// notifyCwnd records a congestion-window change in the peak telemetry.
+func (s *Sender) notifyCwnd() {
 	s.tel.cwndPeak.Observe(uint64(s.cwnd))
-	if s.OnCwnd != nil {
-		s.OnCwnd(now, s.cwnd)
-	}
 }
 
 // updateRate recomputes the stamped CR from acknowledged payload.
@@ -214,9 +206,6 @@ func (s *Sender) updateRate(now sim.Time) {
 	s.rate = float64(s.sndUna-s.lastAcked) * 8 / dt
 	s.lastAcked = s.sndUna
 	s.lastRateAt = now
-	if s.OnRate != nil {
-		s.OnRate(now, s.rate)
-	}
 }
 
 // window returns the usable send window in bytes.
@@ -246,10 +235,7 @@ func (s *Sender) transmit(e *sim.Engine, seq int64, isRetransmit bool) {
 		Seq:         seq,
 		Len:         s.Params.MSS,
 		CurrentRate: s.rate,
-		Retransmit:  isRetransmit,
-		SentAt:      e.Now(),
 	})
-	s.sent++
 	s.tel.segsSent.Inc()
 	if isRetransmit {
 		s.retransmits++
@@ -289,7 +275,6 @@ func (s *Sender) onTimeout(e *sim.Engine) {
 	s.inRecovery = false
 	s.dupAcks = 0
 	s.timing = false // Karn: discard the sample
-	s.backoff++
 	s.rto *= 2
 	if s.rto > s.Params.MaxRTO {
 		s.rto = s.Params.MaxRTO
@@ -297,7 +282,7 @@ func (s *Sender) onTimeout(e *sim.Engine) {
 	s.sndNxt = s.sndUna
 	s.transmit(e, s.sndNxt, true)
 	s.sndNxt += int64(s.Params.MSS)
-	s.notifyCwnd(e.Now())
+	s.notifyCwnd()
 }
 
 // Receive implements ip.Sink: the sender consumes ACKs for its flow. It is
@@ -327,7 +312,6 @@ func (s *Sender) onNewAck(e *sim.Engine, ackNo int64) {
 	if s.timing && ackNo > s.timedSeq {
 		s.sampleRTT(e.Now().Sub(s.timedAt))
 		s.timing = false
-		s.backoff = 0
 	}
 	s.sndUna = ackNo
 	if s.sndNxt < s.sndUna {
@@ -354,7 +338,7 @@ func (s *Sender) onNewAck(e *sim.Engine, ackNo int64) {
 	} else {
 		s.timer.Stop()
 	}
-	s.notifyCwnd(e.Now())
+	s.notifyCwnd()
 }
 
 // onDupAck implements fast retransmit and Reno fast recovery.
@@ -368,10 +352,10 @@ func (s *Sender) onDupAck(e *sim.Engine) {
 		s.transmit(e, s.sndUna, true)
 		s.cwnd = s.ssthresh + 3*mss
 		s.inRecovery = true
-		s.notifyCwnd(e.Now())
+		s.notifyCwnd()
 	case s.dupAcks > 3 && s.inRecovery:
 		s.cwnd += mss // window inflation
-		s.notifyCwnd(e.Now())
+		s.notifyCwnd()
 	}
 }
 
@@ -392,7 +376,7 @@ func (s *Sender) onECNEcho(e *sim.Engine) {
 	mss := float64(s.Params.MSS)
 	s.ssthresh = maxF(s.cwnd/2, 2*mss)
 	s.cwnd = s.ssthresh
-	s.notifyCwnd(now)
+	s.notifyCwnd()
 }
 
 // Quench is the ICMP Source Quench reaction: per [BP87] and the paper, the
@@ -406,7 +390,7 @@ func (s *Sender) Quench(e *sim.Engine) {
 	mss := float64(s.Params.MSS)
 	s.ssthresh = maxF(s.cwnd/2, 2*mss)
 	s.cwnd = mss
-	s.notifyCwnd(e.Now())
+	s.notifyCwnd()
 }
 
 // sampleRTT runs the Jacobson estimator and recomputes RTO.

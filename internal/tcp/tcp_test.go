@@ -129,7 +129,7 @@ func TestFastRetransmitOnTripleDupAck(t *testing.T) {
 		t.Fatalf("retransmits = %d, want 1", s.Retransmits())
 	}
 	retx := out.pkts[sent]
-	if retx.Seq != 1536 || !retx.Retransmit {
+	if retx.Seq != 1536 {
 		t.Fatalf("retransmitted wrong segment: %+v", retx)
 	}
 	// ssthresh = flight/2 = 1024; cwnd = ssthresh + 3 MSS.
@@ -170,7 +170,7 @@ func TestTimeoutCollapsesWindowAndBacksOff(t *testing.T) {
 	s := newSender(t, e, out)
 	ack(e, s, 512)
 	ack(e, s, 1024) // cwnd = 3 MSS, several segments in flight
-	rtoBefore := s.rto
+	rtoBefore, retxBefore := s.rto, s.Retransmits()
 
 	// Let the retransmission timer expire with no ACKs.
 	e.RunUntil(e.Now().Add(2 * rtoBefore))
@@ -185,8 +185,8 @@ func TestTimeoutCollapsesWindowAndBacksOff(t *testing.T) {
 	}
 	// Go-back-N: the retransmission must restart at snd.una.
 	last := out.pkts[len(out.pkts)-1]
-	if last.Seq != 1024 || !last.Retransmit {
-		t.Fatalf("timeout retransmitted %+v, want seq 1024", last)
+	if last.Seq != 1024 || s.Retransmits() == retxBefore {
+		t.Fatalf("timeout retransmitted %+v (retransmits %d → %d), want seq 1024 as a retransmission", last, retxBefore, s.Retransmits())
 	}
 }
 

@@ -28,3 +28,27 @@ func (Box) Receive(Cell) {}
 
 // Deliver hands x to s.
 func Deliver[T any](s Sink[T], x T) { s.Receive(x) }
+
+// Fields plants the cases the field census must tell apart.
+type Fields struct {
+	written  int   // only assigned and a literal's key: reported
+	appended []int // only appended to itself: reported
+	summed   int   // only +='d and ++'d: reported
+	tested   int   // read only in p_test.go: reported
+	read     int   // read by Sum, with an allowlist row: the row is stale
+	Tagged   int   `json:"tagged"` // read by its encoder
+}
+
+// NewFields writes every field of Fields.
+func NewFields() *Fields {
+	f := &Fields{written: 1, tested: 2, Tagged: 3}
+	f.written = 4
+	f.appended = append(f.appended, 5)
+	f.summed += 6
+	f.summed++
+	f.read = 7
+	return f
+}
+
+// Sum reads f.read.
+func (f *Fields) Sum() int { return f.read }

@@ -3,3 +3,9 @@ package p
 import "testing"
 
 func TestOnlyTested(t *testing.T) { OnlyTested() }
+
+func TestFields(t *testing.T) {
+	if NewFields().tested != 2 {
+		t.Fatal("tested not set")
+	}
+}

@@ -7,4 +7,5 @@ import "repro/testdata/surface/p"
 func Run() {
 	p.Called()
 	p.Deliver[p.Cell](p.Box{}, p.Cell{})
+	p.NewFields().Sum()
 }
