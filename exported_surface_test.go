@@ -44,6 +44,8 @@ var exportedSurfaceAllow = map[string]string{
 	"atmnet.Link.QueueCap":          "ring's FIFO integration tests pin the link queue's capacity",
 	"ip.Port.QueueCap":              "ring's FIFO integration tests pin the port queue's capacity",
 	"interop.IngressEdge.CellsSent": "scenario's TCP-over-ATM determinism test compares it across reruns",
+	"metrics.Clock.Held":            "scenario's TestSeriesStorageFollowsPoints sums the sampled series' storage",
+	"metrics.Series.Held":           "scenario's TestSeriesStorageFollowsPoints sums the sampled series' storage and counts their clocks",
 	"sim.Pipe.Wire":                 "the atmnet and ip band-sharing tests read which band a pipe's deliveries ride",
 	"tcp.Receiver.AcksSent":         "TestTCPEventIdentity and TestRecycleIsInvisible fingerprint it; both stay as recorded",
 	"tcp.Sender.AckedBytes":         "TestRecycleIsInvisible fingerprints it; the test stays as recorded",

@@ -327,8 +327,9 @@ type JobStatus struct {
 	Failed       int    `json:"failed"`
 	CanceledRuns int    `json:"canceled_runs,omitempty"`
 	Error        string `json:"error,omitempty"`
-	// Store is the job's campaign directory on the daemon host (empty when
-	// the daemon runs storeless); query it with phantom-trace -store, or
+	// Store is the job's campaign directory on the daemon host, once the
+	// job has created it (empty when the daemon runs storeless, and for a
+	// job cancelled while queued); query it with phantom-trace -store, or
 	// remotely through the job's analytics endpoints.
 	Store string `json:"store,omitempty"`
 	// Adopted marks a campaign the daemon found in its data root at

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -27,6 +28,15 @@ func TestPacketSizes(t *testing.T) {
 	ack := &Packet{Ack: true}
 	if ack.SizeBytes() != 40 {
 		t.Fatalf("ack size = %d", ack.SizeBytes())
+	}
+}
+
+// TestPacketFitsSixWords holds the pooled packet header at 48 bytes: five
+// 8-byte fields and the two flags packed into the last word. A flag placed
+// between two 8-byte fields pads itself out to a word of its own.
+func TestPacketFitsSixWords(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 48 {
+		t.Fatalf("Packet is %d bytes, want at most 48: keep the 8-byte fields first and the one-byte flags together", n)
 	}
 }
 

@@ -30,8 +30,6 @@ type Packet struct {
 	Seq int64
 	// Len is the payload length in bytes (0 for a pure ACK).
 	Len int
-	// Ack marks a pure ACK travelling receiver→sender.
-	Ack bool
 	// AckNo is the cumulative acknowledgment (next byte expected).
 	AckNo int64
 	// CurrentRate is the CR field the paper adds to the header: the
@@ -41,6 +39,9 @@ type Packet struct {
 	// ECN is the congestion bit (the paper's EFCI-on-IP-header variant).
 	// On data packets it is set by routers; receivers echo it on ACKs.
 	ECN bool
+	// Ack marks a pure ACK travelling receiver→sender. It sits beside ECN
+	// so the two flags share one word of padding.
+	Ack bool
 }
 
 // packetPool recycles packets across their lifetimes. A sync.Pool keeps the

@@ -22,10 +22,8 @@ func ConvergenceTime(s *Series, from, until sim.Time, target, tol float64, hold 
 
 	in := inside(s.At(from))
 	entered := from
-	for _, p := range s.Points() {
-		if p.T <= from {
-			continue
-		}
+	for i, n := s.after(from), s.size(); i < n; i++ {
+		p := s.at(i)
 		if p.T > until {
 			break
 		}

@@ -18,7 +18,8 @@ func NewSeries(name string) *Series { return &Series{Name: name} }
 func (s *Series) Max(from, to sim.Time) float64 {
 	max := math.Inf(-1)
 	any := false
-	for _, p := range s.points {
+	for i := 0; i < s.size(); i++ {
+		p := s.at(i)
 		if p.T < from || p.T > to {
 			continue
 		}
@@ -55,10 +56,8 @@ func Settling(s *Series, from, to sim.Time, target float64) SettlingStats {
 		}
 		return x
 	}
-	for _, p := range s.Points() {
-		if p.T <= from {
-			continue
-		}
+	for i, n := s.after(from), s.size(); i < n; i++ {
+		p := s.at(i)
 		if p.T > to {
 			break
 		}

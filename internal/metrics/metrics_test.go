@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -49,6 +50,57 @@ func TestSeriesBackwardsTimePanics(t *testing.T) {
 		}
 	}()
 	s.Add(5, 1)
+}
+
+// TestSampledSeriesShareTheClock records two series on one clock, the
+// second starting two ticks late, and holds each to the points it was
+// given. A sample off the clock's last tick, before its first, or after a
+// tick the series missed panics.
+func TestSampledSeriesShareTheClock(t *testing.T) {
+	c := AcquireClock(0)
+	defer c.Release()
+	a, b := AcquireSeries("a", &c), AcquireSeries("b", &c)
+	defer a.Release()
+	defer b.Release()
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("a record before the first tick", func() { a.Record(1) })
+	for k := sim.Time(1); k <= 5; k++ {
+		if step := c.Tick(10 * k); step != 10 {
+			t.Fatalf("tick %d: step %v, want 10", k, step)
+		}
+		a.Record(float64(k))
+		if k >= 3 {
+			b.Add(10*k, float64(-k))
+		}
+	}
+	if c.Tick(50) != 0 {
+		t.Error("a tick at the last instant stepped")
+	}
+	a.Record(50) // replaces the value at t=50
+	want := []Point{{10, 1}, {20, 2}, {30, 3}, {40, 4}, {50, 50}}
+	if got := a.Points(); !slices.Equal(got, want) {
+		t.Errorf("a: %v, want %v", got, want)
+	}
+	if got, want := b.Points(), []Point{{30, -3}, {40, -4}, {50, -5}}; !slices.Equal(got, want) {
+		t.Errorf("b: %v, want %v", got, want)
+	}
+	if b.At(29) != 0 || b.At(45) != -4 || b.TimeAvg(30, 50) != -3.5 {
+		t.Errorf("b reads At(29)=%v At(45)=%v TimeAvg(30,50)=%v", b.At(29), b.At(45), b.TimeAvg(30, 50))
+	}
+	mustPanic("an Add off the clock's tick", func() { a.Add(40, 1) })
+	mustPanic("a tick before the last", func() { c.Tick(40) })
+	c.Tick(60)
+	a.Record(6)
+	c.Tick(70)
+	mustPanic("a record after a missed tick", func() { b.Record(7) })
 }
 
 func TestSeriesTimeAvg(t *testing.T) {
@@ -440,20 +492,27 @@ func TestSettling(t *testing.T) {
 	}
 }
 
-// TestPointPoolDoesNotRatchet plays a sweep of scenarios whose series are of
-// unequal length — one in ten outgrows its hint tenfold, as a short-RTT
-// flow's cwnd series once did — and holds the capacity the pool lends out
-// in round 100 to what it lent in round 10. Pooling regrown slices
-// without a class per capacity, the long ones drift to short series and
-// the total climbs every round. The same sweep of growing (hint 0) series,
+// TestPointPoolDoesNotRatchet plays a sweep of scenarios whose sampled
+// series are of unequal length — one in ten outgrows its hint tenfold, as
+// a short-RTT flow's cwnd series once did — and holds the capacity the
+// pool lends out in round 100 to what it lent in round 10. Pooling regrown
+// columns without a class per capacity, the long ones drift to short series
+// and the total climbs every round. The same sweep of event-driven series,
 // one in ten long, holds their capacity after the appends the same way.
+// Each sampled series runs on a clock of its own, so lengths can differ.
 func TestPointPoolDoesNotRatchet(t *testing.T) {
 	const series, hint = 200, 100
 	lent := func(round, capHint int) (total int) {
 		ss := make([]*Series, series)
+		clocks := make([]Clock, series)
 		for i := range ss {
-			ss[i] = AcquireSeries("s", capHint)
-			total += cap(ss[i].points)
+			var c *Clock
+			if capHint > 0 {
+				clocks[i] = AcquireClock(capHint)
+				c = &clocks[i]
+			}
+			ss[i] = AcquireSeries("s", c)
+			total += cap(ss[i].vals)
 		}
 		for i, s := range ss {
 			n := hint / 2
@@ -461,14 +520,18 @@ func TestPointPoolDoesNotRatchet(t *testing.T) {
 				n = 10 * hint
 			}
 			for k := 0; k < n; k++ {
+				if capHint > 0 {
+					clocks[i].Tick(sim.Time(k))
+				}
 				s.Add(sim.Time(k), 1)
 			}
 			if capHint == 0 {
 				total += cap(s.points)
 			}
 		}
-		for _, s := range ss {
+		for i, s := range ss {
 			s.Release()
+			clocks[i].Release()
 		}
 		return total
 	}
@@ -497,9 +560,17 @@ func TestSeriesPoolsAcrossGoroutines(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 50; round++ {
-				s := AcquireSeries("s", (round%2)*37)
+				var c *Clock // odd rounds sample on a clock with a hint
+				if round%2 == 1 {
+					clock := AcquireClock(37)
+					c = &clock
+				}
+				s := AcquireSeries("s", c)
 				n := 1 + (g*131+round*17)%300
 				for k := 0; k < n; k++ {
+					if c != nil {
+						c.Tick(sim.Time(k))
+					}
 					s.Add(sim.Time(k), float64(g*1000+k))
 				}
 				for k, p := range s.Points() {
@@ -509,6 +580,9 @@ func TestSeriesPoolsAcrossGoroutines(t *testing.T) {
 					}
 				}
 				s.Release()
+				if c != nil {
+					c.Release()
+				}
 			}
 		}(g)
 	}

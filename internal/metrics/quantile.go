@@ -28,10 +28,8 @@ func (s *Series) Percentile(from, to sim.Time, p float64) float64 {
 	var spans []span
 	cur := s.At(from)
 	prev := from
-	for _, pt := range s.Points() {
-		if pt.T <= from {
-			continue
-		}
+	for i, n := s.after(from), s.size(); i < n; i++ {
+		pt := s.at(i)
 		if pt.T > to {
 			break
 		}

@@ -214,7 +214,6 @@ type GraphNet struct {
 
 	fairShareFns  []func() float64
 	lastDelivered []int64
-	hint          int // sampled series' pre-sizing hint
 	plan          *shardPlan
 	linkShard     []int // directed link -> owning shard (its source node's)
 	sessionShard  []int // session -> owning shard (its Dst node's)
@@ -330,7 +329,10 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &GraphNet{Engine: plan.engines[0], Config: cfg, plan: plan, hint: samplesHint(cfg.Duration, cfg.SampleEvery)}
+	n := &GraphNet{Engine: plan.engines[0], Config: cfg, plan: plan}
+	for s := range plan.state {
+		plan.state[s].clock = metrics.AcquireClock(samplesHint(cfg.Duration, cfg.SampleEvery))
+	}
 
 	// Route every session first: only directed links on some forward path
 	// host an algorithm instance, so an unused direction (a chain's reverse
@@ -485,7 +487,8 @@ func (n *GraphNet) addLink(l int, used bool) {
 	if !used {
 		return
 	}
-	n.LinkQueue[l] = metrics.AcquireSeries(fmt.Sprintf("queue[%s]", name), n.hint)
+	clock := n.clock(n.linkShard[l])
+	n.LinkQueue[l] = metrics.AcquireSeries(fmt.Sprintf("queue[%s]", name), clock)
 	link.OnQueue = n.recordPeak(l)
 	if tr := plan.traceFor(from); tr != nil {
 		link.OnDrop = func(now sim.Time, c atm.Cell) {
@@ -494,7 +497,7 @@ func (n *GraphNet) addLink(l int, used bool) {
 		}
 	}
 	if alg != nil {
-		n.FairShare[l] = metrics.AcquireSeries(fmt.Sprintf("fairshare[%s]", name), n.hint)
+		n.FairShare[l] = metrics.AcquireSeries(fmt.Sprintf("fairshare[%s]", name), clock)
 	}
 	n.fairShareFns[l] = fairShareGetter(alg)
 }
@@ -526,13 +529,13 @@ func (n *GraphNet) addRouterPort(l int) {
 		d := cfg.routers.disc()
 		if pd, ok := d.(*ip.PhantomDiscipline); ok {
 			// MACR ticks every discipline interval, not per SampleEvery.
-			macr := metrics.AcquireSeries(fmt.Sprintf("MACR[%s]", name), 0)
+			macr := metrics.AcquireSeries(fmt.Sprintf("MACR[%s]", name), nil)
 			pd.OnTick = func(now sim.Time, _, v float64) { macr.Add(now, v) }
 			n.FairShare[l] = macr
 		}
 		p.Attach(n.Engine, d)
 	}
-	n.LinkQueue[l] = metrics.AcquireSeries(fmt.Sprintf("queue[%s]", name), n.hint)
+	n.LinkQueue[l] = metrics.AcquireSeries(fmt.Sprintf("queue[%s]", name), n.clock(n.linkShard[l]))
 	p.OnQueue = n.recordPeak(l)
 }
 
@@ -616,7 +619,7 @@ func (n *GraphNet) attachABR(i int, vc atm.VCID) error {
 	// ACR changes per backward RM cell, not per SampleEvery: its
 	// storage grows with the points it records.
 	n.ACR[i] = n.recordRate(fmt.Sprintf("ACR[%s]", spec.Name), plan.traceFor(spec.Src), spec.Name, &src.OnRateChange)
-	n.Goodput[i] = metrics.AcquireSeries(fmt.Sprintf("goodput[%s]", spec.Name), n.hint)
+	n.Goodput[i] = metrics.AcquireSeries(fmt.Sprintf("goodput[%s]", spec.Name), n.clock(n.sessionShard[i]))
 	n.Sources[i], n.Dests[i] = src, dest
 	return src.Start(plan.engineFor(spec.Src))
 }
@@ -624,7 +627,7 @@ func (n *GraphNet) attachABR(i int, vc atm.VCID) error {
 // recordRate installs a rate observer at hook that records the rate into a
 // new series and, with a recorder, emits a "rate" event for component.
 func (n *GraphNet) recordRate(series string, tr *trace.Tracer, component string, hook *func(sim.Time, float64)) *metrics.Series {
-	s := metrics.AcquireSeries(series, 0)
+	s := metrics.AcquireSeries(series, nil)
 	if tr != nil {
 		*hook = func(now sim.Time, r float64) {
 			s.Add(now, r)
@@ -650,7 +653,7 @@ func (n *GraphNet) attachTCP(i int, vc atm.VCID) error {
 	} else if n.senders[i], n.receivers[i], err = n.accessAAL5(i, vc, params); err != nil {
 		return err
 	}
-	n.Goodput[i] = metrics.AcquireSeries(fmt.Sprintf("goodput[%s]", spec.Name), n.hint)
+	n.Goodput[i] = metrics.AcquireSeries(fmt.Sprintf("goodput[%s]", spec.Name), n.clock(n.sessionShard[i]))
 	return n.senders[i].Start(n.Engine)
 }
 
@@ -753,34 +756,36 @@ func (n *GraphNet) accessAAL5(i int, vc atm.VCID, params tcp.SenderParams) (*tcp
 	return snd, rcv, nil
 }
 
-// sample records one point on shard s's share of the sampled series: ABR
-// sessions count delivered cells, TCP ones delivered payload bits.
+// clock returns shard s's sampler's clock.
+func (n *GraphNet) clock(s int) *metrics.Clock { return &n.plan.state[s].clock }
+
+// sample ticks shard s's clock and records one value into each of the
+// sampled series it owns: ABR sessions count delivered cells, TCP ones
+// delivered payload bits.
 func (n *GraphNet) sample(s int, now sim.Time) {
-	dt := now.Sub(n.plan.lastSamples[s]).Seconds()
-	n.plan.lastSamples[s] = now
-	for i, g := range n.Goodput {
-		if n.sessionShard[i] != s {
-			continue
+	if dt := n.clock(s).Tick(now).Seconds(); dt > 0 {
+		for i, g := range n.Goodput {
+			if n.sessionShard[i] != s {
+				continue
+			}
+			var cur int64
+			scale := 1.0
+			if d := n.Dests[i]; d != nil {
+				cur = d.DataCells()
+			} else {
+				cur, scale = n.receivers[i].DeliveredBytes(), 8
+			}
+			g.Record(float64(cur-n.lastDelivered[i]) * scale / dt)
+			n.lastDelivered[i] = cur
 		}
-		var cur int64
-		scale := 1.0
-		if d := n.Dests[i]; d != nil {
-			cur = d.DataCells()
-		} else {
-			cur, scale = n.receivers[i].DeliveredBytes(), 8
-		}
-		if dt > 0 {
-			g.Add(now, float64(cur-n.lastDelivered[i])*scale/dt)
-		}
-		n.lastDelivered[i] = cur
 	}
 	for l, series := range n.LinkQueue {
 		if series == nil || n.linkShard[l] != s {
 			continue
 		}
-		series.Add(now, float64(n.LinkQueueLen(l)))
+		series.Record(float64(n.LinkQueueLen(l)))
 		if fn := n.fairShareFns[l]; fn != nil {
-			n.FairShare[l].Add(now, fn())
+			n.FairShare[l].Record(fn())
 		}
 	}
 }
@@ -819,10 +824,11 @@ func (n *GraphNet) FiredTotal() uint64 {
 	return t
 }
 
-// Release returns every recorded series' point storage to the metrics pool.
-// Call it only when all reads of the series are done — parameter sweeps
-// build and discard a full network per point, and pooling the storage keeps
-// a sweep's allocation cost flat. The network is unusable afterwards.
+// Release returns every recorded series' storage and the samplers' clocks
+// to the metrics pools. Call it only when all reads of the series are done
+// — parameter sweeps build and discard a full network per point, and
+// pooling the storage keeps a sweep's allocation cost flat. The network is
+// unusable afterwards.
 func (n *GraphNet) Release() {
 	for _, group := range [][]*metrics.Series{n.ACR, n.Goodput, n.LinkQueue, n.FairShare} {
 		for _, s := range group {
@@ -830,6 +836,9 @@ func (n *GraphNet) Release() {
 				s.Release()
 			}
 		}
+	}
+	for s := range n.plan.state {
+		n.clock(s).Release()
 	}
 }
 

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -29,13 +30,18 @@ type shardPlan struct {
 	parentReg *telemetry.Registry
 	parentTr  *trace.Tracer
 
-	flushes   []engineFlush
-	prevSnap  []map[string]uint64
-	traceSeen []int64
-	// lastSamples is the per-shard previous sampler tick (all shards tick
-	// at the same simulated times; each needs its own memory because each
-	// runs its own sampler).
-	lastSamples []sim.Time
+	// state[i] is what shard i carries from one Run to the next.
+	state []shardState
+}
+
+// shardState is one shard's run-time state.
+type shardState struct {
+	flush     engineFlush
+	prevSnap  map[string]uint64 // sharded: its registry at the last flush
+	traceSeen int64             // sharded: its tracer's Seen at the last flush
+	// clock is the shard's sampler's time column, shared by every sampled
+	// series the shard records.
+	clock metrics.Clock
 }
 
 // resolvePartition turns the config's (Shards, Partition) pair into a
@@ -75,8 +81,7 @@ func newShardPlan(part shard.Partition, edges []shard.Edge, reg *telemetry.Regis
 		p.engines = []*sim.Engine{sim.NewEngine()}
 		p.regs = []*telemetry.Registry{reg}
 		p.tracers = []*trace.Tracer{tr}
-		p.flushes = make([]engineFlush, 1)
-		p.lastSamples = make([]sim.Time, 1)
+		p.state = make([]shardState, 1)
 		return p, nil
 	}
 	window, err := part.Lookahead(edges)
@@ -96,10 +101,7 @@ func newShardPlan(part shard.Partition, edges []shard.Edge, reg *telemetry.Regis
 		}
 	}
 	p.group = shard.NewGroup(p.engines, window, reg)
-	p.flushes = make([]engineFlush, part.Shards)
-	p.prevSnap = make([]map[string]uint64, part.Shards)
-	p.traceSeen = make([]int64, part.Shards)
-	p.lastSamples = make([]sim.Time, part.Shards)
+	p.state = make([]shardState, part.Shards)
 	return p, nil
 }
 
@@ -132,7 +134,7 @@ func (p *shardPlan) run(d sim.Duration) {
 // per-shard state is ordered and race-free.
 func (p *shardPlan) flush() {
 	for i := range p.engines {
-		p.flushes[i].flush(p.parentReg, p.engines[i])
+		p.state[i].flush.flush(p.parentReg, p.engines[i])
 	}
 	if p.group == nil {
 		return
@@ -140,8 +142,8 @@ func (p *shardPlan) flush() {
 	if p.parentReg != nil {
 		for i, r := range p.regs {
 			cur := r.Snapshot()
-			telemetry.AbsorbDelta(p.parentReg, cur, p.prevSnap[i])
-			p.prevSnap[i] = cur
+			telemetry.AbsorbDelta(p.parentReg, cur, p.state[i].prevSnap)
+			p.state[i].prevSnap = cur
 		}
 	}
 	if p.parentTr != nil {
@@ -160,8 +162,8 @@ func (p *shardPlan) flush() {
 func (p *shardPlan) mergeTraces() {
 	tails := make([][2][]trace.Event, len(p.tracers))
 	for i, tr := range p.tracers {
-		n := int(min(tr.Seen()-p.traceSeen[i], int64(tr.Len())))
-		p.traceSeen[i] = tr.Seen()
+		n := int(min(tr.Seen()-p.state[i].traceSeen, int64(tr.Len())))
+		p.state[i].traceSeen = tr.Seen()
 		older, newer := tr.Retained()
 		if n <= len(newer) {
 			tails[i][0] = newer[len(newer)-n:]

@@ -210,18 +210,21 @@ func TestTCPMaxMinOracle(t *testing.T) {
 	}
 }
 
-// TestSeriesStorageFollowsPoints holds every event-driven series (hint 0)
-// to at most twice the points it recorded (or the smallest capacity class,
-// 16 points), and every sampled series to exactly its hint. The
-// event-driven series are the ACR series of a many-session ATM network,
-// each recording far fewer rate changes than the sampler's cadence would,
-// and the trunks' MACR series of a tcp_timers-shaped network: many Reno
-// flows under Selective Discard.
+// TestSeriesStorageFollowsPoints holds every event-driven series (no
+// clock) to at most twice the points it recorded (or the smallest capacity
+// class, 16 points), and every sampled series to a values column of exactly
+// the sampler's hint on one clock per shard. The event-driven series are
+// the ACR series of a many-session ATM network on two shards, each
+// recording far fewer rate changes than the sampler's cadence would, and
+// the trunks' MACR series of a tcp_timers-shaped network: many Reno flows
+// under Selective Discard. The sampled series of the latter hold at most
+// 8 B per point at the hint, plus one time column per shard.
 func TestSeriesStorageFollowsPoints(t *testing.T) {
 	const (
 		flows, routers = 1000, 4
 		dur            = 3 * sim.Second
 		minClass       = 16
+		valueBytes     = 8 // one float64 per sampled point
 	)
 	var recorded, held, atHint int
 	eventDriven := func(groups ...[]*metrics.Series) {
@@ -234,19 +237,35 @@ func TestSeriesStorageFollowsPoints(t *testing.T) {
 			}
 		}
 	}
-	sampled := func(hint int, groups ...[]*metrics.Series) {
+	// sampled checks each series' values column and returns the bytes the
+	// series and their clocks hold, and how many points the hint sizes.
+	sampled := func(hint, shards int, groups ...[]*metrics.Series) (bytes, points int) {
+		clocks := map[*metrics.Clock]bool{}
 		for _, group := range groups {
 			for _, s := range group {
-				if c := cap(s.Points()); c != hint || len(s.Points()) > hint {
-					t.Errorf("%s holds %d slots for %d points, want exactly the hint %d", s.Name, c, len(s.Points()), hint)
+				b, c := s.Held()
+				if c == nil || b != valueBytes*hint || len(s.Points()) > hint {
+					t.Errorf("%s holds %d B for %d points on clock %p, want the hint's %d values on a clock",
+						s.Name, b, len(s.Points()), c, hint)
 				}
+				clocks[c] = true
+				bytes, points = bytes+b, points+hint
 			}
 		}
+		if len(clocks) != shards {
+			t.Errorf("sampled series share %d clocks, want one per shard (%d)", len(clocks), shards)
+		}
+		for c := range clocks {
+			if c != nil {
+				bytes += c.Held()
+			}
+		}
+		return bytes, points
 	}
 	pairs := [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 2}, {1, 3}, {0, 3}}
 
 	const sessions, atmDur = 200, sim.Second
-	acfg := ATMConfig{Switches: routers, Alg: switchalg.NewPhantom(core.Config{}), Duration: atmDur}
+	acfg := ATMConfig{Switches: routers, Alg: switchalg.NewPhantom(core.Config{}), Duration: atmDur, Shards: 2}
 	for i := 0; i < sessions; i++ {
 		p := pairs[i%len(pairs)]
 		acfg.Sessions = append(acfg.Sessions, ATMSessionSpec{Name: fmt.Sprintf("s%d", i), Entry: p[0], Exit: p[1]})
@@ -256,6 +275,9 @@ func TestSeriesStorageFollowsPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Release()
+	if a.Shards() != 2 {
+		t.Fatalf("ATM chain runs on %d shards, want 2", a.Shards())
+	}
 	a.Run(atmDur)
 	ahint := samplesHint(atmDur, a.GraphNet.Config.SampleEvery)
 	acrPoints := 0
@@ -266,7 +288,7 @@ func TestSeriesStorageFollowsPoints(t *testing.T) {
 		t.Fatalf("ACR series recorded %d points against %d at the hint: not the shape under test", acrPoints, sessions*ahint)
 	}
 	eventDriven(a.ACR)
-	sampled(ahint, a.Goodput, a.TrunkQueue)
+	sampled(ahint, a.Shards(), a.Goodput, a.TrunkQueue, a.FairShare)
 	atHint += ahint * len(a.ACR)
 
 	cfg := TCPConfig{
@@ -294,7 +316,12 @@ func TestSeriesStorageFollowsPoints(t *testing.T) {
 
 	hint := samplesHint(dur, n.Config.SampleEvery)
 	eventDriven(n.MACR)
-	sampled(hint, n.Goodput, n.TrunkQueue)
+	bytes, points := sampled(hint, n.Shards(), n.Goodput, n.TrunkQueue)
+	if bytes > valueBytes*(points+n.Shards()*hint) {
+		t.Errorf("%d flows' sampled series and clocks hold %d B for %d points at the hint: more than %d B a point plus one clock per shard",
+			flows, bytes, points, valueBytes)
+	}
 	atHint += hint * len(n.MACR)
 	t.Logf("event-driven series: %d points in %d slots (%d at the sampler's hint)", recorded, held, atHint)
+	t.Logf("sampled series: %d B for %d points at the hint on %d clock(s)", bytes, points, n.Shards())
 }

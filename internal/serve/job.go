@@ -15,15 +15,18 @@ import (
 // submission order and the stream's payload is independent of worker
 // scheduling.
 type job struct {
-	id       string
-	spec     api.JobSpec
-	exp      *api.Expansion
-	storeDir string
+	id   string
+	spec api.JobSpec
+	exp  *api.Expansion
 	// adopted marks a pre-existing campaign registered at startup: no
 	// expansion, no runs, terminal from birth — only its store answers.
 	adopted bool
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// storeDir is the job's campaign directory once it exists: an adopted
+	// campaign's from birth, a daemon-run job's once store.Create succeeds.
+	// A job cancelled while queued never gets one.
+	storeDir  string
 	state     api.JobState
 	results   []api.RunResult
 	landed    []bool
@@ -46,12 +49,11 @@ type job struct {
 	updated chan struct{}
 }
 
-func newJob(id string, spec api.JobSpec, exp *api.Expansion, storeDir string) *job {
+func newJob(id string, spec api.JobSpec, exp *api.Expansion) *job {
 	return &job{
 		id:        id,
 		spec:      spec,
 		exp:       exp,
-		storeDir:  storeDir,
 		state:     api.JobQueued,
 		results:   make([]api.RunResult, len(exp.Jobs)),
 		landed:    make([]bool, len(exp.Jobs)),
@@ -69,6 +71,13 @@ func adoptedJob(id, storeDir string) *job {
 		state:    api.JobDone,
 		updated:  make(chan struct{}),
 	}
+}
+
+// setStore records the campaign directory the job's runs now commit to.
+func (j *job) setStore(dir string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.storeDir = dir
 }
 
 // bump wakes every watcher. Caller holds mu.

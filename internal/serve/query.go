@@ -45,13 +45,13 @@ func (s *Server) openJobStore(j *job) (*store.Reader, error) {
 	dir, state, sealed := j.storeInfo()
 	switch {
 	case dir == "":
-		return nil, fmt.Errorf("job %s has no store (daemon runs without -data)", j.id)
+		return nil, fmt.Errorf("job %s has no store (daemon runs without -data, or the job has not opened one)", j.id)
 	case !state.Terminal():
 		s.count(&s.queries.liveOpens)
 		return s.index.OpenLive(dir)
 	case sealed == nil:
 		var err error
-		if sealed, err = s.openSealed(j); err != nil {
+		if sealed, err = s.openSealed(j, dir); err != nil {
 			return nil, err
 		}
 	}
@@ -61,9 +61,9 @@ func (s *Server) openJobStore(j *job) (*store.Reader, error) {
 // openSealed opens a terminal job's campaign strictly and keeps it for
 // every later query. Concurrent first queries may both open; the first
 // to finish is kept.
-func (s *Server) openSealed(j *job) (*store.Reader, error) {
+func (s *Server) openSealed(j *job, dir string) (*store.Reader, error) {
 	s.count(&s.queries.sealedOpens)
-	rd, err := s.index.Open(j.storeDir)
+	rd, err := s.index.Open(dir)
 	if err != nil {
 		return nil, err
 	}

@@ -162,12 +162,14 @@ func (s *Server) runJob(j *job) {
 	}
 	cli.AttachLive(fleet, s.live)
 	var infra string
-	if j.storeDir != "" {
-		sw, err := store.Create(j.storeDir, store.Options{})
+	if s.cfg.Dir != "" {
+		dir := filepath.Join(s.cfg.Dir, j.id)
+		sw, err := store.Create(dir, store.Options{})
 		if err != nil {
 			infra = fmt.Sprintf("store: %v", err)
 		} else {
 			fleet.Store = sw
+			j.setStore(dir)
 		}
 	}
 	var stats runner.Stats
@@ -207,11 +209,7 @@ func (s *Server) enqueue(spec api.JobSpec, expn *api.Expansion) (*job, error) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("job-%05d", s.nextID)
-	storeDir := ""
-	if s.cfg.Dir != "" {
-		storeDir = filepath.Join(s.cfg.Dir, id)
-	}
-	j := newJob(id, spec, expn, storeDir)
+	j := newJob(id, spec, expn)
 	select {
 	case s.queue <- j:
 	default:
@@ -262,7 +260,7 @@ func (s *Server) adoptCampaigns() {
 			continue
 		}
 		j := adoptedJob(e.Name(), dir)
-		if _, err := s.openSealed(j); err != nil {
+		if _, err := s.openSealed(j, dir); err != nil {
 			j.state, j.errMsg = api.JobFailed, err.Error()
 		}
 		s.jobs[j.id] = j

@@ -52,9 +52,6 @@ func TestJobLifecycle(t *testing.T) {
 	if st.ID == "" || st.Total != 2 {
 		t.Fatalf("submit status = %+v, want 2 runs and an ID", st)
 	}
-	if st.Store != filepath.Join(dir, st.ID) {
-		t.Errorf("store dir %q, want %q", st.Store, filepath.Join(dir, st.ID))
-	}
 
 	var runs []api.RunResult
 	rep, err := client.Results(st.ID, func(rr api.RunResult) { runs = append(runs, rr) })
@@ -83,6 +80,9 @@ func TestJobLifecycle(t *testing.T) {
 	}
 	if got.State != api.JobDone || got.Done != 2 || got.Failed != 0 {
 		t.Errorf("final status %+v, want done 2/2", got)
+	}
+	if got.Store != filepath.Join(dir, st.ID) {
+		t.Errorf("store dir %q, want %q", got.Store, filepath.Join(dir, st.ID))
 	}
 	list, err := client.Jobs()
 	if err != nil {
@@ -317,9 +317,10 @@ func TestCancelRunningJob(t *testing.T) {
 }
 
 // TestCancelQueuedJob uses a single-job worker pool: the second submission
-// waits in queue, where cancellation is immediate and runs nothing.
+// waits in queue, where cancellation is immediate and runs nothing. Such a
+// job never creates its campaign, so its status names no store.
 func TestCancelQueuedJob(t *testing.T) {
-	_, client, _ := newTestServer(t, Config{JobWorkers: 1})
+	_, client, _ := newTestServer(t, Config{Dir: t.TempDir(), JobWorkers: 1})
 	first, err := client.Submit(fuzzSpec(300))
 	if err != nil {
 		t.Fatal(err)
@@ -332,8 +333,8 @@ func TestCancelQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != api.JobCanceled || st.Done != 0 {
-		t.Fatalf("queued cancel status %+v, want canceled with nothing run", st)
+	if st.State != api.JobCanceled || st.Done != 0 || st.Store != "" {
+		t.Fatalf("queued cancel status %+v, want canceled with nothing run and no store", st)
 	}
 	// Its stream is just the terminal report.
 	n := 0
@@ -341,8 +342,12 @@ func TestCancelQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 || rep.Job.State != api.JobCanceled {
-		t.Errorf("queued-canceled stream: %d runs, state %s; want 0 runs, canceled", n, rep.Job.State)
+	if n != 0 || rep.Job.State != api.JobCanceled || rep.Job.Store != "" {
+		t.Errorf("queued-canceled stream: %d runs, state %s, store %q; want 0 runs, canceled, no store", n, rep.Job.State, rep.Job.Store)
+	}
+	// A cross-job query passes the storeless job by.
+	if _, err := client.CrossSummaries(nil, store.Query{}, func(api.AggregateRow) error { return nil }); err != nil {
+		t.Errorf("cross query with a job cancelled while queued: %v", err)
 	}
 	if _, err := client.Cancel(first.ID); err != nil {
 		t.Fatal(err)
