@@ -275,13 +275,14 @@ func writeSVGs(dir string, v *view, end sim.Time) error {
 	for i, s := range v.acr {
 		acr.Add(s, v.sessions[i])
 	}
-	for name, chart := range map[string]*plot.SVG{
-		"queue.svg": q, "fairshare.svg": fs, "acr.svg": acr,
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(chart.Render()), 0o644); err != nil {
+	for _, f := range []struct {
+		name  string
+		chart *plot.SVG
+	}{{"queue.svg", q}, {"fairshare.svg", fs}, {"acr.svg", acr}} {
+		if err := os.WriteFile(filepath.Join(dir, f.name), []byte(f.chart.Render()), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", filepath.Join(dir, name))
+		fmt.Printf("wrote %s\n", filepath.Join(dir, f.name))
 	}
 	return nil
 }

@@ -102,7 +102,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		src = api.LocalSource{R: r}
+		src = api.LocalSource{Reader: r}
 	case *jobID != "":
 		src = &api.RemoteSource{C: api.NewClient(*remote), Job: *jobID}
 	default:

@@ -27,46 +27,13 @@ import (
 // the whole scan.
 const TrailerScanStats = "Phantom-Scan-Stats"
 
-// QueryStats is the wire form of store.ScanStats, plus the job fan-out
-// count for cross-job queries.
+// QueryStats is the trailer's JSON object: the scan statistics of every
+// store the query read, after the job fan-out count.
 type QueryStats struct {
 	// Jobs is how many job stores a cross-job query visited (0 on
 	// single-job endpoints).
-	Jobs            int `json:"jobs,omitempty"`
-	Files           int `json:"files"`
-	FilesInProgress int `json:"files_in_progress,omitempty"`
-	FilesSkipped    int `json:"files_skipped"`
-	Blocks          int `json:"blocks"`
-	BlocksScanned   int `json:"blocks_scanned"`
-	BlocksSkipped   int `json:"blocks_skipped"`
-	// BytesRead is the compressed bytes of the scanned blocks. A coalesced
-	// read may also fetch skipped blocks lying between two matches; those
-	// bytes are not counted.
-	BytesRead int64 `json:"bytes_read"`
-}
-
-// WireScanStats converts reader scan statistics to their wire form.
-func WireScanStats(s store.ScanStats) QueryStats {
-	return QueryStats{
-		Files:           s.Files,
-		FilesInProgress: s.FilesInProgress,
-		FilesSkipped:    s.FilesSkipped,
-		Blocks:          s.Blocks,
-		BlocksScanned:   s.BlocksScanned,
-		BlocksSkipped:   s.BlocksSkipped,
-		BytesRead:       s.BytesRead,
-	}
-}
-
-// Add folds another reader's scan statistics into the totals.
-func (a *QueryStats) Add(s store.ScanStats) {
-	a.Files += s.Files
-	a.FilesInProgress += s.FilesInProgress
-	a.FilesSkipped += s.FilesSkipped
-	a.Blocks += s.Blocks
-	a.BlocksScanned += s.BlocksScanned
-	a.BlocksSkipped += s.BlocksSkipped
-	a.BytesRead += s.BytesRead
+	Jobs int `json:"jobs,omitempty"`
+	store.ScanStats
 }
 
 // QueryValues encodes a store query as URL parameters — the exact inverse
@@ -301,21 +268,9 @@ type QuerySource interface {
 }
 
 // LocalSource adapts a store reader to the QuerySource interface.
-type LocalSource struct{ R *store.Reader }
+type LocalSource struct{ *store.Reader }
 
-func (s LocalSource) Series(q store.Query, fn func(store.SeriesChunk) error) error {
-	return s.R.Series(q, fn)
-}
-func (s LocalSource) Counters(q store.Query, fn func(store.RunCounters) error) error {
-	return s.R.Counters(q, fn)
-}
-func (s LocalSource) Summaries(q store.Query, fn func(store.RunSummary) error) error {
-	return s.R.Summaries(q, fn)
-}
-func (s LocalSource) Trace(q store.Query, fn func(store.TraceChunk) error) error {
-	return s.R.Trace(q, fn)
-}
-func (s LocalSource) Stats() QueryStats { return WireScanStats(s.R.Stats()) }
+func (s LocalSource) Stats() QueryStats { return QueryStats{ScanStats: s.Reader.Stats()} }
 
 // RemoteSource answers the same queries from a daemon job's analytics
 // endpoints, decoding the NDJSON rows back into reader chunk types. Stats
@@ -337,29 +292,29 @@ func (s *RemoteSource) Series(q store.Query, fn func(store.SeriesChunk) error) e
 
 func (s *RemoteSource) Counters(q store.Query, fn func(store.RunCounters) error) error {
 	return queryRows(s, "counters", q, func(row CountersRow) error {
-		return fn(store.RunCounters{
-			Experiment: row.Experiment, Sweep: row.Sweep,
-			At: sim.Time(row.AtNS), Counters: row.Counters,
-		})
+		return fn(columns(row.Experiment, row.Sweep, row.AtNS, row.Counters))
 	})
 }
 
 func (s *RemoteSource) Summaries(q store.Query, fn func(store.RunSummary) error) error {
 	return queryRows(s, "summary", q, func(row SummaryRow) error {
-		rs := store.RunSummary{
-			Experiment: row.Experiment, Sweep: row.Sweep,
-			At: sim.Time(row.AtNS), Names: make([]string, 0, len(row.Summary)),
-		}
-		for name := range row.Summary {
-			rs.Names = append(rs.Names, name)
-		}
-		slices.Sort(rs.Names)
-		rs.Values = make([]float64, len(rs.Names))
-		for i, name := range rs.Names {
-			rs.Values[i] = row.Summary[name]
-		}
-		return fn(rs)
+		return fn(columns(row.Experiment, row.Sweep, row.AtNS, row.Summary))
 	})
+}
+
+// columns rebuilds a row's name → value object as the store's sorted
+// columns.
+func columns[V float64 | uint64](exp string, sweep int, atNS int64, m map[string]V) store.Columns[V] {
+	c := store.Columns[V]{Experiment: exp, Sweep: sweep, At: sim.Time(atNS), Names: make([]string, 0, len(m))}
+	for name := range m {
+		c.Names = append(c.Names, name)
+	}
+	slices.Sort(c.Names)
+	c.Values = make([]V, len(c.Names))
+	for i, name := range c.Names {
+		c.Values[i] = m[name]
+	}
+	return c
 }
 
 func (s *RemoteSource) Trace(q store.Query, fn func(store.TraceChunk) error) error {
@@ -376,7 +331,7 @@ func queryRows[T any](s *RemoteSource, endpoint string, q store.Query, fn func(T
 	stats, err := s.C.QueryNDJSON(
 		PathPrefix+"/jobs/"+s.Job+"/"+endpoint, QueryValues(q),
 		decodeRow(fn))
-	s.stats.merge(stats)
+	s.stats.Add(stats.ScanStats)
 	return err
 }
 
@@ -389,15 +344,4 @@ func decodeRow[T any](fn func(T) error) func([]byte) error {
 		}
 		return fn(row)
 	}
-}
-
-func (a *QueryStats) merge(b QueryStats) {
-	a.Jobs += b.Jobs
-	a.Files += b.Files
-	a.FilesInProgress += b.FilesInProgress
-	a.FilesSkipped += b.FilesSkipped
-	a.Blocks += b.Blocks
-	a.BlocksScanned += b.BlocksScanned
-	a.BlocksSkipped += b.BlocksSkipped
-	a.BytesRead += b.BytesRead
 }

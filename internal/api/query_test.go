@@ -100,3 +100,29 @@ func TestRowJSONStaysOnTheStack(t *testing.T) {
 		t.Fatalf("row = %s", strconv.Quote(got))
 	}
 }
+
+// TestQueryStatsWireForm pins the Phantom-Scan-Stats trailer's JSON to
+// literal bytes: field names and order, jobs and files_in_progress left
+// out at zero on a single-job scan, both present on a cross-job one. The
+// daemon tests build their reference trailers from this same type, so
+// only literals tie its wire form down.
+func TestQueryStatsWireForm(t *testing.T) {
+	for _, tc := range []struct {
+		stats QueryStats
+		want  string
+	}{
+		{
+			QueryStats{ScanStats: store.ScanStats{Files: 3, FilesSkipped: 1, Blocks: 40, BlocksScanned: 12, BlocksSkipped: 28, BytesRead: 4096}},
+			`{"files":3,"files_skipped":1,"blocks":40,"blocks_scanned":12,"blocks_skipped":28,"bytes_read":4096}`,
+		},
+		{
+			QueryStats{Jobs: 2, ScanStats: store.ScanStats{Files: 5, FilesInProgress: 1, Blocks: 70, BlocksScanned: 70, BytesRead: 1 << 33}},
+			`{"jobs":2,"files":5,"files_in_progress":1,"files_skipped":0,"blocks":70,"blocks_scanned":70,"blocks_skipped":0,"bytes_read":8589934592}`,
+		},
+	} {
+		got, err := json.Marshal(tc.stats)
+		if err != nil || string(got) != tc.want {
+			t.Errorf("json.Marshal(%+v) = %s, %v; want %s", tc.stats, got, err, tc.want)
+		}
+	}
+}

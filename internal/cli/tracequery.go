@@ -82,7 +82,7 @@ func printCounters(w io.Writer, src api.QuerySource, q store.Query) error {
 	total := map[string]uint64{}
 	runs := 0
 	err := src.Counters(q, func(rc store.RunCounters) error {
-		telemetry.Merge(total, rc.Counters)
+		telemetry.Merge(total, rc.Map())
 		runs++
 		return nil
 	})

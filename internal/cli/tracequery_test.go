@@ -113,7 +113,7 @@ func TestStoredTraceReemitsRecorder(t *testing.T) {
 	}
 	var got bytes.Buffer
 	q := store.Query{Experiment: def.ID, Sweep: store.AnySweep}
-	if err := RunTraceQuery(&got, api.LocalSource{R: r}, TraceQueryOpts{Query: q, JSON: true}); err != nil {
+	if err := RunTraceQuery(&got, api.LocalSource{Reader: r}, TraceQueryOpts{Query: q, JSON: true}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {

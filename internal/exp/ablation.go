@@ -26,6 +26,7 @@ func ablationRun(cfg core.Config, d sim.Duration, o Options) (map[string]float64
 	if err != nil {
 		return nil, err
 	}
+	defer n.Release()
 	from, end := tailWindow(n, 0.25)
 	goodputs := []float64{
 		n.Goodput[0].TimeAvg(from, end),

@@ -125,6 +125,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			defer n.Release()
 			atmFigures(n, res, o)
 			atmSummary(n, res)
 			wantMACR, wantRate := metrics.PhantomEquilibrium(phantomTarget(), 2, core.DefaultUtilizationFactor)
@@ -159,6 +160,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			defer n.Release()
 			atmFigures(n, res, o)
 			atmSummary(n, res)
 			// MACR while only the two greedy sessions are up vs while all
@@ -199,6 +201,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			defer n.Release()
 			atmFigures(n, res, o)
 			atmSummary(n, res)
 			// With all five sessions up (middle of run), rates sit at the
@@ -233,6 +236,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			defer n.Release()
 			atmFigures(n, res, o)
 			atmSummary(n, res)
 			res.addf("paper: because Phantom feeds back an explicit rate rather than a binary bit, sessions with very different RTTs get equal shares")
@@ -259,6 +263,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			defer n.Release()
 			atmFigures(n, res, o)
 			atmSummary(n, res)
 			oracle, err := n.MaxMinOracle()
@@ -342,6 +347,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			defer n.Release()
 			atmFigures(n, res, o)
 			atmSummary(n, res)
 			res.addf("paper: sources above u·MACR observe CI and stop increasing; rates oscillate around the fair share instead of pinning to it")

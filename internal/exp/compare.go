@@ -49,6 +49,7 @@ func baselineResult(id string, alg switchalg.Factory, o Options, def sim.Duratio
 	if err != nil {
 		return nil, err
 	}
+	defer greedy.Release()
 	atmFigures(greedy, res, o)
 	atmSummary(greedy, res)
 
@@ -56,6 +57,7 @@ func baselineResult(id string, alg switchalg.Factory, o Options, def sim.Duratio
 	if err != nil {
 		return nil, err
 	}
+	defer bursty.Release()
 	res.Summary["onoff_peak_queue_cells"] = float64(bursty.PeakTrunkQueue[0])
 	res.Summary["onoff_util"] = bursty.TrunkUtilization(0)
 	from, end := tailWindow(bursty, 0.2)
@@ -144,6 +146,8 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			defer capcNet.Release()
+			defer phNet.Release()
 			res.Summary["capc_conv_ms"] = capc.conv
 			res.Summary["phantom_conv_ms"] = ph.conv
 			res.Summary["capc_peak_queue"] = float64(capc.peak)

@@ -191,6 +191,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
+			defer n.Release()
 			oracle, err := n.MaxMinOracle()
 			if err != nil {
 				return nil, err

@@ -111,13 +111,13 @@ func (s *Server) queryJob(w http.ResponseWriter, r *http.Request) (*job, store.Q
 }
 
 // ndjsonStream sets up a chunked NDJSON response whose trailer will carry
-// the scan stats, and returns the row encoder plus a finish func that
-// writes the trailer and folds the stats into the daemon counters.
-func (s *Server) ndjsonStream(w http.ResponseWriter) (enc *json.Encoder, finish func(api.QueryStats)) {
+// the scan stats, and returns a finish func that writes the trailer and
+// folds the stats into the daemon counters.
+func (s *Server) ndjsonStream(w http.ResponseWriter) (finish func(api.QueryStats)) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Trailer", api.TrailerScanStats)
 	w.WriteHeader(http.StatusOK)
-	return json.NewEncoder(w), func(stats api.QueryStats) {
+	return func(stats api.QueryStats) {
 		b, _ := json.Marshal(stats)
 		w.Header().Set(api.TrailerScanStats, string(b))
 		s.mu.Lock()
@@ -138,33 +138,44 @@ func (s *Server) queryFailed(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleQuerySeries(w http.ResponseWriter, r *http.Request) {
-	_, q, rd := s.queryJob(w, r)
-	if rd == nil {
-		return
-	}
-	enc, finish := s.ndjsonStream(w)
-	err := rd.Series(q, func(c store.SeriesChunk) error {
-		return enc.Encode(api.SeriesRow{Experiment: c.Experiment, Sweep: c.Sweep, Name: c.Name, Points: c.Points})
-	})
-	if err != nil {
-		s.queryFailed(w, err)
-		return
-	}
-	finish(api.WireScanStats(rd.Stats()))
+	streamRows(s, w, r, (*store.Reader).Series, encoded(func(c store.SeriesChunk) api.SeriesRow {
+		return api.SeriesRow{Experiment: c.Experiment, Sweep: c.Sweep, Name: c.Name, Points: c.Points}
+	}))
 }
 
+// handleQuerySummary streams summary rows, the bulk of a sweep's analysis,
+// appended without reflection.
 func (s *Server) handleQuerySummary(w http.ResponseWriter, r *http.Request) {
+	streamRows(s, w, r, (*store.Reader).Summaries, api.AppendSummaryRow)
+}
+
+func (s *Server) handleQueryCounters(w http.ResponseWriter, r *http.Request) {
+	streamRows(s, w, r, (*store.Reader).Counters, encoded(func(rc store.RunCounters) api.CountersRow {
+		return api.CountersRow{Experiment: rc.Experiment, Sweep: rc.Sweep, AtNS: int64(rc.At), Counters: rc.Map()}
+	}))
+}
+
+func (s *Server) handleQueryTrace(w http.ResponseWriter, r *http.Request) {
+	streamRows(s, w, r, (*store.Reader).Trace, encoded(func(c store.TraceChunk) api.TraceRow {
+		return api.TraceRow{Experiment: c.Experiment, Sweep: c.Sweep, Events: c.Events}
+	}))
+}
+
+// streamRows serves one per-job query as NDJSON: scan yields the job
+// reader's items, row appends each one's line to a per-request buffer,
+// and the buffer goes out one Write per row.
+func streamRows[C any](s *Server, w http.ResponseWriter, r *http.Request,
+	scan func(*store.Reader, store.Query, func(C) error) error,
+	row func([]byte, C) ([]byte, error)) {
 	_, q, rd := s.queryJob(w, r)
 	if rd == nil {
 		return
 	}
-	// Summary rows, the bulk of a sweep's analysis, are appended without
-	// reflection into one per-request buffer and written one per Write.
-	_, finish := s.ndjsonStream(w)
+	finish := s.ndjsonStream(w)
 	var buf []byte
-	err := rd.Summaries(q, func(rs store.RunSummary) error {
+	err := scan(rd, q, func(c C) error {
 		var err error
-		if buf, err = api.AppendSummaryRow(buf[:0], rs); err != nil {
+		if buf, err = row(buf[:0], c); err != nil {
 			return err
 		}
 		_, err = w.Write(buf)
@@ -174,42 +185,16 @@ func (s *Server) handleQuerySummary(w http.ResponseWriter, r *http.Request) {
 		s.queryFailed(w, err)
 		return
 	}
-	finish(api.WireScanStats(rd.Stats()))
+	finish(api.QueryStats{ScanStats: rd.Stats()})
 }
 
-func (s *Server) handleQueryCounters(w http.ResponseWriter, r *http.Request) {
-	_, q, rd := s.queryJob(w, r)
-	if rd == nil {
-		return
+// encoded appends a row as json.Encoder writes it: its JSON, then a
+// newline.
+func encoded[C, R any](row func(C) R) func([]byte, C) ([]byte, error) {
+	return func(b []byte, c C) ([]byte, error) {
+		line, err := json.Marshal(row(c))
+		return append(append(b, line...), '\n'), err
 	}
-	enc, finish := s.ndjsonStream(w)
-	err := rd.Counters(q, func(rc store.RunCounters) error {
-		return enc.Encode(api.CountersRow{
-			Experiment: rc.Experiment, Sweep: rc.Sweep,
-			AtNS: int64(rc.At), Counters: rc.Counters,
-		})
-	})
-	if err != nil {
-		s.queryFailed(w, err)
-		return
-	}
-	finish(api.WireScanStats(rd.Stats()))
-}
-
-func (s *Server) handleQueryTrace(w http.ResponseWriter, r *http.Request) {
-	_, q, rd := s.queryJob(w, r)
-	if rd == nil {
-		return
-	}
-	enc, finish := s.ndjsonStream(w)
-	err := rd.Trace(q, func(c store.TraceChunk) error {
-		return enc.Encode(api.TraceRow{Experiment: c.Experiment, Sweep: c.Sweep, Events: c.Events})
-	})
-	if err != nil {
-		s.queryFailed(w, err)
-		return
-	}
-	finish(api.WireScanStats(rd.Stats()))
 }
 
 // handleCrossQuery fans one query over many job stores: kind=summary
@@ -295,7 +280,7 @@ func (s *Server) handleCrossQuery(w http.ResponseWriter, r *http.Request) {
 					merged[k] = row
 				}
 				row.Runs++
-				telemetry.Merge(row.Counters, rc.Counters)
+				telemetry.Merge(row.Counters, rc.Map())
 				return nil
 			})
 		}
@@ -307,7 +292,8 @@ func (s *Server) handleCrossQuery(w http.ResponseWriter, r *http.Request) {
 		stats.Add(rd.Stats())
 	}
 
-	enc, finish := s.ndjsonStream(w)
+	finish := s.ndjsonStream(w)
+	enc := json.NewEncoder(w)
 	switch kind {
 	case "summary":
 		keys := make([]aggKey, 0, len(aggs))

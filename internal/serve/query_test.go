@@ -89,7 +89,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 				t.Fatal(err)
 			}
 			var local bytes.Buffer
-			if err := cli.RunTraceQuery(&local, api.LocalSource{R: r}, tc.opts); err != nil {
+			if err := cli.RunTraceQuery(&local, api.LocalSource{Reader: r}, tc.opts); err != nil {
 				t.Fatal(err)
 			}
 			remoteSrc := &api.RemoteSource{C: client, Job: "job-00001"}
@@ -105,7 +105,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 			}
 			// The daemon's trailer reports the same pushdown the local
 			// reader did.
-			lst, rst := api.WireScanStats(r.Stats()), remoteSrc.Stats()
+			lst, rst := api.LocalSource{Reader: r}.Stats(), remoteSrc.Stats()
 			if lst != rst {
 				t.Errorf("scan stats differ: local %+v, remote %+v", lst, rst)
 			}
@@ -149,7 +149,7 @@ func (tc queryCase) want(root string) (body, trailer []byte, err error) {
 					keys = append(keys, k)
 				}
 				merged[k].Runs++
-				telemetry.Merge(merged[k].Counters, rc.Counters)
+				telemetry.Merge(merged[k].Counters, rc.Map())
 				return nil
 			}); err != nil {
 				return nil, nil, err
@@ -183,7 +183,7 @@ func (tc queryCase) want(root string) (body, trailer []byte, err error) {
 			})
 		case "counters":
 			err = r.Counters(tc.q, func(rc store.RunCounters) error {
-				return enc.Encode(api.CountersRow{Experiment: rc.Experiment, Sweep: rc.Sweep, AtNS: int64(rc.At), Counters: rc.Counters})
+				return enc.Encode(api.CountersRow{Experiment: rc.Experiment, Sweep: rc.Sweep, AtNS: int64(rc.At), Counters: rc.Map()})
 			})
 		case "series":
 			err = r.Series(tc.q, func(c store.SeriesChunk) error {
@@ -193,7 +193,7 @@ func (tc queryCase) want(root string) (body, trailer []byte, err error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		stats = api.WireScanStats(r.Stats())
+		stats = api.QueryStats{ScanStats: r.Stats()}
 	}
 	if buf.Len() == 0 {
 		return nil, nil, fmt.Errorf("%s: no rows, so the comparison proves nothing", tc)

@@ -182,91 +182,73 @@ func decodeSeriesBlock(raw []byte, rows int) (exp, name string, pts []metrics.Po
 	return exp, name, pts, c.err
 }
 
-// encodeCountersBlock lays out a telemetry snapshot: a name column then a
-// value column, rows sorted by name so bytes are map-order independent.
-func encodeCountersBlock(meta RunMeta, names []string, snap map[string]uint64) []byte {
+// encodeColumnsBlock lays out a run's named scalars: a name column in the
+// given (sorted) order, so bytes do not depend on map iteration, then a
+// value column — XOR-encoded floats for a summary, uvarints for counters.
+func encodeColumnsBlock[V scalar](meta RunMeta, names []string, m map[string]V) []byte {
 	b := appendStr(nil, meta.Experiment)
 	for _, n := range names {
 		b = appendStr(b, n)
 	}
-	for _, n := range names {
-		b = binary.AppendUvarint(b, snap[n])
-	}
-	return b
-}
-
-// decodeCountersBlock decodes a telemetry snapshot. The names must be
-// strictly increasing, the order AddCounters writes them in: a repeated
-// name would otherwise fold into one map key.
-func decodeCountersBlock(raw []byte, rows int) (exp string, snap map[string]uint64, err error) {
-	c := &cursor{b: raw}
-	exp = c.str()
-	names := make([]string, rows)
-	for i := range names {
-		names[i] = c.str()
-		if i > 0 && names[i] <= names[i-1] {
-			c.fail("counter names not strictly increasing")
+	switch m := any(m).(type) {
+	case map[string]float64:
+		var fe floatEncoder
+		for _, n := range names {
+			b = fe.append(b, m[n])
+		}
+	case map[string]uint64:
+		for _, n := range names {
+			b = binary.AppendUvarint(b, m[n])
 		}
 	}
-	snap = make(map[string]uint64, rows)
-	for _, n := range names {
-		snap[n] = c.uvarint()
-	}
-	return exp, snap, c.err
-}
-
-// encodeSummaryBlock lays out a run's scalar summary metrics: a name column
-// then an XOR-encoded float column, sorted by name.
-func encodeSummaryBlock(meta RunMeta, names []string, summary map[string]float64) []byte {
-	b := appendStr(nil, meta.Experiment)
-	for _, n := range names {
-		b = appendStr(b, n)
-	}
-	var fe floatEncoder
-	for _, n := range names {
-		b = fe.append(b, summary[n])
-	}
 	return b
 }
 
-// decodeSummaryBlock decodes a summary block into its columns. The names
-// must be strictly increasing — the order AddSummary writes them in, and
-// the key order of a JSON row. prev is the row decoded before this one:
-// an experiment label or name column with the same bytes reuses prev's
-// string or slice, so a sweep's rows share one name column. A Names slice
-// once returned is never written again.
-func decodeSummaryBlock(raw []byte, rows int, prev RunSummary) (RunSummary, error) {
+// decodeColumnsBlock decodes a summary or counters block into its columns.
+// The names must be strictly increasing — the order the segment writes
+// them in, and the key order of a JSON row. prev is the row decoded before
+// this one: an experiment label or name column with the same bytes reuses
+// prev's string or slice, so a sweep's rows share one name column. A Names
+// slice once returned is never written again.
+func decodeColumnsBlock[V scalar](raw []byte, rows int, prev Columns[V]) (Columns[V], error) {
 	c := &cursor{b: raw}
-	rs := RunSummary{Experiment: prev.Experiment, Names: prev.Names}
-	if exp := c.bytes(); string(exp) != rs.Experiment {
-		rs.Experiment = string(exp)
+	rc := Columns[V]{Experiment: prev.Experiment, Names: prev.Names}
+	if exp := c.bytes(); string(exp) != rc.Experiment {
+		rc.Experiment = string(exp)
 	}
-	shared := len(rs.Names) == rows
+	shared := len(rc.Names) == rows
 	if !shared {
-		rs.Names = make([]string, rows)
+		rc.Names = make([]string, rows)
 	}
 	for i := 0; i < rows && c.err == nil; i++ {
 		b := c.bytes()
 		switch {
-		case i > 0 && string(b) <= rs.Names[i-1]:
-			c.fail("summary names not strictly increasing")
-		case shared && string(b) == rs.Names[i]:
+		case i > 0 && string(b) <= rc.Names[i-1]:
+			c.fail("names not strictly increasing")
+		case shared && string(b) == rc.Names[i]:
 		default:
 			if shared {
 				shared = false
 				fresh := make([]string, rows)
-				copy(fresh, rs.Names[:i])
-				rs.Names = fresh
+				copy(fresh, rc.Names[:i])
+				rc.Names = fresh
 			}
-			rs.Names[i] = string(b)
+			rc.Names[i] = string(b)
 		}
 	}
-	rs.Values = make([]float64, rows)
-	var fd floatDecoder
-	for i := range rs.Values {
-		rs.Values[i] = fd.next(c)
+	rc.Values = make([]V, rows)
+	switch vs := any(rc.Values).(type) {
+	case []float64:
+		var fd floatDecoder
+		for i := range vs {
+			vs[i] = fd.next(c)
+		}
+	case []uint64:
+		for i := range vs {
+			vs[i] = c.uvarint()
+		}
 	}
-	return rs, c.err
+	return rc, c.err
 }
 
 // field type tags inside trace blocks.

@@ -82,15 +82,27 @@ func (q *Query) inWindow(t sim.Time) bool {
 // queried kind, so their slots were never walked; their blocks still count
 // in Blocks and BlocksSkipped. FilesInProgress counts trailing files a
 // live-mode open skipped because a writer had not sealed them yet —
-// non-zero means the answer is a prefix of a still-growing campaign.
+// non-zero means the answer is a prefix of a still-growing campaign. The
+// JSON form is the analytics plane's Phantom-Scan-Stats trailer.
 type ScanStats struct {
-	Files           int
-	FilesInProgress int
-	FilesSkipped    int
-	Blocks          int
-	BlocksScanned   int
-	BlocksSkipped   int
-	BytesRead       int64
+	Files           int   `json:"files"`
+	FilesInProgress int   `json:"files_in_progress,omitempty"`
+	FilesSkipped    int   `json:"files_skipped"`
+	Blocks          int   `json:"blocks"`
+	BlocksScanned   int   `json:"blocks_scanned"`
+	BlocksSkipped   int   `json:"blocks_skipped"`
+	BytesRead       int64 `json:"bytes_read"`
+}
+
+// Add folds another scan's statistics into s.
+func (s *ScanStats) Add(o ScanStats) {
+	s.Files += o.Files
+	s.FilesInProgress += o.FilesInProgress
+	s.FilesSkipped += o.FilesSkipped
+	s.Blocks += o.Blocks
+	s.BlocksScanned += o.BlocksScanned
+	s.BlocksSkipped += o.BlocksSkipped
+	s.BytesRead += o.BytesRead
 }
 
 // fileIndex is one campaign file's loaded index, with one zone per block
@@ -552,54 +564,63 @@ func (r *Reader) Series(q Query, fn func(SeriesChunk) error) error {
 	})
 }
 
-// RunCounters is one run's telemetry snapshot.
-type RunCounters struct {
-	Experiment string
-	Sweep      int
-	At         sim.Time
-	Counters   map[string]uint64
-}
+// scalar is the value type of a run's named scalars: float64 for summary
+// metrics, uint64 for telemetry counters.
+type scalar interface{ float64 | uint64 }
 
-// Counters streams matching telemetry snapshots in run order.
-func (r *Reader) Counters(q Query, fn func(RunCounters) error) error {
-	return r.scan(KindCounters, q, func(s *slot, raw []byte) error {
-		exp, snap, err := decodeCountersBlock(raw, int(s.rows))
-		if err != nil {
-			return err
-		}
-		if q.Experiment != "" && exp != q.Experiment {
-			return nil
-		}
-		return fn(RunCounters{Experiment: exp, Sweep: int(s.sweep), At: s.tMin, Counters: snap})
-	})
-}
-
-// RunSummary is one run's scalar summary metrics, in the two columns its
-// block stores: Names sorted bytewise and strictly increasing, and
-// Values[i] the value of Names[i]. Consecutive rows may share one Names
-// slice, which is never modified once handed out.
-type RunSummary struct {
+// Columns is one run's named scalars in the two columns its block stores:
+// Names sorted bytewise and strictly increasing, and Values[i] the value of
+// Names[i]. Consecutive rows of a scan may share one Names slice, which is
+// never modified once handed out.
+type Columns[V scalar] struct {
 	Experiment string
 	Sweep      int
 	At         sim.Time
 	Names      []string
-	Values     []float64
+	Values     []V
+}
+
+// RunSummary is one run's scalar summary metrics.
+type RunSummary = Columns[float64]
+
+// RunCounters is one run's telemetry snapshot.
+type RunCounters = Columns[uint64]
+
+// Map returns the columns as a name → value map, for callers that merge
+// rows or marshal them as a JSON object.
+func (c Columns[V]) Map() map[string]V {
+	m := make(map[string]V, len(c.Names))
+	for i, name := range c.Names {
+		m[name] = c.Values[i]
+	}
+	return m
+}
+
+// Counters streams matching telemetry snapshots in run order.
+func (r *Reader) Counters(q Query, fn func(RunCounters) error) error {
+	return scanColumns(r, KindCounters, q, fn)
 }
 
 // Summaries streams matching run summaries in run order.
 func (r *Reader) Summaries(q Query, fn func(RunSummary) error) error {
-	var prev RunSummary
-	return r.scan(KindSummary, q, func(s *slot, raw []byte) error {
-		rs, err := decodeSummaryBlock(raw, int(s.rows), prev)
+	return scanColumns(r, KindSummary, q, fn)
+}
+
+// scanColumns streams the matching blocks of one named-scalar kind, each
+// decoded against the row before it so a sweep's rows share their names.
+func scanColumns[V scalar](r *Reader, kind Kind, q Query, fn func(Columns[V]) error) error {
+	var prev Columns[V]
+	return r.scan(kind, q, func(s *slot, raw []byte) error {
+		rc, err := decodeColumnsBlock(raw, int(s.rows), prev)
 		if err != nil {
 			return err
 		}
-		prev = rs
-		if q.Experiment != "" && rs.Experiment != q.Experiment {
+		prev = rc
+		if q.Experiment != "" && rc.Experiment != q.Experiment {
 			return nil
 		}
-		rs.Sweep, rs.At = int(s.sweep), s.tMin
-		return fn(rs)
+		rc.Sweep, rc.At = int(s.sweep), s.tMin
+		return fn(rc)
 	})
 }
 

@@ -226,13 +226,13 @@ func decodeBlock(s *slot, raw []byte) any {
 		exp, name, pts, err := decodeSeriesBlock(raw, int(s.rows))
 		return []any{exp, name, pts, err}
 	case KindCounters:
-		exp, snap, err := decodeCountersBlock(raw, int(s.rows))
-		return []any{exp, snap, err}
+		rc, err := decodeColumnsBlock(raw, int(s.rows), RunCounters{})
+		return []any{rc, err}
 	case KindTrace:
 		exp, events, err := decodeTraceBlock(raw, int(s.rows))
 		return []any{exp, events, err}
 	}
-	rs, err := decodeSummaryBlock(raw, int(s.rows), RunSummary{})
+	rs, err := decodeColumnsBlock(raw, int(s.rows), RunSummary{})
 	return []any{rs, err}
 }
 

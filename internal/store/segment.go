@@ -56,36 +56,27 @@ func (s *Segment) AddSeries(name string, pts []metrics.Point) {
 }
 
 // AddCounters appends the run's telemetry snapshot as one block stamped at
-// the run's end time. Rows are sorted by name, so bytes do not depend on
-// map iteration order. A nil or empty snapshot adds nothing.
-func (s *Segment) AddCounters(snap map[string]uint64) {
-	if len(snap) == 0 || s.err != nil {
-		return
-	}
-	names := sortedKeys(snap)
-	sl := slot{
-		kind: KindCounters,
-		rows: uint32(len(names)),
-		tMin: s.meta.End,
-		tMax: s.meta.End,
-	}
-	s.push(sl, encodeCountersBlock(s.meta, names, snap))
-}
+// the run's end time. A nil or empty snapshot adds nothing.
+func (s *Segment) AddCounters(snap map[string]uint64) { addColumns(s, KindCounters, snap) }
 
 // AddSummary appends the run's scalar summary metrics as one block stamped
-// at the run's end time, rows sorted by name.
-func (s *Segment) AddSummary(summary map[string]float64) {
-	if len(summary) == 0 || s.err != nil {
+// at the run's end time.
+func (s *Segment) AddSummary(summary map[string]float64) { addColumns(s, KindSummary, summary) }
+
+// addColumns appends a run's named scalars as one block of the kind, rows
+// sorted by name so bytes do not depend on map iteration order.
+func addColumns[V scalar](s *Segment, kind Kind, m map[string]V) {
+	if len(m) == 0 || s.err != nil {
 		return
 	}
-	names := sortedKeys(summary)
+	names := sortedKeys(m)
 	sl := slot{
-		kind: KindSummary,
+		kind: kind,
 		rows: uint32(len(names)),
 		tMin: s.meta.End,
 		tMax: s.meta.End,
 	}
-	s.push(sl, encodeSummaryBlock(s.meta, names, summary))
+	s.push(sl, encodeColumnsBlock(s.meta, names, m))
 }
 
 // AddTrace appends flight-recorder events, split into blocks of at most

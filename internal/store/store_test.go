@@ -120,13 +120,13 @@ func TestRoundTripAllKinds(t *testing.T) {
 					t.Fatalf("point %d = %+v, want %+v", p, got, want)
 				}
 			}
-			if len(d.counters) != 1 || d.counters[0].Counters["link.cells_out"] != 18 {
+			if len(d.counters) != 1 || d.counters[0].Map()["link.cells_out"] != 18 {
 				t.Fatalf("counters = %+v", d.counters)
 			}
 			if d.counters[0].At != sim.Time(7100) {
 				t.Fatalf("counters At = %d, want 7100", d.counters[0].At)
 			}
-			if len(d.summaries) != 1 || summaryMap(d.summaries[0])["goodput_a"] != 10.5 {
+			if len(d.summaries) != 1 || d.summaries[0].Map()["goodput_a"] != 10.5 {
 				t.Fatalf("summaries = %+v", d.summaries)
 			}
 			if len(d.traces) != 1 || len(d.traces[0].Events) != 9 {
@@ -227,7 +227,7 @@ func TestSingleBlockFile(t *testing.T) {
 		t.Fatalf("files = %v, %v", names, err)
 	}
 	d := dumpCampaign(t, dir, Query{Sweep: AnySweep})
-	if len(d.summaries) != 1 || summaryMap(d.summaries[0])["x"] != 1 {
+	if len(d.summaries) != 1 || d.summaries[0].Map()["x"] != 1 {
 		t.Fatalf("summaries = %+v", d.summaries)
 	}
 }
@@ -260,7 +260,7 @@ func TestFileRoll(t *testing.T) {
 		t.Fatalf("summaries = %d, want 10", len(d.summaries))
 	}
 	for i, s := range d.summaries {
-		if s.Sweep != i || summaryMap(s)["i"] != float64(i) {
+		if s.Sweep != i || s.Map()["i"] != float64(i) {
 			t.Fatalf("summary %d out of order: %+v", i, s)
 		}
 	}
