@@ -45,10 +45,10 @@ func main() {
 	tail := func(i int) float64 { return net.Goodput[i].TimeAvg(sim.Time(d/2), end) }
 
 	tb := plot.NewTable("TCP flows across a Phantom-controlled ATM cloud",
-		"flow", "goodput(Mb/s)", "VC rate (cells/s)", "edge drops")
+		"flow", "goodput(Mb/s)", "VC rate (cells/s)", "edge drops", "in the cloud")
 	for i := 0; i < 2; i++ {
 		tb.AddRow(net.Config.Flows[i].Name, tail(i)/1e6,
-			net.EdgeACR[i].Last(), net.Ingress[i].DroppedPackets())
+			net.EdgeACR[i].Last(), net.Ingress[i].DroppedPackets(), net.Ingress[i].Held())
 	}
 	fmt.Println(tb.Render())
 

@@ -61,7 +61,6 @@ var exportedSurfaceAllow = map[string]string{
 // non-test read, each naming its reader. The same staleness rules hold
 // as for exportedSurfaceAllow.
 var fieldCensusAllow = map[string]string{
-	"atm.Cell.SentAt":               "scenario's TestPerVCInOrderDelivery and interop's TestIngressSegmentsAndPaces read each cell's send time",
 	"scenario.InteropNet.Senders":   "ip's TestRecycleIsInvisible fingerprints the cloud's senders; the test stays as recorded",
 	"scenario.InteropNet.Receivers": "ip's TestRecycleIsInvisible fingerprints the cloud's receivers; the test stays as recorded",
 }

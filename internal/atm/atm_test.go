@@ -2,6 +2,7 @@ package atm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -19,14 +20,25 @@ func (cs *captureSink) Receive(e *sim.Engine, c Cell) {
 	cs.times = append(cs.times, e.Now())
 }
 
-// TestCellFitsCacheLine is the cell path's counterpart of sim's
-// TestEngineStateFillsCacheLines: a Cell is copied by value at every stage of
-// a hop, and 64 bytes is both one cache line and the largest struct the
-// compiler moves inline rather than through runtime.duffcopy. A new field has
-// to fit in the padding or earn the slower copy.
-func TestCellFitsCacheLine(t *testing.T) {
-	if n := unsafe.Sizeof(Cell{}); n > 64 {
-		t.Fatalf("Cell is %d bytes, want at most 64: keep the 8-byte fields first and the one-byte ones together", n)
+// TestCellFitsFourWords pins the cell's shape: a Cell is copied by value at
+// every stage of a hop and queued by value in every link, switch and shard
+// conduit ring, so it is four words, and it holds no pointer, so those
+// rings are memory the garbage collector never scans. A new field has to
+// fit in the padding or earn the larger copy; a reference has to live
+// outside the cell (the AAL5 edges' datagrams ride a handle).
+func TestCellFitsFourWords(t *testing.T) {
+	if n := unsafe.Sizeof(Cell{}); n != 32 {
+		t.Fatalf("Cell is %d bytes, want 32: keep the 8-byte fields first and the one-byte ones together", n)
+	}
+	// An array or struct field is refused rather than inspected: the cell
+	// has none, and a new one would have to earn the recursion.
+	typ := reflect.TypeOf(Cell{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Interface, reflect.Slice,
+			reflect.Map, reflect.String, reflect.Func, reflect.Chan, reflect.Array, reflect.Struct:
+			t.Errorf("Cell.%s is a %s: a cell holds no pointer", f.Name, f.Type.Kind())
+		}
 	}
 }
 

@@ -51,7 +51,6 @@ func (d *Dest) Receive(e *sim.Engine, c Cell) {
 		d.rmCells++
 		back := c
 		back.Kind = BackwardRM
-		back.SentAt = e.Now()
 		if d.efciSeen {
 			back.CI = true
 			d.efciSeen = false

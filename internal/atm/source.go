@@ -130,7 +130,7 @@ func (s *Source) emitRM(e *sim.Engine, outOfRate bool) {
 		}
 		s.setACR(e.Now(), acr)
 	}
-	c := Cell{VC: s.VC, Kind: ForwardRM, CCR: s.acr, ER: s.Params.PCR, SentAt: e.Now()}
+	c := Cell{VC: s.VC, Kind: ForwardRM, CCR: s.acr, ER: s.Params.PCR}
 	s.cellsSent++
 	s.lastRM = e.Now()
 	s.everRM = true
@@ -201,7 +201,7 @@ func (s *Source) sendCell(e *sim.Engine) {
 		s.armSend(e)
 		return
 	}
-	c := Cell{VC: s.VC, Kind: Data, SentAt: e.Now()}
+	c := Cell{VC: s.VC, Kind: Data}
 	s.sinceRM++
 	s.cellsSent++
 	s.tel.cellsSent.Inc()

@@ -5,12 +5,18 @@
 //
 // An IngressEdge terminates an IP flow at the boundary of an ATM cloud: it
 // segments each datagram into cells (AAL5 style — the last cell carries an
-// end-of-packet marker and the cell count standing in for the CRC/length
-// check), queues them, and paces transmission on the flow's VC at the ABR
-// allowed cell rate, running the full TM 4.0 source loop (forward RM every
-// Nrm cells, ACR adjustment on backward RM). The EgressEdge reassembles
-// datagrams, discarding any whose cell count fails the check (cell loss ⇒
+// end-of-packet marker), queues them, and paces transmission on the flow's
+// VC at the ABR allowed cell rate, running the full TM 4.0 source loop
+// (forward RM every Nrm cells, ACR adjustment on backward RM). The
+// EgressEdge reassembles datagrams, discarding any whose cell count fails
+// the check that stands in for the AAL5 CRC/length check (cell loss ⇒
 // packet loss, as in real AAL5), and turns RM cells around.
+//
+// Cells carry no pointer, so the datagram itself does not ride the cloud:
+// the edge pair of a VC shares a FIFO of the datagrams in flight, and the
+// end-of-packet cell carries only the datagram's handle, its sequence
+// number on the VC. A datagram whose end-of-packet cell is lost is
+// released when the next end-of-packet cell on the VC arrives.
 //
 // The payoff demonstrated by experiment E20: the ATM cloud's Phantom
 // switches allocate per-VC fair rates, so TCP flows crossing the cloud get
@@ -41,6 +47,34 @@ func cellsFor(p *ip.Packet) int {
 	return n
 }
 
+// datagrams is the FIFO of datagrams an ingress/egress edge pair shares on
+// one VC. The ingress pushes each datagram as it sends its end-of-packet
+// cell, which carries the handle push returns. The cloud never reorders a
+// VC's cells, so the egress meets handles in push order.
+type datagrams struct {
+	q    ring.Ring[*ip.Packet]
+	head uint32 // the handle of q's head entry
+}
+
+// push appends p and returns its handle.
+func (d *datagrams) push(p *ip.Packet) uint32 {
+	d.q.Push(p)
+	return d.head + uint32(d.q.Len()-1)
+}
+
+// take removes and returns the datagram with handle h. Every older entry
+// lost its end-of-packet cell in the cloud: take releases it.
+func (d *datagrams) take(h uint32) *ip.Packet {
+	if h-d.head >= uint32(d.q.Len()) {
+		panic(fmt.Sprintf("interop: end-of-packet handle %d not held (head %d, %d held)", h, d.head, d.q.Len()))
+	}
+	for ; d.head != h; d.head++ {
+		d.q.Pop().Release()
+	}
+	d.head++
+	return d.q.Pop()
+}
+
 // IngressEdge adapts an IP flow onto an ABR VC. It implements ip.Sink for
 // datagrams entering the cloud and atm.Sink for the VC's backward RM cells.
 type IngressEdge struct {
@@ -60,6 +94,7 @@ type IngressEdge struct {
 
 	acr        float64
 	queue      ring.Ring[*ip.Packet]
+	inFlight   *datagrams // shared with the egress edge
 	queueBytes int
 	// segmentation state for the packet currently on the wire.
 	curCells int // cells of the head packet already sent
@@ -89,9 +124,10 @@ func (g *IngressEdge) Instrument(reg *telemetry.Registry) {
 	}
 }
 
-// NewIngressEdge builds an ingress edge for vc.
-func NewIngressEdge(vc atm.VCID, params atm.SourceParams, out atm.Sink) *IngressEdge {
-	return &IngressEdge{VC: vc, Params: params, Out: out}
+// NewIngressEdge builds an ingress edge for vc whose datagrams the egress
+// edge to reassembles.
+func NewIngressEdge(vc atm.VCID, params atm.SourceParams, out atm.Sink, to *EgressEdge) *IngressEdge {
+	return &IngressEdge{VC: vc, Params: params, Out: out, inFlight: &to.inFlight}
 }
 
 // DroppedPackets returns datagrams dropped at the edge queue.
@@ -99,6 +135,11 @@ func (g *IngressEdge) DroppedPackets() int64 { return g.dropped }
 
 // CellsSent returns the total cells emitted into the cloud.
 func (g *IngressEdge) CellsSent() int64 { return g.sent }
+
+// Held returns the datagrams whose end-of-packet cell has left the edge and
+// that the egress edge has not yet taken: those still in the cloud, and
+// those whose end-of-packet cell was lost after the last one to arrive.
+func (g *IngressEdge) Held() int { return g.inFlight.q.Len() }
 
 // Start validates parameters and initializes the ABR loop.
 func (g *IngressEdge) Start(e *sim.Engine) error {
@@ -115,7 +156,7 @@ func (g *IngressEdge) Start(e *sim.Engine) error {
 
 // Receive implements ip.Sink: queue the datagram and arm the cell pacer. A
 // datagram the queue bound turns away ends here and is released; a queued
-// one rides its end-of-packet cell to the egress edge.
+// one passes to the edge pair's FIFO with its end-of-packet cell.
 func (g *IngressEdge) Receive(e *sim.Engine, p *ip.Packet) {
 	if !g.started {
 		panic(fmt.Sprintf("interop: ingress edge VC %d received before Start", g.VC))
@@ -179,7 +220,7 @@ func (g *IngressEdge) sendCell(e *sim.Engine) {
 	pkt := *g.queue.Peek()
 	total := cellsFor(pkt)
 
-	c := atm.Cell{VC: g.VC, Kind: atm.Data, SentAt: e.Now()}
+	c := atm.Cell{VC: g.VC, Kind: atm.Data}
 	if g.sinceRM >= g.Params.Nrm-1 {
 		// In-rate forward RM cell; the datagram cell follows next slot.
 		c.Kind = atm.ForwardRM
@@ -191,8 +232,7 @@ func (g *IngressEdge) sendCell(e *sim.Engine) {
 		g.curCells++
 		if g.curCells == total {
 			c.EndOfPacket = true
-			c.PacketCells = total
-			c.Payload = pkt
+			c.Handle = g.inFlight.push(pkt)
 			// Advance to the next datagram.
 			g.queue.Pop()
 			g.queueBytes -= pkt.SizeBytes()
@@ -215,7 +255,8 @@ type EgressEdge struct {
 	// Dst receives reassembled datagrams.
 	Dst ip.Sink
 
-	cellCount int64 // cells of the current partial packet
+	inFlight  datagrams // shared with the ingress edge
+	cellCount int64     // cells of the current partial packet
 
 	tel egressTel
 }
@@ -252,7 +293,6 @@ func (g *EgressEdge) Receive(e *sim.Engine, c atm.Cell) {
 		g.tel.turnarounds.Inc()
 		back := c
 		back.Kind = atm.BackwardRM
-		back.SentAt = e.Now()
 		g.Back.Receive(e, back)
 	case atm.Data:
 		g.cellCount++
@@ -261,16 +301,14 @@ func (g *EgressEdge) Receive(e *sim.Engine, c atm.Cell) {
 		}
 		count := g.cellCount
 		g.cellCount = 0
-		pkt, ok := c.Payload.(*ip.Packet)
-		if !ok || int(count) != c.PacketCells {
+		pkt := g.inFlight.take(c.Handle)
+		if int(count) != cellsFor(pkt) {
 			// A cell of this packet was lost: the AAL5 length check fails
 			// and the whole datagram is discarded. (A packet whose
-			// end-of-packet cell is the one lost never gets here; the GC
-			// takes it instead of the pool.)
+			// end-of-packet cell is the one lost never gets here; take
+			// released it.)
 			g.tel.corrupted.Inc()
-			if ok {
-				pkt.Release()
-			}
+			pkt.Release()
 			return
 		}
 		g.tel.reassembled.Inc()

@@ -8,11 +8,17 @@ import (
 	"repro/internal/sim"
 )
 
+// cellCapture records the cells it receives and when: an edge hands a cell
+// to its sink synchronously, so a receive time is the send time.
 type cellCapture struct {
 	cells []atm.Cell
+	times []sim.Time
 }
 
-func (cc *cellCapture) Receive(e *sim.Engine, c atm.Cell) { cc.cells = append(cc.cells, c) }
+func (cc *cellCapture) Receive(e *sim.Engine, c atm.Cell) {
+	cc.cells = append(cc.cells, c)
+	cc.times = append(cc.times, e.Now())
+}
 
 type pktCapture struct {
 	pkts []*ip.Packet
@@ -31,17 +37,24 @@ func TestCellsFor(t *testing.T) {
 	}
 }
 
+// newIngress builds an ingress edge on VC 1 into out, paired with a fresh
+// egress edge.
+func newIngress(out atm.Sink) *IngressEdge {
+	return NewIngressEdge(1, atm.DefaultSourceParams(), out, NewEgressEdge(1, &cellCapture{}, &pktCapture{}))
+}
+
 func TestIngressSegmentsAndPaces(t *testing.T) {
 	e := sim.NewEngine()
 	out := &cellCapture{}
-	g := NewIngressEdge(1, atm.DefaultSourceParams(), out)
+	g := newIngress(out)
 	if err := g.Start(e); err != nil {
 		t.Fatal(err)
 	}
 	pkt := &ip.Packet{Flow: 1, Len: 512}
 	g.Receive(e, pkt)
 	e.RunUntil(sim.Time(5 * sim.Millisecond))
-	// 12 data cells; the 12th carries the payload and EOP.
+	// 12 data cells; the 12th carries EOP and the handle of the datagram,
+	// which waits in the edge pair's FIFO.
 	var dataCells []atm.Cell
 	for _, c := range out.cells {
 		if c.Kind == atm.Data {
@@ -52,17 +65,17 @@ func TestIngressSegmentsAndPaces(t *testing.T) {
 		t.Fatalf("data cells = %d, want 12", len(dataCells))
 	}
 	last := dataCells[11]
-	if !last.EndOfPacket || last.PacketCells != 12 || last.Payload != pkt {
-		t.Fatalf("EOP cell wrong: %+v", last)
+	if !last.EndOfPacket || last.Handle != 0 || g.Held() != 1 || *g.inFlight.q.Peek() != pkt {
+		t.Fatalf("EOP cell wrong: %+v, %d held", last, g.Held())
 	}
 	for _, c := range dataCells[:11] {
-		if c.EndOfPacket || c.Payload != nil {
-			t.Fatal("non-final cell carries EOP/payload")
+		if c.EndOfPacket || c.Handle != 0 {
+			t.Fatal("non-final cell carries EOP/handle")
 		}
 	}
 	// Pacing at ICR: 12 cells ≈ 12/20047 s ≈ 0.6 ms — spread, not a burst.
-	if len(out.cells) >= 2 {
-		gap := out.cells[1].SentAt.Sub(out.cells[0].SentAt)
+	if len(out.times) >= 2 {
+		gap := out.times[1].Sub(out.times[0])
 		want := sim.DurationOf(1, g.Params.ICR)
 		if gap < want-sim.Microsecond || gap > want+sim.Microsecond {
 			t.Fatalf("cell gap = %v, want ≈%v", gap, want)
@@ -73,7 +86,7 @@ func TestIngressSegmentsAndPaces(t *testing.T) {
 func TestIngressEmitsForwardRM(t *testing.T) {
 	e := sim.NewEngine()
 	out := &cellCapture{}
-	g := NewIngressEdge(1, atm.DefaultSourceParams(), out)
+	g := newIngress(out)
 	if err := g.Start(e); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +112,7 @@ func TestIngressEmitsForwardRM(t *testing.T) {
 
 func TestIngressAdjustsACROnBackwardRM(t *testing.T) {
 	e := sim.NewEngine()
-	g := NewIngressEdge(1, atm.DefaultSourceParams(), &cellCapture{})
+	g := newIngress(&cellCapture{})
 	if err := g.Start(e); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +134,7 @@ func TestIngressAdjustsACROnBackwardRM(t *testing.T) {
 
 func TestIngressQueueBound(t *testing.T) {
 	e := sim.NewEngine()
-	g := NewIngressEdge(1, atm.DefaultSourceParams(), &cellCapture{})
+	g := newIngress(&cellCapture{})
 	g.MaxQueueBytes = 2000 // fits 3 × 552
 	if err := g.Start(e); err != nil {
 		t.Fatal(err)
@@ -155,11 +168,12 @@ func TestEgressReassembles(t *testing.T) {
 	dst := &pktCapture{}
 	g := NewEgressEdge(1, back, dst)
 	pkt := &ip.Packet{Flow: 1, Len: 512}
+	h := g.inFlight.push(pkt)
 	for i := 0; i < 11; i++ {
 		g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data})
 	}
-	g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data, EndOfPacket: true, PacketCells: 12, Payload: pkt})
-	if len(dst.pkts) != 1 || dst.pkts[0] != pkt {
+	g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data, EndOfPacket: true, Handle: h})
+	if len(dst.pkts) != 1 || dst.pkts[0] != pkt || g.inFlight.q.Len() != 0 {
 		t.Fatalf("reassembly failed: %v", dst.pkts)
 	}
 }
@@ -169,11 +183,13 @@ func TestEgressDiscardsOnCellLoss(t *testing.T) {
 	dst := &pktCapture{}
 	g := NewEgressEdge(1, &cellCapture{}, dst)
 	pkt := &ip.Packet{Flow: 1, Len: 512}
+	next := &ip.Packet{Flow: 1, Len: 512}
+	h, hNext := g.inFlight.push(pkt), g.inFlight.push(next)
 	// Only 10 of 12 cells arrive before the EOP cell.
 	for i := 0; i < 9; i++ {
 		g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data})
 	}
-	g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data, EndOfPacket: true, PacketCells: 12, Payload: pkt})
+	g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data, EndOfPacket: true, Handle: h})
 	if len(dst.pkts) != 0 {
 		t.Fatal("corrupted packet delivered")
 	}
@@ -181,14 +197,55 @@ func TestEgressDiscardsOnCellLoss(t *testing.T) {
 		t.Fatalf("discarded packet not released: %+v", pkt)
 	}
 	// The next intact packet still reassembles (counter reset).
-	next := &ip.Packet{Flow: 1, Len: 512}
 	for i := 0; i < 11; i++ {
 		g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data})
 	}
-	g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data, EndOfPacket: true, PacketCells: 12, Payload: next})
+	g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data, EndOfPacket: true, Handle: hNext})
 	if len(dst.pkts) != 1 || dst.pkts[0] != next || next.Flow != 1 {
 		t.Fatal("recovery after corruption failed")
 	}
+}
+
+// A datagram whose end-of-packet cell is lost goes back to the pool when
+// the next end-of-packet cell on the VC arrives. Its other cells count
+// toward the next datagram, whose length check then fails, as in AAL5.
+func TestEgressReclaimsLostEndOfPacket(t *testing.T) {
+	e := sim.NewEngine()
+	dst := &pktCapture{}
+	g := NewEgressEdge(1, &cellCapture{}, dst)
+	lost := &ip.Packet{Flow: 1, Len: 512}
+	after := &ip.Packet{Flow: 1, Len: 512}
+	intact := &ip.Packet{Flow: 1, Len: 512}
+	g.inFlight.push(lost)
+	hAfter, hIntact := g.inFlight.push(after), g.inFlight.push(intact)
+	// lost's first 11 cells arrive, its EOP cell does not; all 12 of
+	// after's arrive.
+	for i := 0; i < 11+11; i++ {
+		g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data})
+	}
+	g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data, EndOfPacket: true, Handle: hAfter})
+	if lost.Flow != -1 || after.Flow != -1 || len(dst.pkts) != 0 || g.inFlight.q.Len() != 1 {
+		t.Fatalf("lost EOP: lost %+v, after %+v, %d delivered, %d held", lost, after, len(dst.pkts), g.inFlight.q.Len())
+	}
+	for i := 0; i < 11; i++ {
+		g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data})
+	}
+	g.Receive(e, atm.Cell{VC: 1, Kind: atm.Data, EndOfPacket: true, Handle: hIntact})
+	if len(dst.pkts) != 1 || dst.pkts[0] != intact || g.inFlight.q.Len() != 0 {
+		t.Fatal("recovery after a lost end-of-packet cell failed")
+	}
+}
+
+// A handle the FIFO does not hold is a broken edge pair, not cell loss.
+func TestEgressRejectsUnknownHandle(t *testing.T) {
+	g := NewEgressEdge(1, &cellCapture{}, &pktCapture{})
+	g.inFlight.push(&ip.Packet{Flow: 1})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unknown handle accepted")
+		}
+	}()
+	g.Receive(sim.NewEngine(), atm.Cell{VC: 1, Kind: atm.Data, EndOfPacket: true, Handle: 1})
 }
 
 func TestEgressTurnsRMAround(t *testing.T) {
@@ -209,8 +266,9 @@ func TestEgressIgnoresForeignVC(t *testing.T) {
 	e := sim.NewEngine()
 	dst := &pktCapture{}
 	g := NewEgressEdge(1, &cellCapture{}, dst)
-	g.Receive(e, atm.Cell{VC: 2, Kind: atm.Data, EndOfPacket: true, PacketCells: 1, Payload: &ip.Packet{}})
-	if len(dst.pkts) != 0 {
+	g.inFlight.push(&ip.Packet{Ack: true})
+	g.Receive(e, atm.Cell{VC: 2, Kind: atm.Data, EndOfPacket: true})
+	if len(dst.pkts) != 0 || g.inFlight.q.Len() != 1 {
 		t.Fatal("foreign VC delivered")
 	}
 }

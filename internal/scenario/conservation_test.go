@@ -109,8 +109,9 @@ func TestDeterminismAcrossAlgorithms(t *testing.T) {
 }
 
 // In-order delivery per VC is a switch invariant: the ATM network never
-// reorders cells of one VC (FIFO queues, single path). Cells carry their
-// send timestamp, which must be non-decreasing at the destination.
+// reorders cells of one VC (FIFO queues, single path), and this one loses
+// none. So per VC, what the destination receives — each cell's kind, and a
+// forward RM cell's CCR — is a prefix of what its source sent.
 func TestPerVCInOrderDelivery(t *testing.T) {
 	n, err := BuildATM(ATMConfig{
 		Switches: 3,
@@ -123,18 +124,45 @@ func TestPerVCInOrderDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range n.Dests {
-		var lastSent sim.Time
+	type mark struct {
+		kind atm.CellKind
+		ccr  float64
+	}
+	sent := make([][]mark, len(n.Sources))
+	got := make([][]mark, len(n.Dests))
+	for i := range n.Sources {
 		i := i
-		n.Dests[i].OnDeliver = func(_ sim.Time, c atm.Cell) {
-			if c.SentAt < lastSent {
-				t.Errorf("session %d: cell sent at %v delivered after one sent at %v", i, c.SentAt, lastSent)
-			}
-			lastSent = c.SentAt
-		}
+		src, dst := n.Sources[i], n.Dests[i]
+		out, back := src.Out, dst.Back
+		src.Out = atm.SinkFunc(func(e *sim.Engine, c atm.Cell) {
+			sent[i] = append(sent[i], mark{c.Kind, c.CCR})
+			out.Receive(e, c)
+		})
+		dst.OnDeliver = func(_ sim.Time, c atm.Cell) { got[i] = append(got[i], mark{c.Kind, c.CCR}) }
+		// The destination turns a forward RM cell around as it arrives.
+		dst.Back = atm.SinkFunc(func(e *sim.Engine, c atm.Cell) {
+			got[i] = append(got[i], mark{atm.ForwardRM, c.CCR})
+			back.Receive(e, c)
+		})
 	}
 	n.Run(100 * sim.Millisecond)
-	if n.Dests[0].DataCells() == 0 || n.Dests[1].DataCells() == 0 {
-		t.Fatal("no deliveries observed")
+	for i := range got {
+		rm := 0
+		for _, m := range got[i] {
+			if m.kind == atm.ForwardRM {
+				rm++
+			}
+		}
+		if len(got[i]) == 0 || rm == 0 {
+			t.Fatalf("session %d: %d cells, %d forward RM cells delivered", i, len(got[i]), rm)
+		}
+		if len(got[i]) > len(sent[i]) {
+			t.Fatalf("session %d: %d cells delivered, %d sent", i, len(got[i]), len(sent[i]))
+		}
+		for k, m := range got[i] {
+			if m != sent[i][k] {
+				t.Fatalf("session %d: cell %d delivered as %v, sent as %v", i, k, m, sent[i][k])
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/atm"
@@ -300,6 +301,9 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 	if len(cfg.Sessions) == 0 {
 		return nil, fmt.Errorf("scenario: no sessions")
 	}
+	if err := checkVCSpace(len(cfg.Sessions)); err != nil {
+		return nil, err
+	}
 	adj := make([][]int, cfg.Nodes)
 	for k, ed := range cfg.Edges {
 		if ed.U < 0 || ed.U >= cfg.Nodes || ed.V < 0 || ed.V >= cfg.Nodes || ed.U == ed.V {
@@ -433,6 +437,17 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 	return n, nil
 }
 
+// checkVCSpace rejects a session count the VCs cannot number. Sessions
+// take VCs in order from 1, one for an ABR session and two for a TCP flow
+// over ATM (its data and ACK VCs), so session i's VCs are at most 2i+1 and
+// 2i+2, and a VCID is an int32.
+func checkVCSpace(sessions int) error {
+	if sessions > math.MaxInt32/2 {
+		return fmt.Errorf("scenario: %d sessions need more VCs than an int32 numbers (at most %d sessions)", sessions, math.MaxInt32/2)
+	}
+	return nil
+}
+
 // half returns directed link l's endpoints and name: F<k> for edge k's U→V
 // half, R<k> for its V→U half.
 func (c *GraphConfig) half(l int) (from, to int, name string) {
@@ -561,8 +576,9 @@ func walk[P any](path, links []int, ports []P, in, out P, route func(node int, f
 // through a port that runs an alg instance, to the end system egress
 // returns; it turns RM cells around over the link it is given. At the
 // first switch, the end system ingress is given its link into the cloud
-// and returns the sink for backward RM cells. End systems are colocated
-// with their switch, so access links never cross shards, only trunks do.
+// and returns the sink for backward RM cells; egress is called first, so
+// ingress may refer to what it built. End systems are colocated with their
+// switch, so access links never cross shards, only trunks do.
 func (n *GraphNet) accessVC(i int, prefix string, vc atm.VCID, back bool, inDelay, outDelay sim.Duration, alg switchalg.Factory,
 	egress func(turn *atmnet.Link) atm.Sink, ingress func(in *atmnet.Link) atm.Sink) {
 	cfg, plan, path := &n.Config, n.plan, n.Paths[i]
@@ -722,14 +738,15 @@ func (n *GraphNet) accessAAL5(i int, vc atm.VCID, params tcp.SenderParams) (*tcp
 	// edge → dst.
 	edges := func(prefix string, vc atm.VCID, back bool, inDelay, outDelay sim.Duration, dst ip.Sink) *interop.IngressEdge {
 		var ingress *interop.IngressEdge
+		var egress *interop.EgressEdge
 		n.accessVC(i, prefix, vc, back, inDelay, outDelay, nil,
 			func(turn *atmnet.Link) atm.Sink {
-				egress := interop.NewEgressEdge(vc, turn, dst)
+				egress = interop.NewEgressEdge(vc, turn, dst)
 				egress.Instrument(cfg.Telemetry)
 				return egress
 			},
 			func(in *atmnet.Link) atm.Sink {
-				ingress = interop.NewIngressEdge(vc, atm.DefaultSourceParams(), in)
+				ingress = interop.NewIngressEdge(vc, atm.DefaultSourceParams(), in, egress)
 				ingress.Instrument(cfg.Telemetry)
 				return ingress.BackwardSink()
 			})
