@@ -32,18 +32,25 @@ type allocStats struct {
 func engineHotPath() {
 	e := sim.NewEngine()
 	for s := 0; s < 8; s++ {
-		gap := sim.Duration(700 + 13*s)
-		left := 125
-		var tick sim.Handler
-		tick = func(en *sim.Engine) {
-			left--
-			if left > 0 {
-				en.After(gap, tick)
-			}
-		}
-		e.After(gap, tick)
+		c := &hotChain{gap: sim.Duration(700 + 13*s), left: 125}
+		e.AfterFunc(c.gap, hotChainTick, sim.Payload{Obj: c})
 	}
 	e.RunUntil(sim.Time(sim.Second))
+}
+
+// hotChain is one chain of engineHotPath: it fires left more times, gap
+// apart.
+type hotChain struct {
+	gap  sim.Duration
+	left int
+}
+
+func hotChainTick(e *sim.Engine, p sim.Payload) {
+	c := p.Obj.(*hotChain)
+	c.left--
+	if c.left > 0 {
+		e.AfterFunc(c.gap, hotChainTick, p)
+	}
 }
 
 // budgetFile mirrors testdata/alloc_budget.json.

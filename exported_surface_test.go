@@ -72,8 +72,10 @@ var fieldCensusAllow = map[string]string{
 // field census: every named struct type's fields there, exported or
 // not, need a read outside the test files (a write is not a read; see
 // fieldWrites), a struct tag (its encoder reads it), or a row in
-// fieldCensusAllow. Every package is type-checked from source once, and
-// the bench/ module's files count as callers and readers.
+// fieldCensusAllow. And it holds non-test code to one scheduling
+// spelling: no event's handler is a func literal (scheduledClosures).
+// Every package is type-checked from source once, and the bench/
+// module's files count as callers and readers.
 func TestExportedSurface(t *testing.T) {
 	pkgs := goListDeps(t, "./internal/...", "./cmd/...", "./examples/...", ".")
 	bench, err := filepath.Glob("bench/*.go")
@@ -127,6 +129,8 @@ func TestExportedSurfaceCensus(t *testing.T) {
 		"testdata/surface/p.Gone",            // allowlisted, but not declared
 		"testdata/surface/p.NoReason",        // allowlisted without a reason
 		"testdata/surface/p.OnlyTested",      // called only from p_test.go
+		"testdata/surface/p.Schedule",        // schedules a func literal
+		"testdata/surface/p.Schedule",        // schedules a closure variable
 		"testdata/surface/p.Unused",          // no caller at all
 	}
 	if len(problems) != len(want) {
@@ -247,6 +251,16 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 	}
 	fields := map[*types.Var]*field{}
 	writes := map[*ast.Ident]bool{}
+	// closures has one problem per closure scheduled as a handler.
+	var closures []string
+	wd, _ := os.Getwd()
+	at := func(pos token.Pos) string {
+		p := fset.Position(pos)
+		if rel, err := filepath.Rel(wd, p.Filename); err == nil {
+			p.Filename = rel
+		}
+		return p.String()
+	}
 	// origin maps a method of an instantiated generic type, or of an
 	// instantiated generic interface, to its declaration.
 	origin := func(o types.Object) types.Object {
@@ -280,10 +294,13 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 		for _, f := range files {
 			fieldWrites(info, f, writes)
 		}
+		prefix := strings.TrimPrefix(strings.TrimPrefix(lp.ImportPath, "repro/internal/"), "repro/")
+		if !lp.bench {
+			closures = append(closures, scheduledClosures(info, files, prefix, at)...)
+		}
 		if !censused(lp.ImportPath) {
 			continue
 		}
-		prefix := strings.TrimPrefix(strings.TrimPrefix(lp.ImportPath, "repro/internal/"), "repro/")
 		// Every named struct type's fields, nested struct types' fields
 		// under their field's name. Embedded fields are used through what
 		// they promote, and blank ones are padding: neither is censused.
@@ -483,18 +500,10 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 		}
 	}
 
-	wd, _ := os.Getwd()
-	at := func(pos token.Pos) string {
-		p := fset.Position(pos)
-		if rel, err := filepath.Rel(wd, p.Filename); err == nil {
-			p.Filename = rel
-		}
-		return p.String()
-	}
 	// A censused name or field is judged by whether non-test code uses it
 	// (a name only bench/ calls needs a row, since bench/ changes only
 	// with the benchmark) and by its allowlist row.
-	var r censusReport
+	r := censusReport{problems: closures}
 	judge := func(name, where, kind string, u use, isUsed bool, allow map[string]string) {
 		reason, listed := allow[name]
 		switch {
@@ -603,6 +612,83 @@ func fieldWrites(info *types.Info, f *ast.File, writes map[*ast.Ident]bool) {
 		}
 		return true
 	})
+}
+
+// scheduledClosures reports each closure in files passed where package sim
+// wants a handler (a TypedHandler to AtFunc, AfterFunc, Every, NewTimer or
+// Band.After), naming the function that passes it. A closure is a func
+// literal, or a variable other than a parameter (which hands on what its
+// caller passed) or a field. An event's handler is a named function that
+// takes its component in Payload.Obj, so every event has a name to
+// register, count and explain by; a closure has none.
+func scheduledClosures(info *types.Info, files []*ast.File, prefix string, at func(token.Pos) string) []string {
+	params := map[types.Object]bool{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ft, ok := n.(*ast.FuncType); ok {
+				for _, fl := range ft.Params.List {
+					for _, id := range fl.Names {
+						params[info.Defs[id]] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	closure := func(arg ast.Expr) bool {
+		switch arg := ast.Unparen(arg).(type) {
+		case *ast.FuncLit:
+			return true
+		case *ast.Ident:
+			v, ok := info.Uses[arg].(*types.Var)
+			return ok && !v.IsField() && !params[v]
+		}
+		return false
+	}
+	var out []string
+	for _, f := range files {
+		for _, d := range f.Decls {
+			name := "(package scope)"
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				name = fd.Name.Name
+				if fd.Recv != nil {
+					recv := info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()
+					if p, ok := recv.(*types.Pointer); ok {
+						recv = p.Elem()
+					}
+					name = recv.(*types.Named).Obj().Name() + "." + name
+				}
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sig, ok := info.Types[call.Fun].Type.(*types.Signature)
+				if !ok {
+					return true
+				}
+				for i, arg := range call.Args {
+					if i < sig.Params().Len() && isSimHandler(sig.Params().At(i).Type()) && closure(arg) {
+						out = append(out, fmt.Sprintf("%s.%s (%s): schedules a closure; give the handler a name and pass its component in sim.Payload.Obj", prefix, name, at(arg.Pos())))
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// isSimHandler reports whether typ is one of package sim's named handler
+// func types.
+func isSimHandler(typ types.Type) bool {
+	n, ok := types.Unalias(typ).(*types.Named)
+	if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "repro/internal/sim" || !strings.HasSuffix(n.Obj().Name(), "Handler") {
+		return false
+	}
+	_, ok = n.Underlying().(*types.Signature)
+	return ok
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -298,11 +298,11 @@ func TestSourceACRRetentionAfterIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pump ACR far above ICR during the first on-phase.
-	e.At(sim.Time(sim.Millisecond), func(en *sim.Engine) {
+	e.AtFunc(sim.Time(sim.Millisecond), call, sim.Payload{Obj: func(en *sim.Engine) {
 		for i := 0; i < 20; i++ {
 			src.Receive(en, Cell{VC: 1, Kind: BackwardRM, ER: p.PCR})
 		}
-	})
+	}})
 	e.RunUntil(sim.Time(2 * sim.Millisecond))
 	if src.acr <= p.ICR {
 		t.Fatalf("setup failed: ACR %v not above ICR", src.acr)
@@ -389,3 +389,6 @@ func TestDestIgnoresForeignAndBackwardCells(t *testing.T) {
 		t.Fatal("foreign/backward cells had effect")
 	}
 }
+
+// call runs the func(*sim.Engine) in p.Obj: a test's one-off event.
+func call(e *sim.Engine, p sim.Payload) { p.Obj.(func(*sim.Engine))(e) }

@@ -104,17 +104,21 @@ func (s *Source) Start(e *sim.Engine) error {
 		// population of sources exhibits — so each VC's keep-alive is
 		// offset deterministically across the interval.
 		offset := sim.Duration(int64(oorGap) / 64 * int64(uint64(s.VC)%64))
-		var tick sim.Handler
-		tick = func(en *sim.Engine) {
-			if s.Pattern.ActiveAt(en.Now()) &&
-				(!s.everRM || en.Now().Sub(s.lastRM) >= oorGap) {
-				s.emitRM(en, true)
-			}
-			en.After(oorGap, tick)
-		}
-		e.After(oorGap+offset, tick)
+		e.AfterFunc(oorGap+offset, sourceKeepAlive, sim.Payload{Obj: s, I: int64(oorGap)})
 	}
 	return nil
+}
+
+// sourceKeepAlive is the out-of-rate tick of the Source in p.Obj, every
+// p.I ns: an RM cell goes out while the source is active and has sent none
+// for that long.
+func sourceKeepAlive(e *sim.Engine, p sim.Payload) {
+	s, oorGap := p.Obj.(*Source), sim.Duration(p.I)
+	if s.Pattern.ActiveAt(e.Now()) &&
+		(!s.everRM || e.Now().Sub(s.lastRM) >= oorGap) {
+		s.emitRM(e, true)
+	}
+	e.AfterFunc(oorGap, sourceKeepAlive, p)
 }
 
 // emitRM sends a forward RM cell; out-of-rate cells bypass the data pacing

@@ -329,9 +329,9 @@ func TestSwitchMetersTransmittedCells(t *testing.T) {
 	sw.Route(1, fp, nil)
 
 	// Saturate the port for 100 ms.
-	e.Every(sim.Millisecond, func(en *sim.Engine) {
+	e.Every(sim.Millisecond, call, sim.Payload{Obj: func(en *sim.Engine) {
 		sw.Receive(en, atm.Cell{VC: 1, Kind: atm.Data})
-	})
+	}})
 	e.RunUntil(sim.Time(100 * sim.Millisecond))
 	if len(residuals) < 50 {
 		t.Fatalf("only %d ticks", len(residuals))
@@ -353,3 +353,6 @@ func TestPortImplementsSwitchalgPort(t *testing.T) {
 		t.Fatal("port view wrong")
 	}
 }
+
+// call runs the func(*sim.Engine) in p.Obj: a test's one-off event.
+func call(e *sim.Engine, p sim.Payload) { p.Obj.(func(*sim.Engine))(e) }

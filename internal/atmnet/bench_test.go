@@ -66,9 +66,9 @@ func BenchmarkSimulatedSecond(b *testing.B) {
 		sw := NewSwitch("sw")
 		fp := sw.AddPort(e, NewLink("f", atm.CPS(150e6), 0, dst), switchalg.NewPhantom(core.Config{})())
 		sw.Route(1, fp, nil)
-		e.Every(sim.Duration(2827), func(en *sim.Engine) { // ≈ cell time at 150 Mb/s
+		e.Every(sim.Duration(2827), call, sim.Payload{Obj: func(en *sim.Engine) { // ≈ cell time at 150 Mb/s
 			sw.Receive(en, atm.Cell{VC: 1, Kind: atm.Data})
-		})
+		}})
 		e.RunUntil(sim.Time(sim.Second))
 	}
 }

@@ -87,11 +87,13 @@ func (p *PortControl) Tick(now sim.Time) {
 	}
 }
 
-// Attach schedules the controller's interval ticks on the engine. The
-// returned ref cancels the ticker.
-func (p *PortControl) Attach(e *sim.Engine) sim.EventRef {
-	return e.Every(p.cfg.Interval, func(en *sim.Engine) { p.Tick(en.Now()) })
+// Attach schedules the controller's interval ticks on the engine.
+func (p *PortControl) Attach(e *sim.Engine) {
+	e.Every(p.cfg.Interval, portControlTick, sim.Payload{Obj: p})
 }
+
+// portControlTick closes one measurement interval of the PortControl in p.Obj.
+func portControlTick(e *sim.Engine, p sim.Payload) { p.Obj.(*PortControl).Tick(e.Now()) }
 
 // MACR returns the current phantom-rate estimate in units/s.
 func (p *PortControl) MACR() float64 { return p.est.MACR() }

@@ -68,18 +68,18 @@ func TestPortControlTickLoop(t *testing.T) {
 	pc.OnTick = func(now sim.Time, residual, macr float64) { ticks++ }
 	pc.Attach(e)
 	interval := pc.Config().Interval
-	e.Every(interval, func(*sim.Engine) {
+	e.Every(interval, call, sim.Payload{Obj: func(*sim.Engine) {
 		// Units sent during the past interval at rate u·MACR.
 		pc.Transmitted(pc.AllowedRate() * interval.Seconds())
-	})
+	}})
 	// Ensure the send accounting runs before the tick at equal times:
 	// Every schedules in insertion order, pc.Attach was first, so swap —
 	// transmit must come first. Re-wire: run the controller later instead.
 	e2 := sim.NewEngine()
 	pc2 := MustPortControl(cfg, 0)
-	e2.Every(interval, func(*sim.Engine) {
+	e2.Every(interval, call, sim.Payload{Obj: func(*sim.Engine) {
 		pc2.Transmitted(pc2.AllowedRate() * interval.Seconds())
-	})
+	}})
 	pc2.Attach(e2)
 	e2.RunUntil(sim.Time(3 * sim.Second))
 	target := 100e6 * DefaultTargetUtilization
@@ -128,3 +128,6 @@ func TestPortControlMeterIntegration(t *testing.T) {
 		t.Fatalf("MACR did not fall under full load: %v → %v", before, pc.MACR())
 	}
 }
+
+// call runs the func(*sim.Engine) in p.Obj: a test's one-off event.
+func call(e *sim.Engine, p sim.Payload) { p.Obj.(func(*sim.Engine))(e) }

@@ -41,10 +41,10 @@ func (w *lossyWire) Receive(e *sim.Engine, c atm.Cell) {
 		}
 	}
 	if !lost {
-		e.After(2*sim.Millisecond, func(e *sim.Engine) {
+		e.AfterFunc(2*sim.Millisecond, call, sim.Payload{Obj: func(e *sim.Engine) {
 			w.to.Receive(e, c)
 			w.onArrive(eop)
-		})
+		}})
 	}
 }
 
@@ -161,3 +161,6 @@ func isDelivered(got []*ip.Packet, p *ip.Packet) bool {
 	}
 	return false
 }
+
+// call runs the func(*sim.Engine) in p.Obj: a test's one-off event.
+func call(e *sim.Engine, p sim.Payload) { p.Obj.(func(*sim.Engine))(e) }

@@ -425,8 +425,8 @@ func TestPhantomDisciplineMACRAdapts(t *testing.T) {
 	var feed func(en *sim.Engine)
 	feed = func(en *sim.Engine) {
 		if en.Now() < stop {
-			p.Receive(en, &Packet{Flow: 1, Len: 512, CurrentRate: 0}) // CR 0 never exceeds
-			en.After(441*sim.Microsecond/2, feed)                     // ≈2× line rate
+			p.Receive(en, &Packet{Flow: 1, Len: 512, CurrentRate: 0})         // CR 0 never exceeds
+			en.AfterFunc(441*sim.Microsecond/2, call, sim.Payload{Obj: feed}) // ≈2× line rate
 		}
 	}
 	feed(e)
@@ -461,3 +461,6 @@ func TestPhantomModeString(t *testing.T) {
 		t.Fatalf("Name = %q", got)
 	}
 }
+
+// call runs the func(*sim.Engine) in p.Obj: a test's one-off event.
+func call(e *sim.Engine, p sim.Payload) { p.Obj.(func(*sim.Engine))(e) }

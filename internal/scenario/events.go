@@ -78,22 +78,39 @@ func applyTransient(l *atmnet.Link, ev TransientEvent) {
 // trace record comes from the U→V half's shard.
 func scheduleEvents(events []TransientEvent, edges []GraphEdge, links []*atmnet.Link, plan *shardPlan) {
 	for _, ev := range events {
-		ev := ev
 		ed := edges[ev.Index]
 		fl, rl := links[2*ev.Index], links[2*ev.Index+1]
-		fwdEng, revEng, tr := plan.engineFor(ed.U), plan.engineFor(ed.V), plan.traceFor(ed.U)
-		fwdEng.At(sim.Time(ev.At), func(en *sim.Engine) {
-			applyTransient(fl, ev)
-			if revEng == fwdEng {
-				applyTransient(rl, ev)
-			}
-			if tr != nil {
-				tr.Emit(en.Now(), fl.Name, "transient",
-					trace.S("kind", string(ev.Kind)), trace.F("value", ev.Value))
-			}
-		})
-		if revEng != fwdEng {
-			revEng.At(sim.Time(ev.At), func(*sim.Engine) { applyTransient(rl, ev) })
+		fwdEng, revEng := plan.engineFor(ed.U), plan.engineFor(ed.V)
+		fwd := &pendingTransient{ev: ev, l: fl, tr: plan.traceFor(ed.U)}
+		if revEng == fwdEng {
+			fwd.also = rl
 		}
+		fwdEng.AtFunc(sim.Time(ev.At), fireTransient, sim.Payload{Obj: fwd})
+		if revEng != fwdEng {
+			revEng.AtFunc(sim.Time(ev.At), fireTransient, sim.Payload{Obj: &pendingTransient{ev: ev, l: rl}})
+		}
+	}
+}
+
+// pendingTransient is one engine's share of a scheduled TransientEvent: it
+// applies to l, and to also when the edge's other half shares the engine,
+// and is recorded on tr when tr is set.
+type pendingTransient struct {
+	ev   TransientEvent
+	l    *atmnet.Link
+	also *atmnet.Link
+	tr   *trace.Tracer
+}
+
+// fireTransient applies the pendingTransient in p.Obj.
+func fireTransient(e *sim.Engine, p sim.Payload) {
+	pt := p.Obj.(*pendingTransient)
+	applyTransient(pt.l, pt.ev)
+	if pt.also != nil {
+		applyTransient(pt.also, pt.ev)
+	}
+	if pt.tr != nil {
+		pt.tr.Emit(e.Now(), pt.l.Name, "transient",
+			trace.S("kind", string(pt.ev.Kind)), trace.F("value", pt.ev.Value))
 	}
 }

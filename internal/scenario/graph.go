@@ -431,11 +431,14 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 	// Every shard samples the state it owns at the same simulated instants,
 	// so the merged series are indistinguishable from a single sampler's.
 	for s := 0; s < plan.part.Shards; s++ {
-		s := s
-		plan.engines[s].Every(cfg.SampleEvery, func(en *sim.Engine) { n.sample(s, en.Now()) })
+		plan.engines[s].Every(cfg.SampleEvery, graphNetSample, sim.Payload{Obj: n, I: int64(s)})
 	}
 	return n, nil
 }
+
+// graphNetSample samples the state that shard p.I of the GraphNet in p.Obj
+// owns.
+func graphNetSample(e *sim.Engine, p sim.Payload) { p.Obj.(*GraphNet).sample(int(p.I), e.Now()) }
 
 // checkVCSpace rejects a session count the VCs cannot number. Sessions
 // take VCs in order from 1, one for an ABR session and two for a TCP flow
@@ -845,7 +848,10 @@ func (n *GraphNet) FiredTotal() uint64 {
 // to the metrics pools. Call it only when all reads of the series are done
 // — parameter sweeps build and discard a full network per point, and
 // pooling the storage keeps a sweep's allocation cost flat. The network is
-// unusable afterwards.
+// unusable afterwards. Packets still queued or in flight when the run ended
+// (in ip.Port queues, at an AAL5 ingress edge, in an edge pair's FIFO) are
+// left to the collector, not drained: the packet pool is a sync.Pool, so
+// such a packet is collected, never leaked, and only its reuse is lost.
 func (n *GraphNet) Release() {
 	for _, group := range [][]*metrics.Series{n.ACR, n.Goodput, n.LinkQueue, n.FairShare} {
 		for _, s := range group {

@@ -66,17 +66,17 @@ func buildPingNet(n int, reg *telemetry.Registry) *pingNet {
 				sum = sum*31 + uint64(k)
 			}
 			p.work[dst] += sum
-			e.After(sim.Duration(1+int(cell.VC)%3)*time.Nanosecond, func(e *sim.Engine) {
+			e.AfterFunc(sim.Duration(1+int(cell.VC)%3)*time.Nanosecond, call, sim.Payload{Obj: func(e *sim.Engine) {
 				conduits[reverse].Receive(e, cell)
-			})
+			}})
 		})
 		conduits[c] = p.g.NewConduit(pingWindow+sim.Duration(c%3)*time.Nanosecond, engines[dst], sink)
 	}
 	for c, ed := range ends {
 		c := c
-		engines[ed.src].At(sim.Time(1+c%7)*sim.Time(time.Nanosecond), func(e *sim.Engine) {
+		engines[ed.src].AtFunc(sim.Time(1+c%7)*sim.Time(time.Nanosecond), call, sim.Payload{Obj: func(e *sim.Engine) {
 			conduits[c].Receive(e, atm.Cell{VC: atm.VCID(c + 1)})
-		})
+		}})
 	}
 	return p
 }
@@ -197,8 +197,8 @@ func TestAdvancePanic(t *testing.T) {
 			// — conduit traffic, several barriers behind them — when the
 			// handler blows up inside the fourth window.
 			cd := g.NewConduit(10*sim.Microsecond, engines[1], atm.SinkFunc(func(*sim.Engine, atm.Cell) {}))
-			engines[0].Every(3*sim.Microsecond, func(e *sim.Engine) { cd.Receive(e, atm.Cell{VC: 1}) })
-			engines[bad].At(sim.Time(35*sim.Microsecond), func(*sim.Engine) { panic("boom") })
+			engines[0].Every(3*sim.Microsecond, call, sim.Payload{Obj: func(e *sim.Engine) { cd.Receive(e, atm.Cell{VC: 1}) }})
+			engines[bad].AtFunc(sim.Time(35*sim.Microsecond), call, sim.Payload{Obj: func(*sim.Engine) { panic("boom") }})
 
 			func() {
 				defer func() {

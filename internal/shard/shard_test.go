@@ -146,9 +146,9 @@ func TestGroupAdvance(t *testing.T) {
 	// Shard 0 sends one cell per window for 3 windows, starting mid-window.
 	for i := 0; i < 3; i++ {
 		i := i
-		e0.At(sim.Time(4+10*i)*sim.Time(sim.Microsecond), func(en *sim.Engine) {
+		e0.AtFunc(sim.Time(4+10*i)*sim.Time(sim.Microsecond), call, sim.Payload{Obj: func(en *sim.Engine) {
 			cd.Receive(en, atm.Cell{VC: atm.VCID(i + 1)})
-		})
+		}})
 	}
 	g.Advance(100 * sim.Microsecond)
 
@@ -203,9 +203,9 @@ func TestGroupPartialWindow(t *testing.T) {
 	}))
 	// Sent at t=13µs inside the partial window (10, 15]; arrival 23µs is
 	// beyond the 15µs horizon of the first Advance.
-	e0.At(sim.Time(13*sim.Microsecond), func(en *sim.Engine) {
+	e0.AtFunc(sim.Time(13*sim.Microsecond), call, sim.Payload{Obj: func(en *sim.Engine) {
 		cd.Receive(en, atm.Cell{VC: 1})
-	})
+	}})
 
 	g.Advance(15 * sim.Microsecond)
 	if len(arrivals) != 0 {
@@ -220,3 +220,6 @@ func TestGroupPartialWindow(t *testing.T) {
 		t.Fatalf("arrivals = %v, want [23µs]", arrivals)
 	}
 }
+
+// call runs the func(*sim.Engine) in p.Obj: a test's one-off event.
+func call(e *sim.Engine, p sim.Payload) { p.Obj.(func(*sim.Engine))(e) }

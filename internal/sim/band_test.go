@@ -118,7 +118,7 @@ func TestBandCellNeverPooled(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			b.After(func(*Engine, Payload) { fired++ }, nil)
 		}
-		e.At(2, func(*Engine) {})
+		e.AtFunc(2, call, Payload{Obj: func(*Engine) {}})
 		e.Run()
 		if fired != 5 {
 			t.Fatalf("band fired %d events, want 5", fired)

@@ -5,15 +5,11 @@ import (
 	"math"
 )
 
-// Handler is a callback invoked when an event fires. It receives the engine
-// so it can schedule follow-up events without capturing it in a closure.
-type Handler func(e *Engine)
-
-// Payload is the small value argument carried inside a pooled event cell
-// for the typed scheduling API (AtFunc/AfterFunc). It exists so that the
-// data plane can schedule per-cell and per-packet work without allocating a
-// closure per event: the component stores a fixed package-level TypedHandler
-// and passes itself (and any in-flight object) through the payload.
+// Payload is the small value argument carried inside a pooled event cell.
+// Every event is a fixed, named TypedHandler plus a Payload, so nothing is
+// allocated per event and every handler has a name: the component passes a
+// package-level handler and itself (and any in-flight object) through the
+// payload.
 //
 // Obj holds a pointer-shaped value (a component pointer, a packet);
 // storing a pointer in an interface does not allocate. I and F are scalar
@@ -25,11 +21,10 @@ type Payload struct {
 	F   float64
 }
 
-// TypedHandler is the callback form of the typed scheduling API: a fixed
-// function (package-level, or stored once per component) that receives the
-// payload stashed in the event cell. Unlike a closure handed to At/After,
-// scheduling a TypedHandler allocates nothing once the engine's event-cell
-// pool is warm.
+// TypedHandler is what an event runs: a fixed function (package-level, or
+// stored once per component) that receives the engine, so it can schedule
+// follow-ups, and the payload stashed in the event cell. Scheduling one
+// allocates nothing once the engine's event-cell pool is warm.
 type TypedHandler func(e *Engine, p Payload)
 
 // event is a scheduled callback. seq breaks ties between events scheduled
@@ -39,14 +34,13 @@ type TypedHandler func(e *Engine, p Payload)
 // list and gen is bumped so outstanding EventRefs go stale instead of
 // touching the cell's next occupant.
 //
-// Exactly one of fn and tfn is set; tfn carries its argument in payload.
-// A timer's cell (timer.go) sets neither: its payload.Obj is the *Timer.
+// fn runs with payload as its argument. A timer's cell (timer.go) has no fn:
+// its payload.Obj is the *Timer.
 type event struct {
 	at      Time
 	seq     uint64
 	gen     uint64
-	fn      Handler
-	tfn     TypedHandler
+	fn      TypedHandler
 	payload Payload
 	kind    cellKind
 	next    *event // intrusive slot-list link in the wheel backend
@@ -60,7 +54,7 @@ type event struct {
 type cellKind uint8
 
 const (
-	cellPlain    cellKind = iota // fire fn or tfn, recycle
+	cellPlain    cellKind = iota // fire fn, recycle
 	cellCanceled                 // a plain cell after EventRef.Cancel: discard
 	cellBand                     // a band's permanent cell (band.go)
 	cellTimer                    // a timer's tracked cell (timer.go)
@@ -117,7 +111,7 @@ type Engine struct {
 	stopped  bool
 	running  bool
 	// free is the event-cell pool. Scheduling pops a cell, firing (or
-	// draining a cancelled event) pushes it back, so the At/After/Every
+	// draining a cancelled event) pushes it back, so the AtFunc/AfterFunc
 	// hot path stops allocating once the pool warms to the peak number of
 	// simultaneously pending events.
 	free []*event
@@ -187,40 +181,16 @@ func (e *Engine) alloc() *event {
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
-	ev.tfn = nil
 	ev.payload = Payload{}
 	ev.kind = cellPlain
 	ev.next = nil
 	e.free = append(e.free, ev)
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it is always a logic error in an event-driven model, and silently clamping
-// would mask causality bugs.
-func (e *Engine) At(t Time, fn Handler) EventRef {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if fn == nil {
-		panic("sim: nil handler")
-	}
-	ev := e.alloc()
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
-	e.seq++
-	e.sched.schedule(ev)
-	return EventRef{ev: ev, gen: ev.gen}
-}
-
-// After schedules fn to run d from now. Negative delays panic via At.
-func (e *Engine) After(d Duration, fn Handler) EventRef {
-	return e.At(e.now.Add(d), fn)
-}
-
-// AtFunc schedules fn to run at absolute time t with p as its argument.
-// It is the zero-allocation counterpart of At: fn is a fixed function and p
-// is stored by value in the pooled event cell, so the data plane can
-// schedule per-cell work without allocating a closure per event. Ordering
-// is identical to At — typed and plain events share one sequence space.
+// AtFunc schedules fn(e, p) to run at absolute time t. p is stored by value
+// in a pooled event cell, so scheduling allocates nothing once the pool is
+// warm. Scheduling in the past panics: it is always a logic error in an
+// event-driven model, and silently clamping would mask causality bugs.
 func (e *Engine) AtFunc(t Time, fn TypedHandler, p Payload) EventRef {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -229,35 +199,40 @@ func (e *Engine) AtFunc(t Time, fn TypedHandler, p Payload) EventRef {
 		panic("sim: nil handler")
 	}
 	ev := e.alloc()
-	ev.at, ev.seq, ev.tfn, ev.payload = t, e.seq, fn, p
+	ev.at, ev.seq, ev.fn, ev.payload = t, e.seq, fn, p
 	e.seq++
 	e.sched.schedule(ev)
 	return EventRef{ev: ev, gen: ev.gen}
 }
 
-// AfterFunc schedules fn to run d from now with p as its argument, the
-// zero-allocation counterpart of After.
+// AfterFunc schedules fn(e, p) to run d from now. Negative delays panic via
+// AtFunc.
 func (e *Engine) AfterFunc(d Duration, fn TypedHandler, p Payload) EventRef {
 	return e.AtFunc(e.now.Add(d), fn, p)
 }
 
-// Every schedules fn to run every period, starting one period from now, until
-// the returned ref is cancelled or the run ends. fn observes the engine clock
-// at each tick. A period is a constant of its ticker, so the ticks ride the
-// engine's band for it (band.go): a thousand tickers with one period are one
-// calendar entry. A tick after a cancel still fires, as a no-op.
-func (e *Engine) Every(period Duration, fn Handler) EventRef {
+// Every schedules fn(e, p) to run every period, starting one period from
+// now, until the returned ref is cancelled or the run ends. fn observes the
+// engine clock at each tick. A period is a constant of its ticker, so the
+// ticks ride the engine's band for it (band.go): a thousand tickers with one
+// period are one calendar entry. A tick after a cancel still fires, as a
+// no-op.
+func (e *Engine) Every(period Duration, fn TypedHandler, p Payload) EventRef {
 	if period <= 0 {
 		panic("sim: non-positive period")
 	}
-	tk := &ticker{fn: fn, band: e.Band(period)}
+	if fn == nil {
+		panic("sim: nil handler")
+	}
+	tk := &ticker{fn: fn, p: p, band: e.Band(period)}
 	tk.band.After(tickerFire, tk)
 	return EventRef{ev: &tk.cell, gen: tk.cell.gen}
 }
 
 // ticker is an Every: the band entry each tick files carries it.
 type ticker struct {
-	fn   Handler
+	fn   TypedHandler
+	p    Payload
 	band *Band
 	// cell is what the ref from Every points at, so Cancel stops all future
 	// ticks, not just the next one. It never enters the calendar.
@@ -271,7 +246,7 @@ func tickerFire(e *Engine, p Payload) {
 	if tk.cell.kind == cellCanceled {
 		return
 	}
-	tk.fn(e)
+	tk.fn(e, tk.p)
 	if tk.cell.kind == cellCanceled {
 		return
 	}
@@ -334,15 +309,11 @@ func (e *Engine) runTo(deadline Time) uint64 {
 		}
 		e.now = ev.at
 		e.fired++
-		fn, tfn, pl := ev.fn, ev.tfn, ev.payload
+		fn, pl := ev.fn, ev.payload
 		// Recycle before firing: the handler is the cell's last user, and
 		// returning it first lets fn's own follow-up schedule reuse it.
 		e.recycle(ev)
-		if tfn != nil {
-			tfn(e, pl)
-		} else {
-			fn(e)
-		}
+		fn(e, pl)
 	}
 	return e.fired - start
 }

@@ -24,9 +24,9 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()
 		var got []int
-		e.At(30, func(*Engine) { got = append(got, 3) })
-		e.At(10, func(*Engine) { got = append(got, 1) })
-		e.At(20, func(*Engine) { got = append(got, 2) })
+		e.AtFunc(30, call, Payload{Obj: func(*Engine) { got = append(got, 3) }})
+		e.AtFunc(10, call, Payload{Obj: func(*Engine) { got = append(got, 1) }})
+		e.AtFunc(20, call, Payload{Obj: func(*Engine) { got = append(got, 2) }})
 		e.Run()
 		want := []int{1, 2, 3}
 		for i := range want {
@@ -46,7 +46,7 @@ func TestEngineTieBreakIsInsertionOrder(t *testing.T) {
 		var got []int
 		for i := 0; i < 10; i++ {
 			i := i
-			e.At(5, func(*Engine) { got = append(got, i) })
+			e.AtFunc(5, call, Payload{Obj: func(*Engine) { got = append(got, i) }})
 		}
 		e.Run()
 		for i := range got {
@@ -67,12 +67,12 @@ func TestTieBreakAcrossWheelLevels(t *testing.T) {
 		e := newEngine()
 		var got []int
 		const target = Time(1 << 20)
-		e.At(target, func(*Engine) { got = append(got, 0) }) // coarse level
-		e.At(target-3, func(en *Engine) {
-			en.At(target, func(*Engine) { got = append(got, 2) }) // level 0
+		e.AtFunc(target, call, Payload{Obj: func(*Engine) { got = append(got, 0) }}) // coarse level
+		e.AtFunc(target-3, call, Payload{Obj: func(en *Engine) {
+			en.AtFunc(target, call, Payload{Obj: func(*Engine) { got = append(got, 2) }}) // level 0
 			got = append(got, 1)
-		})
-		e.At(target, func(*Engine) { got = append(got, 3) }) // coarse level
+		}})
+		e.AtFunc(target, call, Payload{Obj: func(*Engine) { got = append(got, 3) }}) // coarse level
 		e.Run()
 		want := []int{1, 0, 3, 2} // seq order at the shared instant: 0, 3, then 2
 		if len(got) != len(want) {
@@ -90,10 +90,10 @@ func TestEngineSchedulingFromHandler(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()
 		var trace []Time
-		e.At(10, func(en *Engine) {
+		e.AtFunc(10, call, Payload{Obj: func(en *Engine) {
 			trace = append(trace, en.Now())
-			en.After(5, func(en *Engine) { trace = append(trace, en.Now()) })
-		})
+			en.AfterFunc(5, call, Payload{Obj: func(en *Engine) { trace = append(trace, en.Now()) }})
+		}})
 		e.Run()
 		if len(trace) != 2 || trace[0] != 10 || trace[1] != 15 {
 			t.Fatalf("trace = %v, want [10 15]", trace)
@@ -105,12 +105,12 @@ func TestEngineZeroDelaySchedulingFromHandler(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()
 		var trace []int
-		e.At(10, func(en *Engine) {
+		e.AtFunc(10, call, Payload{Obj: func(en *Engine) {
 			trace = append(trace, 0)
-			en.After(0, func(*Engine) { trace = append(trace, 1) })
-			en.At(10, func(*Engine) { trace = append(trace, 2) })
-		})
-		e.At(10, func(*Engine) { trace = append(trace, 3) })
+			en.AfterFunc(0, call, Payload{Obj: func(*Engine) { trace = append(trace, 1) }})
+			en.AtFunc(10, call, Payload{Obj: func(*Engine) { trace = append(trace, 2) }})
+		}})
+		e.AtFunc(10, call, Payload{Obj: func(*Engine) { trace = append(trace, 3) }})
 		e.Run()
 		want := []int{0, 3, 1, 2}
 		if len(trace) != len(want) {
@@ -127,14 +127,14 @@ func TestEngineZeroDelaySchedulingFromHandler(t *testing.T) {
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()
-		e.At(10, func(en *Engine) {
+		e.AtFunc(10, call, Payload{Obj: func(en *Engine) {
 			defer func() {
 				if recover() == nil {
 					t.Error("scheduling in the past did not panic")
 				}
 			}()
-			en.At(5, func(*Engine) {})
-		})
+			en.AtFunc(5, call, Payload{Obj: func(*Engine) {}})
+		}})
 		e.Run()
 	})
 }
@@ -142,10 +142,10 @@ func TestEngineSchedulingInPastPanics(t *testing.T) {
 func TestEngineNilHandlerPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("nil handler did not panic")
+			t.Error("Every with a nil handler did not panic")
 		}
 	}()
-	NewEngine().At(0, nil)
+	NewEngine().Every(1, nil, Payload{})
 }
 
 func TestUnknownSchedulerPanics(t *testing.T) {
@@ -161,7 +161,7 @@ func TestEventCancel(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()
 		fired := false
-		ref := e.At(10, func(*Engine) { fired = true })
+		ref := e.AtFunc(10, call, Payload{Obj: func(*Engine) { fired = true }})
 		if !ref.Cancel() {
 			t.Error("first Cancel returned false")
 		}
@@ -184,13 +184,13 @@ func TestEventCancel(t *testing.T) {
 func TestCancelAfterDrain(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()
-		ref := e.At(10, func(*Engine) {})
+		ref := e.AtFunc(10, call, Payload{Obj: func(*Engine) {}})
 		e.Run()
 		if ref.Cancel() {
 			t.Error("Cancel after the event fired returned true")
 		}
 
-		cancelled := e.At(20, func(*Engine) {})
+		cancelled := e.AtFunc(20, call, Payload{Obj: func(*Engine) {}})
 		cancelled.Cancel()
 		e.RunUntil(30) // drains the cancelled cell
 		if cancelled.Cancel() {
@@ -205,11 +205,11 @@ func TestCancelAfterDrain(t *testing.T) {
 func TestStaleRefDoesNotCancelRecycledCell(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()
-		stale := e.At(1, func(*Engine) {})
+		stale := e.AtFunc(1, call, Payload{Obj: func(*Engine) {}})
 		e.RunUntil(5)
 
 		fired := false
-		fresh := e.At(10, func(*Engine) { fired = true }) // reuses the pooled cell
+		fresh := e.AtFunc(10, call, Payload{Obj: func(*Engine) { fired = true }}) // reuses the pooled cell
 		if stale.Cancel() {
 			t.Error("stale ref claimed to cancel")
 		}
@@ -228,8 +228,8 @@ func TestCancelFromSameInstant(t *testing.T) {
 		e := newEngine()
 		fired := false
 		var victim EventRef
-		e.At(10, func(*Engine) { victim.Cancel() })
-		victim = e.At(10, func(*Engine) { fired = true })
+		e.AtFunc(10, call, Payload{Obj: func(*Engine) { victim.Cancel() }})
+		victim = e.AtFunc(10, call, Payload{Obj: func(*Engine) { fired = true }})
 		e.Run()
 		if fired {
 			t.Error("event cancelled at its own instant still fired")
@@ -240,8 +240,8 @@ func TestCancelFromSameInstant(t *testing.T) {
 func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()
-		e.At(10, func(*Engine) {})
-		e.At(100, func(*Engine) {})
+		e.AtFunc(10, call, Payload{Obj: func(*Engine) {}})
+		e.AtFunc(100, call, Payload{Obj: func(*Engine) {}})
 		n := e.RunUntil(50)
 		if n != 1 {
 			t.Fatalf("fired %d events, want 1", n)
@@ -265,9 +265,9 @@ func TestScheduleBetweenDeadlineAndNextEvent(t *testing.T) {
 		e := newEngine()
 		var trace []Time
 		rec := func(en *Engine) { trace = append(trace, en.Now()) }
-		e.At(1000, rec)
+		e.AtFunc(1000, call, Payload{Obj: rec})
 		e.RunUntil(500)
-		e.At(600, rec) // between the deadline and the pending event
+		e.AtFunc(600, call, Payload{Obj: rec}) // between the deadline and the pending event
 		e.Run()
 		if len(trace) != 2 || trace[0] != 600 || trace[1] != 1000 {
 			t.Fatalf("trace = %v, want [600 1000]", trace)
@@ -283,7 +283,7 @@ func TestRunUntilComposes(t *testing.T) {
 			var trace []Time
 			for _, at := range []Time{5, 15, 25, 35} {
 				at := at
-				e.At(at, func(en *Engine) { trace = append(trace, en.Now()) })
+				e.AtFunc(at, call, Payload{Obj: func(en *Engine) { trace = append(trace, en.Now()) }})
 			}
 			return e, &trace
 		}
@@ -307,7 +307,7 @@ func TestEveryTicksAndCancels(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()
 		var ticks []Time
-		ref := e.Every(10, func(en *Engine) { ticks = append(ticks, en.Now()) })
+		ref := e.Every(10, call, Payload{Obj: func(en *Engine) { ticks = append(ticks, en.Now()) }})
 		e.RunUntil(45)
 		if len(ticks) != 4 {
 			t.Fatalf("got %d ticks, want 4: %v", len(ticks), ticks)
@@ -325,12 +325,12 @@ func TestEveryCancelFromWithinTick(t *testing.T) {
 		e := newEngine()
 		count := 0
 		var ref EventRef
-		ref = e.Every(10, func(*Engine) {
+		ref = e.Every(10, call, Payload{Obj: func(*Engine) {
 			count++
 			if count == 3 {
 				ref.Cancel()
 			}
-		})
+		}})
 		e.RunUntil(1000)
 		if count != 3 {
 			t.Fatalf("count = %d, want 3", count)
@@ -345,7 +345,7 @@ func TestEveryCancelBetweenRuns(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()
 		count := 0
-		ref := e.Every(10, func(*Engine) { count++ })
+		ref := e.Every(10, call, Payload{Obj: func(*Engine) { count++ }})
 		e.RunUntil(35) // ticks at 10, 20, 30
 		if count != 3 {
 			t.Fatalf("count = %d before cancel, want 3", count)
@@ -370,8 +370,8 @@ func TestStopHaltsRun(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()
 		fired := 0
-		e.At(10, func(en *Engine) { fired++; en.Stop() })
-		e.At(20, func(*Engine) { fired++ })
+		e.AtFunc(10, call, Payload{Obj: func(en *Engine) { fired++; en.Stop() }})
+		e.AtFunc(20, call, Payload{Obj: func(*Engine) { fired++ }})
 		e.RunUntil(100)
 		if fired != 1 {
 			t.Fatalf("fired = %d, want 1 (Stop should halt)", fired)
@@ -391,8 +391,8 @@ func TestRunUntilAfterStopKeepsClock(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()
 		var seen []Time
-		e.At(10, func(en *Engine) { seen = append(seen, en.Now()); en.Stop() })
-		e.At(20, func(en *Engine) { seen = append(seen, en.Now()) })
+		e.AtFunc(10, call, Payload{Obj: func(en *Engine) { seen = append(seen, en.Now()); en.Stop() }})
+		e.AtFunc(20, call, Payload{Obj: func(en *Engine) { seen = append(seen, en.Now()) }})
 		e.RunUntil(100)
 		if e.Now() != 10 {
 			t.Fatalf("Now() = %d after Stop at 10, want 10 (event at 20 still pending)", e.Now())
@@ -416,7 +416,7 @@ func TestFiredCounter(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()
 		for i := 0; i < 7; i++ {
-			e.At(Time(i), func(*Engine) {})
+			e.AtFunc(Time(i), call, Payload{Obj: func(*Engine) {}})
 		}
 		e.Run()
 		if e.Fired() != 7 {
@@ -442,7 +442,7 @@ func TestEventOrderProperty(t *testing.T) {
 			for i, raw := range times {
 				at := Time(raw)
 				i := i
-				e.At(at, func(en *Engine) { got = append(got, rec{en.Now(), i}) })
+				e.AtFunc(at, call, Payload{Obj: func(en *Engine) { got = append(got, rec{en.Now(), i}) }})
 			}
 			e.Run()
 			if len(got) != len(times) {
@@ -474,7 +474,7 @@ func TestRunUntilSplitProperty(t *testing.T) {
 				var trace []Time
 				for _, raw := range times {
 					at := Time(raw)
-					e.At(at, func(en *Engine) { trace = append(trace, en.Now()) })
+					e.AtFunc(at, call, Payload{Obj: func(en *Engine) { trace = append(trace, en.Now()) }})
 				}
 				for _, c := range cuts {
 					e.RunUntil(c)
@@ -547,21 +547,21 @@ func TestEngineReentrancyPanics(t *testing.T) {
 	forEachScheduler(t, func(t *testing.T, newEngine func() *Engine) {
 		e := newEngine()
 		panicked := false
-		e.At(1, func(en *Engine) {
+		e.AtFunc(1, call, Payload{Obj: func(en *Engine) {
 			defer func() {
 				if recover() != nil {
 					panicked = true
 				}
 			}()
 			en.RunUntil(10) // re-enter the running engine
-		})
+		}})
 		e.RunUntil(5)
 		if !panicked {
 			t.Fatal("re-entrant RunUntil did not panic")
 		}
 		// The engine stays usable after the recovered violation.
 		fired := false
-		e.At(6, func(*Engine) { fired = true })
+		e.AtFunc(6, call, Payload{Obj: func(*Engine) { fired = true }})
 		e.RunUntil(10)
 		if !fired {
 			t.Fatal("engine wedged after recovered re-entrancy panic")
@@ -576,14 +576,14 @@ func TestPendingInsideHandler(t *testing.T) {
 		e := newEngine()
 		var got []int
 		for i := 0; i < 4; i++ {
-			e.At(Time(10*(i+1)), func(en *Engine) {
+			e.AtFunc(Time(10*(i+1)), call, Payload{Obj: func(en *Engine) {
 				got = append(got, en.Pending())
 				if en.Now() == 20 {
-					en.After(1, func(en *Engine) { got = append(got, en.Pending()) })
-					en.After(0, func(en *Engine) { got = append(got, en.Pending()) })
+					en.AfterFunc(1, call, Payload{Obj: func(en *Engine) { got = append(got, en.Pending()) }})
+					en.AfterFunc(0, call, Payload{Obj: func(en *Engine) { got = append(got, en.Pending()) }})
 					got = append(got, en.Pending())
 				}
-			})
+			}})
 		}
 		e.Run()
 		want := []int{3, 2, 4, 3, 2, 1, 0}
@@ -607,14 +607,14 @@ func TestRunAfterHandlerPanic(t *testing.T) {
 			e := newEngine()
 			var trace []Time
 			rec := func(en *Engine) { trace = append(trace, en.Now()) }
-			e.At(10, func(en *Engine) {
+			e.AtFunc(10, call, Payload{Obj: func(en *Engine) {
 				if scheduleFirst {
-					en.At(25, rec)
+					en.AtFunc(25, call, Payload{Obj: rec})
 				}
 				panic("boom")
-			})
-			e.At(20, rec)
-			e.At(30, rec)
+			}})
+			e.AtFunc(20, call, Payload{Obj: rec})
+			e.AtFunc(30, call, Payload{Obj: rec})
 			func() {
 				defer func() {
 					if recover() == nil {
@@ -623,7 +623,7 @@ func TestRunAfterHandlerPanic(t *testing.T) {
 				}()
 				e.RunUntil(100)
 			}()
-			e.At(15, rec)
+			e.AtFunc(15, call, Payload{Obj: rec})
 			e.RunUntil(100)
 			want := []Time{15, 20, 30}
 			if scheduleFirst {

@@ -9,6 +9,9 @@ import (
 // hold on the wheel too, the heap's differential oracle.
 var backends = []SchedulerKind{SchedulerHeap, SchedulerWheel}
 
+// call runs the func(*Engine) in p.Obj: a test's one-off event.
+func call(e *Engine, p Payload) { p.Obj.(func(*Engine))(e) }
+
 // maxTime is the end of simulated time; Run uses it as its deadline.
 const maxTime = Time(math.MaxInt64)
 

@@ -531,12 +531,7 @@ func (c *engineCal) pending() int {
 }
 
 func (c *engineCal) at(t Time, ev fuzzEvent) int {
-	if ev.kind == 'f' {
-		st := c.st
-		c.refs = append(c.refs, c.e.At(t, func(*Engine) { st.fire(ev, false) }))
-	} else {
-		c.refs = append(c.refs, c.e.AtFunc(t, fuzzFire, Payload{Obj: c.st, I: ev.pack()}))
-	}
+	c.refs = append(c.refs, c.e.AtFunc(t, fuzzFire, Payload{Obj: c.st, I: ev.pack()}))
 	return len(c.refs) - 1
 }
 
@@ -556,8 +551,7 @@ func (c *engineCal) timerReset(k int, t Time) { c.timers[k].Reset(t.Sub(c.e.Now(
 func (c *engineCal) timerStop(k int)          { c.timers[k].Stop() }
 
 func (c *engineCal) every(d Duration, ev fuzzEvent) int {
-	st := c.st
-	c.refs = append(c.refs, c.e.Every(d, func(*Engine) { st.fire(ev, false) }))
+	c.refs = append(c.refs, c.e.Every(d, fuzzFire, Payload{Obj: c.st, I: ev.pack()}))
 	return len(c.refs) - 1
 }
 

@@ -128,7 +128,7 @@ func (h *heapScheduler) removeRoot() {
 // of the 128-bit subtraction (at, seq)[right] − (at, seq)[left] is 1 exactly
 // when right orders first (SUB/SBB on amd64, SUBS/SBCS on arm64). Comparing
 // at as uint64 is sound because simulated time is never negative: the clock
-// starts at zero, At refuses t < now, and Time.Add clamps at zero. The
+// starts at zero, AtFunc refuses t < now, and Time.Add clamps at zero. The
 // compare against x stays an ordinary branch — it goes one way until the
 // last level, so it predicts well.
 //

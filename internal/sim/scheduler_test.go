@@ -52,23 +52,21 @@ func applyTrace(kind SchedulerKind, ops []traceOp) []fireRec {
 	var fired []fireRec
 	var refs []EventRef
 	id := 0
-	handler := func(myID int, depth int) Handler {
-		var fn Handler
-		fn = func(en *Engine) {
+	handler := func(myID int, depth int) func(*Engine) {
+		return func(en *Engine) {
 			fired = append(fired, fireRec{en.Now(), myID})
 			if depth > 0 && myID%3 == 0 {
 				// Follow-up at the same instant and a short hop ahead.
-				en.After(0, func(en *Engine) {
+				en.AfterFunc(0, call, Payload{Obj: func(en *Engine) {
 					fired = append(fired, fireRec{en.Now(), -myID})
-				})
+				}})
 			}
 		}
-		return fn
 	}
 	for _, op := range ops {
 		switch op.kind {
 		case 0:
-			refs = append(refs, e.After(op.delay, handler(id, 1)))
+			refs = append(refs, e.AfterFunc(op.delay, call, Payload{Obj: handler(id, 1)}))
 			id++
 		case 1:
 			if len(refs) > 0 {
@@ -113,9 +111,9 @@ func TestWheelHugeDelays(t *testing.T) {
 		e := newEngine()
 		var got []Time
 		far := Time(1) << 62
-		e.At(far, func(en *Engine) { got = append(got, en.Now()) })
-		e.At(far+1, func(en *Engine) { got = append(got, en.Now()) })
-		e.At(3, func(en *Engine) { got = append(got, en.Now()) })
+		e.AtFunc(far, call, Payload{Obj: func(en *Engine) { got = append(got, en.Now()) }})
+		e.AtFunc(far+1, call, Payload{Obj: func(en *Engine) { got = append(got, en.Now()) }})
+		e.AtFunc(3, call, Payload{Obj: func(en *Engine) { got = append(got, en.Now()) }})
 		e.Run()
 		if len(got) != 3 || got[0] != 3 || got[1] != far || got[2] != far+1 {
 			t.Fatalf("got %v, want [3 %d %d]", got, far, far+1)
@@ -133,12 +131,12 @@ func TestHeapPopClearsTail(t *testing.T) {
 	h := e.sched.(*heapScheduler)
 	var refs []EventRef
 	for i := 0; i < 16; i++ {
-		refs = append(refs, e.At(Time(10+i), func(*Engine) {}))
+		refs = append(refs, e.AtFunc(Time(10+i), call, Payload{Obj: func(*Engine) {}}))
 	}
 	for _, r := range refs[8:] {
 		r.Cancel()
 	}
-	e.At(5, func(en *Engine) { en.Stop() })
+	e.AtFunc(5, call, Payload{Obj: func(en *Engine) { en.Stop() }})
 	e.RunUntil(17)
 	// Stop from a handler that scheduled nothing leaves the hole open.
 	if h.hole != 1 || h.q[0].ev != nil {
@@ -199,19 +197,26 @@ func benchWorkload(kind SchedulerKind, sources, events int) *Engine {
 	e := NewEngine(WithScheduler(kind))
 	perSource := events / sources
 	for s := 0; s < sources; s++ {
-		gap := Duration(700 + 13*s)
-		left := perSource
-		var tick Handler
-		tick = func(en *Engine) {
-			left--
-			if left > 0 {
-				en.After(gap, tick)
-			}
-		}
-		e.After(gap, tick)
+		c := &benchChain{gap: Duration(700 + 13*s), left: perSource}
+		e.AfterFunc(c.gap, benchChainTick, Payload{Obj: c})
 	}
 	e.Run()
 	return e
+}
+
+// benchChain is one source of benchWorkload: it fires left more times, gap
+// apart.
+type benchChain struct {
+	gap  Duration
+	left int
+}
+
+func benchChainTick(e *Engine, p Payload) {
+	c := p.Obj.(*benchChain)
+	c.left--
+	if c.left > 0 {
+		e.AfterFunc(c.gap, benchChainTick, p)
+	}
 }
 
 // BenchmarkScheduler measures the engine hot path (schedule + fire) per
@@ -245,11 +250,11 @@ func BenchmarkSchedulerMixedHorizon(b *testing.B) {
 				e := NewEngine(WithScheduler(kind))
 				for j, d := range delays {
 					j := j
-					e.After(d, func(en *Engine) {
+					e.AfterFunc(d, call, Payload{Obj: func(en *Engine) {
 						if j%2 == 0 {
-							en.After(delays[j%len(delays)], func(*Engine) {})
+							en.AfterFunc(delays[j%len(delays)], call, Payload{Obj: func(*Engine) {}})
 						}
-					})
+					}})
 				}
 				e.Run()
 			}

@@ -141,8 +141,8 @@ func TestTimerMatchesCancelAfterFunc(t *testing.T) {
 				e.RunUntil(e.Now().Add(delays[rng.Intn(len(delays))]))
 			case 1:
 				// A plain event that logs, and one that acts from a handler.
-				e.After(delays[rng.Intn(len(delays))], func(e *Engine) { log = append(log, rec{e.Now(), -1}) })
-				e.After(delays[rng.Intn(len(delays))], act)
+				e.AfterFunc(delays[rng.Intn(len(delays))], call, Payload{Obj: func(e *Engine) { log = append(log, rec{e.Now(), -1}) }})
+				e.AfterFunc(delays[rng.Intn(len(delays))], call, Payload{Obj: act})
 			default:
 				act(e)
 			}

@@ -27,28 +27,6 @@ func TestTypedPayloadDelivery(t *testing.T) {
 	})
 }
 
-// TestTypedAndPlainShareSeqOrder pins the ordering contract: typed and
-// plain events scheduled for the same instant fire in scheduling order,
-// because both draw from the one sequence counter.
-func TestTypedAndPlainShareSeqOrder(t *testing.T) {
-	forBackends(t, func(t *testing.T, e *Engine) {
-		var got []int
-		e.At(10, func(*Engine) { got = append(got, 0) })
-		e.AtFunc(10, func(_ *Engine, p Payload) { got = append(got, int(p.I)) }, Payload{I: 1})
-		e.At(10, func(*Engine) { got = append(got, 2) })
-		e.AtFunc(10, func(_ *Engine, p Payload) { got = append(got, int(p.I)) }, Payload{I: 3})
-		e.Run()
-		for i, v := range got {
-			if v != i {
-				t.Fatalf("order = %v, want [0 1 2 3]", got)
-			}
-		}
-		if len(got) != 4 {
-			t.Fatalf("fired %d events, want 4", len(got))
-		}
-	})
-}
-
 // TestTypedCancel checks typed events honor EventRef.Cancel.
 func TestTypedCancel(t *testing.T) {
 	forBackends(t, func(t *testing.T, e *Engine) {
@@ -64,9 +42,9 @@ func TestTypedCancel(t *testing.T) {
 	})
 }
 
-// TestTypedPayloadClearedOnRecycle checks a fired typed event's cell does
-// not pin the payload object: the recycled cell reused by a plain event
-// must carry no stale payload into the next typed dispatch.
+// TestTypedPayloadClearedOnRecycle checks a fired event's cell does not pin
+// its handler or payload object: the recycled cell must carry neither into
+// its next event.
 func TestTypedPayloadClearedOnRecycle(t *testing.T) {
 	forBackends(t, func(t *testing.T, e *Engine) {
 		obj := &struct{ x int }{}
@@ -77,8 +55,8 @@ func TestTypedPayloadClearedOnRecycle(t *testing.T) {
 			t.Fatal("no cell returned to the pool")
 		}
 		for _, ev := range e.free {
-			if ev.tfn != nil || ev.payload != (Payload{}) {
-				t.Fatal("recycled cell retains typed handler or payload")
+			if ev.fn != nil || ev.payload != (Payload{}) {
+				t.Fatal("recycled cell retains handler or payload")
 			}
 		}
 	})
@@ -111,7 +89,7 @@ func TestTypedSchedulingFromHandler(t *testing.T) {
 	})
 }
 
-// TestTypedNilHandlerPanics mirrors the plain API's contract.
+// TestTypedNilHandlerPanics: AtFunc refuses a nil handler.
 func TestTypedNilHandlerPanics(t *testing.T) {
 	e := NewEngine()
 	defer func() {

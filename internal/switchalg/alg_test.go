@@ -97,13 +97,13 @@ func TestPhantomMetersTransmissions(t *testing.T) {
 	var residuals []float64
 	ph.OnTick = func(_ sim.Time, r, _ float64) { residuals = append(residuals, r) }
 	// Transmit 475 cells over half a second (950 cells/s = full target).
-	e.Every(sim.Millisecond, func(en *sim.Engine) {
+	e.Every(sim.Millisecond, call, sim.Payload{Obj: func(en *sim.Engine) {
 		if en.Now() <= sim.Time(500*sim.Millisecond) {
 			for i := 0; i < 1; i++ {
 				alg.OnTransmit(en.Now(), &atm.Cell{})
 			}
 		}
-	})
+	}})
 	e.RunUntil(sim.Time(100 * sim.Millisecond))
 	if len(residuals) == 0 {
 		t.Fatal("no interval ticks")
@@ -335,3 +335,6 @@ func TestNoneFactory(t *testing.T) {
 		t.Fatal("None() should be nil")
 	}
 }
+
+// call runs the func(*sim.Engine) in p.Obj: a test's one-off event.
+func call(e *sim.Engine, p sim.Payload) { p.Obj.(func(*sim.Engine))(e) }

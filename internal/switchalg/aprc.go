@@ -70,14 +70,19 @@ func (a *APRC) Attach(e *sim.Engine, p Port) {
 	if a.MRF == 0 {
 		a.MRF = 1.0 / 4
 	}
-	e.Every(a.SampleInterval, func(*sim.Engine) {
-		q := p.QueueLen()
-		if rising := q > a.prevQ; rising != a.rising {
-			a.rising = rising
-			a.tel.states.Inc()
-		}
-		a.prevQ = q
-	})
+	e.Every(a.SampleInterval, aprcSample, sim.Payload{Obj: a})
+}
+
+// aprcSample samples the queue of the APRC in p.Obj: a change between
+// rising and falling is a congestion-state transition.
+func aprcSample(_ *sim.Engine, p sim.Payload) {
+	a := p.Obj.(*APRC)
+	q := a.port.QueueLen()
+	if rising := q > a.prevQ; rising != a.rising {
+		a.rising = rising
+		a.tel.states.Inc()
+	}
+	a.prevQ = q
 }
 
 // MACR returns the current fair-share estimate (cells/s).

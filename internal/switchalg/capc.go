@@ -89,8 +89,11 @@ func (a *CAPC) Attach(e *sim.Engine, p Port) {
 	}
 	a.ers = a.InitERS
 	a.lastTick = e.Now()
-	e.Every(a.Interval, func(en *sim.Engine) { a.tick(en.Now()) })
+	e.Every(a.Interval, capcTick, sim.Payload{Obj: a})
 }
+
+// capcTick closes a measurement interval of the CAPC in p.Obj.
+func capcTick(e *sim.Engine, p sim.Payload) { p.Obj.(*CAPC).tick(e.Now()) }
 
 // ERS returns the current explicit-rate setting (cells/s).
 func (a *CAPC) ERS() float64 { return a.ers }

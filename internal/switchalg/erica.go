@@ -63,8 +63,11 @@ func (a *ERICA) Attach(e *sim.Engine, p Port) {
 	a.z = 1
 	a.fairShare = a.TargetUtil * p.Capacity()
 	a.lastTick = e.Now()
-	e.Every(a.Interval, func(en *sim.Engine) { a.tick(en.Now()) })
+	e.Every(a.Interval, ericaTick, sim.Payload{Obj: a})
 }
+
+// ericaTick closes a measurement interval of the ERICA in p.Obj.
+func ericaTick(e *sim.Engine, p sim.Payload) { p.Obj.(*ERICA).tick(e.Now()) }
 
 // FairShare returns the current per-VC fair share (cells/s).
 func (a *ERICA) FairShare() float64 { return a.fairShare }

@@ -61,8 +61,11 @@ func (a *ExactMaxMin) Attach(e *sim.Engine, p Port) {
 	a.demands = make(map[atm.VCID]demand)
 	a.port = p
 	a.share = p.Capacity() * a.TargetUtil
-	e.Every(a.Recompute, func(en *sim.Engine) { a.recompute(en.Now()) })
+	e.Every(a.Recompute, exactRecompute, sim.Payload{Obj: a})
 }
+
+// exactRecompute re-solves the allocation of the ExactMaxMin in p.Obj.
+func exactRecompute(e *sim.Engine, p sim.Payload) { p.Obj.(*ExactMaxMin).recompute(e.Now()) }
 
 // Share returns the current fair share (cells/s).
 func (a *ExactMaxMin) Share() float64 { return a.share }

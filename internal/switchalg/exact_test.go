@@ -74,9 +74,9 @@ func TestExactMaxMinExpiresIdleVCs(t *testing.T) {
 		t.Fatalf("setup: share = %v", alg.Share())
 	}
 	// Keep VC 1 alive; let VC 2 expire (default expiry 50 ms).
-	e.Every(10*sim.Millisecond, func(en *sim.Engine) {
+	e.Every(10*sim.Millisecond, call, sim.Payload{Obj: func(en *sim.Engine) {
 		alg.OnForwardRM(en.Now(), &atm.Cell{VC: 1, CCR: 90000})
-	})
+	}})
 	e.RunUntil(sim.Time(200 * sim.Millisecond))
 	if len(alg.demands) != 1 {
 		t.Fatalf("sessions = %d after expiry, want 1", len(alg.demands))

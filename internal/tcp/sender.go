@@ -175,22 +175,31 @@ func (s *Sender) Start(e *sim.Engine) error {
 	}
 	s.timer = e.NewTimer(senderTimeout, sim.Payload{Obj: s})
 	s.started = true
-	begin := func(en *sim.Engine) {
-		s.lastRateAt = en.Now()
-		en.Every(s.Params.RateInterval, func(en2 *sim.Engine) { s.updateRate(en2.Now()) })
-		s.trySend(en)
-	}
 	if s.Params.Start > e.Now() {
-		e.At(s.Params.Start, begin)
+		e.AtFunc(s.Params.Start, senderBegin, sim.Payload{Obj: s})
 	} else {
-		begin(e)
+		senderBegin(e, sim.Payload{Obj: s})
 	}
 	if s.Params.Stop > 0 {
-		e.At(s.Params.Stop, func(*sim.Engine) { s.stopped = true })
+		e.AtFunc(s.Params.Stop, senderStop, sim.Payload{Obj: s})
 	}
 	s.notifyCwnd()
 	return nil
 }
+
+// senderBegin starts the Sender in p.Obj transmitting and its rate ticker.
+func senderBegin(e *sim.Engine, p sim.Payload) {
+	s := p.Obj.(*Sender)
+	s.lastRateAt = e.Now()
+	e.Every(s.Params.RateInterval, senderRateTick, p)
+	s.trySend(e)
+}
+
+// senderRateTick recomputes the stamped CR of the Sender in p.Obj.
+func senderRateTick(e *sim.Engine, p sim.Payload) { p.Obj.(*Sender).updateRate(e.Now()) }
+
+// senderStop ends the Sender in p.Obj's transmission at Params.Stop.
+func senderStop(_ *sim.Engine, p sim.Payload) { p.Obj.(*Sender).stopped = true }
 
 // notifyCwnd records a congestion-window change in the peak telemetry.
 func (s *Sender) notifyCwnd() {

@@ -212,7 +212,7 @@ func TestRTTEstimation(t *testing.T) {
 	out := &pktCapture{}
 	s := newSender(t, e, out)
 	// ACK arrives 10 ms after the initial transmission at t=0.
-	e.At(sim.Time(10*sim.Millisecond), func(en *sim.Engine) { ack(en, s, 512) })
+	e.AtFunc(sim.Time(10*sim.Millisecond), call, sim.Payload{Obj: func(en *sim.Engine) { ack(en, s, 512) }})
 	e.RunUntil(sim.Time(20 * sim.Millisecond))
 	if sim.Duration(s.srtt) != 10*sim.Millisecond {
 		t.Fatalf("srtt = %v, want 10ms", sim.Duration(s.srtt))
@@ -284,9 +284,9 @@ func TestRateMeasurementStampsCR(t *testing.T) {
 	out := &pktCapture{}
 	s := newSender(t, e, out)
 	// Deliver steady ACKs so ~100 KB is acked in the first interval.
-	e.Every(sim.Millisecond, func(en *sim.Engine) {
+	e.Every(sim.Millisecond, call, sim.Payload{Obj: func(en *sim.Engine) {
 		ack(en, s, s.AckedBytes()+512)
-	})
+	}})
 	e.RunUntil(sim.Time(200 * sim.Millisecond))
 	// 512 B/ms = 4.096 Mb/s.
 	if s.rate < 3e6 || s.rate > 5e6 {
@@ -427,3 +427,6 @@ func TestReceiverIgnoresForeign(t *testing.T) {
 		t.Fatal("foreign packets had effect")
 	}
 }
+
+// call runs the func(*sim.Engine) in p.Obj: a test's one-off event.
+func call(e *sim.Engine, p sim.Payload) { p.Obj.(func(*sim.Engine))(e) }

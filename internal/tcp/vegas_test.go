@@ -24,9 +24,9 @@ func TestVegasDefaults(t *testing.T) {
 // ackAt delivers an ACK at a given simulated time so the sender collects
 // RTT samples.
 func ackAt(e *sim.Engine, s *Sender, at sim.Time, ackNo int64) {
-	e.At(at, func(en *sim.Engine) {
+	e.AtFunc(at, call, sim.Payload{Obj: func(en *sim.Engine) {
 		s.Receive(en, &ip.Packet{Flow: s.Flow, Ack: true, AckNo: ackNo})
-	})
+	}})
 }
 
 func TestVegasSlowStartDoublesEveryOtherRTT(t *testing.T) {
@@ -176,11 +176,11 @@ func TestVegasKeepsQueueSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxQ := 0
-	e.Every(10*sim.Millisecond, func(*sim.Engine) {
+	e.Every(10*sim.Millisecond, call, sim.Payload{Obj: func(*sim.Engine) {
 		if q := port.QueueLen(); q > maxQ && e.Now() > sim.Time(2*sim.Second) {
 			maxQ = q
 		}
-	})
+	}})
 	e.RunUntil(sim.Time(10 * sim.Second))
 	if r.DeliveredBytes() < 4e6 {
 		t.Fatalf("Vegas delivered only %d bytes in 10 s", r.DeliveredBytes())

@@ -2,6 +2,8 @@
 // (TestExportedSurfaceCensus in the repository root).
 package p
 
+import "repro/internal/sim"
+
 // Unused has no caller at all: reported.
 func Unused() {}
 
@@ -52,3 +54,16 @@ func NewFields() *Fields {
 
 // Sum reads f.read.
 func (f *Fields) Sum() int { return f.read }
+
+// Schedule hands the engine a func literal and a closure variable as
+// events' handlers: reported, once each. The named handler and the
+// handler its caller passed are not.
+func Schedule(e *sim.Engine, fn sim.TypedHandler) {
+	e.AfterFunc(1, func(*sim.Engine, sim.Payload) {}, sim.Payload{})
+	next := func(*sim.Engine, sim.Payload) {}
+	e.AfterFunc(1, next, sim.Payload{})
+	e.AfterFunc(1, tick, sim.Payload{})
+	e.AfterFunc(1, fn, sim.Payload{})
+}
+
+func tick(*sim.Engine, sim.Payload) {}

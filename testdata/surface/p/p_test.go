@@ -1,8 +1,19 @@
 package p
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
 
 func TestOnlyTested(t *testing.T) { OnlyTested() }
+
+// A test may schedule a func literal: not reported.
+func TestSchedule(t *testing.T) {
+	e := sim.NewEngine()
+	e.AfterFunc(1, func(*sim.Engine, sim.Payload) {}, sim.Payload{})
+	e.RunUntil(1)
+}
 
 func TestFields(t *testing.T) {
 	if NewFields().tested != 2 {

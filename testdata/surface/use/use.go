@@ -6,6 +6,7 @@ import "repro/testdata/surface/p"
 // Run calls what p exports, except Unused and OnlyTested.
 func Run() {
 	p.Called()
+	p.Schedule(nil, nil)
 	p.Deliver[p.Cell](p.Box{}, p.Cell{})
 	p.NewFields().Sum()
 }
