@@ -206,7 +206,7 @@ func newView(spec *simconfig.Spec, n *scenario.GraphNet) (*view, error) {
 		v.queues = append(v.queues, s)
 		v.queueLabels = append(v.queueLabels, label(l))
 		v.lines = append(v.lines, fmt.Sprintf("%s: utilization %.1f%%, peak queue %d cells",
-			label(l), 100*n.LinkUtilization(l), n.PeakLinkQueue[l]))
+			label(l), 100*n.LinkUtilization(l), n.PeakLinkQueue(l)))
 	}
 	for l, s := range n.FairShare {
 		if s != nil {

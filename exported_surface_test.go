@@ -65,6 +65,11 @@ var fieldCensusAllow = map[string]string{
 	"scenario.InteropNet.Receivers": "ip's TestRecycleIsInvisible fingerprints the cloud's receivers; the test stays as recorded",
 }
 
+// hookCensusAllow lists the func-typed struct fields that may stay
+// although no non-test code sets them, each naming the test that does.
+// The same staleness rules hold as for exportedSurfaceAllow.
+var hookCensusAllow = map[string]string{}
+
 // TestExportedSurface is the exported-surface census: every exported
 // func, method, interface method, type, const and var declared under
 // internal/ and cmd/ needs a caller outside the test files, or a row in
@@ -72,8 +77,11 @@ var fieldCensusAllow = map[string]string{
 // field census: every named struct type's fields there, exported or
 // not, need a read outside the test files (a write is not a read; see
 // fieldWrites), a struct tag (its encoder reads it), or a row in
-// fieldCensusAllow. And it holds non-test code to one scheduling
-// spelling: no event's handler is a func literal (scheduledClosures).
+// fieldCensusAllow; and a func-typed field, a hook, also needs a
+// non-test write (or its address taken), or a row in hookCensusAllow,
+// since a hook nothing sets is only a nil check on its caller's path.
+// And it holds non-test code to one scheduling spelling: no event's
+// handler is a func literal (scheduledClosures).
 // Every package is type-checked from source once, and the bench/
 // module's files count as callers and readers.
 func TestExportedSurface(t *testing.T) {
@@ -92,8 +100,8 @@ func TestExportedSurface(t *testing.T) {
 
 	r := surfaceCensus(t, pkgs, func(path string) bool {
 		return strings.HasPrefix(path, "repro/internal/") || strings.HasPrefix(path, "repro/cmd/")
-	}, exportedSurfaceAllow, fieldCensusAllow)
-	t.Logf("censused %d exported names and %d struct fields", r.names, r.fields)
+	}, exportedSurfaceAllow, fieldCensusAllow, hookCensusAllow)
+	t.Logf("censused %d exported names and %d struct fields, %d of them hooks", r.names, r.fields, r.hooks)
 	for _, a := range r.allowed {
 		t.Logf("allowlisted: %s", a)
 	}
@@ -115,9 +123,12 @@ func TestExportedSurfaceCensus(t *testing.T) {
 	fieldAllow := map[string]string{
 		"testdata/surface/p.Fields.read": "planted: has a non-test read",
 	}
+	hookAllow := map[string]string{
+		"testdata/surface/p.Hooks.keyed": "planted: set by a literal key",
+	}
 	r := surfaceCensus(t, pkgs, func(path string) bool {
 		return path == "repro/testdata/surface/p"
-	}, allow, fieldAllow)
+	}, allow, fieldAllow, hookAllow)
 	problems := r.problems
 	want := []string{
 		"testdata/surface/p.Called",          // allowlisted, but called
@@ -127,6 +138,8 @@ func TestExportedSurfaceCensus(t *testing.T) {
 		"testdata/surface/p.Fields.tested",   // read only in p_test.go
 		"testdata/surface/p.Fields.written",  // only assigned and keyed
 		"testdata/surface/p.Gone",            // allowlisted, but not declared
+		"testdata/surface/p.Hooks.keyed",     // allowlisted, but set
+		"testdata/surface/p.Hooks.unset",     // called, set only in p_test.go
 		"testdata/surface/p.NoReason",        // allowlisted without a reason
 		"testdata/surface/p.OnlyTested",      // called only from p_test.go
 		"testdata/surface/p.Schedule",        // schedules a func literal
@@ -196,14 +209,15 @@ type censusReport struct {
 	problems []string
 	// allowed has one "name — reason" line per allowlist row that held.
 	allowed []string
-	// names and fields count what was censused.
-	names, fields int
+	// names, fields and hooks count what was censused.
+	names, fields, hooks int
 }
 
 // surfaceCensus type-checks pkgs (listed dependencies first) and censuses
-// the exported names (against allow) and struct fields (against
-// fieldAllow) that the packages censused says are counted declare.
-func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string) bool, allow, fieldAllow map[string]string) censusReport {
+// the exported names (against allow), struct fields (against fieldAllow)
+// and hooks (against hookAllow) that the packages censused says are
+// counted declare.
+func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string) bool, allow, fieldAllow, hookAllow map[string]string) censusReport {
 	t.Helper()
 	fset := token.NewFileSet()
 	std := importer.Default()
@@ -240,17 +254,21 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 	type checkedInfo struct {
 		*types.Info
 		bench bool
+		// addressed are the selectors whose address &x.F takes.
+		addressed map[*ast.Ident]bool
 	}
 	var infos []checkedInfo
 	// fields are the censused struct fields; writes are the uses of
-	// fields that fieldWrites finds.
+	// fields that fieldWrites finds, and set each hook's first write.
 	type field struct {
 		name   string
 		pos    token.Pos
 		tagged bool
+		hook   bool // func-typed
 	}
 	fields := map[*types.Var]*field{}
 	writes := map[*ast.Ident]bool{}
+	set := map[types.Object]use{}
 	// closures has one problem per closure scheduled as a handler.
 	var closures []string
 	wd, _ := os.Getwd()
@@ -290,9 +308,18 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 			t.Fatalf("type-check %s: %v", lp.ImportPath, err)
 		}
 		checked[lp.ImportPath] = pkg
-		infos = append(infos, checkedInfo{info, lp.bench})
+		addressed := map[*ast.Ident]bool{}
+		infos = append(infos, checkedInfo{info, lp.bench, addressed})
 		for _, f := range files {
 			fieldWrites(info, f, writes)
+			ast.Inspect(f, func(n ast.Node) bool {
+				if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.AND {
+					if sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr); ok {
+						addressed[sel.Sel] = true
+					}
+				}
+				return true
+			})
 		}
 		prefix := strings.TrimPrefix(strings.TrimPrefix(lp.ImportPath, "repro/internal/"), "repro/")
 		if !lp.bench {
@@ -316,7 +343,9 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 						if id.Name == "_" {
 							continue
 						}
-						fields[info.Defs[id].(*types.Var)] = &field{name + "." + id.Name, id.Pos(), fl.Tag != nil}
+						v := info.Defs[id].(*types.Var)
+						_, hook := v.Type().Underlying().(*types.Signature)
+						fields[v] = &field{name + "." + id.Name, id.Pos(), fl.Tag != nil, hook}
 						addFields(name+"."+id.Name, fl.Type)
 					}
 				}
@@ -382,13 +411,19 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 
 	// Direct uses: a reference outside the name's own declaration. A
 	// method's receiver is part of its type's declaration. A field's use
-	// is a read unless fieldWrites says it is a write.
+	// is a read unless fieldWrites says it is a write; a hook's write, or
+	// taking its address, sets it.
 	for _, info := range infos {
 		for id, o := range info.Uses {
-			if v, ok := o.(*types.Var); ok && fields[v.Origin()] != nil && !writes[id] {
-				// A read in bench/ is a read: the field stays for as
-				// long as the benchmark reads it, with no row to say so.
-				mark(read, v.Origin(), use{id.Pos(), false})
+			if v, ok := o.(*types.Var); ok && fields[v.Origin()] != nil {
+				if writes[id] || info.addressed[id] {
+					mark(set, v.Origin(), use{id.Pos(), info.bench})
+				}
+				if !writes[id] {
+					// A read in bench/ is a read: the field stays for as
+					// long as the benchmark reads it, with no row to say so.
+					mark(read, v.Origin(), use{id.Pos(), false})
+				}
 			}
 			if recvIdents[id] {
 				continue
@@ -519,6 +554,8 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 			r.allowed = append(r.allowed, name+" — "+reason)
 		case !isUsed && kind == "name":
 			r.problems = append(r.problems, fmt.Sprintf("%s (%s): exported, but no non-test code refers to it; delete it, unexport it, or allowlist it with a reason", name, where))
+		case !isUsed && kind == "hook":
+			r.problems = append(r.problems, fmt.Sprintf("%s (%s): a hook no non-test code sets; delete it with its nil checks, or allowlist it naming the test that sets it", name, where))
 		case !isUsed:
 			r.problems = append(r.problems, fmt.Sprintf("%s (%s): no non-test code reads it; delete it with what only fills it, or allowlist it naming its reader", name, where))
 		case u.bench:
@@ -556,6 +593,18 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 	}
 	stale(fieldAllow, declared)
 	r.fields = len(fields)
+
+	declared = map[string]bool{}
+	for v, f := range fields {
+		if !f.hook {
+			continue
+		}
+		declared[f.name] = true
+		u, isSet := set[v]
+		judge(f.name, at(f.pos), "hook", u, isSet, hookAllow)
+		r.hooks++
+	}
+	stale(hookAllow, declared)
 
 	sort.Strings(r.problems)
 	sort.Strings(r.allowed)

@@ -13,9 +13,6 @@ type Dest struct {
 	// Back is the reverse path toward the source.
 	Back Sink
 
-	// OnDeliver, if non-nil, observes every delivered data cell.
-	OnDeliver func(now sim.Time, c Cell)
-
 	dataCells int64
 	rmCells   int64
 	efciSeen  bool
@@ -43,9 +40,6 @@ func (d *Dest) Receive(e *sim.Engine, c Cell) {
 		d.dataCells++
 		if c.EFCI {
 			d.efciSeen = true
-		}
-		if d.OnDeliver != nil {
-			d.OnDeliver(e.Now(), c)
 		}
 	case ForwardRM:
 		d.rmCells++

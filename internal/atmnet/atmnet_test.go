@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/switchalg"
+	"repro/internal/telemetry"
 )
 
 type capture struct {
@@ -89,12 +90,6 @@ func TestLinkQueueHookAndCompaction(t *testing.T) {
 	e := sim.NewEngine()
 	dst := &capture{}
 	l := NewLink("l", 1e6, 0, dst)
-	var maxQ int
-	l.OnQueue = func(_ sim.Time, q int) {
-		if q > maxQ {
-			maxQ = q
-		}
-	}
 	// Two bursts to force head compaction.
 	for burst := 0; burst < 2; burst++ {
 		for i := 0; i < 500; i++ {
@@ -111,8 +106,8 @@ func TestLinkQueueHookAndCompaction(t *testing.T) {
 			t.Fatalf("order broken at %d: got VC %d", i, c.VC)
 		}
 	}
-	if maxQ == 0 {
-		t.Fatal("queue hook never saw a backlog")
+	if l.PeakQueue() == 0 {
+		t.Fatal("queue peak never saw a backlog")
 	}
 }
 
@@ -129,8 +124,8 @@ func TestSwitchRoutesForwardAndBackward(t *testing.T) {
 	e := sim.NewEngine()
 	fwdDst, bwdDst := &capture{}, &capture{}
 	sw := NewSwitch("sw")
-	fp := sw.AddPort(e, NewLink("fwd", 1e6, 0, fwdDst), nil)
-	bp := sw.AddPort(e, NewLink("bwd", 1e6, 0, bwdDst), nil)
+	fp := NewLink("fwd", 1e6, 0, fwdDst)
+	bp := NewLink("bwd", 1e6, 0, bwdDst)
 	sw.Route(1, fp, bp)
 
 	sw.Receive(e, atm.Cell{VC: 1, Kind: atm.Data})
@@ -167,7 +162,7 @@ func TestSwitchUnknownVCPanics(t *testing.T) {
 	mustPanicWith(t, "empty tables", "no forward route for VC 42", func() {
 		sw.Receive(e, atm.Cell{VC: 42, Kind: atm.Data})
 	})
-	fp := sw.AddPort(e, NewLink("fwd", 1e6, 0, &capture{}), nil)
+	fp := NewLink("fwd", 1e6, 0, &capture{})
 	sw.Route(5, fp, nil)
 	for _, tc := range []struct {
 		name, want string
@@ -304,8 +299,9 @@ func TestSwitchBackwardRMGetsForwardPortFeedback(t *testing.T) {
 	fwdDst, bwdDst := &capture{}, &capture{}
 	sw := NewSwitch("sw")
 	cfg := core.Config{UtilizationFactor: 5, InitialMACR: 1000}
-	fp := sw.AddPort(e, NewLink("fwd", 1e6, 0, fwdDst), switchalg.NewPhantom(cfg)())
-	bp := sw.AddPort(e, NewLink("bwd", 1e6, 0, bwdDst), nil)
+	fp := NewLink("fwd", 1e6, 0, fwdDst)
+	fp.Attach(e, switchalg.NewPhantom(cfg)())
+	bp := NewLink("bwd", 1e6, 0, bwdDst)
 	sw.Route(1, fp, bp)
 
 	sw.Receive(e, atm.Cell{VC: 1, Kind: atm.BackwardRM, ER: 1e9})
@@ -318,14 +314,26 @@ func TestSwitchBackwardRMGetsForwardPortFeedback(t *testing.T) {
 	}
 }
 
+// meter counts the cells its port meters into the algorithm it wraps.
+type meter struct {
+	switchalg.Algorithm
+	cells int
+}
+
+func (m *meter) OnTransmit(now sim.Time, c *atm.Cell) {
+	m.cells++
+	m.Algorithm.OnTransmit(now, c)
+}
+
 func TestSwitchMetersTransmittedCells(t *testing.T) {
 	e := sim.NewEngine()
 	dst := &capture{}
 	sw := NewSwitch("sw")
-	alg := switchalg.NewPhantom(core.Config{})().(*switchalg.Phantom)
-	var residuals []float64
-	alg.OnTick = func(_ sim.Time, r, _ float64) { residuals = append(residuals, r) }
-	fp := sw.AddPort(e, NewLink("fwd", 1000, 0, dst), alg) // 1000 cells/s
+	alg := &meter{Algorithm: switchalg.NewPhantom(core.Config{})()}
+	fp := NewLink("fwd", 1000, 0, dst) // 1000 cells/s
+	fp.Attach(e, alg)
+	reg := telemetry.New()
+	fp.Instrument(reg)
 	sw.Route(1, fp, nil)
 
 	// Saturate the port for 100 ms.
@@ -333,24 +341,28 @@ func TestSwitchMetersTransmittedCells(t *testing.T) {
 		sw.Receive(en, atm.Cell{VC: 1, Kind: atm.Data})
 	}})
 	e.RunUntil(sim.Time(100 * sim.Millisecond))
-	if len(residuals) < 50 {
-		t.Fatalf("only %d ticks", len(residuals))
+	if ticks := reg.Snapshot()["alg.fair_share_updates"]; ticks < 50 {
+		t.Fatalf("only %d ticks", ticks)
 	}
-	// Port fully busy: residual ≈ target − 1000 = 950 − 1000 < 0.
-	last := residuals[len(residuals)-1]
-	if last > 0 {
-		t.Fatalf("residual under saturation = %v, want ≤ 0", last)
+	if sent := fp.Sent(); alg.cells != int(sent) || sent < 90 {
+		t.Fatalf("metered %d cells of %d sent, want all of ≥ 90", alg.cells, sent)
 	}
-	if alg.Control().MACR() > 100 {
-		t.Fatalf("MACR = %v, want near zero under saturation", alg.Control().MACR())
+	// Port fully busy: residual ≈ target − 1000 = 950 − 1000 < 0, so
+	// MACR collapses.
+	if alg.FairShare() > 100 {
+		t.Fatalf("MACR = %v, want near zero under saturation", alg.FairShare())
 	}
 }
 
 func TestPortImplementsSwitchalgPort(t *testing.T) {
-	var _ switchalg.Port = (*Port)(nil)
-	p := &Port{Link: NewLink("l", 123, 0, &capture{})}
-	if p.Capacity() != 123 || p.QueueLen() != 0 {
+	var _ switchalg.Port = (*Link)(nil)
+	l := NewLink("l", 123, 0, &capture{})
+	if l.Capacity() != 123 || l.QueueLen() != 0 {
 		t.Fatal("port view wrong")
+	}
+	l.RateCPS = 456 // a transient rewrites the rate: the port sees it live
+	if l.Capacity() != 456 || l.Algorithm() != nil {
+		t.Fatal("port view wrong after a rate change")
 	}
 }
 

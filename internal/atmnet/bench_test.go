@@ -46,8 +46,9 @@ func BenchmarkSwitchForwarding(b *testing.B) {
 	e := sim.NewEngine()
 	dst := &nullSink{}
 	sw := NewSwitch("sw")
-	fp := sw.AddPort(e, NewLink("f", 1e9, 0, dst), switchalg.NewPhantom(core.Config{})())
-	bp := sw.AddPort(e, NewLink("b", 1e9, 0, &nullSink{}), nil)
+	fp := NewLink("f", 1e9, 0, dst)
+	fp.Attach(e, switchalg.NewPhantom(core.Config{})())
+	bp := NewLink("b", 1e9, 0, &nullSink{})
 	sw.Route(1, fp, bp)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -64,7 +65,8 @@ func BenchmarkSimulatedSecond(b *testing.B) {
 		e := sim.NewEngine()
 		dst := &nullSink{}
 		sw := NewSwitch("sw")
-		fp := sw.AddPort(e, NewLink("f", atm.CPS(150e6), 0, dst), switchalg.NewPhantom(core.Config{})())
+		fp := NewLink("f", atm.CPS(150e6), 0, dst)
+		fp.Attach(e, switchalg.NewPhantom(core.Config{})())
 		sw.Route(1, fp, nil)
 		e.Every(sim.Duration(2827), call, sim.Payload{Obj: func(en *sim.Engine) { // ≈ cell time at 150 Mb/s
 			sw.Receive(en, atm.Cell{VC: 1, Kind: atm.Data})

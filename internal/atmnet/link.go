@@ -1,7 +1,7 @@
-// Package atmnet wires the ATM data plane into networks: links that
-// serialize cells at line rate with propagation delay and an output queue,
-// and switches that route cells per VC and host a rate-control algorithm on
-// each output port.
+// Package atmnet is the ATM data plane: links that serialize cells at line
+// rate with propagation delay and an output queue, and switches that route
+// cells per VC. A switch's output port is a link, and a link can host the
+// rate-control algorithm that governs it.
 package atmnet
 
 import (
@@ -10,6 +10,7 @@ import (
 	"repro/internal/atm"
 	"repro/internal/ring"
 	"repro/internal/sim"
+	"repro/internal/switchalg"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -17,12 +18,13 @@ import (
 // Link is a unidirectional link with an output FIFO. Cells received while
 // the transmitter is busy queue up; the queue is the quantity every figure
 // of the paper plots. A Link implements atm.Sink so any component can feed
-// it.
+// it, and switchalg.Port so it can be a switch's output port: Attach gives
+// it the algorithm that meters its transmissions.
 //
 // The FIFO server and the propagation delay line are a sim.Pipe. The link
-// adds the loss and MaxQueue verdicts, its counters and observers, and ends
-// each cell's service on the engine's band for one cell time. Nothing on
-// the cell path allocates in steady state.
+// adds the loss and MaxQueue verdicts, its counters and peak, and ends each
+// cell's service on the engine's band for one cell time. Nothing on the
+// cell path allocates in steady state.
 type Link struct {
 	Name string
 	// RateCPS is the line rate in cells/s.
@@ -35,12 +37,6 @@ type Link struct {
 	// Dst receives cells after transmission + propagation.
 	Dst atm.Sink
 
-	// OnTransmit fires when a cell finishes transmission (the metering
-	// point for Phantom). The cell may not be modified and the pointer is
-	// valid only for the duration of the call.
-	OnTransmit func(now sim.Time, c *atm.Cell)
-	// OnQueue fires when the queue length changes.
-	OnQueue func(now sim.Time, qlen int)
 	// OnDrop fires when MaxQueue forces a drop.
 	OnDrop func(now sim.Time, c atm.Cell)
 
@@ -53,15 +49,20 @@ type Link struct {
 	lossRNG *workload.RNG
 	lost    int64
 
+	// alg is the rate-control algorithm of the port this link is, or nil.
+	alg switchalg.Algorithm
+
 	pipe sim.Pipe[atm.Cell]
 	// tx is the running engine's band for one cell time at RateCPS, looked
 	// up again when a transient (scenario/events.go) has rewritten the field.
 	tx *sim.Band
-	// scratch is the cell handed to OnTransmit by pointer; a field rather
-	// than a local so the observer call does not force a heap allocation
-	// per cell.
+	// scratch is the cell handed to alg.OnTransmit by pointer; a field
+	// rather than a local so the interface call does not force a heap
+	// allocation per cell.
 	scratch atm.Cell
 	sent    int64
+	// peak is the longest queue seen at an enqueue.
+	peak int
 
 	// waitSince shadows the queue + wire with each cell's enqueue time,
 	// feeding the latency histogram. Maintained only when the histogram is
@@ -84,12 +85,16 @@ type linkTel struct {
 	cellWait   telemetry.Histogram
 }
 
-// Instrument registers the link's counters with reg (class-level names, so
-// every link in a scenario shares the accumulators). A nil reg yields inert
-// handles. Two distributions ride along with the counters: queue depth
-// sampled at each enqueue, and per-cell latency from enqueue to the end of
-// transmission (queueing + serialization, in simulated nanoseconds).
+// Instrument registers the link's counters, and those of the algorithm
+// Attach gave it, with reg (class-level names, so every link in a scenario
+// shares the accumulators). A nil reg yields inert handles. Two
+// distributions ride along with the counters: queue depth sampled at each
+// enqueue, and per-cell latency from enqueue to the end of transmission
+// (queueing + serialization, in simulated nanoseconds).
 func (l *Link) Instrument(reg *telemetry.Registry) {
+	if l.alg != nil {
+		l.alg.Instrument(reg)
+	}
 	l.tel = linkTel{
 		sent:       reg.Counter("link.cells_sent"),
 		dropped:    reg.Counter("link.cells_dropped"),
@@ -109,9 +114,29 @@ func NewLink(name string, rateCPS float64, delay sim.Duration, dst atm.Sink) *Li
 	return &Link{Name: name, RateCPS: rateCPS, Delay: delay, Dst: dst}
 }
 
-// QueueLen returns the number of cells waiting (excluding the one on the
-// wire).
+// Attach makes alg, if not nil, the rate-control algorithm of the switch
+// port this link is: alg binds to the link and then sees every cell the
+// link finishes transmitting. Call it once, before Instrument and before
+// any traffic.
+func (l *Link) Attach(e *sim.Engine, alg switchalg.Algorithm) {
+	if alg != nil {
+		l.alg = alg
+		alg.Attach(e, l)
+	}
+}
+
+// Algorithm returns the link's rate-control algorithm, or nil.
+func (l *Link) Algorithm() switchalg.Algorithm { return l.alg }
+
+// QueueLen implements switchalg.Port: the number of cells waiting
+// (excluding the one on the wire).
 func (l *Link) QueueLen() int { return l.pipe.QueueLen() }
+
+// Capacity implements switchalg.Port: the live line rate in cells/s.
+func (l *Link) Capacity() float64 { return l.RateCPS }
+
+// PeakQueue returns the longest queue the link has held, in cells.
+func (l *Link) PeakQueue() int { return l.peak }
 
 // QueueCap returns the current capacity of the FIFO's backing array. It
 // grows to the peak backlog and then stabilizes; tests use it to pin the
@@ -144,13 +169,14 @@ func (l *Link) Receive(e *sim.Engine, c atm.Cell) {
 		return
 	}
 	l.pipe.Push(c)
-	l.tel.queuePeak.Observe(uint64(l.QueueLen()))
-	l.tel.queueDepth.Observe(uint64(l.QueueLen()))
+	q := l.QueueLen()
+	if q > l.peak {
+		l.peak = q
+	}
+	l.tel.queuePeak.Observe(uint64(q))
+	l.tel.queueDepth.Observe(uint64(q))
 	if l.tel.cellWait.Active() {
 		l.waitSince.Push(e.Now())
-	}
-	if l.OnQueue != nil {
-		l.OnQueue(e.Now(), l.QueueLen())
 	}
 	l.startTx(e)
 }
@@ -166,8 +192,9 @@ func (l *Link) startTx(e *sim.Engine) {
 	l.tx.After(linkTxDone, l)
 }
 
-// linkTxDone fires when the head cell finishes serialization: meter it,
-// hand it to the propagation pipe and restart the transmitter.
+// linkTxDone fires when the head cell finishes serialization: meter it
+// into the port's algorithm, hand it to the propagation pipe and restart
+// the transmitter.
 func linkTxDone(e *sim.Engine, p sim.Payload) {
 	l := p.Obj.(*Link)
 	c := l.pipe.Finish()
@@ -176,12 +203,9 @@ func linkTxDone(e *sim.Engine, p sim.Payload) {
 	if l.tel.cellWait.Active() {
 		l.tel.cellWait.Observe(uint64(e.Now().Sub(l.waitSince.Pop())))
 	}
-	if l.OnQueue != nil {
-		l.OnQueue(e.Now(), l.QueueLen())
-	}
-	if l.OnTransmit != nil {
+	if l.alg != nil {
 		l.scratch = c
-		l.OnTransmit(e.Now(), &l.scratch)
+		l.alg.OnTransmit(e.Now(), &l.scratch)
 	}
 	if !l.pipe.Depart(e, c, l.Delay, l.Dst) {
 		panic(fmt.Sprintf("atmnet: link %q: delivery time went backwards", l.Name))

@@ -5,35 +5,21 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/sim"
-	"repro/internal/switchalg"
 	"repro/internal/telemetry"
 )
 
-// Port is one switch output port: a link plus the rate-control algorithm
-// governing it. It satisfies switchalg.Port so the algorithm can observe
-// its queue and capacity.
-type Port struct {
-	Link *Link
-	Alg  switchalg.Algorithm
-}
-
-// QueueLen implements switchalg.Port.
-func (p *Port) QueueLen() int { return p.Link.QueueLen() }
-
-// Capacity implements switchalg.Port.
-func (p *Port) Capacity() float64 { return p.Link.RateCPS }
-
-// Switch routes cells between ports. Routing is static per VC: data and
-// forward RM cells of a VC leave on its forward port; backward RM cells
-// leave on its backward port but receive feedback from the *forward* port's
-// algorithm, because that is the port the VC's data contends for — exactly
-// how the ATM-Forum switch proposals are specified.
+// Switch routes cells between its output ports, each a Link. Routing is
+// static per VC: data and forward RM cells of a VC leave on its forward
+// port; backward RM cells leave on its backward port but receive feedback
+// from the *forward* port's algorithm, because that is the port the VC's
+// data contends for — exactly how the ATM-Forum switch proposals are
+// specified.
 type Switch struct {
 	Name string
 	// fwd and bwd are the routing tables, indexed by VC: VCIDs are small
 	// dense integers and the tables are read once or twice per cell.
-	fwd []*Port
-	bwd []*Port
+	fwd []*Link
+	bwd []*Link
 	// scratch is the cell handed to the port algorithms by pointer (they
 	// mutate it in place: ER reduction, CI/EFCI marking) and then forwarded.
 	// A field rather than a local keeps the per-cell call from forcing a
@@ -66,29 +52,11 @@ func NewSwitch(name string) *Switch {
 	return &Switch{Name: name}
 }
 
-// AddPort registers an output port built from link and an optional
-// algorithm (nil means plain FIFO). The algorithm is attached immediately
-// and wired to meter the link's transmissions.
-func (s *Switch) AddPort(e *sim.Engine, link *Link, alg switchalg.Algorithm) *Port {
-	p := &Port{Link: link, Alg: alg}
-	if alg != nil {
-		alg.Attach(e, p)
-		prev := link.OnTransmit
-		link.OnTransmit = func(now sim.Time, c *atm.Cell) {
-			alg.OnTransmit(now, c)
-			if prev != nil {
-				prev(now, c)
-			}
-		}
-	}
-	return p
-}
-
 // Route installs the static route for a VC: forward-direction cells exit on
 // fwd; backward RM cells exit on bwd. Either may be nil when the switch is
 // not on that direction's path (e.g. the last switch before the destination
 // still forwards data but a different switch handles the reverse).
-func (s *Switch) Route(vc atm.VCID, fwd, bwd *Port) {
+func (s *Switch) Route(vc atm.VCID, fwd, bwd *Link) {
 	if vc < 0 {
 		panic(fmt.Sprintf("atmnet: switch %s: negative VC %d", s.Name, vc))
 	}
@@ -101,16 +69,16 @@ func (s *Switch) Route(vc atm.VCID, fwd, bwd *Port) {
 }
 
 // setRoute stores p at tab[vc], growing the table to reach.
-func setRoute(tab []*Port, vc atm.VCID, p *Port) []*Port {
+func setRoute(tab []*Link, vc atm.VCID, p *Link) []*Link {
 	if n := int(vc) + 1; n > len(tab) {
-		tab = append(tab, make([]*Port, n-len(tab))...)
+		tab = append(tab, make([]*Link, n-len(tab))...)
 	}
 	tab[vc] = p
 	return tab
 }
 
 // route returns tab[vc], or nil for a VC the table does not reach.
-func route(tab []*Port, vc atm.VCID) *Port {
+func route(tab []*Link, vc atm.VCID) *Link {
 	if uint(vc) < uint(len(tab)) {
 		return tab[vc]
 	}
@@ -123,14 +91,14 @@ func (s *Switch) Receive(e *sim.Engine, c atm.Cell) {
 	s.scratch = c
 	if c.Kind == atm.BackwardRM {
 		s.tel.bRM.Inc()
-		if fp := route(s.fwd, c.VC); fp != nil && fp.Alg != nil {
-			fp.Alg.OnBackwardRM(now, &s.scratch)
+		if fp := route(s.fwd, c.VC); fp != nil && fp.alg != nil {
+			fp.alg.OnBackwardRM(now, &s.scratch)
 		}
 		bp := route(s.bwd, c.VC)
 		if bp == nil {
 			panic(fmt.Sprintf("atmnet: switch %s has no backward route for VC %d", s.Name, c.VC))
 		}
-		bp.Link.Receive(e, s.scratch)
+		bp.Receive(e, s.scratch)
 		return
 	}
 	fp := route(s.fwd, c.VC)
@@ -142,11 +110,11 @@ func (s *Switch) Receive(e *sim.Engine, c atm.Cell) {
 	} else {
 		s.tel.data.Inc()
 	}
-	if fp.Alg != nil {
-		fp.Alg.OnArrival(now, &s.scratch)
+	if fp.alg != nil {
+		fp.alg.OnArrival(now, &s.scratch)
 		if c.Kind == atm.ForwardRM {
-			fp.Alg.OnForwardRM(now, &s.scratch)
+			fp.alg.OnForwardRM(now, &s.scratch)
 		}
 	}
-	fp.Link.Receive(e, s.scratch)
+	fp.Receive(e, s.scratch)
 }

@@ -44,8 +44,6 @@ type Port struct {
 	// OnQuench delivers a source-quench signal for flow back to its
 	// source; the scenario wires it with the reverse-path delay.
 	OnQuench func(e *sim.Engine, flow int)
-	// OnQueue observes queue length changes (packets).
-	OnQueue func(now sim.Time, qlen int)
 	// OnDrop observes every dropped packet with the reason. The packet is
 	// released when it returns, so OnDrop must not keep it.
 	OnDrop func(now sim.Time, p *Packet, reason string)
@@ -63,6 +61,8 @@ type Port struct {
 	pipe    sim.Pipe[*Packet]
 	dropped int64
 	sentBy  int64
+	// peak is the longest queue seen at an enqueue.
+	peak int
 
 	tel portTel
 }
@@ -123,6 +123,9 @@ func (p *Port) QueueCap() int { return p.pipe.QueueCap() }
 // loss, the discipline's verdict and the tail bound.
 func (p *Port) Dropped() int64 { return p.dropped }
 
+// PeakQueue returns the longest queue the port has held, in packets.
+func (p *Port) PeakQueue() int { return p.peak }
+
 // SentBytes returns the bytes fully transmitted.
 func (p *Port) SentBytes() int64 { return p.sentBy }
 
@@ -155,11 +158,12 @@ func (p *Port) Receive(e *sim.Engine, pkt *Packet) {
 		return
 	}
 	p.pipe.Push(pkt)
-	p.tel.queuePeak.Observe(uint64(p.QueueLen()))
-	p.tel.queueDepth.Observe(uint64(p.QueueLen()))
-	if p.OnQueue != nil {
-		p.OnQueue(e.Now(), p.QueueLen())
+	q := p.QueueLen()
+	if q > p.peak {
+		p.peak = q
 	}
+	p.tel.queuePeak.Observe(uint64(q))
+	p.tel.queueDepth.Observe(uint64(q))
 	p.startTx(e)
 }
 
@@ -188,9 +192,6 @@ func portTxDone(e *sim.Engine, pl sim.Payload) {
 	p.sentBy += int64(pkt.SizeBytes())
 	p.tel.pktsSent.Inc()
 	p.tel.bytesSent.Add(uint64(pkt.SizeBytes()))
-	if p.OnQueue != nil {
-		p.OnQueue(e.Now(), p.QueueLen())
-	}
 	if p.Disc != nil {
 		p.Disc.OnTransmit(e.Now(), pkt)
 	}

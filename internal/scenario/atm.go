@@ -184,7 +184,7 @@ func trunks(links []*metrics.Series) []*metrics.Series {
 func (c chain) Run(d sim.Duration) {
 	c.GraphNet.Run(d)
 	for k := range c.PeakTrunkQueue {
-		c.PeakTrunkQueue[k] = c.PeakLinkQueue[2*k]
+		c.PeakTrunkQueue[k] = c.PeakLinkQueue(2 * k)
 	}
 }
 

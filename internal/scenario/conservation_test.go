@@ -111,7 +111,10 @@ func TestDeterminismAcrossAlgorithms(t *testing.T) {
 // In-order delivery per VC is a switch invariant: the ATM network never
 // reorders cells of one VC (FIFO queues, single path), and this one loses
 // none. So per VC, what the destination receives — each cell's kind, and a
-// forward RM cell's CCR — is a prefix of what its source sent.
+// forward RM cell's CCR — is a prefix of what its source sent. The
+// destination counts data cells and turns each forward RM cell around as
+// it arrives, so the data cells it received before an RM cell are its
+// count's growth since the previous turnaround.
 func TestPerVCInOrderDelivery(t *testing.T) {
 	n, err := BuildATM(ATMConfig{
 		Switches: 3,
@@ -130,6 +133,14 @@ func TestPerVCInOrderDelivery(t *testing.T) {
 	}
 	sent := make([][]mark, len(n.Sources))
 	got := make([][]mark, len(n.Dests))
+	counted := make([]int64, len(n.Dests))
+	// data records the data cells destination i received since the last
+	// call.
+	data := func(i int) {
+		for ; counted[i] < n.Dests[i].DataCells(); counted[i]++ {
+			got[i] = append(got[i], mark{atm.Data, 0})
+		}
+	}
 	for i := range n.Sources {
 		i := i
 		src, dst := n.Sources[i], n.Dests[i]
@@ -138,15 +149,15 @@ func TestPerVCInOrderDelivery(t *testing.T) {
 			sent[i] = append(sent[i], mark{c.Kind, c.CCR})
 			out.Receive(e, c)
 		})
-		dst.OnDeliver = func(_ sim.Time, c atm.Cell) { got[i] = append(got[i], mark{c.Kind, c.CCR}) }
-		// The destination turns a forward RM cell around as it arrives.
 		dst.Back = atm.SinkFunc(func(e *sim.Engine, c atm.Cell) {
+			data(i)
 			got[i] = append(got[i], mark{atm.ForwardRM, c.CCR})
 			back.Receive(e, c)
 		})
 	}
 	n.Run(100 * sim.Millisecond)
 	for i := range got {
+		data(i)
 		rm := 0
 		for _, m := range got[i] {
 			if m.kind == atm.ForwardRM {

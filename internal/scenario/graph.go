@@ -200,20 +200,16 @@ type GraphNet struct {
 	// FairShare[l] is directed link l's algorithm estimate, or nil. On a
 	// router it is a Phantom discipline's MACR (bits/s), recorded per tick.
 	FairShare []*metrics.Series
-	// PeakLinkQueue[l] is the exact maximum queue seen on directed link l.
-	PeakLinkQueue []int
 
-	links    []*atmnet.Link // ATM directed links, 2 per edge
-	atmPorts []*atmnet.Port // their switch output ports
-	ipPorts  []*ip.Port     // router directed links, 2 per edge
-	routers  []*ip.Router
+	links   []*atmnet.Link // ATM directed links, 2 per edge: switch ports
+	ipPorts []*ip.Port     // router directed links, 2 per edge
+	routers []*ip.Router
 	// A TCP session's end systems (nil entries for an ABR session);
 	// ingress only behind AAL5 edges.
 	senders   []*tcp.Sender
 	receivers []*tcp.Receiver
 	ingress   []*interop.IngressEdge
 
-	fairShareFns  []func() float64
 	lastDelivered []int64
 	plan          *shardPlan
 	linkShard     []int // directed link -> owning shard (its source node's)
@@ -228,27 +224,6 @@ func samplesHint(d, every sim.Duration) int {
 		return 0
 	}
 	return int(d/every) + 8
-}
-
-// fairShareGetter extracts the per-port fair-share estimate from a known
-// algorithm type, for the FairShare figures.
-func fairShareGetter(alg switchalg.Algorithm) func() float64 {
-	switch a := alg.(type) {
-	case *switchalg.Phantom:
-		return func() float64 { return a.Control().MACR() }
-	case *switchalg.EPRCA:
-		return a.MACR
-	case *switchalg.APRC:
-		return a.MACR
-	case *switchalg.CAPC:
-		return a.ERS
-	case *switchalg.ExactMaxMin:
-		return a.Share
-	case *switchalg.ERICA:
-		return a.FairShare
-	default:
-		return nil
-	}
 }
 
 // bfsPath returns the shortest Src→Dst path as node indices and as the
@@ -390,12 +365,10 @@ func BuildGraph(cfg GraphConfig) (*GraphNet, error) {
 	n.linkShard = make([]int, nl)
 	n.LinkQueue = make([]*metrics.Series, nl)
 	n.FairShare = make([]*metrics.Series, nl)
-	n.PeakLinkQueue = make([]int, nl)
-	n.fairShareFns = make([]func() float64, nl)
 	if cfg.routers != nil {
 		n.ipPorts = make([]*ip.Port, nl)
 	} else {
-		n.links, n.atmPorts = make([]*atmnet.Link, nl), make([]*atmnet.Port, nl)
+		n.links = make([]*atmnet.Link, nl)
 	}
 	for l := 0; l < nl; l++ {
 		if cfg.routers != nil {
@@ -461,21 +434,11 @@ func (c *GraphConfig) half(l int) (from, to int, name string) {
 	return ed.V, ed.U, fmt.Sprintf("R%d", l/2)
 }
 
-// recordPeak returns an observer that keeps PeakLinkQueue[l].
-func (n *GraphNet) recordPeak(l int) func(sim.Time, int) {
-	return func(_ sim.Time, q int) {
-		if q > n.PeakLinkQueue[l] {
-			n.PeakLinkQueue[l] = q
-		}
-	}
-}
-
-// addLink builds ATM directed link l and its switch port. Only a used
-// direction gets an algorithm and recorded series. A direction whose
-// endpoints live on different shards is a cut link: transmission pacing
-// stays on the owning shard, the propagation delay moves into a conduit
-// drained at epoch barriers (same arrival times as the single-engine
-// wiring).
+// addLink builds ATM directed link l, a switch port. Only a used direction
+// gets an algorithm and recorded series. A direction whose endpoints live
+// on different shards is a cut link: transmission pacing stays on the
+// owning shard, the propagation delay moves into a conduit drained at
+// epoch barriers (same arrival times as the single-engine wiring).
 func (n *GraphNet) addLink(l int, used bool) {
 	cfg, plan := &n.Config, n.plan
 	from, to, name := cfg.half(l)
@@ -487,6 +450,9 @@ func (n *GraphNet) addLink(l int, used bool) {
 		linkDelay = 0
 	}
 	link := atmnet.NewLink(name, atm.CPS(cfg.EdgeRateBPS(l/2)), linkDelay, dst)
+	if used && cfg.Alg != nil {
+		link.Attach(plan.engineFor(from), cfg.Alg())
+	}
 	link.Instrument(plan.regFor(from))
 	// Seeds are assigned unconditionally so a TransientLoss event that
 	// turns loss on mid-run draws from a deterministic stream.
@@ -494,12 +460,6 @@ func (n *GraphNet) addLink(l int, used bool) {
 	if cfg.TrunkLossRate > 0 {
 		link.LossRate = cfg.TrunkLossRate
 	}
-	var alg switchalg.Algorithm
-	if used && cfg.Alg != nil {
-		alg = cfg.Alg()
-	}
-	instrumentAlg(alg, plan.regFor(from))
-	n.atmPorts[l] = n.Switches[from].AddPort(plan.engineFor(from), link, alg)
 	n.links[l] = link
 	n.linkShard[l] = plan.shardOf(from)
 	if !used {
@@ -507,17 +467,15 @@ func (n *GraphNet) addLink(l int, used bool) {
 	}
 	clock := n.clock(n.linkShard[l])
 	n.LinkQueue[l] = metrics.AcquireSeries(fmt.Sprintf("queue[%s]", name), clock)
-	link.OnQueue = n.recordPeak(l)
 	if tr := plan.traceFor(from); tr != nil {
 		link.OnDrop = func(now sim.Time, c atm.Cell) {
 			tr.Emit(now, name, "drop",
 				trace.I("vc", int64(c.VC)), trace.S("cell", c.Kind.String()))
 		}
 	}
-	if alg != nil {
+	if link.Algorithm() != nil {
 		n.FairShare[l] = metrics.AcquireSeries(fmt.Sprintf("fairshare[%s]", name), clock)
 	}
-	n.fairShareFns[l] = fairShareGetter(alg)
 }
 
 // addRouterPort builds router directed link l: a trunk port with buffer,
@@ -554,7 +512,6 @@ func (n *GraphNet) addRouterPort(l int) {
 		p.Attach(n.Engine, d)
 	}
 	n.LinkQueue[l] = metrics.AcquireSeries(fmt.Sprintf("queue[%s]", name), n.clock(n.linkShard[l]))
-	p.OnQueue = n.recordPeak(l)
 }
 
 // walk routes one direction of a session over path (nodes) and links (its
@@ -589,28 +546,25 @@ func (n *GraphNet) accessVC(i int, prefix string, vc atm.VCID, back bool, inDela
 	if back {
 		first, last = last, first
 	}
-	link := func(name string, node int, delay sim.Duration, dst atm.Sink) *atmnet.Link {
+	link := func(name string, node int, delay sim.Duration, dst atm.Sink, alg switchalg.Factory) *atmnet.Link {
 		l := atmnet.NewLink(fmt.Sprintf("%s%s%d", prefix, name, i), atm.CPS(cfg.AccessRateBPS), delay, dst)
+		if alg != nil {
+			l.Attach(plan.engineFor(node), alg())
+		}
 		l.Instrument(plan.regFor(node))
 		return l
 	}
-	out := link("out", last, outDelay, nil)
-	var outAlg switchalg.Algorithm
-	if alg != nil {
-		outAlg = alg()
-	}
-	instrumentAlg(outAlg, plan.regFor(last))
-	outPort := n.Switches[last].AddPort(plan.engineFor(last), out, outAlg)
-	out.Dst = egress(link("destrev", last, cfg.AccessDelay, n.Switches[last]))
-	in := link("in", first, inDelay, n.Switches[first])
-	inPort := n.Switches[first].AddPort(plan.engineFor(first), link("srcrev", first, inDelay, ingress(in)), nil)
-	route := func(node int, fwd, bwd *atmnet.Port) { n.Switches[node].Route(vc, fwd, bwd) }
+	out := link("out", last, outDelay, nil, alg)
+	out.Dst = egress(link("destrev", last, cfg.AccessDelay, n.Switches[last], nil))
+	in := link("in", first, inDelay, n.Switches[first], nil)
+	inPort, outPort := link("srcrev", first, inDelay, ingress(in), nil), out
+	route := func(node int, fwd, bwd *atmnet.Link) { n.Switches[node].Route(vc, fwd, bwd) }
 	if back {
 		// What is forward for the path is backward for this VC.
 		inPort, outPort = outPort, inPort
-		route = func(node int, fwd, bwd *atmnet.Port) { n.Switches[node].Route(vc, bwd, fwd) }
+		route = func(node int, fwd, bwd *atmnet.Link) { n.Switches[node].Route(vc, bwd, fwd) }
 	}
-	walk(path, n.LinkPaths[i], n.atmPorts, inPort, outPort, route)
+	walk(path, n.LinkPaths[i], n.links, inPort, outPort, route)
 }
 
 // attachABR wires session i as an ABR source → access → S_src … S_dst →
@@ -804,8 +758,8 @@ func (n *GraphNet) sample(s int, now sim.Time) {
 			continue
 		}
 		series.Record(float64(n.LinkQueueLen(l)))
-		if fn := n.fairShareFns[l]; fn != nil {
-			n.FairShare[l].Record(fn())
+		if n.links != nil && n.FairShare[l] != nil {
+			n.FairShare[l].Record(n.links[l].Algorithm().FairShare())
 		}
 	}
 }
@@ -871,6 +825,18 @@ func (n *GraphNet) LinkQueueLen(l int) int {
 		return n.ipPorts[l].QueueLen()
 	}
 	return n.links[l].QueueLen()
+}
+
+// PeakLinkQueue returns the longest queue directed link l has held (cells
+// or packets) if the network samples its queue (see LinkQueue), else 0.
+func (n *GraphNet) PeakLinkQueue(l int) int {
+	switch {
+	case n.LinkQueue[l] == nil:
+		return 0
+	case n.ipPorts != nil:
+		return n.ipPorts[l].PeakQueue()
+	}
+	return n.links[l].PeakQueue()
 }
 
 // LinkCapacityCPS returns directed link l's configured line rate in

@@ -2,21 +2,8 @@ package scenario
 
 import (
 	"repro/internal/sim"
-	"repro/internal/switchalg"
 	"repro/internal/telemetry"
 )
-
-// instrumentAlg registers an algorithm's counters when it supports telemetry.
-// Nil algorithms (plain FIFO ports) and external implementations without the
-// optional interface are skipped.
-func instrumentAlg(alg switchalg.Algorithm, reg *telemetry.Registry) {
-	if alg == nil || reg == nil {
-		return
-	}
-	if in, ok := alg.(switchalg.Instrumenter); ok {
-		in.Instrument(reg)
-	}
-}
 
 // engineFlush folds an engine's lifetime event statistics into a registry
 // incrementally: each call adds only the delta since the previous flush, so

@@ -175,7 +175,7 @@ func RunSpecObserved(spec *simconfig.Spec, obs Observe) (*Outcome, error) {
 	o.Links = net.LinkPaths
 	for l := 0; l < 2*len(cfg.Edges); l++ {
 		o.LinkCaps = append(o.LinkCaps, net.LinkCapacityCPS(l))
-		o.PeakQueue = append(o.PeakQueue, net.PeakLinkQueue[l])
+		o.PeakQueue = append(o.PeakQueue, net.PeakLinkQueue(l))
 		o.EndQueue = append(o.EndQueue, net.LinkQueueLen(l))
 	}
 	for i := range cfg.Sessions {

@@ -3,7 +3,12 @@
 // three other constant-space proposals from the ATM Forum — EPRCA (Roberts),
 // APRC (Siu–Tzeng) and CAPC (Barnhart). All four keep O(1) state per port,
 // which is the "constant space" class of the paper's taxonomy; a test
-// enforces that none of them grows state with the number of VCs.
+// enforces that none of them grows state with the number of VCs. Two
+// per-VC references from the other side of that taxonomy ride along:
+// ERICA (Jain et al.) and an exact max-min water-filler.
+//
+// Every parameter is a package constant citing its source: the paper ran
+// each baseline once, "with parameters as recommended" by its proposal.
 package switchalg
 
 import (
@@ -44,20 +49,19 @@ type Algorithm interface {
 	OnTransmit(now sim.Time, c *atm.Cell)
 	OnForwardRM(now sim.Time, c *atm.Cell)
 	OnBackwardRM(now sim.Time, c *atm.Cell)
+	// FairShare returns the port's current fair-share estimate in cells/s:
+	// Phantom's MACR, EPRCA's and APRC's CCR average, CAPC's ERS, ERICA's
+	// per-VC share, the exact max-min share.
+	FairShare() float64
+	// Instrument registers the algorithm's counters with reg (see algTel);
+	// a nil reg yields inert handles.
+	Instrument(reg *telemetry.Registry)
 }
 
 // Factory creates one Algorithm instance per port. Experiments are
 // parameterized by a Factory so the same topology can run under any of the
-// four algorithms.
+// algorithms.
 type Factory func() Algorithm
-
-// Instrumenter is the optional telemetry face of an Algorithm. Scenario
-// builders type-assert for it after the factory call; every algorithm in
-// this package implements it, but the interface stays separate from
-// Algorithm so external or test implementations need not.
-type Instrumenter interface {
-	Instrument(reg *telemetry.Registry)
-}
 
 // algTel is the telemetry bundle shared by all rate-control algorithms —
 // class-level names, so a comparison run reads one set of totals per role:

@@ -38,10 +38,10 @@ func TestPhantomERClampsBackwardRM(t *testing.T) {
 	ph := alg.(*Phantom)
 
 	// Drive the estimator to a known MACR by direct observation.
-	observeResidual(ph.Control(), 10000)
+	observeResidual(ph.pc, 10000)
 	c := atm.Cell{Kind: atm.BackwardRM, ER: 1e9}
 	alg.OnBackwardRM(0, &c)
-	want := 5 * ph.Control().MACR()
+	want := 5 * ph.pc.MACR()
 	if math.Abs(c.ER-want) > 1 {
 		t.Fatalf("ER = %v, want u·MACR = %v", c.ER, want)
 	}
@@ -62,11 +62,11 @@ func TestPhantomCIModeMarksExceeders(t *testing.T) {
 	alg := NewPhantomCI(core.Config{UtilizationFactor: 5})()
 	alg.Attach(e, p)
 	ph := alg.(*Phantom)
-	if !ph.BinaryMode {
+	if !ph.binary {
 		t.Fatal("NewPhantomCI built the ER mode")
 	}
-	observeResidual(ph.Control(), 10000)
-	allowed := ph.Control().AllowedRate()
+	observeResidual(ph.pc, 10000)
+	allowed := ph.pc.AllowedRate()
 	over := atm.Cell{Kind: atm.BackwardRM, CCR: allowed * 1.2, ER: 1e9}
 	alg.OnBackwardRM(0, &over)
 	if !over.CI {
@@ -95,7 +95,7 @@ func TestPhantomMetersTransmissions(t *testing.T) {
 	alg.Attach(e, p)
 	ph := alg.(*Phantom)
 	var residuals []float64
-	ph.OnTick = func(_ sim.Time, r, _ float64) { residuals = append(residuals, r) }
+	ph.pc.OnTick = func(_ sim.Time, r, _ float64) { residuals = append(residuals, r) }
 	// Transmit 475 cells over half a second (950 cells/s = full target).
 	e.Every(sim.Millisecond, call, sim.Payload{Obj: func(en *sim.Engine) {
 		if en.Now() <= sim.Time(500*sim.Millisecond) {
@@ -124,13 +124,13 @@ func TestEPRCADefaultsAndAveraging(t *testing.T) {
 	a := alg.(*EPRCA)
 	// First forward RM seeds MACR.
 	alg.OnForwardRM(0, &atm.Cell{Kind: atm.ForwardRM, CCR: 1000})
-	if a.MACR() != 1000 {
-		t.Fatalf("seed MACR = %v", a.MACR())
+	if a.FairShare() != 1000 {
+		t.Fatalf("seed MACR = %v", a.FairShare())
 	}
 	alg.OnForwardRM(0, &atm.Cell{Kind: atm.ForwardRM, CCR: 2000})
 	want := 1000 + (2000-1000)/16.0
-	if math.Abs(a.MACR()-want) > 1e-9 {
-		t.Fatalf("MACR = %v, want %v", a.MACR(), want)
+	if math.Abs(a.FairShare()-want) > 1e-9 {
+		t.Fatalf("MACR = %v, want %v", a.FairShare(), want)
 	}
 }
 
@@ -176,9 +176,8 @@ func TestAPRCDerivativeDetection(t *testing.T) {
 	p := &fakePort{cap: lineCPS}
 	alg := NewAPRC()()
 	alg.Attach(e, p)
-	a := alg.(*APRC)
-	if a.VQT != 300 {
-		t.Fatalf("paper config drifted: VQT=%d", a.VQT)
+	if aprcVQT != 300 {
+		t.Fatalf("paper config drifted: VQT=%d", aprcVQT)
 	}
 	alg.OnForwardRM(0, &atm.Cell{CCR: 10000})
 
@@ -216,26 +215,26 @@ func TestCAPCLoadFactorControl(t *testing.T) {
 	alg := NewCAPC()()
 	alg.Attach(e, p)
 	a := alg.(*CAPC)
-	ers0 := a.ERS()
+	ers0 := a.FairShare()
 
 	// No arrivals → z = 0 → ERS grows by factor 1+Rup each tick.
 	e.RunUntil(sim.Time(sim.Millisecond))
-	if a.ERS() <= ers0 {
-		t.Fatalf("idle port: ERS %v did not grow from %v", a.ERS(), ers0)
+	if a.FairShare() <= ers0 {
+		t.Fatalf("idle port: ERS %v did not grow from %v", a.FairShare(), ers0)
 	}
 
 	// Overload: arrivals at 2× target → ERS shrinks.
-	before := a.ERS()
+	before := a.FairShare()
 	for i := 0; i < int(2*0.95*100000/1000); i++ { // 2× target in 1 ms
 		alg.OnArrival(e.Now(), &atm.Cell{})
 	}
 	e.RunUntil(sim.Time(2 * sim.Millisecond))
-	if a.ERS() >= before {
-		t.Fatalf("overload: ERS %v did not shrink from %v", a.ERS(), before)
+	if a.FairShare() >= before {
+		t.Fatalf("overload: ERS %v did not shrink from %v", a.FairShare(), before)
 	}
 	// Shrink factor bounded below by ERF = 0.5.
-	if a.ERS() < before*0.5-1e-9 {
-		t.Fatalf("ERS shrank past ERF bound: %v < %v·0.5", a.ERS(), before)
+	if a.FairShare() < before*0.5-1e-9 {
+		t.Fatalf("ERS shrank past ERF bound: %v < %v·0.5", a.FairShare(), before)
 	}
 }
 
@@ -248,8 +247,8 @@ func TestCAPCBackwardFeedback(t *testing.T) {
 
 	c := atm.Cell{Kind: atm.BackwardRM, ER: 1e9}
 	alg.OnBackwardRM(0, &c)
-	if c.ER != a.ERS() {
-		t.Fatalf("ER = %v, want ERS %v", c.ER, a.ERS())
+	if c.ER != a.FairShare() {
+		t.Fatalf("ER = %v, want ERS %v", c.ER, a.FairShare())
 	}
 	if c.CI {
 		t.Fatal("CI set with empty queue")
@@ -275,8 +274,8 @@ func TestCAPCNeverStops(t *testing.T) {
 		}
 		a.tick(sim.Time((i + 1) * int(sim.Millisecond)))
 	}
-	if a.ERS() < 1 {
-		t.Fatalf("ERS collapsed to %v", a.ERS())
+	if a.FairShare() < 1 {
+		t.Fatalf("ERS collapsed to %v", a.FairShare())
 	}
 }
 
@@ -286,11 +285,11 @@ func TestCAPCBoundsGrowthByERU(t *testing.T) {
 	alg := NewCAPC()()
 	alg.Attach(e, p)
 	a := alg.(*CAPC)
-	a.Rup = 100 // absurd gain: growth must still be capped at ERU=1.5
-	before := a.ERS()
+	a.rup = 100 // absurd gain: growth must still be capped at ERU=1.5
+	before := a.FairShare()
 	a.tick(sim.Time(sim.Millisecond))
-	if a.ERS() > before*1.5+1e-9 {
-		t.Fatalf("growth exceeded ERU: %v from %v", a.ERS(), before)
+	if a.FairShare() > before*1.5+1e-9 {
+		t.Fatalf("growth exceeded ERU: %v from %v", a.FairShare(), before)
 	}
 }
 
@@ -317,17 +316,15 @@ func TestAlgorithmsAreConstantSpace(t *testing.T) {
 		}
 	}
 	// Structural check via the type system: the algorithm structs hold only
-	// scalar fields, function pointers and references to their port —
-	// nothing keyed by VC. (See struct definitions; EPRCA shown here.)
+	// scalar fields and references to their port — nothing keyed by VC.
+	// (See struct definitions; EPRCA shown here.)
 	var a EPRCA
 	_ = struct {
-		AV            float64
-		QT, DQT       int
-		DPF, ERF, MRF float64
-		OnMACR        func(sim.Time, float64)
-		macr          float64
-		port          Port
-	}{a.AV, a.QT, a.DQT, a.DPF, a.ERF, a.MRF, a.OnMACR, a.macr, a.port}
+		macr      float64
+		port      Port
+		congested bool
+		tel       algTel
+	}(a)
 }
 
 func TestNoneFactory(t *testing.T) {

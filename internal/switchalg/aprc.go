@@ -18,22 +18,9 @@ import (
 // paper observes — the queue can still overshoot the very-congested
 // threshold in some scenarios because a shrinking-but-huge queue reads as
 // "not congested".
+//
+// The averaging gain and the three reduction factors are EPRCA's.
 type APRC struct {
-	// AV is the CCR averaging gain (default 1/16).
-	AV float64
-	// SampleInterval is how often the queue derivative is sampled
-	// (default 100 µs ≈ 35 cell times at 150 Mb/s).
-	SampleInterval sim.Duration
-	// VQT is the very-congested queue threshold (default 300 cells, the
-	// paper's configuration).
-	VQT int
-	// DPF, ERF, MRF are as in EPRCA.
-	DPF float64
-	ERF float64
-	MRF float64
-	// OnMACR observes the fair-share estimate.
-	OnMACR func(now sim.Time, macr float64)
-
 	macr   float64
 	rising bool
 	prevQ  int
@@ -41,7 +28,17 @@ type APRC struct {
 	tel    algTel
 }
 
-// Instrument implements Instrumenter.
+// APRC's own parameters.
+const (
+	// aprcSampleInterval is how often the queue derivative is sampled:
+	// 100 µs ≈ 35 cell times at 150 Mb/s.
+	aprcSampleInterval = 100 * sim.Microsecond
+	// aprcVQT is the very-congested queue threshold in cells, the paper's
+	// configuration ("threshold is 300 cells").
+	aprcVQT = 300
+)
+
+// Instrument implements Algorithm.
 func (a *APRC) Instrument(reg *telemetry.Registry) { a.tel.instrument(reg) }
 
 // NewAPRC returns a factory with the paper's configuration.
@@ -52,25 +49,7 @@ func NewAPRC() Factory {
 // Attach implements Algorithm.
 func (a *APRC) Attach(e *sim.Engine, p Port) {
 	a.port = p
-	if a.AV == 0 {
-		a.AV = 1.0 / 16
-	}
-	if a.SampleInterval == 0 {
-		a.SampleInterval = 100 * sim.Microsecond
-	}
-	if a.VQT == 0 {
-		a.VQT = 300
-	}
-	if a.DPF == 0 {
-		a.DPF = 7.0 / 8
-	}
-	if a.ERF == 0 {
-		a.ERF = 15.0 / 16
-	}
-	if a.MRF == 0 {
-		a.MRF = 1.0 / 4
-	}
-	e.Every(a.SampleInterval, aprcSample, sim.Payload{Obj: a})
+	e.Every(aprcSampleInterval, aprcSample, sim.Payload{Obj: a})
 }
 
 // aprcSample samples the queue of the APRC in p.Obj: a change between
@@ -85,8 +64,8 @@ func aprcSample(_ *sim.Engine, p sim.Payload) {
 	a.prevQ = q
 }
 
-// MACR returns the current fair-share estimate (cells/s).
-func (a *APRC) MACR() float64 { return a.macr }
+// FairShare implements Algorithm: the CCR average MACR.
+func (a *APRC) FairShare() float64 { return a.macr }
 
 // OnArrival implements Algorithm.
 func (a *APRC) OnArrival(sim.Time, *atm.Cell) {}
@@ -95,29 +74,22 @@ func (a *APRC) OnArrival(sim.Time, *atm.Cell) {}
 func (a *APRC) OnTransmit(sim.Time, *atm.Cell) {}
 
 // OnForwardRM implements Algorithm: same CCR averaging as EPRCA.
-func (a *APRC) OnForwardRM(now sim.Time, c *atm.Cell) {
-	if a.macr == 0 {
-		a.macr = c.CCR
-	} else {
-		a.macr += a.AV * (c.CCR - a.macr)
-	}
+func (a *APRC) OnForwardRM(_ sim.Time, c *atm.Cell) {
+	a.macr = averageCCR(a.macr, c.CCR)
 	a.tel.updates.Inc()
-	if a.OnMACR != nil {
-		a.OnMACR(now, a.macr)
-	}
 }
 
 // OnBackwardRM implements Algorithm.
 func (a *APRC) OnBackwardRM(_ sim.Time, c *atm.Cell) {
 	q := a.port.QueueLen()
 	switch {
-	case q > a.VQT:
-		c.ER = minF(c.ER, a.macr*a.MRF)
+	case q > aprcVQT:
+		c.ER = minF(c.ER, a.macr*eprcaMRF)
 		c.CI = true
 		a.tel.marks.Inc()
 	case a.rising:
-		if c.CCR > a.macr*a.DPF {
-			c.ER = minF(c.ER, a.macr*a.ERF)
+		if c.CCR > a.macr*eprcaDPF {
+			c.ER = minF(c.ER, a.macr*eprcaERF)
 			a.tel.marks.Inc()
 		}
 	}

@@ -20,29 +20,10 @@ import (
 // bandwidth" — CAPC uses the relative amount — and finds it converges more
 // slowly while holding a smaller transient queue (Fig. 22).
 //
-// Defaults follow the contribution's recommendations.
+// Its parameters are the contribution's recommendations.
 type CAPC struct {
-	// Interval is the measurement interval (default 1 ms).
-	Interval sim.Duration
-	// TargetUtil is the target utilization (default 0.95).
-	TargetUtil float64
-	// Rup and Rdn are the proportional gains. Barnhart recommends ranges
-	// of 0.025–0.1 and 0.2–0.8; we default to the conservative ends
-	// (0.025 and 0.2), which reproduces the slow-but-smooth behaviour the
-	// paper observed in Fig. 22.
-	Rup float64
-	Rdn float64
-	// ERU and ERF bound the per-interval multiplicative change
-	// (defaults 1.5 and 0.5).
-	ERU float64
-	ERF float64
-	// CQT is the queue threshold above which CI is set (default 50 cells).
-	CQT int
-	// InitERS seeds the explicit-rate setting (default ICR-like: a tenth
-	// of capacity).
-	InitERS float64
-	// OnTick observes (now, z, ERS) each interval for figures.
-	OnTick func(now sim.Time, z, ers float64)
+	// rup is the underload gain, capcRup but for tests.
+	rup float64
 
 	ers      float64
 	arrivals int64
@@ -52,51 +33,46 @@ type CAPC struct {
 	tel      algTel
 }
 
-// Instrument implements Instrumenter.
+// CAPC's parameters, as recommended in ATM-Forum/94-0983R1.
+const (
+	capcInterval   = sim.Millisecond // measurement interval
+	capcTargetUtil = 0.95            // target utilization
+	// capcRup and capcRdn are the proportional gains. Barnhart recommends
+	// ranges of 0.025–0.1 and 0.2–0.8; these are the conservative ends,
+	// which reproduce the slow-but-smooth behaviour the paper observed in
+	// Fig. 22.
+	capcRup = 0.025
+	capcRdn = 0.2
+	// capcERU and capcERF bound the per-interval multiplicative change.
+	capcERU = 1.5
+	capcERF = 0.5
+	capcCQT = 50 // queue threshold above which CI is set, cells
+	// capcInitERS divides the line rate into the first explicit-rate
+	// setting: a tenth of capacity, ICR-like.
+	capcInitERS = 10
+)
+
+// Instrument implements Algorithm.
 func (a *CAPC) Instrument(reg *telemetry.Registry) { a.tel.instrument(reg) }
 
 // NewCAPC returns a factory with the recommended parameters.
 func NewCAPC() Factory {
-	return func() Algorithm { return &CAPC{} }
+	return func() Algorithm { return &CAPC{rup: capcRup} }
 }
 
 // Attach implements Algorithm.
 func (a *CAPC) Attach(e *sim.Engine, p Port) {
 	a.port = p
-	if a.Interval == 0 {
-		a.Interval = sim.Millisecond
-	}
-	if a.TargetUtil == 0 {
-		a.TargetUtil = 0.95
-	}
-	if a.Rup == 0 {
-		a.Rup = 0.025
-	}
-	if a.Rdn == 0 {
-		a.Rdn = 0.2
-	}
-	if a.ERU == 0 {
-		a.ERU = 1.5
-	}
-	if a.ERF == 0 {
-		a.ERF = 0.5
-	}
-	if a.CQT == 0 {
-		a.CQT = 50
-	}
-	if a.InitERS == 0 {
-		a.InitERS = p.Capacity() / 10
-	}
-	a.ers = a.InitERS
+	a.ers = p.Capacity() / capcInitERS
 	a.lastTick = e.Now()
-	e.Every(a.Interval, capcTick, sim.Payload{Obj: a})
+	e.Every(capcInterval, capcTick, sim.Payload{Obj: a})
 }
 
 // capcTick closes a measurement interval of the CAPC in p.Obj.
 func capcTick(e *sim.Engine, p sim.Payload) { p.Obj.(*CAPC).tick(e.Now()) }
 
-// ERS returns the current explicit-rate setting (cells/s).
-func (a *CAPC) ERS() float64 { return a.ers }
+// FairShare implements Algorithm: the explicit-rate setting ERS.
+func (a *CAPC) FairShare() float64 { return a.ers }
 
 // tick closes one measurement interval.
 func (a *CAPC) tick(now sim.Time) {
@@ -105,19 +81,19 @@ func (a *CAPC) tick(now sim.Time) {
 	if dt <= 0 {
 		return
 	}
-	target := a.TargetUtil * a.port.Capacity()
+	target := capcTargetUtil * a.port.Capacity()
 	z := float64(a.arrivals) / dt / target
 	a.arrivals = 0
 	if z < 1 {
-		f := 1 + (1-z)*a.Rup
-		if f > a.ERU {
-			f = a.ERU
+		f := 1 + (1-z)*a.rup
+		if f > capcERU {
+			f = capcERU
 		}
 		a.ers *= f
 	} else {
-		f := 1 - (z-1)*a.Rdn
-		if f < a.ERF {
-			f = a.ERF
+		f := 1 - (z-1)*capcRdn
+		if f < capcERF {
+			f = capcERF
 		}
 		a.ers *= f
 	}
@@ -128,9 +104,6 @@ func (a *CAPC) tick(now sim.Time) {
 		a.ers = 1 // never rate sources to a full stop
 	}
 	a.tel.updates.Inc()
-	if a.OnTick != nil {
-		a.OnTick(now, z, a.ers)
-	}
 }
 
 // OnArrival implements Algorithm: count input cells for the load factor.
@@ -146,7 +119,7 @@ func (a *CAPC) OnForwardRM(sim.Time, *atm.Cell) {}
 func (a *CAPC) OnBackwardRM(_ sim.Time, c *atm.Cell) {
 	before := c.ER
 	c.ER = minF(c.ER, a.ers)
-	over := a.port.QueueLen() > a.CQT
+	over := a.port.QueueLen() > capcCQT
 	if over {
 		c.CI = true
 	}

@@ -20,32 +20,27 @@ import (
 // queue tends to hover at QT and the rates oscillate — the behaviour the
 // paper's Fig. 19/20 exhibits and Phantom avoids.
 //
-// Parameter defaults follow the contribution's recommendations as the paper
-// did ("values of other parameters are as recommended in [Rob94]").
+// Its parameters are the contribution's recommendations, as the paper used
+// them ("values of other parameters are as recommended in [Rob94]").
 type EPRCA struct {
-	// AV is the CCR averaging gain (default 1/16).
-	AV float64
-	// QT is the congested queue threshold in cells (default 100).
-	QT int
-	// DQT is the very-congested queue threshold in cells (default 1000).
-	DQT int
-	// DPF is the down-pressure factor (default 7/8).
-	DPF float64
-	// ERF is the explicit reduction factor (default 15/16).
-	ERF float64
-	// MRF is the major reduction factor for very congested ports
-	// (default 1/4).
-	MRF float64
-	// OnMACR, if non-nil, observes the fair-share estimate (for figures).
-	OnMACR func(now sim.Time, macr float64)
-
 	macr      float64
 	port      Port
 	congested bool
 	tel       algTel
 }
 
-// Instrument implements Instrumenter.
+// EPRCA's parameters, as recommended in [Rob94] (ATM-Forum/94-0735R1).
+// APRC inherits the gain and the three factors.
+const (
+	eprcaAV  = 1.0 / 16  // CCR averaging gain
+	eprcaQT  = 100       // congested queue threshold, cells
+	eprcaDQT = 1000      // very-congested queue threshold, cells
+	eprcaDPF = 7.0 / 8   // down-pressure factor
+	eprcaERF = 15.0 / 16 // explicit reduction factor
+	eprcaMRF = 1.0 / 4   // major reduction factor, very congested ports
+)
+
+// Instrument implements Algorithm.
 func (a *EPRCA) Instrument(reg *telemetry.Registry) { a.tel.instrument(reg) }
 
 // NewEPRCA returns a factory with the recommended parameters.
@@ -54,30 +49,10 @@ func NewEPRCA() Factory {
 }
 
 // Attach implements Algorithm.
-func (a *EPRCA) Attach(_ *sim.Engine, p Port) {
-	a.port = p
-	if a.AV == 0 {
-		a.AV = 1.0 / 16
-	}
-	if a.QT == 0 {
-		a.QT = 100
-	}
-	if a.DQT == 0 {
-		a.DQT = 1000
-	}
-	if a.DPF == 0 {
-		a.DPF = 7.0 / 8
-	}
-	if a.ERF == 0 {
-		a.ERF = 15.0 / 16
-	}
-	if a.MRF == 0 {
-		a.MRF = 1.0 / 4
-	}
-}
+func (a *EPRCA) Attach(_ *sim.Engine, p Port) { a.port = p }
 
-// MACR returns the current fair-share estimate (cells/s).
-func (a *EPRCA) MACR() float64 { return a.macr }
+// FairShare implements Algorithm: the CCR average MACR.
+func (a *EPRCA) FairShare() float64 { return a.macr }
 
 // OnArrival implements Algorithm.
 func (a *EPRCA) OnArrival(sim.Time, *atm.Cell) {}
@@ -86,33 +61,35 @@ func (a *EPRCA) OnArrival(sim.Time, *atm.Cell) {}
 func (a *EPRCA) OnTransmit(sim.Time, *atm.Cell) {}
 
 // OnForwardRM implements Algorithm: fold the source's CCR into MACR.
-func (a *EPRCA) OnForwardRM(now sim.Time, c *atm.Cell) {
-	if a.macr == 0 {
-		a.macr = c.CCR
-	} else {
-		a.macr += a.AV * (c.CCR - a.macr)
-	}
+func (a *EPRCA) OnForwardRM(_ sim.Time, c *atm.Cell) {
+	a.macr = averageCCR(a.macr, c.CCR)
 	a.tel.updates.Inc()
-	if a.OnMACR != nil {
-		a.OnMACR(now, a.macr)
+}
+
+// averageCCR folds a forward RM cell's CCR into the exponential average
+// macr (EPRCA's and APRC's MACR); the first CCR seeds it.
+func averageCCR(macr, ccr float64) float64 {
+	if macr == 0 {
+		return ccr
 	}
+	return macr + eprcaAV*(ccr-macr)
 }
 
 // OnBackwardRM implements Algorithm: apply queue-threshold feedback.
 func (a *EPRCA) OnBackwardRM(_ sim.Time, c *atm.Cell) {
 	q := a.port.QueueLen()
-	if congested := q > a.QT; congested != a.congested {
+	if congested := q > eprcaQT; congested != a.congested {
 		a.congested = congested
 		a.tel.states.Inc()
 	}
 	switch {
-	case q > a.DQT:
-		c.ER = minF(c.ER, a.macr*a.MRF)
+	case q > eprcaDQT:
+		c.ER = minF(c.ER, a.macr*eprcaMRF)
 		c.CI = true
 		a.tel.marks.Inc()
-	case q > a.QT:
-		if c.CCR > a.macr*a.DPF {
-			c.ER = minF(c.ER, a.macr*a.ERF)
+	case q > eprcaQT:
+		if c.CCR > a.macr*eprcaDPF {
+			c.ER = minF(c.ER, a.macr*eprcaERF)
 			a.tel.marks.Inc()
 		}
 	}

@@ -25,13 +25,6 @@ import (
 // — sessions below their fair share may rise to it, sessions above it are
 // scaled down by the overload factor.
 type ERICA struct {
-	// Interval is the measurement interval (default 1 ms).
-	Interval sim.Duration
-	// TargetUtil is the target utilization (default 0.95).
-	TargetUtil float64
-	// OnTick observes (now, z, fairShare) per interval.
-	OnTick func(now sim.Time, z, fairShare float64)
-
 	port      Port
 	arrivals  int64
 	seen      map[atm.VCID]struct{}
@@ -42,7 +35,13 @@ type ERICA struct {
 	tel       algTel
 }
 
-// Instrument implements Instrumenter.
+// ERICA's parameters, as recommended in ATM-Forum/95-0178R1.
+const (
+	ericaInterval   = sim.Millisecond // measurement interval
+	ericaTargetUtil = 0.95            // target utilization
+)
+
+// Instrument implements Algorithm.
 func (a *ERICA) Instrument(reg *telemetry.Registry) { a.tel.instrument(reg) }
 
 // NewERICA returns a factory for the per-VC baseline.
@@ -53,23 +52,17 @@ func NewERICA() Factory {
 // Attach implements Algorithm.
 func (a *ERICA) Attach(e *sim.Engine, p Port) {
 	a.port = p
-	if a.Interval == 0 {
-		a.Interval = sim.Millisecond
-	}
-	if a.TargetUtil == 0 {
-		a.TargetUtil = 0.95
-	}
 	a.seen = make(map[atm.VCID]struct{})
 	a.z = 1
-	a.fairShare = a.TargetUtil * p.Capacity()
+	a.fairShare = ericaTargetUtil * p.Capacity()
 	a.lastTick = e.Now()
-	e.Every(a.Interval, ericaTick, sim.Payload{Obj: a})
+	e.Every(ericaInterval, ericaTick, sim.Payload{Obj: a})
 }
 
 // ericaTick closes a measurement interval of the ERICA in p.Obj.
 func ericaTick(e *sim.Engine, p sim.Payload) { p.Obj.(*ERICA).tick(e.Now()) }
 
-// FairShare returns the current per-VC fair share (cells/s).
+// FairShare implements Algorithm: the per-VC fair share.
 func (a *ERICA) FairShare() float64 { return a.fairShare }
 
 // tick closes a measurement interval.
@@ -79,7 +72,7 @@ func (a *ERICA) tick(now sim.Time) {
 	if dt <= 0 {
 		return
 	}
-	target := a.TargetUtil * a.port.Capacity()
+	target := ericaTargetUtil * a.port.Capacity()
 	a.z = float64(a.arrivals) / dt / target
 	if a.z < 0.05 {
 		a.z = 0.05 // bound the scale-up of CCR/z on a near-idle port
@@ -93,9 +86,6 @@ func (a *ERICA) tick(now sim.Time) {
 	a.arrivals = 0
 	clear(a.seen)
 	a.tel.updates.Inc()
-	if a.OnTick != nil {
-		a.OnTick(now, a.z, a.fairShare)
-	}
 }
 
 // OnArrival implements Algorithm: count input and mark the VC active.

@@ -1,6 +1,9 @@
 package switchalg
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/atm"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -18,28 +21,40 @@ import (
 // cost the paper's constant-space design avoids. Experiment E18 compares
 // it against Phantom.
 type ExactMaxMin struct {
-	// TargetUtil scales the capacity being divided (default 0.95, matching
-	// Phantom's target so the comparison is about the allocator, not the
-	// headroom).
-	TargetUtil float64
-	// Expiry removes a VC whose forward RM cells stop arriving (default
-	// 50 ms); this is how leaves and on/off off-phases are detected.
-	Expiry sim.Duration
-	// Recompute is the share recomputation interval (default 1 ms).
-	Recompute sim.Duration
-
 	demands map[atm.VCID]demand
-	share   float64
-	port    Port
-	tel     algTel
+	// byVC is recompute's scratch: the live demands in VC order, so the
+	// water-fill subtracts them in an order no map iteration can change.
+	byVC  []vcDemand
+	share float64
+	port  Port
+	tel   algTel
 }
 
-// Instrument implements Instrumenter.
+// ExactMaxMin's parameters.
+const (
+	// exactTargetUtil scales the capacity being divided: Phantom's target,
+	// so the comparison is about the allocator, not the headroom.
+	exactTargetUtil = 0.95
+	// exactExpiry removes a VC whose forward RM cells stop arriving; this
+	// is how leaves and on/off off-phases are detected.
+	exactExpiry = 50 * sim.Millisecond
+	// exactRecomputeEvery is the share recomputation interval.
+	exactRecomputeEvery = sim.Millisecond
+)
+
+// Instrument implements Algorithm.
 func (a *ExactMaxMin) Instrument(reg *telemetry.Registry) { a.tel.instrument(reg) }
 
 type demand struct {
 	ccr  float64
 	seen sim.Time
+}
+
+// vcDemand is one VC's demand in a water-fill; done once it is satisfied.
+type vcDemand struct {
+	vc   atm.VCID
+	ccr  float64
+	done bool
 }
 
 // NewExactMaxMin returns a factory for the reference allocator.
@@ -49,26 +64,17 @@ func NewExactMaxMin() Factory {
 
 // Attach implements Algorithm.
 func (a *ExactMaxMin) Attach(e *sim.Engine, p Port) {
-	if a.TargetUtil == 0 {
-		a.TargetUtil = 0.95
-	}
-	if a.Expiry == 0 {
-		a.Expiry = 50 * sim.Millisecond
-	}
-	if a.Recompute == 0 {
-		a.Recompute = sim.Millisecond
-	}
 	a.demands = make(map[atm.VCID]demand)
 	a.port = p
-	a.share = p.Capacity() * a.TargetUtil
-	e.Every(a.Recompute, exactRecompute, sim.Payload{Obj: a})
+	a.share = p.Capacity() * exactTargetUtil
+	e.Every(exactRecomputeEvery, exactRecompute, sim.Payload{Obj: a})
 }
 
 // exactRecompute re-solves the allocation of the ExactMaxMin in p.Obj.
 func exactRecompute(e *sim.Engine, p sim.Payload) { p.Obj.(*ExactMaxMin).recompute(e.Now()) }
 
-// Share returns the current fair share (cells/s).
-func (a *ExactMaxMin) Share() float64 { return a.share }
+// FairShare implements Algorithm: the max-min share.
+func (a *ExactMaxMin) FairShare() float64 { return a.share }
 
 // recompute expires stale VCs and water-fills the capacity over the
 // remaining demands: sessions demanding less than an equal split keep
@@ -77,39 +83,36 @@ func (a *ExactMaxMin) recompute(now sim.Time) {
 	a.tel.updates.Inc()
 	// Read the line rate live so transient capacity changes re-divide the
 	// new capacity instead of the Attach-time snapshot.
-	capacity := a.port.Capacity() * a.TargetUtil
+	capacity := a.port.Capacity() * exactTargetUtil
+	a.byVC = a.byVC[:0]
 	for vc, d := range a.demands {
-		if now.Sub(d.seen) > a.Expiry {
+		if now.Sub(d.seen) > exactExpiry {
 			delete(a.demands, vc)
+			continue
 		}
+		a.byVC = append(a.byVC, vcDemand{vc: vc, ccr: d.ccr})
 	}
-	n := len(a.demands)
-	if n == 0 {
+	if len(a.byVC) == 0 {
 		a.share = capacity
 		return
 	}
-	// Water-fill: iterate until no demand below the current equal share.
+	// Float subtraction is order-sensitive: fill in VC order.
+	slices.SortFunc(a.byVC, func(x, y vcDemand) int { return cmp.Compare(x.vc, y.vc) })
+	// Water-fill: iterate until no demand below the current equal share
+	// (n is small in these experiments; an O(n²) fill keeps the code
+	// obvious).
 	remaining := capacity
-	unsat := n
-	// Collect demands (n is small in these experiments; an O(n²) fill
-	// keeps the code obvious).
-	ds := make([]float64, 0, n)
-	for _, d := range a.demands {
-		ds = append(ds, d.ccr)
-	}
-	done := make([]bool, len(ds))
-	for {
-		if unsat == 0 {
-			break
-		}
+	unsat := len(a.byVC)
+	for unsat > 0 {
 		fill := remaining / float64(unsat)
 		progressed := false
-		for i, d := range ds {
-			if done[i] || d > fill {
+		for i := range a.byVC {
+			d := &a.byVC[i]
+			if d.done || d.ccr > fill {
 				continue
 			}
-			remaining -= d
-			done[i] = true
+			remaining -= d.ccr
+			d.done = true
 			unsat--
 			progressed = true
 		}

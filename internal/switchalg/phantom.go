@@ -19,13 +19,11 @@ import (
 //     bit on backward RM cells whose CCR exceeds u·MACR, so sources above
 //     their share back off multiplicatively while others keep increasing.
 type Phantom struct {
-	// Config is the core estimator configuration. Capacity is overwritten
+	// cfg is the core estimator configuration. Capacity is overwritten
 	// from the port at Attach time (in cells/s).
-	Config core.Config
-	// BinaryMode selects CI-bit feedback instead of explicit rate.
-	BinaryMode bool
-	// OnTick, if non-nil, observes each interval update (for MACR figures).
-	OnTick func(now sim.Time, residual, macr float64)
+	cfg core.Config
+	// binary selects CI-bit feedback instead of explicit rate.
+	binary bool
 
 	pc *core.PortControl
 
@@ -35,39 +33,34 @@ type Phantom struct {
 	lastFeedback uint8
 }
 
-// Instrument implements Instrumenter.
+// Instrument implements Algorithm.
 func (p *Phantom) Instrument(reg *telemetry.Registry) { p.tel.instrument(reg) }
 
 // NewPhantom returns a factory producing explicit-rate Phantom ports with
 // the given estimator config (Capacity is filled in per port).
 func NewPhantom(cfg core.Config) Factory {
-	return func() Algorithm { return &Phantom{Config: cfg} }
+	return func() Algorithm { return &Phantom{cfg: cfg} }
 }
 
 // NewPhantomCI returns a factory producing binary-mode (CI bit) Phantom
 // ports.
 func NewPhantomCI(cfg core.Config) Factory {
-	return func() Algorithm { return &Phantom{Config: cfg, BinaryMode: true} }
+	return func() Algorithm { return &Phantom{cfg: cfg, binary: true} }
 }
 
 // Attach implements Algorithm.
 func (p *Phantom) Attach(e *sim.Engine, port Port) {
-	cfg := p.Config
+	cfg := p.cfg
 	cfg.Capacity = port.Capacity()
 	p.pc = core.MustPortControl(cfg, e.Now())
 	p.pc.Queue = func() float64 { return float64(port.QueueLen()) }
 	p.pc.Capacity = port.Capacity
-	p.pc.OnTick = func(now sim.Time, residual, macr float64) {
-		p.tel.updates.Inc()
-		if p.OnTick != nil {
-			p.OnTick(now, residual, macr)
-		}
-	}
+	p.pc.OnTick = func(sim.Time, float64, float64) { p.tel.updates.Inc() }
 	p.pc.Attach(e)
 }
 
-// Control exposes the underlying port controller for figures and tests.
-func (p *Phantom) Control() *core.PortControl { return p.pc }
+// FairShare implements Algorithm: the estimator's MACR.
+func (p *Phantom) FairShare() float64 { return p.pc.MACR() }
 
 // OnArrival implements Algorithm; Phantom takes no action on arrival.
 func (p *Phantom) OnArrival(sim.Time, *atm.Cell) {}
@@ -82,7 +75,7 @@ func (p *Phantom) OnForwardRM(sim.Time, *atm.Cell) {}
 
 // OnBackwardRM implements Algorithm: write the feedback.
 func (p *Phantom) OnBackwardRM(_ sim.Time, c *atm.Cell) {
-	if p.BinaryMode {
+	if p.binary {
 		// Two-level binary feedback: sessions above the allowed rate must
 		// decrease (CI); sessions inside the top of the band hold (NI),
 		// giving the sawtooth a flat top instead of an overshoot.

@@ -20,8 +20,6 @@ type Receiver struct {
 	Flow int
 	// Back carries ACKs toward the sender.
 	Back ip.Sink
-	// OnDeliver observes each in-order payload delivery (byte count).
-	OnDeliver func(now sim.Time, bytes int)
 	// DelayedAcks enables RFC 1122 ACK coalescing.
 	DelayedAcks bool
 	// AckDelay is the delayed-ACK timer (default 200 ms).
@@ -131,9 +129,6 @@ func receiverAckTimeout(e *sim.Engine, p sim.Payload) {
 func (r *Receiver) advance(e *sim.Engine, n int) {
 	r.rcvNxt += int64(n)
 	r.delivered += int64(n)
-	if r.OnDeliver != nil {
-		r.OnDeliver(e.Now(), n)
-	}
 	for len(r.outOfOrder) > 0 {
 		l, ok := r.outOfOrder[r.rcvNxt]
 		if !ok {
@@ -142,9 +137,6 @@ func (r *Receiver) advance(e *sim.Engine, n int) {
 		delete(r.outOfOrder, r.rcvNxt)
 		r.rcvNxt += int64(l)
 		r.delivered += int64(l)
-		if r.OnDeliver != nil {
-			r.OnDeliver(e.Now(), l)
-		}
 	}
 }
 

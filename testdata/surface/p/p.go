@@ -55,6 +55,36 @@ func NewFields() *Fields {
 // Sum reads f.read.
 func (f *Fields) Sum() int { return f.read }
 
+// Hooks plants the cases the hook census must tell apart; Fire calls
+// each, so the field census reads them all.
+type Hooks struct {
+	unset     func() // set only in p_test.go: reported
+	keyed     func() // set by a literal key, with an allowlist row: the row is stale
+	assigned  func() // set by =
+	addressed func() // set through its address
+}
+
+// NewHooks sets every hook of Hooks but unset.
+func NewHooks() *Hooks {
+	h := &Hooks{keyed: tick0}
+	h.assigned = tick0
+	setHook(&h.addressed)
+	return h
+}
+
+func setHook(f *func()) { *f = tick0 }
+
+func tick0() {}
+
+// Fire calls every hook that is set.
+func (h *Hooks) Fire() {
+	for _, f := range []func(){h.unset, h.keyed, h.assigned, h.addressed} {
+		if f != nil {
+			f()
+		}
+	}
+}
+
 // Schedule hands the engine a func literal and a closure variable as
 // events' handlers: reported, once each. The named handler and the
 // handler its caller passed are not.

@@ -20,3 +20,10 @@ func TestFields(t *testing.T) {
 		t.Fatal("tested not set")
 	}
 }
+
+// A test may set a hook: it does not count.
+func TestHooks(t *testing.T) {
+	h := NewHooks()
+	h.unset = func() {}
+	h.Fire()
+}

@@ -9,4 +9,5 @@ func Run() {
 	p.Schedule(nil, nil)
 	p.Deliver[p.Cell](p.Box{}, p.Cell{})
 	p.NewFields().Sum()
+	p.NewHooks().Fire()
 }
