@@ -65,10 +65,25 @@ var fieldCensusAllow = map[string]string{
 	"scenario.InteropNet.Receivers": "ip's TestRecycleIsInvisible fingerprints the cloud's receivers; the test stays as recorded",
 }
 
-// hookCensusAllow lists the func-typed struct fields that may stay
-// although no non-test code sets them, each naming the test that does.
-// The same staleness rules hold as for exportedSurfaceAllow.
-var hookCensusAllow = map[string]string{}
+// knobCensusAllow lists the settable struct fields that may stay
+// although no non-test code sets them, each naming the test or bench/
+// file that does. The same staleness rules hold as for
+// exportedSurfaceAllow.
+var knobCensusAllow = map[string]string{
+	// Set only by tests the suite holds to recorded constants, or by the
+	// format tests that need boundaries at test scale.
+	"tcp.SenderParams.Stop":                 "TestTCPEventIdentity, TestRecycleIsInvisible and TestLossyCloudLeaksNothing stop their senders mid-run; the tests stay as recorded",
+	"scenario.TCPConfig.TrunkLossRate":      "TestTCPEventIdentity, TestRecycleIsInvisible, TestEventAccountingIsExact and TestTCPSurvivesPacketLoss inject trunk loss; the tests stay as recorded",
+	"scenario.InteropConfig.EdgeQueueBytes": "TestTCPEventIdentity's TCP-over-ATM twin, TestRecycleIsInvisible and TestEventAccountingIsExact bound the edge queue; the tests stay as recorded",
+	"store.Options.Compression":             "store's format tests write each block codec",
+	"store.Options.BlockRows":               "serve's query tests put block boundaries at test scale",
+	"store.Options.SlotsPerFile":            "store's and serve's tests roll index files at test scale",
+
+	// Set only by the benchmark module: bench/ changes only with the
+	// benchmark.
+	"scenario.TCPFlowSpec.DelayedAcks": "bench/sims.go gives every second tcp_timers flow delayed ACKs",
+	"sim.Payload.F":                    "bench/ladder.go carries the hold ladder's delay bound in it",
+}
 
 // TestExportedSurface is the exported-surface census: every exported
 // func, method, interface method, type, const and var declared under
@@ -77,9 +92,11 @@ var hookCensusAllow = map[string]string{}
 // field census: every named struct type's fields there, exported or
 // not, need a read outside the test files (a write is not a read; see
 // fieldWrites), a struct tag (its encoder reads it), or a row in
-// fieldCensusAllow; and a func-typed field, a hook, also needs a
-// non-test write (or its address taken), or a row in hookCensusAllow,
-// since a hook nothing sets is only a nil check on its caller's path.
+// fieldCensusAllow; and a settable field (an exported field without a
+// struct tag, or a func-typed field) also needs a non-test write that
+// sets it (see fieldWrites), or a row in knobCensusAllow, since a knob
+// no caller turns is only a constant, and a hook nothing sets only a
+// nil check on its caller's path.
 // And it holds non-test code to one scheduling spelling: no event's
 // handler is a func literal (scheduledClosures).
 // Every package is type-checked from source once, and the bench/
@@ -100,8 +117,8 @@ func TestExportedSurface(t *testing.T) {
 
 	r := surfaceCensus(t, pkgs, func(path string) bool {
 		return strings.HasPrefix(path, "repro/internal/") || strings.HasPrefix(path, "repro/cmd/")
-	}, exportedSurfaceAllow, fieldCensusAllow, hookCensusAllow)
-	t.Logf("censused %d exported names and %d struct fields, %d of them hooks", r.names, r.fields, r.hooks)
+	}, exportedSurfaceAllow, fieldCensusAllow, knobCensusAllow)
+	t.Logf("censused %d exported names and %d struct fields, %d of them settable", r.names, r.fields, r.settable)
 	for _, a := range r.allowed {
 		t.Logf("allowlisted: %s", a)
 	}
@@ -123,12 +140,13 @@ func TestExportedSurfaceCensus(t *testing.T) {
 	fieldAllow := map[string]string{
 		"testdata/surface/p.Fields.read": "planted: has a non-test read",
 	}
-	hookAllow := map[string]string{
+	knobAllow := map[string]string{
 		"testdata/surface/p.Hooks.keyed": "planted: set by a literal key",
+		"testdata/surface/p.Knobs.Made":  "planted: made lazily",
 	}
 	r := surfaceCensus(t, pkgs, func(path string) bool {
 		return path == "repro/testdata/surface/p"
-	}, allow, fieldAllow, hookAllow)
+	}, allow, fieldAllow, knobAllow)
 	problems := r.problems
 	want := []string{
 		"testdata/surface/p.Called",          // allowlisted, but called
@@ -140,6 +158,9 @@ func TestExportedSurfaceCensus(t *testing.T) {
 		"testdata/surface/p.Gone",            // allowlisted, but not declared
 		"testdata/surface/p.Hooks.keyed",     // allowlisted, but set
 		"testdata/surface/p.Hooks.unset",     // called, set only in p_test.go
+		"testdata/surface/p.Knobs.Defaulted", // filled only by a constant under its zero test
+		"testdata/surface/p.Knobs.Made",      // allowlisted, but made lazily
+		"testdata/surface/p.Knobs.Tested",    // set only in p_test.go
 		"testdata/surface/p.NoReason",        // allowlisted without a reason
 		"testdata/surface/p.OnlyTested",      // called only from p_test.go
 		"testdata/surface/p.Schedule",        // schedules a func literal
@@ -209,15 +230,15 @@ type censusReport struct {
 	problems []string
 	// allowed has one "name — reason" line per allowlist row that held.
 	allowed []string
-	// names, fields and hooks count what was censused.
-	names, fields, hooks int
+	// names, fields and settable count what was censused.
+	names, fields, settable int
 }
 
 // surfaceCensus type-checks pkgs (listed dependencies first) and censuses
 // the exported names (against allow), struct fields (against fieldAllow)
-// and hooks (against hookAllow) that the packages censused says are
-// counted declare.
-func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string) bool, allow, fieldAllow, hookAllow map[string]string) censusReport {
+// and settable fields (against knobAllow) that the packages censused
+// says are counted declare.
+func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string) bool, allow, fieldAllow, knobAllow map[string]string) censusReport {
 	t.Helper()
 	fset := token.NewFileSet()
 	std := importer.Default()
@@ -259,15 +280,16 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 	}
 	var infos []checkedInfo
 	// fields are the censused struct fields; writes are the uses of
-	// fields that fieldWrites finds, and set each hook's first write.
+	// fields that fieldWrites finds, and set each settable field's first
+	// write that is more than a default.
 	type field struct {
-		name   string
-		pos    token.Pos
-		tagged bool
-		hook   bool // func-typed
+		name     string
+		pos      token.Pos
+		tagged   bool
+		settable bool // exported without a tag, or func-typed
 	}
 	fields := map[*types.Var]*field{}
-	writes := map[*ast.Ident]bool{}
+	writes := map[*ast.Ident]fieldWrite{}
 	set := map[types.Object]use{}
 	// closures has one problem per closure scheduled as a handler.
 	var closures []string
@@ -311,7 +333,9 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 		addressed := map[*ast.Ident]bool{}
 		infos = append(infos, checkedInfo{info, lp.bench, addressed})
 		for _, f := range files {
-			fieldWrites(info, f, writes)
+			fieldWrites(info, f, writes, func(v *types.Var, pos token.Pos) {
+				mark(set, v.Origin(), use{pos, lp.bench})
+			})
 			ast.Inspect(f, func(n ast.Node) bool {
 				if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.AND {
 					if sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr); ok {
@@ -345,7 +369,7 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 						}
 						v := info.Defs[id].(*types.Var)
 						_, hook := v.Type().Underlying().(*types.Signature)
-						fields[v] = &field{name + "." + id.Name, id.Pos(), fl.Tag != nil, hook}
+						fields[v] = &field{name + "." + id.Name, id.Pos(), fl.Tag != nil, hook || id.IsExported() && fl.Tag == nil}
 						addFields(name+"."+id.Name, fl.Type)
 					}
 				}
@@ -411,15 +435,15 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 
 	// Direct uses: a reference outside the name's own declaration. A
 	// method's receiver is part of its type's declaration. A field's use
-	// is a read unless fieldWrites says it is a write; a hook's write, or
-	// taking its address, sets it.
+	// is a read unless fieldWrites says it is a write; a write that is
+	// more than a default, or taking its address, sets it.
 	for _, info := range infos {
 		for id, o := range info.Uses {
 			if v, ok := o.(*types.Var); ok && fields[v.Origin()] != nil {
-				if writes[id] || info.addressed[id] {
+				if writes[id] == setWrite || info.addressed[id] {
 					mark(set, v.Origin(), use{id.Pos(), info.bench})
 				}
-				if !writes[id] {
+				if writes[id] == notWritten {
 					// A read in bench/ is a read: the field stays for as
 					// long as the benchmark reads it, with no row to say so.
 					mark(read, v.Origin(), use{id.Pos(), false})
@@ -554,8 +578,8 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 			r.allowed = append(r.allowed, name+" — "+reason)
 		case !isUsed && kind == "name":
 			r.problems = append(r.problems, fmt.Sprintf("%s (%s): exported, but no non-test code refers to it; delete it, unexport it, or allowlist it with a reason", name, where))
-		case !isUsed && kind == "hook":
-			r.problems = append(r.problems, fmt.Sprintf("%s (%s): a hook no non-test code sets; delete it with its nil checks, or allowlist it naming the test that sets it", name, where))
+		case !isUsed && kind == "knob":
+			r.problems = append(r.problems, fmt.Sprintf("%s (%s): a settable field no non-test code sets (a constant under its own zero test is a default, not a set); make it a constant, delete it with its nil checks, or allowlist it naming the test or bench/ file that sets it", name, where))
 		case !isUsed:
 			r.problems = append(r.problems, fmt.Sprintf("%s (%s): no non-test code reads it; delete it with what only fills it, or allowlist it naming its reader", name, where))
 		case u.bench:
@@ -596,45 +620,96 @@ func surfaceCensus(t *testing.T, pkgs []listedPackage, censused func(path string
 
 	declared = map[string]bool{}
 	for v, f := range fields {
-		if !f.hook {
+		if !f.settable {
 			continue
 		}
 		declared[f.name] = true
 		u, isSet := set[v]
-		judge(f.name, at(f.pos), "hook", u, isSet, hookAllow)
-		r.hooks++
+		judge(f.name, at(f.pos), "knob", u, isSet, knobAllow)
+		r.settable++
 	}
-	stale(hookAllow, declared)
+	stale(knobAllow, declared)
 
 	sort.Strings(r.problems)
 	sort.Strings(r.allowed)
 	return r
 }
 
+// fieldWrite says how a selector identifier uses a field.
+type fieldWrite int
+
+const (
+	notWritten   fieldWrite = iota // a read
+	setWrite                       // a write that sets the field
+	defaultWrite                   // a constant under the field's own zero test
+)
+
 // fieldWrites adds to writes the selector identifiers in f that only
 // write a field: the whole left side of = or op=, the operand of ++ or
 // --, a composite-literal key, and the first argument of an append
 // whose result is assigned back to that same expression. Every other
-// use of a field reads it.
-func fieldWrites(info *types.Info, f *ast.File, writes map[*ast.Ident]bool) {
+// use of a field reads it. A write is only a default, not a set, when
+// it assigns a constant as a statement of an if whose condition tests
+// that same field against its zero value (x.F == 0, x.F <= 0,
+// x.F == "", x.F == nil); a lazy make or a copy sets the field. A
+// positional struct literal sets each of its fields, which setAt
+// receives.
+func fieldWrites(info *types.Info, f *ast.File, writes map[*ast.Ident]fieldWrite, setAt func(v *types.Var, pos token.Pos)) {
 	sel := func(e ast.Expr) *ast.Ident {
 		if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 			return s.Sel
 		}
 		return nil
 	}
+	// defaults are the assignments that only default their field.
+	defaults := map[*ast.AssignStmt]bool{}
+	zero := func(e ast.Expr) bool {
+		tv := info.Types[e]
+		if tv.IsNil() {
+			return true
+		}
+		return tv.Value != nil && (tv.Value.String() == "0" || tv.Value.String() == `""`)
+	}
+	// Inspect visits an if before the statements of its body, so an
+	// assignment's defaults entry is in place when it is reached.
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			cond, ok := ast.Unparen(n.Cond).(*ast.BinaryExpr)
+			if !ok || (cond.Op != token.EQL && cond.Op != token.LEQ) || sel(cond.X) == nil || !zero(cond.Y) {
+				break
+			}
+			for _, st := range n.Body.List {
+				if as, ok := st.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN && len(as.Lhs) == 1 && len(as.Rhs) == 1 &&
+					types.ExprString(as.Lhs[0]) == types.ExprString(cond.X) && info.Types[as.Rhs[0]].Value != nil {
+					defaults[as] = true
+				}
+			}
+		case *ast.CompositeLit:
+			st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+			if !ok || len(n.Elts) == 0 {
+				break
+			}
+			if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
+				break
+			}
+			for i, el := range n.Elts {
+				setAt(st.Field(i), el.Pos())
+			}
 		case *ast.AssignStmt:
 			if n.Tok == token.DEFINE {
 				break
+			}
+			w := setWrite
+			if defaults[n] {
+				w = defaultWrite
 			}
 			for i, lhs := range n.Lhs {
 				id := sel(lhs)
 				if id == nil {
 					continue
 				}
-				writes[id] = true
+				writes[id] = w
 				if len(n.Rhs) != len(n.Lhs) {
 					continue
 				}
@@ -645,18 +720,18 @@ func fieldWrites(info *types.Info, f *ast.File, writes map[*ast.Ident]bool) {
 				if fn, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 					if b, ok := info.Uses[fn].(*types.Builtin); ok && b.Name() == "append" && types.ExprString(call.Args[0]) == types.ExprString(lhs) {
 						if arg := sel(call.Args[0]); arg != nil {
-							writes[arg] = true
+							writes[arg] = setWrite
 						}
 					}
 				}
 			}
 		case *ast.IncDecStmt:
 			if id := sel(n.X); id != nil {
-				writes[id] = true
+				writes[id] = setWrite
 			}
 		case *ast.KeyValueExpr:
 			if id, ok := n.Key.(*ast.Ident); ok {
-				writes[id] = true
+				writes[id] = setWrite
 			}
 		}
 		return true

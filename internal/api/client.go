@@ -13,14 +13,12 @@ import (
 	"repro/internal/store"
 )
 
-// Client talks the versioned job API to a phantom-serve daemon. The zero
-// HTTP client is fine for everything including streams (no global
-// timeout: result streams are open-ended while a campaign runs).
+// Client talks the versioned job API to a phantom-serve daemon over
+// http.DefaultClient, which suits everything including streams (it has no
+// global timeout: result streams are open-ended while a campaign runs).
 type Client struct {
 	// Base is the daemon address: "host:port" or a full http URL.
 	Base string
-	// HTTP overrides the transport (tests inject httptest clients).
-	HTTP *http.Client
 }
 
 // NewClient normalizes addr ("host:port", ":8080", or "http://...") into a
@@ -33,13 +31,6 @@ func NewClient(addr string) *Client {
 		addr = "http://" + addr
 	}
 	return &Client{Base: strings.TrimRight(addr, "/")}
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }
 
 // do issues a request and decodes the JSON response into out, converting
@@ -60,7 +51,7 @@ func (c *Client) do(method, path string, body, out any) error {
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -130,7 +121,7 @@ func (c *Client) Cancel(id string) (*JobStatus, error) {
 // lines in the form RunLineWriter writes are decoded without reflection;
 // any other line goes to json.Unmarshal.
 func (c *Client) Results(id string, onRun func(RunResult)) (*Report, error) {
-	resp, err := c.httpClient().Get(c.Base + PathPrefix + "/jobs/" + id + "/results")
+	resp, err := http.DefaultClient.Get(c.Base + PathPrefix + "/jobs/" + id + "/results")
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +174,7 @@ func (c *Client) QueryNDJSON(path string, v url.Values, onRow func(line []byte) 
 	if enc := v.Encode(); enc != "" {
 		u += "?" + enc
 	}
-	resp, err := c.httpClient().Get(u)
+	resp, err := http.DefaultClient.Get(u)
 	if err != nil {
 		return stats, err
 	}

@@ -199,11 +199,7 @@ func (e *Expansion) Convert(i int, r runner.Result) RunResult {
 		SimNS:    int64(r.SimTime),
 		Canceled: r.Canceled,
 	}
-	if r.Job.PinSeed {
-		rr.Seed = r.Job.Opts.Seed
-	} else {
-		rr.Seed = runner.DeriveSeed(r.Job.Def.ID, r.Job.SweepIndex)
-	}
+	rr.Seed = runner.DeriveSeed(r.Job.Def.ID, r.Job.SweepIndex)
 	if r.Err != nil {
 		rr.Error = r.Err.Error()
 	}

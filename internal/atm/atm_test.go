@@ -361,22 +361,6 @@ func TestDestCountsAndTurnsAround(t *testing.T) {
 	}
 }
 
-func TestDestFoldsEFCIIntoCI(t *testing.T) {
-	e := sim.NewEngine()
-	back := &captureSink{}
-	d := NewDest(7, back)
-	d.Receive(e, Cell{VC: 7, Kind: Data, EFCI: true})
-	d.Receive(e, Cell{VC: 7, Kind: ForwardRM, ER: 1})
-	if !back.cells[0].CI {
-		t.Fatal("EFCI not folded into CI")
-	}
-	// The mark is consumed: next RM without new EFCI is clean.
-	d.Receive(e, Cell{VC: 7, Kind: ForwardRM, ER: 1})
-	if back.cells[1].CI {
-		t.Fatal("stale EFCI leaked into second RM")
-	}
-}
-
 func TestDestIgnoresForeignAndBackwardCells(t *testing.T) {
 	e := sim.NewEngine()
 	back := &captureSink{}

@@ -6,8 +6,9 @@ import (
 
 // Dest is an ABR destination end system for one VC. It counts delivered
 // payload (the goodput measurements of every figure) and turns forward RM
-// cells around into backward RM cells, folding any EFCI marks seen on data
-// cells since the last turnaround into the CI bit, as TM 4.0 prescribes.
+// cells around into backward RM cells. Switches signal congestion in the
+// RM cells themselves (ER, and CI in binary mode), never by marking data
+// cells, so the turnaround copies the forward RM cell unchanged.
 type Dest struct {
 	VC VCID
 	// Back is the reverse path toward the source.
@@ -15,7 +16,6 @@ type Dest struct {
 
 	dataCells int64
 	rmCells   int64
-	efciSeen  bool
 }
 
 // NewDest constructs a destination for vc whose backward RM cells are sent
@@ -38,17 +38,10 @@ func (d *Dest) Receive(e *sim.Engine, c Cell) {
 	switch c.Kind {
 	case Data:
 		d.dataCells++
-		if c.EFCI {
-			d.efciSeen = true
-		}
 	case ForwardRM:
 		d.rmCells++
 		back := c
 		back.Kind = BackwardRM
-		if d.efciSeen {
-			back.CI = true
-			d.efciSeen = false
-		}
 		d.Back.Receive(e, back)
 	case BackwardRM:
 		// A destination never sees backward RM cells; drop defensively.

@@ -64,28 +64,6 @@ func TestLinkPropagationDelay(t *testing.T) {
 	}
 }
 
-func TestLinkQueueBoundDrops(t *testing.T) {
-	e := sim.NewEngine()
-	dst := &capture{}
-	l := NewLink("l", 1000, 0, dst)
-	l.MaxQueue = 3
-	var drops []atm.Cell
-	l.OnDrop = func(_ sim.Time, c atm.Cell) { drops = append(drops, c) }
-	for i := 0; i < 10; i++ {
-		l.Receive(e, atm.Cell{VC: atm.VCID(i)})
-	}
-	if l.QueueLen() != 3 {
-		t.Fatalf("queue = %d, want 3", l.QueueLen())
-	}
-	if len(drops) != 7 {
-		t.Fatalf("dropped = %d, want 7", len(drops))
-	}
-	e.RunUntil(sim.Time(sim.Second))
-	if len(dst.cells) != 3 {
-		t.Fatalf("delivered %d, want 3", len(dst.cells))
-	}
-}
-
 func TestLinkQueueHookAndCompaction(t *testing.T) {
 	e := sim.NewEngine()
 	dst := &capture{}

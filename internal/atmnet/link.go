@@ -22,23 +22,23 @@ import (
 // it the algorithm that meters its transmissions.
 //
 // The FIFO server and the propagation delay line are a sim.Pipe. The link
-// adds the loss and MaxQueue verdicts, its counters and peak, and ends each
-// cell's service on the engine's band for one cell time. Nothing on the
-// cell path allocates in steady state.
+// adds the loss verdict, its counters and peak, and ends each cell's
+// service on the engine's band for one cell time. The FIFO is unbounded:
+// ABR switches in the paper are not buffer-limited, and the bounded queues
+// of the TCP experiments are ip.Port's. Nothing on the cell path
+// allocates in steady state.
+//
+// Every exported field is one some caller sets: NewLink the first four,
+// loss injection LossRate and LossSeed, link transients RateCPS and Delay.
+// What no caller varies, such as the queue bound, is not a field.
 type Link struct {
 	Name string
 	// RateCPS is the line rate in cells/s.
 	RateCPS float64
 	// Delay is the propagation delay.
 	Delay sim.Duration
-	// MaxQueue bounds the FIFO in cells; 0 means unbounded (ABR switches in
-	// the paper are not buffer-limited; the TCP experiments set a bound).
-	MaxQueue int
 	// Dst receives cells after transmission + propagation.
 	Dst atm.Sink
-
-	// OnDrop fires when MaxQueue forces a drop.
-	OnDrop func(now sim.Time, c atm.Cell)
 
 	// LossRate injects random cell loss in [0,1) for failure testing
 	// (a noisy line corrupting cells, including RM cells). Deterministic
@@ -78,7 +78,6 @@ type Link struct {
 // them unconditionally.
 type linkTel struct {
 	sent       telemetry.Counter
-	dropped    telemetry.Counter
 	lost       telemetry.Counter
 	queuePeak  telemetry.Gauge
 	queueDepth telemetry.Histogram
@@ -95,9 +94,13 @@ func (l *Link) Instrument(reg *telemetry.Registry) {
 	if l.alg != nil {
 		l.alg.Instrument(reg)
 	}
+	sent := reg.Counter("link.cells_sent")
+	// link.cells_dropped always reads 0 (the FIFO has no bound), but every
+	// stored ATM run's telemetry holds it, in this place among the link's
+	// names, so it stays registered until the stored format drops it.
+	reg.Counter("link.cells_dropped")
 	l.tel = linkTel{
-		sent:       reg.Counter("link.cells_sent"),
-		dropped:    reg.Counter("link.cells_dropped"),
+		sent:       sent,
 		lost:       reg.Counter("link.cells_lost"),
 		queuePeak:  reg.Gauge("link.queue_cells_peak"),
 		queueDepth: reg.Histogram("link.queue_depth_cells"),
@@ -160,13 +163,6 @@ func (l *Link) Receive(e *sim.Engine, c atm.Cell) {
 			l.tel.lost.Inc()
 			return
 		}
-	}
-	if l.MaxQueue > 0 && l.QueueLen() >= l.MaxQueue {
-		l.tel.dropped.Inc()
-		if l.OnDrop != nil {
-			l.OnDrop(e.Now(), c)
-		}
-		return
 	}
 	l.pipe.Push(c)
 	q := l.QueueLen()

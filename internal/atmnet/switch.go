@@ -21,7 +21,7 @@ type Switch struct {
 	fwd []*Link
 	bwd []*Link
 	// scratch is the cell handed to the port algorithms by pointer (they
-	// mutate it in place: ER reduction, CI/EFCI marking) and then forwarded.
+	// mutate it in place: ER reduction, CI marking) and then forwarded.
 	// A field rather than a local keeps the per-cell call from forcing a
 	// heap allocation. Safe because algorithm callbacks never re-enter
 	// Receive — downstream delivery always goes through a scheduled event.

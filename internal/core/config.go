@@ -22,13 +22,14 @@ import (
 	"repro/internal/sim"
 )
 
-// Defaults for Config fields, exported so experiments and docs can refer to
-// them by name. Values marked "reconstruction" are our documented choices
-// for details not recoverable from the paper text (see DESIGN.md §5).
+// The controller's constants and the defaults for Config fields, exported
+// so experiments and docs can refer to them by name. Values marked
+// "reconstruction" are our documented choices for details not recoverable
+// from the paper text (see DESIGN.md §5).
 const (
 	// DefaultTargetUtilization scales link capacity to the residual
-	// measurement target, leaving headroom that drains queues
-	// (reconstruction).
+	// measurement target C_target, leaving headroom that drains queues:
+	// residual Δ is measured as C_target − used (reconstruction).
 	DefaultTargetUtilization = 0.95
 	// DefaultInterval is the measurement interval Δt (reconstruction; A02
 	// sweeps it).
@@ -49,13 +50,21 @@ const (
 	DefaultBeta = 1.0 / 4
 )
 
-// Config parameterizes one Phantom port controller.
+// drainTime is the horizon over which a standing backlog is budgeted for
+// draining: each interval the measured residual is reduced by
+// queue/drainTime, so a port with a backlog advertises less spare
+// bandwidth until the backlog is gone. Without this term a standing queue
+// is metastable at high session counts (the residual reads zero whether
+// the queue holds 10 cells or 10⁵). It uses the port's own queue length,
+// still O(1) state (reconstruction).
+const drainTime = 50 * sim.Millisecond
+
+// Config parameterizes one Phantom port controller. Every field is one
+// some caller sets (a zero field takes its default); what no experiment
+// varies is a constant above, not a field.
 type Config struct {
 	// Capacity is the port's raw capacity in units/s. Required.
 	Capacity float64
-	// TargetUtilization scales Capacity to the residual target C_target:
-	// residual Δ is measured as C_target − used. 0 means the default.
-	TargetUtilization float64
 	// Interval is the measurement interval Δt. 0 means the default.
 	Interval sim.Duration
 	// AlphaInc and AlphaDec are the filter gains (0 means default).
@@ -63,8 +72,6 @@ type Config struct {
 	AlphaDec float64
 	// UtilizationFactor is u: sessions are allowed u·MACR. 0 means default.
 	UtilizationFactor float64
-	// Beta is the mean-deviation gain (0 means default).
-	Beta float64
 	// DisableAdaptiveGain turns off the mean-deviation modulation of the
 	// filter gains (the A01 ablation).
 	DisableAdaptiveGain bool
@@ -83,15 +90,6 @@ type Config struct {
 	// choke off (the high-start transient builds a deep queue and, in
 	// binary mode, can trap sources at their floor rate).
 	InitialMACR float64
-	// DrainTime is the horizon over which a standing backlog is budgeted
-	// for draining: each interval the measured residual is reduced by
-	// queue/DrainTime, so a port with a backlog advertises less spare
-	// bandwidth until the backlog is gone. Without this term a standing
-	// queue is metastable at high session counts (the residual reads zero
-	// whether the queue holds 10 cells or 10⁵). Uses the port's own queue
-	// length — still O(1) state. 0 means the default 50 ms; negative
-	// disables the term (the A05-style ablation).
-	DrainTime sim.Duration
 	// MinMACR floors the estimate. The explicit-rate mode works with a
 	// floor of zero, but the binary (CI) mode needs the allowed rate
 	// u·MACR to stay above the sources' restart rate: when a transient
@@ -104,9 +102,6 @@ type Config struct {
 
 // withDefaults returns a copy of c with zero fields replaced by defaults.
 func (c Config) withDefaults() Config {
-	if c.TargetUtilization == 0 {
-		c.TargetUtilization = DefaultTargetUtilization
-	}
 	if c.Interval == 0 {
 		c.Interval = DefaultInterval
 	}
@@ -119,14 +114,8 @@ func (c Config) withDefaults() Config {
 	if c.UtilizationFactor == 0 {
 		c.UtilizationFactor = DefaultUtilizationFactor
 	}
-	if c.Beta == 0 {
-		c.Beta = DefaultBeta
-	}
-	if c.DrainTime == 0 {
-		c.DrainTime = 50 * sim.Millisecond
-	}
 	if c.InitialMACR == 0 {
-		c.InitialMACR = c.Capacity * c.TargetUtilization / 10
+		c.InitialMACR = c.Capacity * DefaultTargetUtilization / 10
 	}
 	if c.MinMACR > 0 && c.InitialMACR < c.MinMACR {
 		c.InitialMACR = c.MinMACR
@@ -140,8 +129,6 @@ func (c Config) Validate() error {
 	switch {
 	case d.Capacity <= 0:
 		return fmt.Errorf("core: Capacity must be positive, got %v", d.Capacity)
-	case d.TargetUtilization <= 0 || d.TargetUtilization > 1:
-		return fmt.Errorf("core: TargetUtilization must be in (0,1], got %v", d.TargetUtilization)
 	case d.Interval <= 0:
 		return errors.New("core: Interval must be positive")
 	case d.AlphaInc <= 0 || d.AlphaInc > 1:
@@ -150,8 +137,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: AlphaDec must be in (0,1], got %v", d.AlphaDec)
 	case d.UtilizationFactor <= 0:
 		return fmt.Errorf("core: UtilizationFactor must be positive, got %v", d.UtilizationFactor)
-	case d.Beta <= 0 || d.Beta > 1:
-		return fmt.Errorf("core: Beta must be in (0,1], got %v", d.Beta)
 	case d.InitialMACR < 0:
 		return fmt.Errorf("core: InitialMACR must be non-negative, got %v", d.InitialMACR)
 	case d.MinMACR < 0 || d.MinMACR > d.Capacity:

@@ -57,7 +57,7 @@ func (m *MACREstimator) SetCapacity(c float64) { m.cfg.Capacity = c }
 // residual adjustments (a queue-drain charge) do not distort the loop-gain
 // estimate.
 func (m *MACREstimator) ObserveLoad(residual, usedRate float64) float64 {
-	target := m.cfg.Capacity * m.cfg.TargetUtilization
+	target := m.cfg.Capacity * DefaultTargetUtilization
 	rawUsed := usedRate
 	if rawUsed < 0 {
 		rawUsed = 0
@@ -68,7 +68,7 @@ func (m *MACREstimator) ObserveLoad(residual, usedRate float64) float64 {
 	if residual < 0 {
 		// The meter can observe short-term overshoot (a queue draining
 		// faster than line rate cannot happen, but a measurement window
-		// straddling a burst can exceed target when TargetUtilization < 1).
+		// straddling a burst can exceed target, which is below capacity).
 		// The phantom's rate is then simply zero.
 		residual = 0
 	}
@@ -77,7 +77,7 @@ func (m *MACREstimator) ObserveLoad(residual, usedRate float64) float64 {
 	if abs < 0 {
 		abs = -abs
 	}
-	m.mdev = (1-m.cfg.Beta)*m.mdev + m.cfg.Beta*abs
+	m.mdev = (1-DefaultBeta)*m.mdev + DefaultBeta*abs
 
 	alpha := m.cfg.AlphaInc
 	if err < 0 {

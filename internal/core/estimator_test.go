@@ -14,9 +14,6 @@ func validCfg() Config {
 
 func TestConfigDefaults(t *testing.T) {
 	c := validCfg().withDefaults()
-	if c.TargetUtilization != DefaultTargetUtilization {
-		t.Errorf("TargetUtilization = %v", c.TargetUtilization)
-	}
 	if c.Interval != DefaultInterval {
 		t.Errorf("Interval = %v", c.Interval)
 	}
@@ -38,12 +35,10 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero capacity", func(c *Config) { c.Capacity = 0 }},
 		{"negative capacity", func(c *Config) { c.Capacity = -1 }},
-		{"util > 1", func(c *Config) { c.TargetUtilization = 1.5 }},
 		{"negative interval", func(c *Config) { c.Interval = -sim.Millisecond }},
 		{"alphaInc > 1", func(c *Config) { c.AlphaInc = 2 }},
 		{"alphaDec > 1", func(c *Config) { c.AlphaDec = 2 }},
 		{"negative u", func(c *Config) { c.UtilizationFactor = -3 }},
-		{"beta > 1", func(c *Config) { c.Beta = 2 }},
 		{"negative initial", func(c *Config) { c.InitialMACR = -5 }},
 	}
 	for _, tc := range cases {

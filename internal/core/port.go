@@ -21,7 +21,7 @@ type PortControl struct {
 	OnTick func(now sim.Time, residual, macr float64)
 	// Queue, if non-nil, reports the port's current backlog in the same
 	// units the meter counts; each tick the residual is charged
-	// backlog/DrainTime so standing queues drain (see Config.DrainTime).
+	// backlog/drainTime so standing queues drain (see drainTime).
 	Queue func() float64
 	// Capacity, if non-nil, reports the port's live line rate each tick, so
 	// a transient capacity change (scenario.TransientRate) retargets the
@@ -39,7 +39,7 @@ func NewPortControl(cfg Config, start sim.Time) (*PortControl, error) {
 	cfg = cfg.withDefaults()
 	return &PortControl{
 		cfg:   cfg,
-		meter: NewMeter(cfg.Capacity*cfg.TargetUtilization, start),
+		meter: NewMeter(cfg.Capacity*DefaultTargetUtilization, start),
 		est:   NewMACREstimator(cfg),
 	}, nil
 }
@@ -65,17 +65,17 @@ func (p *PortControl) Tick(now sim.Time) {
 	if p.Capacity != nil {
 		if c := p.Capacity(); c > 0 && c != p.cfg.Capacity {
 			p.cfg.Capacity = c
-			p.meter.SetTarget(c * p.cfg.TargetUtilization)
+			p.meter.SetTarget(c * DefaultTargetUtilization)
 			p.est.SetCapacity(c)
 		}
 	}
-	target := p.cfg.Capacity * p.cfg.TargetUtilization
+	target := p.cfg.Capacity * DefaultTargetUtilization
 	residual := p.meter.Close(now)
 	used := target - residual
-	if p.Queue != nil && p.cfg.DrainTime > 0 {
+	if p.Queue != nil {
 		// Charge the backlog against the advertised residual, bounded so
 		// the correction steers rather than slams the estimate.
-		charge := p.Queue() / p.cfg.DrainTime.Seconds()
+		charge := p.Queue() / drainTime.Seconds()
 		if max := 0.5 * target; charge > max {
 			charge = max
 		}

@@ -95,7 +95,7 @@ func TestPortDroppedCountsEveryCause(t *testing.T) {
 	p.LossRate = 0.1
 	p.LossSeed = 3
 	red := NewRED(7)
-	red.Wq = 0.5
+	red.wq = 0.5
 	p.Attach(e, red)
 	byReason := map[string]int64{}
 	p.OnDrop = func(_ sim.Time, pkt *Packet, r string) {
@@ -285,7 +285,7 @@ func TestREDDropsBetweenThresholds(t *testing.T) {
 	dst := &pktCapture{}
 	p := NewPort("p", 1e6, 0, dst) // slow: queue builds
 	red := NewRED(7)
-	red.Wq = 0.5 // fast averaging so the test converges quickly
+	red.wq = 0.5 // fast averaging so the test converges quickly
 	p.Attach(e, red)
 
 	drops := 0
@@ -324,7 +324,7 @@ func TestREDIgnoresAcks(t *testing.T) {
 	e := sim.NewEngine()
 	p := NewPort("p", 1e6, 0, &pktCapture{})
 	red := NewRED(7)
-	red.Wq = 0.9
+	red.wq = 0.9
 	p.Attach(e, red)
 	for i := 0; i < 500; i++ {
 		p.Receive(e, &Packet{Flow: 1, Ack: true})
@@ -386,7 +386,7 @@ func TestPhantomECNMark(t *testing.T) {
 
 func TestPhantomSelectiveREDOnlyDropsExceeders(t *testing.T) {
 	e, p, d, _ := phantomPort(t, SelectiveRED)
-	d.RED.Wq = 0.9 // aggressive averaging: force the lottery on
+	d.red.wq = 0.9 // aggressive averaging: force the lottery on
 	compliantDrops, exceederDrops := 0, 0
 	p.OnDrop = func(_ sim.Time, pkt *Packet, _ string) {
 		if pkt.CurrentRate > 5e6 {

@@ -49,13 +49,13 @@ type PhantomDiscipline struct {
 	Mode PhantomMode
 	// Config parameterizes the estimator; Capacity is filled from the port.
 	Config core.Config
-	// RED configures the SelectiveRED lottery (used only in that mode);
-	// nil gets defaults with seed 1.
-	RED *RED
 	// OnTick observes estimator updates for figures.
 	OnTick func(now sim.Time, residual, macr float64)
 
 	pc *core.PortControl
+	// red is the SelectiveRED lottery (seed 1), built at Attach in that
+	// mode only.
+	red *RED
 }
 
 // NewPhantomDiscipline builds a discipline with the given mode and
@@ -79,7 +79,7 @@ func (d *PhantomDiscipline) Attach(e *sim.Engine, p *Port) {
 		// the same ratio the cell world enjoys.
 		cfg.Interval = 10 * sim.Millisecond
 	}
-	// Note: the queue-drain charge (core.Config.DrainTime) is left unwired
+	// Note: the queue-drain charge (core.PortControl.Queue) is left unwired
 	// here on purpose. TCP keeps standing queues by design — Reno's
 	// sawtooth rides the buffer and Vegas holds its α..β segments there —
 	// so charging the backlog against the residual makes the allowed rate
@@ -94,10 +94,8 @@ func (d *PhantomDiscipline) Attach(e *sim.Engine, p *Port) {
 	}
 	d.pc.Attach(e)
 	if d.Mode == SelectiveRED {
-		if d.RED == nil {
-			d.RED = NewRED(1)
-		}
-		d.RED.Attach(e, p)
+		d.red = NewRED(1)
+		d.red.Attach(e, p)
 	}
 }
 
@@ -124,8 +122,8 @@ func (d *PhantomDiscipline) Admit(now sim.Time, p *Packet) Action {
 			p.ECN = true
 		}
 	case SelectiveRED:
-		d.RED.updateAvg(now)
-		if exceeds && d.RED.shouldDrop() {
+		d.red.updateAvg(now)
+		if exceeds && d.red.shouldDrop() {
 			return Action{Drop: true}
 		}
 	}
@@ -137,6 +135,6 @@ func (d *PhantomDiscipline) Admit(now sim.Time, p *Packet) Action {
 func (d *PhantomDiscipline) OnTransmit(now sim.Time, p *Packet) {
 	d.pc.Transmitted(p.SizeBits())
 	if d.Mode == SelectiveRED {
-		d.RED.OnTransmit(now, p)
+		d.red.OnTransmit(now, p)
 	}
 }

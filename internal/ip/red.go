@@ -7,24 +7,33 @@ import (
 	"repro/internal/workload"
 )
 
+// The RED gateway's parameters: the values [FJ93] recommends and its
+// simulations use.
+const (
+	// redMinTh and redMaxTh are the average-queue thresholds in packets.
+	redMinTh = 5
+	redMaxTh = 15
+	// redMaxP is the maximum early-drop probability.
+	redMaxP = 0.02
+	// redWq is the averaging weight.
+	redWq = 0.002
+)
+
 // RED is Floyd and Jacobson's Random Early Detection gateway [FJ93], one of
 // the two router-mechanism baselines of Section 4. The average queue length
 // is an exponentially weighted moving average sampled at every arrival;
-// between MinTh and MaxTh packets are dropped with probability growing to
-// MaxP (using the count-since-last-drop correction from the paper), above
-// MaxTh every packet is dropped.
+// between redMinTh and redMaxTh packets are dropped with probability
+// growing to redMaxP (using the count-since-last-drop correction from the
+// paper), above redMaxTh every packet is dropped. The seed is its one
+// setting: the thresholds are [FJ93]'s constants, which no experiment
+// varies. Build it with NewRED.
 type RED struct {
-	// MinTh and MaxTh are the average-queue thresholds in packets
-	// (defaults 5 and 15).
-	MinTh float64
-	MaxTh float64
-	// MaxP is the maximum early-drop probability (default 0.02).
-	MaxP float64
-	// Wq is the averaging weight (default 0.002).
-	Wq float64
 	// Seed makes the drop lottery deterministic.
 	Seed uint64
 
+	// wq is the averaging weight: redWq, which tests raise so the average
+	// converges within a few packets.
+	wq    float64
 	avg   float64
 	count int
 	rng   *workload.RNG
@@ -34,9 +43,8 @@ type RED struct {
 	idle      bool
 }
 
-// NewRED returns a factory-style constructor result with defaults applied
-// at Attach.
-func NewRED(seed uint64) *RED { return &RED{Seed: seed} }
+// NewRED returns a RED gateway whose drop lottery draws from seed.
+func NewRED(seed uint64) *RED { return &RED{Seed: seed, wq: redWq} }
 
 // Name implements Discipline.
 func (r *RED) Name() string { return "RED" }
@@ -44,18 +52,6 @@ func (r *RED) Name() string { return "RED" }
 // Attach implements Discipline.
 func (r *RED) Attach(_ *sim.Engine, p *Port) {
 	r.port = p
-	if r.MinTh == 0 {
-		r.MinTh = 5
-	}
-	if r.MaxTh == 0 {
-		r.MaxTh = 15
-	}
-	if r.MaxP == 0 {
-		r.MaxP = 0.02
-	}
-	if r.Wq == 0 {
-		r.Wq = 0.002
-	}
 	r.rng = workload.NewRNG(r.Seed)
 	r.count = -1
 }
@@ -68,33 +64,33 @@ func (r *RED) updateAvg(now sim.Time) {
 	if q == 0 && r.idle {
 		// m = idle time / typical transmission time (512+40 byte packet):
 		// decay the average as if m small packets had been transmitted.
-		// Without this correction a burst can pin the average above MaxTh
+		// Without this correction a burst can pin the average above redMaxTh
 		// while TCP sits in RTO backoff, deadlocking the gateway ([FJ93]
 		// §11 describes exactly this hazard).
 		txTime := sim.DurationOf(552*8, r.port.RateBPS)
 		if txTime > 0 {
 			m := float64(now.Sub(r.idleSince)) / float64(txTime)
 			if m > 0 {
-				r.avg *= math.Pow(1-r.Wq, m)
+				r.avg *= math.Pow(1-r.wq, m)
 			}
 		}
 		r.idle = false
 	}
-	r.avg = (1-r.Wq)*r.avg + r.Wq*q
+	r.avg = (1-r.wq)*r.avg + r.wq*q
 }
 
 // shouldDrop runs the RED lottery for the current average.
 func (r *RED) shouldDrop() bool {
 	switch {
-	case r.avg < r.MinTh:
+	case r.avg < redMinTh:
 		r.count = -1
 		return false
-	case r.avg >= r.MaxTh:
+	case r.avg >= redMaxTh:
 		r.count = 0
 		return true
 	}
 	r.count++
-	pb := r.MaxP * (r.avg - r.MinTh) / (r.MaxTh - r.MinTh)
+	pb := redMaxP * (r.avg - redMinTh) / (redMaxTh - redMinTh)
 	pa := pb / (1 - float64(r.count)*pb)
 	if pa < 0 || pa > 1 {
 		pa = 1

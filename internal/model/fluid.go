@@ -17,7 +17,7 @@ package model
 // FluidConfig parameterizes the fluid recursion.
 type FluidConfig struct {
 	// Capacity is the raw line rate (units/s); Target the measurement
-	// target C_t = TargetUtilization·Capacity.
+	// target C_t = core.DefaultTargetUtilization·Capacity.
 	Capacity float64
 	Target   float64
 	// Sessions is k, the number of greedy sessions.

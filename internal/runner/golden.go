@@ -72,11 +72,15 @@ func ReadSnapshot(dir, id string) (Snapshot, error) {
 	return s, nil
 }
 
+// goldenFloor is the magnitude below which a tolerance bound becomes
+// absolute (see Tolerance).
+const goldenFloor = 1e-9
+
 // Tolerance bounds acceptable drift per metric. A metric passes when
-// |got-want| <= tol * max(|want|, Floor): relative error for metrics of
-// honest magnitude, absolute error below the floor so near-zero baselines
-// (a 0-cell queue, a 0-drop counter) do not turn any noise into infinite
-// relative drift.
+// |got-want| <= tol * max(|want|, goldenFloor): relative error for metrics
+// of honest magnitude, absolute error below the floor so near-zero
+// baselines (a 0-cell queue, a 0-drop counter) do not turn any noise into
+// infinite relative drift.
 type Tolerance struct {
 	// Default applies to metrics with no override. Zero means exact
 	// (bit-identical after JSON round-trip).
@@ -85,9 +89,6 @@ type Tolerance struct {
 	// for any rule whose name is a prefix of the metric (longest prefix
 	// wins), so "conv_ms" loosens every per-algorithm convergence column.
 	PerMetric map[string]float64
-	// Floor is the magnitude below which the bound becomes absolute.
-	// Zero means 1e-9.
-	Floor float64
 }
 
 // DefaultTolerance returns the suite-wide policy: metrics must match to a
@@ -130,7 +131,7 @@ type Drift struct {
 	Metric  string
 	Got     float64
 	Want    float64
-	RelErr  float64 // |got-want| / max(|want|, floor)
+	RelErr  float64 // |got-want| / max(|want|, goldenFloor)
 	Allowed float64
 	Missing bool // in the golden file but not the run
 	Extra   bool // in the run but not the golden file
@@ -163,10 +164,6 @@ func Compare(got, want Snapshot, tol Tolerance) []Drift {
 			RelErr: math.Inf(1), Allowed: 0,
 		}}
 	}
-	floor := tol.Floor
-	if floor <= 0 {
-		floor = 1e-9
-	}
 	var drifts []Drift
 	names := make([]string, 0, len(want.Summary))
 	for name := range want.Summary {
@@ -182,8 +179,8 @@ func Compare(got, want Snapshot, tol Tolerance) []Drift {
 		}
 		allowed := tol.forMetric(name)
 		scale := math.Abs(w)
-		if scale < floor {
-			scale = floor
+		if scale < goldenFloor {
+			scale = goldenFloor
 		}
 		rel := math.Abs(g-w) / scale
 		// NaN on either side never matches unless both are NaN: a metric

@@ -39,7 +39,7 @@ import (
 type Job struct {
 	Def exp.Definition
 	// Opts are the run options. Opts.Seed is overwritten by the fleet with
-	// DeriveSeed(Def.ID, SweepIndex) unless PinSeed is set.
+	// DeriveSeed(Def.ID, SweepIndex).
 	Opts exp.Options
 	// SweepIndex distinguishes points of a parameter sweep; plain suite
 	// runs leave it zero.
@@ -47,9 +47,6 @@ type Job struct {
 	// Name labels the job in reports; empty means Def.ID (plus the sweep
 	// index when non-zero).
 	Name string
-	// PinSeed keeps Opts.Seed as given instead of deriving it. Tests use
-	// it to replay a specific seed.
-	PinSeed bool
 	// TraceCap, when positive, asks the fleet to record the run on a flight
 	// recorder of that capacity. The job states the intent only: the
 	// storage is the executing worker's, lent to the run and read only by
@@ -302,9 +299,7 @@ func runOne(job Job, hook exp.Hook, tel bool, tr *trace.Tracer) (r Result) {
 	if r.SimTime <= 0 {
 		r.SimTime = job.Def.Default
 	}
-	if !job.PinSeed {
-		job.Opts.Seed = DeriveSeed(job.Def.ID, job.SweepIndex)
-	}
+	job.Opts.Seed = DeriveSeed(job.Def.ID, job.SweepIndex)
 	if tel && job.Opts.Telemetry == nil {
 		// One registry per job: registries are single-goroutine like the
 		// engines they observe, so sharing one across workers would race.

@@ -169,7 +169,7 @@ func TestFleetDerivesSeeds(t *testing.T) {
 	jobs := []Job{
 		{Def: def},
 		{Def: def, SweepIndex: 5},
-		{Def: def, Opts: exp.Options{Seed: 42}, PinSeed: true},
+		{Def: def, Opts: exp.Options{Seed: 42}, SweepIndex: 2},
 	}
 	fleet := &Fleet{Workers: 1}
 	results, _ := fleet.Run(jobs)
@@ -179,8 +179,8 @@ func TestFleetDerivesSeeds(t *testing.T) {
 	if got, want := results[1].Res.Summary["seed"], float64(DeriveSeed("T00", 5)); got != want {
 		t.Errorf("sweep job ran with seed %v, want derived %v", got, want)
 	}
-	if got := results[2].Res.Summary["seed"]; got != 42 {
-		t.Errorf("pinned job ran with seed %v, want 42", got)
+	if got, want := results[2].Res.Summary["seed"], float64(DeriveSeed("T00", 2)); got != want {
+		t.Errorf("job with a seed of its own ran with seed %v, want derived %v", got, want)
 	}
 }
 

@@ -12,7 +12,6 @@ package scenario
 import (
 	"fmt"
 
-	"repro/internal/atm"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/switchalg"
@@ -23,28 +22,28 @@ import (
 
 // ATMSessionSpec declares one ABR session over the linear network: it
 // enters at switch Entry and exits at switch Exit (Entry < Exit), so it
-// crosses trunks Entry..Exit−1.
+// crosses trunks Entry..Exit−1. Its end system runs the paper's source
+// parameters.
 type ATMSessionSpec struct {
 	Name    string
 	Entry   int
 	Exit    int
 	Pattern workload.Pattern
-	// Params overrides the end-system parameters; nil means the paper's
-	// defaults.
-	Params *atm.SourceParams
 }
 
 // ATMConfig describes a linear ATM network of Switches switches chained by
 // Switches−1 trunks. It is a way to describe a network, not a second way to
-// build one: BuildATM builds the GraphConfig that Lower turns it into.
+// build one: BuildATM builds the GraphConfig that Lower turns it into. It
+// holds only what some experiment sets; the rest (the 150 Mb/s trunk rate,
+// the 1 ms sampling period, no loss, no transients, the automatic shard
+// partition) is GraphConfig's default, and a test that needs one of those
+// knobs sets it on the lowered GraphConfig.
 type ATMConfig struct {
 	Switches int
-	// TrunkRateBPS is the trunk line rate in bits/s (default 150 Mb/s).
-	TrunkRateBPS float64
 	// TrunkRatesBPS optionally gives each trunk its own rate (length must
 	// be Switches−1), enabling heterogeneous-capacity configurations like
 	// the ATM Forum's generic fairness topologies. Entries of 0 fall back
-	// to TrunkRateBPS.
+	// to the default 150 Mb/s.
 	TrunkRatesBPS []float64
 	// TrunkDelay is the per-trunk propagation delay (default 5 µs, the
 	// paper's "negligible RTT" regime; WAN scenarios raise it).
@@ -56,20 +55,11 @@ type ATMConfig struct {
 	// Alg builds the rate-control algorithm instance for each forward
 	// output port; nil runs plain FIFO switches.
 	Alg switchalg.Factory
-	// SampleEvery is the series sampling period (default 1 ms).
-	SampleEvery sim.Duration
 	// Duration, when set, is the planned run length. It is a sizing hint
 	// only — Run is still driven by the caller — letting the recorded
 	// series pre-allocate duration/SampleEvery points instead of
 	// append-doubling their way up during the run.
 	Duration sim.Duration
-	// TrunkLossRate injects random cell loss on every trunk (both
-	// directions, so data, forward RM and backward RM cells are all at
-	// risk) for failure testing. Zero disables injection.
-	TrunkLossRate float64
-	// Events is an optional transient schedule: mid-run trunk rate changes
-	// and loss onset, indexed by trunk. See TransientEvent.
-	Events []TransientEvent
 	// Trace, if non-nil, records rate changes, drops and fair-share ticks.
 	Trace *trace.Tracer
 	// Telemetry, if non-nil, receives the scenario's counters: every link,
@@ -84,9 +74,6 @@ type ATMConfig struct {
 	// deterministic at fixed N; metrics match the single-engine run on the
 	// golden suite but the (time, seq) interleaving is N-dependent.
 	Shards int
-	// Partition optionally pins each switch to a shard (length Switches,
-	// values in [0, Shards)); nil auto-partitions.
-	Partition []int
 }
 
 // Lower renders the chain as the graph it is: switch i is node i, trunk k
@@ -98,20 +85,15 @@ func (c *ATMConfig) Lower() GraphConfig {
 	g := GraphConfig{
 		Nodes:         c.Switches,
 		Edges:         chainEdges(c.Switches),
-		TrunkRateBPS:  c.TrunkRateBPS,
 		TrunkDelay:    c.TrunkDelay,
 		AccessRateBPS: c.AccessRateBPS,
 		AccessDelay:   c.AccessDelay,
 		Alg:           c.Alg,
-		SampleEvery:   c.SampleEvery,
 		Duration:      c.Duration,
-		TrunkLossRate: c.TrunkLossRate,
-		Events:        c.Events,
 		Trace:         c.Trace,
 		Telemetry:     c.Telemetry,
 		Sessions:      make([]GraphSessionSpec, len(c.Sessions)),
 		Shards:        c.Shards,
-		Partition:     c.Partition,
 	}
 	if g.AccessRateBPS == 0 {
 		g.AccessRateBPS = 150e6
@@ -122,7 +104,7 @@ func (c *ATMConfig) Lower() GraphConfig {
 		}
 	}
 	for i, s := range c.Sessions {
-		g.Sessions[i] = GraphSessionSpec{Name: s.Name, Src: s.Entry, Dst: s.Exit, Pattern: s.Pattern, Params: s.Params}
+		g.Sessions[i] = GraphSessionSpec{Name: s.Name, Src: s.Entry, Dst: s.Exit, Pattern: s.Pattern}
 	}
 	return g
 }

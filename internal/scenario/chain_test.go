@@ -20,7 +20,7 @@ import (
 // — per-session cell counts and final ACR bits, per-trunk series labels and
 // lengths, utilisation and fair-share bits, peak and end queue — plus a
 // hash of the flight recorder's (time, component, kind) sequence.
-func chainFingerprint(n *ATMNet, tr *trace.Tracer) string {
+func chainFingerprint(n chain, tr *trace.Tracer) string {
 	var b strings.Builder
 	for i, d := range n.Dests {
 		fmt.Fprintf(&b, "s%d=%d/%d/%d/%d/%x ", i, n.Sources[i].CellsSent(), d.DataCells(), d.RMCells(),
@@ -28,7 +28,7 @@ func chainFingerprint(n *ATMNet, tr *trace.Tracer) string {
 	}
 	for k := range n.TrunkQueue {
 		fs := "-"
-		if s := n.FairShare[k]; s != nil {
+		if s := n.FairShare[2*k]; s != nil {
 			fs = fmt.Sprintf("%s:%x", s.Name, math.Float64bits(s.Last()))
 		}
 		fmt.Fprintf(&b, "t%d=%s:%d/%x/%s/%d/%d ", k, n.TrunkQueue[k].Name, len(n.TrunkQueue[k].Points()),
@@ -63,17 +63,13 @@ func TestChainEventIdentity(t *testing.T) {
 	wantFired := map[int]uint64{1: 91331, 2: 91361}
 	for _, shards := range []int{1, 2} {
 		tr := trace.New(1 << 16)
-		n, err := BuildATM(ATMConfig{
+		cfg := ATMConfig{
 			Switches:      6,
 			TrunkRatesBPS: []float64{0, 50e6, 0, 100e6, 0},
 			TrunkDelay:    20 * sim.Microsecond,
 			Alg:           switchalg.NewPhantom(core.Config{UtilizationFactor: 5}),
 			Duration:      30 * sim.Millisecond,
-			Events: []TransientEvent{
-				{At: 10 * sim.Millisecond, Kind: TransientRate, Index: 1, Value: 25e6},
-				{At: 15 * sim.Millisecond, Kind: TransientLoss, Index: 3, Value: 0.02},
-			},
-			Trace: tr,
+			Trace:         tr,
 			Sessions: []ATMSessionSpec{
 				{Name: "long", Entry: 0, Exit: 5, Pattern: workload.Greedy{}},
 				{Name: "mid", Entry: 1, Exit: 4, Pattern: workload.Greedy{}},
@@ -81,7 +77,13 @@ func TestChainEventIdentity(t *testing.T) {
 				{Name: "tail", Entry: 4, Exit: 5, Pattern: workload.Window{Start: sim.Time(5 * sim.Millisecond), Stop: sim.Time(25 * sim.Millisecond)}},
 			},
 			Shards: shards,
-		})
+		}
+		g := cfg.Lower()
+		g.Events = []TransientEvent{
+			{At: 10 * sim.Millisecond, Kind: TransientRate, Index: 1, Value: 25e6},
+			{At: 15 * sim.Millisecond, Kind: TransientLoss, Index: 3, Value: 0.02},
+		}
+		n, err := buildChain(g, "switches")
 		if err != nil {
 			t.Fatal(err)
 		}

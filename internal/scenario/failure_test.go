@@ -18,8 +18,9 @@ import (
 
 func TestPhantomSurvivesCellLoss(t *testing.T) {
 	cfg := twoGreedyConfig()
-	cfg.TrunkLossRate = 0.01 // 1% of all trunk cells destroyed
-	n, err := BuildATM(cfg)
+	lowered := cfg.Lower()
+	lowered.TrunkLossRate = 0.01 // 1% of all trunk cells destroyed
+	n, err := buildChain(lowered, "switches")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +54,9 @@ func TestPhantomSurvivesHeavyRMLoss(t *testing.T) {
 	// The loop must stay live: sources keep non-trivial rates and the
 	// queue stays bounded. Exact equilibrium is not expected.
 	cfg := twoGreedyConfig()
-	cfg.TrunkLossRate = 0.10
-	n, err := BuildATM(cfg)
+	lowered := cfg.Lower()
+	lowered.TrunkLossRate = 0.10
+	n, err := buildChain(lowered, "switches")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,6 @@ type GraphSessionSpec struct {
 	Src     int
 	Dst     int
 	Pattern workload.Pattern
-	// Params overrides the end-system parameters; nil means the paper's
-	// defaults.
-	Params *atm.SourceParams
 	// flow, when set, makes the session a greedy TCP flow instead of an ABR
 	// source/dest pair: a sender and a receiver on IP access ports at
 	// router nodes, or behind an AAL5 edge pair (data VC, then ACK VC) at
@@ -467,12 +464,6 @@ func (n *GraphNet) addLink(l int, used bool) {
 	}
 	clock := n.clock(n.linkShard[l])
 	n.LinkQueue[l] = metrics.AcquireSeries(fmt.Sprintf("queue[%s]", name), clock)
-	if tr := plan.traceFor(from); tr != nil {
-		link.OnDrop = func(now sim.Time, c atm.Cell) {
-			tr.Emit(now, name, "drop",
-				trace.I("vc", int64(c.VC)), trace.S("cell", c.Kind.String()))
-		}
-	}
 	if link.Algorithm() != nil {
 		n.FairShare[l] = metrics.AcquireSeries(fmt.Sprintf("fairshare[%s]", name), clock)
 	}
@@ -573,9 +564,6 @@ func (n *GraphNet) accessVC(i int, prefix string, vc atm.VCID, back bool, inDela
 func (n *GraphNet) attachABR(i int, vc atm.VCID) error {
 	cfg, plan, spec := &n.Config, n.plan, n.Config.Sessions[i]
 	params := atm.DefaultSourceParams()
-	if spec.Params != nil {
-		params = *spec.Params
-	}
 	var src *atm.Source
 	var dest *atm.Dest
 	n.accessVC(i, "", vc, false, cfg.AccessDelay, cfg.AccessDelay, cfg.Alg,

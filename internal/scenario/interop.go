@@ -13,19 +13,15 @@ import (
 // InteropConfig describes the TCP-over-ATM topology of §4.2: TCP end
 // systems whose traffic crosses a two-switch ATM cloud, one data VC and one
 // ACK VC per flow, with a rate-control algorithm on the cloud's trunks.
+// The cloud's shape is fixed (see lower); the config holds only what some
+// experiment sets.
 type InteropConfig struct {
-	// TrunkRateBPS is the ATM trunk rate (default 150 Mb/s).
-	TrunkRateBPS float64
-	// TrunkDelay is the trunk propagation delay (default 1 ms).
-	TrunkDelay sim.Duration
 	// Alg builds the trunk algorithm (default Phantom would be supplied by
 	// the caller; nil runs plain FIFO trunks).
 	Alg switchalg.Factory
 	// EdgeQueueBytes bounds each ingress edge's segmentation queue
 	// (default 128 KiB).
 	EdgeQueueBytes int
-	// SampleEvery is the series sampling period (default 10 ms).
-	SampleEvery sim.Duration
 	// Trace, if non-nil, records edge-queue drops and edge rate changes.
 	Trace *trace.Tracer
 	// Telemetry, if non-nil, receives the scenario's counters: links,
@@ -35,30 +31,19 @@ type InteropConfig struct {
 	Flows     []TCPFlowSpec // Entry/Exit are ignored: the cloud is one hop
 }
 
-func (c *InteropConfig) setDefaults() {
-	if c.TrunkRateBPS == 0 {
-		c.TrunkRateBPS = 150e6
-	}
-	if c.TrunkDelay == 0 {
-		c.TrunkDelay = sim.Millisecond
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 10 * sim.Millisecond
-	}
-}
-
 // lower renders the cloud as the graph it is: two switches joined by one
-// trunk, and flow i an AAL5 session from switch 0 to switch 1. Access links
-// run at the trunk rate (the graph's default); the receiver side's delay is
-// the graph's 1 µs default.
+// 150 Mb/s trunk of 1 ms propagation delay, sampled every 10 ms, and flow
+// i an AAL5 session from switch 0 to switch 1. Access links run at the
+// trunk rate (the graph's default); the receiver side's delay is the
+// graph's 1 µs default.
 func (c *InteropConfig) lower() GraphConfig {
 	g := GraphConfig{
 		Nodes:          2,
 		Edges:          chainEdges(2),
-		TrunkRateBPS:   c.TrunkRateBPS,
-		TrunkDelay:     c.TrunkDelay,
+		TrunkRateBPS:   150e6,
+		TrunkDelay:     sim.Millisecond,
 		Alg:            c.Alg,
-		SampleEvery:    c.SampleEvery,
+		SampleEvery:    10 * sim.Millisecond,
 		Trace:          c.Trace,
 		Telemetry:      c.Telemetry,
 		Sessions:       make([]GraphSessionSpec, len(c.Flows)),
@@ -76,8 +61,7 @@ func (c *InteropConfig) lower() GraphConfig {
 // graph's).
 type InteropNet struct {
 	*GraphNet
-	// Config is the cloud description the network was built from, with
-	// its defaults filled in.
+	// Config is the cloud description the network was built from.
 	Config    InteropConfig
 	Senders   []*tcp.Sender
 	Receivers []*tcp.Receiver
@@ -90,7 +74,6 @@ type InteropNet struct {
 // BuildTCPOverATM wires the interop scenario and starts the edges and
 // senders.
 func BuildTCPOverATM(cfg InteropConfig) (*InteropNet, error) {
-	cfg.setDefaults()
 	g, err := BuildGraph(cfg.lower())
 	if err != nil {
 		return nil, err

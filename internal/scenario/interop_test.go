@@ -125,7 +125,6 @@ func TestLossyCloudLeaksNothing(t *testing.T) {
 		cfg.Flows = append(cfg.Flows, TCPFlowSpec{Name: string(rune('a' + i)),
 			AccessDelay: sim.Duration(1+3*i) * sim.Millisecond, Params: &p, DelayedAcks: i%2 == 1})
 	}
-	cfg.setDefaults()
 	g := cfg.lower()
 	g.TrunkLossRate = 0.01
 	n, err := BuildGraph(g)

@@ -129,16 +129,12 @@ func TestATMShardedMatchesSingle(t *testing.T) {
 func TestShardTraceMerge(t *testing.T) {
 	const ringCap = 8
 	tr := trace.New(ringCap)
-	n, err := BuildATM(ATMConfig{
+	cfg := ATMConfig{
 		Switches:      6,
 		TrunkRatesBPS: []float64{0, 50e6, 0, 100e6, 0},
 		TrunkDelay:    20 * sim.Microsecond,
 		Alg:           switchalg.NewPhantom(core.Config{UtilizationFactor: 5}),
-		Events: []TransientEvent{
-			{At: 10 * sim.Millisecond, Kind: TransientRate, Index: 1, Value: 25e6},
-			{At: 15 * sim.Millisecond, Kind: TransientLoss, Index: 3, Value: 0.02},
-		},
-		Trace: tr,
+		Trace:         tr,
 		Sessions: []ATMSessionSpec{
 			{Name: "long", Entry: 0, Exit: 5, Pattern: workload.Greedy{}},
 			{Name: "mid", Entry: 1, Exit: 4, Pattern: workload.Greedy{}},
@@ -146,7 +142,13 @@ func TestShardTraceMerge(t *testing.T) {
 			{Name: "tail", Entry: 4, Exit: 5, Pattern: workload.Window{Start: sim.Time(5 * sim.Millisecond), Stop: sim.Time(25 * sim.Millisecond)}},
 		},
 		Shards: 2,
-	})
+	}
+	g := cfg.Lower()
+	g.Events = []TransientEvent{
+		{At: 10 * sim.Millisecond, Kind: TransientRate, Index: 1, Value: 25e6},
+		{At: 15 * sim.Millisecond, Kind: TransientLoss, Index: 3, Value: 0.02},
+	}
+	n, err := buildChain(g, "switches")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,25 +27,21 @@ type TCPFlowSpec struct {
 
 // TCPConfig describes a linear IP network of Routers routers chained by
 // trunks. Like ATMConfig it is a way to describe a network, not a second way
-// to build one: BuildTCP builds the router graph lower turns it into.
+// to build one: BuildTCP builds the router graph lower turns it into. The
+// chain's fixed shape (1 ms trunks, 100 Mb/s access links, 10 ms
+// sampling) is written by lower; the config holds only what some
+// experiment sets.
 type TCPConfig struct {
 	Routers int
 	// TrunkRateBPS is the trunk rate in bits/s (default 10 Mb/s, a
 	// mid-90s backbone trunk).
 	TrunkRateBPS float64
-	// TrunkDelay is the per-trunk propagation delay (default 1 ms).
-	TrunkDelay sim.Duration
 	// TrunkBuffer is the physical buffer per trunk port in packets
 	// (default 60 — drop-tail routers drop beyond it).
 	TrunkBuffer int
-	// AccessRateBPS is the end-system access rate (default 100 Mb/s so the
-	// trunks are the bottleneck).
-	AccessRateBPS float64
 	// Disc builds the queue discipline instance for each trunk port; nil
 	// means plain drop-tail.
 	Disc func() ip.Discipline
-	// SampleEvery is the series sampling period (default 10 ms).
-	SampleEvery sim.Duration
 	// Duration, when set, is the planned run length — a sizing hint letting
 	// the recorded series pre-allocate their points (see ATMConfig.Duration).
 	Duration sim.Duration
@@ -65,32 +61,25 @@ func (c *TCPConfig) setDefaults() {
 	if c.TrunkRateBPS == 0 {
 		c.TrunkRateBPS = 10e6
 	}
-	if c.TrunkDelay == 0 {
-		c.TrunkDelay = sim.Millisecond
-	}
 	if c.TrunkBuffer == 0 {
 		c.TrunkBuffer = 60
-	}
-	if c.AccessRateBPS == 0 {
-		c.AccessRateBPS = 100e6
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 10 * sim.Millisecond
 	}
 }
 
 // lower renders the router chain as the graph it is: router i is node i,
 // trunk k is edge k joining nodes k and k+1 (its forward half carries the
 // data, its reverse half the ACKs), and flow i is session i routed
-// Entry→Exit.
+// Entry→Exit. Trunks have 1 ms of propagation delay, access links run at
+// 100 Mb/s so the trunks are the bottleneck, and series are sampled every
+// 10 ms.
 func (c *TCPConfig) lower() GraphConfig {
 	g := GraphConfig{
 		Nodes:         c.Routers,
 		Edges:         chainEdges(c.Routers),
 		TrunkRateBPS:  c.TrunkRateBPS,
-		TrunkDelay:    c.TrunkDelay,
-		AccessRateBPS: c.AccessRateBPS,
-		SampleEvery:   c.SampleEvery,
+		TrunkDelay:    sim.Millisecond,
+		AccessRateBPS: 100e6,
+		SampleEvery:   10 * sim.Millisecond,
 		Duration:      c.Duration,
 		TrunkLossRate: c.TrunkLossRate,
 		Trace:         c.Trace,

@@ -314,7 +314,7 @@ func TestSeriesStorageFollowsPoints(t *testing.T) {
 	defer n.Release()
 	n.Run(dur)
 
-	hint := samplesHint(dur, n.Config.SampleEvery)
+	hint := samplesHint(dur, n.GraphNet.Config.SampleEvery)
 	eventDriven(n.MACR)
 	bytes, points := sampled(hint, n.Shards(), n.Goodput, n.TrunkQueue)
 	if bytes > valueBytes*(points+n.Shards()*hint) {

@@ -41,8 +41,6 @@ type Config struct {
 	// FleetWorkers is the per-job fleet size when the spec doesn't pick one
 	// (0: GOMAXPROCS).
 	FleetWorkers int
-	// TraceRingCap caps per-run flight recorders (0: api.TraceRingDefault).
-	TraceRingCap int
 	// Pprof mounts net/http/pprof on the daemon's HTTP surface.
 	Pprof bool
 }
@@ -190,10 +188,7 @@ func (s *Server) runJob(j *job) {
 // It expands the spec — rejecting invalid ones with a real message — and
 // enqueues the job.
 func (s *Server) Submit(spec api.JobSpec) (*job, error) {
-	expn, err := api.Expand(spec, api.Env{
-		Trace:        s.cfg.Dir != "",
-		TraceRingCap: s.cfg.TraceRingCap,
-	})
+	expn, err := api.Expand(spec, api.Env{Trace: s.cfg.Dir != ""})
 	if err != nil {
 		return nil, err
 	}

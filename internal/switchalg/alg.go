@@ -27,8 +27,7 @@ type Port interface {
 
 // Algorithm is a rate-control algorithm instance bound to one output port.
 // The switch invokes the hooks; an algorithm may modify RM cells in place
-// (writing ER and CI feedback) and may set the EFCI bit on data cells in
-// OnArrival.
+// (writing ER and CI feedback).
 //
 // Hook call sites:
 //   - OnArrival: every cell about to be enqueued on the port (forward

@@ -25,7 +25,7 @@ const lineCPS = 353773.58 // 150 Mb/s in cells/s
 func observeResidual(pc *core.PortControl, residual float64) {
 	cfg := pc.Config()
 	for i := 1; i <= 2000; i++ {
-		pc.Transmitted((cfg.Capacity*cfg.TargetUtilization - residual) / 1000)
+		pc.Transmitted((cfg.Capacity*core.DefaultTargetUtilization - residual) / 1000)
 		pc.Tick(sim.Time(i) * sim.Time(sim.Millisecond))
 	}
 }

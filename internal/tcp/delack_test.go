@@ -69,16 +69,6 @@ func TestDelayedAckECNImmediate(t *testing.T) {
 	}
 }
 
-func TestDelayedAckCustomDelay(t *testing.T) {
-	e, r, back := delAckReceiver()
-	r.AckDelay = 10 * sim.Millisecond
-	r.Receive(e, &ip.Packet{Flow: 1, Seq: 0, Len: 512})
-	e.RunUntil(sim.Time(15 * sim.Millisecond))
-	if len(back.pkts) != 1 {
-		t.Fatal("custom delay not honoured")
-	}
-}
-
 // End-to-end: a connection with delayed ACKs still fills the pipe, with
 // roughly half the ACK traffic.
 func TestDelayedAckEndToEnd(t *testing.T) {

@@ -6,6 +6,10 @@ import (
 	"repro/internal/telemetry"
 )
 
+// ackDelay is the delayed-ACK timer: 200 ms, the BSD timer, well inside
+// RFC 1122's 500 ms bound.
+const ackDelay = 200 * sim.Millisecond
+
 // Receiver is the TCP receive side for one flow: it delivers in-order
 // payload, buffers out-of-order segments, acknowledges with the cumulative
 // next-expected byte, and echoes the ECN bit of marked data packets.
@@ -13,7 +17,7 @@ import (
 // By default every data packet is acknowledged immediately (the paper's
 // greedy-source simulations do not use delayed ACKs). Setting DelayedAcks
 // enables the RFC 1122 behaviour: an ACK is sent for at least every second
-// segment or within AckDelay, whichever comes first; duplicate and
+// segment or within ackDelay, whichever comes first; duplicate and
 // gap-filling ACKs are always sent immediately, as fast retransmit
 // requires.
 type Receiver struct {
@@ -22,8 +26,6 @@ type Receiver struct {
 	Back ip.Sink
 	// DelayedAcks enables RFC 1122 ACK coalescing.
 	DelayedAcks bool
-	// AckDelay is the delayed-ACK timer (default 200 ms).
-	AckDelay sim.Duration
 
 	rcvNxt    int64
 	delivered int64
@@ -109,11 +111,7 @@ func (r *Receiver) Receive(e *sim.Engine, p *ip.Packet) {
 		r.ackTimer = e.NewTimer(receiverAckTimeout, sim.Payload{Obj: r})
 	}
 	if !r.ackTimer.Armed() {
-		delay := r.AckDelay
-		if delay == 0 {
-			delay = 200 * sim.Millisecond
-		}
-		r.ackTimer.Reset(delay)
+		r.ackTimer.Reset(ackDelay)
 	}
 }
 

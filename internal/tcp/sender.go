@@ -27,8 +27,6 @@ type SenderParams struct {
 	MSS int
 	// RcvWnd is the receiver's advertised window in bytes (default 64 KB).
 	RcvWnd int
-	// InitialSsthresh defaults to RcvWnd.
-	InitialSsthresh int
 	// MinRTO floors the retransmission timer (default 200 ms); InitialRTO
 	// is used before the first RTT sample (default 1 s); MaxRTO caps
 	// exponential backoff (default 64 s).
@@ -165,10 +163,7 @@ func (s *Sender) Start(e *sim.Engine) error {
 		return err
 	}
 	s.cwnd = float64(s.Params.MSS)
-	s.ssthresh = float64(s.Params.InitialSsthresh)
-	if s.ssthresh == 0 {
-		s.ssthresh = float64(s.Params.RcvWnd)
-	}
+	s.ssthresh = float64(s.Params.RcvWnd)
 	s.rto = s.Params.InitialRTO
 	if s.Params.Vegas != nil {
 		s.vegas = &vegasState{params: *s.Params.Vegas, inSS: true}

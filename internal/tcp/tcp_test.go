@@ -90,13 +90,12 @@ func TestSlowStartDoublesPerRTT(t *testing.T) {
 func TestCongestionAvoidanceLinearGrowth(t *testing.T) {
 	e := sim.NewEngine()
 	out := &pktCapture{}
-	p := DefaultSenderParams()
-	p.InitialSsthresh = 1024 // leave slow start after 2 segments
-	s := NewSender(1, p, out)
+	s := NewSender(1, DefaultSenderParams(), out)
 	if err := s.Start(e); err != nil {
 		t.Fatal(err)
 	}
-	ack(e, s, 512) // slow start: 512→1024
+	s.ssthresh = 1024 // leave slow start after 2 segments
+	ack(e, s, 512)    // slow start: 512→1024
 	if s.cwnd != 1024 {
 		t.Fatalf("cwnd = %v", s.cwnd)
 	}

@@ -85,6 +85,36 @@ func (h *Hooks) Fire() {
 	}
 }
 
+// Knobs plants the cases the knob census must tell apart: each settable
+// field (exported without a tag, or func-typed) needs a non-test write
+// that sets it. Read reads them all, so the field census passes them.
+type Knobs struct {
+	Tested    int            // set only in p_test.go: reported
+	Defaulted int            // filled only by a constant under its zero test: reported
+	Made      map[string]int // made lazily under its nil test, with an allowlist row: the row is stale
+	Tagged    int            `json:"tagged"` // tagged: not settable
+}
+
+// Pair is set only by a positional literal, which sets both fields.
+type Pair struct {
+	Name, Detail string
+}
+
+// NewPair sets Pair's fields positionally.
+func NewPair() Pair { return Pair{"name", "detail"} }
+
+// Read defaults k's fields and reads them.
+func (k *Knobs) Read(p Pair) string {
+	if k.Defaulted == 0 {
+		k.Defaulted = 5
+	}
+	if k.Made == nil {
+		k.Made = make(map[string]int)
+	}
+	k.Made[p.Name+p.Detail] = k.Tested + k.Defaulted + k.Tagged
+	return p.Name
+}
+
 // Schedule hands the engine a func literal and a closure variable as
 // events' handlers: reported, once each. The named handler and the
 // handler its caller passed are not.

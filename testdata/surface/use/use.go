@@ -10,4 +10,5 @@ func Run() {
 	p.Deliver[p.Cell](p.Box{}, p.Cell{})
 	p.NewFields().Sum()
 	p.NewHooks().Fire()
+	new(p.Knobs).Read(p.NewPair())
 }
